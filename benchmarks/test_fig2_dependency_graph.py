@@ -21,6 +21,7 @@ from repro.shardstore.dependency import dependency_graph_edges
 def _scenario():
     config = StoreConfig(seed=1, superblock_flush_cadence=100)  # manual flushes
     system = StoreSystem(config)
+    system.tracker.capture_record_info()  # off by default; the figure needs it
     store = system.store
     deps = {
         key: store.put(key, bytes([i]) * 200)

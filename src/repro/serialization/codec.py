@@ -55,13 +55,63 @@ class Preencoded:
 
     __slots__ = ("data",)
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: Union[bytes, bytearray]) -> None:
         self.data = data
 
+
 _pack_q = struct.Struct("<q").pack
+_pack_q_into = struct.Struct("<q").pack_into
 _pack_I = struct.Struct("<I").pack
 _INT_MIN = -(2**63)
 _INT_MAX = 2**63
+#: Encoded size of one int (tag + 64 bits) and of a container header
+#: (tag + 32-bit count).
+_INT_LEN = 9
+_CONTAINER_HEADER_LEN = 5
+
+
+def preencoded_list(count: int, items: Union[bytes, bytearray]) -> Preencoded:
+    """The list of ``count`` items whose encodings are concatenated in ``items``.
+
+    Lets the holder of a long, slowly-changing list (the LSM metadata
+    record's run list) keep its items encoded and pay only a copy per record.
+    """
+    out = bytearray((_T_LIST,))
+    out += _pack_I(count)
+    out += items
+    return Preencoded(out)
+
+
+class PreencodedIntMap:
+    """The encoding of an int -> int dict with a fixed key set, patched in place.
+
+    An int key and an int value encode to a fixed width, so each value has
+    a fixed offset in the canonical (key-sorted) encoding and :meth:`set`
+    rewrites eight bytes.  :attr:`preencoded` always splices the current
+    content, byte-identical to encoding the plain dict (the superblock's
+    soft-pointer map: a flush moves one or two of its ~124 entries).
+    """
+
+    __slots__ = ("preencoded", "_value_at")
+
+    def __init__(self, mapping: Dict[int, int]) -> None:
+        if any(
+            type(key) is not int or type(value) is not int
+            for key, value in mapping.items()
+        ):
+            raise TypeError("PreencodedIntMap takes int keys and int values")
+        data = bytearray(encode_value(mapping))
+        self.preencoded = Preencoded(data)
+        first_value = _CONTAINER_HEADER_LEN + _INT_LEN + 1  # past key and tag
+        self._value_at = {
+            key: first_value + 2 * _INT_LEN * position
+            for position, key in enumerate(sorted(mapping))
+        }
+
+    def set(self, key: int, value: int) -> None:
+        if type(value) is not int or not _INT_MIN <= value < _INT_MAX:
+            raise ValueError("value is not a 64-bit signed integer")
+        _pack_q_into(self.preencoded.data, self._value_at[key], value)
 
 
 def encode_value(value: Value) -> bytes:

@@ -65,7 +65,16 @@ class DurabilityTracker:
     def __init__(self) -> None:
         self._next_id = 0
         self._durable: Set[int] = set()
-        self.record_info: Dict[int, RecordInfo] = {}
+        #: One :class:`RecordInfo` per IO record queued after
+        #: :meth:`capture_record_info`; None (the default) keeps nothing, so
+        #: a long-running store's bookkeeping does not grow with its history.
+        self.record_info: Optional[Dict[int, RecordInfo]] = None
+
+    def capture_record_info(self) -> None:
+        """Keep a :class:`RecordInfo` (and through it the dependency graph)
+        for every record queued from now on; what the Fig. 2 bench renders."""
+        if self.record_info is None:
+            self.record_info = {}
 
     def allocate(self) -> int:
         record_id = self._next_id
@@ -250,7 +259,10 @@ def dependency_graph_edges(
 
     Walks :attr:`DurabilityTracker.record_info` transitively from the given
     records; used by the Fig. 2 benchmark to render put dependency graphs.
+    The tracker must have been capturing when the records were queued.
     """
+    if tracker.record_info is None:
+        raise ValueError("tracker.capture_record_info() was never switched on")
     edges: List[Tuple[int, int]] = []
     seen: Set[int] = set()
     stack = list(record_ids)

@@ -24,11 +24,16 @@ into is what keeps reclamation from destroying the not-yet-referenced chunk
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.concurrency.primitives import Mutex, yield_point
-from repro.serialization.codec import encode_record, scan_records
+from repro.serialization.codec import (
+    encode_record,
+    encode_value,
+    preencoded_list,
+    scan_records,
+)
 
 from .chunk import KIND_RUN, Locator
 from .chunk_store import ChunkStore
@@ -48,7 +53,7 @@ class _MemEntry:
     cell: FutureCell
 
 
-@dataclass
+@dataclass(eq=False)
 class Run:
     """One on-disk sorted run."""
 
@@ -56,6 +61,16 @@ class Run:
     locator: Locator
     entries: Dict[bytes, Optional[List[Locator]]]
     dep: Dependency
+    #: This run's item of the metadata record's run list, already encoded;
+    #: it changes only when the run chunk moves (:meth:`move_to`).
+    encoded: bytes = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.move_to(self.locator)
+
+    def move_to(self, locator: Locator) -> None:
+        self.locator = locator
+        self.encoded = encode_value([self.run_id, locator.to_value()])
 
 
 def _run_key(run_id: int) -> bytes:
@@ -74,6 +89,7 @@ class LsmIndex:
         runs: Optional[List[Run]] = None,
         next_run_id: int = 0,
         meta_slot: int = 0,
+        meta_epoch: int = 0,
     ) -> None:
         self.chunk_store = chunk_store
         self.scheduler = scheduler
@@ -83,8 +99,17 @@ class LsmIndex:
         self.recorder = config.recorder
         self._memtable: Dict[bytes, _MemEntry] = {}
         self._runs: List[Run] = list(runs or [])  # oldest first
+        #: The runs resolved into one map: key -> its newest run's locators,
+        #: tombstoned keys absent.  A lookup is one probe however many runs
+        #: there are.  Only a memtable flush changes what the runs say;
+        #: compaction and relocation rewrite runs without changing it.
+        self._view: Dict[bytes, List[Locator]] = {}
+        for run in self._runs:
+            self._apply_to_view(run.entries)
+        self._index_runs()
         self._next_run_id = next_run_id
         self._meta_slot = meta_slot
+        self._meta_epoch = meta_epoch
         self._meta_switched = False
         self._lock = Mutex(None, name="lsm-index")
         # Cumulative shard-data dependency per live key, so relocations can
@@ -149,31 +174,30 @@ class LsmIndex:
 
     def _get_locked(self, key: bytes) -> Optional[List[Locator]]:
         entry = self._memtable.get(key)
-        if entry is not None:
-            return list(entry.locators) if entry.locators is not None else None
-        for run in reversed(self._runs):
-            if key in run.entries:
-                locs = run.entries[key]
-                return list(locs) if locs is not None else None
-        return None
+        locs = entry.locators if entry is not None else self._view.get(key)
+        return list(locs) if locs is not None else None
+
+    def _index_runs(self) -> None:
+        """Rebuild what is derived from the run list as a whole."""
+        self._run_at: Dict[Locator, Run] = {run.locator: run for run in self._runs}
+        #: ``run.encoded`` of every run, joined in run-list order.
+        self._runs_blob = bytearray().join(run.encoded for run in self._runs)
+
+    def _apply_to_view(self, entries: Dict[bytes, Optional[List[Locator]]]) -> None:
+        """Layer one run's entries (newer than all before it) onto the view."""
+        view = self._view
+        for key, locs in entries.items():
+            if locs is None:
+                view.pop(key, None)
+            else:
+                view[key] = locs
 
     def keys(self) -> List[bytes]:
         """All live keys (tombstones resolved)."""
         with self._lock:
-            # Newest-first with a seen-set: each key is decided by its most
-            # recent writer and older occurrences are skipped outright.
-            seen: set = set()
-            live: List[bytes] = []
-            for key, entry in self._memtable.items():
-                seen.add(key)
-                if entry.locators is not None:
-                    live.append(key)
-            for run in reversed(self._runs):
-                for key, locs in run.entries.items():
-                    if key not in seen:
-                        seen.add(key)
-                        if locs is not None:
-                            live.append(key)
+            memtable = self._memtable
+            live = [key for key in self._view if key not in memtable]
+            live += [key for key, e in memtable.items() if e.locators is not None]
             return sorted(live)
 
     def data_dep(self, key: bytes) -> Dependency:
@@ -206,6 +230,9 @@ class LsmIndex:
         )
         run = Run(run_id=run_id, locator=locator, entries=entries, dep=run_dep)
         self._runs.append(run)
+        self._run_at[locator] = run
+        self._runs_blob += run.encoded
+        self._apply_to_view(entries)
         if self.recorder.enabled:
             self.recorder.count("lsm.flushes")
             self.recorder.observe("lsm.flush_entries", len(entries))
@@ -300,8 +327,11 @@ class LsmIndex:
                     run_id=run_id, locator=locator, entries=merged, dep=run_dep
                 )
                 # Keep any runs flushed after our snapshot (they are newer).
-                newer = [r for r in self._runs if r not in snapshot]
-                self._runs = [new_run] + newer
+                merged_ids = {r.run_id for r in snapshot}
+                self._runs = [new_run] + [
+                    r for r in self._runs if r.run_id not in merged_ids
+                ]
+                self._index_runs()
                 meta_dep = self._write_meta_locked(run_dep)
         finally:
             if pin:
@@ -312,10 +342,11 @@ class LsmIndex:
     # metadata records
 
     def _write_meta_locked(self, change_dep: Optional[Dependency] = None) -> Dependency:
+        epoch = self._meta_epoch + 1
         value = {
-            "epoch": self._next_meta_epoch(),
+            "epoch": epoch,
             "next_run_id": self._next_run_id,
-            "runs": [[run.run_id, run.locator.to_value()] for run in self._runs],
+            "runs": preencoded_list(len(self._runs), self._runs_blob),
         }
         record = encode_record(value, self.config.geometry.page_size)
         extent = METADATA_EXTENTS[self._meta_slot]
@@ -342,28 +373,26 @@ class LsmIndex:
             extent, record, base, label="lsm-metadata"
         )
         self._last_meta_dep = append_dep
-        self._meta_epoch = value["epoch"]
+        self._meta_epoch = epoch
         return append_dep
-
-    def _next_meta_epoch(self) -> int:
-        return getattr(self, "_meta_epoch", 0) + 1
 
     # ------------------------------------------------------------------
     # reclamation support (reverse lookups and relocation)
 
     def is_run_live(self, locator: Locator) -> bool:
         with self._lock:
-            return any(run.locator == locator for run in self._runs)
+            return locator in self._run_at
 
     def relocate_run(self, old: Locator, new: Locator, new_dep: Dependency) -> Dependency:
         """Reclamation moved a run chunk; repoint metadata at the copy."""
         with self._lock:
-            for run in self._runs:
-                if run.locator == old:
-                    run.locator = new
-                    run.dep = run.dep.and_(new_dep)
-                    return self._write_meta_locked(new_dep)
-        raise ShardStoreError(f"relocate_run: no run at {old}")
+            run = self._run_at.get(old)
+            if run is None:
+                raise ShardStoreError(f"relocate_run: no run at {old}")
+            run.move_to(new)
+            run.dep = run.dep.and_(new_dep)
+            self._index_runs()
+            return self._write_meta_locked(new_dep)
 
     def data_locators(self, key: bytes) -> Optional[List[Locator]]:
         return self.get(key)
@@ -471,8 +500,8 @@ class LsmIndex:
             runs=runs,
             next_run_id=next_run_id,
             meta_slot=best_slot,
+            meta_epoch=meta_epoch,
         )
-        index._meta_epoch = meta_epoch
         return index, lost
 
 
@@ -498,8 +527,6 @@ def _load_run(chunk_store: ChunkStore, tracker: DurabilityTracker, item: object)
 
 
 def _encode_run(entries: Dict[bytes, Optional[List[Locator]]]) -> bytes:
-    from repro.serialization.codec import encode_value
-
     value = {
         key: (None if locs is None else [loc.to_value() for loc in locs])
         for key, locs in entries.items()

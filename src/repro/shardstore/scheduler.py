@@ -159,8 +159,7 @@ class IoScheduler:
         queue = self._queues.get(extent)
         if queue is None:
             queue = self._queues[extent] = []
-        record_info = self.tracker.record_info
-        info_label = label or f"append@{extent}"
+        record_info = self.tracker.record_info  # None unless capturing
         first_seg_end = min(length, (offset // page + 1) * page - offset)
         if first_seg_end == length:
             # Fast path: the whole append lands inside one page segment.
@@ -168,9 +167,10 @@ class IoScheduler:
             queue.append(
                 _PendingRecord(record_id, extent, offset, data, dep, "write", label)
             )
-            record_info[record_id] = RecordInfo(
-                record_id, info_label, extent, offset, length, dep
-            )
+            if record_info is not None:
+                record_info[record_id] = RecordInfo(
+                    record_id, label or f"append@{extent}", extent, offset, length, dep
+                )
             record_ids: List[int] = [record_id]
         else:
             # Page-granular segments as zero-copy memoryview slices; one
@@ -198,9 +198,15 @@ class IoScheduler:
                         label,
                     )
                 )
-                record_info[record_id] = RecordInfo(
-                    record_id, info_label, extent, offset + start, end - start, dep
-                )
+                if record_info is not None:
+                    record_info[record_id] = RecordInfo(
+                        record_id,
+                        label or f"append@{extent}",
+                        extent,
+                        offset + start,
+                        end - start,
+                        dep,
+                    )
         count = len(record_ids)
         self.stats.records_enqueued += count
         self._pending_total += count
@@ -224,15 +230,16 @@ class IoScheduler:
         """
         record_id = self.tracker.allocate()
         record = _PendingRecord(record_id, extent, 0, b"", dep, "reset", label)
-        self.tracker.record_info[record_id] = RecordInfo(
-            record_id=record_id,
-            label=label or f"reset@{extent}",
-            extent=extent,
-            offset=0,
-            length=0,
-            dep=dep,
-            kind="reset",
-        )
+        if self.tracker.record_info is not None:
+            self.tracker.record_info[record_id] = RecordInfo(
+                record_id=record_id,
+                label=label or f"reset@{extent}",
+                extent=extent,
+                offset=0,
+                length=0,
+                dep=dep,
+                kind="reset",
+            )
         self._queues.setdefault(extent, []).append(record)
         self.stats.records_enqueued += 1
         self._pending_total += 1
@@ -425,7 +432,8 @@ class IoScheduler:
                 if record.offset < hard:
                     record.data = record.data[hard - record.offset :]
                     record.offset = hard
-                    info = self.tracker.record_info.get(record.record_id)
+                    captured = self.tracker.record_info
+                    info = captured.get(record.record_id) if captured else None
                     if info is not None:
                         info.offset = record.offset
                         info.length = len(record.data)

@@ -33,11 +33,12 @@ describes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.concurrency.primitives import Condvar, Mutex, yield_point
 from repro.serialization.codec import (
     Preencoded,
+    PreencodedIntMap,
     encode_record,
     encode_value,
     scan_records,
@@ -134,7 +135,16 @@ class Superblock:
         )
         self._epoch = state.epoch
         #: Last pointer value published in a durable-consistent record.
-        self._published: Dict[int, int] = dict(state.pointers)
+        self._published: Dict[int, int] = {
+            extent: state.pointers.get(extent, 0) for extent in config.data_extents
+        }
+        #: The record's encoded ``pointers`` map; always equals ``_published``.
+        self._published_blob = PreencodedIntMap(self._published)
+        #: Extents whose publishable pointer may differ from ``_published``:
+        #: appended to or reset since the last flush that published them.
+        #: A recovered soft pointer need not match the recovered record, so
+        #: the first flush looks at every extent.
+        self._unpublished: Set[int] = set(config.data_extents)
         self._ownership: Dict[int, str] = dict(state.ownership)
         #: Which superblock extent the next record goes to.  Recovery must
         #: resume on the slot holding the newest valid record: rotation
@@ -186,6 +196,7 @@ class Superblock:
         record itself, whose own dependency guarantees the data was
         evacuated and re-indexed first."""
         self._appends_since_flush += 1
+        self._unpublished.add(extent)
         cell = self._cells.get(extent)
         if cell is None or (
             cell.resolved is not None
@@ -205,14 +216,15 @@ class Superblock:
         implies every key that lived here is readable elsewhere).  Pointer
         publication for the extent is gated on the reset being durable.
         """
+        self._unpublished.add(extent)
         cell = self._cells.pop(extent, None)
         self._era_end.pop(extent, None)
         if cell is not None and cell.resolved is None:
             cell.resolve(reset_dep)
         if self.faults.enabled(Fault.SOFT_HARD_POINTER_MISMATCH_ON_RESET):
-            # Fault #7: publish the post-reset pointer immediately, with no
-            # regard for whether the reset (and the evacuations it depends
-            # on) is durable.
+            # Fault #7: the next flush publishes the post-reset pointer, with
+            # no regard for whether the reset (and the evacuations it
+            # depends on) is durable.
             if self.recorder.enabled:
                 self.recorder.fault_event(
                     Fault.SOFT_HARD_POINTER_MISMATCH_ON_RESET,
@@ -220,7 +232,6 @@ class Superblock:
                     f"pointer for extent {extent} published as 0 before the "
                     "reset is durable",
                 )
-            self._published[extent] = 0
             return
         self._pending_resets.setdefault(extent, []).append(reset_dep)
 
@@ -296,25 +307,27 @@ class Superblock:
 
     def _flush_locked(self) -> Dependency:
         self._epoch += 1
-        pointers: Dict[int, int] = {}
-        for extent in self.config.data_extents:
-            soft = self.scheduler.soft_pointer(extent)
+        published = self._published
+        for extent in list(self._unpublished):
             pending = self._pending_resets.get(extent)
             if pending is not None:
                 pending = [d for d in pending if not d.is_persistent()]
                 if pending:
+                    # Hold back: keep publishing the last durable-consistent
+                    # value.  (Recovery takes min(published, hard pointer),
+                    # so a stale-high value can never expose garbage.)
                     self._pending_resets[extent] = pending
-                    # Hold back: publish the last durable-consistent value.
-                    # (Recovery takes min(published, hard pointer), so a
-                    # stale-high value can never expose garbage.)
-                    pointers[extent] = self._published.get(extent, 0)
                     continue
                 del self._pending_resets[extent]
-            pointers[extent] = soft
-        # Encode the record straight from the live dicts (guarded by the
-        # state lock; the encoder never mutates).  Same layout as
-        # ``SuperblockState.to_value`` -- int extent keys; the ownership
-        # subtree is spliced from a cache invalidated by ``note_ownership``.
+            self._unpublished.discard(extent)
+            soft = self.scheduler.soft_pointer(extent)
+            if soft != published[extent]:
+                published[extent] = soft
+                self._published_blob.set(extent, soft)
+        # Same layout as ``SuperblockState.to_value`` -- int extent keys --
+        # with both maps spliced already encoded (guarded by the state
+        # lock): pointers patched above for the extents that moved, the
+        # ownership subtree from a cache invalidated by ``note_ownership``.
         ownership_blob = self._ownership_blob
         if ownership_blob is None:
             ownership_blob = self._ownership_blob = Preencoded(
@@ -322,20 +335,19 @@ class Superblock:
             )
         value = {
             "epoch": self._epoch,
-            "pointers": pointers,
+            "pointers": self._published_blob.preencoded,
             "ownership": ownership_blob,
         }
         record = encode_record(value, self.config.geometry.page_size)
         dep = self._append_record(record)
-        for extent, published in pointers.items():
+        for extent in list(self._cells):
             # A published pointer covers the current era iff it reaches the
             # era's last append; min(published, hard) at recovery then
             # includes the append whenever its data is durable.
-            if published >= self._era_end.get(extent, 0):
-                cell = self._cells.pop(extent, None)
-                if cell is not None and cell.resolved is None:
+            if published[extent] >= self._era_end.get(extent, 0):
+                cell = self._cells.pop(extent)
+                if cell.resolved is None:
                     cell.resolve(dep)
-            self._published[extent] = published
         self._appends_since_flush = 0
         self._last_flush_dep = dep
         if self.recorder.enabled:

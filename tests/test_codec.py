@@ -4,10 +4,12 @@ import pytest
 
 from repro.serialization.codec import (
     Preencoded,
+    PreencodedIntMap,
     decode_record,
     decode_value,
     encode_record,
     encode_value,
+    preencoded_list,
     record_size,
     scan_records,
     scan_records_with_end,
@@ -70,6 +72,36 @@ class TestValueRoundtrip:
     def test_preencoded_inside_list_and_nested(self):
         inner = Preencoded(encode_value([1, b"two"]))
         assert decode_value(encode_value([inner, 3])) == [[1, b"two"], 3]
+
+    def test_preencoded_list_of_joined_items(self):
+        items = [[7, [1, 2, 3]], [9, [4, 5, 6]], b"x", None]
+        joined = b"".join(encode_value(item) for item in items)
+        spliced = encode_value({"runs": preencoded_list(len(items), joined)})
+        assert spliced == encode_value({"runs": items})
+        assert encode_value(preencoded_list(0, b"")) == encode_value([])
+
+    def test_int_map_patched_in_place_equals_plain_encoding(self):
+        plain = {extent: 0 for extent in (9, 4, 130, 5)}  # any insertion order
+        patched = PreencodedIntMap(plain)
+        assert encode_value(patched.preencoded) == encode_value(plain)
+        for extent, pointer in ((130, 65536), (4, 1), (9, 2**40), (4, 0), (5, -3)):
+            plain[extent] = pointer
+            patched.set(extent, pointer)
+            assert encode_value(patched.preencoded) == encode_value(plain)
+        assert encode_value(PreencodedIntMap({}).preencoded) == encode_value({})
+
+    def test_int_map_rejects_what_would_break_the_fixed_layout(self):
+        with pytest.raises(TypeError):
+            PreencodedIntMap({1: True})
+        with pytest.raises(TypeError):
+            PreencodedIntMap({"1": 1})
+        patched = PreencodedIntMap({1: 0})
+        with pytest.raises(ValueError):
+            patched.set(1, 2**63)
+        with pytest.raises(ValueError):
+            patched.set(1, True)
+        with pytest.raises(KeyError):
+            patched.set(2, 0)
 
 
 class TestValueCorruption:

@@ -1,7 +1,10 @@
 """Unit tests for the Dependency type and durability tracking."""
 
+import gc
+
 import pytest
 
+from repro.shardstore import DiskGeometry, StoreConfig, StoreSystem
 from repro.shardstore.dependency import (
     Dependency,
     DurabilityTracker,
@@ -131,7 +134,54 @@ class TestGraphEdges:
         a = tracker.allocate()
         b = tracker.allocate()
         dep_a = Dependency.on_records(tracker, [a])
+        tracker.capture_record_info()
         tracker.record_info[a] = RecordInfo(a, "first", 0, 0, 4, Dependency.root(tracker))
         tracker.record_info[b] = RecordInfo(b, "second", 0, 4, 4, dep_a)
         edges = dependency_graph_edges(tracker, [b])
         assert (a, b) in edges
+
+
+class TestRecordInfoCapture:
+    """``RecordInfo`` is kept only by a tracker that was asked to."""
+
+    def test_default_store_retains_no_record_info(self):
+        system = StoreSystem(
+            StoreConfig(
+                geometry=DiskGeometry(64, 65536, 512), memtable_flush_threshold=64
+            )
+        )
+        store = system.store
+        for i in range(5_000):
+            store.put(b"key-%03d" % (i % 200), b"v" * 64)
+            if (i + 1) % 500 == 0:
+                store.flush()
+                store.drain()
+        assert system.tracker.record_info is None
+        gc.collect()
+        assert not [o for o in gc.get_objects() if type(o) is RecordInfo]
+        with pytest.raises(ValueError):
+            dependency_graph_edges(system.tracker, [0])
+
+    def test_capturing_tracker_renders_the_fig2_graph(self):
+        """The Fig. 2 scenario's graph, as pinned at commit 736a492 (when
+        every tracker captured): each put needs its chunk pages, the shared
+        run chunk (8-10), the metadata record (11) and the superblock record
+        (12-15); the metadata record is ordered after all of the others."""
+        system = StoreSystem(StoreConfig(seed=1, superblock_flush_cadence=100))
+        system.tracker.capture_record_info()
+        store = system.store
+        deps = [
+            store.put(key, bytes([i]) * 200)
+            for i, key in enumerate([b"shard-1", b"shard-2", b"shard-3"])
+        ]
+        store.flush_index()
+        store.flush_superblock()
+        shared = [8, 9, 10, 11, 12, 13, 14, 15]
+        edges = [(8, 11), (9, 11), (10, 11), (12, 11), (13, 11), (14, 11), (15, 11)]
+        for dep, own in zip(deps, ([0, 1], [2, 3, 4], [5, 6, 7])):
+            assert sorted(dep.record_ids()) == own + shared
+            assert dependency_graph_edges(system.tracker, own + shared) == edges
+        labels = {rid: info.label for rid, info in system.tracker.record_info.items()}
+        assert labels[11] == "lsm-metadata"
+        assert {labels[rid] for rid in (12, 13, 14, 15)} == {"superblock-record"}
+        assert {labels[rid] for rid in range(11)} == {"chunk@4"}

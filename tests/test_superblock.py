@@ -2,7 +2,9 @@
 
 import random
 
+import pytest
 
+from repro.serialization.codec import encode_record
 from repro.shardstore import (
     SUPERBLOCK_EXTENTS,
     DiskGeometry,
@@ -13,12 +15,18 @@ from repro.shardstore import (
 )
 from repro.shardstore.dependency import Dependency, DurabilityTracker
 from repro.shardstore.scheduler import IoScheduler
-from repro.shardstore.superblock import OWNER_DATA, OWNER_FREE, Superblock
+from repro.shardstore.superblock import (
+    OWNER_DATA,
+    OWNER_FREE,
+    Superblock,
+    SuperblockState,
+)
 
 
-def _fresh(faults=None, seed=0):
+def _fresh(faults=None, seed=0, geometry=None):
     config = StoreConfig(
-        geometry=DiskGeometry(num_extents=10, extent_size=2048, page_size=128),
+        geometry=geometry
+        or DiskGeometry(num_extents=10, extent_size=2048, page_size=128),
         faults=faults or FaultSet.none(),
         seed=seed,
     )
@@ -216,3 +224,99 @@ class TestBufferPool:
         assert sb.current_epoch() == 0
         sb.flush()
         assert sb.current_epoch() == 1
+
+
+class TestIncrementalRecord:
+    """Every record, however it was assembled, is the plain encoding of the
+    state it publishes.  The reference model below is the publish rule
+    written out over every extent: the soft pointer, unless a reset of the
+    extent is not yet durable, in which case the last published value."""
+
+    @pytest.mark.parametrize("data_extents", [12, 124])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_record_equals_the_from_scratch_encoding(self, data_extents, seed):
+        config, _, tracker, scheduler, sb = _fresh(
+            seed=seed,
+            geometry=DiskGeometry(
+                num_extents=data_extents + 4, extent_size=32768, page_size=512
+            ),
+        )
+        assert len(config.data_extents) == data_extents
+        rng = random.Random(seed)
+
+        published = {e: 0 for e in config.data_extents}
+        ownership = {e: OWNER_FREE for e in config.data_extents}
+        pending = {}  # extent -> reset dependencies not yet seen durable
+        blockers = []  # record ids the queued resets wait for
+        promises = []
+        records = []
+
+        append = scheduler.append
+
+        def checked_append(extent, data, dep, label=""):
+            if label == "superblock-record":
+                records.append(bytes(data))
+            return append(extent, data, dep, label=label)
+
+        scheduler.append = checked_append
+
+        def expect_flush():
+            for extent in config.data_extents:
+                waiting = [d for d in pending.get(extent, []) if not d.is_persistent()]
+                if waiting:
+                    pending[extent] = waiting
+                    continue
+                pending.pop(extent, None)
+                published[extent] = scheduler.soft_pointer(extent)
+            state = SuperblockState(sb.current_epoch() + 1, published, ownership)
+            return encode_record(state.to_value(), config.geometry.page_size)
+
+        def pump():
+            while scheduler.pump_one():
+                pass
+
+        held_back_flushes = 0
+        for _ in range(300):
+            extent = rng.choice(config.data_extents)
+            draw = rng.random()
+            if draw < 0.45:
+                size = rng.randrange(1, 700)
+                if scheduler.free_bytes(extent) >= size:
+                    scheduler.append(extent, bytes(size), Dependency.root(tracker))
+                    promises.append(sb.note_append(extent))
+            elif draw < 0.55:
+                # A reset whose prerequisite is not durable yet: it stays
+                # queued, and its extent's pointer held back, across flushes.
+                blocker = tracker.allocate()
+                blockers.append(blocker)
+                reset_dep = scheduler.reset(
+                    extent, Dependency.on_records(tracker, [blocker])
+                )
+                sb.note_reset(extent, reset_dep)
+                pending.setdefault(extent, []).append(reset_dep)
+            elif draw < 0.62 and blockers:
+                tracker.mark_durable(blockers.pop(rng.randrange(len(blockers))))
+                pump()
+            elif draw < 0.72:
+                owner = rng.choice([OWNER_DATA, OWNER_FREE])
+                ownership[extent] = owner
+                promises.append(sb.note_ownership(extent, owner))
+            elif draw < 0.95:
+                expected = expect_flush()
+                held_back_flushes += bool(pending)
+                sb.flush()
+                assert records[-1] == expected
+            else:
+                pump()
+
+        assert len(records) > 30 and held_back_flushes > 5
+        # Forward progress: with every reset durable, two flushes cover
+        # every promise the sequence handed out.
+        tracker.mark_durable_many(blockers)
+        for _ in range(2):
+            pump()
+            expected = expect_flush()
+            sb.flush()
+            assert records[-1] == expected
+        scheduler.drain()
+        assert all(promise.is_persistent() for promise in promises)

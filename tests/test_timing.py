@@ -9,14 +9,17 @@ loop must never invoke the recorder at all.
 
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterRouter
 from repro.shardstore import (
     DiskGeometry,
     NullRecorder,
     RingRecorder,
+    StorageNode,
     StoreConfig,
     StoreSystem,
     TimingRecorder,
 )
+from repro.shardstore.errors import NotFoundError
 from repro.shardstore.observability import (
     HISTOGRAM_BOUNDS,
     LATENCY_BOUNDS_NS,
@@ -293,3 +296,80 @@ class TestHotPathOverhead:
         store.drain()
 
         assert spy.calls == []
+
+    def test_disabled_recorder_sees_zero_calls_over_a_10k_op_node_loop(self):
+        """ROADMAP 2c: the node's routing, admission and breaker layer adds
+        no unguarded recorder call on top of the store's."""
+        spy = _SpyRecorder()
+        node = StorageNode(
+            num_disks=3,
+            config=StoreConfig(
+                geometry=DiskGeometry(
+                    num_extents=48, extent_size=32768, page_size=512
+                ),
+                max_chunk_payload=4096,
+                memtable_flush_threshold=64,
+                buffer_cache_pages=64,
+                recorder=spy,
+            ),
+        )
+        spy.calls.clear()  # setup may legitimately log; the loop may not
+
+        _kv_loop(node, ops=10_000, flush_every=128, drain_every=1024)
+        node.flush()
+        node.drain()
+
+        assert spy.calls == []
+
+    def test_disabled_recorder_sees_zero_calls_over_a_2k_op_router_loop(self):
+        """ROADMAP 2c: quorum fan-out, hinted handoff and anti-entropy on
+        top of five nodes, still without touching a disabled recorder."""
+        spy = _SpyRecorder()
+        router = ClusterRouter(
+            ClusterConfig(
+                anti_entropy=True,
+                geometry=DiskGeometry(
+                    num_extents=48, extent_size=32768, page_size=256
+                ),
+            ),
+            recorder=spy,
+        )
+        spy.calls.clear()
+
+        # The router has no flush/drain of its own (every replica ack
+        # drains); a partitioned member makes the loop queue and replay hints.
+        _kv_loop(router, ops=500)
+        router.partition_node(0)
+        _kv_loop(router, ops=500)
+        router.heal_partition(0)
+        _kv_loop(router, ops=1_000)
+        router.settle()
+
+        assert router.stats["hints_replayed"] > 0
+        assert spy.calls == []
+
+
+def _kv_loop(kv, *, ops, flush_every=0, drain_every=0):
+    """put/get/delete/contains (and flush/drain, where the system under test
+    has them) over 32 keys, as a ``KVNode`` client would issue them."""
+    keys = [b"hot-%03d" % index for index in range(32)]
+    for key in keys:
+        kv.put(key, b"v" * 64)
+    for index in range(ops):
+        key = keys[index % len(keys)]
+        kind = index % 8
+        try:
+            if kind in (0, 1, 2):
+                kv.put(key, b"v" * 64)
+            elif kind in (3, 4, 5):
+                kv.get(key)
+            elif kind == 6:
+                kv.contains(key)
+            else:
+                kv.delete(key)
+        except NotFoundError:
+            pass  # a get or delete after this key's delete
+        if flush_every and (index + 1) % flush_every == 0:
+            kv.flush()
+        if drain_every and (index + 1) % drain_every == 0:
+            kv.drain()
