@@ -1,0 +1,130 @@
+"""Golden campaign artifacts: pinned seeds must reproduce the same bytes.
+
+The campaign plane's contract is that everything outside ``timing`` is a
+pure function of (suite, seed, flags) -- for any worker count.  This pins
+that function: the smoke artifact of every storm suite, of each suite's
+must-fail negative control, and of the full campaign, as SHA-256 digests
+computed at commit fbb561c (before the suite table / shared storm harness /
+single roll-up refactor).  A refactor of ``repro.campaign`` is accepted
+when these do not move.
+
+Canonical form: the artifact minus ``timing`` (wall clock), ``coverage``
+(``sys.settrace`` line events differ across Python versions) and
+``campaign.workers`` (so one digest covers every worker count), rendered
+with ``json.dumps(..., sort_keys=True)``.
+
+A change that is *meant* to alter an artifact re-pins the digest and says
+why (the rule of ``test_golden_images.py``); anything else that moves one
+is a bug.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.cli import main
+
+#: (suite, seed, extra flags) -> (digest, campaign exit code).  The four
+#: ``--no-*`` rows are the negative controls: each must FAIL (exit 1,
+#: ``passed: false``) -- and fail the same way, byte for byte.
+GOLDEN_STORM_ARTIFACTS = {
+    ("injection", 0, "--journal"): (
+        "b0f70f72f12b29379d3dab2c9b6698233d611d50630e91290780f7a432009629",
+        0,
+    ),
+    ("brownout", 0, None): (
+        "1ec06ac314b448e100d8fb170765f836c64d8063fba4853b0ee45cebe0d5f324",
+        0,
+    ),
+    ("cluster", 0, None): (
+        "e9ec803921f8386e6e45831061267850c117b2c9f6fdbe7e8fa05b21716b8667",
+        0,
+    ),
+    ("anti-entropy", 0, None): (
+        "221fd2386c57c3f8fa22c00796bbc2f9972def34525ee4500fc336af66644105",
+        0,
+    ),
+    ("injection", 0, "--no-breaker"): (
+        "97e927e97d3a4b564744ea79448fab7d314e2ecf5c2cf16371513b4c7aedef0d",
+        1,
+    ),
+    ("brownout", 0, "--no-shedding"): (
+        "a955dc1c8af427e5ad69d03e9e3da9077adfded8cff4eaaba8168bca63edc3f6",
+        1,
+    ),
+    ("cluster", 0, "--no-read-repair"): (
+        "bff87e1f810f2c94d4c5e3cd7dd22ea68fa7b5c638150138d62daf471314c82a",
+        1,
+    ),
+    ("anti-entropy", 0, "--no-anti-entropy"): (
+        "806c55c6cb1bfec4fb1e9efec8d5bcfd20a61e2042bb3e0928361ec9b63f9fc4",
+        1,
+    ),
+}
+
+GOLDEN_FULL_SHA256 = (
+    "528dd81c6453fbfbf454e2ab6aa89b10fcef99a8d6c7a0067f82bb78bb8d1e08"
+)
+
+
+def canonical_digest(artifact) -> str:
+    doc = {
+        key: value
+        for key, value in artifact.items()
+        if key not in ("timing", "coverage")
+    }
+    doc["campaign"] = {
+        key: value
+        for key, value in doc["campaign"].items()
+        if key != "workers"
+    }
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
+def run_smoke(tmp_path, suite, seed, flag, workers):
+    out = tmp_path / "artifact.json"
+    argv = [
+        "campaign",
+        "--smoke",
+        "--suite",
+        suite,
+        "--seed",
+        str(seed),
+        "--workers",
+        str(workers),
+        "--output",
+        str(out),
+    ]
+    if flag is not None:
+        argv.append(flag)
+    status = main(argv)
+    return status, json.loads(out.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "suite,seed,flag",
+    list(GOLDEN_STORM_ARTIFACTS),
+    ids=[f"{s}{f or ''}@{seed}" for s, seed, f in GOLDEN_STORM_ARTIFACTS],
+)
+def test_storm_artifact_is_pinned(tmp_path, capsys, suite, seed, flag, workers):
+    digest, exit_code = GOLDEN_STORM_ARTIFACTS[(suite, seed, flag)]
+    status, artifact = run_smoke(tmp_path, suite, seed, flag, workers)
+    capsys.readouterr()
+    assert status == exit_code
+    assert artifact["passed"] is (exit_code == 0)
+    assert artifact["schema_version"] == 7
+    assert canonical_digest(artifact) == digest
+
+
+@pytest.mark.slow
+def test_full_artifact_is_pinned(tmp_path, capsys):
+    status, artifact = run_smoke(tmp_path, "full", 7, None, 2)
+    capsys.readouterr()
+    assert status == 0
+    assert artifact["passed"] is True
+    assert artifact["totals"]["faults_detected"] == 16
+    assert canonical_digest(artifact) == GOLDEN_FULL_SHA256
