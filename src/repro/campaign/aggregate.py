@@ -15,14 +15,14 @@ from typing import Any, Dict, List, Optional
 
 from .spec import (
     ALL_KINDS,
-    KIND_ANTIENTROPY,
-    KIND_CLUSTER,
     KIND_FAULT_MATRIX,
-    KIND_INJECTION,
     SCHEMA_VERSION,
+    SUITE_TABLE,
     CampaignSpec,
     ShardResult,
+    Suite,
 )
+from .storm import heads_digest
 
 
 @dataclass
@@ -170,292 +170,66 @@ def _fault_matrix_rows(results: List[ShardResult]) -> List[Dict[str, Any]]:
     return rows
 
 
-def _injection_summary(
-    results: List[ShardResult],
+def _section_summary(
+    results: List[ShardResult], row: Suite
 ) -> Optional[Dict[str, Any]]:
-    """The resilience section: per-shard plan identity plus summed fault
-    and self-healing counters (None when no injection phase ran)."""
-    shards = [r for r in results if r.kind == KIND_INJECTION]
-    if not shards:
+    """Roll one suite-table row's shards up into its artifact section:
+    per-shard entries, summed counters, and -- when the row names them --
+    the AND-ed verdict, the evidence verdict and the digest of every
+    shard's chain heads (None when the row selected no shard)."""
+    section = row.section
+    assert section is not None
+    selected = []
+    for result in results:
+        block = result.section or {}
+        if result.kind != row.kind or (
+            section.where and not block.get(section.where)
+        ):
+            continue
+        selected.append((result, block[section.sub] if section.sub else block))
+    if not selected:
         return None
-    totals: Dict[str, int] = {}
-    per_shard: List[Dict[str, Any]] = []
-    for result in shards:
-        block: Dict[str, Any] = dict(result.injection or {})
-        for key, value in block.items():
-            if isinstance(value, int) and not isinstance(value, bool):
-                totals[key] = totals.get(key, 0) + value
-        block.update(
-            {
-                "shard_id": result.shard_id,
-                "seed": result.seed,
-                "cases": result.cases,
-                "ok": result.ok,
-                "skipped": result.skipped,
-            }
-        )
-        per_shard.append(block)
-    return {
-        "shards": per_shard,
-        "totals": {key: totals[key] for key in sorted(totals)},
-    }
-
-
-#: Counter keys the ``brownout`` section carries (the admission-plane
-#: slice of the injection totals), in artifact order.
-_BROWNOUT_KEYS = (
-    "storm_events",
-    "shed_overload",
-    "shed_deadline",
-    "hedges",
-    "slow_trips",
-    "deadline_violations",
-    "retry_budget_exhausted",
-    "replica_writes",
-)
-
-
-def _brownout_summary(
-    results: List[ShardResult],
-) -> Optional[Dict[str, Any]]:
-    """The gray-failure section: shed/hedge/deadline behaviour of every
-    admission-enabled injection shard (None when none ran).
-
-    ``deadline_violations`` is the load-bearing gate total: 0 whenever
-    shedding is on (late requests are shed, never run), non-zero under a
-    ``--no-shedding`` storm -- which is also why the negative-control CI
-    job asserts this campaign FAILS.
-    """
-    shards = [
-        r
-        for r in results
-        if r.kind == KIND_INJECTION
-        and (r.injection or {}).get("admission_enabled")
-    ]
-    if not shards:
-        return None
-    totals = {key: 0 for key in _BROWNOUT_KEYS}
-    per_shard: List[Dict[str, Any]] = []
-    for result in shards:
-        block = result.injection or {}
-        for key in _BROWNOUT_KEYS:
-            totals[key] += int(block.get(key, 0))
-        per_shard.append(
-            {
-                "shard_id": result.shard_id,
-                "seed": result.seed,
-                "profile": block.get("profile"),
-                "shedding_enabled": bool(block.get("shedding_enabled")),
-                "ok": result.ok,
-                **{key: int(block.get(key, 0)) for key in _BROWNOUT_KEYS},
-            }
-        )
-    return {"shards": per_shard, "totals": totals}
-
-
-def _evidence_summary(
-    results: List[ShardResult],
-) -> Optional[Dict[str, Any]]:
-    """The evidence-plane section (schema v5): per-shard journal digests
-    and trace-conformance verdicts (None unless ``--journal`` ran).
-
-    Everything here is deterministic: journals carry logical ticks and
-    digests only, so the section is byte-identical for any worker count.
-    """
-    import hashlib
-
-    shards = [
-        r
-        for r in results
-        if r.kind == KIND_INJECTION
-        and (r.injection or {}).get("evidence") is not None
-    ]
-    if not shards:
-        return None
-    per_shard: List[Dict[str, Any]] = []
-    totals = {"sequences": 0, "records": 0, "checked": 0, "skipped": 0}
-    all_passed = True
-    heads: List[str] = []
-    for result in shards:
-        block = dict((result.injection or {})["evidence"])
-        for key in totals:
-            totals[key] += int(block.get(key, 0))
-        all_passed = all_passed and bool(block.get("check_passed"))
-        heads.append(str(block.get("heads_digest")))
-        per_shard.append(
-            {"shard_id": result.shard_id, "seed": result.seed, **block}
-        )
-    return {
-        "shards": per_shard,
-        "totals": totals,
-        "all_passed": all_passed,
-        "heads_digest": hashlib.sha256(
-            "\n".join(heads).encode("ascii")
-        ).hexdigest()[:16],
-    }
-
-
-#: Counter keys the ``cluster`` section totals, in artifact order (the
-#: schema v6 addendum in EXPERIMENTS.md documents each).
-_CLUSTER_KEYS = (
-    "planned",
-    "fired",
-    "degraded_writes",
-    "quorum_write_failures",
-    "quorum_read_failures",
-    "read_repairs",
-    "hints_queued",
-    "hints_replayed",
-    "hints_dropped",
-    "hints_revoked",
-    "node_crashes",
-    "node_restarts",
-    "partitions",
-    "partition_heals",
-    "slow_storms",
-    "node_demotions",
-    "node_readmissions",
-    "rebalances",
-    "rebalance_moves",
-)
-
-
-def _cluster_summary(
-    results: List[ShardResult],
-) -> Optional[Dict[str, Any]]:
-    """The cluster section (schema v6): per-shard consistency verdicts
-    plus summed storm/quorum/handoff counters (None when no cluster
-    phase ran).
-
-    ``consistent`` is the load-bearing verdict: every quorum-acked write
-    survived its minority outage, replicas converged after one read
-    sweep, and the merged multi-journal replay was clean.  A
-    ``--no-read-repair`` run deterministically flips it on any shard
-    whose storm left revoked- or dropped-hint divergence -- the
-    negative-control CI job asserts that campaign FAILS.
-    """
-    import hashlib
-
-    shards = [r for r in results if r.kind == KIND_CLUSTER]
-    if not shards:
-        return None
-    totals = {key: 0 for key in _CLUSTER_KEYS}
-    all_consistent = True
-    evidence_passed = True
+    totals = dict.fromkeys(section.keys, 0)
+    verdict = evidence_passed = True
     heads: List[str] = []
     per_shard: List[Dict[str, Any]] = []
-    for result in shards:
-        block = dict(result.cluster or {})
-        for key in _CLUSTER_KEYS:
+    for result, block in selected:
+        for key in section.keys:
             totals[key] += int(block.get(key, 0))
-        all_consistent = all_consistent and bool(
-            block.get("consistent", result.ok)
-        )
-        evidence = block.get("evidence") or {}
-        evidence_passed = evidence_passed and bool(
-            evidence.get("check_passed", True)
-        )
-        heads.append(str(evidence.get("heads_digest")))
-        block.update(
-            {
-                "shard_id": result.shard_id,
-                "seed": result.seed,
-                "ok": result.ok,
-                "skipped": result.skipped,
-            }
-        )
-        per_shard.append(block)
-    return {
-        "shards": per_shard,
-        "totals": totals,
-        "all_consistent": all_consistent,
-        "evidence_passed": evidence_passed,
-        "heads_digest": hashlib.sha256(
-            "\n".join(heads).encode("ascii")
-        ).hexdigest()[:16],
-    }
-
-
-#: Counter keys the ``anti_entropy`` section totals, in artifact order
-#: (the schema v7 addendum in EXPERIMENTS.md documents each).
-_ANTIENTROPY_KEYS = (
-    "planned",
-    "fired",
-    "degraded_writes",
-    "quorum_write_failures",
-    "hints_queued",
-    "hints_replayed",
-    "hints_dropped",
-    "hints_revoked",
-    "node_crashes",
-    "node_restarts",
-    "partitions",
-    "partition_heals",
-    "slow_storms",
-    "anti_entropy_rounds",
-    "anti_entropy_root_matches",
-    "anti_entropy_buckets",
-    "anti_entropy_keys_repaired",
-    "anti_entropy_skips",
-    "settle_rounds",
-    "pre_settle_divergent",
-)
-
-
-def _antientropy_summary(
-    results: List[ShardResult],
-) -> Optional[Dict[str, Any]]:
-    """The anti-entropy section (schema v7): per-shard ``roots_converged``
-    verdicts plus summed storm/sync/handoff counters (None when no
-    anti-entropy phase ran).
-
-    ``roots_converged`` is the load-bearing verdict: after a divergence
-    storm with zero reads, every placement group's live Merkle roots
-    agree -- only anti-entropy can make that true.  A
-    ``--no-anti-entropy`` run deterministically flips it on any shard
-    whose storm dropped or revoked hints -- the negative-control CI job
-    asserts that campaign FAILS.
-    """
-    import hashlib
-
-    shards = [r for r in results if r.kind == KIND_ANTIENTROPY]
-    if not shards:
-        return None
-    totals = {key: 0 for key in _ANTIENTROPY_KEYS}
-    all_converged = True
-    evidence_passed = True
-    heads: List[str] = []
-    per_shard: List[Dict[str, Any]] = []
-    for result in shards:
-        block = dict(result.anti_entropy or {})
-        for key in _ANTIENTROPY_KEYS:
-            totals[key] += int(block.get(key, 0))
-        all_converged = all_converged and bool(
-            block.get("roots_converged", result.ok)
-        )
-        evidence = block.get("evidence") or {}
-        evidence_passed = evidence_passed and bool(
-            evidence.get("check_passed", True)
-        )
-        heads.append(str(evidence.get("heads_digest")))
-        block.update(
-            {
-                "shard_id": result.shard_id,
-                "seed": result.seed,
-                "ok": result.ok,
-                "skipped": result.skipped,
-            }
-        )
-        per_shard.append(block)
-    return {
-        "shards": per_shard,
-        "totals": totals,
-        "all_converged": all_converged,
-        "evidence_passed": evidence_passed,
-        "heads_digest": hashlib.sha256(
-            "\n".join(heads).encode("ascii")
-        ).hexdigest()[:16],
-    }
+        if section.verdict:
+            verdict = verdict and bool(
+                block.get(section.verdict[0], result.ok)
+            )
+        if section.evidence:
+            where = section.evidence[0]
+            evidence = (block.get(where) or {}) if where else block
+            evidence_passed = evidence_passed and bool(
+                evidence.get("check_passed", True)
+            )
+            heads.append(str(evidence.get("heads_digest")))
+        meta = {
+            "shard_id": result.shard_id,
+            "seed": result.seed,
+            "cases": result.cases,
+            "ok": result.ok,
+            "skipped": result.skipped,
+        }
+        entry: Dict[str, Any] = {}
+        for name in section.fields:
+            if name == "*":
+                entry.update(block)
+            else:
+                entry[name] = meta[name] if name in meta else block.get(name)
+        per_shard.append(entry)
+    if section.sorted_totals:
+        totals = dict(sorted(totals.items()))
+    summary: Dict[str, Any] = {"shards": per_shard, "totals": totals}
+    if section.verdict:
+        summary[section.verdict[1]] = verdict
+    if section.evidence:
+        summary[section.evidence[1]] = evidence_passed
+        summary["heads_digest"] = heads_digest(heads)
+    return summary
 
 
 def _merged_metrics(results: List[ShardResult]) -> Optional[Dict[str, Any]]:
@@ -527,19 +301,9 @@ def result_to_json(outcome: CampaignResult) -> Dict[str, Any]:
     metrics = _merged_metrics(results)
     if metrics is not None:
         artifact["metrics"] = metrics
-    injection = _injection_summary(results)
-    if injection is not None:
-        artifact["injection"] = injection
-    brownout = _brownout_summary(results)
-    if brownout is not None:
-        artifact["brownout"] = brownout
-    evidence = _evidence_summary(results)
-    if evidence is not None:
-        artifact["evidence"] = evidence
-    cluster = _cluster_summary(results)
-    if cluster is not None:
-        artifact["cluster"] = cluster
-    anti_entropy = _antientropy_summary(results)
-    if anti_entropy is not None:
-        artifact["anti_entropy"] = anti_entropy
+    for row in SUITE_TABLE.values():
+        if row.section is not None:
+            summary = _section_summary(results, row)
+            if summary is not None:
+                artifact[row.section.name] = summary
     return artifact

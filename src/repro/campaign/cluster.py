@@ -1,43 +1,55 @@
-"""Cluster campaign shards: conformance PBT through the quorum router.
+"""Cluster-plane campaign shards: storms against the quorum router.
 
-Each shard replays ``sequences`` independent op streams against a fresh
-:class:`~repro.cluster.router.ClusterRouter` while a node-granular fault
-storm (:meth:`~repro.shardstore.injection.FaultPlan.generate_cluster`)
-crashes, partitions and slows a strict minority of nodes mid-stream.
-The harness keeps the flat reference model plus *candidate sets* for
-keys whose quorum writes failed with partial acks (the typed
+Both cluster-plane suites drive the same system: ``sequences`` independent
+op streams against a fresh :class:`~repro.cluster.router.ClusterRouter`
+while a node-granular fault storm
+(:meth:`~repro.shardstore.injection.FaultPlan.generate_cluster`) crashes,
+partitions and slows a strict minority of nodes mid-stream.  The harness
+keeps the flat reference model plus *candidate sets* for keys whose quorum
+writes failed with partial acks (the typed
 :class:`~repro.errors.DegradedWriteError` contract: zero acks means the
-cluster is provably unchanged; one ack means {applied, not-applied}
-until an observation of the newest candidate collapses it).
+cluster is provably unchanged; one ack means {applied, not-applied} until
+an observation of the newest candidate collapses it).  Hint buffers are
+deliberately small, so multi-window storms overflow handoff, and
+quorum-failed writes *revoke* their hints, so no background path heals
+their partial acks.  Each suite then proves one healer load-bearing:
 
-Settlement asserts the three cluster-level guarantees:
+``cluster`` (read/write stream, :func:`settle_quorum`)
+    1. **durability** -- after healing every node, no quorum-acknowledged
+       write may be lost or corrupted (the planner never takes down more
+       than a minority, so W durable replicas always survive);
+    2. **convergence** -- after one read sweep, every touched key's
+       preference replicas hold byte-identical records.  Only read-repair
+       converges dropped- and revoked-hint divergence, which is what the
+       ``--no-read-repair`` control proves by failing this gate;
+    3. **availability** -- a fresh probe write/read/delete must succeed.
 
-1. **durability** -- after healing every node, no quorum-acknowledged
-   write may be lost or corrupted (the storm planner never takes down
-   more than a minority, so W durable replicas always survive);
-2. **convergence** -- after one read sweep, every touched key's
-   preference replicas must hold byte-identical records.  Two divergence
-   sources exist mid-storm: hinted-handoff overflow (the hint buffer is
-   deliberately small here) and quorum-failed writes whose partial acks
-   were never rolled back (hints are *revoked* on quorum failure, so no
-   background path heals them).  Only read-repair converges these, which
-   is exactly what the ``--no-read-repair`` negative control proves by
-   failing this gate;
-3. **availability** -- a fresh probe write/read/delete must succeed.
+``anti-entropy`` (write-only stream, :func:`settle_merkle`)
+    The stream never issues a client read and the router is built with
+    ``read_repair=False``, so read-repair never arms -- by construction,
+    not by luck.  After settlement heals every node and replays surviving
+    hints, the divergence is still there, and the gate is
+    ``roots_converged``: per placement group, every live member's Merkle
+    root must be equal.  With anti-entropy on the harness drives budgeted
+    sync rounds until the roots converge, then cross-validates the Merkle
+    verdict against raw replica bytes and the model; with
+    ``--no-anti-entropy`` nothing is left to converge them and the gate
+    FAILS.  The router's ``settle``/``merkle_roots`` records feed the
+    mined ``roots-converge-after-settle`` invariant.
 
 Every sequence journals through one router journal plus one journal per
 node (distinct chain identities); the shard replays them through the
 merged-journal checker (:func:`repro.evidence.check_cluster_journals`)
-and ships chain-head digests in the artifact's ``cluster`` section.
+and ships chain-head digests in its artifact block.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.cluster import ClusterConfig, ClusterRouter
+from repro.cluster import FLAG_VALUE, ClusterConfig, ClusterRouter
 from repro.errors import (
     DegradedReadError,
     DegradedWriteError,
@@ -46,41 +58,55 @@ from repro.errors import (
 from repro.shardstore.injection import CLUSTER_PROFILES, FaultPlan
 from repro.shardstore.observability.journal import Journal
 
-__all__ = ["ClusterHarness", "run_shard"]
+from .spec import (
+    KIND_ANTIENTROPY,
+    KIND_CLUSTER,
+    SUITE_REGISTRY,
+    ShardResult,
+    ShardSpec,
+)
+from .storm import SequenceOutcome, run_storm_shard
 
-#: Default knobs: a 5-node ring with 3-way replication and small hint
-#: buffers, so multi-window storms overflow handoff and make read-repair
-#: observable (and its absence fatal) at smoke scale.
+__all__ = ["ClusterHarness", "settle_quorum", "settle_merkle", "run_shard"]
+
 DEFAULT_NODES = 5
 DEFAULT_OPS = 80
-HINT_LIMIT = 4
 KEYSPACE = 16
+#: Cumulative put / get / delete thresholds of the op roll (the rest is
+#: ``contains``).
+MIX = (0.50, 0.78, 0.90)
+WRITE_ONLY_MIX = (0.78, 0.78, 1.0)
+#: Merkle settlement budget: rounds are per-pair and bucket-budgeted, so
+#: the ceiling is generous; the gate trusts the convergence check, never
+#: the round count.
+MAX_SETTLE_ROUNDS = 400
 
 
 class ClusterHarness:
-    """One op-stream + storm run against one fresh router."""
+    """One op-stream + storm run against one fresh router.
+
+    ``write_only`` streams issue puts and deletes only and make no
+    observations (a delete's internal quorum read included), so nothing
+    can be checked -- or healed by a read -- before settlement.
+    """
 
     def __init__(
         self,
         plan: FaultPlan,
         seed: int,
+        config: ClusterConfig,
         *,
-        num_nodes: int = DEFAULT_NODES,
-        read_repair: bool = True,
+        write_only: bool,
+        salt: int,
+        prefix: bytes,
         journal_factory: Optional[Any] = None,
     ) -> None:
         self.plan = plan
         self.seed = seed
-        self.router = ClusterRouter(
-            ClusterConfig(
-                num_nodes=num_nodes,
-                read_repair=read_repair,
-                hint_limit=HINT_LIMIT,
-                seed=seed,
-            ),
-            journal_factory=journal_factory,
-        )
-        self.rng = random.Random(seed ^ 0x5EED)
+        self.write_only = write_only
+        self.prefix = prefix
+        self.router = ClusterRouter(config, journal_factory=journal_factory)
+        self.rng = random.Random(seed ^ salt)
         # key -> value bytes (None = certainly absent / never written)
         self.model: Dict[bytes, Optional[bytes]] = {}
         # key -> candidate values in version order, newest last; a value of
@@ -88,6 +114,8 @@ class ClusterHarness:
         self.uncertain: Dict[bytes, List[Optional[bytes]]] = {}
         self.touched: set = set()
         self.fired = 0
+        #: Counters a settlement gate adds to the shard's artifact block.
+        self.settled: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # candidate-set bookkeeping
@@ -151,7 +179,7 @@ class ClusterHarness:
         try:
             self.router.delete(key)
         except KeyNotFoundError:
-            return self._observe(key, None)
+            return None if self.write_only else self._observe(key, None)
         except DegradedReadError:
             return None
         except DegradedWriteError as exc:
@@ -193,14 +221,18 @@ class ClusterHarness:
             for fault in faults_by_op.get(index, []):
                 self.router.apply_fault(fault)
                 self.fired += 1
-            key = b"ck-%02d" % self.rng.randrange(KEYSPACE)
+            key = b"%sk-%02d" % (self.prefix, self.rng.randrange(KEYSPACE))
             self.touched.add(key)
+            value = b"%sv-%d-%d" % (self.prefix, self.seed, index)
             roll = self.rng.random()
-            if roll < 0.50:
-                failure = self._op_put(key, b"cv-%d-%d" % (self.seed, index))
-            elif roll < 0.78:
+            put_below, get_below, delete_below = (
+                WRITE_ONLY_MIX if self.write_only else MIX
+            )
+            if roll < put_below:
+                failure = self._op_put(key, value)
+            elif roll < get_below:
                 failure = self._op_get(key)
-            elif roll < 0.90:
+            elif roll < delete_below:
                 failure = self._op_delete(key)
             else:
                 failure = self._op_contains(key)
@@ -208,229 +240,262 @@ class ClusterHarness:
                 return f"op {index}: {failure}"
         return None
 
-    def settle_and_verify(self) -> Optional[str]:
-        """Heal the cluster, then check durability, convergence and
-        availability (see the module docstring)."""
-        self.router.settle()
-        # 1 + read sweep: every touched key re-read through the quorum path
-        # (which is also what arms read-repair for gate 2).
-        for key in sorted(self.touched):
-            failure = self._op_get(key)
-            if failure is not None:
-                return f"settlement: {failure} (quorum-acked write lost?)"
-        for key, value in sorted(self.model.items()):
-            if key in self.uncertain or value is None:
-                continue
-            try:
-                got = self.router.get(key)
-            except KeyNotFoundError:
-                return (
-                    f"settlement: quorum-acknowledged write {key!r} lost "
-                    "after healing a minority outage"
-                )
-            if got != value:
-                return (
-                    f"settlement: quorum-acknowledged write {key!r} holds "
-                    "wrong data after healing"
-                )
-        # 2: replica convergence -- the read-repair gate.
-        for key in sorted(self.touched):
-            states = self.router.replica_states(key)
-            distinct = {
-                record for record in states.values()
-            }
-            if len(distinct) > 1:
-                detail = ", ".join(
-                    f"node{nid}={'absent' if rec is None else 'v%d' % rec[0]}"
-                    for nid, rec in sorted(states.items())
-                )
-                return (
-                    f"settlement: replicas of {key!r} never converged "
-                    f"({detail}); read-repair is the only path that heals "
-                    "revoked-hint and dropped-hint divergence"
-                )
-        # 3: availability probe.
-        probe = b"ck-probe"
-        try:
-            self.router.put(probe, b"alive")
-            if self.router.get(probe) != b"alive":
-                return "settlement: probe read returned wrong data"
-            self.router.delete(probe)
-        except (DegradedWriteError, DegradedReadError) as exc:
-            return (
-                "settlement: fresh writes unavailable after healing "
-                f"({type(exc).__name__}: {exc})"
-            )
+
+def _divergence(states: Dict[int, Any]) -> Optional[str]:
+    """Per-replica versions when the raw replica records of one key
+    disagree byte-for-byte, else None."""
+    if len(set(states.values())) <= 1:
         return None
+    return ", ".join(
+        f"node{nid}={'absent' if rec is None else 'v%d' % rec[0]}"
+        for nid, rec in sorted(states.items())
+    )
 
 
-# ----------------------------------------------------------------------
-# campaign entry point
+def settle_quorum(harness: ClusterHarness) -> Optional[str]:
+    """Heal the cluster, then check durability, convergence and
+    availability (see the module docstring)."""
+    router = harness.router
+    router.settle()
+    # 1 + read sweep: every touched key re-read through the quorum path
+    # (which is also what arms read-repair for gate 2).
+    for key in sorted(harness.touched):
+        failure = harness._op_get(key)
+        if failure is not None:
+            return f"settlement: {failure} (quorum-acked write lost?)"
+    for key, value in sorted(harness.model.items()):
+        if key in harness.uncertain or value is None:
+            continue
+        try:
+            got = router.get(key)
+        except KeyNotFoundError:
+            return (
+                f"settlement: quorum-acknowledged write {key!r} lost "
+                "after healing a minority outage"
+            )
+        if got != value:
+            return (
+                f"settlement: quorum-acknowledged write {key!r} holds "
+                "wrong data after healing"
+            )
+    # 2: replica convergence -- the read-repair gate.
+    for key in sorted(harness.touched):
+        detail = _divergence(router.replica_states(key))
+        if detail is not None:
+            return (
+                f"settlement: replicas of {key!r} never converged "
+                f"({detail}); read-repair is the only path that heals "
+                "revoked-hint and dropped-hint divergence"
+            )
+    # 3: availability probe.
+    probe = harness.prefix + b"k-probe"
+    try:
+        router.put(probe, b"alive")
+        if router.get(probe) != b"alive":
+            return "settlement: probe read returned wrong data"
+        router.delete(probe)
+    except (DegradedWriteError, DegradedReadError) as exc:
+        return (
+            "settlement: fresh writes unavailable after healing "
+            f"({type(exc).__name__}: {exc})"
+        )
+    return None
 
 
-def run_shard(spec: "ShardSpec") -> "ShardResult":
-    """Picklable campaign entry point: one cluster work unit.
+def settle_merkle(harness: ClusterHarness) -> Optional[str]:
+    """Heal the cluster, sync (when enabled), then gate on converged
+    Merkle roots and cross-validate against raw replica bytes."""
+    router = harness.router
+    service = router.antientropy
+    router.settle()
+    harness.settled["pre_settle_divergent"] = int(
+        service.converged_snapshot()["divergent"]
+    )
+    if service.enabled:
+        outcome = service.run_until_converged(MAX_SETTLE_ROUNDS)
+        harness.settled["settle_rounds"] = int(outcome["rounds"])
+    snapshot = service.converged_snapshot()
+    service.journal_roots()
+    if not snapshot["converged"]:
+        return (
+            "settlement: Merkle roots divergent in "
+            f"{snapshot['divergent']} of {snapshot['groups']} "
+            "placement groups; this suite performs zero reads, so "
+            "anti-entropy is the only path that converges replicas"
+        )
+    # The Merkle verdict is a proof over the *trees*; cross-validate it
+    # against raw replica bytes and the write model.
+    for key in sorted(harness.touched):
+        states = router.replica_states(key)
+        detail = _divergence(states)
+        if detail is not None:
+            return (
+                f"settlement: roots converged but replicas of {key!r} "
+                f"disagree ({detail}); the tree no longer mirrors the "
+                "replica contents"
+            )
+        rec = next(iter(states.values()), None)
+        observed = (
+            rec[2] if rec is not None and rec[1] == FLAG_VALUE else None
+        )
+        if key in harness.uncertain:
+            if observed not in harness.uncertain[key]:
+                return (
+                    f"settlement: replicas of {key!r} hold {observed!r}, "
+                    f"outside its {len(harness.uncertain[key])} candidate "
+                    "values"
+                )
+        elif observed != harness.model.get(key):
+            return (
+                f"settlement: replicas of {key!r} hold {observed!r} but "
+                f"the model is certain of {harness.model.get(key)!r} "
+                "(quorum-acked write lost?)"
+            )
+    return None
+
+
+@dataclass(frozen=True)
+class _Variant:
+    """What tells the two cluster-plane suites apart."""
+
+    write_only: bool
+    salt: int
+    prefix: bytes
+    #: Fixed ``ClusterConfig`` overrides; the suite's control adds its own.
+    config: Dict[str, Any]
+    settle: Callable[[ClusterHarness], Optional[str]]
+
+
+_VARIANTS = {
+    # Hint buffers small enough that storms overflow handoff and make
+    # read-repair observable (and its absence fatal) at smoke scale.
+    KIND_CLUSTER: _Variant(
+        write_only=False,
+        salt=0x5EED,
+        prefix=b"c",
+        config={"hint_limit": 4},
+        settle=settle_quorum,
+    ),
+    # An even smaller hint buffer (divergence is the *point* here), a sync
+    # cadence that demonstrably runs background rounds mid-storm, and
+    # read-repair off: even the quorum read inside delete() must not heal
+    # replicas, or the negative control would depend on op-mix luck.
+    KIND_ANTIENTROPY: _Variant(
+        write_only=True,
+        salt=0xAE5EED,
+        prefix=b"a",
+        config={
+            "read_repair": False,
+            "hint_limit": 2,
+            "anti_entropy_interval": 16,
+        },
+        settle=settle_merkle,
+    ),
+}
+
+_EVIDENCE_KEYS = ("sequences", "journals", "records", "checked", "corroborated")
+
+
+def run_shard(spec: ShardSpec) -> ShardResult:
+    """Picklable campaign entry point: one cluster-plane work unit.
 
     Params: ``profile`` (a :data:`~repro.shardstore.injection.
-    CLUSTER_PROFILES` name), ``sequences``, ``ops``, ``nodes``,
-    ``read_repair``.  Sequence ``i`` derives everything from
-    ``spec.seed + i``, so shards replay byte-identically for any worker
-    count.
+    CLUSTER_PROFILES` name), ``sequences``, ``ops``, ``nodes``, and the
+    suite's control (``read_repair`` / ``anti_entropy``).  Sequence ``i``
+    derives everything from ``spec.seed + i``, so shards replay
+    byte-identically for any worker count.
     """
-    from repro.campaign.spec import ShardFailure, ShardResult
     from repro.evidence import check_cluster_journals
 
-    profile = spec.param("profile", "cluster-mixed")
+    suite = SUITE_REGISTRY[spec.kind]
+    variant = _VARIANTS[spec.kind]
+    assert suite.control is not None and suite.section is not None
+    profile = spec.param("profile", suite.plan[0]["profile"])
     if profile not in CLUSTER_PROFILES:
         raise ValueError(f"unknown cluster storm profile {profile!r}")
-    sequences = spec.param("sequences", 2)
     ops = spec.param("ops", DEFAULT_OPS)
     num_nodes = spec.param("nodes", DEFAULT_NODES)
-    read_repair = bool(spec.param("read_repair", True))
-
-    totals: Dict[str, int] = {
-        "planned": 0,
-        "fired": 0,
-        "degraded_writes": 0,
-        "quorum_write_failures": 0,
-        "quorum_read_failures": 0,
-        "read_repairs": 0,
-        "hints_queued": 0,
-        "hints_replayed": 0,
-        "hints_dropped": 0,
-        "hints_revoked": 0,
-        "node_crashes": 0,
-        "node_restarts": 0,
-        "partitions": 0,
-        "partition_heals": 0,
-        "slow_storms": 0,
-        "node_demotions": 0,
-        "node_readmissions": 0,
-        "rebalances": 0,
-        "rebalance_moves": 0,
-    }
-    evidence: Dict[str, Any] = {
-        "sequences": 0,
-        "journals": 0,
-        "records": 0,
-        "checked": 0,
-        "corroborated": 0,
-        "check_passed": True,
-        "violations": [],
-        "heads": [],
-    }
+    control = suite.control.param
+    enabled = bool(spec.param(control, True))
     hints_by_node: Dict[str, Dict[str, int]] = {}
-    failures: List[ShardFailure] = []
-    cases = 0
-    ops_run = 0
-    for i in range(sequences):
-        seed = spec.seed + i
+
+    def run_sequence(seed: int) -> SequenceOutcome:
         plan = FaultPlan.generate_cluster(
             seed, ops=ops, num_nodes=num_nodes, profile=profile
         )
         journals: List[Journal] = []
 
-        def factory(
-            identity: str, meta: Dict[str, Any], _sink: List[Journal] = journals
-        ) -> Journal:
+        def factory(identity: str, meta: Dict[str, Any]) -> Journal:
             journal = Journal(meta=dict(meta, seed=seed), node=identity)
-            _sink.append(journal)
+            journals.append(journal)
             return journal
 
         harness = ClusterHarness(
             plan,
             seed,
-            num_nodes=num_nodes,
-            read_repair=read_repair,
+            ClusterConfig(
+                num_nodes=num_nodes,
+                seed=seed,
+                **variant.config,
+                **{control: enabled},
+            ),
+            write_only=variant.write_only,
+            salt=variant.salt,
+            prefix=variant.prefix,
             journal_factory=factory,
         )
         detail = harness.run(ops)
-        cases += 1
-        ops_run += ops
         if detail is None:
-            detail = harness.settle_and_verify()
-        stats = harness.router.stats
-        totals["planned"] += len(plan.faults)
-        totals["fired"] += harness.fired
-        for name in (
-            "degraded_writes",
-            "quorum_write_failures",
-            "quorum_read_failures",
-            "read_repairs",
-            "hints_queued",
-            "hints_replayed",
-            "hints_dropped",
-            "hints_revoked",
-            "node_crashes",
-            "node_restarts",
-            "partitions",
-            "partition_heals",
-            "slow_storms",
-            "node_demotions",
-            "node_readmissions",
-            "rebalances",
-            "rebalance_moves",
-        ):
-            totals[name] += stats[name]
-        for nid, counters in sorted(harness.router.hint_stats.items()):
+            detail = variant.settle(harness)
+        router = harness.router
+        counters = {
+            **router.stats,
+            "planned": len(plan.faults),
+            "fired": harness.fired,
+            **harness.settled,
+        }
+        for nid, hints in sorted(router.hint_stats.items()):
             slot = hints_by_node.setdefault(
                 str(nid),
                 {"queued": 0, "dropped": 0, "replayed": 0, "revoked": 0},
             )
             for name in slot:
-                slot[name] += counters.get(name, 0)
-        heads = harness.router.close()
+                slot[name] += hints.get(name, 0)
+        heads = router.close()
         report = check_cluster_journals(
             [journal.entries for journal in journals], require_seal=True
         )
-        evidence["sequences"] += 1
-        evidence["journals"] += len(journals)
-        evidence["records"] += report.records
-        evidence["checked"] += report.checked
-        evidence["corroborated"] += report.corroborated
-        evidence["heads"].extend(
-            head for _, head in sorted(heads.items())
-        )
-        if not report.passed:
-            evidence["check_passed"] = False
-            for violation in report.violations[:4]:
-                if len(evidence["violations"]) < 16:
-                    evidence["violations"].append({"seed": seed, **violation})
-            if detail is None:
-                detail = (
-                    "merged-journal replay found "
-                    f"{report.violation_count} violations"
-                )
-        if detail is not None:
-            failures.append(
-                ShardFailure(
-                    kind=spec.kind,
-                    seed=seed,
-                    detail=detail,
-                    fault=f"cluster:{profile}",
-                )
+        if not report.passed and detail is None:
+            detail = (
+                "merged-journal replay found "
+                f"{report.violation_count} violations"
             )
-            break
-    heads = evidence.pop("heads")
-    evidence["heads_digest"] = hashlib.sha256(
-        "\n".join(heads).encode("ascii")
-    ).hexdigest()[:16]
-    cluster_block: Dict[str, Any] = {
-        "profile": profile,
-        "nodes": num_nodes,
-        "replication": 3,
-        "read_repair": read_repair,
-        "consistent": not failures,
-        **totals,
-        "hints_by_node": hints_by_node,
-        "evidence": evidence,
-    }
-    return ShardResult(
-        shard_id=spec.shard_id,
-        kind=spec.kind,
-        seed=spec.seed,
-        cases=cases,
-        ops=ops_run,
-        failures=failures,
-        cluster=cluster_block,
+        return SequenceOutcome(
+            ops=ops,
+            detail=detail,
+            counters=counters,
+            evidence={
+                "journals": len(journals),
+                "records": report.records,
+                "checked": report.checked,
+                "corroborated": report.corroborated,
+            },
+            heads=[head for _, head in sorted(heads.items())],
+            report=report,
+        )
+
+    return run_storm_shard(
+        spec,
+        suite.section,
+        run_sequence,
+        sequences=spec.param("sequences", 2),
+        profile=profile,
+        identity={
+            "profile": profile,
+            "nodes": num_nodes,
+            "replication": 3,
+            control: enabled,
+        },
+        evidence_keys=_EVIDENCE_KEYS,
+        extras={"hints_by_node": hints_by_node},
     )

@@ -47,10 +47,7 @@ load-bearing.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
-
-if TYPE_CHECKING:
-    from repro.campaign.spec import ShardResult, ShardSpec
+from typing import Any, Dict, Optional, Set
 
 from repro.core.alphabet import (
     Alphabet,
@@ -101,6 +98,9 @@ from repro.shardstore.resilience import (
 )
 from repro.shardstore.rpc import StorageNode
 
+from .spec import STORM_OPS, SUITE_REGISTRY, SUITE_TABLE, ShardResult, ShardSpec
+from .storm import SequenceOutcome, run_storm_shard
+
 __all__ = [
     "InjectionStoreHarness",
     "InjectionNodeHarness",
@@ -119,11 +119,6 @@ STORM_PROFILES = ("brownout", "overload")
 #: interval of 8) still never comes near it.
 STORM_DEADLINE_UNITS = 96
 STORM_MAX_BACKLOG_UNITS = 256
-
-#: Storm sequences are longer than point-fault sequences: backlog has to
-#: *accumulate* across a latency ramp or a held-arrival burst before the
-#: deadline can be breached.
-STORM_OPS = 160
 
 
 def storm_admission(shedding: bool) -> AdmissionConfig:
@@ -184,6 +179,31 @@ def _aim_read(system: Any, planned_extent: int) -> int:
     if populated:
         return populated[planned_extent % len(populated)]
     return planned_extent
+
+
+def _arm_once(system: Any, fault: PlannedFault) -> bool:
+    """Arm one fire-once point fault (transient read/write, torn write)
+    on ``system``'s disk; False when ``fault`` is some other kind."""
+    if fault.kind not in (
+        FAULT_TRANSIENT_READ,
+        FAULT_TRANSIENT_WRITE,
+        FAULT_TORN_WRITE,
+    ):
+        return False
+    reads = fault.kind == FAULT_TRANSIENT_READ
+    aim = _aim_read if reads else _aim_write
+    system.disk.arm_fault(
+        aim(system, fault.extent),
+        FailureMode.ONCE,
+        reads=reads,
+        writes=not reads,
+        kind=(
+            FaultKind.TORN_WRITE
+            if fault.kind == FAULT_TORN_WRITE
+            else FaultKind.IO_ERROR
+        ),
+    )
+    return True
 
 
 def injection_node_alphabet() -> Alphabet:
@@ -279,24 +299,10 @@ class InjectionStoreHarness(StoreHarness):
                 self.has_failed = True
                 self.armed += 1
             return
-        if fault.kind == FAULT_TRANSIENT_READ:
-            extent = _aim_read(self.system, fault.extent)
-            disk.arm_fault(extent, FailureMode.ONCE, reads=True, writes=False)
-        elif fault.kind == FAULT_TRANSIENT_WRITE:
-            extent = _aim_write(self.system, fault.extent)
-            disk.arm_fault(extent, FailureMode.ONCE, reads=False, writes=True)
-        elif fault.kind == FAULT_TORN_WRITE:
-            extent = _aim_write(self.system, fault.extent)
-            disk.arm_fault(
-                extent,
-                FailureMode.ONCE,
-                reads=False,
-                writes=True,
-                kind=FaultKind.TORN_WRITE,
-            )
-        elif fault.kind == FAULT_PERMANENT:
+        if fault.kind == FAULT_PERMANENT:
             disk.arm_fault(_aim_write(self.system, fault.extent), FailureMode.PERMANENT)
-        else:  # pragma: no cover - plan generation never emits others here
+        elif not _arm_once(self.system, fault):  # pragma: no cover
+            # plan generation never emits other kinds here
             raise ValueError(f"store plan cannot inject {fault.kind!r}")
         self.armed += 1
         self.has_failed = True
@@ -315,7 +321,16 @@ class InjectionStoreHarness(StoreHarness):
         stats = self.system.disk.stats
         return stats.injected_failures + stats.injected_corruptions
 
-    def recover_and_verify(self) -> Optional[str]:
+    def counters(self) -> Dict[str, int]:
+        return {
+            "armed": self.armed,
+            "fired": self.fired,
+            "retries": self.store.retry_count,
+            "repaired": len(self.repaired_keys),
+            "quarantined": len(self.quarantined_keys),
+        }
+
+    def settle_and_verify(self) -> Optional[str]:
         """The post-storm contract: scrub-repair + reboot restore health.
 
         Returns a failure detail string, or None when recovery conformed.
@@ -478,23 +493,7 @@ class InjectionNodeHarness(Harness):
             for extent in _DATA_EXTENTS:
                 disk.arm_fault(extent, FailureMode.PERMANENT)
             self.armed += len(_DATA_EXTENTS)
-        elif fault.kind == FAULT_TRANSIENT_READ:
-            extent = _aim_read(system, fault.extent)
-            disk.arm_fault(extent, FailureMode.ONCE, reads=True, writes=False)
-            self.armed += 1
-        elif fault.kind == FAULT_TRANSIENT_WRITE:
-            extent = _aim_write(system, fault.extent)
-            disk.arm_fault(extent, FailureMode.ONCE, reads=False, writes=True)
-            self.armed += 1
-        elif fault.kind == FAULT_TORN_WRITE:
-            extent = _aim_write(system, fault.extent)
-            disk.arm_fault(
-                extent,
-                FailureMode.ONCE,
-                reads=False,
-                writes=True,
-                kind=FaultKind.TORN_WRITE,
-            )
+        elif _arm_once(system, fault):
             self.armed += 1
         else:  # pragma: no cover - node plans never emit bit flips
             raise ValueError(f"node plan cannot inject {fault.kind!r}")
@@ -505,6 +504,14 @@ class InjectionNodeHarness(Harness):
         return sum(
             system.disk.stats.injected_failures for system in self.node.systems
         )
+
+    def counters(self) -> Dict[str, int]:
+        return {
+            **vars(self.node.stats),
+            "armed": self.armed,
+            "fired": self.fired,
+            "storm_events": self.storm_events,
+        }
 
     # ------------------------------------------------------------------
     # storm operations (section 4.4 typed-error contract)
@@ -733,7 +740,7 @@ class InjectionNodeHarness(Harness):
 # campaign entry point
 
 
-def run_shard(spec: "ShardSpec") -> "ShardResult":
+def run_shard(spec: ShardSpec) -> ShardResult:
     """Picklable campaign entry point: one injection work unit.
 
     Params: ``harness`` (store/node), ``profile`` (a
@@ -741,27 +748,28 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
     :data:`~repro.shardstore.injection.NODE_PROFILES` name), ``sequences``,
     ``ops``, ``num_disks``, ``breaker_enabled``, ``shedding_enabled``,
     ``admission`` (defaults on for the ``brownout``/``overload`` profiles),
-    ``trace``.  All randomness derives from ``spec.seed`` (sequence ``i``
-    uses ``seed + i`` for both its fault plan and its operation stream), so
-    shards replay byte-identically for any worker count.
+    ``trace``, ``journal``.  All randomness derives from ``spec.seed``
+    (sequence ``i`` uses ``seed + i`` for both its fault plan and its
+    operation stream), so shards replay byte-identically for any worker
+    count.
     """
-    from repro.campaign.spec import ShardFailure, ShardResult
+    from repro.evidence import check_journal
 
+    section = SUITE_REGISTRY[spec.kind].section
+    evidence_section = SUITE_TABLE["evidence"].section
+    assert section is not None and evidence_section is not None
     harness_kind = spec.param("harness", "store")
     profile = spec.param("profile", "transient")
     storm = profile in STORM_PROFILES
-    sequences = spec.param("sequences", 6)
     ops = spec.param("ops", STORM_OPS if storm else 40)
     num_disks = spec.param("num_disks", 3)
     breaker_enabled = bool(spec.param("breaker_enabled", True))
     shedding_enabled = bool(spec.param("shedding_enabled", True))
-    admission_enabled = bool(spec.param("admission", storm))
-    trace_enabled = bool(spec.param("trace", False))
     journal_enabled = bool(spec.param("journal", False))
     admission: Optional[AdmissionConfig] = None
-    if harness_kind == "node" and admission_enabled:
+    if harness_kind == "node" and bool(spec.param("admission", storm)):
         admission = storm_admission(shedding_enabled)
-    shard_recorder = RingRecorder() if trace_enabled else None
+    shard_recorder = RingRecorder() if spec.param("trace", False) else None
     recorder: Recorder = shard_recorder if shard_recorder else NULL_RECORDER
     if shard_recorder is not None:
         shard_recorder.event(
@@ -781,42 +789,7 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
         alphabet = store_alphabet()
         ctx_kwargs = {}
 
-    totals: Dict[str, int] = {
-        "planned": 0,
-        "armed": 0,
-        "fired": 0,
-        "retries": 0,
-        "breaker_trips": 0,
-        "readmissions": 0,
-        "demotions": 0,
-        "shards_stranded": 0,
-        "repaired": 0,
-        "quarantined": 0,
-        "storm_events": 0,
-        "shed_overload": 0,
-        "shed_deadline": 0,
-        "hedges": 0,
-        "slow_trips": 0,
-        "deadline_violations": 0,
-        "retry_budget_exhausted": 0,
-        "replica_writes": 0,
-    }
-    failures: List[ShardFailure] = []
-    cases = 0
-    ops_run = 0
-    evidence: Optional[Dict[str, Any]] = None
-    if journal_enabled:
-        evidence = {
-            "sequences": 0,
-            "records": 0,
-            "checked": 0,
-            "skipped": 0,
-            "check_passed": True,
-            "violations": [],
-            "heads": [],
-        }
-    for i in range(sequences):
-        seed = spec.seed + i
+    def run_sequence(seed: int) -> SequenceOutcome:
         plan = FaultPlan.generate(
             seed,
             ops=ops,
@@ -857,102 +830,46 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
             random.Random(seed), ops, BiasConfig(), **ctx_kwargs
         )
         failure = harness.run(sequence)
-        cases += 1
-        ops_run += len(sequence)
         if failure is None:
-            if harness_kind == "node":
-                detail = harness.settle_and_verify()
-            else:
-                detail = harness.recover_and_verify()
+            detail = harness.settle_and_verify()
             if detail is not None:
                 failure = CheckFailure(
                     len(sequence), Operation("Recover", ()), detail
                 )
-        totals["planned"] += len(plan.faults)
-        totals["armed"] += harness.armed
-        totals["fired"] += harness.fired
-        if harness_kind == "node":
-            stats = harness.node.stats
-            totals["retries"] += stats.retries
-            totals["breaker_trips"] += stats.breaker_trips
-            totals["readmissions"] += stats.readmissions
-            totals["demotions"] += stats.demotions
-            totals["shards_stranded"] += stats.shards_stranded
-            totals["repaired"] += stats.repaired
-            totals["quarantined"] += stats.quarantined
-            totals["storm_events"] += harness.storm_events
-            totals["shed_overload"] += stats.shed_overload
-            totals["shed_deadline"] += stats.shed_deadline
-            totals["hedges"] += stats.hedges
-            totals["slow_trips"] += stats.slow_trips
-            totals["deadline_violations"] += stats.deadline_violations
-            totals["retry_budget_exhausted"] += stats.retry_budget_exhausted
-            totals["replica_writes"] += stats.replica_writes
-        else:
-            totals["retries"] += harness.store.retry_count
-            totals["repaired"] += len(harness.repaired_keys)
-            totals["quarantined"] += len(harness.quarantined_keys)
-        if journal is not None and evidence is not None:
-            from repro.evidence import check_journal
-
+        outcome = SequenceOutcome(
+            ops=len(sequence),
+            detail=None if failure is None else str(failure),
+            counters={"planned": len(plan.faults), **harness.counters()},
+        )
+        if journal is not None:
             head = journal.close()
             if shard_recorder is not None:
                 shard_recorder.journal = None
             report = check_journal(journal.entries, require_seal=True)
-            evidence["sequences"] += 1
-            evidence["records"] += journal.records_written
-            evidence["checked"] += report.checked
-            evidence["skipped"] += report.skipped
-            evidence["heads"].append(head)
-            if not report.passed:
-                evidence["check_passed"] = False
-                for violation in report.violations[:4]:
-                    if len(evidence["violations"]) < 16:
-                        evidence["violations"].append(
-                            {"seed": seed, **violation}
-                        )
-        if failure is not None:
-            snap = shard_recorder.snapshot() if shard_recorder else None
-            failures.append(
-                ShardFailure(
-                    kind=spec.kind,
-                    seed=seed,
-                    detail=str(failure),
-                    fault=f"injection:{profile}",
-                    trace=snap["trace"] if snap else None,
-                    fault_events=snap["fault_events"] if snap else None,
-                )
-            )
-            break
-    shard_snap = shard_recorder.snapshot() if shard_recorder else None
-    injection_block: Dict[str, Any] = {
-        "harness": harness_kind,
-        "profile": profile,
-        "breaker_enabled": breaker_enabled,
-        "admission_enabled": admission is not None,
-        "shedding_enabled": shedding_enabled,
-        **totals,
-    }
-    if evidence is not None:
-        # Collapse per-sequence chain heads into one digest: equal digests
-        # mean byte-identical journals, regardless of worker count.
-        import hashlib
+            outcome.evidence = {
+                "records": journal.records_written,
+                "checked": report.checked,
+                "skipped": report.skipped,
+            }
+            outcome.heads = [head]
+            outcome.report = report
+        return outcome
 
-        heads = evidence.pop("heads")
-        evidence["heads_digest"] = hashlib.sha256(
-            "\n".join(heads).encode("ascii")
-        ).hexdigest()[:16]
-        injection_block["evidence"] = evidence
-    return ShardResult(
-        shard_id=spec.shard_id,
-        kind=spec.kind,
-        seed=spec.seed,
-        cases=cases,
-        ops=ops_run,
-        failures=failures,
-        detector="failure-injection conformance (section 4.4)",
-        injection=injection_block,
-        metrics=shard_snap["metrics"] if shard_snap else None,
-        fault_events=shard_snap["fault_events"] if shard_snap else None,
-        trace=shard_snap["trace"] if shard_snap else None,
+    result = run_storm_shard(
+        spec,
+        section,
+        run_sequence,
+        sequences=spec.param("sequences", 6),
+        profile=profile,
+        identity={
+            "harness": harness_kind,
+            "profile": profile,
+            "breaker_enabled": breaker_enabled,
+            "admission_enabled": admission is not None,
+            "shedding_enabled": shedding_enabled,
+        },
+        evidence_keys=evidence_section.keys if journal_enabled else None,
+        recorder=shard_recorder,
     )
+    result.detector = "failure-injection conformance (section 4.4)"
+    return result

@@ -19,6 +19,7 @@ guaranteed when no budget cut occurs.
 
 from __future__ import annotations
 
+import importlib
 import time
 import traceback
 from collections import deque
@@ -28,17 +29,18 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .aggregate import CampaignResult, aggregate
 from .fault_matrix import fault_matrix_shards
 from .spec import (
-    KIND_ANTIENTROPY,
-    KIND_CLUSTER,
     KIND_CONFORMANCE,
     KIND_CRASH,
-    KIND_FAULT_MATRIX,
     KIND_FUZZ,
-    KIND_INJECTION,
+    SHARD_ENTRY,
+    SUITE_REGISTRY,
+    SUITE_TABLE,
     CampaignSpec,
     ShardFailure,
     ShardResult,
     ShardSpec,
+    Suite,
+    compiled_rows,
 )
 
 #: Seed distance between unpinned shards -- far larger than any
@@ -54,133 +56,48 @@ _CONFORMANCE_PLAN: Tuple[Tuple[str, str], ...] = (
     ("store", "model"),
 )
 
-#: Injection-phase coverage, cycled through ``injection_shards`` slots:
-#: (harness, fault-plan profile) pairs.  The node/permanent slot is the
-#: one the circuit breaker must survive -- and the one that must FAIL when
-#: a campaign runs with ``breaker_enabled=False``.
-_INJECTION_PLAN: Tuple[Tuple[str, str], ...] = (
-    ("store", "transient"),
-    ("store", "corruption"),
-    ("node", "transient"),
-    ("node", "permanent"),
-    ("store", "mixed"),
-    ("node", "mixed"),
-)
 
-#: The ``brownout`` suite's plan: gray-failure storms (latency ramps and
-#: arrival bursts) against the admission-enabled node request plane.  With
-#: shedding disabled (``--no-shedding``) every slot must FAIL its
-#: ``deadline_violations == 0`` settlement gate -- the negative control.
-_BROWNOUT_PLAN: Tuple[Tuple[str, str], ...] = (
-    ("node", "brownout"),
-    ("node", "overload"),
-)
-
-#: The ``cluster`` suite's plan: node-granular storm profiles, cycled
-#: through ``cluster_shards`` slots.  With read-repair disabled
-#: (``--no-read-repair``) every slot whose storm leaves replica
-#: divergence must FAIL its convergence settlement gate -- the negative
-#: control.
-_CLUSTER_PLAN: Tuple[str, ...] = (
-    "cluster-mixed",
-    "node-crash",
-    "partition",
-)
-
-#: The ``anti-entropy`` suite's plan: divergence storms against a
-#: write-only, read-repair-free harness (zero reads ever fire), so the
-#: Merkle sync plane is the only path that can converge replicas.  With
-#: anti-entropy disabled (``--no-anti-entropy``) every slot whose storm
-#: drops or revokes hints must FAIL its ``roots_converged`` settlement
-#: gate -- the negative control.
-_ANTIENTROPY_PLAN: Tuple[str, ...] = (
-    "partition",
-    "cluster-mixed",
-    "node-crash",
-)
+def _next_seed(spec: CampaignSpec, shards: List[ShardSpec]) -> int:
+    return spec.base_seed + len(shards) * SEED_STRIDE
 
 
-def build_shards(spec: CampaignSpec) -> List[ShardSpec]:
-    """Compile the campaign into its ordered, deterministic shard list."""
+def _storm_shards(
+    spec: CampaignSpec, row: Suite, shards: List[ShardSpec]
+) -> None:
+    """Append one suite-table row's shards: its plan cycled through
+    ``<sizes>_shards`` slots, sized by the row's ``CampaignSpec`` fields,
+    with every control of the row's shard kind passed down."""
+    params = {
+        "trace": spec.trace,
+        "sequences": getattr(spec, f"{row.sizes}_sequences"),
+        # Storm sequences need room for backlog to accumulate across a
+        # latency ramp or burst; point-fault sequences stay short.
+        "ops": max(getattr(spec, f"{row.sizes}_ops"), row.min_ops),
+    }
+    if hasattr(spec, f"{row.sizes}_nodes"):
+        params["nodes"] = getattr(spec, f"{row.sizes}_nodes")
+    for other in SUITE_TABLE.values():
+        if other.kind == row.kind and other.control is not None:
+            params[other.control.param] = getattr(spec, other.control.field)
+    for index in range(getattr(spec, f"{row.sizes}_shards")):
+        shards.append(
+            ShardSpec.make(
+                len(shards),
+                row.kind,
+                _next_seed(spec, shards),
+                **row.plan[index % len(row.plan)],
+                **params,
+            )
+        )
+
+
+def _base_shards(spec: CampaignSpec) -> List[ShardSpec]:
+    """The ``full`` suite's non-storm phases: conformance, crash, fuzz and
+    the Fig. 5 fault matrix."""
     shards: List[ShardSpec] = []
 
     def next_seed() -> int:
-        return spec.base_seed + len(shards) * SEED_STRIDE
-
-    def add_injection_shards(
-        plan: Tuple[Tuple[str, str], ...] = _INJECTION_PLAN,
-    ) -> None:
-        from .injection import STORM_OPS, STORM_PROFILES
-
-        for index in range(spec.injection_shards):
-            harness, profile = plan[index % len(plan)]
-            # Storm sequences need room for backlog to accumulate across a
-            # latency ramp or burst; point-fault sequences stay short.
-            ops = (
-                max(spec.injection_ops, STORM_OPS)
-                if profile in STORM_PROFILES
-                else spec.injection_ops
-            )
-            shards.append(
-                ShardSpec.make(
-                    len(shards),
-                    KIND_INJECTION,
-                    next_seed(),
-                    harness=harness,
-                    profile=profile,
-                    sequences=spec.injection_sequences,
-                    ops=ops,
-                    breaker_enabled=spec.breaker_enabled,
-                    shedding_enabled=spec.shedding_enabled,
-                    trace=spec.trace,
-                    journal=spec.journal,
-                )
-            )
-
-    def add_cluster_shards() -> None:
-        for index in range(spec.cluster_shards):
-            shards.append(
-                ShardSpec.make(
-                    len(shards),
-                    KIND_CLUSTER,
-                    next_seed(),
-                    profile=_CLUSTER_PLAN[index % len(_CLUSTER_PLAN)],
-                    sequences=spec.cluster_sequences,
-                    ops=spec.cluster_ops,
-                    nodes=spec.cluster_nodes,
-                    read_repair=spec.read_repair_enabled,
-                )
-            )
-
-    def add_antientropy_shards() -> None:
-        for index in range(spec.antientropy_shards):
-            shards.append(
-                ShardSpec.make(
-                    len(shards),
-                    KIND_ANTIENTROPY,
-                    next_seed(),
-                    profile=_ANTIENTROPY_PLAN[
-                        index % len(_ANTIENTROPY_PLAN)
-                    ],
-                    sequences=spec.antientropy_sequences,
-                    ops=spec.antientropy_ops,
-                    nodes=spec.antientropy_nodes,
-                    anti_entropy=spec.anti_entropy_enabled,
-                )
-            )
-
-    if spec.suite == "injection":
-        add_injection_shards()
-        return shards
-    if spec.suite == "brownout":
-        add_injection_shards(_BROWNOUT_PLAN)
-        return shards
-    if spec.suite == "cluster":
-        add_cluster_shards()
-        return shards
-    if spec.suite == "anti-entropy":
-        add_antientropy_shards()
-        return shards
+        return _next_seed(spec, shards)
 
     for alphabet, harness in _CONFORMANCE_PLAN:
         for _ in range(spec.conformance_shards_per_alphabet):
@@ -236,7 +153,15 @@ def build_shards(spec: CampaignSpec) -> List[ShardSpec]:
         )
     if spec.fault_matrix:
         shards.extend(fault_matrix_shards(spec, len(shards)))
-    add_injection_shards()
+    return shards
+
+
+def build_shards(spec: CampaignSpec) -> List[ShardSpec]:
+    """Compile the campaign into its ordered, deterministic shard list."""
+    storm_only = bool(SUITE_REGISTRY[spec.suite].kind)
+    shards = [] if storm_only else _base_shards(spec)
+    for row in compiled_rows(spec.suite):
+        _storm_shards(spec, row, shards)
     return shards
 
 
@@ -249,22 +174,9 @@ def execute_shard(spec: ShardSpec) -> Tuple[ShardResult, float]:
     """
     start = time.monotonic()
     try:
-        if spec.kind == KIND_CONFORMANCE:
-            from repro.core.conformance import run_shard
-        elif spec.kind == KIND_CRASH:
-            from repro.core.crash_checker import run_shard
-        elif spec.kind == KIND_FUZZ:
-            from repro.serialization.fuzz import run_shard
-        elif spec.kind == KIND_FAULT_MATRIX:
-            from .fault_matrix import run_shard
-        elif spec.kind == KIND_INJECTION:
-            from .injection import run_shard
-        elif spec.kind == KIND_CLUSTER:
-            from .cluster import run_shard
-        elif spec.kind == KIND_ANTIENTROPY:
-            from .antientropy import run_shard
-        else:
+        if spec.kind not in SHARD_ENTRY:
             raise ValueError(f"unknown shard kind {spec.kind!r}")
+        run_shard = importlib.import_module(SHARD_ENTRY[spec.kind]).run_shard
         result = run_shard(spec)
     except Exception as exc:  # noqa: BLE001 - shard isolation boundary
         result = ShardResult(

@@ -42,27 +42,6 @@ from typing import Any, Dict, List, Optional, Tuple
 #: gain a per-node ``hints`` breakdown.
 SCHEMA_VERSION = 7
 
-#: Campaign suites: which slice of the shard plan a run compiles.  The CLI
-#: builds its ``--suite`` choices and help text from this registry, so a
-#: new suite lands in ``repro campaign --help`` by being added here.
-SUITE_REGISTRY: Dict[str, str] = {
-    "full": "every phase: conformance, crash, fuzz, fault matrix, injection",
-    "injection": "failure-injection storms only (section 4.4 contract)",
-    "brownout": (
-        "gray-failure storms only: slow-disk brownouts and arrival "
-        "overloads against the deadline-aware admission plane"
-    ),
-    "cluster": (
-        "multi-node storms only: quorum conformance under node crashes, "
-        "partitions and slow nodes, with merged-journal replay"
-    ),
-    "anti-entropy": (
-        "divergence storms only: partition + hint-overflow storms with "
-        "zero post-storm reads, so Merkle anti-entropy is the only path "
-        "that converges replicas (read-repair provably cannot fire)"
-    ),
-}
-
 #: Shard kinds, dispatched by the runner to the owning checker module.
 KIND_CONFORMANCE = "conformance"
 KIND_CRASH = "crash"
@@ -72,15 +51,362 @@ KIND_INJECTION = "injection"
 KIND_CLUSTER = "cluster"
 KIND_ANTIENTROPY = "anti-entropy"
 
-ALL_KINDS = (
-    KIND_CONFORMANCE,
-    KIND_CRASH,
-    KIND_FUZZ,
-    KIND_FAULT_MATRIX,
-    KIND_INJECTION,
-    KIND_CLUSTER,
-    KIND_ANTIENTROPY,
+#: Gray-failure storm sequences are longer than point-fault sequences:
+#: backlog has to *accumulate* across a latency ramp or a held-arrival
+#: burst before the deadline can be breached.
+STORM_OPS = 160
+
+
+@dataclass(frozen=True)
+class Control:
+    """A campaign switch: ``flag`` sets ``CampaignSpec.<field>`` to
+    ``value``, and every shard of the suite's kind reads it as ``param``.
+
+    The four ``--no-*`` controls are the negative configurations CI
+    asserts must FAIL -- the proof that the disabled mechanism is
+    load-bearing.
+    """
+
+    flag: str
+    field: str
+    param: str
+    value: bool
+    help: str
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Section:
+    """How one top-level artifact section is rolled up from shard blocks.
+
+    ``fields`` spells one per-shard entry in artifact order: ``"*"`` is
+    the shard's whole block, ``shard_id``/``seed``/``cases``/``ok``/
+    ``skipped`` come from the shard result, any other name is projected
+    from the block.  ``keys`` are the counters summed into ``totals``.
+    """
+
+    name: str
+    fields: Tuple[str, ...]
+    keys: Tuple[str, ...]
+    #: Only shards whose block has a truthy value here are selected.
+    where: Optional[str] = None
+    #: Roll up this sub-dict of the block instead of the block itself.
+    sub: Optional[str] = None
+    #: Schema v3 emits ``totals`` key-sorted; later sections keep ``keys``
+    #: order.
+    sorted_totals: bool = False
+    #: (per-shard verdict key, rolled-up name): AND over the shards.
+    verdict: Optional[Tuple[str, str]] = None
+    #: (block key of the evidence dict -- "" is the block itself --
+    #: rolled-up ``check_passed`` name); also emits ``heads_digest``.
+    evidence: Optional[Tuple[str, str]] = None
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One row of the suite table: everything the campaign plane knows
+    about a suite.  The shard compiler, the dispatcher, the roll-up and
+    the CLI are all driven from these rows, so a new suite is one row.
+
+    A row with a ``blurb`` is a ``--suite`` choice.  A row without one is
+    not selectable: it rides on whatever suite compiles its shard kind
+    (``evidence`` rides on every injection-kind shard).
+    """
+
+    name: str
+    blurb: str = ""
+    #: Shard kind and the module whose ``run_shard`` executes it.
+    kind: str = ""
+    entry: str = ""
+    #: Shard-param rotation, cycled through ``<sizes>_shards`` slots;
+    #: ``sizes`` prefixes the ``CampaignSpec`` fields the row reads
+    #: (``_shards``, ``_sequences``, ``_ops`` and, when present, ``_nodes``).
+    plan: Tuple[Dict[str, str], ...] = ()
+    sizes: str = ""
+    min_ops: int = 0
+    #: Rows compiled after the base phases (the ``full`` suite only).
+    includes: Tuple[str, ...] = ()
+    control: Optional[Control] = None
+    section: Optional[Section] = None
+
+
+#: The admission-plane counters: the tail of every injection block and
+#: the whole of the ``brownout`` section.
+_ADMISSION_KEYS = (
+    "storm_events",
+    "shed_overload",
+    "shed_deadline",
+    "hedges",
+    "slow_trips",
+    "deadline_violations",
+    "retry_budget_exhausted",
+    "replica_writes",
 )
+
+#: Storm and hinted-handoff counters shared by both cluster-plane suites.
+_HANDOFF_KEYS = (
+    "hints_queued",
+    "hints_replayed",
+    "hints_dropped",
+    "hints_revoked",
+    "node_crashes",
+    "node_restarts",
+    "partitions",
+    "partition_heals",
+    "slow_storms",
+)
+
+_BLOCK_THEN_META = ("*", "shard_id", "seed", "ok", "skipped")
+
+_ROWS = (
+    Suite(
+        name="full",
+        blurb="every phase: conformance, crash, fuzz, fault matrix, injection",
+        includes=("injection",),
+    ),
+    # The node/permanent slot is the one the circuit breaker must survive
+    # -- and the one that must FAIL under ``--no-breaker``.
+    Suite(
+        name="injection",
+        blurb="failure-injection storms only (section 4.4 contract)",
+        kind=KIND_INJECTION,
+        entry="repro.campaign.injection",
+        plan=(
+            {"harness": "store", "profile": "transient"},
+            {"harness": "store", "profile": "corruption"},
+            {"harness": "node", "profile": "transient"},
+            {"harness": "node", "profile": "permanent"},
+            {"harness": "store", "profile": "mixed"},
+            {"harness": "node", "profile": "mixed"},
+        ),
+        sizes="injection",
+        control=Control(
+            flag="--no-breaker",
+            field="breaker_enabled",
+            param="breaker_enabled",
+            value=False,
+            help="run injection shards with the disk-health circuit "
+            "breaker disabled (the permanent-fault shard is expected to "
+            "FAIL)",
+        ),
+        section=Section(
+            name="injection",
+            fields=("*", "shard_id", "seed", "cases", "ok", "skipped"),
+            keys=(
+                "planned",
+                "armed",
+                "fired",
+                "retries",
+                "breaker_trips",
+                "readmissions",
+                "demotions",
+                "shards_stranded",
+                "repaired",
+                "quarantined",
+            )
+            + _ADMISSION_KEYS,
+            sorted_totals=True,
+        ),
+    ),
+    # Gray-failure storms (latency ramps, arrival bursts) against the
+    # admission-enabled node request plane.  ``deadline_violations`` is
+    # the load-bearing total: 0 whenever shedding is on (late requests are
+    # shed, never run), non-zero under ``--no-shedding``.
+    Suite(
+        name="brownout",
+        blurb=(
+            "gray-failure storms only: slow-disk brownouts and arrival "
+            "overloads against the deadline-aware admission plane"
+        ),
+        kind=KIND_INJECTION,
+        entry="repro.campaign.injection",
+        plan=(
+            {"harness": "node", "profile": "brownout"},
+            {"harness": "node", "profile": "overload"},
+        ),
+        sizes="injection",
+        min_ops=STORM_OPS,
+        control=Control(
+            flag="--no-shedding",
+            field="shedding_enabled",
+            param="shedding_enabled",
+            value=False,
+            help="run admission-enabled (brownout/overload) shards with "
+            "load shedding disabled (storm shards are expected to FAIL "
+            "their deadline_violations == 0 gate)",
+        ),
+        section=Section(
+            name="brownout",
+            where="admission_enabled",
+            fields=("shard_id", "seed", "profile", "shedding_enabled", "ok")
+            + _ADMISSION_KEYS,
+            keys=_ADMISSION_KEYS,
+        ),
+    ),
+    # Journals carry logical ticks and digests only, so this section is
+    # byte-identical for any worker count.
+    Suite(
+        name="evidence",
+        kind=KIND_INJECTION,
+        control=Control(
+            flag="--journal",
+            field="journal",
+            param="journal",
+            value=True,
+            help="journal every injection-shard op and replay each "
+            "sequence journal through the trace checker; verdicts and "
+            "chained digests land in the artifact's evidence section "
+            "(schema v5)",
+        ),
+        section=Section(
+            name="evidence",
+            where="evidence",
+            sub="evidence",
+            fields=("shard_id", "seed", "*"),
+            keys=("sequences", "records", "checked", "skipped"),
+            evidence=("", "all_passed"),
+        ),
+    ),
+    # ``consistent``: every quorum-acked write survived its minority
+    # outage, replicas converged after one read sweep, and the merged
+    # multi-journal replay was clean.  Revoked- and dropped-hint
+    # divergence is healed by read-repair alone, hence the control.
+    Suite(
+        name="cluster",
+        blurb=(
+            "multi-node storms only: quorum conformance under node "
+            "crashes, partitions and slow nodes, with merged-journal replay"
+        ),
+        kind=KIND_CLUSTER,
+        entry="repro.campaign.cluster",
+        plan=(
+            {"profile": "cluster-mixed"},
+            {"profile": "node-crash"},
+            {"profile": "partition"},
+        ),
+        sizes="cluster",
+        control=Control(
+            flag="--no-read-repair",
+            field="read_repair_enabled",
+            param="read_repair",
+            value=False,
+            help="run cluster shards with read-repair disabled (storm "
+            "shards are expected to FAIL their replica-convergence "
+            "settlement gate)",
+        ),
+        section=Section(
+            name="cluster",
+            fields=_BLOCK_THEN_META,
+            keys=(
+                "planned",
+                "fired",
+                "degraded_writes",
+                "quorum_write_failures",
+                "quorum_read_failures",
+                "read_repairs",
+            )
+            + _HANDOFF_KEYS
+            + (
+                "node_demotions",
+                "node_readmissions",
+                "rebalances",
+                "rebalance_moves",
+            ),
+            verdict=("consistent", "all_consistent"),
+            evidence=("evidence", "evidence_passed"),
+        ),
+    ),
+    # ``roots_converged``: after a write-only divergence storm every
+    # placement group's live Merkle roots agree.  Zero reads ever fire,
+    # so read-repair provably cannot help and the control removes the
+    # only healer.
+    Suite(
+        name="anti-entropy",
+        blurb=(
+            "divergence storms only: partition + hint-overflow storms with "
+            "zero post-storm reads, so Merkle anti-entropy is the only path "
+            "that converges replicas (read-repair provably cannot fire)"
+        ),
+        kind=KIND_ANTIENTROPY,
+        entry="repro.campaign.cluster",
+        plan=(
+            {"profile": "partition"},
+            {"profile": "cluster-mixed"},
+            {"profile": "node-crash"},
+        ),
+        sizes="antientropy",
+        control=Control(
+            flag="--no-anti-entropy",
+            field="anti_entropy_enabled",
+            param="anti_entropy",
+            value=False,
+            help="run anti-entropy shards with Merkle sync disabled "
+            "(divergence-storm shards are expected to FAIL their "
+            "roots_converged settlement gate)",
+        ),
+        section=Section(
+            name="anti_entropy",
+            fields=_BLOCK_THEN_META,
+            keys=("planned", "fired", "degraded_writes", "quorum_write_failures")
+            + _HANDOFF_KEYS
+            + (
+                "anti_entropy_rounds",
+                "anti_entropy_root_matches",
+                "anti_entropy_buckets",
+                "anti_entropy_keys_repaired",
+                "anti_entropy_skips",
+                "settle_rounds",
+                "pre_settle_divergent",
+            ),
+            verdict=("roots_converged", "all_converged"),
+            evidence=("evidence", "evidence_passed"),
+        ),
+    ),
+)
+
+#: The suite table, in artifact-section order.
+SUITE_TABLE: Dict[str, Suite] = {row.name: row for row in _ROWS}
+
+#: The ``--suite`` choices: which slice of the shard plan a run compiles.
+SUITE_REGISTRY: Dict[str, Suite] = {
+    name: row for name, row in SUITE_TABLE.items() if row.blurb
+}
+
+#: Shard kind -> module whose ``run_shard(spec)`` executes it.
+SHARD_ENTRY: Dict[str, str] = {
+    KIND_CONFORMANCE: "repro.core.conformance",
+    KIND_CRASH: "repro.core.crash_checker",
+    KIND_FUZZ: "repro.serialization.fuzz",
+    KIND_FAULT_MATRIX: "repro.campaign.fault_matrix",
+    **{row.kind: row.entry for row in _ROWS if row.entry},
+}
+
+ALL_KINDS = tuple(SHARD_ENTRY)
+
+
+def compiled_rows(suite: str) -> Tuple[Suite, ...]:
+    """The storm rows whose plans ``--suite suite`` compiles."""
+    row = SUITE_REGISTRY[suite]
+    if row.includes:
+        return tuple(SUITE_REGISTRY[name] for name in row.includes)
+    return (row,)
+
+
+def control_suites(row: Suite) -> Tuple[str, ...]:
+    """The ``--suite`` choices under which ``row``'s control has shards
+    to act on: those compiling the row itself or, for a row that rides
+    on a shard kind, any row of that kind."""
+    return tuple(
+        name
+        for name in SUITE_REGISTRY
+        if any(
+            other is row or (not row.entry and other.kind == row.kind)
+            for other in compiled_rows(name)
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -174,19 +500,11 @@ class ShardResult:
     metrics: Optional[Dict[str, Any]] = None
     fault_events: Optional[List[Dict[str, Any]]] = None
     trace: Optional[List[Dict[str, Any]]] = None
-    #: Injection-shard summary: plan/harness identity plus fault and
-    #: self-healing counters (planned/armed/fired faults, retries, breaker
-    #: trips, readmissions, demotions, stranded/repaired/quarantined).
-    injection: Optional[Dict[str, Any]] = None
-    #: Cluster-shard summary: storm profile, consistency verdict, quorum
-    #: degradation counters, handoff/read-repair/rebalance counters and
-    #: the merged multi-journal evidence verdict.
-    cluster: Optional[Dict[str, Any]] = None
-    #: Anti-entropy-shard summary: divergence-storm identity, the Merkle
-    #: ``roots_converged`` settlement verdict, sync-round/repair counters,
-    #: per-node hint overflow/revocation breakdown and the merged
-    #: multi-journal evidence verdict.
-    anti_entropy: Optional[Dict[str, Any]] = None
+    #: Storm-shard summary -- the per-shard block of the suite's artifact
+    #: section: plan/harness identity, the verdict the suite gates on, the
+    #: counters its :class:`Section` names, and (when journaled) the
+    #: evidence verdict with chain-head digests.
+    section: Optional[Dict[str, Any]] = None
 
     @property
     def detected(self) -> bool:
@@ -238,7 +556,8 @@ class CampaignSpec:
     #: shards -- the negative configuration: storm plans must then FAIL
     #: their ``deadline_violations == 0`` settlement gate.
     shedding_enabled: bool = True
-    # cluster phase (multi-node quorum storms)
+    # cluster phase (multi-node quorum storms; the smoke profile keeps
+    # these and the anti-entropy sizes as they are)
     cluster_shards: int = 3
     cluster_sequences: int = 2
     cluster_ops: int = 80
@@ -278,16 +597,20 @@ def smoke_spec(
     budget_seconds: Optional[float] = None,
     trace: bool = False,
     suite: str = "full",
-    breaker_enabled: bool = True,
-    shedding_enabled: bool = True,
-    journal: bool = False,
-    read_repair_enabled: bool = True,
-    anti_entropy_enabled: bool = True,
+    **controls: bool,
 ) -> CampaignSpec:
     """The per-commit CI profile: every phase, small budgets (~tens of
-    seconds on two workers), still detecting all 16 Fig. 5 bugs."""
+    seconds on two workers), still detecting all 16 Fig. 5 bugs.
+
+    ``controls`` are the suite table's :class:`Control` fields
+    (``breaker_enabled=False``, ``journal=True``, ...).
+    """
     if suite not in SUITE_REGISTRY:
         raise ValueError(f"unknown campaign suite {suite!r}")
+    known = {row.control.field for row in _ROWS if row.control}
+    unknown = sorted(set(controls) - known)
+    if unknown:
+        raise TypeError(f"unknown campaign control(s) {unknown}")
     return CampaignSpec(
         profile="smoke",
         suite=suite,
@@ -308,18 +631,6 @@ def smoke_spec(
         injection_shards=4,
         injection_sequences=2,
         injection_ops=40,
-        breaker_enabled=breaker_enabled,
-        shedding_enabled=shedding_enabled,
-        journal=journal,
-        cluster_shards=3,
-        cluster_sequences=2,
-        cluster_ops=80,
-        cluster_nodes=5,
-        read_repair_enabled=read_repair_enabled,
-        antientropy_shards=3,
-        antientropy_sequences=2,
-        antientropy_ops=80,
-        antientropy_nodes=5,
-        anti_entropy_enabled=anti_entropy_enabled,
         coverage=True,
+        **controls,
     )

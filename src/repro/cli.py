@@ -247,34 +247,33 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     import json
 
     from repro.campaign import CampaignSpec, run_campaign, smoke_spec
+    from repro.campaign.spec import SUITE_TABLE, control_suites
     from repro.core import campaign_summary
 
-    if args.smoke:
-        spec = smoke_spec(
-            workers=args.workers,
-            base_seed=args.seed,
-            budget_seconds=args.budget_seconds,
-            trace=args.trace,
-            suite=args.suite,
-            breaker_enabled=not args.no_breaker,
-            shedding_enabled=not args.no_shedding,
-            journal=args.journal,
-            read_repair_enabled=not args.no_read_repair,
-            anti_entropy_enabled=not args.no_anti_entropy,
-        )
-    else:
-        spec = CampaignSpec(
-            workers=args.workers,
-            base_seed=args.seed,
-            budget_seconds=args.budget_seconds,
-            trace=args.trace,
-            suite=args.suite,
-            breaker_enabled=not args.no_breaker,
-            shedding_enabled=not args.no_shedding,
-            journal=args.journal,
-            read_repair_enabled=not args.no_read_repair,
-            anti_entropy_enabled=not args.no_anti_entropy,
-        )
+    controls = {}
+    for row in SUITE_TABLE.values():
+        control = row.control
+        if control is None or not getattr(args, control.dest):
+            continue
+        suites = control_suites(row)
+        if args.suite not in suites:
+            # A control with no shards to act on would read as "the
+            # control did not matter".
+            print(
+                f"{control.flag} has no effect on --suite {args.suite}: "
+                f"it applies to --suite {', '.join(suites)}"
+            )
+            return 2
+        controls[control.field] = control.value
+    make_spec = smoke_spec if args.smoke else CampaignSpec
+    spec = make_spec(
+        workers=args.workers,
+        base_seed=args.seed,
+        budget_seconds=args.budget_seconds,
+        trace=args.trace,
+        suite=args.suite,
+        **controls,
+    )
     result = run_campaign(spec, log=print)
     artifact = result.to_json()
     if args.output:
@@ -859,49 +858,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="record per-shard metrics, fault events, and op traces in "
         "the artifact (schema v2 observability sections)",
     )
-    from repro.campaign.spec import SUITE_REGISTRY
+    from repro.campaign.spec import SUITE_REGISTRY, SUITE_TABLE
 
     campaign.add_argument(
         "--suite",
         choices=tuple(SUITE_REGISTRY),
         default="full",
         help="; ".join(
-            f"'{name}': {blurb}" for name, blurb in SUITE_REGISTRY.items()
+            f"'{name}': {row.blurb}" for name, row in SUITE_REGISTRY.items()
         ),
     )
-    campaign.add_argument(
-        "--no-breaker",
-        action="store_true",
-        help="run injection shards with the disk-health circuit breaker "
-        "disabled (the permanent-fault shard is expected to FAIL)",
-    )
-    campaign.add_argument(
-        "--no-shedding",
-        action="store_true",
-        help="run admission-enabled (brownout/overload) shards with load "
-        "shedding disabled (storm shards are expected to FAIL their "
-        "deadline_violations == 0 gate)",
-    )
-    campaign.add_argument(
-        "--journal",
-        action="store_true",
-        help="journal every injection-shard op and replay each sequence "
-        "journal through the trace checker; verdicts and chained digests "
-        "land in the artifact's evidence section (schema v5)",
-    )
-    campaign.add_argument(
-        "--no-read-repair",
-        action="store_true",
-        help="run cluster shards with read-repair disabled (storm shards "
-        "are expected to FAIL their replica-convergence settlement gate)",
-    )
-    campaign.add_argument(
-        "--no-anti-entropy",
-        action="store_true",
-        help="run anti-entropy shards with Merkle sync disabled "
-        "(divergence-storm shards are expected to FAIL their "
-        "roots_converged settlement gate)",
-    )
+    for row in SUITE_TABLE.values():
+        if row.control is not None:
+            campaign.add_argument(
+                row.control.flag, action="store_true", help=row.control.help
+            )
     campaign.set_defaults(fn=_cmd_campaign)
 
     merkle = sub.add_parser(

@@ -185,7 +185,7 @@ class TestPerNodeHintCounters:
 
 class TestAntiEntropyCampaign:
     def _shard(self, *, anti_entropy: bool, seed: int = 0):
-        from repro.campaign.antientropy import run_shard
+        from repro.campaign.cluster import run_shard
         from repro.campaign.spec import ShardSpec
 
         return run_shard(
@@ -204,7 +204,7 @@ class TestAntiEntropyCampaign:
     def test_positive_shard_converges_with_zero_reads(self):
         result = self._shard(anti_entropy=True)
         assert result.ok
-        block = result.anti_entropy
+        block = result.section
         assert block["roots_converged"]
         assert block["pre_settle_divergent"] > 0, (
             "the storm must leave real divergence for sync to heal"
@@ -216,17 +216,17 @@ class TestAntiEntropyCampaign:
     def test_negative_control_fails_at_seed_zero(self):
         result = self._shard(anti_entropy=False)
         assert not result.ok
-        assert not result.anti_entropy["roots_converged"]
+        assert not result.section["roots_converged"]
         assert "divergent" in result.failures[0].detail
 
     def test_shard_is_deterministic(self):
         a = self._shard(anti_entropy=True)
         b = self._shard(anti_entropy=True)
-        assert a.anti_entropy == b.anti_entropy
+        assert a.section == b.section
         assert a.cases == b.cases
 
     def test_artifact_block_has_per_node_hint_breakdown(self):
-        block = self._shard(anti_entropy=True).anti_entropy
+        block = self._shard(anti_entropy=True).section
         hints = block["hints_by_node"]
         assert hints, "per-node hint breakdown must be present"
         assert sum(s["dropped"] for s in hints.values()) == block[

@@ -150,9 +150,9 @@ class TestCampaignSuiteFlag:
         from repro.campaign import SUITE_REGISTRY
 
         help_text = self._suite_action().help
-        for name, blurb in SUITE_REGISTRY.items():
+        for name, row in SUITE_REGISTRY.items():
             assert f"'{name}'" in help_text
-            assert blurb in help_text
+            assert row.blurb in help_text
 
     def test_unknown_suite_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -195,3 +195,43 @@ class TestCampaignSuiteFlag:
             ]
         )
         assert status == 1
+
+    @pytest.mark.parametrize(
+        "flag,suite,applies_to",
+        [
+            ("--no-breaker", "cluster", "full, injection"),
+            ("--no-breaker", "brownout", "full, injection"),
+            ("--no-shedding", "injection", "brownout"),
+            ("--no-shedding", "full", "brownout"),
+            ("--no-read-repair", "anti-entropy", "cluster"),
+            ("--no-anti-entropy", "cluster", "anti-entropy"),
+            ("--journal", "cluster", "full, injection, brownout"),
+        ],
+    )
+    def test_control_outside_its_suite_is_a_usage_error(
+        self, capsys, flag, suite, applies_to
+    ):
+        """A control with no shards to act on must not print PASS: that
+        reads as "the control did not matter"."""
+        status = main(["campaign", "--smoke", "--suite", suite, flag])
+        out = capsys.readouterr().out
+        assert status == 2
+        assert f"{flag} has no effect on --suite {suite}" in out
+        assert f"applies to --suite {applies_to}" in out
+        assert "PASS" not in out
+
+    def test_every_control_is_accepted_by_the_suites_it_names(self):
+        from repro.campaign.spec import SUITE_TABLE, control_suites
+
+        flags = {
+            row.control.flag: control_suites(row)
+            for row in SUITE_TABLE.values()
+            if row.control
+        }
+        assert flags == {
+            "--no-breaker": ("full", "injection"),
+            "--no-shedding": ("brownout",),
+            "--journal": ("full", "injection", "brownout"),
+            "--no-read-repair": ("cluster",),
+            "--no-anti-entropy": ("anti-entropy",),
+        }

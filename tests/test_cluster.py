@@ -500,7 +500,7 @@ class TestClusterCampaign:
 
         result = run_shard(self.make_spec())
         assert not result.failures
-        block = result.cluster
+        block = result.section
         assert block["consistent"]
         assert block["evidence"]["check_passed"]
         assert block["evidence"]["corroborated"] > 0
@@ -519,7 +519,7 @@ class TestClusterCampaign:
 
         a = run_shard(self.make_spec(seed=5))
         b = run_shard(self.make_spec(seed=5))
-        assert a.cluster == b.cluster
+        assert a.section == b.section
 
     def test_cluster_suite_smoke_end_to_end(self):
         from repro.campaign import run_campaign

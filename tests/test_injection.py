@@ -138,22 +138,22 @@ class TestInjectionShards:
     def test_store_profiles_pass_and_fire(self, profile):
         result = run_shard(_shard(0, harness="store", profile=profile))
         assert result.ok, result.failures
-        assert result.injection["fired"] > 0
-        assert result.injection["planned"] >= result.injection["armed"]
+        assert result.section["fired"] > 0
+        assert result.section["planned"] >= result.section["armed"]
 
     @pytest.mark.parametrize("profile", sorted(NODE_PROFILES))
     def test_node_profiles_pass_with_breaker(self, profile):
         result = run_shard(_shard(0, harness="node", profile=profile))
         assert result.ok, result.failures
-        assert result.injection["fired"] > 0
+        assert result.section["fired"] > 0
 
     def test_node_permanent_exercises_self_healing(self):
         result = run_shard(
             _shard(30_000, harness="node", profile="permanent", sequences=2)
         )
         assert result.ok, result.failures
-        assert result.injection["breaker_trips"] >= 1
-        assert result.injection["demotions"] >= 1
+        assert result.section["breaker_trips"] >= 1
+        assert result.section["demotions"] >= 1
 
     def test_breaker_disabled_fails_permanent_plan(self):
         """The negative control: self-healing must be load-bearing.
@@ -172,7 +172,7 @@ class TestInjectionShards:
             )
         )
         assert not result.ok
-        assert result.injection["breaker_trips"] == 0
+        assert result.section["breaker_trips"] == 0
         assert "injection:permanent" == result.failures[0].fault
 
     def test_shard_replays_byte_identically(self):
