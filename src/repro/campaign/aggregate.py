@@ -11,7 +11,7 @@ bytes for any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .spec import (
     ALL_KINDS,
@@ -19,8 +19,8 @@ from .spec import (
     SCHEMA_VERSION,
     SUITE_TABLE,
     CampaignSpec,
+    Section,
     ShardResult,
-    Suite,
 )
 from .storm import heads_digest
 
@@ -171,18 +171,16 @@ def _fault_matrix_rows(results: List[ShardResult]) -> List[Dict[str, Any]]:
 
 
 def _section_summary(
-    results: List[ShardResult], row: Suite
+    results: List[ShardResult], kind: str, section: Section
 ) -> Optional[Dict[str, Any]]:
     """Roll one suite-table row's shards up into its artifact section:
     per-shard entries, summed counters, and -- when the row names them --
     the AND-ed verdict, the evidence verdict and the digest of every
     shard's chain heads (None when the row selected no shard)."""
-    section = row.section
-    assert section is not None
-    selected = []
+    selected: List[Tuple[ShardResult, Dict[str, Any]]] = []
     for result in results:
         block = result.section or {}
-        if result.kind != row.kind or (
+        if result.kind != kind or (
             section.where and not block.get(section.where)
         ):
             continue
@@ -303,7 +301,7 @@ def result_to_json(outcome: CampaignResult) -> Dict[str, Any]:
         artifact["metrics"] = metrics
     for row in SUITE_TABLE.values():
         if row.section is not None:
-            summary = _section_summary(results, row)
+            summary = _section_summary(results, row.kind, row.section)
             if summary is not None:
                 artifact[row.section.name] = summary
     return artifact

@@ -417,6 +417,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     num_nodes = spec.param("nodes", DEFAULT_NODES)
     control = suite.control.param
     enabled = bool(spec.param(control, True))
+    config: Dict[str, Any] = {**variant.config, control: enabled}
     hints_by_node: Dict[str, Dict[str, int]] = {}
 
     def run_sequence(seed: int) -> SequenceOutcome:
@@ -433,12 +434,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         harness = ClusterHarness(
             plan,
             seed,
-            ClusterConfig(
-                num_nodes=num_nodes,
-                seed=seed,
-                **variant.config,
-                **{control: enabled},
-            ),
+            ClusterConfig(num_nodes=num_nodes, seed=seed, **config),
             write_only=variant.write_only,
             salt=variant.salt,
             prefix=variant.prefix,

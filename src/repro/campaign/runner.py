@@ -78,7 +78,7 @@ def _storm_shards(
         params["nodes"] = getattr(spec, f"{row.sizes}_nodes")
     for other in SUITE_TABLE.values():
         if other.kind == row.kind and other.control is not None:
-            params[other.control.param] = getattr(spec, other.control.field)
+            params[other.control.param] = getattr(spec, other.control.spec_field)
     for index in range(getattr(spec, f"{row.sizes}_shards")):
         shards.append(
             ShardSpec.make(

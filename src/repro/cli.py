@@ -264,7 +264,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 f"it applies to --suite {', '.join(suites)}"
             )
             return 2
-        controls[control.field] = control.value
+        controls[control.spec_field] = control.value
     make_spec = smoke_spec if args.smoke else CampaignSpec
     spec = make_spec(
         workers=args.workers,

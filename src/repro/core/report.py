@@ -158,7 +158,8 @@ def campaign_summary(artifact: Dict) -> str:
 # Fig. 6: lines of code per artifact category
 
 
-#: Maps this repository's files onto the paper's Fig. 6 rows.
+#: Maps this repository's files onto the paper's Fig. 6 rows.  The
+#: paper-ratio sentence under the table is computed over these rows only.
 FIG6_CATEGORIES: Dict[str, Tuple[str, ...]] = {
     "Implementation": ("src/repro/shardstore", "src/repro/serialization/codec.py"),
     "Unit tests & integration tests": ("tests",),
@@ -166,47 +167,75 @@ FIG6_CATEGORIES: Dict[str, Tuple[str, ...]] = {
     "Functional correctness checks (S3)": (
         "src/repro/core/alphabet.py",
         "src/repro/core/conformance.py",
-        "src/repro/core/generate.py",
         "src/repro/core/minimize.py",
         "src/repro/core/coverage.py",
         "src/repro/core/report.py",
+        "src/repro/core/model_verify.py",
     ),
     "Crash consistency checks (S5)": ("src/repro/core/crash_checker.py",),
     "Concurrency checks (S6)": (
         "src/repro/concurrency",
         "src/repro/core/linearizability.py",
+        "src/repro/core/concurrent_harnesses.py",
     ),
     "Serialization checks (S7)": ("src/repro/serialization/fuzz.py",),
     "Benchmarks (evaluation harness)": ("benchmarks",),
 }
 
+#: What this repository grew beyond the paper's artifact: with the
+#: ``src/`` paths above, these rows partition ``src/repro`` (every file is
+#: counted exactly once -- ``tests/test_coverage_report.py`` checks it).
+BEYOND_PAPER_CATEGORIES: Dict[str, Tuple[str, ...]] = {
+    "Validation campaigns (S4.4 CI loop)": ("src/repro/campaign",),
+    "Evidence plane (journal replay, invariants)": ("src/repro/evidence",),
+    "Cluster plane (quorum router, anti-entropy)": ("src/repro/cluster",),
+    "Bench harness (repro bench)": ("src/repro/bench",),
+    "CLI, errors & package glue": (
+        "src/repro/cli.py",
+        "src/repro/errors.py",
+        "src/repro/__init__.py",
+        "src/repro/__main__.py",
+        "src/repro/core/__init__.py",
+        "src/repro/serialization/__init__.py",
+    ),
+}
+
 
 def count_lines(path: str) -> int:
-    """Non-blank lines of Python in a file or directory tree."""
-    total = 0
+    """Non-blank lines of Python in a file or directory tree; a path that
+    does not exist is an error, not zero lines."""
     if os.path.isfile(path):
         candidates = [path]
+    elif os.path.isdir(path):
+        candidates = [
+            os.path.join(root, name)
+            for root, _, files in os.walk(path)
+            for name in files
+            if name.endswith(".py")
+        ]
     else:
-        candidates = []
-        for root, _, files in os.walk(path):
-            candidates.extend(
-                os.path.join(root, f) for f in files if f.endswith(".py")
-            )
+        raise FileNotFoundError(f"no such file or directory: {path!r}")
+    total = 0
     for filename in candidates:
-        try:
-            with open(filename, "r", encoding="utf-8") as handle:
-                total += sum(1 for line in handle if line.strip())
-        except OSError:
-            continue
+        with open(filename, "r", encoding="utf-8") as handle:
+            total += sum(1 for line in handle if line.strip())
     return total
 
 
 def loc_table(repo_root: str) -> str:
     """Render this repository's Fig. 6 analogue."""
-    rows: List[Tuple[str, int]] = []
-    for category, paths in FIG6_CATEGORIES.items():
-        count = sum(count_lines(os.path.join(repo_root, p)) for p in paths)
-        rows.append((category, count))
+
+    def measure(categories: Dict[str, Tuple[str, ...]]) -> List[Tuple[str, int]]:
+        return [
+            (
+                category,
+                sum(count_lines(os.path.join(repo_root, p)) for p in paths),
+            )
+            for category, paths in categories.items()
+        ]
+
+    rows = measure(FIG6_CATEGORIES)
+    beyond = measure(BEYOND_PAPER_CATEGORIES)
     total = sum(count for _, count in rows)
     impl = dict(rows).get("Implementation", 1)
     validation = sum(
@@ -218,11 +247,16 @@ def loc_table(repo_root: str) -> str:
     for category, count in rows:
         lines.append(f"{category:<44} {count:>6,}")
     lines.append("-" * 52)
-    lines.append(f"{'Total':<44} {total:>6,}")
+    lines.append(f"{'Fig. 6 rows':<44} {total:>6,}")
+    for category, count in beyond:
+        lines.append(f"{category:<44} {count:>6,}")
+    lines.append("-" * 52)
+    everything = total + sum(count for _, count in beyond)
+    lines.append(f"{'Total':<44} {everything:>6,}")
     lines.append("")
     lines.append(
         f"validation artifacts are {validation / max(total, 1):.0%} of the "
-        f"code base and {validation / max(impl, 1):.0%} of the implementation "
+        f"Fig. 6 rows and {validation / max(impl, 1):.0%} of the implementation "
         "(paper: 13% and 20%; formal verification efforts report 3-10x)"
     )
     return "\n".join(lines)

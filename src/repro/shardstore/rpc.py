@@ -10,8 +10,8 @@ live in:
   its shards to the remaining disks; fault #4 re-installs the removed
   disk's stale routing entries when it returns, resurrecting old data and
   losing writes made while it was away.
-* ``keys`` (formerly ``list_shards``) -- fault #13 iterates the routing
-  table without the node lock, racing concurrent removals.
+* ``keys`` -- fault #13 iterates the routing table without the node
+  lock, racing concurrent removals.
 * ``bulk_create``/``bulk_delete`` -- fault #16 releases the node lock
   between items, so concurrent bulk operations interleave non-atomically.
 
@@ -45,7 +45,6 @@ into a retry storm.  All of it is clocked by the node's virtual unit clock
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
@@ -762,15 +761,6 @@ class StorageNode:
             return sorted(out)
         with self._lock:
             return sorted(self._shard_map)
-
-    def list_shards(self) -> List[bytes]:
-        """Deprecated alias of :meth:`keys` (the unified KVNode spelling)."""
-        warnings.warn(
-            "StorageNode.list_shards() is deprecated; use keys()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.keys()
 
     def remove_disk(self, disk_id: int) -> int:
         """Take a disk out of service, migrating its shards; returns the

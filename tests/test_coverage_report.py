@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from repro.core import (
     DetectionOutcome,
     count_lines,
@@ -10,9 +12,16 @@ from repro.core import (
     measure,
 )
 from repro.core.coverage import CoverageReport
+from repro.core.report import BEYOND_PAPER_CATEGORIES, FIG6_CATEGORIES
 from repro.shardstore import Fault, StoreConfig, StoreSystem
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LISTED_PATHS = [
+    path
+    for categories in (FIG6_CATEGORIES, BEYOND_PAPER_CATEGORIES)
+    for paths in categories.values()
+    for path in paths
+]
 
 
 class TestLineCoverage:
@@ -90,7 +99,30 @@ class TestLocTable:
         this_file = os.path.abspath(__file__)
         assert count_lines(this_file) > 10
         assert count_lines(os.path.dirname(this_file)) > count_lines(this_file)
-        assert count_lines("/nonexistent/path") == 0
+        with pytest.raises(FileNotFoundError):
+            count_lines("/nonexistent/path")
+
+    def test_every_listed_path_exists(self):
+        for path in LISTED_PATHS:
+            assert os.path.exists(os.path.join(REPO_ROOT, path)), path
+
+    def test_rows_partition_the_package(self):
+        """Every .py under src/repro is counted by exactly one row, so a
+        PR that moves or deletes code shows up in ``repro loc``."""
+        package = os.path.join(REPO_ROOT, "src", "repro")
+        for root, _, files in os.walk(package):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                relative = os.path.relpath(
+                    os.path.join(root, name), REPO_ROOT
+                ).replace(os.sep, "/")
+                owners = [
+                    path
+                    for path in LISTED_PATHS
+                    if relative == path or relative.startswith(path + "/")
+                ]
+                assert len(owners) == 1, (relative, owners)
 
     def test_loc_table_renders(self):
         table = loc_table(REPO_ROOT)

@@ -2,11 +2,15 @@
 
 import random
 
+import pytest
+
 from repro.core import (
     BiasConfig,
     StoreHarness,
     coarse_crash_states,
+    crash_alphabet,
     explore_block_level,
+    run_conformance,
     store_alphabet,
 )
 from repro.shardstore import Fault, FaultSet
@@ -80,3 +84,25 @@ class TestCoarse:
         snapshot = harness.system.disk.snapshot()
         coarse_crash_states(harness, samples=4)
         assert harness.system.disk.snapshot() == snapshot
+
+
+class TestFaultFreeCrashAlphabet:
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP item 1: with no fault switched on the crash alphabet "
+            "diverges at base seed 70278 -- \"op[50] DirtyReboot(True, "
+            "False, 16): key sets diverge: missing [], extra [b'k13']\" "
+            "(re-verified at fbb561c).  The PR that root-causes it removes "
+            "this marker."
+        ),
+    )
+    def test_seed_70278_conforms(self):
+        report = run_conformance(
+            lambda seed: StoreHarness(FaultSet.none(), seed),
+            crash_alphabet(),
+            sequences=1,
+            ops_per_sequence=60,
+            base_seed=70278,
+        )
+        assert report.passed, report.failure

@@ -1,6 +1,5 @@
 """Unit tests for the storage-node RPC/control-plane layer."""
 
-import warnings
 
 import pytest
 
@@ -159,34 +158,6 @@ class TestBulkOps:
 
     def test_list_empty(self):
         assert _node().keys() == []
-
-    def test_list_shards_shim_warns(self):
-        node = _node()
-        node.put(b"a", b"1")
-        with pytest.deprecated_call():
-            assert node.list_shards() == [b"a"]
-
-    def test_list_shards_shim_warns_exactly_once_per_call(self):
-        # Pins the shim's contract so it can be removed in a later PR:
-        # one DeprecationWarning per call, attributed to the caller.
-        node = _node()
-        node.put(b"a", b"1")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            node.list_shards()
-        deprecations = [
-            warning
-            for warning in caught
-            if issubclass(warning.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "use keys()" in str(deprecations[0].message)
-        assert deprecations[0].filename == __file__  # stacklevel=2
-        # keys() itself must stay warning-free.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            node.keys()
-        assert caught == []
 
 
 class TestValidation:
