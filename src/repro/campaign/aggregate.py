@@ -11,7 +11,7 @@ bytes for any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .spec import (
     ALL_KINDS,
@@ -177,21 +177,18 @@ def _section_summary(
     per-shard entries, summed counters, and -- when the row names them --
     the AND-ed verdict, the evidence verdict and the digest of every
     shard's chain heads (None when the row selected no shard)."""
-    selected: List[Tuple[ShardResult, Dict[str, Any]]] = []
+    totals = dict.fromkeys(section.keys, 0)
+    verdict = evidence_passed = True
+    heads: List[str] = []
+    per_shard: List[Dict[str, Any]] = []
     for result in results:
         block = result.section or {}
         if result.kind != kind or (
             section.where and not block.get(section.where)
         ):
             continue
-        selected.append((result, block[section.sub] if section.sub else block))
-    if not selected:
-        return None
-    totals = dict.fromkeys(section.keys, 0)
-    verdict = evidence_passed = True
-    heads: List[str] = []
-    per_shard: List[Dict[str, Any]] = []
-    for result, block in selected:
+        if section.sub:
+            block = block[section.sub]
         for key in section.keys:
             totals[key] += int(block.get(key, 0))
         if section.verdict:
@@ -219,6 +216,8 @@ def _section_summary(
             else:
                 entry[name] = meta[name] if name in meta else block.get(name)
         per_shard.append(entry)
+    if not per_shard:
+        return None
     if section.sorted_totals:
         totals = dict(sorted(totals.items()))
     summary: Dict[str, Any] = {"shards": per_shard, "totals": totals}

@@ -161,214 +161,215 @@ _HANDOFF_KEYS = (
 
 _BLOCK_THEN_META = ("*", "shard_id", "seed", "ok", "skipped")
 
-_ROWS = (
-    Suite(
-        name="full",
-        blurb="every phase: conformance, crash, fuzz, fault matrix, injection",
-        includes=("injection",),
-    ),
-    # The node/permanent slot is the one the circuit breaker must survive
-    # -- and the one that must FAIL under ``--no-breaker``.
-    Suite(
-        name="injection",
-        blurb="failure-injection storms only (section 4.4 contract)",
-        kind=KIND_INJECTION,
-        entry="repro.campaign.injection",
-        plan=(
-            {"harness": "store", "profile": "transient"},
-            {"harness": "store", "profile": "corruption"},
-            {"harness": "node", "profile": "transient"},
-            {"harness": "node", "profile": "permanent"},
-            {"harness": "store", "profile": "mixed"},
-            {"harness": "node", "profile": "mixed"},
-        ),
-        sizes="injection",
-        control=Control(
-            flag="--no-breaker",
-            spec_field="breaker_enabled",
-            param="breaker_enabled",
-            value=False,
-            help="run injection shards with the disk-health circuit "
-            "breaker disabled (the permanent-fault shard is expected to "
-            "FAIL)",
-        ),
-        section=Section(
-            name="injection",
-            fields=("*", "shard_id", "seed", "cases", "ok", "skipped"),
-            keys=(
-                "planned",
-                "armed",
-                "fired",
-                "retries",
-                "breaker_trips",
-                "readmissions",
-                "demotions",
-                "shards_stranded",
-                "repaired",
-                "quarantined",
-            )
-            + _ADMISSION_KEYS,
-            sorted_totals=True,
-        ),
-    ),
-    # Gray-failure storms (latency ramps, arrival bursts) against the
-    # admission-enabled node request plane.  ``deadline_violations`` is
-    # the load-bearing total: 0 whenever shedding is on (late requests are
-    # shed, never run), non-zero under ``--no-shedding``.
-    Suite(
-        name="brownout",
-        blurb=(
-            "gray-failure storms only: slow-disk brownouts and arrival "
-            "overloads against the deadline-aware admission plane"
-        ),
-        kind=KIND_INJECTION,
-        entry="repro.campaign.injection",
-        plan=(
-            {"harness": "node", "profile": "brownout"},
-            {"harness": "node", "profile": "overload"},
-        ),
-        sizes="injection",
-        min_ops=STORM_OPS,
-        control=Control(
-            flag="--no-shedding",
-            spec_field="shedding_enabled",
-            param="shedding_enabled",
-            value=False,
-            help="run admission-enabled (brownout/overload) shards with "
-            "load shedding disabled (storm shards are expected to FAIL "
-            "their deadline_violations == 0 gate)",
-        ),
-        section=Section(
-            name="brownout",
-            where="admission_enabled",
-            fields=("shard_id", "seed", "profile", "shedding_enabled", "ok")
-            + _ADMISSION_KEYS,
-            keys=_ADMISSION_KEYS,
-        ),
-    ),
-    # Journals carry logical ticks and digests only, so this section is
-    # byte-identical for any worker count.
-    Suite(
-        name="evidence",
-        kind=KIND_INJECTION,
-        control=Control(
-            flag="--journal",
-            spec_field="journal",
-            param="journal",
-            value=True,
-            help="journal every injection-shard op and replay each "
-            "sequence journal through the trace checker; verdicts and "
-            "chained digests land in the artifact's evidence section "
-            "(schema v5)",
-        ),
-        section=Section(
-            name="evidence",
-            where="evidence",
-            sub="evidence",
-            fields=("shard_id", "seed", "*"),
-            keys=("sequences", "records", "checked", "skipped"),
-            evidence=("", "all_passed"),
-        ),
-    ),
-    # ``consistent``: every quorum-acked write survived its minority
-    # outage, replicas converged after one read sweep, and the merged
-    # multi-journal replay was clean.  Revoked- and dropped-hint
-    # divergence is healed by read-repair alone, hence the control.
-    Suite(
-        name="cluster",
-        blurb=(
-            "multi-node storms only: quorum conformance under node "
-            "crashes, partitions and slow nodes, with merged-journal replay"
-        ),
-        kind=KIND_CLUSTER,
-        entry="repro.campaign.cluster",
-        plan=(
-            {"profile": "cluster-mixed"},
-            {"profile": "node-crash"},
-            {"profile": "partition"},
-        ),
-        sizes="cluster",
-        control=Control(
-            flag="--no-read-repair",
-            spec_field="read_repair_enabled",
-            param="read_repair",
-            value=False,
-            help="run cluster shards with read-repair disabled (storm "
-            "shards are expected to FAIL their replica-convergence "
-            "settlement gate)",
-        ),
-        section=Section(
-            name="cluster",
-            fields=_BLOCK_THEN_META,
-            keys=(
-                "planned",
-                "fired",
-                "degraded_writes",
-                "quorum_write_failures",
-                "quorum_read_failures",
-                "read_repairs",
-            )
-            + _HANDOFF_KEYS
-            + (
-                "node_demotions",
-                "node_readmissions",
-                "rebalances",
-                "rebalance_moves",
-            ),
-            verdict=("consistent", "all_consistent"),
-            evidence=("evidence", "evidence_passed"),
-        ),
-    ),
-    # ``roots_converged``: after a write-only divergence storm every
-    # placement group's live Merkle roots agree.  Zero reads ever fire,
-    # so read-repair provably cannot help and the control removes the
-    # only healer.
-    Suite(
-        name="anti-entropy",
-        blurb=(
-            "divergence storms only: partition + hint-overflow storms with "
-            "zero post-storm reads, so Merkle anti-entropy is the only path "
-            "that converges replicas (read-repair provably cannot fire)"
-        ),
-        kind=KIND_ANTIENTROPY,
-        entry="repro.campaign.cluster",
-        plan=(
-            {"profile": "partition"},
-            {"profile": "cluster-mixed"},
-            {"profile": "node-crash"},
-        ),
-        sizes="antientropy",
-        control=Control(
-            flag="--no-anti-entropy",
-            spec_field="anti_entropy_enabled",
-            param="anti_entropy",
-            value=False,
-            help="run anti-entropy shards with Merkle sync disabled "
-            "(divergence-storm shards are expected to FAIL their "
-            "roots_converged settlement gate)",
-        ),
-        section=Section(
-            name="anti_entropy",
-            fields=_BLOCK_THEN_META,
-            keys=("planned", "fired", "degraded_writes", "quorum_write_failures")
-            + _HANDOFF_KEYS
-            + (
-                "anti_entropy_rounds",
-                "anti_entropy_root_matches",
-                "anti_entropy_buckets",
-                "anti_entropy_keys_repaired",
-                "anti_entropy_skips",
-                "settle_rounds",
-                "pre_settle_divergent",
-            ),
-            verdict=("roots_converged", "all_converged"),
-            evidence=("evidence", "evidence_passed"),
-        ),
-    ),
-)
-
 #: The suite table, in artifact-section order.
-SUITE_TABLE: Dict[str, Suite] = {row.name: row for row in _ROWS}
+SUITE_TABLE: Dict[str, Suite] = {
+    row.name: row
+    for row in (
+        Suite(
+            name="full",
+            blurb="every phase: conformance, crash, fuzz, fault matrix, injection",
+            includes=("injection",),
+        ),
+        # The node/permanent slot is the one the circuit breaker must survive
+        # -- and the one that must FAIL under ``--no-breaker``.
+        Suite(
+            name="injection",
+            blurb="failure-injection storms only (section 4.4 contract)",
+            kind=KIND_INJECTION,
+            entry="repro.campaign.injection",
+            plan=(
+                {"harness": "store", "profile": "transient"},
+                {"harness": "store", "profile": "corruption"},
+                {"harness": "node", "profile": "transient"},
+                {"harness": "node", "profile": "permanent"},
+                {"harness": "store", "profile": "mixed"},
+                {"harness": "node", "profile": "mixed"},
+            ),
+            sizes="injection",
+            control=Control(
+                flag="--no-breaker",
+                spec_field="breaker_enabled",
+                param="breaker_enabled",
+                value=False,
+                help="run injection shards with the disk-health circuit "
+                "breaker disabled (the permanent-fault shard is expected to "
+                "FAIL)",
+            ),
+            section=Section(
+                name="injection",
+                fields=("*", "shard_id", "seed", "cases", "ok", "skipped"),
+                keys=(
+                    "planned",
+                    "armed",
+                    "fired",
+                    "retries",
+                    "breaker_trips",
+                    "readmissions",
+                    "demotions",
+                    "shards_stranded",
+                    "repaired",
+                    "quarantined",
+                )
+                + _ADMISSION_KEYS,
+                sorted_totals=True,
+            ),
+        ),
+        # Gray-failure storms (latency ramps, arrival bursts) against the
+        # admission-enabled node request plane.  ``deadline_violations`` is
+        # the load-bearing total: 0 whenever shedding is on (late requests are
+        # shed, never run), non-zero under ``--no-shedding``.
+        Suite(
+            name="brownout",
+            blurb=(
+                "gray-failure storms only: slow-disk brownouts and arrival "
+                "overloads against the deadline-aware admission plane"
+            ),
+            kind=KIND_INJECTION,
+            entry="repro.campaign.injection",
+            plan=(
+                {"harness": "node", "profile": "brownout"},
+                {"harness": "node", "profile": "overload"},
+            ),
+            sizes="injection",
+            min_ops=STORM_OPS,
+            control=Control(
+                flag="--no-shedding",
+                spec_field="shedding_enabled",
+                param="shedding_enabled",
+                value=False,
+                help="run admission-enabled (brownout/overload) shards with "
+                "load shedding disabled (storm shards are expected to FAIL "
+                "their deadline_violations == 0 gate)",
+            ),
+            section=Section(
+                name="brownout",
+                where="admission_enabled",
+                fields=("shard_id", "seed", "profile", "shedding_enabled", "ok")
+                + _ADMISSION_KEYS,
+                keys=_ADMISSION_KEYS,
+            ),
+        ),
+        # Journals carry logical ticks and digests only, so this section is
+        # byte-identical for any worker count.
+        Suite(
+            name="evidence",
+            kind=KIND_INJECTION,
+            control=Control(
+                flag="--journal",
+                spec_field="journal",
+                param="journal",
+                value=True,
+                help="journal every injection-shard op and replay each "
+                "sequence journal through the trace checker; verdicts and "
+                "chained digests land in the artifact's evidence section "
+                "(schema v5)",
+            ),
+            section=Section(
+                name="evidence",
+                where="evidence",
+                sub="evidence",
+                fields=("shard_id", "seed", "*"),
+                keys=("sequences", "records", "checked", "skipped"),
+                evidence=("", "all_passed"),
+            ),
+        ),
+        # ``consistent``: every quorum-acked write survived its minority
+        # outage, replicas converged after one read sweep, and the merged
+        # multi-journal replay was clean.  Revoked- and dropped-hint
+        # divergence is healed by read-repair alone, hence the control.
+        Suite(
+            name="cluster",
+            blurb=(
+                "multi-node storms only: quorum conformance under node "
+                "crashes, partitions and slow nodes, with merged-journal replay"
+            ),
+            kind=KIND_CLUSTER,
+            entry="repro.campaign.cluster",
+            plan=(
+                {"profile": "cluster-mixed"},
+                {"profile": "node-crash"},
+                {"profile": "partition"},
+            ),
+            sizes="cluster",
+            control=Control(
+                flag="--no-read-repair",
+                spec_field="read_repair_enabled",
+                param="read_repair",
+                value=False,
+                help="run cluster shards with read-repair disabled (storm "
+                "shards are expected to FAIL their replica-convergence "
+                "settlement gate)",
+            ),
+            section=Section(
+                name="cluster",
+                fields=_BLOCK_THEN_META,
+                keys=(
+                    "planned",
+                    "fired",
+                    "degraded_writes",
+                    "quorum_write_failures",
+                    "quorum_read_failures",
+                    "read_repairs",
+                )
+                + _HANDOFF_KEYS
+                + (
+                    "node_demotions",
+                    "node_readmissions",
+                    "rebalances",
+                    "rebalance_moves",
+                ),
+                verdict=("consistent", "all_consistent"),
+                evidence=("evidence", "evidence_passed"),
+            ),
+        ),
+        # ``roots_converged``: after a write-only divergence storm every
+        # placement group's live Merkle roots agree.  Zero reads ever fire,
+        # so read-repair provably cannot help and the control removes the
+        # only healer.
+        Suite(
+            name="anti-entropy",
+            blurb=(
+                "divergence storms only: partition + hint-overflow storms with "
+                "zero post-storm reads, so Merkle anti-entropy is the only path "
+                "that converges replicas (read-repair provably cannot fire)"
+            ),
+            kind=KIND_ANTIENTROPY,
+            entry="repro.campaign.cluster",
+            plan=(
+                {"profile": "partition"},
+                {"profile": "cluster-mixed"},
+                {"profile": "node-crash"},
+            ),
+            sizes="antientropy",
+            control=Control(
+                flag="--no-anti-entropy",
+                spec_field="anti_entropy_enabled",
+                param="anti_entropy",
+                value=False,
+                help="run anti-entropy shards with Merkle sync disabled "
+                "(divergence-storm shards are expected to FAIL their "
+                "roots_converged settlement gate)",
+            ),
+            section=Section(
+                name="anti_entropy",
+                fields=_BLOCK_THEN_META,
+                keys=("planned", "fired", "degraded_writes", "quorum_write_failures")
+                + _HANDOFF_KEYS
+                + (
+                    "anti_entropy_rounds",
+                    "anti_entropy_root_matches",
+                    "anti_entropy_buckets",
+                    "anti_entropy_keys_repaired",
+                    "anti_entropy_skips",
+                    "settle_rounds",
+                    "pre_settle_divergent",
+                ),
+                verdict=("roots_converged", "all_converged"),
+                evidence=("evidence", "evidence_passed"),
+            ),
+        ),
+    )
+}
 
 #: The ``--suite`` choices: which slice of the shard plan a run compiles.
 SUITE_REGISTRY: Dict[str, Suite] = {
@@ -381,7 +382,7 @@ SHARD_ENTRY: Dict[str, str] = {
     KIND_CRASH: "repro.core.crash_checker",
     KIND_FUZZ: "repro.serialization.fuzz",
     KIND_FAULT_MATRIX: "repro.campaign.fault_matrix",
-    **{row.kind: row.entry for row in _ROWS if row.entry},
+    **{row.kind: row.entry for row in SUITE_TABLE.values() if row.entry},
 }
 
 ALL_KINDS = tuple(SHARD_ENTRY)
