@@ -20,6 +20,8 @@ Two design rules from the paper are encoded here:
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
@@ -90,8 +92,18 @@ def gen_value_len(ctx: GenContext, bias: BiasConfig) -> int:
 
 
 def gen_value(ctx: GenContext, bias: BiasConfig) -> bytes:
+    """``length`` random bytes, drawn in bulk.
+
+    ``getrandbits(8)`` is the top byte of one 32-bit Mersenne-Twister
+    word, and ``getrandbits(32 * n)`` lays ``n`` such words out least
+    significant first -- so byte 3 of every little-endian word is the same
+    bytes as ``bytes(rng.getrandbits(8) for _ in range(n))`` and leaves the
+    generator in the same state: every seeded sequence is unchanged.
+    """
     length = gen_value_len(ctx, bias)
-    return bytes(ctx.rng.getrandbits(8) for _ in range(length))
+    if not length:
+        return b""  # getrandbits(0) is an error before Python 3.9
+    return ctx.rng.getrandbits(32 * length).to_bytes(4 * length, "little")[3::4]
 
 
 def gen_extent(ctx: GenContext) -> int:
@@ -114,30 +126,30 @@ class Alphabet:
         if not specs:
             raise ValueError("empty alphabet")
         self.specs = list(specs)
-        self._by_name = {spec.name: spec for spec in self.specs}
-        if len(self._by_name) != len(self.specs):
+        self._rank = {spec.name: rank for rank, spec in enumerate(self.specs)}
+        if len(self._rank) != len(self.specs):
             raise ValueError("duplicate operation names in alphabet")
+        # ``sum`` for the total and a left-to-right running total for the
+        # thresholds, exactly what a per-op loop computes (the two can differ
+        # in the last bit): the same ``rng.random()`` picks the same spec.
+        self._total = sum(spec.weight for spec in self.specs)
+        self._cumulative = list(
+            itertools.accumulate(spec.weight for spec in self.specs)
+        )
 
     def names(self) -> List[str]:
         return [spec.name for spec in self.specs]
 
     def variant_rank(self, name: str) -> int:
         """Position in the alphabet; shrinking prefers lower ranks."""
-        for rank, spec in enumerate(self.specs):
-            if spec.name == name:
-                return rank
-        raise KeyError(name)
+        return self._rank[name]
 
     def generate_op(self, ctx: GenContext, bias: BiasConfig) -> Operation:
-        total = sum(spec.weight for spec in self.specs)
-        point = ctx.rng.random() * total
-        acc = 0.0
-        chosen = self.specs[-1]
-        for spec in self.specs:
-            acc += spec.weight
-            if point < acc:
-                chosen = spec
-                break
+        point = ctx.rng.random() * self._total
+        # First spec whose running total exceeds the point; the last spec
+        # when rounding leaves the point at or past the final total.
+        rank = bisect.bisect_right(self._cumulative, point)
+        chosen = self.specs[min(rank, len(self.specs) - 1)]
         op = Operation(chosen.name, chosen.gen_args(ctx, bias))
         if op.name in ("Put", "Get", "Delete") and op.args:
             ctx.note_key(op.args[0])

@@ -7,8 +7,7 @@ from .codec import (
     decode_value,
     encode_record,
     encode_value,
-    record_size,
-    scan_records,
+    scan_frames,
 )
 
 __all__ = [
@@ -18,6 +17,5 @@ __all__ = [
     "decode_value",
     "encode_record",
     "encode_value",
-    "record_size",
-    "scan_records",
+    "scan_frames",
 ]

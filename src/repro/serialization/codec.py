@@ -39,6 +39,7 @@ _T_NONE = 5
 _T_BOOL = 6
 
 Value = Union[int, bytes, str, list, dict, None, bool]
+Buffer = Union[bytes, bytearray, memoryview]
 
 
 class Preencoded:
@@ -62,6 +63,8 @@ class Preencoded:
 _pack_q = struct.Struct("<q").pack
 _pack_q_into = struct.Struct("<q").pack_into
 _pack_I = struct.Struct("<I").pack
+_unpack_q = struct.Struct("<q").unpack_from
+_unpack_I = struct.Struct("<I").unpack_from
 _INT_MIN = -(2**63)
 _INT_MAX = 2**63
 #: Encoded size of one int (tag + 64 bits) and of a container header
@@ -244,13 +247,27 @@ class _Reader:
         return out
 
     def byte(self) -> int:
-        return self.take(1)[0]
+        try:
+            value = self.data[self.pos]
+        except IndexError:
+            raise CorruptionError("truncated value encoding") from None
+        self.pos += 1
+        return value
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return self._unpack(_unpack_I, 4)
 
     def i64(self) -> int:
-        return struct.unpack("<q", self.take(8))[0]
+        return self._unpack(_unpack_q, 8)
+
+    def _unpack(self, unpack_from, size: int) -> int:
+        # ``unpack_from`` checks the field against the buffer's end itself.
+        try:
+            (value,) = unpack_from(self.data, self.pos)
+        except struct.error:
+            raise CorruptionError("truncated value encoding") from None
+        self.pos += size
+        return value
 
 
 # Guard against adversarial deep nesting blowing the Python stack: decoding
@@ -322,11 +339,21 @@ def encode_record(payload_value: Value, page_size: int) -> bytes:
     return bytes(out)
 
 
-def record_size(payload_value: Value, page_size: int) -> int:
-    """Size in bytes :func:`encode_record` would produce."""
-    payload_len = len(encode_value(payload_value))
-    raw = _HEADER.size + payload_len
-    return -(-raw // page_size) * page_size
+def _payload_bounds(data: Buffer, offset: int) -> Tuple[int, int]:
+    """Check the record frame at ``offset`` (magic, bounds, CRC); returns the
+    still-undecoded payload's ``(start, end)`` or raises CorruptionError."""
+    if offset < 0 or offset + _HEADER.size > len(data):
+        raise CorruptionError("record header out of bounds")
+    magic, payload_len, crc = _HEADER.unpack_from(data, offset)
+    if magic != RECORD_MAGIC:
+        raise CorruptionError("bad record magic")
+    start = offset + _HEADER.size
+    end = start + payload_len
+    if end > len(data):
+        raise CorruptionError("record payload out of bounds")
+    if zlib.crc32(memoryview(data)[start:end]) != crc:
+        raise CorruptionError("record checksum mismatch")
+    return start, end
 
 
 def decode_record(data: bytes, offset: int = 0) -> Tuple[Value, int]:
@@ -336,49 +363,30 @@ def decode_record(data: bytes, offset: int = 0) -> Tuple[Value, int]:
     records should round up to the page size themselves.  Raises
     :class:`CorruptionError` for anything malformed.
     """
-    if offset < 0 or offset + _HEADER.size > len(data):
-        raise CorruptionError("record header out of bounds")
-    magic, payload_len, crc = _HEADER.unpack_from(data, offset)
-    if magic != RECORD_MAGIC:
-        raise CorruptionError("bad record magic")
-    end = offset + _HEADER.size + payload_len
-    if payload_len > len(data) or end > len(data):
-        raise CorruptionError("record payload out of bounds")
-    payload = data[offset + _HEADER.size : end]
-    if zlib.crc32(payload) != crc:
-        raise CorruptionError("record checksum mismatch")
-    return decode_value(payload), _HEADER.size + payload_len
+    start, end = _payload_bounds(data, offset)
+    return decode_value(data[start:end]), end - offset
 
 
-def scan_records(data: bytes, page_size: int) -> List[Tuple[int, Value]]:
-    """Walk page-aligned records in ``data``; stop at the first bad one.
+def scan_frames(data: Buffer, page_size: int) -> Tuple[List[Tuple[int, int]], int]:
+    """Walk page-aligned record frames in ``data``; stop at the first bad one.
 
-    Returns ``[(offset, value), ...]``.  Used by superblock and metadata
-    recovery: records are appended sequentially, so the first undecodable
-    page marks the end of the valid log (a torn tail or unwritten space).
+    Returns the payload ``(start, end)`` of every frame in the valid prefix
+    and the prefix's end offset, where the log's next record belongs.
+    Records are appended sequentially, so the first bad frame marks the end
+    of the valid log (a torn tail or unwritten space); recovery must
+    *truncate* the extent there (seal the log), or records appended after a
+    torn record's garbage would be stranded beyond where later scans stop.
+    Only the framing is checked -- a CRC per record; callers decode the
+    payloads they adopt (``decode_value(data[start:end])``).
     """
-    records, _ = scan_records_with_end(data, page_size)
-    return records
-
-
-def scan_records_with_end(
-    data: bytes, page_size: int
-) -> Tuple[List[Tuple[int, Value]], int]:
-    """Like :func:`scan_records`, also returning the valid-prefix end.
-
-    The end offset is where the log's next record should be appended.
-    Recovery must *truncate* the log extent to this offset (seal the log):
-    a torn multi-page record leaves undecodable garbage, and appending
-    after the garbage would strand every later record beyond the point
-    where future scans stop.
-    """
-    out: List[Tuple[int, Value]] = []
+    frames: List[Tuple[int, int]] = []
+    view = memoryview(data)
     offset = 0
-    while offset + _HEADER.size <= len(data):
+    while offset + _HEADER.size <= len(view):
         try:
-            value, consumed = decode_record(data, offset)
+            start, end = _payload_bounds(view, offset)
         except CorruptionError:
             break
-        out.append((offset, value))
-        offset += -(-consumed // page_size) * page_size
-    return out, offset
+        frames.append((start, end))
+        offset += -(-(end - offset) // page_size) * page_size
+    return frames, offset

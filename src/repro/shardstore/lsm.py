@@ -32,7 +32,6 @@ from repro.serialization.codec import (
     encode_record,
     encode_value,
     preencoded_list,
-    scan_records,
 )
 
 from .chunk import KIND_RUN, Locator
@@ -41,6 +40,7 @@ from .config import METADATA_EXTENTS, StoreConfig
 from .dependency import Dependency, DurabilityTracker, FutureCell
 from .errors import CorruptionError, ShardStoreError
 from .faults import Fault
+from .recordlog import LogScan, adopt_newest
 from .scheduler import IoScheduler
 
 
@@ -454,28 +454,25 @@ class LsmIndex:
         chunk_store: ChunkStore,
         scheduler: IoScheduler,
         config: StoreConfig,
+        scans: Optional[Dict[int, LogScan]] = None,
     ) -> Tuple["LsmIndex", List[int]]:
         """Rebuild the index from the durable metadata + run chunks.
 
-        Returns the index and the ids of runs that could not be loaded
-        (corrupt or unreadable) -- recovery is tolerant, and the
-        crash-consistency checker decides whether the resulting data loss
-        was allowed.
+        ``scans`` is what sealing read of the log extents (see
+        :func:`~repro.shardstore.recordlog.adopt_newest`); without it the
+        extents are read here.  Returns the index and the ids of runs that
+        could not be loaded (corrupt or unreadable) -- recovery is tolerant,
+        and the crash-consistency checker decides whether the resulting
+        data loss was allowed.
         """
-        best: Optional[dict] = None
-        best_slot = 0
-        for slot, extent in enumerate(METADATA_EXTENTS):
-            hard = scheduler.disk.write_pointer(extent)
-            if not hard:
-                continue
-            data = scheduler.disk.read(extent, 0, hard)
-            for _, value in scan_records(data, config.geometry.page_size):
-                if not isinstance(value, dict):
-                    continue
-                epoch = value.get("epoch")
-                if isinstance(epoch, int) and (best is None or epoch > best["epoch"]):
-                    best = value
-                    best_slot = slot
+
+        def parse(value: object) -> Optional[Tuple[int, dict]]:
+            epoch = value.get("epoch") if isinstance(value, dict) else None
+            return (epoch, value) if isinstance(epoch, int) else None
+
+        best, best_slot = adopt_newest(
+            scheduler.disk, METADATA_EXTENTS, config.geometry.page_size, parse, scans
+        )
         runs: List[Run] = []
         lost: List[int] = []
         next_run_id = 0

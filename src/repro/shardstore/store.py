@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set, TypeVar
+from typing import Callable, Dict, List, Optional, Set, TypeVar
 
 from .buffer_cache import BufferCache
 from .chunk_store import ChunkStore
-from .config import StoreConfig
+from .config import METADATA_EXTENTS, SUPERBLOCK_EXTENTS, StoreConfig
 from .dependency import Dependency, DurabilityTracker
 from .disk import InMemoryDisk
 from .errors import (
@@ -41,6 +41,7 @@ from .lsm import LsmIndex
 from .merkle import MerkleMap
 from .observability.journal import digest_bytes, digest_keys
 from .reclamation import Reclaimer, ReclaimResult
+from .recordlog import LogScan, scan_log
 from .scheduler import IoScheduler
 from .scrub import MerkleScrubReport, RepairReport, Scrubber
 from .superblock import Superblock
@@ -86,9 +87,10 @@ class ShardStore:
         )
         if recover:
             hook("seal")
-            self._seal_log_extents()
+            # Kept local: a scan must not outlive the attempt that took it.
+            log_scans = self._seal_log_extents()
             hook("superblock")
-            state, slot = Superblock.recover_state(self.scheduler, config)
+            state, slot = Superblock.recover_state(self.scheduler, config, log_scans)
             hook("pointers")
             for extent in config.data_extents:
                 pointer = Superblock.recovered_pointer(
@@ -105,7 +107,7 @@ class ShardStore:
         if recover:
             hook("index")
             self.index, self.lost_runs = LsmIndex.recover(
-                self.chunk_store, self.scheduler, config
+                self.chunk_store, self.scheduler, config, log_scans
             )
         else:
             self.index = LsmIndex(self.chunk_store, self.scheduler, config)
@@ -132,7 +134,7 @@ class ShardStore:
                     fault, component_of(fault), "armed at store construction"
                 )
 
-    def _seal_log_extents(self) -> None:
+    def _seal_log_extents(self) -> Dict[int, LogScan]:
         """Truncate superblock/metadata log extents to their valid prefix.
 
         A crash can tear a multi-page record, leaving undecodable garbage
@@ -140,21 +142,16 @@ class ShardStore:
         would strand them: future recovery scans stop at the tear and never
         see anything beyond it.  Sealing restores the invariant that a log
         extent is always a contiguous run of valid records plus at most a
-        torn tail.
+        torn tail.  This is recovery's one read of each log extent: the
+        scans go on to superblock and index recovery.
         """
-        from repro.serialization.codec import scan_records_with_end
-
-        from .config import METADATA_EXTENTS, SUPERBLOCK_EXTENTS
-
         page = self.config.geometry.page_size
+        scans: Dict[int, LogScan] = {}
         for extent in (*SUPERBLOCK_EXTENTS, *METADATA_EXTENTS):
-            hard = self.disk.write_pointer(extent)
-            if not hard:
-                continue
-            data = self.disk.read(extent, 0, hard)
-            _, end = scan_records_with_end(data, page)
-            if end < hard:
-                self.scheduler.sync_soft_pointer(extent, end)
+            scan = scans[extent] = scan_log(self.disk, extent, page)
+            if scan.end < len(scan.data):
+                self.scheduler.sync_soft_pointer(extent, scan.end)
+        return scans
 
     def _reclaim_for_space(self) -> bool:
         """GC under allocation pressure: reclaim every eligible extent.
@@ -599,15 +596,7 @@ class StoreSystem:
         self, recovery_hook: Optional[Callable[[str], None]] = None
     ) -> ShardStore:
         self.store.clean_shutdown()
-        self.store = ShardStore(
-            self.disk,
-            self.tracker,
-            self.config,
-            rng=self._reboot_rng(),
-            recover=True,
-            recovery_hook=recovery_hook,
-        )
-        return self.store
+        return self._recover(recovery_hook)
 
     def dirty_reboot(
         self,
@@ -641,15 +630,7 @@ class StoreSystem:
         else:
             self.store.pump(reboot.pump)
         self.store.scheduler.drop_pending()
-        self.store = ShardStore(
-            self.disk,
-            self.tracker,
-            self.config,
-            rng=self._reboot_rng(),
-            recover=True,
-            recovery_hook=recovery_hook,
-        )
-        return self.store
+        return self._recover(recovery_hook)
 
     def recover_again(
         self, recovery_hook: Optional[Callable[[str], None]] = None
@@ -662,10 +643,10 @@ class StoreSystem:
         "recovery is just another crash point" obligation).
         """
         return self._journaled(
-            "recover", lambda: self._recover_again(recovery_hook)
+            "recover", lambda: self._recover(recovery_hook)
         )
 
-    def _recover_again(
+    def _recover(
         self, recovery_hook: Optional[Callable[[str], None]] = None
     ) -> ShardStore:
         self.store = ShardStore(

@@ -41,12 +41,12 @@ from repro.serialization.codec import (
     PreencodedIntMap,
     encode_record,
     encode_value,
-    scan_records,
 )
 
 from .config import SUPERBLOCK_EXTENTS, StoreConfig
 from .dependency import Dependency, DurabilityTracker, FutureCell
 from .faults import Fault
+from .recordlog import LogScan, adopt_newest
 from .scheduler import IoScheduler
 
 #: Extent owners recorded in the superblock.
@@ -376,28 +376,25 @@ class Superblock:
 
     @staticmethod
     def recover_state(
-        scheduler: IoScheduler, config: StoreConfig
+        scheduler: IoScheduler,
+        config: StoreConfig,
+        scans: Optional[Dict[int, LogScan]] = None,
     ) -> Tuple[SuperblockState, int]:
-        """Scan both superblock extents; adopt the highest-epoch record.
+        """Adopt the highest-epoch record of the two superblock extents.
 
-        Superblock (and metadata) extents are scanned up to the medium's
-        hard write pointer -- the write-pointer query a zoned device offers
-        -- with CRC validation rejecting torn tails.  Returns the state and
-        the slot index it was found on, which the new superblock must
-        resume writing to.
+        ``scans`` is what sealing read of the log extents (see
+        :func:`~repro.shardstore.recordlog.adopt_newest`); without it the
+        extents are read here.  Returns the state and the slot index it was
+        found on, which the new superblock must resume writing to.
         """
-        best: Optional[SuperblockState] = None
-        best_slot = 0
-        for slot, extent in enumerate(SUPERBLOCK_EXTENTS):
-            hard = scheduler.disk.write_pointer(extent)
-            if not hard:
-                continue
-            data = scheduler.disk.read(extent, 0, hard)
-            for _, value in scan_records(data, config.geometry.page_size):
-                state = SuperblockState.from_value(value)
-                if state and (best is None or state.epoch > best.epoch):
-                    best = state
-                    best_slot = slot
+
+        def parse(value: object) -> Optional[Tuple[int, SuperblockState]]:
+            state = SuperblockState.from_value(value)
+            return None if state is None else (state.epoch, state)
+
+        best, best_slot = adopt_newest(
+            scheduler.disk, SUPERBLOCK_EXTENTS, config.geometry.page_size, parse, scans
+        )
         if best is None:
             best = SuperblockState(
                 ownership={e: OWNER_FREE for e in config.data_extents}

@@ -14,7 +14,7 @@ from repro.serialization.codec import (
     decode_value,
     encode_record,
     encode_value,
-    scan_records_with_end,
+    scan_frames,
 )
 from repro.shardstore.chunk import KIND_DATA, KIND_RUN, decode_chunk, encode_chunk
 from repro.shardstore.errors import CorruptionError
@@ -81,10 +81,12 @@ class TestRecordProperties:
     def test_scan_recovers_prefix_before_garbage(self, payloads, garbage):
         page = 128
         log = b"".join(encode_record(p, page) for p in payloads)
-        records, end = scan_records_with_end(log + garbage, page)
-        assert [v for _, v in records[: len(payloads)]] == payloads[: len(records)]
-        assert end <= len(log) + len(garbage)
-        assert len(records) >= len(payloads) or garbage == b""
+        data = log + garbage
+        frames, end = scan_frames(data, page)
+        values = [decode_value(data[a:b]) for a, b in frames[: len(payloads)]]
+        assert values == payloads[: len(frames)]
+        assert end <= len(data)
+        assert len(frames) >= len(payloads) or garbage == b""
 
     @given(st.binary(max_size=400))
     def test_record_decode_never_panics(self, data):

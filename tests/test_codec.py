@@ -10,9 +10,7 @@ from repro.serialization.codec import (
     encode_record,
     encode_value,
     preencoded_list,
-    record_size,
-    scan_records,
-    scan_records_with_end,
+    scan_frames,
 )
 from repro.shardstore.errors import CorruptionError
 
@@ -157,10 +155,6 @@ class TestRecords:
         assert value == {"epoch": 9}
         assert consumed <= len(record)
 
-    def test_record_size_matches(self):
-        value = {"a": b"x" * 200}
-        assert record_size(value, 128) == len(encode_record(value, 128))
-
     def test_bad_magic(self):
         record = bytearray(encode_record({"epoch": 1}, 128))
         record[0] ^= 0xFF
@@ -184,23 +178,40 @@ class TestRecords:
 class TestScan:
     def test_scan_multiple_records(self):
         log = b"".join(encode_record({"epoch": i}, 128) for i in range(4))
-        records = scan_records(log, 128)
-        assert [v["epoch"] for _, v in records] == [0, 1, 2, 3]
+        frames, end = scan_frames(log, 128)
+        assert [decode_value(log[a:b])["epoch"] for a, b in frames] == [0, 1, 2, 3]
+        assert end == len(log)
 
     def test_scan_stops_at_torn_tail(self):
         good = encode_record({"epoch": 0}, 128)
         torn = encode_record({"epoch": 1, "pad": b"x" * 200}, 128)[:128]
-        records, end = scan_records_with_end(good + torn, 128)
-        assert len(records) == 1
+        frames, end = scan_frames(good + torn, 128)
+        assert len(frames) == 1
         assert end == len(good)
 
     def test_scan_of_garbage_is_empty(self):
-        records, end = scan_records_with_end(b"\xde\xad\xbe\xef" * 64, 128)
-        assert records == []
+        frames, end = scan_frames(b"\xde\xad\xbe\xef" * 64, 128)
+        assert frames == []
         assert end == 0
 
     def test_scan_page_alignment(self):
         record = encode_record({"epoch": 0, "big": b"z" * 300}, 128)
         assert len(record) % 128 == 0
-        records = scan_records(record + encode_record({"epoch": 1}, 128), 128)
-        assert len(records) == 2
+        frames, _ = scan_frames(record + encode_record({"epoch": 1}, 128), 128)
+        assert len(frames) == 2
+
+    def test_scan_checks_frames_not_payloads(self):
+        """A CRC-valid frame around an undecodable payload is still a frame:
+        it does not end the log (recovery skips it as "not a state")."""
+        import struct
+        import zlib
+
+        payload = b"\xff not a value encoding"
+        header = struct.pack("<4sII", b"SSRC", len(payload), zlib.crc32(payload))
+        odd = (header + payload).ljust(128, b"\0")
+        log = encode_record({"epoch": 0}, 128) + odd + encode_record({"epoch": 2}, 128)
+        frames, end = scan_frames(log, 128)
+        assert len(frames) == 3 and end == len(log)
+        with pytest.raises(CorruptionError):
+            decode_value(log[slice(*frames[1])])
+        assert decode_value(log[slice(*frames[2])]) == {"epoch": 2}

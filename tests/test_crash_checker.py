@@ -106,3 +106,45 @@ class TestFaultFreeCrashAlphabet:
             base_seed=70278,
         )
         assert report.passed, report.failure
+
+    @pytest.mark.parametrize(
+        "seed,text",
+        [
+            (
+                50058,
+                "op[51] DirtyReboot(True, True, 16): key sets diverge: "
+                "missing [], extra [b'k5']",
+            ),
+            (
+                70278,
+                "op[50] DirtyReboot(True, False, 16): key sets diverge: "
+                "missing [], extra [b'k13']",
+            ),
+            (
+                70380,
+                "op[49] DirtyReboot(True, False, 4): persistence violated for "
+                "key b'k13': observed <absent>, allowed values "
+                "{<246 bytes>, <384 bytes>}",
+            ),
+            (
+                110477,
+                "op[39] DirtyReboot(True, False, 16): key sets diverge: "
+                "missing [], extra [b'k15']",
+            ),
+        ],
+    )
+    def test_known_divergence_text_is_pinned(self, seed, text):
+        """The ROADMAP item 1 failures, verbatim (computed at 935676e).
+
+        A generator or recovery change that silently "fixes" or moves one
+        of them fails here first; the PR that root-causes them replaces
+        these pins with passing regressions.
+        """
+        report = run_conformance(
+            lambda s: StoreHarness(FaultSet.none(), s),
+            crash_alphabet(),
+            sequences=1,
+            ops_per_sequence=60,
+            base_seed=seed,
+        )
+        assert str(report.failure) == text

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.core import Operation, StoreHarness
+from repro.serialization.codec import encode_record
 from repro.shardstore import (
+    METADATA_EXTENTS,
     SUPERBLOCK_EXTENTS,
     DiskGeometry,
+    FaultSet,
     NotFoundError,
     RebootType,
     ShardStore,
@@ -80,6 +84,146 @@ class TestLogSealing:
         store.drain()
         store2 = system.dirty_reboot(RebootType(pump=0))
         assert store2.superblock.current_epoch() >= 1
+
+    def test_valid_record_stranded_behind_a_seal_is_not_adopted(self):
+        """Damage in the middle of a log strands the valid, higher-epoch
+        records after it: the seal cuts them off, recovery resumes from the
+        newest record before the damage."""
+        system = _system()
+        store = system.store
+        extent = SUPERBLOCK_EXTENTS[0]
+        ends = []
+        for _ in range(3):
+            store.flush_superblock()
+            store.drain()
+            ends.append(system.disk.write_pointer(extent))
+        system.disk.corrupt(extent, ends[0] + 20)  # inside record 2's payload
+        store = system.dirty_reboot(RebootType(pump=0))
+        assert store.superblock.current_epoch() == 1
+        assert system.disk.write_pointer(extent) == ends[0]
+        store.flush_superblock()
+        store.drain()
+        assert system.recover_again().superblock.current_epoch() == 2
+
+    def test_valid_frame_with_undecodable_payload_is_skipped_not_sealed(self):
+        """The one deliberate edge of frame-only sealing: a frame whose CRC
+        holds but whose payload is no value encoding does not end the log;
+        recovery skips it as "not a state".  No writer produces one."""
+        import struct
+        import zlib
+
+        system = _system()
+        system.store.flush_superblock()
+        system.store.drain()
+        extent = SUPERBLOCK_EXTENTS[0]
+        payload = b"\xff no such tag"
+        frame = struct.pack("<4sII", b"SSRC", len(payload), zlib.crc32(payload))
+        start = system.disk.write_pointer(extent)
+        system.disk.write(extent, start, (frame + payload).ljust(128, b"\0"))
+        store = system.dirty_reboot(RebootType(pump=0))
+        assert store.superblock.current_epoch() == 1
+        assert system.disk.write_pointer(extent) == start + 128  # kept
+        store.flush_superblock()
+        store.drain()
+        assert system.recover_again().superblock.current_epoch() == 2
+
+
+class TestRecoveryReads:
+    def _reads_by_extent(self, system, monkeypatch):
+        """Crash ``system`` and recover it; the extents its recovery read,
+        split at the "seal" hook into (before, after)."""
+        before, after = [], []
+        bucket = [before]
+        real_read = system.disk.read
+
+        def spy(extent, offset, length):
+            bucket[0].append(extent)
+            return real_read(extent, offset, length)
+
+        def hook(step):
+            if step == "seal":
+                bucket[0] = after
+
+        system.store.scheduler.drop_pending()  # the crash, before the spy
+        monkeypatch.setattr(system.disk, "read", spy)
+        system.recover_again(recovery_hook=hook)
+        return before, after
+
+    def test_each_log_extent_is_read_once_after_the_shadow_fill(self, monkeypatch):
+        system = _system(memtable_flush_threshold=1)
+        store = system.store
+        for i in range(40):  # enough metadata records to rotate the log
+            store.put(b"k%d" % (i % 4), bytes([i]) * 40)
+        store.flush()
+        store.drain()
+        assert store.index.meta_switched
+        logs = [
+            extent
+            for extent in (*SUPERBLOCK_EXTENTS, *METADATA_EXTENTS)
+            if system.disk.write_pointer(extent)
+        ]
+        assert len(logs) >= 3
+        before, after = self._reads_by_extent(system, monkeypatch)
+        # The scheduler's shadow fill reads every written extent once ...
+        assert sorted(e for e in before if e in logs) == logs
+        # ... and recovery proper reads each log extent once more, to seal
+        # it; superblock and index recovery decode from that read.
+        assert sorted(e for e in after if e in logs) == logs
+
+    def test_sealing_a_torn_log_costs_one_more_read(self, monkeypatch):
+        system = _system()
+        store = system.store
+        store.flush_superblock()
+        store.drain()
+        extent = SUPERBLOCK_EXTENTS[0]
+        _tear_log(system, extent)
+        _, after = self._reads_by_extent(system, monkeypatch)
+        # The seal read, then the scheduler re-reading its shadow of the
+        # truncated extent.
+        assert after.count(extent) == 2
+
+    def test_read_fault_on_a_log_extent_fails_the_reboot_at_the_first_read(
+        self, monkeypatch
+    ):
+        """The failure alphabet's ``FailDiskOnce`` on a log extent: the
+        reboot fails on the first read of that extent (the shadow fill),
+        the harness tolerates it, and the next recovery succeeds."""
+        harness = StoreHarness(FaultSet.none(), 0)
+        extent = METADATA_EXTENTS[0]
+        failure = harness.run(
+            [
+                Operation("Put", (b"k", b"v" * 200)),
+                Operation("FlushIndex"),
+                Operation("FlushSuperblock"),
+                Operation("PumpIo", (23,)),
+            ]
+        )
+        assert failure is None
+        disk = harness.system.disk
+        assert disk.write_pointer(extent) and harness.store.pending_io_count == 0
+        attempts = []
+        real_read = disk.read
+
+        def spy(target, offset, length):
+            if target == extent:
+                attempts.append(disk.has_armed_fault(extent))
+            return real_read(target, offset, length)
+
+        monkeypatch.setattr(disk, "read", spy)
+        failure = harness.run(
+            [Operation("FailDiskOnce", (extent,)), Operation("Reboot")]
+        )
+        assert failure is None  # tolerated: a failure was injected
+        assert attempts == [True]  # one read of the extent, and it failed
+        assert disk.stats.injected_failures == 1
+        monkeypatch.undo()
+        assert harness.system.recover_again().get(b"k") == b"v" * 200
+
+
+def _tear_log(system, extent):
+    """Leave the first page of a three-page record after the valid log."""
+    torn = encode_record({"epoch": 99, "pad": b"x" * 300}, 128)[:128]
+    system.disk.write(extent, system.disk.write_pointer(extent), torn)
 
 
 class TestPointerRecovery:
@@ -203,6 +347,55 @@ class TestReentrantRecovery:
         with pytest.raises(RuntimeError):
             system.dirty_reboot(RebootType(pump=0), recovery_hook=_CrashAt(step))
         self._assert_recovered(system.recover_again())
+
+    @staticmethod
+    def _recovered_state(system):
+        store = system.store
+        extents = range(system.config.geometry.num_extents)
+        return (
+            {key: store.get(key) for key in store.keys()},
+            (store.superblock.current_epoch(), store.superblock._slot),
+            (store.index._meta_epoch, store.index._meta_slot),
+            [store.scheduler.soft_pointer(extent) for extent in extents],
+            system.disk.snapshot(),
+        )
+
+    @pytest.mark.parametrize("damage_between", [False, True])
+    @pytest.mark.parametrize("step", ShardStore.RECOVERY_STEPS)
+    def test_interrupted_recovery_converges_to_the_uninterrupted_result(
+        self, step, damage_between
+    ):
+        """Same keys, epochs, slots, pointers and medium as a recovery that
+        ran through -- also when the log changes between the aborted attempt
+        and the next, so nothing the aborted attempt scanned is reused."""
+
+        log = SUPERBLOCK_EXTENTS[0]
+
+        def torn_system():
+            """A populated system whose superblock log ends in a torn
+            record; also the offset and epoch of its newest valid one."""
+            system = self._populated()
+            system.store.flush_superblock()
+            system.store.drain()
+            newest = system.disk.write_pointer(log)
+            system.store.flush_superblock()
+            system.store.drain()
+            _tear_log(system, log)
+            return system, newest, system.store.superblock.current_epoch()
+
+        straight, newest, epoch = torn_system()
+        if damage_between:
+            straight.disk.corrupt(log, newest + 20)
+        straight.dirty_reboot(RebootType(pump=0))
+
+        system, _, _ = torn_system()
+        with pytest.raises(RuntimeError):
+            system.dirty_reboot(RebootType(pump=0), recovery_hook=_CrashAt(step))
+        if damage_between:
+            system.disk.corrupt(log, newest + 20)
+        system.recover_again()
+        assert self._recovered_state(system) == self._recovered_state(straight)
+        assert system.store.superblock.current_epoch() == epoch - damage_between
 
     def test_crash_at_every_step_successively(self):
         """One interrupted recovery per step, back to back, then converge."""
