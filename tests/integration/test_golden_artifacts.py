@@ -1,4 +1,4 @@
-"""Golden campaign artifacts: pinned seeds must reproduce the same bytes.
+"""Golden campaign artifacts and bench journals: pinned seeds, same bytes.
 
 The campaign plane's contract is that everything outside ``timing`` is a
 pure function of (suite, seed, flags) -- for any worker count.  This pins
@@ -13,6 +13,13 @@ Canonical form: the artifact minus ``timing`` (wall clock), ``coverage``
 ``campaign.workers`` (so one digest covers every worker count), rendered
 with ``json.dumps(..., sort_keys=True)``.
 
+The evidence plane's contract is the same for ``run_bench`` journals: the
+bytes are a pure function of (workload, ops, seed, mutant), whatever the
+path.  Three journals are pinned as computed at commit eba9a4f (before the
+baseline gate was deleted from ``repro.bench``): the healthy ``mixed`` run
+CI journals, its ``drop-delete`` negative control, and a ``crash-recover``
+run.
+
 A change that is *meant* to alter an artifact re-pins the digest and says
 why (the rule of ``test_golden_images.py``); anything else that moves one
 is a bug.
@@ -23,6 +30,7 @@ import json
 
 import pytest
 
+from repro.bench import run_bench
 from repro.cli import main
 
 #: (suite, seed, extra flags) -> (digest, campaign exit code).  The four
@@ -66,6 +74,25 @@ GOLDEN_STORM_ARTIFACTS = {
 GOLDEN_FULL_SHA256 = (
     "528dd81c6453fbfbf454e2ab6aa89b10fcef99a8d6c7a0067f82bb78bb8d1e08"
 )
+
+#: (workload, ops, mutant) at seed 7 -> (file sha256, chain head, records).
+GOLDEN_BENCH_JOURNALS = {
+    ("mixed", 1500, None): (
+        "5d5a5a739181a06f93c32b294f970f867c3340560756f5b98046f66b0730deff",
+        "9c5c32166d760d1d",
+        1527,
+    ),
+    ("mixed", 1500, "drop-delete"): (
+        "338944a3ae91841c8e51374f44b45ab760d2336dee4e78095ebf07f00ec39928",
+        "a13f84cdba3e6e54",
+        1527,
+    ),
+    ("crash-recover", 800, None): (
+        "9be629e8563418122e985e4b39e5b5c3145eb2c22f52a1d004f0dcf2502554b5",
+        "c442c8f62c43f17c",
+        823,
+    ),
+}
 
 
 def canonical_digest(artifact) -> str:
@@ -128,3 +155,21 @@ def test_full_artifact_is_pinned(tmp_path, capsys):
     assert artifact["passed"] is True
     assert artifact["totals"]["faults_detected"] == 16
     assert canonical_digest(artifact) == GOLDEN_FULL_SHA256
+
+
+@pytest.mark.parametrize(
+    "workload,ops,mutant",
+    list(GOLDEN_BENCH_JOURNALS),
+    ids=[f"{w}{'+' + m if m else ''}@7" for w, _, m in GOLDEN_BENCH_JOURNALS],
+)
+def test_bench_journal_is_pinned(tmp_path, workload, ops, mutant):
+    sha256, head, records = GOLDEN_BENCH_JOURNALS[(workload, ops, mutant)]
+    path = tmp_path / "journal.jsonl"
+    artifact = run_bench(
+        workload, ops=ops, seed=7, journal_path=str(path), mutant=mutant
+    )
+    assert artifact["journal"]["head"] == head
+    assert artifact["journal"]["records"] == records
+    if mutant is not None:
+        assert artifact["mutant"]["victim_op_index"] == 250
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
