@@ -1,28 +1,15 @@
-"""Performance telemetry: benchmark harness, baselines, metrics endpoint.
+"""Performance telemetry: workload driver and metrics endpoint.
 
-The ROADMAP's "as fast as the hardware allows" needs measurement first.
 This package drives ShardStore/StorageNode through the KVNode protocol
-under deterministic workloads (``repro bench``), renders schema-versioned
-``BENCH_*.json`` artifacts with per-op latency percentiles and
-per-component span breakdowns, gates CI on committed baselines
-(``benchmarks/baselines.json``), and serves live Prometheus metrics
-(``repro metrics-serve``).  Wall-clock data never enters campaign
-artifacts; the PR 1 determinism contract is untouched.
+under deterministic workloads (``repro bench``) -- the evidence plane's
+journal source -- renders schema-versioned ``BENCH_*.json`` artifacts with
+per-op latency percentiles and per-component span breakdowns for a quick
+look, and serves live Prometheus metrics (``repro metrics-serve``).  It
+gates nothing: the cost ladder (``benchmarks/ladder``) is the repo's one
+perf gate.  Wall-clock data never enters campaign artifacts; the PR 1
+determinism contract is untouched.
 """
 
-from .baseline import (
-    BASELINE_SCHEMA_VERSION,
-    DEFAULT_TOLERANCE,
-    BaselineEntry,
-    BaselineRaiseError,
-    BaselineReport,
-    compare_to_baseline,
-    empty_baselines,
-    load_baselines,
-    render_report,
-    save_baselines,
-    update_baselines,
-)
 from .harness import (
     BENCH_SCHEMA_VERSION,
     WORKLOADS,
@@ -35,28 +22,17 @@ from .serve import MetricsDemoNode, make_server, serve
 from .workloads import BenchOp, generate_ops, sequence_digest, value_for
 
 __all__ = [
-    "BASELINE_SCHEMA_VERSION",
     "BENCH_SCHEMA_VERSION",
-    "DEFAULT_TOLERANCE",
     "WORKLOADS",
-    "BaselineEntry",
-    "BaselineRaiseError",
-    "BaselineReport",
     "BenchOp",
     "MetricsDemoNode",
     "bench_store_config",
-    "compare_to_baseline",
     "default_output_name",
     "default_target",
-    "empty_baselines",
     "generate_ops",
-    "load_baselines",
     "make_server",
-    "render_report",
     "run_bench",
-    "save_baselines",
     "sequence_digest",
     "serve",
-    "update_baselines",
     "value_for",
 ]

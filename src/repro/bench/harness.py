@@ -243,16 +243,13 @@ def run_bench(
     seed: int = 0,
     target: Optional[str] = None,
     num_disks: int = 3,
-    slowdown_ns: int = 0,
     journal_path: Optional[str] = None,
     mutant: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run one benchmark and return the artifact dict.
 
-    ``slowdown_ns`` busy-waits that long inside every measured op -- a
-    synthetic regression used to prove the CI baseline gate actually fails
-    (see EXPERIMENTS.md).  ``journal_path`` streams every op into a chained
-    JSONL evidence journal (deterministic bytes for a given spec).
+    ``journal_path`` streams every op into a chained JSONL evidence
+    journal (deterministic bytes for a given spec).
     ``mutant`` seeds an implementation bug -- the journal still reports the
     honest-looking outcome, so ``repro check-trace`` MUST flag the run.
     """
@@ -306,10 +303,6 @@ def run_bench(
                 outcome = "ok"
             else:
                 outcome = execute_op(system, op, value_size)
-            if slowdown_ns:
-                deadline = time.perf_counter_ns() + slowdown_ns
-                while time.perf_counter_ns() < deadline:
-                    pass
             recorder.observe_latency(
                 f"bench.{op.op}", time.perf_counter_ns() - begin
             )
@@ -349,8 +342,6 @@ def run_bench(
         "latency_ns": {"all": overall, **{k: per_op[k] for k in sorted(per_op)}},
         "components_ns": _component_breakdown(internal, wall_seconds),
     }
-    if slowdown_ns:
-        artifact["slowdown_ns_per_op"] = slowdown_ns
     if journal is not None:
         head = journal.close()
         artifact["journal"] = {

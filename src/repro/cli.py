@@ -15,7 +15,6 @@ is that knob — each subcommand is one checker with its budget exposed:
     python -m repro stats --from-artifact out.json
     python -m repro trace --from-artifact out.json
     python -m repro bench --workload mixed --ops 2000 --seed 7 --output bench.json
-    python -m repro bench --workload mixed --check-baseline benchmarks/baselines.json
     python -m repro bench --workload mixed --journal ops.jsonl
     python -m repro check-trace ops.jsonl --require-seal
     python -m repro invariants ops.jsonl other.jsonl
@@ -528,16 +527,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
-    from repro.bench import (
-        BaselineRaiseError,
-        compare_to_baseline,
-        empty_baselines,
-        load_baselines,
-        render_report,
-        run_bench,
-        save_baselines,
-        update_baselines,
-    )
+    from repro.bench import run_bench
 
     try:
         artifact = run_bench(
@@ -547,7 +537,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             seed=args.seed,
             target=args.target,
             num_disks=args.num_disks,
-            slowdown_ns=int(args.slowdown_us * 1000),
             journal_path=args.journal,
             mutant=args.mutant,
         )
@@ -587,35 +576,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             json.dump(artifact, handle, indent=2)
             handle.write("\n")
         print(f"artifact written to {args.output}")
-    if args.update_baseline:
-        try:
-            baselines = load_baselines(args.update_baseline)
-        except (OSError, ValueError):
-            baselines = empty_baselines()
-        try:
-            update_baselines(
-                artifact, baselines, allow_raise=args.allow_baseline_raise
-            )
-        except BaselineRaiseError as exc:
-            print(f"BASELINE RAISE REFUSED: {exc}")
-            return 1
-        save_baselines(baselines, args.update_baseline)
-        print(f"baseline updated in {args.update_baseline}")
-        return 0
-    if args.check_baseline:
-        try:
-            baselines = load_baselines(args.check_baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baselines {args.check_baseline}: {exc}")
-            return 2
-        report = compare_to_baseline(
-            artifact, baselines, tolerance=args.tolerance
-        )
-        band = args.tolerance
-        if band is None:
-            band = baselines.get("default_tolerance")
-        print(render_report(report, tolerance_note=f"band +{band:.0%}"))
-        return 0 if report.passed else 1
     return 0
 
 
@@ -949,7 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="workload-driven performance benchmark (BENCH_*.json artifact)",
+        help="deterministic workload driver: evidence journals plus a "
+        "quick-look latency artifact (the perf gate is benchmarks/ladder)",
     )
     from repro.bench.workloads import WORKLOADS as _WORKLOADS
 
@@ -966,36 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--num-disks", type=int, default=3)
     bench.add_argument("--output", help="write the JSON artifact here")
-    bench.add_argument(
-        "--check-baseline",
-        metavar="PATH",
-        help="gate against committed baselines (exit 1 on regression)",
-    )
-    bench.add_argument(
-        "--update-baseline",
-        metavar="PATH",
-        help="write this run's numbers into the baselines file",
-    )
-    bench.add_argument(
-        "--allow-baseline-raise",
-        action="store_true",
-        help="let --update-baseline loosen an existing entry (higher p50 / "
-        "lower throughput); refused by default so regressions are adopted "
-        "deliberately",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="override the regression band (fraction, e.g. 0.35)",
-    )
-    bench.add_argument(
-        "--slowdown-us",
-        type=float,
-        default=0.0,
-        help="inject a synthetic per-op busy-wait (microseconds) to "
-        "demonstrate the regression gate failing",
-    )
     from repro.bench.harness import MUTANTS as _MUTANTS
 
     bench.add_argument(

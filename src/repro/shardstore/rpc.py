@@ -46,7 +46,7 @@ into a retry storm.  All of it is clocked by the node's virtual unit clock
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.concurrency.primitives import Mutex, yield_point
@@ -186,18 +186,9 @@ class StorageNode:
         self.breaker_config = breaker if breaker is not None else BreakerConfig()
         self.systems: List[StoreSystem] = []
         for disk_id in range(num_disks):
-            cfg = StoreConfig(
-                geometry=base.geometry,
-                faults=base.faults,
-                max_chunk_payload=base.max_chunk_payload,
-                memtable_flush_threshold=base.memtable_flush_threshold,
-                superblock_flush_cadence=base.superblock_flush_cadence,
-                buffer_cache_pages=base.buffer_cache_pages,
-                seed=base.seed + disk_id + 1,
-                uuid_magic_bias=base.uuid_magic_bias,
-                recorder=base.recorder,
-                journal=base.journal,
-            )
+            # retry_policy=None on purpose: the per-disk store stays
+            # fail-fast because the node retries once, at its own layer.
+            cfg = replace(base, seed=base.seed + disk_id + 1, retry_policy=None)
             self.systems.append(StoreSystem(cfg))
         self._in_service: List[bool] = [True] * num_disks
         self._degraded: List[bool] = [False] * num_disks
@@ -1085,27 +1076,10 @@ class StorageNode:
     def health_snapshot(self) -> Dict[str, Dict[str, float]]:
         """Per-disk breaker/health view for metrics exposition.
 
-        Returns ``{"counters": {...}, "gauges": {...}}``; the gauges carry
+        Returns ``{"gauges": {...}}`` (counters are ``stats.snapshot()``):
         breaker state codes (0=closed 1=open 2=half-open 3=probation),
         sliding-window error rates, and service/degraded flags per disk.
         """
-        counters: Dict[str, float] = {
-            "node.breaker_trips": self.stats.breaker_trips,
-            "node.breaker_probes": self.stats.breaker_probes,
-            "node.readmissions": self.stats.readmissions,
-            "node.retries": self.stats.retries,
-            "node.wrapped_transients": self.stats.wrapped_transients,
-            "node.demotions": self.stats.demotions,
-            "node.shards_stranded": self.stats.shards_stranded,
-            "node.scrub_repaired": self.stats.repaired,
-            "node.scrub_quarantined": self.stats.quarantined,
-            "node.shed_overload": self.stats.shed_overload,
-            "node.shed_deadline": self.stats.shed_deadline,
-            "node.hedges": self.stats.hedges,
-            "node.slow_trips": self.stats.slow_trips,
-            "node.deadline_violations": self.stats.deadline_violations,
-            "node.retry_budget_exhausted": self.stats.retry_budget_exhausted,
-        }
         gauges: Dict[str, float] = {}
         for disk_id, breaker in enumerate(self._breakers):
             prefix = f"node.disk{disk_id}"
@@ -1125,7 +1099,7 @@ class StorageNode:
                 gauges[f"{prefix}.inflight"] = float(queue.inflight)
         if self._retry_budget is not None:
             gauges["node.retry_budget_tokens"] = float(self._retry_budget.tokens)
-        return {"counters": counters, "gauges": gauges}
+        return {"gauges": gauges}
 
     # ------------------------------------------------------------------
     # bulk control-plane operations
@@ -1336,6 +1310,3 @@ class StorageNode:
                     f"disk {disk_id}: {op} failed past retries: {exc}"
                 ) from exc
             raise exc
-
-    def drain_all(self) -> None:
-        self.drain()

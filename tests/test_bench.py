@@ -1,41 +1,27 @@
-"""Tests for the benchmark harness, workloads, and the baseline gate.
+"""Tests for the bench workload driver and its workloads.
 
 Determinism is the load-bearing property: the op sequence (and its digest
 in the artifact) must be a pure function of (workload, ops, value_size,
-seed), while wall-clock fields are free to vary.  The baseline tests use
-synthetic artifacts so the gate logic is checked without timing noise; the
-one test that gates against the committed ``benchmarks/baselines.json`` is
-marked ``bench`` and runs only in the CI bench job (``pytest -m bench``).
+seed), while wall-clock fields are free to vary.  ``repro bench`` gates
+nothing -- the cost ladder (``benchmarks/ladder``) is the perf gate -- so
+the removed baseline flags and the ``slowdown_ns`` knob must stay gone.
 """
 
 import json
-import os
 
 import pytest
 
 from repro.bench import (
     BENCH_SCHEMA_VERSION,
-    DEFAULT_TOLERANCE,
     WORKLOADS,
-    BaselineRaiseError,
-    compare_to_baseline,
     default_output_name,
     default_target,
-    empty_baselines,
     generate_ops,
-    load_baselines,
-    render_report,
     run_bench,
-    save_baselines,
     sequence_digest,
-    update_baselines,
     value_for,
 )
 from repro.cli import main
-
-BASELINES_PATH = os.path.join(
-    os.path.dirname(__file__), os.pardir, "benchmarks", "baselines.json"
-)
 
 
 class TestWorkloadGeneration:
@@ -110,6 +96,7 @@ class TestRunBench:
             "components_ns",
         ):
             assert key in artifact, key
+        assert "slowdown_ns_per_op" not in artifact
         overall = artifact["latency_ns"]["all"]
         assert overall["count"] == sum(artifact["op_counts"].values())
         for quantile in ("p50", "p90", "p99", "p999"):
@@ -144,238 +131,15 @@ class TestRunBench:
         assert artifact["target"] == "store"
         assert artifact["op_counts"]["delete"] > 0
 
-    def test_slowdown_inflates_latency(self):
-        fast = run_bench("put-heavy", ops=120, seed=9)
-        slow = run_bench("put-heavy", ops=120, seed=9, slowdown_ns=500_000)
-        assert slow["slowdown_ns_per_op"] == 500_000
-        assert "slowdown_ns_per_op" not in fast
-        # Every measured op gains >=0.5ms, so p50 must climb.
-        assert (
-            slow["latency_ns"]["all"]["p50"] > fast["latency_ns"]["all"]["p50"]
-        )
-        assert slow["latency_ns"]["all"]["p50"] >= 500_000
+    def test_slowdown_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            run_bench("put-heavy", ops=120, seed=9, slowdown_ns=500_000)
 
     def test_default_output_name(self):
         assert (
             default_output_name("reclaim-churn", "2026_08_06")
             == "BENCH_reclaim_churn_2026_08_06.json"
         )
-
-
-def _synthetic_artifact(p50=1000, throughput=5000.0, **overrides):
-    artifact = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "kind": "bench",
-        "workload": "mixed",
-        "target": "node",
-        "ops": 2000,
-        "value_size": 64,
-        "seed": 7,
-        "op_sequence_sha256": "abc123",
-        "throughput_ops_per_sec": throughput,
-        "latency_ns": {
-            "all": {"p50": p50, "p90": 4 * p50, "p99": 8 * p50, "p999": 8 * p50}
-        },
-    }
-    artifact.update(overrides)
-    return artifact
-
-
-class TestBaselineGate:
-    def test_update_then_compare_passes(self):
-        baselines = update_baselines(_synthetic_artifact(), empty_baselines())
-        report = compare_to_baseline(_synthetic_artifact(), baselines)
-        assert report.passed
-        assert not report.config_mismatches
-
-    def test_p50_regression_beyond_band_fails(self):
-        baselines = update_baselines(
-            _synthetic_artifact(p50=1000), empty_baselines()
-        )
-        ok = compare_to_baseline(
-            _synthetic_artifact(p50=1300), baselines
-        )  # +30% < 35% band
-        assert ok.passed
-        bad = compare_to_baseline(_synthetic_artifact(p50=1400), baselines)
-        assert not bad.passed
-        failing = [entry for entry in bad.entries if not entry.passed]
-        assert failing and failing[0].metric == "p50[all]"
-
-    def test_throughput_floor(self):
-        baselines = update_baselines(
-            _synthetic_artifact(throughput=1350.0), empty_baselines()
-        )
-        ok = compare_to_baseline(
-            _synthetic_artifact(throughput=1001.0), baselines
-        )
-        assert ok.passed
-        bad = compare_to_baseline(
-            _synthetic_artifact(throughput=999.0), baselines
-        )
-        assert not bad.passed
-
-    def test_config_mismatch_fails(self):
-        baselines = update_baselines(_synthetic_artifact(), empty_baselines())
-        report = compare_to_baseline(
-            _synthetic_artifact(seed=8, op_sequence_sha256="def456"), baselines
-        )
-        assert not report.passed
-        assert any("seed" in m for m in report.config_mismatches)
-        assert any(
-            "op_sequence_sha256" in m for m in report.config_mismatches
-        )
-
-    def test_missing_workload_fails(self):
-        report = compare_to_baseline(
-            _synthetic_artifact(), empty_baselines()
-        )
-        assert not report.passed
-        assert "no baseline" in report.config_mismatches[0]
-
-    def test_tolerance_precedence(self):
-        baselines = update_baselines(
-            _synthetic_artifact(p50=1000), empty_baselines()
-        )
-        # Explicit argument wins over the default band.
-        wide = compare_to_baseline(
-            _synthetic_artifact(p50=1900), baselines, tolerance=1.0
-        )
-        assert wide.passed
-        # Per-entry tolerance wins over default_tolerance.
-        baselines["workloads"]["mixed"]["tolerance"] = 1.0
-        entry_band = compare_to_baseline(
-            _synthetic_artifact(p50=1900), baselines
-        )
-        assert entry_band.passed
-        assert DEFAULT_TOLERANCE == 0.35
-
-    def test_save_load_roundtrip_and_schema_check(self, tmp_path):
-        path = str(tmp_path / "baselines.json")
-        baselines = update_baselines(_synthetic_artifact(), empty_baselines())
-        save_baselines(baselines, path)
-        assert load_baselines(path) == baselines
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"schema_version": 99}, handle)
-        with pytest.raises(ValueError):
-            load_baselines(path)
-
-    def test_render_report_mentions_verdicts(self):
-        baselines = update_baselines(
-            _synthetic_artifact(p50=1000), empty_baselines()
-        )
-        text = render_report(
-            compare_to_baseline(_synthetic_artifact(p50=5000), baselines)
-        )
-        assert "REGRESSION" in text
-        assert "FAIL" in text
-
-
-class TestBaselineGateEdgeCases:
-    """The gate's boundary semantics, pinned exactly."""
-
-    def test_tolerance_boundary_exactly_met_passes(self):
-        # The band is inclusive: measured == baseline*(1+band) is a pass,
-        # one more nanosecond is a regression.
-        baselines = update_baselines(
-            _synthetic_artifact(p50=1000), empty_baselines()
-        )
-        limit = 1000 * (1.0 + DEFAULT_TOLERANCE)
-        at_limit = compare_to_baseline(
-            _synthetic_artifact(p50=int(limit)), baselines
-        )
-        assert at_limit.passed
-        over = compare_to_baseline(
-            _synthetic_artifact(p50=int(limit) + 1), baselines
-        )
-        assert not over.passed
-
-    def test_throughput_floor_exactly_met_passes(self):
-        baselines = update_baselines(
-            _synthetic_artifact(throughput=1350.0), empty_baselines()
-        )
-        floor = 1350.0 / (1.0 + DEFAULT_TOLERANCE)
-        assert compare_to_baseline(
-            _synthetic_artifact(throughput=floor), baselines
-        ).passed
-
-    def test_new_workload_missing_from_populated_baselines(self):
-        # Baselines that know other workloads still hard-fail a workload
-        # they have no entry for -- a new bench must ship its baseline.
-        baselines = update_baselines(_synthetic_artifact(), empty_baselines())
-        report = compare_to_baseline(
-            _synthetic_artifact(workload="put-heavy"), baselines
-        )
-        assert not report.passed
-        assert "no baseline" in report.config_mismatches[0]
-        assert "put-heavy" in report.config_mismatches[0]
-
-    def test_update_refuses_to_raise_p50(self):
-        baselines = update_baselines(
-            _synthetic_artifact(p50=1000), empty_baselines()
-        )
-        with pytest.raises(BaselineRaiseError, match="p50\\[all\\]"):
-            update_baselines(_synthetic_artifact(p50=1001), baselines)
-        # The refused update must not have touched the document.
-        assert baselines["workloads"]["mixed"]["p50_ns"]["all"] == 1000
-
-    def test_update_refuses_to_lower_throughput(self):
-        baselines = update_baselines(
-            _synthetic_artifact(throughput=5000.0), empty_baselines()
-        )
-        with pytest.raises(BaselineRaiseError, match="throughput"):
-            update_baselines(
-                _synthetic_artifact(throughput=4999.0), baselines
-            )
-
-    def test_update_allows_raise_when_explicit(self):
-        baselines = update_baselines(
-            _synthetic_artifact(p50=1000), empty_baselines()
-        )
-        update_baselines(
-            _synthetic_artifact(p50=2000), baselines, allow_raise=True
-        )
-        assert baselines["workloads"]["mixed"]["p50_ns"]["all"] == 2000
-
-    def test_update_ratchets_down_silently(self):
-        baselines = update_baselines(
-            _synthetic_artifact(p50=1000, throughput=5000.0),
-            empty_baselines(),
-        )
-        update_baselines(
-            _synthetic_artifact(p50=500, throughput=6000.0), baselines
-        )
-        entry = baselines["workloads"]["mixed"]
-        assert entry["p50_ns"]["all"] == 500
-        assert entry["throughput_ops_per_sec"] == 6000.0
-
-    def test_cli_update_refuses_raise_and_leaves_file_intact(
-        self, tmp_path, capsys
-    ):
-        path = str(tmp_path / "baselines.json")
-        good = update_baselines(
-            _synthetic_artifact(p50=1), empty_baselines()
-        )
-        # Unreachably-good committed numbers: any real rerun would raise.
-        good["workloads"]["mixed"].update(
-            {
-                "throughput_ops_per_sec": 10.0**9,
-                "op_sequence_sha256": "ignored-by-update",
-            }
-        )
-        save_baselines(good, path)
-        before = open(path, encoding="utf-8").read()
-        common = ["bench", "--workload", "mixed", "--ops", "120",
-                  "--seed", "7"]
-        status = main(common + ["--update-baseline", path])
-        assert status == 1
-        assert "BASELINE RAISE REFUSED" in capsys.readouterr().out
-        assert open(path, encoding="utf-8").read() == before
-        # The explicit override adopts the regression and rewrites the file.
-        assert main(
-            common + ["--update-baseline", path, "--allow-baseline-raise"]
-        ) == 0
-        after = load_baselines(path)
-        assert after["workloads"]["mixed"]["ops"] == 120
 
 
 class TestBenchCli:
@@ -402,67 +166,15 @@ class TestBenchCli:
         stdout = capsys.readouterr().out
         assert "p50=" in stdout
 
-    def test_update_then_check_baseline_gate(self, tmp_path, capsys):
-        baselines = str(tmp_path / "baselines.json")
-        common = ["bench", "--workload", "put-heavy", "--ops", "120",
-                  "--seed", "7"]
-        assert main(common + ["--update-baseline", baselines]) == 0
-        # Back-to-back rerun on the same machine: one-bucket slack (2x)
-        # absorbs quantization of the power-of-two latency buckets.
-        assert main(
-            common + ["--check-baseline", baselines, "--tolerance", "1.0"]
-        ) == 0
-        # A synthetic 2ms/op slowdown must trip the gate.
-        status = main(
-            common
-            + [
-                "--check-baseline",
-                baselines,
-                "--tolerance",
-                "1.0",
-                "--slowdown-us",
-                "2000",
-            ]
-        )
-        assert status == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_check_baseline_missing_file_is_exit_2(self, tmp_path, capsys):
-        status = main(
-            [
-                "bench",
-                "--workload",
-                "mixed",
-                "--ops",
-                "120",
-                "--seed",
-                "7",
-                "--check-baseline",
-                str(tmp_path / "nope.json"),
-            ]
-        )
-        assert status == 2
-
-
-@pytest.mark.bench
-class TestCommittedBaselines:
-    """The CI bench job's gate (excluded from tier-1 via the marker)."""
-
-    def test_committed_baselines_hold(self):
-        baselines = load_baselines(BASELINES_PATH)
-        base = baselines["workloads"]["mixed"]
-        artifact = run_bench(
-            "mixed",
-            ops=base["ops"],
-            value_size=base["value_size"],
-            seed=base["seed"],
-        )
-        # Machine-independent: the op sequence digest must match exactly.
-        assert (
-            artifact["op_sequence_sha256"] == base["op_sequence_sha256"]
-        )
-        # Wall-clock gate: generous band because the committed numbers
-        # come from different hardware; CI's strict band runs against a
-        # baseline regenerated on the same runner (see ci.yml).
-        report = compare_to_baseline(artifact, baselines, tolerance=3.0)
-        assert report.passed, render_report(report)
+    def test_removed_gate_flags_are_usage_errors(self, capsys):
+        for flag in (
+            ["--check-baseline", "b.json"],
+            ["--update-baseline", "b.json"],
+            ["--allow-baseline-raise"],
+            ["--tolerance", "1.0"],
+            ["--slowdown-us", "2000"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["bench", "--workload", "mixed", "--ops", "120"] + flag)
+            assert exc.value.code == 2, flag
+            assert "unrecognized arguments" in capsys.readouterr().err, flag

@@ -342,7 +342,7 @@ class TestNodeSelfHealing:
         victim = 1
         self._trip(node, victim)
         snapshot = node.health_snapshot()
-        assert snapshot["counters"]["node.breaker_trips"] == 1
+        assert node.stats.snapshot()["node.breaker_trips"] == 1
         assert (
             snapshot["gauges"][f"node.disk{victim}.breaker_state"]
             == BreakerState.OPEN.code

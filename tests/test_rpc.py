@@ -1,5 +1,6 @@
 """Unit tests for the storage-node RPC/control-plane layer."""
 
+import dataclasses
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.shardstore import (
     InvalidRequestError,
     KeyNotFoundError,
     NotFoundError,
+    RetryPolicy,
     StorageNode,
     StoreConfig,
 )
@@ -170,10 +172,23 @@ class TestValidation:
         with pytest.raises(InvalidRequestError):
             node.remove_disk(9)
 
-    def test_drain_all(self):
-        node = _node()
-        node.put(b"k", b"v")
-        node.drain_all()
-        assert all(
-            system.store.pending_io_count == 0 for system in node.systems
+    def test_every_config_field_reaches_every_disk(self):
+        # A field-by-field copy silently drops fields added after it was
+        # written (it dropped io_batch_pages and buffer_cache_bytes);
+        # walking dataclasses.fields covers every future field too.
+        base = StoreConfig(
+            io_batch_pages=7,
+            buffer_cache_bytes=4096,
+            seed=40,
+            retry_policy=RetryPolicy(),
         )
+        node = StorageNode(num_disks=3, config=base)
+        for disk_id, system in enumerate(node.systems):
+            for field in dataclasses.fields(StoreConfig):
+                got = getattr(system.config, field.name)
+                if field.name == "seed":
+                    assert got == 40 + disk_id + 1
+                elif field.name == "retry_policy":
+                    assert got is None  # the node retries, not the store
+                else:
+                    assert got == getattr(base, field.name), field.name
