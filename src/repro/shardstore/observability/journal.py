@@ -37,6 +37,7 @@ depth; nested calls are invisible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from typing import Any, Callable, Dict, Iterable, List, Optional, TypeVar
@@ -57,6 +58,7 @@ __all__ = [
     "JOURNAL_VERSION",
     "Journal",
     "JournalError",
+    "bool_outcome",
     "canonical_json",
     "chain_digest",
     "classify_error",
@@ -64,8 +66,12 @@ __all__ = [
     "digest_key_digests",
     "digest_keys",
     "journal_head",
+    "journaled",
+    "keys_outcome",
     "read_journal",
+    "repair_outcome",
     "seal_on_signal",
+    "value_outcome",
     "verify_chain",
 ]
 
@@ -291,38 +297,6 @@ class Journal:
         self._bump(handle["kind"], out)
         self._write(handle)
 
-    def call(
-        self,
-        kind: str,
-        fn: Callable[[], _T],
-        *,
-        key: Optional[bytes] = None,
-        value: Optional[bytes] = None,
-        fields: Optional[Dict[str, Any]] = None,
-        classify: Optional[Callable[[_T], Dict[str, Any]]] = None,
-    ) -> _T:
-        """Run ``fn`` as one journaled op, classifying its outcome.
-
-        ``classify(result)`` supplies extra record fields derived from a
-        successful result (a get's value digest, a contains' boolean).
-        Exceptions become typed outcomes via :func:`classify_error` and
-        propagate unchanged.
-        """
-        handle = self.begin_op(kind, key=key, value=value, fields=fields)
-        if handle is None:
-            try:
-                return fn()
-            finally:
-                self._depth = max(0, self._depth - 1)
-        try:
-            result = fn()
-        except BaseException as exc:
-            self.end_op(handle, classify_error(exc))
-            raise
-        extra = classify(result) if classify is not None else None
-        self.end_op(handle, "ok", **(extra or {}))
-        return result
-
     def record_op(
         self,
         kind: str,
@@ -401,6 +375,107 @@ class Journal:
         if self._fh is not None:
             self._fh.write(line + "\n")
             self._fh.flush()
+
+
+# Result classifiers of the ``KVNode`` ops: both implementations' envelopes
+# name the same record fields, which is what the trace checker reads.
+
+
+def value_outcome(value: bytes) -> Dict[str, Any]:
+    return {"value": digest_bytes(value)}
+
+
+def bool_outcome(result: Any) -> Dict[str, Any]:
+    return {"result": bool(result)}
+
+
+def keys_outcome(keys: List[bytes]) -> Dict[str, Any]:
+    return {"n": len(keys), "keys_digest": digest_keys(keys)}
+
+
+def repair_outcome(*reports: Any) -> Dict[str, Any]:
+    """Sorted key digests healed/quarantined over some ``RepairReport``\\ s."""
+    return {
+        name: sorted(digest_bytes(k) for r in reports for k in getattr(r, name))
+        or None
+        for name in ("repaired", "quarantined")
+    }
+
+
+def journaled(
+    kind: str,
+    *,
+    key: Optional[Callable[[Any], None]] = None,
+    value: bool = False,
+    check: Optional[Callable[..., None]] = None,
+    fields: Optional[Callable[..., Dict[str, Any]]] = None,
+    classify: Optional[Callable[[Any], Dict[str, Any]]] = None,
+    span: Optional[str] = None,
+) -> Callable[[Callable[..., _T]], Callable[..., _T]]:
+    """The op envelope: declare a client-visible op of a ``KVNode`` once.
+
+    Decorates a method of an object that has a ``journal`` attribute (a
+    :class:`Journal` or None) and, when ``span`` is given, a ``recorder``.
+    ``check`` and ``fields`` receive the method's positional arguments,
+    ``self`` included:
+
+    * ``key`` -- the validator of the first argument, which makes it the
+      shard key: digested into the record, ``key=`` on the span.
+    * ``value`` -- the second argument is the value: digested into the
+      record, ``size=`` on the span.
+    * ``check`` -- further request validation.  Like the key validator it
+      runs before the record opens, so a rejected request leaves no record.
+    * ``fields`` -- record fields known before the op runs.
+    * ``classify(result)`` -- record fields derived from a successful
+      result (a get's value digest, a contains' boolean).  An exception
+      becomes the :func:`classify_error` outcome and propagates unchanged.
+    * ``span`` -- a recorder span around the body, inside the record.
+
+    With no journal and a disabled recorder the envelope is one frame that
+    calls the body and touches neither.  (``self`` stays inside ``args`` so
+    that call forwards the tuple it received instead of building one.)
+    """
+
+    def decorate(body: Callable[..., _T]) -> Callable[..., _T]:
+        def spanned(*args: Any, **kwargs: Any) -> _T:
+            tags: Dict[str, Any] = {}
+            if key is not None:
+                tags["key"] = repr(args[1])
+            if value:
+                tags["size"] = len(args[2])
+            with args[0].recorder.span(span, **tags):
+                return body(*args, **kwargs)
+
+        @functools.wraps(body)
+        def op(*args: Any, **kwargs: Any) -> _T:
+            if key is not None:
+                key(args[1])
+            if check is not None:
+                check(*args)
+            self = args[0]
+            run = spanned if span is not None and self.recorder.enabled else body
+            journal = self.journal
+            if journal is None:
+                return run(*args, **kwargs)
+            handle = journal.begin_op(
+                kind,
+                key=args[1] if key is not None else None,
+                value=args[2] if value else None,
+                fields=fields(*args) if fields is not None else None,
+            )
+            try:
+                result = run(*args, **kwargs)
+            except BaseException as exc:
+                journal.end_op(handle, classify_error(exc))
+                raise
+            # A nested op (no handle) emits nothing, so it classifies nothing.
+            emits = handle is not None and classify is not None
+            journal.end_op(handle, "ok", **(classify(result) if emits else {}))
+            return result
+
+        return op
+
+    return decorate
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,14 @@ from .errors import (
 from .faults import component_of
 from .lsm import LsmIndex
 from .merkle import MerkleMap
-from .observability.journal import digest_bytes, digest_keys
+from .observability.journal import (
+    bool_outcome,
+    digest_bytes,
+    journaled,
+    keys_outcome,
+    repair_outcome,
+    value_outcome,
+)
 from .reclamation import Reclaimer, ReclaimResult
 from .recordlog import LogScan, scan_log
 from .scheduler import IoScheduler
@@ -49,6 +56,21 @@ from .superblock import Superblock
 _T = TypeVar("_T")
 
 __all__ = ["ShardStore", "StoreSystem", "RebootType", "MAX_KEY_LEN"]
+
+
+def _merkle_outcome(report: MerkleScrubReport) -> Dict[str, object]:
+    return {
+        "proven": report.proven,
+        "root": report.actual_root,
+        "diverging": len(report.diverging) or None,
+    }
+
+
+def _repair_outcome(report: RepairReport) -> Dict[str, object]:
+    return {
+        **repair_outcome(report),
+        "proven": report.proven if report.merkle is not None else None,
+    }
 
 
 class ShardStore:
@@ -194,20 +216,10 @@ class ShardStore:
                 "store.retry", attempt=failures, backoff=backoff, error=str(exc)
             )
 
+    @journaled("put", key=validate_key, value=True, span="put")
     def put(self, key: bytes, value: bytes) -> Dependency:
         """Store ``value`` under ``key``; returns its durability dependency."""
-        validate_key(key)
-        if self.journal is not None:
-            return self.journal.call(
-                "put", lambda: self._put_op(key, value), key=key, value=value
-            )
-        return self._put_op(key, value)
-
-    def _put_op(self, key: bytes, value: bytes) -> Dependency:
-        if not self.recorder.enabled:
-            return self._retrying(lambda: self._put_validated(key, value))
-        with self.recorder.span("put", key=repr(key), size=len(value)):
-            return self._retrying(lambda: self._put_validated(key, value))
+        return self._retrying(lambda: self._put_validated(key, value))
 
     def _put_validated(self, key: bytes, value: bytes) -> Dependency:
         locators, data_dep = self.chunk_store.put_shard(key, value)
@@ -216,27 +228,14 @@ class ShardStore:
             self._merkle.set(key, digest_bytes(value))
         return dep
 
+    @journaled("get", key=validate_key, classify=value_outcome, span="get")
     def get(self, key: bytes) -> bytes:
         """The value stored under ``key``.
 
         Raises :class:`NotFoundError` for absent keys and
         :class:`CorruptionError` when the stored bytes fail validation.
         """
-        validate_key(key)
-        if self.journal is not None:
-            return self.journal.call(
-                "get",
-                lambda: self._get_op(key),
-                key=key,
-                classify=lambda value: {"value": digest_bytes(value)},
-            )
-        return self._get_op(key)
-
-    def _get_op(self, key: bytes) -> bytes:
-        if not self.recorder.enabled:
-            return self._retrying(lambda: self._get_validated(key))
-        with self.recorder.span("get", key=repr(key)):
-            return self._retrying(lambda: self._get_validated(key))
+        return self._retrying(lambda: self._get_validated(key))
 
     def _get_validated(self, key: bytes) -> bytes:
         locators = self.index.get(key)
@@ -244,24 +243,14 @@ class ShardStore:
             raise NotFoundError(f"no shard for key {key!r}")
         return self.chunk_store.get_shard(key, locators)
 
+    @journaled("delete", key=validate_key, span="delete")
     def delete(self, key: bytes) -> Dependency:
         """Remove ``key``; returns the tombstone's durability dependency.
 
         Raises :class:`KeyNotFoundError` when ``key`` is not present -- the
         uniform ``KVNode`` contract, so callers never branch on an Optional.
         """
-        validate_key(key)
-        if self.journal is not None:
-            return self.journal.call(
-                "delete", lambda: self._delete_op(key), key=key
-            )
-        return self._delete_op(key)
-
-    def _delete_op(self, key: bytes) -> Dependency:
-        if not self.recorder.enabled:
-            return self._retrying(lambda: self._delete_validated(key))
-        with self.recorder.span("delete", key=repr(key)):
-            return self._retrying(lambda: self._delete_validated(key))
+        return self._retrying(lambda: self._delete_validated(key))
 
     def _delete_validated(self, key: bytes) -> Dependency:
         if self.index.get(key) is None:
@@ -271,29 +260,18 @@ class ShardStore:
             self._merkle.remove(key)
         return dep
 
+    @journaled("contains", key=validate_key, classify=bool_outcome)
     def contains(self, key: bytes) -> bool:
-        validate_key(key)
-        if self.journal is not None:
-            return self.journal.call(
-                "contains",
-                lambda: self.index.get(key) is not None,
-                key=key,
-                classify=lambda present: {"result": bool(present)},
-            )
         return self.index.get(key) is not None
 
+    @journaled("keys", classify=keys_outcome)
     def keys(self) -> List[bytes]:
-        if self.journal is not None:
-            return self.journal.call(
-                "keys",
-                self.index.keys,
-                classify=lambda ks: {"n": len(ks), "keys_digest": digest_keys(ks)},
-            )
         return self.index.keys()
 
     # ------------------------------------------------------------------
     # background operations (no-ops in the reference model)
 
+    @journaled("flush", span="flush")
     def flush(self) -> Dependency:
         """Flush index and superblock; the combined durability dependency.
 
@@ -301,17 +279,6 @@ class ShardStore:
         ``drain()``, every dependency previously returned by this store
         reports persistent.
         """
-        if self.journal is not None:
-            return self.journal.call("flush", self._flush_op)
-        return self._flush_op()
-
-    def _flush_op(self) -> Dependency:
-        if not self.recorder.enabled:
-            return self._flush()
-        with self.recorder.span("flush"):
-            return self._flush()
-
-    def _flush(self) -> Dependency:
         index_dep = self.flush_index()
         superblock_dep = self.flush_superblock()
         return index_dep.and_(superblock_dep)
@@ -364,6 +331,7 @@ class ShardStore:
             self._merkle = tree
         return self._merkle
 
+    @journaled("merkle_scrub", classify=_merkle_outcome, span="merkle_scrub")
     def merkle_scrub(self) -> MerkleScrubReport:
         """Prove store integrity by Merkle root comparison (no repair).
 
@@ -372,22 +340,9 @@ class ShardStore:
         prove the whole store intact in one comparison -- the
         content-addressed upgrade of :meth:`scrub`'s per-chunk sampling.
         """
-        if self.journal is not None:
-            return self.journal.call(
-                "merkle_scrub",
-                self._merkle_scrub_op,
-                classify=lambda report: {
-                    "proven": report.proven,
-                    "root": report.actual_root,
-                    "diverging": len(report.diverging) or None,
-                },
-            )
-        return self._merkle_scrub_op()
+        return self.scrubber.merkle_scrub(self.merkle_tree)
 
-    def _merkle_scrub_op(self) -> MerkleScrubReport:
-        with self.recorder.span("merkle_scrub"):
-            return self.scrubber.merkle_scrub(self.merkle_tree)
-
+    @journaled("scrub_repair", classify=_repair_outcome, span="scrub_repair")
     def scrub_repair(self, *, merkle: bool = False) -> RepairReport:
         """Scrub, then heal what the scrub found (section 4.4 tolerance).
 
@@ -407,23 +362,23 @@ class ShardStore:
         certifies the store intact again -- or names what quarantine had
         to give up on.
         """
-        if self.journal is not None:
-            return self.journal.call(
-                "scrub_repair",
-                lambda: self._scrub_repair_op(merkle=merkle),
-                classify=lambda report: {
-                    "repaired": sorted(digest_bytes(k) for k in report.repaired)
-                    or None,
-                    "quarantined": sorted(
-                        digest_bytes(k) for k in report.quarantined
-                    )
-                    or None,
-                    "proven": (
-                        report.proven if report.merkle is not None else None
-                    ),
-                },
-            )
-        return self._scrub_repair_op(merkle=merkle)
+        if merkle:
+            before = self.scrubber.merkle_scrub(self.merkle_tree)
+            report = RepairReport(merkle=before)
+            self._heal_keys(list(before.diverging), report)
+            report.merkle_after = self.scrubber.merkle_scrub(self.merkle_tree)
+            return report
+        report = RepairReport(scanned=self.scrubber.scrub())
+        self._heal_keys(report.scanned.bad_keys, report)
+        if report.scanned.bad_runs:
+            try:
+                self.compact()
+                report.run_compactions += 1
+                if self.recorder.enabled:
+                    self.recorder.count("scrub.run_compactions")
+            except ShardStoreError:
+                pass  # the corrupt run is unreadable even for compaction
+        return report
 
     def _heal_keys(self, bad_keys: List[bytes], report: RepairReport) -> None:
         """Heal-or-quarantine each suspect key (shared by both modes)."""
@@ -455,34 +410,13 @@ class ShardStore:
                 self.recorder.count("scrub.repaired")
                 self.recorder.event("scrub.repair", key=repr(key))
 
-    def _scrub_repair_op(self, *, merkle: bool = False) -> RepairReport:
-        with self.recorder.span("scrub_repair"):
-            if merkle:
-                before = self.scrubber.merkle_scrub(self.merkle_tree)
-                report = RepairReport(merkle=before)
-                self._heal_keys(list(before.diverging), report)
-                report.merkle_after = self.scrubber.merkle_scrub(
-                    self.merkle_tree
-                )
-                return report
-            report = RepairReport(scanned=self.scrubber.scrub())
-            self._heal_keys(report.scanned.bad_keys, report)
-            if report.scanned.bad_runs:
-                try:
-                    self.compact()
-                    report.run_compactions += 1
-                    if self.recorder.enabled:
-                        self.recorder.count("scrub.run_compactions")
-                except ShardStoreError:
-                    pass  # the corrupt run is unreadable even for compaction
-            return report
-
     # ------------------------------------------------------------------
     # writeback control (the crash checker drives these)
 
     def pump(self, n: int) -> int:
         return self.scheduler.pump(n)
 
+    @journaled("drain")
     def drain(self) -> None:
         """Write back everything pending, flushing the superblock as needed.
 
@@ -494,11 +428,6 @@ class ShardStore:
         :class:`~repro.shardstore.errors.IoError` if records remain
         genuinely stuck -- a forward-progress violation.
         """
-        if self.journal is not None:
-            return self.journal.call("drain", self._drain_op)
-        return self._drain_op()
-
-    def _drain_op(self) -> None:
         for _ in range(self.config.geometry.num_extents + 2):
             while self.scheduler.pump_one(coalesce=True):
                 pass
@@ -556,10 +485,17 @@ RebootType.NONE = RebootType()
 
 
 class StoreSystem:
-    """The durable identity of one store across reboots and crashes."""
+    """The durable identity of one store across reboots and crashes.
+
+    Reboots are journaled durability events the trace-conformance checker
+    keys crash semantics off: ``clean`` is a full durability barrier, while
+    ``dirty``/``recover`` (or any reboot that errored) widen each mutated
+    key's possible post-crash states.
+    """
 
     def __init__(self, config: Optional[StoreConfig] = None) -> None:
         self.config = config or StoreConfig()
+        self.journal = self.config.journal
         self.disk = InMemoryDisk(self.config.geometry, recorder=self.config.recorder)
         self.tracker = DurabilityTracker()
         self.generation = 0
@@ -569,35 +505,15 @@ class StoreSystem:
         self.generation += 1
         return random.Random((self.config.seed << 16) ^ self.generation)
 
-    def _journaled(
-        self, mode: str, fn: Callable[[], ShardStore]
-    ) -> ShardStore:
-        """Run one reboot under the evidence journal (if configured).
-
-        Reboots are durability events the trace-conformance checker keys
-        crash semantics off: ``clean`` is a full durability barrier, while
-        ``dirty``/``recover`` (or any reboot that errored) widen each
-        mutated key's possible post-crash states.
-        """
-        journal = self.config.journal
-        if journal is None:
-            return fn()
-        return journal.call("reboot", fn, fields={"mode": mode})
-
+    @journaled("reboot", fields=lambda self, *_: {"mode": "clean"})
     def clean_reboot(
         self, recovery_hook: Optional[Callable[[str], None]] = None
     ) -> ShardStore:
         """Shut down cleanly and recover; returns the new store object."""
-        return self._journaled(
-            "clean", lambda: self._clean_reboot(recovery_hook)
-        )
-
-    def _clean_reboot(
-        self, recovery_hook: Optional[Callable[[str], None]] = None
-    ) -> ShardStore:
         self.store.clean_shutdown()
         return self._recover(recovery_hook)
 
+    @journaled("reboot", fields=lambda self, *_: {"mode": "dirty"})
     def dirty_reboot(
         self,
         reboot: RebootType = RebootType.NONE,
@@ -609,15 +525,6 @@ class StoreSystem:
         IO); then up to ``reboot.pump`` pending writebacks reach the medium;
         everything else pending is lost.
         """
-        return self._journaled(
-            "dirty", lambda: self._dirty_reboot(reboot, recovery_hook)
-        )
-
-    def _dirty_reboot(
-        self,
-        reboot: RebootType = RebootType.NONE,
-        recovery_hook: Optional[Callable[[str], None]] = None,
-    ) -> ShardStore:
         if reboot.flush_index:
             self.store.flush_index()
         if reboot.flush_superblock:
@@ -632,6 +539,7 @@ class StoreSystem:
         self.store.scheduler.drop_pending()
         return self._recover(recovery_hook)
 
+    @journaled("reboot", fields=lambda self, *_: {"mode": "recover"})
     def recover_again(
         self, recovery_hook: Optional[Callable[[str], None]] = None
     ) -> ShardStore:
@@ -642,9 +550,7 @@ class StoreSystem:
         left it.  Recovery must be idempotent under this (the paper's
         "recovery is just another crash point" obligation).
         """
-        return self._journaled(
-            "recover", lambda: self._recover(recovery_hook)
-        )
+        return self._recover(recovery_hook)
 
     def _recover(
         self, recovery_hook: Optional[Callable[[str], None]] = None

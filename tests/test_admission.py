@@ -211,7 +211,7 @@ class TestNodeAdmission:
         node = _node()
         assert node.admission is None
         node.put(b"k", b"v")
-        assert node._clock == 0  # the virtual clock never advances
+        assert node.ctx.clock == 0  # the virtual clock never advances
 
     def test_burst_with_slow_disks_sheds_typed_errors(self):
         node = _node(admission=STORM)
@@ -290,8 +290,8 @@ class TestNodeAdmission:
         primary = node.route_of(b"hot")
         assert node._replica_map.get(b"hot") is not None
         # Saturate only the primary's queue; the replica disk stays idle.
-        node._admissions[primary].busy_until = (
-            node._clock + STORM.max_backlog_units
+        node.lanes[primary].queue.busy_until = (
+            node.ctx.clock + STORM.max_backlog_units
         )
         before = node.stats.hedges
         assert node.get(b"hot") == b"payload"
@@ -304,8 +304,8 @@ class TestNodeAdmission:
         node = _node(admission=config)
         node.put(b"hot", b"payload")
         primary = node.route_of(b"hot")
-        node._admissions[primary].busy_until = (
-            node._clock + config.max_backlog_units * 2
+        node.lanes[primary].queue.busy_until = (
+            node.ctx.clock + config.max_backlog_units * 2
         )
         with pytest.raises(OverloadedError):
             node.get(b"hot")
@@ -361,8 +361,8 @@ class TestShedErrorContract:
     def test_shed_put_leaves_key_absent(self):
         node = _node(admission=STORM)
         # Saturate every queue so the next put sheds wherever it routes.
-        for queue in node._admissions:
-            queue.busy_until = node._clock + STORM.max_backlog_units * 2
+        for queue in (lane.queue for lane in node.lanes):
+            queue.busy_until = node.ctx.clock + STORM.max_backlog_units * 2
         with pytest.raises((OverloadedError, DeadlineExceededError)):
             node.put(b"never-stored", b"v")
         node.advance_clock(STORM.max_backlog_units * 4)
@@ -373,8 +373,8 @@ class TestShedErrorContract:
     def test_shed_delete_leaves_key_readable(self):
         node = _node(admission=STORM)
         node.put(b"keep", b"payload")
-        for queue in node._admissions:
-            queue.busy_until = node._clock + STORM.max_backlog_units * 2
+        for queue in (lane.queue for lane in node.lanes):
+            queue.busy_until = node.ctx.clock + STORM.max_backlog_units * 2
         with pytest.raises((OverloadedError, DeadlineExceededError)):
             node.delete(b"keep")
         node.advance_clock(STORM.max_backlog_units * 4)

@@ -292,8 +292,8 @@ class TestMembership:
         # Freeze the victim's admission clock and saturate its queues (the
         # shape tests/test_admission.py uses): the next write sheds.
         router.slow_node(victim, 10_000)
-        for queue in cn.node._admissions:
-            queue.busy_until = cn.node._clock + 10_000
+        for queue in (lane.queue for lane in cn.node.lanes):
+            queue.busy_until = cn.node.ctx.clock + 10_000
         router.put(b"k", b"v2")  # victim sheds -> hinted; quorum still met
         assert router.stats["replica_sheds"] >= 1
         assert router.hints_pending(victim) == 1

@@ -343,7 +343,7 @@ class TestQueueGaugeRoundTrip:
     def test_backlog_gauge_tracks_the_virtual_queue(self):
         node = self._admitted_node()
         primary = node.route_of(b"k")
-        node._admissions[primary].busy_until = node._clock + 500
+        node.lanes[primary].queue.busy_until = node.ctx.clock + 500
         gauges = node.health_snapshot()["gauges"]
         assert gauges[f"node.disk{primary}.queue_backlog_units"] >= 500
 
@@ -396,10 +396,10 @@ class TestServeAdmission:
 
     def test_healthz_degrades_on_saturated_queue(self, server):
         base_url, demo = server
-        queue = demo.node._admissions[0]
+        queue = demo.node.lanes[0].queue
         before = queue.busy_until
         queue.busy_until = (
-            demo.node._clock + demo.admission.max_backlog_units
+            demo.node.ctx.clock + demo.admission.max_backlog_units
         )
         try:
             with urllib.request.urlopen(f"{base_url}/healthz") as response:

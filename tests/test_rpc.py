@@ -5,16 +5,25 @@ import dataclasses
 import pytest
 
 from repro.shardstore import (
+    AdmissionConfig,
+    BreakerConfig,
     DiskGeometry,
+    FailureMode,
     Fault,
     FaultSet,
     InvalidRequestError,
+    IoError,
     KeyNotFoundError,
     NotFoundError,
     RetryPolicy,
     StorageNode,
     StoreConfig,
+    rpc,
 )
+from repro.shardstore.config import FIRST_DATA_EXTENT
+from repro.shardstore.errors import DeadlineExceededError, RetryableError
+from repro.shardstore.observability import RingRecorder
+from repro.shardstore.rpc import PROBE_KEY
 
 
 def _node(num_disks=3, faults=None):
@@ -192,3 +201,144 @@ class TestValidation:
                     assert got is None  # the node retries, not the store
                 else:
                     assert got == getattr(base, field.name), field.name
+
+
+class TestReservedProbeKey:
+    """``PROBE_KEY`` belongs to the lanes' readmission probe.  A client
+    shard stored under it used to be overwritten and deleted by the next
+    probe, leaving ``contains()`` True and ``get()`` raising."""
+
+    BREAKER = BreakerConfig(window=8, trip_failures=2, cooldown_ops=4, probation_ops=2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: n.put(PROBE_KEY, b"v"),
+            lambda n: n.get(PROBE_KEY),
+            lambda n: n.delete(PROBE_KEY),
+            lambda n: n.contains(PROBE_KEY),
+            lambda n: n.migrate_shard(PROBE_KEY, 0),
+            lambda n: n.bulk_create([(b"ok", b"1"), (PROBE_KEY, b"2")]),
+            lambda n: n.bulk_delete([b"ok", PROBE_KEY]),
+        ],
+    )
+    def test_rejected_at_the_rpc_boundary(self, call):
+        node = _node()
+        node.put(b"ok", b"kept")
+        with pytest.raises(InvalidRequestError, match="reserved"):
+            call(node)
+        assert node.keys() == [b"ok"] and node.get(b"ok") == b"kept"
+
+    def test_readmission_probe_cannot_clobber_a_stranded_client_shard(self):
+        """The data-loss sequence: a shard stranded on a degraded disk
+        (permanent read faults, so demotion cannot migrate it) must come
+        back intact once the faults clear and the probe readmits the disk."""
+        node = StorageNode(
+            num_disks=3,
+            config=StoreConfig(
+                geometry=DiskGeometry(num_extents=10, extent_size=2048, page_size=128),
+                buffer_cache_pages=1,
+            ),
+            breaker=self.BREAKER,
+        )
+        with pytest.raises(InvalidRequestError):
+            node.put(PROBE_KEY, b"client data")  # the collision itself
+        # The nearest a client can get: an ordinary key on the same disk.
+        victim = rpc._steer(PROBE_KEY, node.num_disks)
+        key = next(
+            k for k in (b"shard-%d" % i for i in range(64))
+            if rpc._steer(k, node.num_disks) == victim
+        )
+        node.put(key, b"client data")
+        node.flush()
+        node.drain()
+        disk = node.systems[victim].disk
+        for extent in range(FIRST_DATA_EXTENT, disk.geometry.num_extents):
+            disk.arm_fault(extent, FailureMode.PERMANENT, writes=False)
+        for _ in range(self.BREAKER.trip_failures):
+            with pytest.raises(IoError):
+                node.get(key)
+        assert node.degraded(victim) and node.route_of(key) == victim
+        assert node.stats.shards_stranded == 1
+        disk.clear_faults()
+        for i in range(self.BREAKER.cooldown_ops + 2):
+            node.put(b"clock-%d" % i, b"v")
+        assert node.in_service(victim) and node.stats.readmissions == 1
+        assert node.get(key) == b"client data"
+        assert not node.systems[victim].store.contains(PROBE_KEY)
+        assert PROBE_KEY not in node.keys()
+
+
+class TestOneCounterPath:
+    """Every ``NodeStats`` field reaches a live recorder under its exported
+    name -- including the ones that used to bump the dataclass only."""
+
+    ADMISSION = AdmissionConfig(deadline_units=64, max_backlog_units=128)
+    BREAKER = TestReservedProbeKey.BREAKER
+
+    def test_recorder_and_node_stats_agree_on_every_counter(self):
+        recorder = RingRecorder()
+        node = StorageNode(
+            num_disks=3,
+            config=StoreConfig(
+                geometry=DiskGeometry(num_extents=10, extent_size=2048, page_size=128),
+                buffer_cache_pages=1,
+                recorder=recorder,
+            ),
+            breaker=self.BREAKER,
+            admission=self.ADMISSION,
+        )
+        keys = [b"k%d" % i for i in range(9)]
+        for key in keys:
+            node.put(key, b"v" * 32)  # and a best-effort replica each
+        node.flush()
+        node.drain()
+        node.delete(keys.pop())
+        hot = keys[0]
+        victim = node.route_of(hot)
+        queue = node.lanes[victim].queue
+
+        # A shed get is hedged from its replica; a shed put is just shed.
+        queue.busy_until = node.ctx.clock + self.ADMISSION.max_backlog_units
+        assert node.get(hot) == b"v" * 32
+        with pytest.raises(DeadlineExceededError):
+            node.put(hot, b"late")
+        node.advance_clock(10 * self.ADMISSION.max_backlog_units)
+
+        # A drain that keeps failing transiently: retried, then wrapped.
+        def failing_drain():
+            raise IoError("injected drain failure", transient=True)
+
+        store = node.lanes[victim].store
+        store.drain = failing_drain
+        with pytest.raises(RetryableError):
+            node.drain()
+        del store.drain
+
+        # Permanent read faults: breaker trip, demotion, stranded shards.
+        node.migrate_shard(keys[1], (node.route_of(keys[1]) + 1) % 3)
+        disk = node.systems[victim].disk
+        for extent in range(FIRST_DATA_EXTENT, disk.geometry.num_extents):
+            disk.arm_fault(extent, FailureMode.PERMANENT, writes=False)
+        for _ in range(self.BREAKER.trip_failures):
+            if node.in_service(victim):
+                with pytest.raises(IoError):
+                    node.get(hot)
+        disk.clear_faults()
+        for i in range(self.BREAKER.cooldown_ops + 2):
+            node.put(b"clock-%d" % i, b"v")
+        node.scrub_repair_all()
+
+        stats = node.stats
+        for name in (
+            "puts", "gets", "deletes", "migrations", "retries",
+            "wrapped_transients", "breaker_trips", "breaker_probes",
+            "readmissions", "demotions", "shards_stranded", "shed_deadline",
+            "hedges", "replica_writes",
+        ):  # fmt: skip
+            assert getattr(stats, name) > 0, name
+        counters = recorder.snapshot()["metrics"]["counters"]
+        snapshot = stats.snapshot()
+        assert len(snapshot) == 21
+        assert {n: counters.get(n, 0) for n in snapshot} == snapshot
+        assert {"node.scrub_repaired", "node.scrub_quarantined"} <= set(snapshot)
