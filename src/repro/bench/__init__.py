@@ -2,12 +2,11 @@
 
 This package drives ShardStore/StorageNode through the KVNode protocol
 under deterministic workloads (``repro bench``) -- the evidence plane's
-journal source -- renders schema-versioned ``BENCH_*.json`` artifacts with
-per-op latency percentiles and per-component span breakdowns for a quick
-look, and serves live Prometheus metrics (``repro metrics-serve``).  It
-gates nothing: the cost ladder (``benchmarks/ladder``) is the repo's one
-perf gate.  Wall-clock data never enters campaign artifacts; the PR 1
-determinism contract is untouched.
+journal source -- renders schema-versioned ``BENCH_*.json`` artifacts
+(op and outcome counts, one run-level wall time), and serves live
+Prometheus metrics (``repro metrics-serve``).  It gates nothing and times
+no op: the cost ladder (``benchmarks/ladder``) is the repo's one stopwatch
+and one perf gate.
 """
 
 from .harness import (

@@ -2,17 +2,17 @@
 
 Drives a ShardStore (single disk) or StorageNode (multi-disk RPC layer)
 through the unified KVNode protocol with a
-:class:`~repro.shardstore.observability.timing.TimingRecorder` attached,
-measuring per-op wall-clock latency plus the per-component span breakdown
-(op dispatch vs scheduler pump vs disk IO vs LSM vs cache), and renders a
-schema-versioned JSON artifact (``BENCH_<workload>_<date>.json`` by
-convention; schema documented in EXPERIMENTS.md).
+:class:`~repro.shardstore.observability.RingRecorder` attached, counts ops
+and outcomes, optionally journals the run, and renders a schema-versioned
+JSON artifact (``BENCH_<workload>_<date>.json`` by convention; schema
+documented in EXPERIMENTS.md).
 
 Determinism contract: the *op sequence* is a pure function of
 ``(workload, ops, value_size, seed)`` -- the artifact's
-``op_sequence_sha256`` is reproducible -- while every ``*_ns``/``*_seconds``
-field is measured wall time and varies run to run.  Nothing here is used by
-``repro campaign``, whose artifacts remain wall-clock-free.
+``op_sequence_sha256`` and the journal bytes are reproducible.  The only
+wall-clock values are ``wall_seconds`` and ``throughput_ops_per_sec``, one
+clock read pair around the whole run; per-op and per-layer times are the
+ladder's job (``benchmarks/ladder/run.py --traced``).
 """
 
 from __future__ import annotations
@@ -33,10 +33,7 @@ from repro.shardstore import (
 from repro.shardstore.resilience import AdmissionConfig
 from repro.shardstore.observability import (
     Journal,
-    TimingRecorder,
-    component_of_latency,
-    merge_histogram_snapshots,
-    percentiles_from_snapshot,
+    RingRecorder,
     seal_on_signal,
 )
 
@@ -59,7 +56,7 @@ __all__ = [
     "run_bench",
 ]
 
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
 #: Seeded implementation mutants for the evidence plane's negative
 #: control: the run *executes* the bug but *journals* the honest-looking
@@ -80,7 +77,7 @@ def bench_store_config(
 ) -> StoreConfig:
     """A store geometry sized for the workload.
 
-    Request-plane workloads get a roomy geometry so latency reflects the
+    Request-plane workloads get a roomy geometry so the run exercises the
     write path, not allocation pressure; ``reclaim-churn`` keeps the small
     seed-default geometry so reclamation genuinely lands on the hot path.
     """
@@ -112,7 +109,7 @@ class _Target:
     """The system under test: a KVNode plus its reboot capability."""
 
     def __init__(self, kind: str, workload: str, seed: int, num_disks: int,
-                 recorder: TimingRecorder,
+                 recorder: RingRecorder,
                  admission: Optional[AdmissionConfig] = None,
                  journal: Optional[Journal] = None) -> None:
         self.kind = kind
@@ -182,31 +179,6 @@ def execute_op(target: _Target, op: BenchOp, value_size: int) -> str:
     return "ok"
 
 
-def _component_breakdown(
-    latency: Dict[str, Any], wall_seconds: float
-) -> Dict[str, Any]:
-    """Merge per-span latency histograms into per-component digests.
-
-    Components nest (an op span contains disk sections), so shares can sum
-    past 1.0; each share is that component's busy fraction of the run.
-    """
-    groups: Dict[str, List[Dict[str, Any]]] = {}
-    for name, snap in latency.items():
-        groups.setdefault(component_of_latency(name), []).append(snap)
-    wall_ns = max(wall_seconds * 1e9, 1.0)
-    out: Dict[str, Any] = {}
-    for component in sorted(groups):
-        merged = merge_histogram_snapshots(groups[component])
-        merged.update(percentiles_from_snapshot(merged))
-        merged["share_of_wall"] = round(merged["total"] / wall_ns, 4)
-        merged["spans"] = sorted(
-            name for name in latency
-            if component_of_latency(name) == component
-        )
-        out[component] = merged
-    return out
-
-
 def pick_mutant_victim(sequence: List[BenchOp]) -> Optional[int]:
     """The op index where ``drop-delete`` strikes.
 
@@ -259,7 +231,7 @@ def run_bench(
         raise ValueError("--mutant needs --journal (it only exists to be caught)")
     target_kind = target or default_target(workload)
     sequence = generate_ops(workload, ops, value_size, seed)
-    recorder = TimingRecorder()
+    recorder = RingRecorder()
     journal: Optional[Journal] = None
     if journal_path is not None:
         journal = Journal(
@@ -294,7 +266,6 @@ def run_bench(
     with seal_on_signal(journal):
         for index, op in enumerate(sequence):
             op_counts[op.op] = op_counts.get(op.op, 0) + 1
-            begin = time.perf_counter_ns()
             if index == victim:
                 # The seeded bug: the delete is silently dropped, but the
                 # journal records the success the client was told about.
@@ -303,26 +274,9 @@ def run_bench(
                 outcome = "ok"
             else:
                 outcome = execute_op(system, op, value_size)
-            recorder.observe_latency(
-                f"bench.{op.op}", time.perf_counter_ns() - begin
-            )
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
         wall_seconds = (time.perf_counter_ns() - started) / 1e9
         system.settle()
-
-    latency = recorder.latency_snapshot()
-    per_op = {
-        name[len("bench."):]: snap
-        for name, snap in latency.items()
-        if name.startswith("bench.")
-    }
-    internal = {
-        name: snap
-        for name, snap in latency.items()
-        if not name.startswith("bench.")
-    }
-    overall = merge_histogram_snapshots(per_op.values())
-    overall.update(percentiles_from_snapshot(overall))
 
     artifact: Dict[str, Any] = {
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -339,8 +293,6 @@ def run_bench(
         "throughput_ops_per_sec": round(
             len(sequence) / max(wall_seconds, 1e-9), 1
         ),
-        "latency_ns": {"all": overall, **{k: per_op[k] for k in sorted(per_op)}},
-        "components_ns": _component_breakdown(internal, wall_seconds),
     }
     if journal is not None:
         head = journal.close()

@@ -1,11 +1,11 @@
 """``repro metrics-serve``: a live demo node behind ``/metrics``.
 
 Runs a :class:`~repro.shardstore.rpc.StorageNode` with a
-:class:`~repro.shardstore.observability.timing.TimingRecorder`, applies a
+:class:`~repro.shardstore.observability.RingRecorder`, applies a
 deterministic warmup workload, and serves:
 
-* ``/metrics``  -- Prometheus text format over the node's metric registry,
-  wall-clock latency histograms, and the RPC layer's ``NodeStats`` totals.
+* ``/metrics``  -- Prometheus text format over the node's metric registry
+  and the RPC layer's ``NodeStats`` totals.
   The demo node runs with the deadline-aware admission plane enabled, so
   per-disk queue gauges (``queue_backlog_units``, ``queue_depth``,
   ``latency_ewma``, ``inflight``) and the shed/hedge counters are live.
@@ -47,7 +47,7 @@ from repro.cluster import ClusterConfig, ClusterRouter
 from repro.shardstore import StorageNode
 from repro.shardstore.observability import (
     Journal,
-    TimingRecorder,
+    RingRecorder,
     render_prometheus,
     seal_on_signal,
 )
@@ -85,7 +85,7 @@ class MetricsDemoNode:
         self.seed = seed
         self.value_size = value_size
         self.ops_per_scrape = ops_per_scrape
-        self.recorder = TimingRecorder()
+        self.recorder = RingRecorder()
         # The evidence plane runs live: every op lands in the journal
         # (in-memory unless a path is given) and is replayed against the
         # reference model by an incremental trace checker, whose verdict
@@ -156,7 +156,6 @@ class MetricsDemoNode:
         gauges["evidence.violations"] = evidence["violations"]
         return render_prometheus(
             self.recorder.metrics.snapshot(),
-            latency=self.recorder.latency_snapshot(),
             extra_counters=self.node.stats.snapshot(),
             extra_gauges=gauges,
         )

@@ -543,21 +543,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bench setup error: {exc}")
         return 2
-    overall = artifact["latency_ns"]["all"]
     print(
         f"{args.workload}: {artifact['ops']} ops on {artifact['target']} "
         f"target in {artifact['wall_seconds']:.3f}s "
         f"({artifact['throughput_ops_per_sec']:,.0f} ops/s)"
     )
-    print(
-        f"  latency p50={overall['p50']:,}ns p90={overall['p90']:,}ns "
-        f"p99={overall['p99']:,}ns p999={overall['p999']:,}ns"
-    )
-    for component, digest in artifact["components_ns"].items():
-        print(
-            f"  {component:<10} busy {digest['share_of_wall']:>6.1%} "
-            f"p50={digest['p50']:,}ns ({digest['count']:,} sections)"
-        )
     if "journal" in artifact:
         journal = artifact["journal"]
         print(
@@ -909,8 +899,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="deterministic workload driver: evidence journals plus a "
-        "quick-look latency artifact (the perf gate is benchmarks/ladder)",
+        help="deterministic workload driver: evidence journals plus an "
+        "op/outcome count artifact (wall-clock questions go to "
+        "benchmarks/ladder)",
     )
     from repro.bench.workloads import WORKLOADS as _WORKLOADS
 

@@ -39,11 +39,10 @@ Consistency is *checked*, not assumed, on three independent planes:
   quorum/read-repair interleavings
   (:func:`repro.core.concurrent_harnesses.quorum_harness`).
 
-Acknowledged-write durability: with ``durable_writes`` (the default) a
-replica ack implies the write was drained to the medium, so a quorum-
-acknowledged write survives the crash/dirty-restart of any minority of
-nodes -- the property the campaign settlement gate and the satellite
-property test assert.
+Acknowledged-write durability: a replica ack implies the write was
+drained to the medium, so a quorum-acknowledged write survives the
+crash/dirty-restart of any minority of nodes -- the property the campaign
+settlement gate and the satellite property test assert.
 """
 
 from __future__ import annotations
@@ -102,6 +101,10 @@ FLAG_TOMBSTONE = 1
 
 #: Read-only key the router probes demoted nodes with.
 PROBE_KEY = b"__cluster_probe__"
+#: Consecutive replica errors that demote a member out of placement.
+DEMOTE_THRESHOLD = 4
+#: Router ops between two probes of a demoted member.
+PROBE_INTERVAL = 16
 
 
 def encode_record(version: int, flag: int, payload: bytes) -> bytes:
@@ -116,6 +119,12 @@ def decode_record(raw: bytes) -> Tuple[int, int, bytes]:
     if len(raw) < 9:
         raise ValueError("replica record too short")
     return int.from_bytes(raw[:8], "big"), raw[8], raw[9:]
+
+
+def _check_deadline(deadline: Optional[int]) -> None:
+    """Reject a client deadline no replica could meet, as a node does."""
+    if deadline is not None and deadline <= 0:
+        raise InvalidRequestError("deadline must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,12 +144,8 @@ class ClusterConfig:
     write_quorum: int = 2
     read_quorum: int = 2
     read_repair: bool = True
-    durable_writes: bool = True
     hint_limit: int = 8
-    vnodes: int = 16
     seed: int = 0
-    demote_threshold: int = 4
-    probe_interval: int = 16
     admission: Optional[AdmissionConfig] = None
     geometry: Optional[DiskGeometry] = None
     #: Background Merkle anti-entropy (off by default: the ``cluster``
@@ -260,7 +265,7 @@ class ClusterRouter:
         if journal_factory is not None:
             self.journal = journal_factory("router", self._genesis_meta())
         self.nodes: Dict[int, ClusterNode] = {}
-        self.ring = HashRing(vnodes=self.config.vnodes)
+        self.ring = HashRing()
         self._next_node_id = 0
         self._version = 0  # per-key record versions (globally monotone)
         self._cop = 0  # cluster op ids (the router journal's op space)
@@ -323,7 +328,7 @@ class ClusterRouter:
             "write_quorum": cfg.write_quorum,
             "read_quorum": cfg.read_quorum,
             "read_repair": cfg.read_repair,
-            "durable_writes": cfg.durable_writes,
+            "durable_writes": True,
         }
 
     def _build_node(self) -> int:
@@ -435,7 +440,7 @@ class ClusterRouter:
             try:
                 cn.node.contains(PROBE_KEY)
             except ShardStoreError:
-                cn.probe_at = self._op_count + self.config.probe_interval
+                cn.probe_at = self._op_count + PROBE_INTERVAL
                 continue
             self._readmit(cn)
 
@@ -450,12 +455,9 @@ class ClusterRouter:
     def _note_failure(self, cn: ClusterNode) -> None:
         self.stats["replica_errors"] += 1
         cn.failures += 1
-        if (
-            not cn.demoted
-            and cn.failures >= self.config.demote_threshold
-        ):
+        if not cn.demoted and cn.failures >= DEMOTE_THRESHOLD:
             cn.demoted = True
-            cn.probe_at = self._op_count + self.config.probe_interval
+            cn.probe_at = self._op_count + PROBE_INTERVAL
             self.stats["node_demotions"] += 1
             self._record("demote", target=cn.node_id)
             self.rebalance()
@@ -519,39 +521,44 @@ class ClusterRouter:
     # replica IO
 
     def _replica_apply(
-        self, cn: ClusterNode, cop: int, key: bytes, record: bytes
+        self,
+        cn: ClusterNode,
+        cop: int,
+        key: bytes,
+        record: bytes,
+        deadline: Optional[int] = None,
     ) -> None:
         """Conditionally apply ``record`` on one replica (newer wins).
 
         The version check and the write are serialized per replica, which
         keeps replica versions monotone under concurrent quorum writes --
-        the property the model-check harness exercises.  With
-        ``durable_writes`` the ack implies a drain, so acknowledged data
-        survives a dirty restart.
+        the property the model-check harness exercises.  The ack implies a
+        drain, so acknowledged data survives a dirty restart.
         """
         version = int.from_bytes(record[:8], "big")
         cn.lock.acquire()
         try:
             try:
-                current, _, _ = decode_record(cn.node.get(key))
+                current, _, _ = decode_record(
+                    cn.node.get(key, deadline=deadline)
+                )
             except NotFoundError:
                 current = -1
             if current >= version:
                 return
             if cn.journal is not None and cop:
                 cn.journal.annotate(cop=cop)
-            cn.node.put(key, record)
+            cn.node.put(key, record, deadline=deadline)
             # Mirror the apply into the replica's Merkle tree before the
             # drain: the record is on the node either way, and a drain
             # failure is followed by a dirty restart, which rebuilds.
             self.antientropy.note_apply(cn.node_id, key, record)
-            if self.config.durable_writes:
-                cn.node.drain()
+            cn.node.drain()
         finally:
             cn.lock.release()
 
     def _quorum_write(
-        self, cop: int, key: bytes, record: bytes
+        self, cop: int, key: bytes, record: bytes, deadline: Optional[int]
     ) -> Tuple[List[int], List[int]]:
         """Write ``record`` to the preference list; returns (acks, hinted)."""
         acks: List[int] = []
@@ -563,7 +570,7 @@ class ClusterRouter:
                 hinted.append(node_id)
                 continue
             try:
-                self._replica_apply(cn, cop, key, record)
+                self._replica_apply(cn, cop, key, record, deadline)
             except (OverloadedError, DeadlineExceededError):
                 self.stats["replica_sheds"] += 1
                 self._queue_hint(node_id, key, record)
@@ -578,7 +585,7 @@ class ClusterRouter:
         return acks, hinted
 
     def _quorum_read(
-        self, key: bytes
+        self, key: bytes, deadline: Optional[int] = None
     ) -> List[Tuple[int, int, int, bytes, Optional[bytes]]]:
         """Read ``key`` from every reachable preference replica.
 
@@ -592,7 +599,7 @@ class ClusterRouter:
             if not cn.reachable:
                 continue
             try:
-                raw = cn.node.get(key)
+                raw = cn.node.get(key, deadline=deadline)
             except NotFoundError:
                 replies.append((node_id, -1, FLAG_TOMBSTONE, b"", None))
                 cn.failures = 0
@@ -640,6 +647,7 @@ class ClusterRouter:
             raise InvalidRequestError(
                 f"value must be bytes, got {type(value).__name__}"
             )
+        _check_deadline(deadline)
         self._tick()
         self.stats["puts"] += 1
         cop = self._next_cop()
@@ -648,7 +656,7 @@ class ClusterRouter:
         handle = self._begin(
             "put", key=key, value=record, fields={"cop": cop, "ver": version}
         )
-        acks, hinted = self._quorum_write(cop, key, record)
+        acks, hinted = self._quorum_write(cop, key, record, deadline)
         want = self.config.write_quorum
         if len(acks) >= want:
             if len(acks) < len(self._placement(key)):
@@ -667,11 +675,12 @@ class ClusterRouter:
 
     def get(self, key: bytes, *, deadline: Optional[int] = None) -> bytes:
         validate_key(key)
+        _check_deadline(deadline)
         self._tick()
         self.stats["gets"] += 1
         cop = self._next_cop()
         handle = self._begin("get", key=key, fields={"cop": cop})
-        replies = self._quorum_read(key)
+        replies = self._quorum_read(key, deadline)
         want = self.config.read_quorum
         if len(replies) < want:
             self.stats["quorum_read_failures"] += 1
@@ -702,11 +711,12 @@ class ClusterRouter:
 
     def delete(self, key: bytes, *, deadline: Optional[int] = None) -> None:
         validate_key(key)
+        _check_deadline(deadline)
         self._tick()
         self.stats["deletes"] += 1
         cop = self._next_cop()
         handle = self._begin("delete", key=key, fields={"cop": cop})
-        replies = self._quorum_read(key)
+        replies = self._quorum_read(key, deadline)
         want_r = self.config.read_quorum
         if len(replies) < want_r:
             self.stats["quorum_read_failures"] += 1
@@ -725,7 +735,7 @@ class ClusterRouter:
             raise exc2
         version = self._next_version()
         record = encode_record(version, FLAG_TOMBSTONE, b"")
-        acks, hinted = self._quorum_write(cop, key, record)
+        acks, hinted = self._quorum_write(cop, key, record, deadline)
         want = self.config.write_quorum
         if len(acks) >= want:
             self._end(handle, "ok", acks=acks, want=want, ver=version)

@@ -42,12 +42,7 @@ class BufferCache:
         self._page_size = config.geometry.page_size
         # (extent, page index) -> (page bytes so far, valid length)
         self._pages: "OrderedDict[Tuple[int, int], Tuple[bytes, int]]" = OrderedDict()
-        # Size-aware eviction: when ``buffer_cache_bytes`` is configured the
-        # cache evicts by resident bytes (partial pages cost what they hold),
-        # otherwise by page count as before.
-        self._byte_budget = config.buffer_cache_bytes
         self._page_budget = config.buffer_cache_pages
-        self._bytes_used = 0
         self.hits = 0
         self.misses = 0
 
@@ -99,30 +94,16 @@ class BufferCache:
         page_start = page_idx * self._page_size
         soft = self.scheduler.soft_pointer(extent)
         valid = min(self._page_size, soft - page_start)
-        if self.recorder.timing:
-            with self.recorder.timed("cache.fill"):
-                data = self.scheduler.read(extent, page_start, valid)
-        else:
-            data = self.scheduler.read(extent, page_start, valid)
+        data = self.scheduler.read(extent, page_start, valid)
         self._insert(key, data, valid)
         return data
 
     def _insert(self, key: Tuple[int, int], data: bytes, valid: int) -> None:
         pages = self._pages
-        old = pages.get(key)
-        if old is not None:
-            self._bytes_used -= len(old[0])
-        self._bytes_used += len(data)
         pages[key] = (data, valid)
         pages.move_to_end(key)
-        if self._byte_budget is not None:
-            while self._bytes_used > self._byte_budget and len(pages) > 1:
-                _, (evicted, _) = pages.popitem(last=False)
-                self._bytes_used -= len(evicted)
-        else:
-            while len(pages) > self._page_budget:
-                _, (evicted, _) = pages.popitem(last=False)
-                self._bytes_used -= len(evicted)
+        while len(pages) > self._page_budget:
+            pages.popitem(last=False)
 
     # ------------------------------------------------------------------
     # write path
@@ -192,7 +173,7 @@ class BufferCache:
                 except IoError:
                     # Injected read fault: don't cache a page we cannot
                     # reconstruct; the read path will refetch it later.
-                    self._discard(key)
+                    self._pages.pop(key, None)
                     continue
             fresh[prefix_len:valid] = seg
             self._insert(key, bytes(fresh), valid)
@@ -216,24 +197,13 @@ class BufferCache:
             return
         stale = [key for key in self._pages if key[0] == extent]
         for key in stale:
-            self._discard(key)
+            del self._pages[key]
         if self.recorder.enabled:
             self.recorder.count("cache.invalidated_pages", len(stale))
 
     def invalidate_all(self) -> None:
         self._pages.clear()
-        self._bytes_used = 0
-
-    def _discard(self, key: Tuple[int, int]) -> None:
-        old = self._pages.pop(key, None)
-        if old is not None:
-            self._bytes_used -= len(old[0])
 
     @property
     def cached_pages(self) -> int:
         return len(self._pages)
-
-    @property
-    def cached_bytes(self) -> int:
-        """Resident payload bytes (what size-aware eviction budgets against)."""
-        return self._bytes_used

@@ -42,15 +42,6 @@ class StoreConfig:
     superblock_flush_cadence: int = 6
     #: Page-cache capacity, in pages.
     buffer_cache_pages: int = 64
-    #: Optional page-cache capacity in resident bytes.  When set, eviction is
-    #: size-aware (partial pages cost what they actually hold) and
-    #: ``buffer_cache_pages`` is ignored.
-    buffer_cache_bytes: Optional[int] = None
-    #: Group-commit batch window: max page records the coalescing drain paths
-    #: (``IoScheduler.flush_coalesced`` / ``pump_one(coalesce=True)``) merge
-    #: into one device IO.  Enqueue granularity stays page-sized regardless,
-    #: so crash-state exploration is unaffected.
-    io_batch_pages: int = 64
     #: Seed for the store's internal RNG (chunk UUIDs, writeback order).
     seed: int = 0
     #: Probability that a generated chunk UUID's tail bytes collide with the

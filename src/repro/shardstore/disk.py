@@ -268,12 +268,6 @@ class InMemoryDisk:
         Only the IO scheduler calls this, one page (or final partial page) at
         a time, which is what makes crash states page-granular.
         """
-        if self.recorder.timing:
-            with self.recorder.timed("disk.write"):
-                return self._write(extent, offset, data)
-        return self._write(extent, offset, data)
-
-    def _write(self, extent: int, offset: int, data: bytes) -> None:
         state = self._check_extent(extent)
         if offset != state.write_pointer:
             raise ExtentError(
@@ -313,12 +307,6 @@ class InMemoryDisk:
 
     def read(self, extent: int, offset: int, length: int) -> bytes:
         """Read ``length`` durable bytes; reads beyond the pointer are forbidden."""
-        if self.recorder.timing:
-            with self.recorder.timed("disk.read"):
-                return self._read(extent, offset, length)
-        return self._read(extent, offset, length)
-
-    def _read(self, extent: int, offset: int, length: int) -> bytes:
         state = self._check_extent(extent)
         if offset < 0 or length < 0:
             raise ExtentError("negative read bounds")

@@ -208,10 +208,6 @@ class LsmIndex:
 
     def flush(self) -> Dependency:
         """Persist the memtable as a new run + metadata record."""
-        if self.recorder.timing:
-            with self.recorder.timed("lsm.flush"):
-                with self._lock:
-                    return self._flush_locked()
         with self._lock:
             return self._flush_locked()
 

@@ -17,7 +17,6 @@ pass a :class:`RingRecorder` via ``StoreConfig(recorder=...)`` (or
 
 from .metrics import (
     HISTOGRAM_BOUNDS,
-    LATENCY_BOUNDS_NS,
     Counter,
     Gauge,
     Histogram,
@@ -25,8 +24,6 @@ from .metrics import (
     counter_value,
     merge_histogram_snapshots,
     merge_metrics,
-    percentile_from_snapshot,
-    percentiles_from_snapshot,
 )
 from .journal import (
     GENESIS_CHAIN,
@@ -52,13 +49,13 @@ from .recorder import (
     RingRecorder,
 )
 from .render import (
+    component_of_latency,
     filter_trace,
     render_fault_events,
     render_metrics,
     render_snapshot,
     render_trace,
 )
-from .timing import TimingRecorder, component_of_latency
 
 __all__ = [
     "Counter",
@@ -67,11 +64,8 @@ __all__ = [
     "Metrics",
     "merge_metrics",
     "merge_histogram_snapshots",
-    "percentile_from_snapshot",
-    "percentiles_from_snapshot",
     "counter_value",
     "HISTOGRAM_BOUNDS",
-    "LATENCY_BOUNDS_NS",
     "GENESIS_CHAIN",
     "JOURNAL_VERSION",
     "Journal",
@@ -84,7 +78,6 @@ __all__ = [
     "seal_on_signal",
     "verify_chain",
     "Recorder",
-    "TimingRecorder",
     "component_of_latency",
     "render_prometheus",
     "NullRecorder",

@@ -15,14 +15,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 #: bucket is open-ended and keyed ``"inf"`` in snapshots.
 HISTOGRAM_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384)
 
-#: Log-spaced bucket bounds for wall-clock latencies, in nanoseconds:
-#: powers of two from 1us to ~34s.  Used by the bench harness's
-#: :class:`~repro.shardstore.observability.timing.TimingRecorder`; these
-#: values never enter campaign artifacts (the determinism contract).
-LATENCY_BOUNDS_NS: Tuple[int, ...] = tuple(
-    1 << shift for shift in range(10, 36)
-)
-
 
 class Counter:
     """A monotonically increasing integer."""
@@ -60,9 +52,9 @@ class Gauge:
 class Histogram:
     """Log-bucketed distribution of integer observations.
 
-    The default bounds suit op/byte counts; pass ``bounds=LATENCY_BOUNDS_NS``
-    for nanosecond latencies.  Bounds must be sorted ascending; values above
-    the last bound land in the open-ended ``"inf"`` bucket.
+    The default bounds suit op/byte counts.  Bounds must be sorted
+    ascending; values above the last bound land in the open-ended ``"inf"``
+    bucket.
     """
 
     __slots__ = ("count", "total", "min", "max", "buckets", "bounds")
@@ -159,8 +151,7 @@ def merge_histogram_snapshots(
 
     Associative and commutative, so per-shard (or per-op-type) histograms
     can be combined in any grouping -- the property the campaign aggregator
-    and the bench harness both rely on.  Returns an empty-histogram snapshot
-    when nothing is given.
+    relies on.  Returns an empty-histogram snapshot when nothing is given.
     """
     merged: Optional[Dict[str, Any]] = None
     for snap in snapshots:
@@ -188,42 +179,6 @@ def merge_histogram_snapshots(
         for bound in sorted(merged["buckets"], key=_bound_sort_key)
     }
     return merged
-
-
-def percentile_from_snapshot(
-    snapshot: Dict[str, Any], quantile: float
-) -> Optional[int]:
-    """The ``quantile`` (0..1] percentile of a histogram snapshot.
-
-    Bucketed histograms only know each observation's bucket, so the answer
-    is the *upper bound* of the bucket holding the rank-th observation,
-    clamped to the observed ``[min, max]`` range (the open-ended ``inf``
-    bucket reports ``max``).  Returns ``None`` for an empty histogram.
-    """
-    count = snapshot.get("count", 0)
-    if not count:
-        return None
-    if not 0.0 < quantile <= 1.0:
-        raise ValueError(f"quantile must be in (0, 1], got {quantile}")
-    rank = max(1, -(-int(quantile * count * 10**9) // 10**9))  # ceil
-    cumulative = 0
-    for bound in sorted(snapshot["buckets"], key=_bound_sort_key):
-        cumulative += snapshot["buckets"][bound]
-        if cumulative >= rank:
-            if bound == "inf":
-                return snapshot["max"]
-            return min(max(int(bound), snapshot["min"]), snapshot["max"])
-    return snapshot["max"]
-
-
-def percentiles_from_snapshot(snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    """The standard latency digest: p50/p90/p99/p999 of one snapshot."""
-    return {
-        "p50": percentile_from_snapshot(snapshot, 0.50),
-        "p90": percentile_from_snapshot(snapshot, 0.90),
-        "p99": percentile_from_snapshot(snapshot, 0.99),
-        "p999": percentile_from_snapshot(snapshot, 0.999),
-    }
 
 
 def merge_metrics(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
@@ -271,9 +226,6 @@ __all__: List[str] = [
     "Metrics",
     "merge_metrics",
     "merge_histogram_snapshots",
-    "percentile_from_snapshot",
-    "percentiles_from_snapshot",
     "counter_value",
     "HISTOGRAM_BOUNDS",
-    "LATENCY_BOUNDS_NS",
 ]

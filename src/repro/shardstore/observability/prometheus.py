@@ -2,9 +2,9 @@
 
 :func:`render_prometheus` turns the JSON-able snapshots the rest of the
 observability layer already produces (:meth:`Metrics.snapshot`, merged
-campaign blocks, :meth:`TimingRecorder.latency_snapshot`) into the
-Prometheus exposition format (version 0.0.4) that ``repro metrics-serve``
-serves on ``/metrics``.  Stdlib only; nothing here imports an HTTP server.
+campaign blocks) into the Prometheus exposition format (version 0.0.4)
+that ``repro metrics-serve`` serves on ``/metrics``.  Stdlib only; nothing
+here imports an HTTP server.
 
 Mapping:
 
@@ -12,8 +12,6 @@ Mapping:
 * gauges     -> ``repro_<name>`` (last) and ``repro_<name>_peak`` (max)
 * histograms -> ``repro_<name>`` (TYPE histogram) with cumulative
   ``_bucket{le=...}`` samples, ``_sum`` and ``_count``
-* latency histograms (nanoseconds, from a TimingRecorder) ->
-  ``repro_latency_seconds{section="<name>"}`` with bounds scaled to seconds
 """
 
 from __future__ import annotations
@@ -42,40 +40,24 @@ def _bound_key(bound: str) -> float:
     return float("inf") if bound == "inf" else float(bound)
 
 
-def _histogram_lines(
-    metric: str,
-    snapshot: Dict[str, Any],
-    *,
-    scale: float = 1.0,
-    labels: str = "",
-) -> List[str]:
+def _histogram_lines(metric: str, snapshot: Dict[str, Any]) -> List[str]:
     """Cumulative ``_bucket``/``_sum``/``_count`` samples for one histogram."""
     lines: List[str] = []
     cumulative = 0
-    extra = f",{labels}" if labels else ""
     for bound in sorted(snapshot.get("buckets", {}), key=_bound_key):
         cumulative += snapshot["buckets"][bound]
         if bound == "inf":
             continue
-        le = _format_value(int(bound) * scale if scale != 1.0 else int(bound))
-        lines.append(f'{metric}_bucket{{le="{le}"{extra}}} {cumulative}')
-    label_block = f"{{{labels}}}" if labels else ""
-    lines.append(
-        f'{metric}_bucket{{le="+Inf"{extra}}} {snapshot.get("count", 0)}'
-    )
-    total = snapshot.get("total", 0)
-    lines.append(
-        f"{metric}_sum{label_block} "
-        f"{_format_value(total * scale if scale != 1.0 else total)}"
-    )
-    lines.append(f'{metric}_count{label_block} {snapshot.get("count", 0)}')
+        lines.append(f'{metric}_bucket{{le="{int(bound)}"}} {cumulative}')
+    lines.append(f'{metric}_bucket{{le="+Inf"}} {snapshot.get("count", 0)}')
+    lines.append(f"{metric}_sum {_format_value(snapshot.get('total', 0))}")
+    lines.append(f'{metric}_count {snapshot.get("count", 0)}')
     return lines
 
 
 def render_prometheus(
     metrics: Optional[Dict[str, Any]],
     *,
-    latency: Optional[Dict[str, Any]] = None,
     extra_counters: Optional[Dict[str, int]] = None,
     extra_gauges: Optional[Dict[str, float]] = None,
     labeled_counters: Optional[Dict[str, Dict[str, int]]] = None,
@@ -86,9 +68,8 @@ def render_prometheus(
     """Render metric snapshots as a Prometheus text-format page.
 
     ``metrics`` is a :meth:`Metrics.snapshot` dict (or a merged campaign
-    block); ``latency`` is a :meth:`TimingRecorder.latency_snapshot` dict
-    in nanoseconds, exposed in seconds per Prometheus convention;
-    ``extra_counters`` adds flat name->int counters (e.g. ``NodeStats``);
+    block); ``extra_counters`` adds flat name->int counters (e.g.
+    ``NodeStats``);
     ``extra_gauges`` adds flat name->float gauges (e.g. the breaker
     states and error rates from ``StorageNode.health_snapshot()``).
 
@@ -154,21 +135,5 @@ def render_prometheus(
         lines.append(f"# HELP {metric} Distribution of {name}")
         lines.append(f"# TYPE {metric} histogram")
         lines.extend(_histogram_lines(metric, metrics["histograms"][name]))
-
-    if latency:
-        metric = f"{namespace}_latency_seconds"
-        lines.append(
-            f"# HELP {metric} Wall-clock section latency by component span"
-        )
-        lines.append(f"# TYPE {metric} histogram")
-        for name in sorted(latency):
-            lines.extend(
-                _histogram_lines(
-                    metric,
-                    latency[name],
-                    scale=1e-9,
-                    labels=f'section="{name}"',
-                )
-            )
 
     return "\n".join(lines) + "\n"

@@ -56,23 +56,9 @@ class Recorder:
     """
 
     enabled = False
-    #: True only on recorders that measure wall-clock durations (the bench
-    #: harness's TimingRecorder).  Hot paths guard ``timed`` calls with
-    #: ``if self.recorder.timing:`` exactly as they guard events with
-    #: ``enabled``, so campaign runs never pay for (or observe) wall time.
-    timing = False
 
     def span(self, name: str, **fields: Any) -> Any:
         """Context manager bracketing one operation (nests)."""
-        return NULL_SPAN
-
-    def timed(self, name: str) -> Any:
-        """Context manager measuring one wall-clock component section.
-
-        Unlike :meth:`span` this never emits a trace-ring event: durations
-        go to a latency histogram only, keeping logical traces (and thus
-        campaign artifacts) free of wall-clock data.
-        """
         return NULL_SPAN
 
     def count(self, name: str, amount: int = 1) -> None:

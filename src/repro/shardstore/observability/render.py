@@ -10,7 +10,20 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
-from .timing import component_of_latency
+#: Undotted span names that are background work, not request-plane ops.
+_BACKGROUND_SPANS = ("reclaim", "scrub")
+
+
+def component_of_latency(name: str) -> str:
+    """The component a span belongs to (its dotted prefix).
+
+    Undotted names are op-level spans (``put``, ``get``, ``flush``...) and
+    group under ``"op"``, except background work (reclamation, scrubbing)
+    which stands alone; ``node.*`` spans are the RPC layer.
+    """
+    if "." not in name:
+        return name if name in _BACKGROUND_SPANS else "op"
+    return name.split(".", 1)[0]
 
 
 def render_metrics(metrics: Dict[str, Any]) -> str:

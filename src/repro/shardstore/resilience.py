@@ -7,8 +7,7 @@ that contract:
 
 * :class:`RetryPolicy` -- a bounded retry-with-backoff policy for transient
   :class:`~repro.shardstore.errors.IoError`\\ s.  Backoff is expressed in
-  *logical units* so checkers never sleep; a wall-clock unit can be
-  configured for production-style use.
+  *logical units*: nothing here sleeps or reads a clock.
 * :class:`DiskHealth` -- a sliding window of per-disk IO outcomes with an
   error rate derived from it.
 * :class:`CircuitBreaker` -- a per-disk breaker driven purely by the node's
@@ -48,7 +47,6 @@ via scrub, re-admitting into service).
 from __future__ import annotations
 
 import enum
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Optional, TypeVar
@@ -76,17 +74,14 @@ class RetryPolicy:
 
     ``max_attempts`` counts the initial try: 3 means one try plus two
     retries.  Backoff between attempts is ``min(cap, start * multiplier **
-    (failures - 1))`` logical units; the policy only sleeps when
-    ``sleep_unit_seconds`` is nonzero, so checkers and tests run at full
-    speed while a production configuration can map units to wall time.
-    Non-transient errors are never retried.
+    (failures - 1))`` logical units, handed to ``on_retry``; the policy
+    never sleeps.  Non-transient errors are never retried.
     """
 
     max_attempts: int = 3
     backoff_start: int = 1
     backoff_multiplier: int = 2
     backoff_cap: int = 8
-    sleep_unit_seconds: float = 0.0
 
     @classmethod
     def disabled(cls) -> "RetryPolicy":
@@ -135,11 +130,8 @@ class RetryPolicy:
                     raise
                 if should_retry is not None and not should_retry():
                     raise
-                units = self.backoff_units(failures)
                 if on_retry is not None:
-                    on_retry(failures, units, exc)
-                if self.sleep_unit_seconds > 0.0:
-                    time.sleep(units * self.sleep_unit_seconds)
+                    on_retry(failures, self.backoff_units(failures), exc)
 
 
 class BreakerState(enum.Enum):

@@ -50,8 +50,7 @@ from .observability import NULL_RECORDER, Recorder
 Buffer = Union[bytes, bytearray, memoryview]
 
 #: Default batch window: max page records merged into one device IO by the
-#: coalescing drain paths.  Tunable via :attr:`IoScheduler.batch_pages`
-#: (wired to ``StoreConfig.io_batch_pages``).
+#: coalescing drain paths (:attr:`IoScheduler.batch_pages`).
 DEFAULT_BATCH_PAGES = 64
 
 
@@ -333,18 +332,6 @@ class IoScheduler:
         coalescing makes the merged pages atomic, coarsening the reachable
         crash states -- while the production drain path uses it.
         """
-        if self.recorder.timing:
-            with self.recorder.timed("scheduler.pump_one"):
-                return self._pump_one(extent, coalesce=coalesce, max_batch=max_batch)
-        return self._pump_one(extent, coalesce=coalesce, max_batch=max_batch)
-
-    def _pump_one(
-        self,
-        extent: Optional[int] = None,
-        *,
-        coalesce: bool = False,
-        max_batch: Optional[int] = None,
-    ) -> bool:
         eligible = self.eligible_extents()
         if not eligible:
             return False

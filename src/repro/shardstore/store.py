@@ -105,7 +105,6 @@ class ShardStore:
             tracker,
             random.Random(self.rng.getrandbits(32)),
             recorder=config.recorder,
-            batch_pages=config.io_batch_pages,
         )
         if recover:
             hook("seal")
@@ -290,9 +289,6 @@ class ShardStore:
         return self.superblock.flush()
 
     def compact(self) -> Optional[Dependency]:
-        if self.recorder.timing:
-            with self.recorder.timed("lsm.compact"):
-                return self.index.compact()
         return self.index.compact()
 
     def reclaim(
@@ -424,7 +420,7 @@ class ShardStore:
         superblock flush resolves, so drain alternates pumping with flushes
         (the same fixpoint clean shutdown uses).  Writebacks are issued
         through the group-commit path -- contiguous records coalesce into
-        batched device IOs (``io_batch_pages`` window).  Raises
+        batched device IOs (the scheduler's ``batch_pages`` window).  Raises
         :class:`~repro.shardstore.errors.IoError` if records remain
         genuinely stuck -- a forward-progress violation.
         """

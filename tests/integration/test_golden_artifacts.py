@@ -170,4 +170,6 @@ def test_bench_journal_is_pinned(tmp_path, workload, ops, mutant):
     )
     assert artifact["journal"]["head"] == head
     assert artifact["journal"]["records"] == records
+    # The driver times no op: only the run-level ``wall_seconds`` pair.
+    assert [key for key in artifact if key.endswith("_ns")] == []
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256

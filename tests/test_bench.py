@@ -2,9 +2,10 @@
 
 Determinism is the load-bearing property: the op sequence (and its digest
 in the artifact) must be a pure function of (workload, ops, value_size,
-seed), while wall-clock fields are free to vary.  ``repro bench`` gates
-nothing -- the cost ladder (``benchmarks/ladder``) is the perf gate -- so
-the removed baseline flags and the ``slowdown_ns`` knob must stay gone.
+seed), while the two run-level wall-clock fields are free to vary.
+``repro bench`` gates nothing and times no op -- the cost ladder
+(``benchmarks/ladder``) is the perf gate and the stopwatch -- so the
+removed baseline flags and the ``slowdown_ns`` knob must stay gone.
 """
 
 import json
@@ -92,15 +93,12 @@ class TestRunBench:
             "outcomes",
             "wall_seconds",
             "throughput_ops_per_sec",
-            "latency_ns",
-            "components_ns",
         ):
             assert key in artifact, key
         assert "slowdown_ns_per_op" not in artifact
-        overall = artifact["latency_ns"]["all"]
-        assert overall["count"] == sum(artifact["op_counts"].values())
-        for quantile in ("p50", "p90", "p99", "p999"):
-            assert overall[quantile] is not None
+        assert sum(artifact["outcomes"].values()) == sum(
+            artifact["op_counts"].values()
+        )
         assert artifact["throughput_ops_per_sec"] > 0
 
     def test_same_seed_reruns_execute_identical_ops(self):
@@ -109,16 +107,6 @@ class TestRunBench:
         assert a["op_sequence_sha256"] == b["op_sequence_sha256"]
         assert a["op_counts"] == b["op_counts"]
         assert a["outcomes"] == b["outcomes"]
-
-    def test_component_breakdown_covers_the_stack(self):
-        artifact = run_bench("mixed", ops=300, seed=3)
-        components = artifact["components_ns"]
-        for component in ("node", "op", "disk", "scheduler"):
-            assert component in components, component
-        node = components["node"]
-        assert node["count"] > 0
-        assert node["share_of_wall"] > 0
-        assert any(span.startswith("node.") for span in node["spans"])
 
     def test_crash_recover_runs_on_store_target(self):
         artifact = run_bench("crash-recover", ops=320, seed=5)
@@ -164,7 +152,7 @@ class TestBenchCli:
         assert artifact["schema_version"] == BENCH_SCHEMA_VERSION
         assert artifact["workload"] == "mixed"
         stdout = capsys.readouterr().out
-        assert "p50=" in stdout
+        assert "ops/s" in stdout
 
     def test_removed_gate_flags_are_usage_errors(self, capsys):
         for flag in (

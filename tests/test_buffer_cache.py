@@ -139,37 +139,11 @@ class TestInvalidation:
         assert cache.cached_pages <= 4
 
 
-def _fresh_bytes(cache_bytes):
-    config = StoreConfig(
-        geometry=DiskGeometry(num_extents=10, extent_size=2048, page_size=128),
-        faults=FaultSet.none(),
-        buffer_cache_bytes=cache_bytes,
-    )
-    disk = InMemoryDisk(config.geometry)
-    tracker = DurabilityTracker()
-    scheduler = IoScheduler(disk, tracker, random.Random(0))
-    superblock = Superblock(scheduler, config)
-    return disk, tracker, scheduler, BufferCache(scheduler, superblock, config)
-
-
 class TestByteBudgetEviction:
-    def test_byte_budget_overrides_page_budget(self):
-        # 3 pages resident would be 384 bytes; a 256-byte budget keeps 2.
-        disk, tracker, scheduler, cache = _fresh_bytes(256)
-        for extent in (4, 5, 6):
-            cache.append(extent, b"f" * 128, Dependency.root(tracker))
-        assert cache.cached_bytes <= 256
-        assert cache.cached_pages == 2
-
-    def test_cached_bytes_tracks_partial_pages(self):
-        disk, tracker, scheduler, cache = _fresh_bytes(1024)
-        cache.append(4, b"x" * 100, Dependency.root(tracker))
-        assert cache.cached_bytes == 100
-        cache.append(4, b"y" * 28, Dependency.root(tracker))
-        assert cache.cached_bytes == 128
+    """LRU eviction at the page budget (128-byte pages)."""
 
     def test_eviction_is_lru_and_reads_stay_correct(self):
-        disk, tracker, scheduler, cache = _fresh_bytes(256)
+        disk, tracker, scheduler, cache = _fresh(cache_pages=2)
         cache.append(4, b"a" * 128, Dependency.root(tracker))
         cache.append(5, b"b" * 128, Dependency.root(tracker))
         cache.read(4, 0, 128)  # touch 4 so extent 5 is the LRU victim
@@ -181,16 +155,16 @@ class TestByteBudgetEviction:
         assert cache.read(6, 0, 128) == b"c" * 128
 
     def test_one_oversized_page_always_fits(self):
-        # The evictor never evicts the page it just inserted, even when a
-        # single page exceeds the budget.
-        disk, tracker, scheduler, cache = _fresh_bytes(64)
+        # The evictor never evicts the page it just inserted, even at the
+        # smallest budget.
+        disk, tracker, scheduler, cache = _fresh(cache_pages=1)
         cache.append(4, b"z" * 128, Dependency.root(tracker))
         assert cache.cached_pages == 1
         assert cache.read(4, 0, 128) == b"z" * 128
 
     def test_invalidate_all_resets_byte_accounting(self):
-        disk, tracker, scheduler, cache = _fresh_bytes(1024)
+        disk, tracker, scheduler, cache = _fresh()
         cache.append(4, b"x" * 200, Dependency.root(tracker))
+        assert cache.cached_pages == 2
         cache.invalidate_all()
-        assert cache.cached_bytes == 0
         assert cache.cached_pages == 0

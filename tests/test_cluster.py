@@ -362,6 +362,50 @@ def journal_cluster(**config_overrides):
     return router, journals
 
 
+class TestClientDeadline:
+    """A client deadline reaches every replica's admission queue."""
+
+    @pytest.mark.parametrize("op", ["put", "get", "delete"])
+    def test_nonpositive_deadline_rejected_before_the_journal(self, op):
+        router, _ = journal_cluster(admission=AdmissionConfig())
+        router.put(b"k", b"v")
+        records = router.journal.records_written
+        args = (b"k", b"v2") if op == "put" else (b"k",)
+        with pytest.raises(InvalidRequestError, match="deadline must be positive"):
+            getattr(router, op)(*args, deadline=0)
+        assert router.journal.records_written == records
+        assert router.get(b"k") == b"v"
+
+    def test_tight_deadline_sheds_on_every_replica(self):
+        router = small_router(admission=AdmissionConfig())
+        router.put(b"k", b"v1")
+        # A burst on slow disks everywhere: the clock stands still while
+        # each ack's drain is charged, so one more put leaves a backlog of
+        # a unit or two -- far inside the default deadline.
+        for cn in router.nodes.values():
+            cn.node.hold_arrivals(10_000)
+            for system in cn.node.systems:
+                system.disk.set_latency(8)
+        router.put(b"k", b"v2")
+        assert router.stats["replica_sheds"] == 0
+        before = router.replica_states(b"k")
+
+        with pytest.raises(DegradedWriteError) as err:
+            router.put(b"k", b"v3", deadline=1)
+        assert err.value.acks == 0
+        assert router.stats["replica_sheds"] == router.config.replication
+        assert router.stats["hints_revoked"] == router.config.replication
+        assert all(router.hints_pending(n) == 0 for n in router.nodes)
+        assert router.replica_states(b"k") == before
+
+        with pytest.raises(DegradedReadError):
+            router.get(b"k", deadline=1)
+        with pytest.raises(DegradedReadError):
+            router.delete(b"k", deadline=1)
+        assert router.replica_states(b"k") == before
+        assert router.get(b"k") == b"v2"
+
+
 class TestJournalIdentity:
     def test_every_record_carries_its_node_identity(self):
         router, journals = journal_cluster()

@@ -14,7 +14,7 @@ import urllib.request
 import pytest
 
 from repro.bench import MetricsDemoNode, make_server
-from repro.shardstore import TimingRecorder, render_prometheus
+from repro.shardstore import render_prometheus
 from repro.shardstore.observability import Metrics
 
 
@@ -79,37 +79,12 @@ class TestRenderPrometheus:
         metrics.count("a", 1)
         metrics.gauge("b", 1)
         metrics.observe("c", 1)
-        recorder = TimingRecorder()
-        recorder.observe_latency("disk.write", 2048)
         page = render_prometheus(
-            metrics.snapshot(),
-            latency=recorder.latency_snapshot(),
-            extra_counters={"node.puts": 7},
+            metrics.snapshot(), extra_counters={"node.puts": 7}
         )
         types, samples = _parse(page)
         for name, _, _ in samples:
             assert _family(name) in types, f"{name} has no TYPE declaration"
-
-    def test_latency_rendered_in_seconds_with_section_label(self):
-        recorder = TimingRecorder()
-        recorder.observe_latency("disk.write", 2048)  # exactly bound 2048ns
-        page = render_prometheus({}, latency=recorder.latency_snapshot())
-        types, samples = _parse(page)
-        assert types["repro_latency_seconds"] == "histogram"
-        buckets = [
-            (labels, value)
-            for name, labels, value in samples
-            if name == "repro_latency_seconds_bucket"
-            and 'section="disk.write"' in labels
-        ]
-        # The 2048ns bound appears as 2.048e-06 seconds.
-        assert any('le="2.048e-06"' in labels for labels, _ in buckets)
-        sums = {
-            labels: value
-            for name, labels, value in samples
-            if name == "repro_latency_seconds_sum"
-        }
-        assert sums['section="disk.write"'] == pytest.approx(2048e-9)
 
     def test_name_sanitization_and_extra_counters(self):
         page = render_prometheus({}, extra_counters={"node.puts": 7})
@@ -178,10 +153,10 @@ class TestRenderPrometheus:
         assert render_prometheus(None) == "\n"
 
 
-def _bucket_values(samples, labels_contains):
+def _bucket_values(samples, metric):
     rows = []
     for name, labels, value in samples:
-        if name == "repro_latency_seconds_bucket" and labels_contains in labels:
+        if name == f"{metric}_bucket":
             le = [
                 part.split("=", 1)[1].strip('"')
                 for part in labels.split(",")
@@ -228,19 +203,19 @@ class TestMetricsServe:
             assert f"repro_node_disk{disk_id}_in_service" in names
         assert "repro_node_breaker_trips_total" in names
         assert "repro_node_retries_total" in names
-        assert types["repro_latency_seconds"] == "histogram"
+        assert "repro_latency_seconds" not in types
+        assert types["repro_disk_write_bytes"] == "histogram"
         # Histogram buckets are cumulative and +Inf matches _count.
-        section = 'section="node.put"'
-        buckets = _bucket_values(samples, section)
-        assert buckets, "expected node.put latency buckets"
+        buckets = _bucket_values(samples, "repro_disk_write_bytes")
+        assert buckets, "expected disk.write_bytes buckets"
         values = [value for _, value in buckets]
         assert values == sorted(values)
         counts = {
-            labels: value
-            for name, labels, value in samples
-            if name == "repro_latency_seconds_count"
+            name: value
+            for name, _, value in samples
+            if name == "repro_disk_write_bytes_count"
         }
-        assert buckets[-1][1] == counts[section]
+        assert buckets[-1][1] == counts["repro_disk_write_bytes_count"]
 
     def test_scrapes_apply_fresh_traffic(self, server):
         base_url, _ = server

@@ -183,11 +183,10 @@ class TestValidation:
 
     def test_every_config_field_reaches_every_disk(self):
         # A field-by-field copy silently drops fields added after it was
-        # written (it dropped io_batch_pages and buffer_cache_bytes);
-        # walking dataclasses.fields covers every future field too.
+        # written; walking dataclasses.fields covers every future field too.
         base = StoreConfig(
-            io_batch_pages=7,
-            buffer_cache_bytes=4096,
+            superblock_flush_cadence=7,
+            buffer_cache_pages=96,
             seed=40,
             retry_policy=RetryPolicy(),
         )

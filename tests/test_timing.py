@@ -1,35 +1,55 @@
-"""Tests for wall-clock timing: TimingRecorder, percentile math, hot path.
+"""Tests for the clock discipline: who may read one, and what is left.
 
-The percentile cases are hand-computed against the power-of-two bucket
-bounds so the math (ceil rank, upper-bound answer, min/max clamping) is
-pinned to values a human can re-derive.  The hot-path test is the
-regression guard for satellite (b): with recording disabled, a 10k-op
-loop must never invoke the recorder at all.
+The substrate is a pure function of seed and input, so only three modules
+under ``src/repro`` may import a clock at all (DESIGN.md "Clocks").
+Beside that: histogram merging, the span-to-component rule behind
+``repro trace --component``, and the hot-path guard -- with recording
+disabled, a 10k-op loop must never invoke the recorder at all.
 """
+
+import ast
+import pathlib
 
 import pytest
 
+import repro
 from repro.cluster import ClusterConfig, ClusterRouter
 from repro.shardstore import (
     DiskGeometry,
     NullRecorder,
-    RingRecorder,
     StorageNode,
     StoreConfig,
     StoreSystem,
-    TimingRecorder,
 )
 from repro.shardstore.errors import NotFoundError
 from repro.shardstore.observability import (
     HISTOGRAM_BOUNDS,
-    LATENCY_BOUNDS_NS,
     Histogram,
     component_of_latency,
     merge_histogram_snapshots,
-    percentile_from_snapshot,
-    percentiles_from_snapshot,
 )
 from repro.shardstore.observability.recorder import NULL_SPAN
+
+
+class TestClockImports:
+    def test_only_the_three_edges_import_a_clock(self):
+        root = pathlib.Path(repro.__file__).parent
+        importers = set()
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] in ("time", "datetime") for m in modules):
+                    importers.add(path.relative_to(root).as_posix())
+        assert importers == {
+            "bench/harness.py",
+            "campaign/runner.py",
+            "concurrency/scheduler.py",
+        }
 
 
 def _snapshot_of(values, bounds=HISTOGRAM_BOUNDS):
@@ -37,68 +57,6 @@ def _snapshot_of(values, bounds=HISTOGRAM_BOUNDS):
     for value in values:
         histogram.observe(value)
     return histogram.snapshot()
-
-
-class TestPercentileHandComputed:
-    def test_one_through_ten(self):
-        # Buckets: 1->{1}, 2->{2}, 4->{3,4}, 8->{5..8}, 16->{9,10}.
-        snap = _snapshot_of(range(1, 11))
-        assert percentile_from_snapshot(snap, 0.50) == 8  # rank 5 -> bucket 8
-        assert percentile_from_snapshot(snap, 0.90) == 10  # rank 9 -> 16, clamp
-        assert percentile_from_snapshot(snap, 0.99) == 10  # rank 10
-        assert percentiles_from_snapshot(snap) == {
-            "p50": 8,
-            "p90": 10,
-            "p99": 10,
-            "p999": 10,
-        }
-
-    def test_exact_bucket_boundaries(self):
-        snap = _snapshot_of([1, 2, 4])
-        assert percentile_from_snapshot(snap, 0.50) == 2  # rank 2 -> bucket 2
-
-    def test_single_observation_clamps_to_value(self):
-        # 7 lands in bucket 8; the answer clamps to the observed max.
-        snap = _snapshot_of([7])
-        assert percentiles_from_snapshot(snap) == {
-            "p50": 7,
-            "p90": 7,
-            "p99": 7,
-            "p999": 7,
-        }
-
-    def test_clamps_to_min(self):
-        # All 5s land in bucket 8; min clamp keeps the answer honest.
-        snap = _snapshot_of([5, 5, 5])
-        assert percentile_from_snapshot(snap, 0.50) == 5
-
-    def test_inf_bucket_reports_max(self):
-        snap = _snapshot_of([20000, 30000])  # beyond the last default bound
-        assert snap["buckets"] == {"inf": 2}
-        assert percentile_from_snapshot(snap, 0.50) == 30000
-
-    def test_empty_histogram_is_none(self):
-        snap = _snapshot_of([])
-        assert percentile_from_snapshot(snap, 0.50) is None
-        assert percentiles_from_snapshot(snap) == {
-            "p50": None,
-            "p90": None,
-            "p99": None,
-            "p999": None,
-        }
-        assert percentile_from_snapshot({}, 0.5) is None
-
-    def test_quantile_domain_checked(self):
-        snap = _snapshot_of([1])
-        with pytest.raises(ValueError):
-            percentile_from_snapshot(snap, 0.0)
-        with pytest.raises(ValueError):
-            percentile_from_snapshot(snap, 1.5)
-
-    def test_float_rank_has_no_precision_drift(self):
-        # ceil(0.1 * 10) must be exactly 1, not 2 via 1.0000000000000002.
-        snap = _snapshot_of(range(1, 11))
-        assert percentile_from_snapshot(snap, 0.1) == 1
 
 
 class TestMergeHistogramSnapshots:
@@ -146,8 +104,9 @@ class TestMergeHistogramSnapshots:
         assert a == before
 
     def test_latency_bounds_merge(self):
-        a = _snapshot_of([1500, 3000], bounds=LATENCY_BOUNDS_NS)
-        b = _snapshot_of([1_000_000], bounds=LATENCY_BOUNDS_NS)
+        bounds = tuple(1 << shift for shift in range(10, 36))
+        a = _snapshot_of([1500, 3000], bounds=bounds)
+        b = _snapshot_of([1_000_000], bounds=bounds)
         merged = merge_histogram_snapshots([a, b])
         assert merged["count"] == 3
         assert merged["min"] == 1500
@@ -174,62 +133,6 @@ class TestComponentOfLatency:
         assert component_of_latency(name) == component
 
 
-class TestTimingRecorder:
-    def test_timed_section_records_latency_without_ring_events(self):
-        recorder = TimingRecorder()
-        with recorder.timed("disk.write"):
-            pass
-        assert recorder.trace() == []
-        snap = recorder.latency_snapshot()
-        assert list(snap) == ["disk.write"]
-        assert snap["disk.write"]["count"] == 1
-        assert snap["disk.write"]["p50"] is not None
-
-    def test_span_records_ring_entry_and_latency(self):
-        recorder = TimingRecorder()
-        with recorder.span("put", key="b'k'"):
-            pass
-        types = [entry["type"] for entry in recorder.trace()]
-        assert types == ["span", "end"]
-        assert recorder.latency_snapshot()["put"]["count"] == 1
-
-    def test_failed_span_marks_ring_entry(self):
-        recorder = TimingRecorder()
-        with pytest.raises(RuntimeError):
-            with recorder.span("put"):
-                raise RuntimeError("boom")
-        assert recorder.trace()[-1].get("failed") is True
-        assert recorder.latency_snapshot()["put"]["count"] == 1
-
-    def test_snapshot_stays_wall_clock_free(self):
-        # The campaign determinism contract: latency never reaches the
-        # artifact-facing snapshot, which keeps RingRecorder's exact shape.
-        recorder = TimingRecorder()
-        with recorder.timed("disk.write"):
-            pass
-        with recorder.span("put"):
-            pass
-        snap = recorder.snapshot()
-        assert set(snap) == set(RingRecorder().snapshot())
-        assert "latency" not in str(sorted(snap))
-
-    def test_latency_snapshot_sorted_and_uses_latency_bounds(self):
-        recorder = TimingRecorder()
-        recorder.observe_latency("zzz", 10)
-        recorder.observe_latency("aaa", 5000)
-        assert list(recorder.latency_snapshot()) == ["aaa", "zzz"]
-        assert recorder.latency["aaa"].bounds == LATENCY_BOUNDS_NS
-
-    def test_timing_flags(self):
-        assert TimingRecorder().timing is True
-        assert RingRecorder().timing is False
-        assert NullRecorder().timing is False
-
-    def test_base_recorder_timed_is_the_null_span(self):
-        assert RingRecorder().timed("disk.write") is NULL_SPAN
-        assert NullRecorder().timed("disk.write") is NULL_SPAN
-
-
 class _SpyRecorder(NullRecorder):
     """Counts every recorder invocation; guarded hot paths must make none."""
 
@@ -238,10 +141,6 @@ class _SpyRecorder(NullRecorder):
 
     def span(self, name, **fields):
         self.calls.append(("span", name))
-        return NULL_SPAN
-
-    def timed(self, name):
-        self.calls.append(("timed", name))
         return NULL_SPAN
 
     def count(self, name, amount=1):
