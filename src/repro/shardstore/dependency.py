@@ -59,12 +59,24 @@ class DurabilityTracker:
 
     One tracker exists per simulated system and survives reboots.  The IO
     scheduler allocates record ids from it and marks them durable as
-    writebacks complete; dropped (crashed-away) records are never marked.
+    writebacks complete; dropped (crashed-away) records are never marked
+    durable -- the scheduler reports them with :meth:`mark_lost` instead.
+
+    Ids are allocated in order and settle (durable or lost) nearly in
+    order, so the durable set is kept as a *low-water mark* -- every id
+    below it is settled, durable unless recorded lost -- plus the sparse
+    set of durable ids above it.  The sparse set is bounded by the
+    writeback reordering window and the lost set by what crashes discarded;
+    neither grows with the count of records ever written.  An id that is
+    allocated and then neither marked nor reported lost stalls the mark
+    (the sparse set then grows as a plain set would), never the answers.
     """
 
     def __init__(self) -> None:
         self._next_id = 0
-        self._durable: Set[int] = set()
+        self._low_water = 0
+        self._durable_above: Set[int] = set()
+        self._lost: Set[int] = set()
         #: One :class:`RecordInfo` per IO record queued after
         #: :meth:`capture_record_info`; None (the default) keeps nothing, so
         #: a long-running store's bookkeeping does not grow with its history.
@@ -93,27 +105,70 @@ class DurabilityTracker:
         return range(start, start + count)
 
     def mark_durable(self, record_id: int) -> None:
-        self._durable.add(record_id)
+        self.mark_durable_many((record_id,))
 
     def mark_durable_many(self, record_ids: Iterable[int]) -> None:
-        self._durable.update(record_ids)
+        above, mark = self._durable_above, self._low_water
+        for record_id in record_ids:
+            if record_id == mark:
+                mark += 1  # in order, the common case: no set traffic
+            elif record_id > mark:
+                above.add(record_id)
+        self._low_water = mark
+        if above or self._lost:
+            self._advance()
+
+    def mark_lost(self, record_ids: Iterable[int]) -> None:
+        """Record ids a crash discarded: settled, and never durable."""
+        self._lost.update(record_ids)
+        self._advance()
+
+    def _advance(self) -> None:
+        mark = self._low_water
+        above, lost = self._durable_above, self._lost
+        while True:
+            if mark in above:
+                above.remove(mark)
+            elif mark not in lost:
+                break
+            mark += 1
+        self._low_water = mark
 
     def is_durable(self, record_id: int) -> bool:
-        return record_id in self._durable
+        return self.all_durable((record_id,))
+
+    def all_durable(self, record_ids: Iterable[int]) -> bool:
+        """Whether every id is durable, in one frame: the poll behind every
+        ``Dependency.is_persistent``."""
+        mark, above, lost = self._low_water, self._durable_above, self._lost
+        for record_id in record_ids:
+            if record_id < mark:
+                if lost and record_id in lost:
+                    return False
+            elif record_id not in above:
+                return False
+        return True
 
     @property
     def durable_count(self) -> int:
-        return len(self._durable)
+        lost_below = sum(1 for r in self._lost if r < self._low_water)
+        return self._low_water - lost_below + len(self._durable_above)
 
     # -- snapshot/restore for block-level crash-state enumeration ------
 
-    def snapshot(self) -> Tuple[int, FrozenSet[int]]:
-        return self._next_id, frozenset(self._durable)
+    def snapshot(self) -> Tuple[int, int, FrozenSet[int], FrozenSet[int]]:
+        """Opaque to callers, except that item 0 is the next unallocated id."""
+        return (
+            self._next_id,
+            self._low_water,
+            frozenset(self._durable_above),
+            frozenset(self._lost),
+        )
 
-    def restore(self, snap: Tuple[int, FrozenSet[int]]) -> None:
-        next_id, durable = snap
-        self._next_id = next_id
-        self._durable = set(durable)
+    def restore(self, snap: Tuple[int, int, FrozenSet[int], FrozenSet[int]]) -> None:
+        self._next_id, self._low_water, above, lost = snap
+        self._durable_above = set(above)
+        self._lost = set(lost)
 
 
 class FutureCell:
@@ -210,7 +265,7 @@ class Dependency:
         resolved_records, unresolved = self._flatten()
         if unresolved:
             return False
-        return all(self._tracker.is_durable(r) for r in resolved_records)
+        return self._tracker.all_durable(resolved_records)
 
     def _flatten(self) -> Tuple[Set[int], List[FutureCell]]:
         """Chase future cells; return (all record ids, unresolved cells)."""

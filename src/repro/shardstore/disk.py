@@ -86,7 +86,14 @@ class DiskGeometry:
 
 @dataclass
 class ExtentState:
-    """Durable state of one extent."""
+    """Durable state of one extent.
+
+    ``data`` is the *materialised* prefix of the extent: it starts empty and
+    grows at the write pointer, so ``len(data) >= write_pointer`` always
+    holds and a disk costs memory for the bytes written to it, not for its
+    capacity.  It never shrinks -- a reset leaves the stale bytes where they
+    are -- and everything past it reads as zeroes in the full-extent image.
+    """
 
     data: bytearray
     write_pointer: int = 0  # hard write pointer: bytes durably appended
@@ -120,8 +127,7 @@ class InMemoryDisk:
     ) -> None:
         self.geometry = geometry or DiskGeometry()
         self._extents: List[ExtentState] = [
-            ExtentState(data=bytearray(self.geometry.extent_size))
-            for _ in range(self.geometry.num_extents)
+            ExtentState(data=bytearray()) for _ in range(self.geometry.num_extents)
         ]
         self._faults: Dict[int, _ArmedFault] = {}
         self.stats = DiskStats()
@@ -357,13 +363,19 @@ class InMemoryDisk:
             state.data[pointer : state.write_pointer] = bytes(
                 state.write_pointer - pointer
             )
+        elif pointer > len(state.data):
+            state.data.extend(bytes(pointer - len(state.data)))
         state.write_pointer = pointer
 
     # ------------------------------------------------------------------
     # snapshot / restore (block-level crash-state exploration)
 
     def snapshot(self) -> List[Tuple[bytes, int, int]]:
-        """Capture durable state; pair with :meth:`restore` to rewind."""
+        """Capture durable state; pair with :meth:`restore` to rewind.
+
+        Each extent carries only its materialised bytes; zero-padded to
+        ``extent_size`` they are the full-extent image.
+        """
         return [
             (bytes(s.data), s.write_pointer, s.reset_count) for s in self._extents
         ]

@@ -112,18 +112,15 @@ class IoScheduler:
         self._pending_total = 0
         self._pending_per_extent: Dict[int, int] = {}
         self._pending_resets: Dict[int, int] = {}
-        # Soft write pointers and shadow of appended-but-not-durable bytes.
         self._soft_pointer: List[int] = [
             disk.write_pointer(e) for e in range(disk.geometry.num_extents)
         ]
-        self._shadow: List[bytearray] = [
-            bytearray(disk.geometry.extent_size)
-            for _ in range(disk.geometry.num_extents)
-        ]
-        for extent in range(disk.geometry.num_extents):
-            hard = disk.write_pointer(extent)
-            if hard:
-                self._shadow[extent][:hard] = disk.read(extent, 0, hard)
+        # The write-back shadow: per extent with pending records, the tail
+        # ``(base, bytes of [base, soft))`` of appended-but-not-durable data.
+        # ``base`` is the hard pointer when the tail was created (0 under a
+        # pending reset), so readable = durable prefix + pending tail and the
+        # shadow costs memory for what is pending, not for what is stored.
+        self._shadow: Dict[int, Tuple[int, bytearray]] = {}
 
     # ------------------------------------------------------------------
     # client API
@@ -212,7 +209,11 @@ class IoScheduler:
         self._pending_per_extent[extent] = (
             self._pending_per_extent.get(extent, 0) + count
         )
-        self._shadow[extent][offset : offset + length] = data
+        tail = self._shadow.get(extent)
+        if tail is None:
+            self._shadow[extent] = (offset, bytearray(data))
+        else:
+            tail[1].extend(data)
         self._soft_pointer[extent] = offset + length
         if self.recorder.enabled:
             self.recorder.count("scheduler.records_enqueued", count)
@@ -245,7 +246,7 @@ class IoScheduler:
         self._pending_per_extent[extent] = self._pending_per_extent.get(extent, 0) + 1
         self._pending_resets[extent] = self._pending_resets.get(extent, 0) + 1
         self._soft_pointer[extent] = 0
-        self._shadow[extent] = bytearray(self.disk.geometry.extent_size)
+        self._shadow[extent] = (0, bytearray())
         if self.recorder.enabled:
             self.recorder.count("scheduler.records_enqueued")
             self.recorder.gauge("scheduler.queue_depth", self._pending_total)
@@ -255,27 +256,33 @@ class IoScheduler:
     def read(self, extent: int, offset: int, length: int) -> bytes:
         """Read below the soft pointer, overlaying pending data on durable.
 
-        Durable bytes are read through the disk (so injected read faults
-        fire); pending bytes are served from the in-memory shadow, as they
-        would be from a real write-back cache.
+        Durable bytes ``[offset, hard)`` are read through the disk (so
+        injected read faults fire); pending bytes ``[hard, soft)`` are served
+        from the in-memory tail, as they would be from a real write-back
+        cache.
         """
         if length < 0 or offset < 0:
             raise ExtentError("negative read bounds")
         soft = self._soft_pointer[extent]
-        if offset + length > soft:
+        end = offset + length
+        if end > soft:
             raise ExtentError(
                 f"read beyond soft write pointer on extent {extent}: "
-                f"[{offset}, {offset + length}) > {soft}"
+                f"[{offset}, {end}) > {soft}"
             )
-        hard = self.disk.write_pointer(extent)
-        if offset >= hard or self._has_pending_reset(extent):
-            # The durable image is stale (reset pending) or entirely behind
-            # the requested range; serve purely from the shadow.
-            return bytes(self._shadow[extent][offset : offset + length])
-        durable_end = min(offset + length, hard)
-        out = self.disk.read(extent, offset, durable_end - offset)
-        if durable_end < offset + length:
-            out += bytes(self._shadow[extent][durable_end : offset + length])
+        # Under a pending reset the durable image is stale: nothing of it is
+        # readable and the tail (based at 0) holds everything below soft.
+        reset_pending = self._has_pending_reset(extent)
+        hard = 0 if reset_pending else self.disk.write_pointer(extent)
+        if offset < hard:
+            durable_end = min(end, hard)
+            out = self.disk.read(extent, offset, durable_end - offset)
+        else:
+            durable_end = offset
+            out = b""
+        if durable_end < end:
+            base, tail = self._shadow[extent]
+            out += tail[durable_end - base : end - base]
         return out
 
     def _has_pending_reset(self, extent: int) -> bool:
@@ -365,6 +372,7 @@ class IoScheduler:
                     self._requeue_failed(extent, batch)
                     raise
                 self.tracker.mark_durable_many(r.record_id for r in batch)
+                self._note_written(extent)
                 self.stats.records_written += len(batch)
                 self.stats.ios_issued += 1
                 if self.recorder.enabled:
@@ -387,6 +395,13 @@ class IoScheduler:
         self._pending_per_extent[extent] -= 1
         if record.kind == "reset":
             self._pending_resets[extent] -= 1
+
+    def _note_written(self, extent: int) -> None:
+        """A writeback succeeded: with nothing left pending on ``extent``
+        every byte below its soft pointer is durable and the tail goes.
+        (Not in :meth:`_note_removed`: a failed IO requeues its records.)"""
+        if not self._pending_per_extent[extent]:
+            del self._shadow[extent]
 
     def _apply_or_requeue(self, extent: int, record: _PendingRecord) -> None:
         try:
@@ -456,6 +471,7 @@ class IoScheduler:
                 self.recorder.count("scheduler.records_written")
         self.stats.ios_issued += 1
         self.tracker.mark_durable(record.record_id)
+        self._note_written(record.extent)
         if self.recorder.enabled:
             self.recorder.count("scheduler.ios_issued")
             self.recorder.gauge("scheduler.queue_depth", self._pending_total)
@@ -530,25 +546,21 @@ class IoScheduler:
         (recovery) then overrides pointers from the superblock.
         """
         lost = self._pending_total
+        self.tracker.mark_lost(self.pending_record_ids())
         self._queues.clear()
         self._pending_total = 0
         self._pending_per_extent.clear()
         self._pending_resets.clear()
+        self._shadow.clear()
         for extent in range(self.disk.geometry.num_extents):
-            hard = self.disk.write_pointer(extent)
-            self._soft_pointer[extent] = hard
-            self._shadow[extent] = bytearray(self.disk.geometry.extent_size)
-            if hard:
-                self._shadow[extent][:hard] = self.disk.read(extent, 0, hard)
+            self._soft_pointer[extent] = self.disk.write_pointer(extent)
         return lost
 
     def sync_soft_pointer(self, extent: int, pointer: int) -> None:
         """Recovery adopts a superblock-recovered soft pointer."""
         self.disk.set_write_pointer(extent, pointer)
         self._soft_pointer[extent] = pointer
-        self._shadow[extent] = bytearray(self.disk.geometry.extent_size)
-        if pointer:
-            self._shadow[extent][:pointer] = self.disk.read(extent, 0, pointer)
+        self._shadow.pop(extent, None)
 
     # ------------------------------------------------------------------
     # snapshot / restore (block-level crash-state enumeration)
@@ -557,14 +569,16 @@ class IoScheduler:
         return {
             "queues": {e: list(q) for e, q in self._queues.items()},
             "soft": list(self._soft_pointer),
-            "shadow": [bytes(s) for s in self._shadow],
+            "shadow": {e: (b, bytes(tail)) for e, (b, tail) in self._shadow.items()},
             "rng": self.rng.getstate(),
         }
 
     def restore(self, snap: dict) -> None:
         self._queues = {e: list(q) for e, q in snap["queues"].items()}
         self._soft_pointer = list(snap["soft"])
-        self._shadow = [bytearray(s) for s in snap["shadow"]]
+        self._shadow = {
+            e: (b, bytearray(tail)) for e, (b, tail) in snap["shadow"].items()
+        }
         self.rng.setstate(snap["rng"])
         self._recount_pending()
 

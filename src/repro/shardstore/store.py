@@ -551,12 +551,32 @@ class StoreSystem:
     def _recover(
         self, recovery_hook: Optional[Callable[[str], None]] = None
     ) -> ShardStore:
-        self.store = ShardStore(
-            self.disk,
-            self.tracker,
-            self.config,
-            rng=self._reboot_rng(),
-            recover=True,
-            recovery_hook=recovery_hook,
-        )
-        return self.store
+        """Rebuild the store from the medium; recovery is itself a crash point.
+
+        An attempt that dies on a *transient* :class:`IoError` has already
+        moved disk pointers (sealing, pointer adoption), so the pre-reboot
+        store object no longer matches the medium: the attempt is re-run
+        from the medium as left.  Each extent arms at most one one-shot
+        fault, hence the bound.  A ``recovery_hook`` means a test is
+        choosing the crash points itself and gets exactly one attempt; a
+        non-transient failure raises.
+        """
+        attempts = self.config.geometry.num_extents + 1
+        if recovery_hook is not None:
+            attempts = 1
+        while True:
+            attempts -= 1
+            try:
+                self.store = ShardStore(
+                    self.disk,
+                    self.tracker,
+                    self.config,
+                    rng=self._reboot_rng(),
+                    recover=True,
+                    recovery_hook=recovery_hook,
+                )
+            except IoError as exc:
+                if not exc.transient or not attempts:
+                    raise
+            else:
+                return self.store

@@ -37,8 +37,12 @@ from repro.cli import main
 #: ``--no-*`` rows are the negative controls: each must FAIL (exit 1,
 #: ``passed: false``) -- and fail the same way, byte for byte.
 GOLDEN_STORM_ARTIFACTS = {
+    # Re-pinned at ISSUE 21: a planned read fault now reaches recovery's own
+    # reads, and the store/corruption shard's reboot that used to be
+    # journaled as errored recovers on the retry (evidence: 1 skipped -> 0,
+    # 278 checked -> 279; was b0f70f72...2009629).
     ("injection", 0, "--journal"): (
-        "b0f70f72f12b29379d3dab2c9b6698233d611d50630e91290780f7a432009629",
+        "9b63897a7e27b36122dd744ce7c8d901b173822c699d9b128b6cfecfb9412239",
         0,
     ),
     ("brownout", 0, None): (

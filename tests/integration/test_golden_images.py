@@ -33,10 +33,12 @@ GOLDEN_IMAGE_SHA256 = [
 
 
 def _image_digest(disk) -> str:
+    """Hash the full-extent image: extents materialise lazily, so each
+    snapshot is zero-padded to the extent size the digests were pinned at."""
     digest = hashlib.sha256()
     for data, write_pointer, reset_count in disk.snapshot():
         digest.update(b"%d:%d:" % (write_pointer, reset_count))
-        digest.update(data)
+        digest.update(data.ljust(disk.geometry.extent_size, b"\0"))
     return digest.hexdigest()
 
 

@@ -282,6 +282,72 @@ class TestSnapshotRestore:
             disk.restore(other.snapshot())
 
 
+class TestLazyExtents:
+    """Extents materialise at the write pointer; the zero-padded image is
+    what a pre-allocated extent would hold."""
+
+    def _image(self, disk, extent):
+        data, _, _ = disk.snapshot()[extent]
+        return data.ljust(disk.geometry.extent_size, b"\0")
+
+    def test_a_fresh_disk_materialises_nothing(self, disk):
+        assert [len(data) for data, _, _ in disk.snapshot()] == [0, 0, 0, 0]
+
+    def test_writes_grow_the_extent_to_the_write_pointer(self, disk):
+        disk.write(1, 0, b"abc")
+        disk.write(1, 3, b"defg")
+        assert disk.snapshot()[1] == (b"abcdefg", 7, 0)
+
+    def test_pointer_above_hard_zero_extends(self, disk):
+        disk.write(1, 0, b"abc")
+        disk.set_write_pointer(1, 8)
+        assert disk.read(1, 0, 8) == b"abc" + bytes(5)
+        disk.write(1, 8, b"z")
+        assert self._image(disk, 1)[:10] == b"abc" + bytes(5) + b"z\0"
+
+    def test_tail_discard_below_hard_zeroes_in_place(self, disk):
+        disk.write(1, 0, b"abcdef")
+        disk.set_write_pointer(1, 2)
+        assert disk.snapshot()[1] == (b"ab" + bytes(4), 2, 0)
+        disk.write(1, 2, b"Z")
+        assert self._image(disk, 1)[:7] == b"abZ" + bytes(4)
+
+    def test_stale_bytes_survive_a_reset(self, disk):
+        disk.write(1, 0, b"old-data")
+        disk.reset(1)
+        disk.write(1, 0, b"new")
+        assert disk.snapshot()[1] == (b"new-data", 3, 1)
+        # Bug #7's gap exposes what the medium holds, never fresh memory.
+        disk.set_write_pointer(1, 10)
+        assert disk.read(1, 0, 10) == b"new-data" + bytes(2)
+
+    def test_corrupt_lands_inside_the_materialised_prefix(self, disk):
+        disk.write(1, 0, b"\x00" * 9)
+        assert disk.corrupt(1, 500) == 8  # clamped below the write pointer
+        assert disk.snapshot()[1][0] == bytes(8) + b"\x01"
+        disk.set_write_pointer(2, 4)
+        assert disk.corrupt(2) == 2
+        assert disk.read(2, 0, 4) == b"\0\0\x01\0"
+
+    def test_restore_across_growth(self, disk):
+        disk.write(1, 0, b"abc")
+        snap = disk.snapshot()
+        disk.write(1, 3, b"x" * 500)
+        disk.write(2, 0, b"y" * 200)
+        disk.restore(snap)
+        assert disk.snapshot() == snap
+        assert self._image(disk, 2) == bytes(1024)
+        disk.write(1, 3, b"d")  # grows again from the restored length
+        disk.write(2, 0, b"e")
+        assert disk.read(1, 0, 4) == b"abcd" and disk.read(2, 0, 1) == b"e"
+
+    def test_write_up_to_the_last_byte(self, disk):
+        disk.write(3, 0, b"q" * 1024)
+        assert disk.free_bytes(3) == 0 and len(disk.snapshot()[3][0]) == 1024
+        with pytest.raises(ExtentError):
+            disk.write(3, 1024, b"!")
+
+
 class TestStats:
     def test_counters_track_io(self, disk):
         disk.write(0, 0, b"abcd")

@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.campaign.injection import run_shard as run_injection_shard
+from repro.campaign.spec import KIND_INJECTION, ShardSpec
 from repro.core import Operation, StoreHarness
 from repro.serialization.codec import encode_record
 from repro.shardstore import (
     METADATA_EXTENTS,
     SUPERBLOCK_EXTENTS,
     DiskGeometry,
+    FailureMode,
     FaultSet,
+    IoError,
     NotFoundError,
     RebootType,
     ShardStore,
@@ -149,7 +153,7 @@ class TestRecoveryReads:
         system.recover_again(recovery_hook=hook)
         return before, after
 
-    def test_each_log_extent_is_read_once_after_the_shadow_fill(self, monkeypatch):
+    def test_each_log_extent_is_read_exactly_once(self, monkeypatch):
         system = _system(memtable_flush_threshold=1)
         store = system.store
         for i in range(40):  # enough metadata records to rotate the log
@@ -157,37 +161,34 @@ class TestRecoveryReads:
         store.flush()
         store.drain()
         assert store.index.meta_switched
-        logs = [
-            extent
-            for extent in (*SUPERBLOCK_EXTENTS, *METADATA_EXTENTS)
-            if system.disk.write_pointer(extent)
-        ]
+        logs = _written_logs(system)
         assert len(logs) >= 3
         before, after = self._reads_by_extent(system, monkeypatch)
-        # The scheduler's shadow fill reads every written extent once ...
-        assert sorted(e for e in before if e in logs) == logs
-        # ... and recovery proper reads each log extent once more, to seal
-        # it; superblock and index recovery decode from that read.
+        # Constructing the scheduler reads nothing (its shadow is a
+        # pending-only tail, not a mirror of the medium) ...
+        assert before == []
+        # ... and recovery proper reads each log extent once, to seal it;
+        # superblock and index recovery decode from that read.
         assert sorted(e for e in after if e in logs) == logs
 
-    def test_sealing_a_torn_log_costs_one_more_read(self, monkeypatch):
+    def test_sealing_a_torn_log_costs_no_further_read(self, monkeypatch):
         system = _system()
         store = system.store
         store.flush_superblock()
         store.drain()
         extent = SUPERBLOCK_EXTENTS[0]
         _tear_log(system, extent)
-        _, after = self._reads_by_extent(system, monkeypatch)
-        # The seal read, then the scheduler re-reading its shadow of the
-        # truncated extent.
-        assert after.count(extent) == 2
+        torn = system.disk.write_pointer(extent)
+        before, after = self._reads_by_extent(system, monkeypatch)
+        # The seal read finds the tear; adopting the truncated pointer moves
+        # the medium's pointer and re-reads nothing.
+        assert before == [] and after.count(extent) == 1
+        assert system.disk.write_pointer(extent) == torn - 128
 
-    def test_read_fault_on_a_log_extent_fails_the_reboot_at_the_first_read(
-        self, monkeypatch
-    ):
+    def test_read_fault_in_the_seal_scan_is_retried(self, monkeypatch):
         """The failure alphabet's ``FailDiskOnce`` on a log extent: the
-        reboot fails on the first read of that extent (the shadow fill),
-        the harness tolerates it, and the next recovery succeeds."""
+        fault reaches recovery's own read (the seal scan), that attempt
+        dies, and the reboot succeeds on the retry."""
         harness = StoreHarness(FaultSet.none(), 0)
         extent = METADATA_EXTENTS[0]
         failure = harness.run(
@@ -201,6 +202,7 @@ class TestRecoveryReads:
         assert failure is None
         disk = harness.system.disk
         assert disk.write_pointer(extent) and harness.store.pending_io_count == 0
+        before = harness.store
         attempts = []
         real_read = disk.read
 
@@ -213,11 +215,108 @@ class TestRecoveryReads:
         failure = harness.run(
             [Operation("FailDiskOnce", (extent,)), Operation("Reboot")]
         )
-        assert failure is None  # tolerated: a failure was injected
-        assert attempts == [True]  # one read of the extent, and it failed
+        assert failure is None
+        assert attempts == [True, False]  # the seal scan failed, then re-ran
         assert disk.stats.injected_failures == 1
-        monkeypatch.undo()
-        assert harness.system.recover_again().get(b"k") == b"v" * 200
+        assert harness.store is not before  # the reboot did recover
+        assert harness.store.get(b"k") == b"v" * 200
+
+
+class TestRecoveryIsACrashPoint:
+    """A recovery attempt that dies on a transient IO error has already
+    moved disk pointers; it is re-run from the medium as left instead of
+    leaving the pre-reboot store bound to a medium it no longer matches."""
+
+    def _flushed(self):
+        system = _system()
+        system.store.put(b"k", b"v" * 300)
+        system.store.flush()
+        system.store.drain()
+        return system
+
+    def test_transient_read_faults_on_every_log_extent_are_retried(self):
+        system = self._flushed()
+        before = system.store
+        logs = _written_logs(system)
+        for extent in logs:
+            system.disk.arm_fault(extent, writes=False)
+        store = system.dirty_reboot(RebootType(pump=0))
+        assert store is not before and store is system.store
+        assert system.disk.stats.injected_failures == len(logs)
+        assert store.get(b"k") == b"v" * 300
+
+    def test_a_permanent_fault_still_fails_the_reboot(self):
+        system = self._flushed()
+        before = system.store
+        extent = SUPERBLOCK_EXTENTS[0]
+        system.disk.arm_fault(extent, FailureMode.PERMANENT, writes=False)
+        with pytest.raises(IoError) as raised:
+            system.dirty_reboot(RebootType(pump=0))
+        assert not raised.value.transient
+        assert system.disk.stats.injected_failures == 1  # no second attempt
+        assert system.store is before
+        system.disk.clear_faults()
+        assert system.recover_again().get(b"k") == b"v" * 300
+
+    def test_a_recovery_hook_gets_exactly_one_attempt(self):
+        system = self._flushed()
+        system.disk.arm_fault(SUPERBLOCK_EXTENTS[0], writes=False)
+        steps = []
+        with pytest.raises(IoError):
+            system.dirty_reboot(RebootType(pump=0), recovery_hook=steps.append)
+        assert steps == ["seal"]
+        assert system.recover_again().get(b"k") == b"v" * 300
+
+    def test_failure_alphabet_seed_50299_minimised(self):
+        """Fault-free failure alphabet, seed 50299, shrunk by the section
+        4.3 minimiser.  The one-shot fault armed on extent 4 survives the
+        put and fires inside the second reboot's index recovery, after
+        pointer adoption moved the medium; without the retry the harness
+        kept the pre-reboot store and the last reboot ended ``invariant
+        get(b'\\x00') failed: bad chunk magic``."""
+        key = b"\x00"
+        ops = [Operation("Put", (key, bytes(n))) for n in (434, 538, 256, 384)]
+        ops.append(Operation("FlushIndex"))
+        ops += [Operation("Put", (key, bytes(n))) for n in (257, 384, 106, 453)]
+        ops += [
+            Operation("Reboot"),
+            Operation("FailDiskOnce", (4,)),
+            Operation("Put", (key, bytes(253))),
+            Operation("Reboot"),
+            Operation("Put", (key, bytes(126))),
+            Operation("PumpIo", (1,)),
+            Operation("Reboot"),
+        ]
+        assert StoreHarness(FaultSet.none(), 50299).run(ops) is None
+
+    def test_injection_sequence_280007_settles(self):
+        """Sequence 0 of the ``full@7`` smoke's store/corruption shard: a
+        planned read fault fires inside a mid-storm reboot.  Without the
+        retry, settlement ended ``non-sequential write to extent 5: offset
+        667, write pointer 768`` -- the stale store's soft pointer against
+        the pointer recovery had already adopted."""
+        result = run_injection_shard(
+            ShardSpec.make(
+                28,
+                KIND_INJECTION,
+                280007,
+                harness="store",
+                profile="corruption",
+                sequences=1,
+                ops=40,
+                trace=False,
+            )
+        )
+        assert result.ok, result.failures
+        assert result.section["fired"] == 3
+
+
+def _written_logs(system):
+    return [
+        extent
+        for extent in (*SUPERBLOCK_EXTENTS, *METADATA_EXTENTS)
+        if system.disk.write_pointer(extent)
+    ]
 
 
 def _tear_log(system, extent):
