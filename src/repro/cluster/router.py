@@ -558,12 +558,19 @@ class ClusterRouter:
             cn.lock.release()
 
     def _quorum_write(
-        self, cop: int, key: bytes, record: bytes, deadline: Optional[int]
+        self,
+        placement: List[int],
+        cop: int,
+        key: bytes,
+        record: bytes,
+        deadline: Optional[int],
     ) -> Tuple[List[int], List[int]]:
-        """Write ``record`` to the preference list; returns (acks, hinted)."""
+        """Write ``record`` to ``placement``, the key's preference list (the
+        ring only changes between client ops, so the caller looks it up once
+        per op); returns (acks, hinted)."""
         acks: List[int] = []
         hinted: List[int] = []
-        for node_id in self._placement(key):
+        for node_id in placement:
             cn = self.nodes[node_id]
             if not cn.reachable:
                 self._queue_hint(node_id, key, record)
@@ -585,16 +592,16 @@ class ClusterRouter:
         return acks, hinted
 
     def _quorum_read(
-        self, key: bytes, deadline: Optional[int] = None
+        self, placement: List[int], key: bytes, deadline: Optional[int] = None
     ) -> List[Tuple[int, int, int, bytes, Optional[bytes]]]:
-        """Read ``key`` from every reachable preference replica.
+        """Read ``key`` from every reachable replica of ``placement``.
 
         Each reply is ``(node_id, version, flag, payload, raw)``; a
         replica that answers "absent" replies with version -1 (that is an
         answer, and counts toward the read quorum).
         """
         replies: List[Tuple[int, int, int, bytes, Optional[bytes]]] = []
-        for node_id in self._placement(key):
+        for node_id in placement:
             cn = self.nodes[node_id]
             if not cn.reachable:
                 continue
@@ -656,10 +663,11 @@ class ClusterRouter:
         handle = self._begin(
             "put", key=key, value=record, fields={"cop": cop, "ver": version}
         )
-        acks, hinted = self._quorum_write(cop, key, record, deadline)
+        placement = self._placement(key)
+        acks, hinted = self._quorum_write(placement, cop, key, record, deadline)
         want = self.config.write_quorum
         if len(acks) >= want:
-            if len(acks) < len(self._placement(key)):
+            if len(acks) < len(placement):
                 self.stats["degraded_writes"] += 1
             self._end(handle, "ok", acks=acks, want=want)
             return
@@ -680,7 +688,7 @@ class ClusterRouter:
         self.stats["gets"] += 1
         cop = self._next_cop()
         handle = self._begin("get", key=key, fields={"cop": cop})
-        replies = self._quorum_read(key, deadline)
+        replies = self._quorum_read(self._placement(key), key, deadline)
         want = self.config.read_quorum
         if len(replies) < want:
             self.stats["quorum_read_failures"] += 1
@@ -716,7 +724,8 @@ class ClusterRouter:
         self.stats["deletes"] += 1
         cop = self._next_cop()
         handle = self._begin("delete", key=key, fields={"cop": cop})
-        replies = self._quorum_read(key, deadline)
+        placement = self._placement(key)
+        replies = self._quorum_read(placement, key, deadline)
         want_r = self.config.read_quorum
         if len(replies) < want_r:
             self.stats["quorum_read_failures"] += 1
@@ -735,7 +744,7 @@ class ClusterRouter:
             raise exc2
         version = self._next_version()
         record = encode_record(version, FLAG_TOMBSTONE, b"")
-        acks, hinted = self._quorum_write(cop, key, record, deadline)
+        acks, hinted = self._quorum_write(placement, cop, key, record, deadline)
         want = self.config.write_quorum
         if len(acks) >= want:
             self._end(handle, "ok", acks=acks, want=want, ver=version)
@@ -756,7 +765,7 @@ class ClusterRouter:
         self.stats["contains"] += 1
         cop = self._next_cop()
         handle = self._begin("contains", key=key, fields={"cop": cop})
-        replies = self._quorum_read(key)
+        replies = self._quorum_read(self._placement(key), key)
         want = self.config.read_quorum
         if len(replies) < want:
             self.stats["quorum_read_failures"] += 1
@@ -789,7 +798,7 @@ class ClusterRouter:
         for key in sorted(candidates):
             if key == PROBE_KEY:
                 continue
-            replies = self._quorum_read(key)
+            replies = self._quorum_read(self._placement(key), key)
             if len(replies) < self.config.read_quorum:
                 continue
             newest = max(replies, key=lambda r: r[1])

@@ -24,14 +24,14 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .errors import CorruptionError, IoError
 
 CHUNK_MAGIC = b"MC"
 UUID_LEN = 16
-_LEN_CRC = struct.Struct("<II")
-_HEADER_LEN = 2 + UUID_LEN + _LEN_CRC.size  # magic + uuid + len + crc
+_HEADER = struct.Struct(f"<2s{UUID_LEN}sII")  # magic | uuid | body_len | crc
+_HEADER_LEN = _HEADER.size
 FRAME_OVERHEAD = _HEADER_LEN + UUID_LEN  # plus trailing uuid
 _BODY_HEADER = struct.Struct("<BH")  # kind + key length
 
@@ -63,9 +63,13 @@ class Locator:
         return cls(*value)
 
 
-@dataclass(frozen=True)
-class DecodedChunk:
-    """A successfully decoded chunk frame."""
+class DecodedChunk(NamedTuple):
+    """A successfully decoded chunk frame.
+
+    Immutable like :class:`Locator`, but a tuple: one is built per chunk
+    read or scanned, and a frozen dataclass pays an ``object.__setattr__``
+    per field to construct.
+    """
 
     kind: int
     key: bytes
@@ -97,20 +101,13 @@ def encode_chunk(
     body_header = _BODY_HEADER.pack(kind, len(key))
     body_len = _BODY_HEADER.size + len(key) + len(payload)
     crc = zlib.crc32(payload, zlib.crc32(key, zlib.crc32(body_header)))
-    return b"".join(
-        (
-            CHUNK_MAGIC,
-            uuid,
-            _LEN_CRC.pack(body_len, crc),
-            body_header,
-            key,
-            payload,
-            uuid,
-        )
-    )
+    header = _HEADER.pack(CHUNK_MAGIC, uuid, body_len, crc)
+    return b"".join((header, body_header, key, payload, uuid))
 
 
-def decode_chunk(buf: bytes, offset: int = 0) -> DecodedChunk:
+def decode_chunk(
+    buf: "bytes | bytearray | memoryview", offset: int = 0
+) -> DecodedChunk:
     """Decode an untrusted chunk frame at ``offset``.
 
     Raises :class:`CorruptionError` on any malformed input; never any other
@@ -118,48 +115,65 @@ def decode_chunk(buf: bytes, offset: int = 0) -> DecodedChunk:
     """
     if offset < 0 or offset + _HEADER_LEN > len(buf):
         raise CorruptionError("chunk header out of bounds")
-    if buf[offset : offset + 2] != CHUNK_MAGIC:
+    magic, uuid, body_len, crc = _HEADER.unpack_from(buf, offset)
+    if magic != CHUNK_MAGIC:
         raise CorruptionError("bad chunk magic")
-    uuid = bytes(buf[offset + 2 : offset + 2 + UUID_LEN])
-    body_len, crc = _LEN_CRC.unpack_from(buf, offset + 2 + UUID_LEN)
+    return _decode_body(buf, offset, uuid, body_len, crc)
+
+
+def _decode_body(
+    buf: "bytes | bytearray | memoryview",
+    offset: int,
+    uuid: bytes,
+    body_len: int,
+    crc: int,
+) -> DecodedChunk:
+    """Validate and decode the frame whose unpacked header is given.
+
+    The one frame parser behind :func:`decode_chunk` (a point read) and
+    :func:`scan_chunks` (which has already unpacked the header to bound its
+    next page read).  ``buf`` may be a scan's growing ``bytearray``: the
+    body is checked through a view that is released on every way out,
+    because an export still alive -- a view kept in a result, or pinned by
+    a propagating exception's traceback -- would make the next
+    ``bytearray`` resize raise ``BufferError``.
+    """
     body_start = offset + _HEADER_LEN
     trailer_start = body_start + body_len
     frame_end = trailer_start + UUID_LEN
-    if body_len > len(buf) or frame_end > len(buf):
+    if frame_end > len(buf):
         raise CorruptionError("chunk frame out of bounds")
     # Validate through a view so the body is not copied just to be checked;
     # only the key and payload are materialised as bytes.
-    view = memoryview(buf)
-    if zlib.crc32(view[body_start:trailer_start]) != crc:
-        raise CorruptionError("chunk body checksum mismatch")
-    if view[trailer_start:frame_end] != uuid:
-        raise CorruptionError("chunk trailing uuid mismatch")
-    if body_len < _BODY_HEADER.size:
-        raise CorruptionError("chunk body too short")
-    kind, key_len = _BODY_HEADER.unpack_from(buf, body_start)
-    if kind not in _KNOWN_KINDS:
-        raise CorruptionError(f"unknown chunk kind {kind}")
-    if _BODY_HEADER.size + key_len > body_len:
-        raise CorruptionError("chunk key out of bounds")
-    key_start = body_start + _BODY_HEADER.size
-    key = bytes(view[key_start : key_start + key_len])
-    payload = bytes(view[key_start + key_len : trailer_start])
-    return DecodedChunk(
-        kind=kind,
-        key=key,
-        payload=payload,
-        frame_length=frame_end - offset,
-        uuid=uuid,
-    )
+    with memoryview(buf) as view:
+        if zlib.crc32(view[body_start:trailer_start]) != crc:
+            raise CorruptionError("chunk body checksum mismatch")
+        if view[trailer_start:frame_end] != uuid:
+            raise CorruptionError("chunk trailing uuid mismatch")
+        if body_len < _BODY_HEADER.size:
+            raise CorruptionError("chunk body too short")
+        kind, key_len = _BODY_HEADER.unpack_from(view, body_start)
+        if kind not in _KNOWN_KINDS:
+            raise CorruptionError(f"unknown chunk kind {kind}")
+        if _BODY_HEADER.size + key_len > body_len:
+            raise CorruptionError("chunk key out of bounds")
+        key_end = body_start + _BODY_HEADER.size + key_len
+        return DecodedChunk(
+            kind,
+            bytes(view[key_end - key_len : key_end]),
+            bytes(view[key_end:trailer_start]),
+            frame_end - offset,
+            uuid,
+        )
 
 
 class PagedReader:
-    """Lazily reads an extent page by page for scanning.
+    """Lazily reads an extent page by page into one growing buffer.
 
     Reclamation scans can hit injected IO failures mid-extent; reading page
     by page (rather than the whole extent up front) is what lets a
     transient error strike partway through a scan -- the setting of the
-    paper's bug #5.
+    paper's bug #5.  Every page is read exactly once, in ascending order.
     """
 
     def __init__(
@@ -173,14 +187,21 @@ class PagedReader:
         self._page_size = page_size
         self._buf = bytearray()
 
-    def ensure(self, upto: int) -> bytes:
-        """Materialise bytes [0, min(upto, limit)); may raise IoError."""
+    def ensure(self, upto: int) -> bytearray:
+        """Read pages until bytes [0, min(upto, limit)) are held; may raise
+        IoError (the buffer then keeps the pages read before the failure).
+
+        Returns the reader's buffer itself -- the same ``bytearray`` on
+        every call, usually longer than ``upto``, never a copy of the
+        prefix.  It grows in place, so a caller must not keep a
+        ``memoryview`` of it across a call to ``ensure``.
+        """
+        buf = self._buf
         upto = min(upto, self.limit)
-        while len(self._buf) < upto:
-            start = len(self._buf)
-            length = min(self._page_size, self.limit - start)
-            self._buf += self._read_fn(start, length)
-        return bytes(self._buf[:upto])
+        while len(buf) < upto:
+            start = len(buf)
+            buf += self._read_fn(start, min(self._page_size, self.limit - start))
+        return buf
 
 
 def scan_chunks(
@@ -206,31 +227,43 @@ def scan_chunks(
     ``on_read_error`` is ``"raise"`` (fixed: abort the scan, reclamation
     retries later) or ``"truncate"`` (fault #5: treat the unreadable tail
     as end-of-extent, forgetting any chunks on it).
+
+    Cost: one ``read_fn`` call per page reached, one CRC per frame decoded
+    (each offset decodes at most once) and a magic compare per probe that
+    is not a frame -- linear in the bytes read.  A probe reads up to the
+    frame end its header claims *before* the magic is looked at, as the
+    scan always has, so which probe a read error interrupts, and what has
+    been found by then, does not depend on whether the probed bytes are a
+    frame.
     """
     found: List[Tuple[int, DecodedChunk]] = []
     seen_offsets = set()
     limit = reader.limit
+    buf = reader.ensure(0)  # the reader's one buffer; ensure() grows it
 
     def try_decode(offset: int) -> Optional[DecodedChunk]:
+        # Callers guarantee offset + FRAME_OVERHEAD <= limit.
         if offset in seen_offsets:
             return None
         try:
-            buf = reader.ensure(offset + _HEADER_LEN)
-            if offset + _HEADER_LEN > len(buf):
-                return None
-            # Peek the claimed body length to bound the next read.
-            body_len = _LEN_CRC.unpack_from(buf, offset + 2 + UUID_LEN)[0]
-            frame_end = offset + _HEADER_LEN + body_len + UUID_LEN
+            if len(buf) < offset + _HEADER_LEN:
+                reader.ensure(offset + _HEADER_LEN)
+            magic, uuid, body_len, crc = _HEADER.unpack_from(buf, offset)
+            frame_end = offset + FRAME_OVERHEAD + body_len
             if frame_end > limit:
                 return None
-            buf = reader.ensure(frame_end)
-            chunk = decode_chunk(buf, offset)
-        except CorruptionError:
-            return None
+            if len(buf) < frame_end:
+                reader.ensure(frame_end)
         except IoError:
             if on_read_error == "truncate":
                 raise _ScanTruncated()
             raise
+        if magic != CHUNK_MAGIC:
+            return None
+        try:
+            chunk = _decode_body(buf, offset, uuid, body_len, crc)
+        except CorruptionError:
+            return None
         seen_offsets.add(offset)
         return chunk
 
@@ -245,29 +278,22 @@ def scan_chunks(
                 else:
                     offset = (offset // page_size + 1) * page_size
         else:
-            candidates = sorted(range(0, limit, page_size))
-            pending = list(reversed(candidates))
-            while pending:
-                offset = pending.pop()
-                if offset + FRAME_OVERHEAD > limit:
-                    continue
+            for offset in range(0, limit - FRAME_OVERHEAD + 1, page_size):
                 chunk = try_decode(offset)
                 if chunk is None:
                     continue
                 found.append((offset, chunk))
                 follow = offset + chunk.frame_length
-                if follow % page_size != 0 and follow + FRAME_OVERHEAD <= limit:
-                    # Probe the position right after this chunk (chunks are
-                    # appended back to back, often off page boundaries).
-                    next_chunk = try_decode(follow)
-                    while next_chunk is not None:
-                        found.append((follow, next_chunk))
-                        follow += next_chunk.frame_length
-                        next_chunk = (
-                            try_decode(follow)
-                            if follow + FRAME_OVERHEAD <= limit
-                            else None
-                        )
+                if follow % page_size == 0:
+                    continue  # a later candidate of this loop
+                # Chunks are appended back to back, often off page
+                # boundaries: follow the chain until a probe fails.
+                while follow + FRAME_OVERHEAD <= limit:
+                    chunk = try_decode(follow)
+                    if chunk is None:
+                        break
+                    found.append((follow, chunk))
+                    follow += chunk.frame_length
     except _ScanTruncated:
         pass
     found.sort(key=lambda item: item[0])

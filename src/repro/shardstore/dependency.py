@@ -242,6 +242,12 @@ class Dependency:
         """Conjunction: persistent only when both inputs are persistent."""
         if other._tracker is not self._tracker:
             raise ValueError("cannot combine dependencies across systems")
+        # The root is the identity and conjunction is idempotent; handing
+        # back an operand is safe because dependencies are immutable.
+        if other is self or not (other._records or other._futures):
+            return self
+        if not (self._records or self._futures):
+            return other
         futures = self._futures + tuple(
             f for f in other._futures if f not in self._futures
         )
@@ -261,7 +267,17 @@ class Dependency:
     # -- queries ----------------------------------------------------------
 
     def is_persistent(self) -> bool:
-        """True iff every write this operation depends on is durable."""
+        """True iff every write this operation depends on is durable.
+
+        Asked of the tracker on every call and never remembered: under
+        block-level crash enumeration :meth:`DurabilityTracker.restore`
+        rewinds durability, so a dependency that was persistent can stop
+        being so.
+        """
+        if not self._futures:
+            # Root or records-only (the scheduler's queue heads): no cell
+            # to chase, so no flattened copy to build.
+            return self._tracker.all_durable(self._records)
         resolved_records, unresolved = self._flatten()
         if unresolved:
             return False

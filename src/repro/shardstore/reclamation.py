@@ -13,6 +13,10 @@ reach the medium before the copies and their pointers are durable.  The
 superblock is told about the reset (:meth:`Superblock.note_reset`) so the
 extent's published pointer is held back until the reset itself is durable.
 
+A pass costs what it reads once and what it moves: one cache read per page
+below the soft pointer, one CRC and one index probe per frame found, one
+frame encode per live chunk evacuated (DESIGN.md "Reclamation").
+
 Three Fig. 5 issues live here:
 
 * fault #1 -- an off-by-one truncates the payload of evacuated chunks whose

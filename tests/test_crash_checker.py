@@ -13,6 +13,7 @@ from repro.core import (
     run_conformance,
     store_alphabet,
 )
+from repro.core.alphabet import Operation
 from repro.shardstore import Fault, FaultSet
 
 
@@ -148,3 +149,128 @@ class TestFaultFreeCrashAlphabet:
             base_seed=seed,
         )
         assert str(report.failure) == text
+
+
+def _ops(*ops):
+    return [Operation(name, args) for name, *args in ops]
+
+
+#: The four ROADMAP item 1 sequences after the section 4.3 shrinker
+#: (``repro conformance --alphabet crash --minimize --sequences 1 --ops 60
+#: --seed N``, at 05f3990): harness seed, the minimised ops, and what the
+#: checker says about them.  60 ops each before; 18, 19, 14 and 13 after.
+_MINIMISED = {
+    50058: (
+        _ops(
+            ("Put", b"\x00", bytes(447)),
+            ("Put", b"\x00", b""),
+            ("Put", b"\x00", bytes(383)),
+            ("DirtyReboot", False, False, None),
+            ("DirtyReboot", False, False, 0),
+            ("Put", b"\x00", bytes(544)),
+            ("Put", b"\x00", b""),
+            ("Put", b"\x00", bytes(258)),
+            ("PumpIo", 8),
+            ("DirtyReboot", False, False, 0),
+            ("Put", b"\x00", bytes(130)),
+            ("Put", b"\x00", bytes(397)),
+            ("FlushIndex",),
+            ("Put", b"\x00", bytes(238)),
+            ("DirtyReboot", True, False, None),
+            ("Put", b"\x00\x00\x00", bytes(258)),
+            ("Put", b"\x00\x00", bytes(499)),
+            ("DirtyReboot", True, False, 16),
+        ),
+        "op[17] DirtyReboot(True, False, 16): key sets diverge: "
+        "missing [], extra [b'\\x00\\x00']",
+    ),
+    70278: (
+        _ops(
+            ("Put", b"\x00", bytes(62)),
+            ("Put", b"\x00", bytes(254)),
+            ("PumpIo", 4),
+            ("DirtyReboot", False, True, 4),
+            ("Put", b"\x00", b""),
+            ("DirtyReboot", False, True, 4),
+            ("Put", b"\x00", b""),
+            ("Put", b"\x00", bytes(206)),
+            ("FlushIndex",),
+            ("Put", b"\x00", bytes(306)),
+            ("DirtyReboot", False, True, 16),
+            ("Put", b"\x00", bytes(163)),
+            ("Put", b"\x00", bytes(129)),
+            ("Put", b"\x00\x00", bytes(168)),
+            ("Put", b"k6", bytes(194)),
+            ("Reboot",),
+            ("Put", b"\x00", bytes(590)),
+            ("Put", b"\x00\x00\x00", bytes(383)),
+            ("DirtyReboot", True, False, 16),
+        ),
+        "op[18] DirtyReboot(True, False, 16): key sets diverge: "
+        "missing [], extra [b'\\x00\\x00\\x00']",
+    ),
+    70380: (
+        _ops(
+            ("Put", b"\x00", bytes(461)),
+            ("FlushIndex",),
+            ("DirtyReboot", False, True, None),
+            ("DirtyReboot", False, False, 0),
+            ("Put", b"\x00", bytes(355)),
+            ("Put", b"\x00", bytes(557)),
+            ("Put", b"\x00\x00\x00", bytes(257)),
+            ("Put", b"k", bytes(384)),
+            ("Put", b"k15", bytes(382)),
+            ("Put", b"\x00\x00", bytes(359)),
+            ("FlushIndex",),
+            ("Put", b"\x00", bytes(578)),
+            ("PumpIo", 17),
+            ("DirtyReboot", False, False, 2),
+        ),
+        "op[13] DirtyReboot(False, False, 2): persistence violated for key "
+        "b'\\x00': observed <absent>, allowed values "
+        "{<355 bytes>, <461 bytes>, <557 bytes>, <578 bytes>}",
+    ),
+    110477: (
+        _ops(
+            ("Put", b"\x00", bytes(166)),
+            ("Put", b"\x00", bytes(493)),
+            ("Put", b"\x00", bytes(459)),
+            ("Put", b"\x00", bytes(318)),
+            ("Put", b"\x00", bytes(383)),
+            ("Put", b"\x00", bytes(305)),
+            ("Put", b"\x00\x00", bytes(126)),
+            ("Reboot",),
+            ("Put", b"\x00", bytes(256)),
+            ("Put", b"\x00", bytes(25)),
+            ("Put", b"\x00\x00", bytes(127)),
+            ("Put", b"\x00\x00\x00", bytes(254)),
+            ("DirtyReboot", True, False, 16),
+        ),
+        "op[12] DirtyReboot(True, False, 16): key sets diverge: "
+        "missing [], extra [b'\\x00\\x00\\x00']",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_MINIMISED))
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 1: the fault-free crash-alphabet divergences, "
+        "minimised.  The PR that root-causes them removes this marker and "
+        "keeps the sequences as regressions."
+    ),
+)
+def test_minimised_fault_free_sequence_conforms(seed):
+    """Where ROADMAP item 1 starts: a handful of ops instead of a seed.
+
+    A sequence that fails with *another* text is not an expected failure
+    (``pytest.fail`` is not an ``AssertionError``): the divergence moved,
+    and whoever moved it should look before re-pinning.
+    """
+    ops, text = _MINIMISED[seed]
+    failure = StoreHarness(FaultSet.none(), seed).run(list(ops))
+    if failure is not None and str(failure) != text:
+        pytest.fail(f"the minimised divergence changed: {failure}")
+    assert failure is None, text

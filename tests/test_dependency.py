@@ -62,6 +62,16 @@ class TestConjunction:
         tracker.mark_durable(ids[-1])
         assert dep.is_persistent()
 
+    def test_root_is_the_identity_and_and_is_idempotent(self, tracker):
+        """No new object for a conjunction that adds nothing."""
+        a = Dependency.on_records(tracker, [tracker.allocate()])
+        root = Dependency.root(tracker)
+        assert a.and_(root) is a
+        assert root.and_(a) is a
+        assert a.and_(a) is a
+        cell = Dependency.on_future(tracker, FutureCell())
+        assert cell.and_(root) is cell and not cell.is_persistent()
+
     def test_all_of_nothing_rejected(self, tracker):
         with pytest.raises(ValueError):
             Dependency.all_([])
