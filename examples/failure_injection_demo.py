@@ -47,7 +47,7 @@ def main() -> None:
     harness = StoreHarness(FaultSet.none(), seed=9)
     hstore = harness.system.store
     hstore.put(b"stable", b"S" * 100)
-    harness.model.put(b"stable", b"S" * 100)
+    harness.model.apply(b"stable", b"S" * 100)
     from repro.core.alphabet import Operation
 
     # Arm a write fault, then attempt a put that will fail midway.

@@ -5,11 +5,10 @@ op streams against a fresh :class:`~repro.cluster.router.ClusterRouter`
 while a node-granular fault storm
 (:meth:`~repro.shardstore.injection.FaultPlan.generate_cluster`) crashes,
 partitions and slows a strict minority of nodes mid-stream.  The harness
-keeps the flat reference model plus *candidate sets* for keys whose quorum
-writes failed with partial acks (the typed
-:class:`~repro.errors.DegradedWriteError` contract: zero acks means the
-cluster is provably unchanged; one ack means {applied, not-applied} until
-an observation of the newest candidate collapses it).  Hint buffers are
+translates each outcome into a :class:`~repro.models.cluster.ReferenceCluster`
+event (a :class:`~repro.errors.DegradedWriteError` carries its ack count).
+It reports no crashes to the model: the planner never takes down more than
+a minority, which an acknowledged write survives.  Hint buffers are
 deliberately small, so multi-window storms overflow handoff, and
 quorum-failed writes *revoke* their hints, so no background path heals
 their partial acks.  Each suite then proves one healer load-bearing:
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster import FLAG_VALUE, ClusterConfig, ClusterRouter
 from repro.errors import (
@@ -55,6 +54,7 @@ from repro.errors import (
     DegradedWriteError,
     KeyNotFoundError,
 )
+from repro.models.cluster import ReferenceCluster
 from repro.shardstore.injection import CLUSTER_PROFILES, FaultPlan
 from repro.shardstore.observability.journal import Journal
 
@@ -67,7 +67,7 @@ from .spec import (
 )
 from .storm import SequenceOutcome, run_storm_shard
 
-__all__ = ["ClusterHarness", "settle_quorum", "settle_merkle", "run_shard"]
+__all__ = ["ClusterHarness", "settle_quorum", "settle_merkle", "run_storm", "run_shard"]
 
 DEFAULT_NODES = 5
 DEFAULT_OPS = 80
@@ -107,51 +107,18 @@ class ClusterHarness:
         self.prefix = prefix
         self.router = ClusterRouter(config, journal_factory=journal_factory)
         self.rng = random.Random(seed ^ salt)
-        # key -> value bytes (None = certainly absent / never written)
-        self.model: Dict[bytes, Optional[bytes]] = {}
-        # key -> candidate values in version order, newest last; a value of
-        # None is the absent/tombstone candidate.
-        self.uncertain: Dict[bytes, List[Optional[bytes]]] = {}
+        self.model = ReferenceCluster(config.num_nodes)
         self.touched: set = set()
         self.fired = 0
         #: Counters a settlement gate adds to the shard's artifact block.
         self.settled: Dict[str, int] = {}
 
-    # ------------------------------------------------------------------
-    # candidate-set bookkeeping
-
-    def _certain(self, key: bytes, value: Optional[bytes]) -> None:
-        self.model[key] = value
-        self.uncertain.pop(key, None)
-
-    def _widen(self, key: bytes, value: Optional[bytes]) -> None:
-        if key not in self.uncertain:
-            self.uncertain[key] = [self.model.get(key)]
-        if value in self.uncertain[key]:
-            self.uncertain[key].remove(value)
-        self.uncertain[key].append(value)  # newest candidate last
-
     def _observe(self, key: bytes, value: Optional[bytes]) -> Optional[str]:
         """A quorum read of ``key`` saw ``value`` (None = absent)."""
-        if key not in self.uncertain:
-            expected = self.model.get(key)
-            if value != expected:
-                return (
-                    f"get({key!r}) saw {value!r} but the model is certain "
-                    f"of {expected!r}"
-                )
+        verdict = self.model.observe(key, value)
+        if verdict.permitted:
             return None
-        candidates = self.uncertain[key]
-        if value not in candidates:
-            return (
-                f"get({key!r}) saw {value!r}, outside its "
-                f"{len(candidates)} candidate values"
-            )
-        if value == candidates[-1]:
-            # Observed the newest version: quorum reads are monotone in
-            # version, so the set collapses.
-            self._certain(key, value)
-        return None
+        return f"get({key!r}) saw {value!r}{_outside(verdict.allowed)}"
 
     # ------------------------------------------------------------------
     # op handlers (each returns a violation string or None)
@@ -160,10 +127,9 @@ class ClusterHarness:
         try:
             self.router.put(key, value)
         except DegradedWriteError as exc:
-            if exc.acks:
-                self._widen(key, value)
-            return None  # typed, zero-ack: provably unchanged
-        self._certain(key, value)
+            self.model.attempt(key, value, exc.acks)
+            return None
+        self.model.apply(key, value)
         return None
 
     def _op_get(self, key: bytes) -> Optional[str]:
@@ -183,10 +149,9 @@ class ClusterHarness:
         except DegradedReadError:
             return None
         except DegradedWriteError as exc:
-            if exc.acks:
-                self._widen(key, None)
+            self.model.attempt(key, None, exc.acks)
             return None
-        self._certain(key, None)
+        self.model.apply(key, None)
         return None
 
     def _op_contains(self, key: bytes) -> Optional[str]:
@@ -194,20 +159,16 @@ class ClusterHarness:
             exists = self.router.contains(key)
         except DegradedReadError:
             return None
-        if key not in self.uncertain:
-            expected = self.model.get(key) is not None
-            if exists != expected:
-                return (
-                    f"contains({key!r}) said {exists} but the model is "
-                    f"certain of {expected}"
-                )
+        verdict = self.model.observe_presence(key, exists)
+        if verdict.permitted:
             return None
-        candidates = self.uncertain[key]
-        if exists and all(c is None for c in candidates):
-            return f"contains({key!r}) said present; every candidate is absent"
-        if not exists and None not in candidates:
-            return f"contains({key!r}) said absent; every candidate is present"
-        return None
+        if len(verdict.allowed) == 1:
+            return (
+                f"contains({key!r}) said {exists} but the model is "
+                f"certain of {not exists}"
+            )
+        said, every = ("present", "absent") if exists else ("absent", "present")
+        return f"contains({key!r}) said {said}; every candidate is {every}"
 
     # ------------------------------------------------------------------
 
@@ -241,6 +202,13 @@ class ClusterHarness:
         return None
 
 
+def _outside(allowed: Any) -> str:
+    """How a value the model does not permit misses ``allowed``."""
+    if len(allowed) == 1:
+        return f" but the model is certain of {allowed[0]!r}"
+    return f", outside its {len(allowed)} candidate values"
+
+
 def _divergence(states: Dict[int, Any]) -> Optional[str]:
     """Per-replica versions when the raw replica records of one key
     disagree byte-for-byte, else None."""
@@ -263,9 +231,7 @@ def settle_quorum(harness: ClusterHarness) -> Optional[str]:
         failure = harness._op_get(key)
         if failure is not None:
             return f"settlement: {failure} (quorum-acked write lost?)"
-    for key, value in sorted(harness.model.items()):
-        if key in harness.uncertain or value is None:
-            continue
+    for key, value in sorted(harness.model.kv.mapping().items()):
         try:
             got = router.get(key)
         except KeyNotFoundError:
@@ -338,18 +304,12 @@ def settle_merkle(harness: ClusterHarness) -> Optional[str]:
         observed = (
             rec[2] if rec is not None and rec[1] == FLAG_VALUE else None
         )
-        if key in harness.uncertain:
-            if observed not in harness.uncertain[key]:
-                return (
-                    f"settlement: replicas of {key!r} hold {observed!r}, "
-                    f"outside its {len(harness.uncertain[key])} candidate "
-                    "values"
-                )
-        elif observed != harness.model.get(key):
+        allowed = harness.model.candidates(key)
+        if not allowed.permits(observed):
             return (
-                f"settlement: replicas of {key!r} hold {observed!r} but "
-                f"the model is certain of {harness.model.get(key)!r} "
-                "(quorum-acked write lost?)"
+                f"settlement: replicas of {key!r} hold {observed!r}"
+                + _outside(allowed)
+                + (" (quorum-acked write lost?)" if len(allowed) == 1 else "")
             )
     return None
 
@@ -396,6 +356,42 @@ _VARIANTS = {
 _EVIDENCE_KEYS = ("sequences", "journals", "records", "checked", "corroborated")
 
 
+def run_storm(
+    kind: str,
+    seed: int,
+    profile: str,
+    ops: int = DEFAULT_OPS,
+    num_nodes: int = DEFAULT_NODES,
+    **config: Any,
+) -> Tuple[ClusterHarness, List[Journal], Optional[str]]:
+    """One settled storm sequence of suite ``kind``: the harness, the
+    journals it wrote (still open) and the first violation."""
+    variant = _VARIANTS[kind]
+    plan = FaultPlan.generate_cluster(
+        seed, ops=ops, num_nodes=num_nodes, profile=profile
+    )
+    journals: List[Journal] = []
+
+    def factory(identity: str, meta: Dict[str, Any]) -> Journal:
+        journal = Journal(meta=dict(meta, seed=seed), node=identity)
+        journals.append(journal)
+        return journal
+
+    harness = ClusterHarness(
+        plan,
+        seed,
+        ClusterConfig(num_nodes=num_nodes, seed=seed, **{**variant.config, **config}),
+        write_only=variant.write_only,
+        salt=variant.salt,
+        prefix=variant.prefix,
+        journal_factory=factory,
+    )
+    detail = harness.run(ops)
+    if detail is None:
+        detail = variant.settle(harness)
+    return harness, journals, detail
+
+
 def run_shard(spec: ShardSpec) -> ShardResult:
     """Picklable campaign entry point: one cluster-plane work unit.
 
@@ -408,7 +404,6 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     from repro.evidence import check_cluster_journals
 
     suite = SUITE_REGISTRY[spec.kind]
-    variant = _VARIANTS[spec.kind]
     assert suite.control is not None and suite.section is not None
     profile = spec.param("profile", suite.plan[0]["profile"])
     if profile not in CLUSTER_PROFILES:
@@ -417,36 +412,16 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     num_nodes = spec.param("nodes", DEFAULT_NODES)
     control = suite.control.param
     enabled = bool(spec.param(control, True))
-    config: Dict[str, Any] = {**variant.config, control: enabled}
     hints_by_node: Dict[str, Dict[str, int]] = {}
 
     def run_sequence(seed: int) -> SequenceOutcome:
-        plan = FaultPlan.generate_cluster(
-            seed, ops=ops, num_nodes=num_nodes, profile=profile
+        harness, journals, detail = run_storm(
+            spec.kind, seed, profile, ops, num_nodes, **{control: enabled}
         )
-        journals: List[Journal] = []
-
-        def factory(identity: str, meta: Dict[str, Any]) -> Journal:
-            journal = Journal(meta=dict(meta, seed=seed), node=identity)
-            journals.append(journal)
-            return journal
-
-        harness = ClusterHarness(
-            plan,
-            seed,
-            ClusterConfig(num_nodes=num_nodes, seed=seed, **config),
-            write_only=variant.write_only,
-            salt=variant.salt,
-            prefix=variant.prefix,
-            journal_factory=factory,
-        )
-        detail = harness.run(ops)
-        if detail is None:
-            detail = variant.settle(harness)
         router = harness.router
         counters = {
             **router.stats,
-            "planned": len(plan.faults),
+            "planned": len(harness.plan.faults),
             "fired": harness.fired,
             **harness.settled,
         }

@@ -59,7 +59,13 @@ from repro.core.alphabet import (
     _put_args,
     store_alphabet,
 )
-from repro.core.conformance import CheckFailure, Harness, StoreHarness
+from repro.core.conformance import (
+    CheckFailure,
+    Harness,
+    StoreHarness,
+    delete_verdict,
+)
+from repro.models.candidates import CandidateModel
 from repro.shardstore.config import FIRST_DATA_EXTENT, StoreConfig
 from repro.shardstore.disk import DiskGeometry, FailureMode, FaultKind
 from repro.shardstore.errors import (
@@ -271,12 +277,11 @@ class InjectionStoreHarness(StoreHarness):
         for fault in self.injector.due(index):
             self._inject(fault)
         if self.corrupted:
-            # Silent corruption breaks the "successful read pins state"
+            # Silent corruption breaks the "a permitted read settles the key"
             # rule: a get served from cache says nothing about the flipped
-            # bytes on disk.  Re-smear uncertainty before every operation
-            # so only the recovery pass (which scrubs the medium) may
-            # re-establish certainty.
-            self._smear_uncertainty()
+            # bytes on disk.  Re-smear before every operation, so only the
+            # recovery pass (which scrubs the medium) re-establishes certainty.
+            self.model.smear()
         failure = super().apply(index, op)
         if (
             failure is not None
@@ -307,12 +312,6 @@ class InjectionStoreHarness(StoreHarness):
         self.armed += 1
         self.has_failed = True
 
-    def _smear_uncertainty(self) -> None:
-        for key in self.model.keys():
-            entry = self._uncertain.setdefault(key, set())
-            entry.add(self.model.get(key))
-            entry.add(None)
-
     # ------------------------------------------------------------------
 
     @property
@@ -335,10 +334,7 @@ class InjectionStoreHarness(StoreHarness):
 
         Returns a failure detail string, or None when recovery conformed.
         """
-        certain: Dict[bytes, bytes] = {}
-        for key in self.model.keys():
-            if key not in self._uncertain:
-                certain[key] = self.model.get(key)
+        certain = self.model.kv.mapping()
         self.system.disk.clear_faults()
         # Warm pass: the cache may still hold clean bytes for chunks whose
         # on-disk copy is corrupt, so repairing before reboot can rewrite
@@ -382,9 +378,7 @@ class InjectionStoreHarness(StoreHarness):
             if key in certain:
                 return f"recovery: scrub quarantined untouched key {key!r}"
             self.quarantined_keys.add(key)
-            if self.model.contains(key):
-                self.model.delete(key)
-            self._uncertain.pop(key, None)
+            self.model.apply(key, None)
         return None
 
     def _verify_certain(self, certain: Dict[bytes, bytes]) -> Optional[str]:
@@ -447,9 +441,7 @@ class InjectionNodeHarness(Harness):
         )
         self.plan = plan
         self.injector = FaultInjector(plan)
-        self.model: Dict[bytes, bytes] = {}
-        self._uncertain: Dict[bytes, Set[Optional[bytes]]] = {}
-        self.has_failed = False
+        self.model = CandidateModel()
         self.armed = 0
         self.storm_events = 0
 
@@ -497,7 +489,6 @@ class InjectionNodeHarness(Harness):
             self.armed += 1
         else:  # pragma: no cover - node plans never emit bit flips
             raise ValueError(f"node plan cannot inject {fault.kind!r}")
-        self.has_failed = True
 
     @property
     def fired(self) -> int:
@@ -527,10 +518,12 @@ class InjectionNodeHarness(Harness):
             )
         return None
 
-    def _note_uncertain(self, key: bytes, attempted: Optional[bytes]) -> None:
-        entry = self._uncertain.setdefault(key, set())
-        entry.add(self.model.get(key))
-        entry.add(attempted)
+    def _attempted(self, exc: ShardStoreError, key: bytes, value: Any) -> Optional[str]:
+        """A typed failure mid-write: the write may have partly applied."""
+        escaped = self._escaped(exc)
+        if escaped is None:
+            self.model.attempt(key, value)
+        return escaped
 
     def _op_put(self, key: bytes, value: bytes) -> Optional[str]:
         try:
@@ -540,20 +533,11 @@ class InjectionNodeHarness(Harness):
             # provably left the store unchanged -- no uncertainty smear.
             return None
         except (RetryableError, IoError) as exc:
-            escaped = self._escaped(exc)
-            if escaped is not None:
-                return escaped
-            self.has_failed = True
-            self._note_uncertain(key, value)
-            return None
-        self.model[key] = value
-        self._uncertain.pop(key, None)
+            return self._attempted(exc, key, value)
+        self.model.apply(key, value)
         return None
 
     def _op_get(self, key: bytes) -> Optional[str]:
-        model_value = self.model.get(key)
-        allowed: Set[Optional[bytes]] = {model_value}
-        allowed |= self._uncertain.get(key, set())
         try:
             value: Optional[bytes] = self.node.get(key)
         except (OverloadedError, DeadlineExceededError):
@@ -562,17 +546,14 @@ class InjectionNodeHarness(Harness):
         except NotFoundError:
             value = None
         except (RetryableError, IoError) as exc:
-            escaped = self._escaped(exc)
-            if escaped is not None:
-                return escaped
-            return None  # typed failure, no data: allowed; state untouched
-        if value in allowed:
-            if value is not None:
-                self._uncertain.pop(key, None)
+            # A typed failure with no data is allowed; state untouched.
+            return self._escaped(exc)
+        verdict = self.model.observe(key, value)
+        if verdict.permitted:
             return None
         return (
             f"get({key!r}) returned wrong data under injection "
-            f"({len(allowed)} allowed values)"
+            f"({len(verdict.allowed)} allowed values)"
         )
 
     def _op_delete(self, key: bytes) -> Optional[str]:
@@ -582,31 +563,13 @@ class InjectionNodeHarness(Harness):
             # Shed before the routing entry was dropped: state untouched.
             return None
         except KeyNotFoundError:
-            if key in self._uncertain:
-                if None not in self._uncertain[key]:
-                    return (
-                        "delete raised KeyNotFoundError for a key that "
-                        "cannot be absent"
-                    )
-                self._uncertain.pop(key, None)
-                self.model.pop(key, None)
-                return None
-            if key in self.model:
-                return "delete raised KeyNotFoundError but the model has the key"
-            return None
+            return delete_verdict(self.model.observe(key, None), raised=True)
         except (RetryableError, IoError) as exc:
-            escaped = self._escaped(exc)
-            if escaped is not None:
-                return escaped
-            self.has_failed = True
-            self._note_uncertain(key, None)
-            return None
-        if key in self.model:
-            del self.model[key]
-        elif key not in self._uncertain:
-            return "delete succeeded but the model lacks the key"
-        self._uncertain.pop(key, None)
-        return None
+            return self._attempted(exc, key, None)
+        failure = delete_verdict(self.model.observe_presence(key, True), raised=False)
+        if failure is None:
+            self.model.apply(key, None)
+        return failure
 
     def _op_flush(self) -> Optional[str]:
         return self._background(self.node.flush)
@@ -623,10 +586,7 @@ class InjectionNodeHarness(Harness):
         try:
             fn()
         except (RetryableError, IoError) as exc:
-            escaped = self._escaped(exc)
-            if escaped is not None:
-                return escaped
-            self.has_failed = True
+            return self._escaped(exc)
         return None
 
     # ------------------------------------------------------------------
@@ -662,11 +622,7 @@ class InjectionNodeHarness(Harness):
             # the op clock far enough to drain every admission backlog, so
             # settlement measures recovered behaviour, not residual queue.
             self.node.advance_clock(self.node.admission.max_backlog_units * 4)
-        certain = {
-            key: value
-            for key, value in self.model.items()
-            if key not in self._uncertain
-        }
+        certain = self.model.kv.mapping()
         last = "never attempted"
         for _ in range(self.SETTLE_ATTEMPTS):
             try:

@@ -33,11 +33,12 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.campaign.spec import ShardResult, ShardSpec
 
+from repro.models.candidates import CandidateModel, Verdict
 from repro.models.chunkstore import ReferenceChunkStore
 from repro.models.crash import CrashAwareModel
 from repro.models.kvstore import ReferenceKvStore
@@ -122,13 +123,10 @@ class StoreHarness(Harness):
             config
             or _small_test_config(self.faults, seed, uuid_magic_bias, recorder)
         )
-        self.model = ReferenceKvStore()
+        #: The specification, candidate sets for keys a failed op touched.
+        self.model = CandidateModel()
         self.crash_model = CrashAwareModel(self.faults)
         self.has_failed = False
-        #: Keys whose implementation state is uncertain after a failed op:
-        #: maps key -> set of byte values it may hold (None in the set means
-        #: "may be absent").
-        self._uncertain: Dict[bytes, Set[Optional[bytes]]] = {}
         #: Forward progress is only owed to operations issued since the
         #: last dirty crash -- earlier ops may have been (legally) lost.
         self._crash_epoch_start = 0
@@ -178,102 +176,60 @@ class StoreHarness(Harness):
     # request-plane operations
 
     def _op_get(self, key: bytes) -> Optional[str]:
-        model_value: Optional[bytes]
+        missing = None
         try:
-            model_value = self.model.get(key)
-        except NotFoundError:
-            model_value = None
-        try:
-            impl_value: Optional[bytes] = self.store.get(key)
-            impl_error = None
-        except (NotFoundError, CorruptionError, IoError, ExtentError) as exc:
-            impl_value = None
-            impl_error = exc
-        allowed = self._allowed_values(key, model_value)
-        if impl_error is not None:
-            if isinstance(impl_error, NotFoundError) and None in allowed:
-                return None
-            if isinstance(impl_error, IoError):
-                # An injected IO error may fail the read outright: "allowed
-                # to fail by returning no data" (section 4.4).  The key's
-                # state is untouched; later reads must still be right.
-                return None
-            if key in self._uncertain:
-                return None  # this key's state is legitimately unknown
-            return f"get failed but model has {_render(model_value)}: {impl_error}"
-        if impl_value in allowed:
-            if self.has_failed and impl_value is not None:
-                # A successful read pins down the uncertain state.
-                self._uncertain.pop(key, None)
+            observed: Optional[bytes] = self.store.get(key)
+        except IoError:
+            # An injected IO error may fail the read outright: "allowed
+            # to fail by returning no data" (section 4.4).  The key's
+            # state is untouched; later reads must still be right.
             return None
+        except (CorruptionError, ExtentError) as exc:
+            if key in self.model.uncertain_keys():
+                return None  # this key's state is legitimately unknown
+            return f"get failed but model has {_render(self.model.kv.peek(key))}: {exc}"
+        except NotFoundError as exc:
+            observed, missing = None, exc
+        # A permitted read pins down the uncertain state.
+        verdict = self.model.observe(key, observed)
+        if verdict.permitted:
+            return None
+        if missing is not None and len(verdict.allowed) == 1:
+            return f"get failed but model has {_render(verdict.allowed[0])}: {missing}"
         return (
-            f"get returned wrong data: {_render(impl_value)} not in "
-            f"allowed {{{', '.join(_render(v) for v in allowed)}}}"
+            f"get returned wrong data: {_render(observed)} not in "
+            f"allowed {{{', '.join(_render(v) for v in verdict.allowed)}}}"
         )
 
-    def _allowed_values(self, key: bytes, model_value: Optional[bytes]) -> Set[Optional[bytes]]:
-        allowed: Set[Optional[bytes]] = {model_value}
-        if key in self._uncertain:
-            allowed |= self._uncertain[key]
-        return allowed
+    def _write_failed(self, key: bytes, value: Optional[bytes]) -> None:
+        """IO failure mid-write, or out of space: it did not happen as far
+        as the caller knows, but may have been partially applied."""
+        self.has_failed = True
+        self.model.attempt(key, value)
 
     def _op_put(self, key: bytes, value: bytes) -> Optional[str]:
         try:
             dep = self.store.put(key, value)
-        except (IoError, ExtentError) as exc:
-            # IO failure mid-put, or out of space.  The model is not updated
-            # (the put did not happen as far as the caller knows), but the
-            # implementation may have partially applied it.
-            self.has_failed = True
-            self._note_uncertain(key, value)
-            return None
-        self.model.put(key, value)
+        except (IoError, ExtentError):
+            return self._write_failed(key, value)
+        self.model.apply(key, value)
         self.crash_model.record_put(key, value, dep)
-        if key in self._uncertain:
-            del self._uncertain[key]
         return None
 
     def _op_delete(self, key: bytes) -> Optional[str]:
         try:
             dep = self.store.delete(key)
         except KeyNotFoundError:
-            # The KVNode contract: deleting an absent key raises.  That is
-            # conformant iff the model also lacks the key (or its state is
-            # legitimately uncertain and may be absent); no tombstone was
-            # written, so the crash model records nothing.
-            if key in self._uncertain:
-                if None not in self._uncertain[key]:
-                    return (
-                        "delete raised KeyNotFoundError for a key that "
-                        "cannot be absent"
-                    )
-                self._uncertain.pop(key, None)
-                if self.model.contains(key):
-                    self.model.delete(key)
-                return None
-            if self.model.contains(key):
-                return "delete raised KeyNotFoundError but the model has the key"
-            return None
+            # The KVNode contract: deleting an absent key raises.  No
+            # tombstone was written, so the crash model records nothing.
+            return delete_verdict(self.model.observe(key, None), raised=True)
         except (IoError, ExtentError):
-            self.has_failed = True
-            self._note_uncertain(key, None)
-            return None
-        if self.model.contains(key):
-            self.model.delete(key)
-        elif key not in self._uncertain:
-            return "delete succeeded but the model lacks the key"
-        self.crash_model.record_delete(key, dep)
-        if key in self._uncertain:
-            del self._uncertain[key]
-        return None
-
-    def _note_uncertain(self, key: bytes, attempted: Optional[bytes]) -> None:
-        entry = self._uncertain.setdefault(key, set())
-        try:
-            entry.add(self.model.get(key))
-        except NotFoundError:
-            entry.add(None)
-        entry.add(attempted)
+            return self._write_failed(key, None)
+        failure = delete_verdict(self.model.observe_presence(key, True), raised=False)
+        if failure is None:
+            self.model.apply(key, None)
+            self.crash_model.record_delete(key, dep)
+        return failure
 
     # ------------------------------------------------------------------
     # background operations (no-ops in the model)
@@ -306,7 +262,7 @@ class StoreHarness(Harness):
         except (IoError, ExtentError):
             self.has_failed = True
             return None
-        if self.has_failed or self._uncertain:
+        if self.has_failed:
             return None  # partially-applied writes may legitimately scan bad
         if not report.clean:
             key, message = report.errors[0]
@@ -380,11 +336,12 @@ class StoreHarness(Harness):
             except (NotFoundError, CorruptionError, ExtentError):
                 observed = None
             if not allowed.permits(observed):
+                values = sorted(v for v in allowed if v is not None)
                 return (
                     f"persistence violated for key {key!r}: observed "
                     f"{_render(observed)}, allowed values "
-                    f"{{{', '.join(_render(v) for v in sorted(allowed.values))}}}"
-                    f"{' or absent' if allowed.absent_allowed else ''}"
+                    f"{{{', '.join(_render(v) for v in values)}}}"
+                    f"{' or absent' if None in allowed else ''}"
                 )
         return None
 
@@ -397,16 +354,15 @@ class StoreHarness(Harness):
                 observed[key] = self.store.get(key)
             except (NotFoundError, CorruptionError, ExtentError):
                 continue
-        self.model = ReferenceKvStore()
+        self.model = CandidateModel()
         for key, value in observed.items():
-            self.model.put(key, value)
+            self.model.apply(key, value)
             # Anchor the observation: post-crash readable implies durable,
             # so later crashes must preserve it unless superseded.
             self.crash_model.record_put(key, value, Dependency.root(tracker))
         for key in self.crash_model.tracked_keys():
             if key not in observed:
                 self.crash_model.record_delete(key, Dependency.root(tracker))
-        self._uncertain.clear()
 
     # ------------------------------------------------------------------
     # failure injection (section 4.4)
@@ -435,24 +391,26 @@ class StoreHarness(Harness):
         forgetting chunks after a read error) is caught.
         """
         try:
-            impl_keys = set(self.store.keys())
+            impl_keys = self.store.keys()
         except IoError:
             return None  # enumeration itself hit an injected fault
-        model_keys = set(self.model.keys())
-        uncertain = set(self._uncertain)
-        if (impl_keys - uncertain) != (model_keys - uncertain):
-            missing = model_keys - impl_keys - uncertain
-            extra = impl_keys - model_keys - uncertain
+        uncertain = self.model.uncertain_keys()
+        if uncertain:
+            impl_keys = [key for key in impl_keys if key not in uncertain]
+        # Sorted so the first-reported divergence is independent of the
+        # per-process hash seed -- campaign artifacts must be
+        # byte-identical across runs and worker counts.
+        model_keys = self.model.kv.keys()
+        if sorted(impl_keys) != model_keys:
+            missing = set(model_keys) - set(impl_keys)
+            extra = set(impl_keys) - set(model_keys)
             return CheckFailure(
                 index,
                 op,
                 f"key sets diverge: missing {sorted(missing)!r}, "
                 f"extra {sorted(extra)!r}",
             )
-        # Sorted so the first-reported divergence is independent of the
-        # per-process hash seed -- campaign artifacts must be
-        # byte-identical across runs and worker counts.
-        for key in sorted(model_keys - uncertain):
+        for key in model_keys:
             try:
                 impl_value = self.store.get(key)
             except IoError:
@@ -461,14 +419,26 @@ class StoreHarness(Harness):
                 return CheckFailure(
                     index, op, f"invariant get({key!r}) failed: {exc}"
                 )
-            if impl_value != self.model.get(key):
+            if impl_value != self.model.kv.peek(key):
                 return CheckFailure(
                     index,
                     op,
                     f"value diverges for {key!r}: impl has "
-                    f"{_render(impl_value)}, model {_render(self.model.get(key))}",
+                    f"{_render(impl_value)}, model {_render(self.model.kv.peek(key))}",
                 )
         return None
+
+
+def delete_verdict(verdict: Verdict, *, raised: bool) -> Optional[str]:
+    """The failure text for a delete that ``raised`` KeyNotFoundError (an
+    observation of absence) or succeeded (one of presence), if refused."""
+    if verdict.permitted:
+        return None
+    if not raised:
+        return "delete succeeded but the model lacks the key"
+    if len(verdict.allowed) > 1:
+        return "delete raised KeyNotFoundError for a key that cannot be absent"
+    return "delete raised KeyNotFoundError but the model has the key"
 
 
 class NodeHarness(Harness):

@@ -3,24 +3,19 @@
 This is the "eXtreme Modelling" side of the evidence plane: any live run
 that produced a journal -- ``repro bench``, the metrics demo node, a
 campaign shard -- becomes conformance evidence *after the fact*, without
-re-running it.  The checker replays every journaled operation against the
-flat :class:`~repro.models.kvstore.ReferenceKvStore` specification (over
-key/value *digests*; journals never carry raw bytes):
+re-running it.  The checker translates every journaled operation into an
+event of the :class:`~repro.models.candidates.CandidateModel` specification
+(over key/value *digests*; journals never carry raw bytes):
 
 * ``put``/``get``/``delete``/``contains``/``keys`` outcomes must agree
   with the model;
 * typed sheds (``shed_overload``/``shed_deadline``) are raised **before
   any substrate IO**, so a shed op must provably not have mutated state;
-* ``error:*`` outcomes leave the op's effect *uncertain*: the key's
-  possible states widen to cover both applied and not-applied, and the
-  next successful observation collapses them;
-* crash semantics: a ``dirty`` reboot widens every key mutated since the
-  last durability barrier (a clean reboot, or a ``flush`` followed by a
-  quiescent ``drain``) to the set of values it held since that barrier.
-
-The candidate-set treatment keeps the checker *sound* (a reported
-violation is a real divergence between journal and specification) while
-staying useful under fault injection and crash workloads.
+* ``error:*`` outcomes leave the op's effect *uncertain*: an ``attempt``,
+  which the next permitted observation settles;
+* crash semantics: a ``dirty`` reboot is the model's ``crash``; its
+  durability ``barrier`` is a clean reboot, or a ``flush`` followed by a
+  quiescent ``drain``.
 
 The checker also enforces the promoted invariant set inline: the hash
 chain must verify, op ids must be strictly monotone, and logical ticks
@@ -30,9 +25,9 @@ must be non-decreasing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional
 
-from repro.models.kvstore import ReferenceKvStore
+from repro.models.candidates import CandidateModel
 from repro.shardstore.observability.journal import (
     GENESIS_CHAIN,
     canonical_json,
@@ -43,14 +38,40 @@ from repro.shardstore.observability.journal import (
 
 __all__ = ["ABSENT", "CheckReport", "TraceChecker", "check_file", "check_journal"]
 
-#: Sentinel "value" meaning the key is absent (not a hex digest).
+#: How violation text names the absent candidate (the model's ``None``).
 ABSENT = "<absent>"
 
 #: Cap on retained violation detail records (the count keeps counting).
 MAX_VIOLATIONS = 64
 
+#: Record kinds that address one key (and so must carry its digest).
+KEYED_KINDS = ("put", "get", "delete", "contains")
+
 #: Outcomes that must not have touched state (shed before any IO).
 _SHED_OUTCOMES = ("shed_overload", "shed_deadline")
+
+
+def render_candidates(values: Iterable[Optional[str]]) -> str:
+    return ", ".join(sorted(ABSENT if v is None else v for v in values))
+
+
+def shape_problem(entry: Dict[str, Any]) -> Optional[str]:
+    """What is malformed about a key-addressed record, if anything.  A
+    journal is outside input: both replayers refuse a record whose key or
+    value digest is missing (or not a string) before it reaches the model."""
+    kind, out = entry.get("kind"), entry.get("out", "ok")
+    if not isinstance(out, str):
+        return f"{kind} record outcome is not a string"
+    has_key = isinstance(entry.get("key"), str)
+    has_value = isinstance(entry.get("value"), str)
+    if kind == "put":
+        if not (has_key and has_value):
+            return "put record missing key/value digest"
+    elif not has_key:
+        return f"{kind} record missing key digest"
+    elif kind == "get" and out == "ok" and not has_value:
+        return "get ok record missing value digest"
+    return None
 
 
 @dataclass
@@ -97,14 +118,8 @@ class TraceChecker:
     """
 
     def __init__(self) -> None:
-        self.model = ReferenceKvStore()
+        self.model = CandidateModel()
         self.report = CheckReport()
-        # Keys whose current value is uncertain: digest -> candidate set.
-        self._maybe: Dict[str, Set[str]] = {}
-        # Per-key values written since the last durability barrier, and the
-        # candidate snapshot from just before the first such write.
-        self._written: Dict[str, Set[str]] = {}
-        self._base: Dict[str, Set[str]] = {}
         self._counts: Dict[str, int] = {}
         self._chain = GENESIS_CHAIN
         self._last_op_id = 0
@@ -115,92 +130,25 @@ class TraceChecker:
         self._sealed_at: Optional[int] = None
 
     # ------------------------------------------------------------------
-    # model helpers (digest-level view of ReferenceKvStore)
+    # journal records -> model events
 
-    def _model_get(self, kd: str) -> str:
-        key = kd.encode("ascii")
-        if self.model.contains(key):
-            return self.model.get(key).decode("ascii")
-        return ABSENT
-
-    def _current(self, kd: str) -> Set[str]:
-        if kd in self._maybe:
-            return set(self._maybe[kd])
-        return {self._model_get(kd)}
-
-    def _set_certain(self, kd: str, vd: str) -> None:
-        self._maybe.pop(kd, None)
-        key = kd.encode("ascii")
-        if vd == ABSENT:
-            if self.model.contains(key):
-                self.model.delete(key)
+    def _write(self, kd: str, vd: Optional[str], *, certain: bool) -> None:
+        """A write record: ``ok`` provably applied, ``error:*`` may have."""
+        if certain:
+            self.model.apply(kd, vd)
         else:
-            self.model.put(key, vd.encode("ascii"))
-
-    def _snapshot_base(self, kd: str) -> None:
-        if kd not in self._written:
-            self._base[kd] = self._current(kd)
-            self._written[kd] = set()
-
-    def _mutate(self, kd: str, vd: str) -> None:
-        """A certain write: the op provably applied."""
-        self._snapshot_base(kd)
-        self._written[kd].add(vd)
-        self._set_certain(kd, vd)
+            self.model.attempt(kd, vd)
         self._last_mutation = self._index
 
-    def _weak_mutate(self, kd: str, vd: str) -> None:
-        """An ``error:*`` write: may or may not have applied."""
-        self._snapshot_base(kd)
-        self._written[kd].add(vd)
-        self._maybe[kd] = self._current(kd) | {vd}
-        self._last_mutation = self._index
-
-    def _observe(self, entry: Dict[str, Any], kd: str, vd: str) -> None:
-        current = self._current(kd)
+    def _observe(self, entry: Dict[str, Any], kd: str, vd: Optional[str]) -> None:
+        verdict = self.model.observe(kd, vd)
         self.report.checked += 1
-        if vd not in current:
-            expected = ", ".join(sorted(current)) or ABSENT
+        if not verdict.permitted:
             self._violate(
                 entry,
-                f"observed {vd!r} but the model allows only {{{expected}}}",
+                f"observed {ABSENT if vd is None else vd!r} but the model "
+                f"allows only {{{render_candidates(verdict.allowed)}}}",
             )
-            return
-        self._set_certain(kd, vd)
-
-    def _observe_presence(self, entry: Dict[str, Any], kd: str, present: bool) -> None:
-        current = self._current(kd)
-        self.report.checked += 1
-        if present:
-            values = {v for v in current if v != ABSENT}
-            if not values:
-                self._violate(entry, "reported present but the model says absent")
-            elif len(values) == 1:
-                self._set_certain(kd, next(iter(values)))
-            else:
-                self._maybe[kd] = values
-        else:
-            if ABSENT not in current:
-                self._violate(entry, "reported absent but the model says present")
-            else:
-                self._set_certain(kd, ABSENT)
-
-    def _barrier(self) -> None:
-        """Everything written so far is durable: crash uncertainty resets."""
-        self._written.clear()
-        self._base.clear()
-
-    def _crash(self) -> None:
-        """A dirty reboot: keys mutated since the barrier may have lost
-        writes; each widens to every value it held since then."""
-        for kd, written in self._written.items():
-            candidates = self._current(kd) | written | self._base.get(kd, set())
-            if len(candidates) == 1:
-                self._set_certain(kd, next(iter(candidates)))
-            else:
-                self._maybe[kd] = candidates
-        self._written.clear()
-        self._base.clear()
 
     def _violate(self, entry: Dict[str, Any], problem: str) -> None:
         self.report.violation_count += 1
@@ -250,8 +198,14 @@ class TraceChecker:
             self.report.checked += 1
             return
         handler = getattr(self, f"_op_{kind}", None)
-        if handler is not None:
-            handler(entry, out)
+        if handler is None:
+            return
+        if kind in KEYED_KINDS:
+            problem = shape_problem(entry)
+            if problem is not None:
+                self._violate(entry, problem)
+                return
+        handler(entry, out)
 
     def _feed_chain(self, entry: Dict[str, Any]) -> None:
         stored = entry.get("chain")
@@ -316,66 +270,55 @@ class TraceChecker:
     # per-kind semantics
 
     def _op_put(self, entry: Dict[str, Any], out: str) -> None:
-        kd, vd = entry.get("key"), entry.get("value")
-        if kd is None or vd is None:
-            self._violate(entry, "put record missing key/value digest")
-            return
+        kd, vd = entry["key"], entry["value"]
         if out == "ok":
-            self._mutate(kd, vd)
+            self._write(kd, vd, certain=True)
             self.report.checked += 1
         elif out.startswith("error:"):
-            self._weak_mutate(kd, vd)
+            self._write(kd, vd, certain=False)
         else:
             self._violate(entry, f"impossible put outcome {out!r}")
 
     def _op_get(self, entry: Dict[str, Any], out: str) -> None:
-        kd = entry.get("key")
-        if kd is None:
-            self._violate(entry, "get record missing key digest")
-            return
         if out == "ok":
-            vd = entry.get("value")
-            if vd is None:
-                self._violate(entry, "get ok record missing value digest")
-                return
-            self._observe(entry, kd, vd)
+            self._observe(entry, entry["key"], entry["value"])
         elif out == "not_found":
-            self._observe(entry, kd, ABSENT)
+            self._observe(entry, entry["key"], None)
         # error:* makes no state claim (the read failed).
 
     def _op_delete(self, entry: Dict[str, Any], out: str) -> None:
-        kd = entry.get("key")
-        if kd is None:
-            self._violate(entry, "delete record missing key digest")
-            return
+        kd = entry["key"]
         if out == "ok":
-            current = self._current(kd)
             self.report.checked += 1
-            if not any(v != ABSENT for v in current):
+            if not self.model.observe_presence(kd, True).permitted:
                 self._violate(
                     entry, "delete succeeded but the model says the key is absent"
                 )
                 return
-            self._mutate(kd, ABSENT)
+            self._write(kd, None, certain=True)
         elif out == "not_found":
-            self._observe(entry, kd, ABSENT)
+            self._observe(entry, kd, None)
         elif out.startswith("error:"):
-            self._weak_mutate(kd, ABSENT)
+            self._write(kd, None, certain=False)
 
     def _op_contains(self, entry: Dict[str, Any], out: str) -> None:
-        kd = entry.get("key")
-        if out == "ok" and kd is not None:
-            self._observe_presence(entry, kd, bool(entry.get("result")))
+        if out != "ok":
+            return
+        present = bool(entry.get("result"))
+        self.report.checked += 1
+        if not self.model.observe_presence(entry["key"], present).permitted:
+            says, model = ("present", "absent") if present else ("absent", "present")
+            self._violate(entry, f"reported {says} but the model says {model}")
 
     def _op_keys(self, entry: Dict[str, Any], out: str) -> None:
         if out != "ok":
             return
-        if self._maybe:
+        if self.model.uncertain_keys():
             # Some key's presence is crash-uncertain: a set-level digest
             # comparison would not be sound, so skip (counted).
             self.report.skipped += 1
             return
-        expected_keys = sorted(k.decode("ascii") for k in self.model.keys())
+        expected_keys = self.model.kv.keys()
         self.report.checked += 1
         n = entry.get("n")
         if isinstance(n, int) and n != len(expected_keys):
@@ -398,51 +341,39 @@ class TraceChecker:
         # between, is a durability barrier: everything previously written
         # is on the medium.
         if out == "ok" and self._last_flush > self._last_mutation:
-            self._barrier()
+            self.model.barrier()
 
     def _op_reboot(self, entry: Dict[str, Any], out: str) -> None:
-        mode = entry.get("mode")
-        if out == "ok" and mode == "clean":
-            self._barrier()
+        if out == "ok" and entry.get("mode") == "clean":
+            self.model.barrier()
         else:
             # Dirty reboot, re-entrant recovery, or a reboot that errored:
             # all widen crash uncertainty.
-            self._crash()
+            self.model.crash()
 
     def _op_scrub_repair(self, entry: Dict[str, Any], out: str) -> None:
         if out != "ok":
             return
-        # Quarantine removes unrecoverable keys from the index.  Treated
-        # as a *weak* delete: under fault injection a partially-failing
+        # Quarantine removes unrecoverable keys from the index.  Treated as
+        # an attempted delete: under fault injection a partially-failing
         # disk may have quarantined keys that never made the report, so
-        # widening (rather than asserting) stays sound; the next
-        # observation collapses it.
+        # widening (rather than asserting) stays sound.
         for kd in entry.get("quarantined") or []:
-            self._snapshot_base(kd)
-            self._written[kd].add(ABSENT)
-            self._maybe[kd] = self._current(kd) | {ABSENT}
+            self.model.attempt(kd, None)
         # Repairs rewrite the same value: no model effect.
 
-    # Control-plane ops with no key-value mapping effect (the reference
-    # model treats migration and disk service changes as no-ops).
-    def _op_migrate(self, entry: Dict[str, Any], out: str) -> None:
-        pass
-
-    def _op_remove_disk(self, entry: Dict[str, Any], out: str) -> None:
-        pass
-
-    def _op_return_disk(self, entry: Dict[str, Any], out: str) -> None:
-        pass
+    # ``migrate`` / ``remove_disk`` / ``return_disk`` have no handler: the
+    # reference model treats migration and disk service changes as no-ops.
 
     def _op_bulk_create(self, entry: Dict[str, Any], out: str) -> None:
         items = entry.get("items") or []
         if out == "ok":
             self.report.checked += 1
             for kd, vd in items:
-                self._mutate(kd, vd)
+                self._write(kd, vd, certain=True)
         elif out.startswith("error:"):
             for kd, vd in items:
-                self._weak_mutate(kd, vd)
+                self._write(kd, vd, certain=False)
 
     def _op_bulk_delete(self, entry: Dict[str, Any], out: str) -> None:
         items = entry.get("items") or []
@@ -451,11 +382,11 @@ class TraceChecker:
             for kd in items:
                 # bulk_delete skips absent keys silently (atomic best
                 # effort): present keys are removed, absent keys ignored.
-                if any(v != ABSENT for v in self._current(kd)):
-                    self._mutate(kd, ABSENT)
+                if self.model.candidates(kd) != (None,):
+                    self._write(kd, None, certain=True)
         elif out.startswith("error:"):
             for kd in items:
-                self._weak_mutate(kd, ABSENT)
+                self._write(kd, None, certain=False)
 
     # ------------------------------------------------------------------
 
@@ -463,17 +394,8 @@ class TraceChecker:
         """Final verdict; with ``require_seal`` an unsealed journal (a
         truncated tail) is itself a violation."""
         if require_seal and not self.report.sealed:
-            self.report.violation_count += 1
-            self.report.violations.append(
-                {
-                    "record": self._index,
-                    "op": None,
-                    "tick": None,
-                    "kind": "seal",
-                    "key": None,
-                    "out": None,
-                    "problem": "journal has no seal record (truncated tail?)",
-                }
+            self._violate(
+                {"kind": "seal"}, "journal has no seal record (truncated tail?)"
             )
         return self.report
 

@@ -16,36 +16,24 @@ two things the router journal alone cannot prove:
   same value digest.  A router that claimed an ack no node journal backs
   is a consistency violation, not a formatting problem.
 
-Candidate-set semantics (the cluster analogue of
-:mod:`repro.evidence.checker`):
-
-* an **acknowledged** write (``out=ok``, ``len(acks) >= want``) is
-  certain, and must *survive any minority of node crashes*: crash
-  records only widen a key when the crashed set covers the key's entire
-  ack set AND has grown past a minority -- which the storm planner never
-  does, so widening here on a real trace means the plan itself was
-  illegal;
-* an **unacknowledged** write (``error:DegradedWriteError``) with a
-  non-empty ack list widens the key to {applied, not-applied}; with an
-  *empty* ack list it provably did not touch any replica (the cluster
-  analogue of a typed shed) and the key stays certain;
-* a quorum read narrows an uncertain key only when it observed the
-  *newest* candidate version: observing the older branch is consistent
-  with the newer value still surfacing later via hinted handoff or
-  read-repair, so it must not collapse the set.
+The specification is :class:`~repro.models.cluster.ReferenceCluster`; this
+module only translates records into its events.  One rule is the replayer's
+own: it did not see the cluster start, so a key the journal has not written
+yet is *learned* from its first read, not judged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.models.cluster import ReferenceCluster
 from repro.shardstore.observability.journal import (
     read_journal,
     verify_chain,
 )
 
-from .checker import ABSENT, MAX_VIOLATIONS
+from .checker import KEYED_KINDS, MAX_VIOLATIONS, render_candidates, shape_problem
 
 __all__ = [
     "ClusterCheckReport",
@@ -95,6 +83,8 @@ class ClusterCheckReport:
     violations: List[Dict[str, Any]] = field(default_factory=list)
     chain_ok: bool = True
     sealed: bool = False  # every journal sealed
+    #: The state the router journal replayed to (not in the JSON verdict).
+    model: Optional[ReferenceCluster] = field(default=None, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -130,14 +120,6 @@ class _ClusterReplay:
     def __init__(self, require_seal: bool) -> None:
         self.require_seal = require_seal
         self.report = ClusterCheckReport()
-        # key digest -> candidate value digests (ABSENT allowed) -> version
-        self._state: Dict[str, Dict[str, int]] = {}
-        # key digest -> ack node set of the last acknowledged write
-        self._acks: Dict[str, Set[int]] = {}
-        # keys widened past recovery (majority-crash safety net)
-        self._wild: Set[str] = set()
-        self._dead: Set[int] = set()
-        self._cfg: Dict[str, Any] = {}
         # node identity -> cop -> list of replica-side records
         self._node_cops: Dict[str, Dict[int, List[Dict[str, Any]]]] = {}
 
@@ -206,23 +188,6 @@ class _ClusterReplay:
         self._node_cops[name] = cops
 
     # ------------------------------------------------------------------
-    # candidate-set state
-
-    def _candidates(self, kd: str) -> Optional[Dict[str, int]]:
-        return self._state.get(kd)
-
-    def _set_certain(self, kd: str, vd: str, ver: int) -> None:
-        self._state[kd] = {vd: ver}
-        self._wild.discard(kd)
-
-    def _widen(self, kd: str, vd: str, ver: int) -> None:
-        self._state.setdefault(kd, {ABSENT: -1})[vd] = ver
-
-    def _minority(self) -> int:
-        nodes = int(self._cfg.get("nodes", 0))
-        return max(0, (nodes - 1) // 2)
-
-    # ------------------------------------------------------------------
     # record handlers
 
     def _corroborate(
@@ -258,147 +223,112 @@ class _ClusterReplay:
                 continue
             self.report.corroborated += 1
 
-    def _handle_write(self, entry: Dict[str, Any], tombstone: bool) -> None:
-        kd = entry.get("key")
+    def _handle_write(self, entry: Dict[str, Any]) -> None:
+        kd = entry["key"]
         out = entry.get("out", "ok")
         ver = entry.get("ver", -1)
-        vd = ABSENT if tombstone else entry.get("value")
-        acks = [a for a in (entry.get("acks") or []) if isinstance(a, int)]
+        vd = entry["value"] if entry["kind"] == "put" else None  # tombstone
+        acks = entry.get("acks")
+        acks = [a for a in acks if type(a) is int] if isinstance(acks, list) else []
         want = entry.get("want", 0)
-        if kd is None:
-            return
         if out == "ok":
-            if len(acks) < int(want):
+            if len(acks) < want:
                 self._violate(
                     entry,
                     f"acknowledged with {len(acks)} acks but quorum is {want}",
                 )
-            if not tombstone and vd is None:
-                self._violate(entry, "acknowledged put carries no value digest")
-                return
             self.report.checked += 1
-            self._set_certain(kd, vd if vd is not None else ABSENT, int(ver))
-            self._acks[kd] = set(acks)
-            self._corroborate(
-                entry, acks, None if tombstone else vd
-            )
+            self.model.apply(kd, vd, ver, acks)
+            self._corroborate(entry, acks, vd)
         elif out == "error:DegradedWriteError":
             if not acks:
-                # No replica applied it: provably state-preserving.
-                self.report.checked += 1
-                return
-            self._widen(kd, vd if vd is not None else ABSENT, int(ver))
+                self.report.checked += 1  # provably state-preserving
+            self.model.attempt(kd, vd, len(acks), ver)
         elif out == "not_found":
             # delete of an absent key: an observation of absence.
-            self._observe_absent(entry, kd)
+            self._observe(entry, kd, None)
         elif out.startswith("error:"):
             self.report.skipped += 1
         # shed outcomes are impossible at the router (sheds happen at
         # replicas and simply cost the write an ack).
 
-    def _observe_absent(self, entry: Dict[str, Any], kd: str) -> None:
-        cands = self._candidates(kd)
-        if cands is None or kd in self._wild:
+    def _observe(self, entry: Dict[str, Any], kd: str, vd: Optional[str]) -> None:
+        if not self.model.tracked(kd):
+            # First sight of a key: learn, don't judge.
+            if vd is not None:
+                self.model.apply(kd, vd, entry.get("ver", -1))
             return
+        verdict = self.model.observe(kd, vd)
+        if not verdict.constrained:
+            return  # lost to a majority crash: learned again
         self.report.checked += 1
-        if ABSENT not in cands:
-            expected = ", ".join(sorted(cands))
+        if not verdict.permitted:
             self._violate(
                 entry,
-                f"observed absent but the model allows only {{{expected}}}",
+                f"observed {'absent' if vd is None else repr(vd)} but the "
+                f"model allows only {{{render_candidates(verdict.allowed)}}}",
             )
-
-    def _handle_get(self, entry: Dict[str, Any]) -> None:
-        kd = entry.get("key")
-        out = entry.get("out", "ok")
-        if kd is None:
-            return
-        if out == "not_found":
-            self._observe_absent(entry, kd)
-            return
-        if out != "ok":
-            self.report.skipped += 1
-            return
-        vd = entry.get("value")
-        ver = entry.get("ver", -1)
-        cands = self._candidates(kd)
-        if vd is None:
-            return
-        if cands is None or kd in self._wild:
-            # First sight of a key (or one lost to a majority crash):
-            # learn, don't judge.
-            self._set_certain(kd, vd, int(ver))
-            return
-        self.report.checked += 1
-        if vd not in cands:
-            expected = ", ".join(sorted(cands))
-            self._violate(
-                entry,
-                f"observed {vd!r} but the model allows only {{{expected}}}",
-            )
-            return
-        newest = max(cands.values())
-        if cands[vd] >= newest:
-            # Observed the newest branch: the candidate set collapses.
-            self._set_certain(kd, vd, cands[vd])
 
     def _handle_contains(self, entry: Dict[str, Any]) -> None:
-        kd = entry.get("key")
-        if kd is None or entry.get("out") != "ok":
+        kd = entry["key"]
+        if entry.get("out") != "ok" or not self.model.tracked(kd):
             return
-        cands = self._candidates(kd)
-        if cands is None or kd in self._wild:
+        exists = bool(entry.get("exists"))
+        verdict = self.model.observe_presence(kd, exists)
+        if not verdict.constrained:
             return
         self.report.checked += 1
-        exists = bool(entry.get("exists"))
-        present = {vd for vd in cands if vd != ABSENT}
-        if exists and not present:
-            self._violate(entry, "reported present but the model says absent")
-        elif not exists and ABSENT not in cands:
-            self._violate(entry, "reported absent but the model says present")
-
-    def _handle_crash(self, entry: Dict[str, Any]) -> None:
-        target = entry.get("target")
-        if not isinstance(target, int):
-            return
-        self._dead.add(target)
-        self.report.crashes += 1
-        if len(self._dead) <= self._minority():
-            # An acknowledged write must survive any minority of crashes:
-            # nothing widens.
-            return
-        # Majority down: soundness requires widening every key whose
-        # entire ack set is dead (its acked value may not survive).
-        for kd, acks in self._acks.items():
-            if acks and acks.issubset(self._dead):
-                self._wild.add(kd)
+        if not verdict.permitted:
+            says, model = ("present", "absent") if exists else ("absent", "present")
+            self._violate(entry, f"reported {says} but the model says {model}")
 
     # ------------------------------------------------------------------
 
-    def replay_router(self, entries: List[Dict[str, Any]]) -> None:
+    def replay_router(
+        self, entries: List[Dict[str, Any]], meta: Dict[str, Any]
+    ) -> None:
+        nodes = meta.get("nodes")
+        self.model = ReferenceCluster(nodes if isinstance(nodes, int) else 0)
+        self.report.model = self.model
         for entry in entries:
             kind = entry.get("kind")
             if kind in ("genesis", "seal"):
                 continue
             self.report.ops += 1
-            if kind == "put":
-                self._handle_write(entry, tombstone=False)
-            elif kind == "delete":
-                self._handle_write(entry, tombstone=True)
+            problem = _field_problem(entry)
+            if kind in KEYED_KINDS:
+                problem = problem or shape_problem(entry)
+            if problem is not None:
+                self._violate(entry, problem)
+            elif kind in ("put", "delete"):
+                self._handle_write(entry)
+            elif kind == "get" and entry.get("out", "ok") in ("ok", "not_found"):
+                found = entry["value"] if entry.get("out", "ok") == "ok" else None
+                self._observe(entry, entry["key"], found)
             elif kind == "get":
-                self._handle_get(entry)
+                self.report.skipped += 1
             elif kind == "contains":
                 self._handle_contains(entry)
             elif kind == "crash":
-                self._handle_crash(entry)
+                self.report.crashes += 1
+                self.model.crash(entry.get("target"))
             elif kind == "restart":
-                target = entry.get("target")
-                if isinstance(target, int):
-                    self._dead.discard(target)
-            elif kind in _EVENT_KINDS:
-                continue
-            else:
+                self.model.restart(entry.get("target"))
+            elif kind not in _EVENT_KINDS:
                 self._violate(entry, f"unknown router record kind {kind!r}")
+
+
+def _field_problem(entry: Dict[str, Any]) -> Optional[str]:
+    """A journal is outside input: the router's numeric fields must be
+    integers wherever they appear, and a crash or restart names a target."""
+    required = ("target",) if entry.get("kind") in ("crash", "restart") else ()
+    bad = [
+        name
+        for name in ("ver", "want", "cop", "target")
+        if (name in entry or name in required)
+        and type(entry.get(name)) is not int
+    ]
+    return f"non-integer {', '.join(bad)} field" if bad else None
 
 
 def check_cluster_journals(
@@ -422,13 +352,12 @@ def check_cluster_journals(
             if router is not None:
                 replay._violate({}, "more than one router journal supplied")
             router = entries
-            replay._cfg = meta
         else:
             replay._index_node_journal(name, entries)
     if router is None:
         replay._violate({}, "no router journal supplied (meta.role=router)")
     else:
-        replay.replay_router(router)
+        replay.replay_router(router, router[0].get("meta") or {})
     report.sealed = bool(report.journals) and all(
         info["sealed"] for info in report.journals.values()
     )

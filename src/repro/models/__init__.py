@@ -6,17 +6,21 @@ conformance property tests, and doubles as a mock in unit tests so the
 engineering team keeps the specifications up to date.
 """
 
+from .candidates import CandidateModel, Candidates
 from .chunkstore import ModelLocator, ReferenceChunkStore
-from .crash import AllowedState, CrashAwareModel, LoggedOp
+from .cluster import ReferenceCluster
+from .crash import CrashAwareModel, LoggedOp
 from .index import ReferenceIndex
 from .kvstore import ReferenceKvStore
 
 __all__ = [
-    "AllowedState",
+    "CandidateModel",
+    "Candidates",
     "CrashAwareModel",
     "LoggedOp",
     "ModelLocator",
     "ReferenceChunkStore",
+    "ReferenceCluster",
     "ReferenceIndex",
     "ReferenceKvStore",
 ]

@@ -30,10 +30,12 @@ paper describes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from repro.shardstore.dependency import Dependency
 from repro.shardstore.faults import Fault, FaultSet
+
+from .candidates import Candidates
 
 
 @dataclass
@@ -45,20 +47,6 @@ class LoggedOp:
     value: Optional[bytes]  # None is a delete
     dep: Dependency
     forced_persistent: bool = False  # fault #9's corruption of the model
-
-
-@dataclass
-class AllowedState:
-    """The post-crash observations the specification permits for one key."""
-
-    key: bytes
-    values: Set[bytes]
-    absent_allowed: bool
-
-    def permits(self, observed: Optional[bytes]) -> bool:
-        if observed is None:
-            return self.absent_allowed
-        return observed in self.values
 
 
 class CrashAwareModel:
@@ -106,23 +94,22 @@ class CrashAwareModel:
     def tracked_keys(self) -> List[bytes]:
         return sorted({op.key for op in self._oplog})
 
-    def allowed_after_crash(self, key: bytes) -> AllowedState:
+    def allowed_after_crash(self, key: bytes) -> Candidates:
         """The persistence property's allowed observations for ``key``."""
         ops = [op for op in self._oplog if op.key == key]
         last_persistent = None
         for op in ops:
             if self._is_persistent(op):
                 last_persistent = op.index
-        values: Set[bytes] = set()
-        absent_allowed = last_persistent is None
+        # Absent is allowed when nothing ever persisted, or via a delete
+        # (``op.value`` None) at or after the last persistent operation.
+        allowed: Dict[Optional[bytes], None] = (
+            {None: None} if last_persistent is None else {}
+        )
         for op in ops:
-            if last_persistent is not None and op.index < last_persistent:
-                continue
-            if op.value is None:
-                absent_allowed = True
-            else:
-                values.add(op.value)
-        return AllowedState(key=key, values=values, absent_allowed=absent_allowed)
+            if last_persistent is None or op.index >= last_persistent:
+                allowed[op.value] = None
+        return Candidates(allowed)
 
     def expected_after_clean_shutdown(self, key: bytes) -> Optional[bytes]:
         """After a clean shutdown the *latest* operation must be visible."""

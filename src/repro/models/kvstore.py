@@ -18,7 +18,7 @@ of these instead of a real ShardStore.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 from repro.shardstore.errors import KeyNotFoundError, NotFoundError, validate_key
 
@@ -90,6 +90,18 @@ class ReferenceKvStore:
         return self.contains(key)
 
     # -- model utilities -------------------------------------------------
+
+    def peek(self, key) -> Optional[bytes]:
+        """The value of ``key`` or None.  With :meth:`assign`, for models
+        layered on this one: no request validation, any hashable key."""
+        return self._mapping.get(key)
+
+    def assign(self, key, value: Optional[bytes]) -> None:
+        """Set ``key`` to ``value``; None clears it, present or not."""
+        if value is None:
+            self._mapping.pop(key, None)
+        else:
+            self._mapping[key] = value
 
     def mapping(self) -> Dict[bytes, bytes]:
         """A copy of the current key-value mapping (for invariant checks)."""

@@ -13,7 +13,13 @@ import random
 
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterRouter, HashRing
+from repro.cluster import (
+    FLAG_VALUE,
+    ClusterConfig,
+    ClusterRouter,
+    HashRing,
+    encode_record,
+)
 from repro.errors import (
     DegradedReadError,
     DegradedWriteError,
@@ -30,6 +36,7 @@ from repro.shardstore.injection import (
     FaultPlan,
 )
 from repro.shardstore.observability import Journal, seal_on_signal
+from repro.shardstore.observability.journal import digest_bytes
 from repro.shardstore.resilience import AdmissionConfig
 
 
@@ -524,6 +531,86 @@ class TestMergedChecker:
         assert main(["check-trace", "--require-seal", *paths]) == 0
 
 
+def router_journal(tmp_path=None, **meta):
+    """A hand-written (chain-valid) router journal and an empty member's."""
+    path = lambda name: str(tmp_path / f"{name}.jsonl") if tmp_path else None
+    router = Journal(
+        path("router"), meta={"role": "router", "nodes": 3, **meta}, node="router"
+    )
+    member = Journal(path("node0"), meta={"role": "member"}, node="node0")
+    return router, member
+
+
+class TestMalformedRouterJournals:
+    """A journal is outside input: a chain-valid record the replay cannot
+    use is a violation on that record, never a traceback or a silent pass."""
+
+    @pytest.mark.parametrize(
+        "field, value", [("ver", "seven"), ("want", "two"), ("cop", 1.5), ("ver", True)]
+    )
+    def test_non_integer_numeric_field_is_a_violation(self, field, value):
+        router, member = router_journal()
+        fields = {"ver": 7, "want": 2, "cop": 1, "acks": [0, 1], field: value}
+        router.record_op("put", key=b"k", value=b"v1", **fields)
+        router.record_op("get", key=b"k", value=b"v1", ver=7)
+        for journal in (router, member):
+            journal.close()
+        report = check_cluster_journals([router.entries, member.entries])
+        assert report.chain_ok
+        assert [v["problem"] for v in report.violations] == [
+            f"non-integer {field} field"
+        ]
+        assert report.ops == 2  # the replay went on past the bad record
+
+    def test_crash_without_an_integer_target_is_a_violation(self):
+        router, member = router_journal()
+        router.record_op("crash", target="node0")
+        router.record_op("restart")
+        for journal in (router, member):
+            journal.close()
+        report = check_cluster_journals([router.entries, member.entries])
+        assert report.violation_count == 2
+        assert report.crashes == 0
+
+    def test_records_the_single_node_checker_rejects_are_rejected(self):
+        router, member = router_journal()
+        router.record_op("get", key=b"k", ver=3)  # ok, but no value digest
+        router.record_op("put", value=b"v", ver=4, want=2, cop=1, acks=[0, 1])
+        router.record_op("delete", ver=5, want=2, cop=2, acks=[0, 1])
+        for journal in (router, member):
+            journal.close()
+        report = check_cluster_journals(
+            [router.entries, member.entries], require_seal=True
+        )
+        assert report.chain_ok and report.checked == 0
+        assert [v["problem"] for v in report.violations] == [
+            "get ok record missing value digest",
+            "put record missing key/value digest",
+            "delete record missing key digest",
+        ]
+        # ... in the words the single-node checker uses for the same records.
+        from repro.evidence import check_journal
+
+        single = check_journal(router.entries)
+        assert [v["problem"] for v in single.violations] == [
+            v["problem"] for v in report.violations
+        ]
+
+    def test_check_trace_exits_1_without_a_traceback(self, tmp_path, capsys):
+        from repro.cli import main
+
+        router, member = router_journal(tmp_path)
+        router.record_op(
+            "put", key=b"k", value=b"v", ver="seven", want=2, cop=1, acks=[0]
+        )
+        for journal in (router, member):
+            journal.close()
+        assert main(["check-trace", router.path, member.path]) == 1
+        captured = capsys.readouterr()
+        assert "non-integer ver field" in captured.out + captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestClusterCampaign:
     def make_spec(self, read_repair=True, seed=0):
         from repro.campaign.spec import ShardSpec
@@ -715,3 +802,96 @@ class TestInvariantWitnessNode:
         falsified = [r for r in results if r.status == "falsified"]
         assert falsified
         assert any(r.witness_node == "node1" for r in falsified)
+
+
+class TestClusterAdaptersAgree:
+    """The in-process harness and the merged-journal replay translate one
+    run into the same :class:`ReferenceCluster` state.  (Before they shared
+    the model, the replay did not collapse on an observed-absent newest
+    candidate and the harness did.)"""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", ["cluster", "anti-entropy"])
+    def test_final_candidate_sets_match(self, kind, seed):
+        from repro.campaign.cluster import run_storm
+        from repro.campaign.spec import SUITE_REGISTRY
+
+        suite = SUITE_REGISTRY[kind]
+        profile = suite.plan[seed % len(suite.plan)]["profile"]
+        harness, journals, detail = run_storm(
+            kind, seed, profile, **{suite.control.param: True}
+        )
+        assert detail is None
+        harness.router.close()
+        report = check_cluster_journals(
+            [j.entries for j in journals], require_seal=True
+        )
+        assert report.passed, report.violations
+        replayed = report.model
+
+        # The journal names keys and values by digest, and a value's digest
+        # covers the version the router stamped on it.
+        router = next(j for j in journals if j.entries[0]["meta"].get("role"))
+        puts = [e for e in router.entries if e.get("kind") == "put"]
+
+        def journal_digest(value):
+            if value is None:
+                return None
+            (digest,) = {
+                e["value"]
+                for e in puts
+                if e["value"]
+                == digest_bytes(encode_record(e["ver"], FLAG_VALUE, value))
+            }
+            return digest
+
+        for key in sorted(harness.touched):
+            mine = harness.model.candidates(key)
+            kd = digest_bytes(key)
+            if not replayed.tracked(kd):
+                # The one rule that differs: the replay did not see the
+                # cluster start, so a key its journal never wrote (or only
+                # wrote with zero acks) is unknown to it; the harness knows
+                # such a key is absent.
+                assert mine == (None,)
+                continue
+            assert replayed.candidates(kd) == tuple(map(journal_digest, mine))
+
+    def test_an_absent_newest_candidate_collapses_in_both(self):
+        """The case the storms above never reach: a delete one replica
+        took, then a quorum read that returns its tombstone."""
+        from repro.campaign.cluster import ClusterHarness
+        from repro.errors import RetryableError
+
+        journals = []
+
+        def factory(identity, meta):
+            journals.append(Journal(meta=dict(meta, seed=0), node=identity))
+            return journals[-1]
+
+        harness = ClusterHarness(
+            FaultPlan(seed=0, profile="none", ops=0, faults=()),
+            0,
+            ClusterConfig(num_nodes=5, seed=0),
+            write_only=False,
+            salt=0,
+            prefix=b"c",
+            journal_factory=factory,
+        )
+        key = b"ck-00"
+        assert harness._op_put(key, b"v") is None
+
+        def refuse(*args, **kwargs):
+            raise RetryableError("replica write refused")
+
+        for node_id in harness.router.ring.preference_list(key, 3)[1:]:
+            harness.router.nodes[node_id].node.put = refuse
+        assert harness._op_delete(key) is None  # one ack of the two it needs
+        assert harness.model.candidates(key) == (b"v", None)
+        assert harness._op_get(key) is None  # the tombstone is the newest reply
+        assert harness.model.candidates(key) == (None,)
+
+        harness.router.close()
+        report = check_cluster_journals([j.entries for j in journals])
+        assert report.passed, report.violations
+        assert report.model.candidates(digest_bytes(key)) == (None,)

@@ -174,12 +174,13 @@ class TestRelaxedEquivalence:
         harness.system.store.put = failing_put
         assert harness.apply(1, Operation("Put", (b"k", b"after"))) is None
         assert harness.has_failed
-        assert b"k" in harness._uncertain
+        assert harness.model.candidates(b"k") == (b"before", b"after")
         harness.system.store.put = original_put
         # Either the old or the attempted value is now acceptable for k.
         assert harness.apply(2, Operation("Get", (b"k",))) is None
         # A successful read pins the state back down.
-        assert b"k" not in harness._uncertain
+        assert b"k" not in harness.model.uncertain_keys()
+        assert harness.model.candidates(b"k") == (b"before",)
 
     def test_untouched_keys_stay_strict_after_failure(self):
         harness = StoreHarness(FaultSet.none(), 0)
@@ -188,7 +189,7 @@ class TestRelaxedEquivalence:
         assert harness.has_failed
         # Corrupt the stable key's value behind the harness's back: the
         # strict per-key check must flag it despite has_failed.
-        harness.model.put(b"stable", b"tampered-expectation")
+        harness.model.kv.put(b"stable", b"tampered-expectation")
         failure = harness.apply(2, Operation("Get", (b"stable",)))
         assert failure is not None
 
