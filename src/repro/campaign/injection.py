@@ -166,11 +166,8 @@ def _aim_write(system: Any, planned_extent: int) -> int:
     scheduler's pending queues; arming a random extent mostly misses.  The
     plan's extent stays the deterministic tie-breaker among candidates.
     """
-    pending = sorted(
-        extent
-        for extent, queue in system.store.scheduler._queues.items()
-        if queue and extent in _DATA_EXTENTS
-    )
+    scheduler = system.store.scheduler
+    pending = [e for e in _DATA_EXTENTS if scheduler.pending_count_for(e)]
     if pending:
         return pending[planned_extent % len(pending)]
     return planned_extent

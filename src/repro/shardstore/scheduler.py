@@ -11,22 +11,27 @@ medium, every extent therefore has two write pointers:
 * the *hard* write pointer -- how far the durable medium has actually been
   written, advanced only by writeback.
 
-Appends are split into page-sized IO records, so a crash can persist any
+The page is the unit of persistence; the append is the unit of queueing.
+An append gets one IO record id per page segment (split at the medium's
+page boundaries), durability is tracked per id, and writeback issues at
+most one page per device IO unless coalescing -- so a crash can persist any
 *prefix of pages* of a logical append (a torn append -- the enabling
-mechanism of the paper's bug #10).  Records for one extent are written back
-strictly in FIFO order (extent writes are sequential); across extents the
-writeback order is any order consistent with dependencies, chosen by a
-seeded RNG so tests are deterministic and the crash-consistency checker can
-explore different orders by varying the seed.
+mechanism of the paper's bug #10).  The queue, though, holds one entry per
+append, cut only where a writeback IO ends inside it.  Records for one
+extent are written back strictly in FIFO order (extent writes are
+sequential); across extents the writeback order is any order consistent
+with dependencies, chosen by a seeded RNG so tests are deterministic and
+the crash-consistency checker can explore different orders by varying the
+seed.
 
 Group commit: the production drain paths (:meth:`flush_coalesced`, or
-``pump_one(coalesce=True)``) merge runs of contiguous eligible records on
-one extent into a single device IO, bounded by a tunable batch window
-(``batch_pages``).  Crucially the *enqueue* granularity never changes --
-records are always page-sized, so the crash-state space the checker
-explores (torn appends included) is identical whether or not the
-production path batches.  Coalescing only collapses bookkeeping and device
-IOs at writeback time, which is exactly the paper's Fig. 2 optimisation.
+``pump_one(coalesce=True)``) merge runs of contiguous eligible page segments
+on one extent into a single device IO, bounded by a tunable batch window of
+``batch_pages`` pages.  The ids, the per-page durability and therefore the
+crash-state space the checker explores (torn appends included) are the
+same whether or not the production path batches.  Coalescing only
+collapses bookkeeping and device IOs at writeback time, which is exactly
+the paper's Fig. 2 optimisation.
 
 Crash semantics: pending records that were never pumped are simply dropped
 (:meth:`drop_pending`); whatever subset writeback already applied *is* the
@@ -38,9 +43,10 @@ mode -- by enumerating every reachable pump prefix via
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .dependency import Dependency, DurabilityTracker, RecordInfo
 from .disk import InMemoryDisk
@@ -49,19 +55,29 @@ from .observability import NULL_RECORDER, Recorder
 
 Buffer = Union[bytes, bytearray, memoryview]
 
-#: Default batch window: max page records merged into one device IO by the
+#: Default batch window: max page segments merged into one device IO by the
 #: coalescing drain paths (:attr:`IoScheduler.batch_pages`).
 DEFAULT_BATCH_PAGES = 64
 
 
 class _PendingRecord:
-    """One page-granular IO awaiting writeback."""
+    """One queued append (or reset) awaiting writeback.
 
-    __slots__ = ("record_id", "extent", "offset", "data", "dep", "kind", "label")
+    Covers ``pages`` page segments holding the consecutive record ids
+    ``first_id ..``; segment boundaries are the medium's page boundaries.
+    Never modified once queued (snapshots share records): writeback that
+    ends inside one, or a torn write trimming it, builds new ones
+    with :meth:`part`.
+    """
+
+    __slots__ = (
+        "first_id", "pages", "extent", "offset", "data", "dep", "kind", "label"
+    )
 
     def __init__(
         self,
-        record_id: int,
+        first_id: int,
+        pages: int,
         extent: int,
         offset: int,  # meaningless for resets
         data: Buffer,  # empty for resets; may be a memoryview (zero-copy)
@@ -69,13 +85,32 @@ class _PendingRecord:
         kind: str,  # "write" or "reset"
         label: str,
     ) -> None:
-        self.record_id = record_id
+        self.first_id = first_id
+        self.pages = pages
         self.extent = extent
         self.offset = offset
         self.data = data
         self.dep = dep
         self.kind = kind
         self.label = label
+
+    def ids(self) -> range:
+        return range(self.first_id, self.first_id + self.pages)
+
+    def part(self, start: int, end: int, page: int) -> "_PendingRecord":
+        """The segments covering bytes ``[start, end)`` of this append, the
+        first one trimmed to begin at ``start``."""
+        skipped = start // page - self.offset // page
+        return _PendingRecord(
+            self.first_id + skipped,
+            (end - 1) // page - start // page + 1,
+            self.extent,
+            start,
+            memoryview(self.data)[start - self.offset : end - self.offset],
+            self.dep,
+            self.kind,
+            self.label,
+        )
 
 
 @dataclass
@@ -138,72 +173,45 @@ class IoScheduler:
 
         The returned dependency covers every page of the append; it becomes
         persistent only once all pages are durable on the medium.  ``data``
-        may be any buffer (bytes, bytearray, memoryview); multi-page appends
-        are segmented with memoryview slices, so no payload bytes are copied
-        between here and the device write.
+        may be any buffer (bytes, bytearray, memoryview); it is queued as
+        one record with one id per page segment, and sliced (zero-copy) only
+        where a writeback IO ends inside it.
         """
         length = len(data)
         if not length:
             raise ExtentError("empty append")
         offset = self._soft_pointer[extent]
-        if offset + length > self.disk.geometry.extent_size:
+        end = offset + length
+        if end > self.disk.geometry.extent_size:
             raise ExtentError(
                 f"append of {length} bytes overruns extent {extent} "
                 f"(soft pointer {offset})"
             )
         page = self.disk.geometry.page_size
+        count = (end - 1) // page - offset // page + 1
+        record_ids = self.tracker.allocate_range(count)
         queue = self._queues.get(extent)
         if queue is None:
             queue = self._queues[extent] = []
-        record_info = self.tracker.record_info  # None unless capturing
-        first_seg_end = min(length, (offset // page + 1) * page - offset)
-        if first_seg_end == length:
-            # Fast path: the whole append lands inside one page segment.
-            record_id = self.tracker.allocate()
-            queue.append(
-                _PendingRecord(record_id, extent, offset, data, dep, "write", label)
+        queue.append(
+            _PendingRecord(
+                record_ids.start, count, extent, offset, data, dep, "write", label
             )
-            if record_info is not None:
+        )
+        record_info = self.tracker.record_info  # None unless capturing
+        if record_info is not None:
+            start = offset
+            for record_id in record_ids:
+                seg_end = min(end, (start // page + 1) * page)
                 record_info[record_id] = RecordInfo(
-                    record_id, label or f"append@{extent}", extent, offset, length, dep
+                    record_id,
+                    label or f"append@{extent}",
+                    extent,
+                    start,
+                    seg_end - start,
+                    dep,
                 )
-            record_ids: List[int] = [record_id]
-        else:
-            # Page-granular segments as zero-copy memoryview slices; one
-            # contiguous id range per logical append (group commit keeps
-            # dependency bookkeeping amortised across the batch).
-            view = memoryview(data)
-            bounds: List[Tuple[int, int]] = []
-            cursor = 0
-            seg_end = first_seg_end
-            while cursor < length:
-                bounds.append((cursor, seg_end))
-                cursor = seg_end
-                seg_end = min(length, seg_end + page)
-            id_range = self.tracker.allocate_range(len(bounds))
-            record_ids = list(id_range)
-            for record_id, (start, end) in zip(id_range, bounds):
-                queue.append(
-                    _PendingRecord(
-                        record_id,
-                        extent,
-                        offset + start,
-                        view[start:end],
-                        dep,
-                        "write",
-                        label,
-                    )
-                )
-                if record_info is not None:
-                    record_info[record_id] = RecordInfo(
-                        record_id,
-                        label or f"append@{extent}",
-                        extent,
-                        offset + start,
-                        end - start,
-                        dep,
-                    )
-        count = len(record_ids)
+                start = seg_end
         self.stats.records_enqueued += count
         self._pending_total += count
         self._pending_per_extent[extent] = (
@@ -214,7 +222,7 @@ class IoScheduler:
             self._shadow[extent] = (offset, bytearray(data))
         else:
             tail[1].extend(data)
-        self._soft_pointer[extent] = offset + length
+        self._soft_pointer[extent] = end
         if self.recorder.enabled:
             self.recorder.count("scheduler.records_enqueued", count)
             self.recorder.gauge("scheduler.queue_depth", self._pending_total)
@@ -229,7 +237,7 @@ class IoScheduler:
         re-indexed" -- has persisted.
         """
         record_id = self.tracker.allocate()
-        record = _PendingRecord(record_id, extent, 0, b"", dep, "reset", label)
+        record = _PendingRecord(record_id, 1, extent, 0, b"", dep, "reset", label)
         if self.tracker.record_info is not None:
             self.tracker.record_info[record_id] = RecordInfo(
                 record_id=record_id,
@@ -309,7 +317,7 @@ class IoScheduler:
         return self._pending_total * self.disk.latency_units
 
     def pending_record_ids(self) -> List[int]:
-        return [r.record_id for q in self._queues.values() for r in q]
+        return [i for q in self._queues.values() for r in q for i in r.ids()]
 
     def eligible_extents(self) -> List[int]:
         """Extents whose head-of-queue record may be issued right now."""
@@ -326,18 +334,19 @@ class IoScheduler:
         coalesce: bool = False,
         max_batch: Optional[int] = None,
     ) -> bool:
-        """Write back one eligible record; returns False if none eligible.
+        """Write back one eligible page segment (or reset); returns False if
+        none is eligible.
 
         ``extent`` pins the choice (used by the block-level enumerator);
         otherwise the seeded RNG picks among eligible extents.
 
-        With ``coalesce=True``, contiguous eligible write records on the
+        With ``coalesce=True``, contiguous eligible page segments on the
         chosen extent are merged into one device IO (the paper's Fig. 2:
         "their writebacks can be coalesced into one IO by the scheduler"),
-        up to ``max_batch`` records (default: the scheduler's
-        ``batch_pages`` window).  Crash-state exploration keeps this off --
-        coalescing makes the merged pages atomic, coarsening the reachable
-        crash states -- while the production drain path uses it.
+        up to ``max_batch`` pages (default: the scheduler's ``batch_pages``
+        window).  Crash-state exploration keeps this off -- coalescing makes
+        the merged pages atomic, coarsening the reachable crash states --
+        while the production drain path uses it.
         """
         eligible = self.eligible_extents()
         if not eligible:
@@ -347,104 +356,125 @@ class IoScheduler:
         elif extent not in eligible:
             raise ExtentError(f"extent {extent} has no eligible record")
         queue = self._queues[extent]
-        record = queue.pop(0)
-        self._note_removed(record)
-        if coalesce and record.kind == "write":
-            window = self.batch_pages if max_batch is None else max_batch
-            batch = [record]
-            while (
-                len(batch) < window
-                and queue
-                and queue[0].kind == "write"
-                and queue[0].offset == batch[-1].offset + len(batch[-1].data)
-                and queue[0].dep.is_persistent()
-            ):
-                next_record = queue.pop(0)
-                self._note_removed(next_record)
-                batch.append(next_record)
-            if not queue:
-                del self._queues[extent]
-            if len(batch) > 1:
-                merged = b"".join(r.data for r in batch)
-                try:
-                    self.disk.write(extent, batch[0].offset, merged)
-                except IoError:
-                    self._requeue_failed(extent, batch)
-                    raise
-                self.tracker.mark_durable_many(r.record_id for r in batch)
-                self._note_written(extent)
-                self.stats.records_written += len(batch)
-                self.stats.ios_issued += 1
-                if self.recorder.enabled:
-                    self.recorder.count("scheduler.records_written", len(batch))
-                    self.recorder.count("scheduler.ios_issued")
-                    self.recorder.gauge(
-                        "scheduler.queue_depth", self._pending_total
-                    )
-                return True
-            self._apply_or_requeue(extent, batch[0])
+        if queue[0].kind == "reset":
+            record = queue.pop(0)
+            self._pending_resets[extent] -= 1
+            self._dequeued(extent, queue, 1)
+            try:
+                self.disk.reset(extent)
+            except IoError:
+                self._requeue_failed(extent, [record])
+                raise
+            self.stats.resets_applied += 1
+            if self.recorder.enabled:
+                self.recorder.count("scheduler.resets_applied")
+            self._written(extent, record.ids())
             return True
-        if not queue:
-            del self._queues[extent]
-        self._apply_or_requeue(extent, record)
+        window = 1
+        if coalesce:
+            window = max(1, self.batch_pages if max_batch is None else max_batch)
+        # Whole appends while they fit the window; the one the window ends
+        # inside is split at that page boundary.
+        page = self.disk.geometry.page_size
+        offset = end = queue[0].offset
+        taken = pages = 0
+        split = None
+        for record in queue:
+            if taken and (
+                record.kind != "write"
+                or record.offset != end
+                or not record.dep.is_persistent()
+            ):
+                break
+            if record.pages > window - pages:
+                split = record
+                break
+            taken += 1
+            pages += record.pages
+            end = record.offset + len(record.data)
+            if pages == window:
+                break
+        batch = queue[:taken]
+        parts = [r.data for r in batch]
+        ids = [r.ids() for r in batch]
+        if split is not None:
+            cut = (split.offset // page + window - pages) * page
+            queue[taken] = split.part(cut, split.offset + len(split.data), page)
+            parts.append(memoryview(split.data)[: cut - split.offset])
+            ids.append(range(split.first_id, split.first_id + window - pages))
+            pages = window
+        del queue[:taken]
+        self._dequeued(extent, queue, pages)
+        try:
+            self.disk.write(
+                extent, offset, parts[0] if len(parts) == 1 else b"".join(parts)
+            )
+        except IoError:
+            if split is not None:
+                batch.append(split.part(split.offset, cut, page))
+            self._requeue_failed(extent, batch)
+            raise
+        self.stats.records_written += pages
+        if self.recorder.enabled:
+            self.recorder.count("scheduler.records_written", pages)
+        self._written(extent, itertools.chain.from_iterable(ids))
         return True
 
-    def _note_removed(self, record: _PendingRecord) -> None:
-        self._pending_total -= 1
-        extent = record.extent
-        self._pending_per_extent[extent] -= 1
-        if record.kind == "reset":
-            self._pending_resets[extent] -= 1
+    def _dequeued(self, extent: int, queue: List[_PendingRecord], pages: int) -> None:
+        self._pending_total -= pages
+        self._pending_per_extent[extent] -= pages
+        if not queue:
+            del self._queues[extent]
 
-    def _note_written(self, extent: int) -> None:
-        """A writeback succeeded: with nothing left pending on ``extent``
-        every byte below its soft pointer is durable and the tail goes.
-        (Not in :meth:`_note_removed`: a failed IO requeues its records.)"""
+    def _written(self, extent: int, record_ids: Iterable[int]) -> None:
+        """An IO succeeded: its records are durable, and with nothing left
+        pending on ``extent`` every byte below its soft pointer is durable
+        and the tail goes.  (Not at dequeue: a failed IO requeues.)"""
+        self.tracker.mark_durable_many(record_ids)
         if not self._pending_per_extent[extent]:
             del self._shadow[extent]
-
-    def _apply_or_requeue(self, extent: int, record: _PendingRecord) -> None:
-        try:
-            self._apply(record)
-        except IoError:
-            self._requeue_failed(extent, [record])
-            raise
+        self.stats.ios_issued += 1
+        if self.recorder.enabled:
+            self.recorder.count("scheduler.ios_issued")
+            self.recorder.gauge("scheduler.queue_depth", self._pending_total)
 
     def _requeue_failed(self, extent: int, records: List[_PendingRecord]) -> None:
         """Put back records whose writeback failed, trimming any torn prefix.
 
-        A failed IO must not lose the logical append: the record returns to
-        the head of its extent queue so a later pump (after the transient
-        fault clears, or after a node-level retry) can complete it.  A torn
-        write may have durably landed a prefix; the surviving portion of each
-        record is trimmed to start at the new hard pointer, and records the
-        tear fully absorbed are marked durable after all.
+        A failed IO must not lose the logical append: the records return to
+        the head of their extent queue so a later pump (after the transient
+        fault clears, or after a node-level retry) can complete them.  A torn
+        write may have durably landed a prefix: page segments it fully
+        absorbed are marked durable after all, and the survivor is a new
+        record starting at the new hard pointer, on the same page grid.
         """
         hard = self.disk.write_pointer(extent)
+        page = self.disk.geometry.page_size
         survivors: List[_PendingRecord] = []
         for record in records:
-            if record.kind == "write":
+            if record.kind == "write" and record.offset < hard:
                 end = record.offset + len(record.data)
+                absorbed = record.pages
+                if end > hard:
+                    absorbed = hard // page - record.offset // page
+                for record_id in record.ids()[:absorbed]:
+                    self.tracker.mark_durable(record_id)
+                self.stats.records_written += absorbed
                 if end <= hard:
-                    # The medium absorbed this record before the fault fired
-                    # (a torn batch): it is durable after all.
-                    self.tracker.mark_durable(record.record_id)
-                    self.stats.records_written += 1
                     continue
-                if record.offset < hard:
-                    record.data = record.data[hard - record.offset :]
-                    record.offset = hard
-                    captured = self.tracker.record_info
-                    info = captured.get(record.record_id) if captured else None
-                    if info is not None:
-                        info.offset = record.offset
-                        info.length = len(record.data)
+                record = record.part(hard, end, page)
+                captured = self.tracker.record_info
+                info = captured.get(record.first_id) if captured else None
+                if info is not None:
+                    info.offset = hard
+                    info.length = min(end, (hard // page + 1) * page) - hard
             survivors.append(record)
+        count = sum(r.pages for r in survivors)
         if survivors:
             self._queues.setdefault(extent, [])[:0] = survivors
-            self._pending_total += len(survivors)
+            self._pending_total += count
             self._pending_per_extent[extent] = (
-                self._pending_per_extent.get(extent, 0) + len(survivors)
+                self._pending_per_extent.get(extent, 0) + count
             )
             resets = sum(1 for r in survivors if r.kind == "reset")
             if resets:
@@ -455,26 +485,8 @@ class IoScheduler:
         if self.recorder.enabled:
             self.recorder.count("scheduler.writeback_requeues")
             self.recorder.event(
-                "scheduler.writeback_requeued", extent=extent, records=len(survivors)
+                "scheduler.writeback_requeued", extent=extent, records=count
             )
-
-    def _apply(self, record: _PendingRecord) -> None:
-        if record.kind == "reset":
-            self.disk.reset(record.extent)
-            self.stats.resets_applied += 1
-            if self.recorder.enabled:
-                self.recorder.count("scheduler.resets_applied")
-        else:
-            self.disk.write(record.extent, record.offset, record.data)
-            self.stats.records_written += 1
-            if self.recorder.enabled:
-                self.recorder.count("scheduler.records_written")
-        self.stats.ios_issued += 1
-        self.tracker.mark_durable(record.record_id)
-        self._note_written(record.extent)
-        if self.recorder.enabled:
-            self.recorder.count("scheduler.ios_issued")
-            self.recorder.gauge("scheduler.queue_depth", self._pending_total)
 
     def pump(self, n: int) -> int:
         """Write back up to ``n`` eligible records; returns how many."""
@@ -517,7 +529,10 @@ class IoScheduler:
 
     def _raise_stuck(self) -> None:
         stuck = [
-            (r.label or r.kind, r.extent) for q in self._queues.values() for r in q
+            (r.label or r.kind, r.extent)
+            for q in self._queues.values()
+            for r in q
+            for _ in r.ids()
         ]
         raise IoError(
             f"writeback stuck: {len(stuck)} pending records with "
@@ -587,8 +602,9 @@ class IoScheduler:
         self._pending_per_extent = {}
         self._pending_resets = {}
         for extent, queue in self._queues.items():
-            self._pending_per_extent[extent] = len(queue)
-            self._pending_total += len(queue)
+            pages = sum(r.pages for r in queue)
+            self._pending_per_extent[extent] = pages
+            self._pending_total += pages
             resets = sum(1 for r in queue if r.kind == "reset")
             if resets:
                 self._pending_resets[extent] = resets

@@ -1,15 +1,24 @@
 """Footprint: memory and recovery cost follow the data, not the capacity.
 
 The substrate is O(bytes written) for the disk, O(bytes pending) for the
-scheduler's write-back shadow and O(records lost in crashes) for the
-durability tracker; nothing is O(capacity) or O(records ever written).
+scheduler's write-back shadow, O(appends pending) for its queue and
+O(records lost in crashes) for the durability tracker; nothing is
+O(capacity) or O(records ever written).
 """
 
 import random
+import sys
 import tracemalloc
 
-from repro.shardstore import DiskGeometry, RebootType, StoreConfig, StoreSystem
-from repro.shardstore.dependency import DurabilityTracker
+from repro.shardstore import (
+    DiskGeometry,
+    InMemoryDisk,
+    RebootType,
+    StoreConfig,
+    StoreSystem,
+)
+from repro.shardstore.dependency import Dependency, DurabilityTracker
+from repro.shardstore.scheduler import IoScheduler
 
 #: The cost ladder's per-disk shape: 32 MiB of capacity.
 GEOMETRY = DiskGeometry(128, 262144, 512)
@@ -62,6 +71,52 @@ class TestStoreFootprint:
         # extents and the index loading its runs touch the medium.
         assert reading_steps == {"seal", "index"}
         assert set(store.keys()) == keys
+
+
+class TestSchedulerFootprint:
+    """The write-back queue holds one record per pending append, however
+    many pages it spans; ids and durability stay per page."""
+
+    #: The cost ladder's ``node-ingest`` disk shape.
+    INGEST = DiskGeometry(64, 65536, 512)
+
+    def _scheduler(self):
+        tracker = DurabilityTracker()
+        disk = InMemoryDisk(self.INGEST)
+        return tracker, IoScheduler(disk, tracker, random.Random(0))
+
+    def test_one_record_per_pending_append(self):
+        tracker, scheduler = self._scheduler()
+        root = Dependency.root(tracker)
+        _, dep = scheduler.append(2, bytes(10 * 512), root)
+        assert len(scheduler._queues[2]) == 1
+        assert scheduler.pending_count == len(dep.record_ids()) == 10
+        for n in range(1, 31):  # unaligned multi-page appends
+            scheduler.append(3, bytes(700 + 37 * n), root)
+            assert len(scheduler._queues[3]) == n
+        scheduler.flush_coalesced()
+        assert dep.is_persistent() and not scheduler._queues
+
+    def test_pending_bookkeeping_per_append_is_bounded(self):
+        """Appends the size of a superblock record (2,304 B: 5 pages, every
+        second one unaligned): what the scheduler keeps per pending append,
+        beyond the payload bytes in its write-back tail, is one record
+        (~180 B; a record and a memoryview per page came to ~1,850 B)."""
+        tracker, scheduler = self._scheduler()
+        root = Dependency.root(tracker)
+        payloads = [bytes([n % 256]) * 2304 for n in range(600)]
+        extents = range(2, self.INGEST.num_extents)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n, payload in enumerate(payloads):
+                scheduler.append(extents[n % len(extents)], payload, root)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        tails = sum(sys.getsizeof(tail) for _, tail in scheduler._shadow.values())
+        assert scheduler.pending_count == 5 * len(payloads)
+        assert (grown - tails) / len(payloads) < 320
 
 
 class TestTrackerFootprint:
