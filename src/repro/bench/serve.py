@@ -8,7 +8,7 @@ deterministic warmup workload, and serves:
   and the RPC layer's ``NodeStats`` totals.
   The demo node runs with the deadline-aware admission plane enabled, so
   per-disk queue gauges (``queue_backlog_units``, ``queue_depth``,
-  ``latency_ewma``, ``inflight``) and the shed/hedge counters are live.
+  ``latency_ewma``, ``inflight``) and the shed counters are live.
   Each scrape also applies a small slice of fresh mixed traffic so the
   counters move like a node under load.
 * ``/healthz``  -- JSON liveness: disk service states, shard count, and
@@ -17,7 +17,7 @@ deterministic warmup workload, and serves:
 
 ``--cluster N`` swaps the single node for a :class:`ClusterMetricsDemo`:
 a quorum :class:`~repro.cluster.router.ClusterRouter` over N storage
-nodes, with breaker/queue/shed/hedge series broken out per member via
+nodes, with breaker/queue/shed series broken out per member via
 the ``{node="nodeK"}`` label, a deterministic partition storm every few
 scrapes so the per-node series visibly diverge, and a ``/healthz``
 cluster roll-up that reports ``degraded`` whenever any member is
@@ -97,7 +97,7 @@ class MetricsDemoNode:
         self.checker = TraceChecker()
         self._fed = 0
         # The demo node runs the deadline-aware request plane by default:
-        # healthy demo traffic never sheds, but the queue gauges, hedge
+        # healthy demo traffic never sheds, but the queue gauges, shed
         # counters, and retry-budget token gauge are live on /metrics.
         self.admission = admission if admission is not None else AdmissionConfig()
         self._target = _Target(

@@ -129,12 +129,8 @@ STORM_MAX_BACKLOG_UNITS = 256
 
 def storm_admission(shedding: bool) -> AdmissionConfig:
     """The admission config storm shards run under (both polarities)."""
-    if shedding:
-        return AdmissionConfig(
-            deadline_units=STORM_DEADLINE_UNITS,
-            max_backlog_units=STORM_MAX_BACKLOG_UNITS,
-        )
-    return AdmissionConfig.no_shedding(
+    return AdmissionConfig(
+        shedding=shedding,
         deadline_units=STORM_DEADLINE_UNITS,
         max_backlog_units=STORM_MAX_BACKLOG_UNITS,
     )
@@ -470,7 +466,7 @@ class InjectionNodeHarness(Harness):
         if fault.kind == FAULT_SLOW_DISK:
             # A gray failure: the disk keeps answering, just slowly.  No
             # uncertainty -- slow is not wrong -- but the admission plane
-            # (EWMA, SLOW trip, hedged reads) must react.
+            # (EWMA, SLOW trip, shedding) must react.
             disk.set_latency(max(1, fault.arg))
             self.storm_events += 1
             return
@@ -538,7 +534,7 @@ class InjectionNodeHarness(Harness):
         try:
             value: Optional[bytes] = self.node.get(key)
         except (OverloadedError, DeadlineExceededError):
-            # Shed (and no viable hedge): clean failure, state untouched.
+            # Shed before any substrate IO: clean failure, state untouched.
             return None
         except NotFoundError:
             value = None

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 #: v3: adds the failure-injection phase -- per-shard ``injection`` blocks
 #: and the aggregated top-level ``injection`` section.
 #: v4: adds the brownout/overload storm dimension -- injection blocks gain
-#: admission/shedding identity plus shed/hedge/slow-trip/deadline-violation
+#: admission/shedding identity plus shed/slow-trip/deadline-violation
 #: counters, and the aggregate gains a top-level ``brownout`` section.
 #: v5: adds the evidence plane -- journaled injection shards carry
 #: per-shard journal record counts, chained journal digests, and
@@ -40,7 +40,9 @@ from typing import Any, Dict, List, Optional, Tuple
 #: overflow/revocation breakdown, merged-journal evidence) and the
 #: aggregate gains a top-level ``anti_entropy`` section; cluster blocks
 #: gain a per-node ``hints`` breakdown.
-SCHEMA_VERSION = 7
+#: v8: removes the in-node replica path -- injection blocks and the
+#: ``brownout`` section lose its two counters (replica reads and writes).
+SCHEMA_VERSION = 8
 
 #: Shard kinds, dispatched by the runner to the owning checker module.
 KIND_CONFORMANCE = "conformance"
@@ -139,11 +141,9 @@ _ADMISSION_KEYS = (
     "storm_events",
     "shed_overload",
     "shed_deadline",
-    "hedges",
     "slow_trips",
     "deadline_violations",
     "retry_budget_exhausted",
-    "replica_writes",
 )
 
 #: Storm and hinted-handoff counters shared by both cluster-plane suites.

@@ -1,8 +1,8 @@
 """The cluster layer: N storage nodes behind a quorum-replication router.
 
-This promotes PR 5's in-node replica shards into a real cluster
-(ROADMAP item 1): :class:`ClusterRouter` places each key on a preference
-list of ``replication`` nodes via a consistent-hash ring
+This is the repository's one replication mechanism (a storage node keeps
+each shard on exactly one disk): :class:`ClusterRouter` places each key
+on a preference list of ``replication`` nodes via a consistent-hash ring
 (:class:`~repro.cluster.ring.HashRing`), writes to all of them, and
 acknowledges at ``write_quorum`` -- surfacing a typed
 :class:`~repro.errors.DegradedWriteError` when the quorum is unreachable

@@ -227,7 +227,7 @@ class FaultPlan:
         the SLOW breaker can demote disks, but the last one limps along
         slow, so pressure is sustained), lands one arrival burst mid-ramp,
         and heals one disk later -- the replaced-disk event that gives
-        migration and hedges a fast target again.  ``overload`` slows all
+        migration a fast target again.  ``overload`` slows all
         disks moderately (:data:`OVERLOAD_SLOWDOWNS`) and then schedules
         three arrival bursts from :data:`OVERLOAD_BURSTS` across the rest
         of the sequence.  Neither draws corruption or dying-disk faults:

@@ -13,8 +13,8 @@ lock); a breaker trip is reported to the node through
 
 What the lanes of one node share -- policies, the two logical clocks, the
 retry budget and the :class:`NodeStats` counters -- lives in one
-:class:`LaneContext`.  The routing table, demotion, replicas and the
-control plane stay in :mod:`repro.shardstore.rpc`.
+:class:`LaneContext`.  The routing table, demotion and the control plane
+stay in :mod:`repro.shardstore.rpc`.
 """
 
 from __future__ import annotations
@@ -68,11 +68,8 @@ class NodeStats:
     # Deadline-aware request plane (admission control / brownouts).
     shed_overload: int = 0  # requests shed with OverloadedError
     shed_deadline: int = 0  # requests shed with DeadlineExceededError
-    hedges: int = 0  # shed gets served from a replica shard
     slow_trips: int = 0  # breaker trips into SLOW (brownout detection)
     deadline_violations: int = 0  # admitted past an already-blown deadline
-    replica_writes: int = 0  # best-effort replica shards written
-    replica_failures: int = 0  # replica writes/reads dropped on error
     retry_budget_exhausted: int = 0  # retries abandoned by the token bucket
 
     def snapshot(self) -> Dict[str, int]:

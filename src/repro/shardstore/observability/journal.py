@@ -29,8 +29,8 @@ Nesting guard
 One journal instance is shared by a :class:`~repro.shardstore.rpc.
 StorageNode` and all its per-disk stores (``StoreConfig.journal`` is
 propagated).  Only the *outermost* operation emits a record: a node ``put``
-that delegates to a per-disk store ``put`` (plus replica writes, breaker
-probes, demotion migrations) is one logical operation and must produce one
+that delegates to a per-disk store ``put`` (plus breaker probes and
+demotion migrations) is one logical operation and must produce one
 record, from the layer the client actually called.  ``begin_op`` tracks
 depth; nested calls are invisible.
 """

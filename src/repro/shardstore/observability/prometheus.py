@@ -76,7 +76,7 @@ def render_prometheus(
     ``labeled_counters`` / ``labeled_gauges`` map a metric name to
     ``{label value -> number}`` and render one sample per label value
     under the ``label`` key (default ``node``) -- the cluster demo uses
-    this to break breaker/queue/shed/hedge series out per storage node:
+    this to break breaker/queue/shed series out per storage node:
     ``repro_cluster_shed_overload_total{node="node2"} 3``.
     """
     lines: List[str] = []

@@ -382,8 +382,6 @@ class AdmissionConfig:
     #: the deadline-violation counter) but executes everything -- the
     #: campaign's negative control.
     shedding: bool = True
-    #: On a shed ``get``, try the key's replica shard on a healthy disk.
-    hedge_reads: bool = True
     #: Default logical deadline carried by every request.
     deadline_units: int = 384
     #: Bounded admission queue: shed with ``OverloadedError`` when the
@@ -412,13 +410,6 @@ class AdmissionConfig:
     retry_budget: int = 8
     #: Clock units per retry token refilled.
     retry_refill_units: int = 16
-
-    @classmethod
-    def no_shedding(cls, **overrides: object) -> "AdmissionConfig":
-        """Accounting-only configuration (the ``--no-shedding`` control)."""
-        overrides.setdefault("shedding", False)
-        overrides.setdefault("hedge_reads", False)
-        return cls(**overrides)  # type: ignore[arg-type]
 
 
 class DiskAdmission:

@@ -22,10 +22,12 @@ circuit breaker, the deadline-aware admission queue).  What needs the
 routing table stays here: a tripped breaker auto-demotes its disk via the
 same shard migration ``remove_disk`` uses; a disk whose shards cannot all
 be migrated enters *degraded read-only* mode (stranded shards stay routed
-to it and are served best-effort, writes re-steer away); shed reads are
-hedged against a best-effort replica shard on a healthy disk.  All of it
-is clocked by the node's op counter and virtual unit clock, never wall
-time, so campaigns stay byte-identical.
+to it and are served best-effort, writes re-steer away).  Each shard lives
+on exactly one disk: a shed request of any kind raises its typed error,
+and serving a key from another copy is the cluster router's job
+(:mod:`repro.cluster.router`).  All of it is clocked by the node's op
+counter and virtual unit clock, never wall time, so campaigns stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -39,12 +41,10 @@ from repro.concurrency.primitives import Mutex, yield_point
 from .config import StoreConfig
 from .dependency import Dependency
 from .errors import (
-    DeadlineExceededError,
     InvalidRequestError,
     IoError,
     KeyNotFoundError,
     NotFoundError,
-    OverloadedError,
     RetryableError,
     ShardStoreError,
     validate_key,
@@ -188,10 +188,6 @@ class StorageNode:
         # Ops for which the admission clock stands still (an injected
         # overload burst).
         self._held_arrivals = 0
-        # Best-effort replica shards backing hedged reads: key -> disk id.
-        # An entry is dropped on *any* replica-side failure so a hedge can
-        # never serve stale bytes.
-        self._replica_map: Dict[bytes, int] = {}
 
     # ------------------------------------------------------------------
     # op clock and evidence plumbing
@@ -267,92 +263,6 @@ class StorageNode:
             return lane.io(fn)
 
     # ------------------------------------------------------------------
-    # best-effort replication / hedged reads
-
-    def _hedging(self) -> bool:
-        return self.admission is not None and self.admission.hedge_reads
-
-    def _replica_target(self, primary: int) -> Optional[int]:
-        """A healthy disk (never ``primary``) to hold a replica."""
-        for probe in range(1, len(self.lanes)):
-            disk_id = (primary + probe) % len(self.lanes)
-            if self.lanes[disk_id].in_service:
-                return disk_id
-        return None
-
-    def _replica_failed(self, key: bytes) -> None:
-        """Forget ``key``'s replica so a stale copy is never hedged to."""
-        self._replica_map.pop(key, None)
-        self._count("replica_failures")
-
-    def _replicate(self, key: bytes, value: bytes, primary: int) -> None:
-        """Best-effort replica write backing hedged reads.
-
-        Failure is absorbed (the primary write already succeeded) but the
-        replica entry is dropped.
-        """
-        if not self._hedging():
-            return
-        replica = self._replica_target(primary)
-        if replica is None:
-            self._replica_map.pop(key, None)
-            return
-        try:
-            self.lanes[replica].store.put(key, value)
-        except ShardStoreError:
-            self._replica_failed(key)
-            return
-        self._replica_map[key] = replica
-        self._count("replica_writes")
-
-    def _drop_replica(self, key: bytes, primary: int) -> None:
-        """Forget ``key``'s replica and best-effort erase the copy.
-
-        A demotion may have *migrated* the shard onto the very disk that
-        held its replica, aliasing the two; erasing then would destroy the
-        only live copy, so an aliased entry is only forgotten.
-        """
-        replica = self._replica_map.pop(key, None)
-        if replica is None or replica == primary:
-            return
-        try:
-            self.lanes[replica].store.delete(key)
-        except ShardStoreError:
-            # The routing entry is gone either way; a dangling copy is
-            # unreachable garbage, not a correctness hazard.
-            self._count("replica_failures")
-
-    def _try_hedge(
-        self, key: bytes, primary: int, deadline: Optional[int]
-    ) -> Optional[bytes]:
-        """Serve a shed ``get`` from the key's replica shard, if viable.
-
-        Returns the value, or None when no healthy replica can answer --
-        in which case the original shed error propagates.  The hedge goes
-        through the replica disk's *own* admission queue: a hedge must not
-        itself overload another browned-out disk.
-        """
-        replica = self._replica_map.get(key) if self._hedging() else None
-        if replica is None or replica == primary:
-            return None
-        lane = self.lanes[replica]
-        if not (lane.in_service or lane.degraded):
-            return None
-        try:
-            lane.admit(deadline)
-        except (OverloadedError, DeadlineExceededError):
-            return None
-        try:
-            value = lane.io(lambda: lane.store.get(key))
-        except ShardStoreError:
-            self._replica_failed(key)
-            return None
-        self._count("hedges")
-        if self.recorder.enabled:
-            self.recorder.event("node.hedged_read", disk=replica, primary=primary)
-        return value
-
-    # ------------------------------------------------------------------
     # request plane
 
     def _write_target(self, key: bytes) -> int:
@@ -386,15 +296,7 @@ class StorageNode:
         lane.admit(deadline)
         with self._lock:
             self._shard_map[key] = target
-        try:
-            dep = self._lane_io("put", key, lane, lambda: lane.store.put(key, value))
-        except ShardStoreError:
-            # The primary outcome is uncertain; a replica from an earlier
-            # put could now be stale, and a hedge must never serve it.
-            self._replica_map.pop(key, None)
-            raise
-        self._replicate(key, value, target)
-        return dep
+        return self._lane_io("put", key, lane, lambda: lane.store.put(key, value))
 
     @journaled("get", key=_client_key, classify=value_outcome)
     def get(self, key: bytes, *, deadline: Optional[int] = None) -> bytes:
@@ -409,15 +311,7 @@ class StorageNode:
         # best-effort reads of its stranded shards.
         if not (lane.in_service or lane.degraded):
             raise RetryableError(f"disk {target} is out of service")
-        try:
-            lane.admit(deadline)
-        except (OverloadedError, DeadlineExceededError):
-            # The primary queue cannot meet the deadline; hedge against
-            # the key's replica shard on a healthy disk before giving up.
-            hedged = self._try_hedge(key, target, deadline)
-            if hedged is not None:
-                return hedged
-            raise
+        lane.admit(deadline)
         return self._lane_io("get", key, lane, lambda: lane.store.get(key))
 
     @journaled("delete", key=_client_key)
@@ -445,9 +339,6 @@ class StorageNode:
             if self._shard_map.get(key) != target:
                 raise KeyNotFoundError(f"no shard for key {key!r}")
             del self._shard_map[key]
-        # The replica copy dies with the routing entry, never after it:
-        # a hedge must not resurrect a deleted key.
-        self._drop_replica(key, target)
         try:
             return self._lane_io(
                 "delete", key, lane, lambda: lane.store.delete(key)

@@ -239,7 +239,7 @@ class TestAntiEntropyCampaign:
 
         spec = smoke_spec(workers=1, base_seed=0, suite="anti-entropy")
         artifact = run_campaign(spec).to_json()
-        assert artifact["schema_version"] == 7
+        assert artifact["schema_version"] == 8
         assert artifact["passed"]
         section = artifact["anti_entropy"]
         assert section["all_converged"]

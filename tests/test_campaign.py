@@ -297,7 +297,7 @@ class TestRunCampaign:
 
     def test_artifact_schema_headline_fields(self):
         artifact = result_to_json(run_campaign(_tiny_spec()))
-        assert artifact["schema_version"] == 7
+        assert artifact["schema_version"] == 8
         for key in (
             "campaign",
             "totals",

@@ -256,7 +256,7 @@ class TestCampaignEvidence:
     def test_evidence_section_deterministic_across_workers(self):
         one = run_campaign(self._spec(1)).to_json()
         two = run_campaign(self._spec(2)).to_json()
-        assert one["schema_version"] == 7
+        assert one["schema_version"] == 8
         assert one["evidence"] == two["evidence"]
         assert one["evidence"]["all_passed"] is True
         assert one["evidence"]["totals"]["records"] > 0

@@ -10,7 +10,7 @@ FAIL under a permanent-fault plan when the circuit breaker is disabled.
 import pytest
 
 from repro.campaign import build_shards, run_campaign, smoke_spec
-from repro.campaign.injection import run_shard
+from repro.campaign.injection import STORM_PROFILES, run_shard
 from repro.campaign.spec import KIND_INJECTION, ShardSpec
 from repro.shardstore import FaultInjector, FaultPlan
 from repro.shardstore.injection import (
@@ -145,7 +145,24 @@ class TestInjectionShards:
     def test_node_profiles_pass_with_breaker(self, profile):
         result = run_shard(_shard(0, harness="node", profile=profile))
         assert result.ok, result.failures
-        assert result.section["fired"] > 0
+        # A storm profile's faults are latency and arrivals (its point
+        # faults need not land on any IO); a point-fault profile must fire.
+        counter = "storm_events" if profile in STORM_PROFILES else "fired"
+        assert result.section[counter] > 0
+
+    def test_brownout_storm_20006_settles(self):
+        """Storm 20006 wedged settlement while every put also wrote a copy
+        to a second disk: the slow survivor disk ran inline reclamation
+        scans whose reads billed admitted puts ~3,800 units, and fresh
+        writes shed against the 256-unit bound for good."""
+        result = run_shard(
+            ShardSpec.make(
+                0, KIND_INJECTION, 20006,
+                harness="node", profile="brownout", sequences=1,
+            )
+        )  # fmt: skip
+        assert result.ok, result.failures
+        assert result.section["deadline_violations"] == 0
 
     def test_node_permanent_exercises_self_healing(self):
         result = run_shard(

@@ -305,7 +305,7 @@ class TestOneCounterPath:
             lane.ctx.count(name, n)
         counters = recorder.snapshot()["metrics"]["counters"]
         snapshot = lane.ctx.stats.snapshot()
-        assert len(snapshot) == 21
+        assert len(snapshot) == 18
         assert {k: counters[k] for k in snapshot} == snapshot
         assert snapshot["node.scrub_repaired"] == lane.ctx.stats.repaired
         assert snapshot["node.scrub_quarantined"] == lane.ctx.stats.quarantined

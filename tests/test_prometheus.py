@@ -297,7 +297,7 @@ class TestQueueGaugeRoundTrip:
             == node.admission.retry_budget
         )
 
-    def test_shed_and_hedge_counters_round_trip(self):
+    def test_shed_counters_round_trip(self):
         node = self._admitted_node()
         page = render_prometheus(
             {}, extra_counters=node.stats.snapshot()
@@ -307,13 +307,19 @@ class TestQueueGaugeRoundTrip:
         for counter in (
             "repro_node_shed_overload_total",
             "repro_node_shed_deadline_total",
-            "repro_node_hedges_total",
             "repro_node_slow_trips_total",
             "repro_node_deadline_violations_total",
             "repro_node_retry_budget_exhausted_total",
         ):
             assert types[counter] == "counter"
             assert by_name[(counter, "")] == 0
+        # The node keeps one copy per shard: no replica series.
+        for gone in (
+            "repro_node_hedges_total",
+            "repro_node_replica_writes_total",
+            "repro_node_replica_failures_total",
+        ):
+            assert gone not in types
 
     def test_backlog_gauge_tracks_the_virtual_queue(self):
         node = self._admitted_node()
@@ -355,7 +361,7 @@ class TestServeAdmission:
             assert f"{prefix}_inflight" in names
         assert "repro_node_retry_budget_tokens" in names
         assert "repro_node_shed_overload_total" in names
-        assert "repro_node_hedges_total" in names
+        assert "repro_node_hedges_total" not in names
 
     def test_healthz_reports_queue_state(self, server):
         base_url, demo = server

@@ -289,7 +289,7 @@ class TestOneCounterPath:
         )
         keys = [b"k%d" % i for i in range(9)]
         for key in keys:
-            node.put(key, b"v" * 32)  # and a best-effort replica each
+            node.put(key, b"v" * 32)
         node.flush()
         node.drain()
         node.delete(keys.pop())
@@ -297,9 +297,10 @@ class TestOneCounterPath:
         victim = node.route_of(hot)
         queue = node.lanes[victim].queue
 
-        # A shed get is hedged from its replica; a shed put is just shed.
+        # A shed get and a shed put both raise their typed error.
         queue.busy_until = node.ctx.clock + self.ADMISSION.max_backlog_units
-        assert node.get(hot) == b"v" * 32
+        with pytest.raises(DeadlineExceededError):
+            node.get(hot)
         with pytest.raises(DeadlineExceededError):
             node.put(hot, b"late")
         node.advance_clock(10 * self.ADMISSION.max_backlog_units)
@@ -333,11 +334,10 @@ class TestOneCounterPath:
             "puts", "gets", "deletes", "migrations", "retries",
             "wrapped_transients", "breaker_trips", "breaker_probes",
             "readmissions", "demotions", "shards_stranded", "shed_deadline",
-            "hedges", "replica_writes",
         ):  # fmt: skip
             assert getattr(stats, name) > 0, name
         counters = recorder.snapshot()["metrics"]["counters"]
         snapshot = stats.snapshot()
-        assert len(snapshot) == 21
+        assert len(snapshot) == 18
         assert {n: counters.get(n, 0) for n in snapshot} == snapshot
         assert {"node.scrub_repaired", "node.scrub_quarantined"} <= set(snapshot)
