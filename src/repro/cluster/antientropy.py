@@ -8,7 +8,9 @@ gap with the classic Dynamo-style protocol:
 
 * every replica maintains an incremental :class:`~repro.shardstore.
   merkle.MerkleMap` over its ``key -> record-digest`` map (updated on
-  each conditional apply, rebuilt after a dirty restart);
+  each conditional apply, rebuilt after a dirty restart), plus a version
+  column over the same keys that lets the conditional apply skip its
+  read-before-write;
 * a background round picks one pair of reachable replicas on the
   router's op clock, compares tree roots, descends only into diverging
   subtrees, and repairs stale keys through the *existing* versioned
@@ -66,6 +68,13 @@ class AntiEntropyService:
     mutation path so the trees are exact mirrors of replica content, and
     :meth:`maybe_run` from its op clock so rounds are deterministic
     functions of the workload (never wall time).
+
+    The mirror has two columns per replica and key: the Merkle leaf and
+    the record version.  The version column is a cache whose miss path is
+    a read of the replica: :meth:`version` answers ``None`` (unknown) for
+    a key whose write raised, for a key a rebuild could not read, and for
+    every key of a replica a rebuild could not list; the caller then reads
+    through and :meth:`note_read` seeds both columns from the record.
     """
 
     def __init__(self, router: "ClusterRouter") -> None:
@@ -76,32 +85,68 @@ class AntiEntropyService:
         self.max_buckets = cfg.anti_entropy_buckets
         self.max_repairs = cfg.anti_entropy_repairs
         self.trees: Dict[int, MerkleMap] = {}
+        #: The version column: per replica, ``key -> version`` for every
+        #: key it holds, or ``None`` for a key whose state is unknown; a
+        #: key it does not list is known absent.  A replica with no entry
+        #: is unknown as a whole (dropped, or its key listing failed).
+        self.versions: Dict[int, Dict[bytes, Optional[int]]] = {}
         self._cursor = 0  # round-robin position over reachable pairs
         self._bucket_cursor = 0  # rotation offset into diverging buckets
 
     # ------------------------------------------------------------------
-    # tree maintenance (called from the router's replica mutation paths)
+    # mirror maintenance (called from the router's replica mutation paths)
 
     def register_node(self, node_id: int) -> None:
         self.trees[node_id] = MerkleMap()
+        self.versions[node_id] = {}  # a fresh node holds nothing
 
     def drop_node(self, node_id: int) -> None:
         self.trees.pop(node_id, None)
+        self.versions.pop(node_id, None)
+
+    def version(self, node_id: int, key: bytes) -> Optional[int]:
+        """The version ``node_id`` holds for ``key`` (-1 = absent), or
+        ``None`` when the mirror does not know it."""
+        versions = self.versions.get(node_id)
+        if versions is None:
+            return None
+        return versions.get(key, -1)
 
     def note_apply(self, node_id: int, key: bytes, record: bytes) -> None:
         tree = self.trees.get(node_id)
         if tree is not None:
             tree.set(key, digest_bytes(record))
+        versions = self.versions.get(node_id)
+        if versions is not None:
+            versions[key] = _record_version(record)
 
     def note_remove(self, node_id: int, key: bytes) -> None:
         tree = self.trees.get(node_id)
         if tree is not None:
             tree.remove(key)
+        versions = self.versions.get(node_id)
+        if versions is not None:
+            versions.pop(key, None)
+
+    def note_unknown(self, node_id: int, key: bytes) -> None:
+        """A write of ``key`` raised: it may or may not have applied."""
+        versions = self.versions.get(node_id)
+        if versions is not None:
+            versions[key] = None
+
+    def note_read(self, node_id: int, key: bytes, raw: Optional[bytes]) -> int:
+        """Re-derive both columns from a read of the replica (``raw`` is
+        None when it answered absent); returns the version read."""
+        if raw is None:
+            self.note_remove(node_id, key)
+            return -1
+        self.note_apply(node_id, key, raw)
+        return _record_version(raw)
 
     def rebuild(self, node_id: int) -> None:
-        """Rebuild one replica's tree from its store (post-restart).
+        """Rebuild one replica's mirror from its store (post-restart).
 
-        A dirty restart loses un-drained writes, so the in-memory tree
+        A dirty restart loses un-drained writes, so the in-memory mirror
         may be ahead of the recovered store; re-deriving it from what
         recovery actually produced is the only honest commitment.
         """
@@ -110,15 +155,21 @@ class AntiEntropyService:
         if tree is None or cn is None:
             return
         tree.clear()
+        self.versions.pop(node_id, None)
         try:
             keys = cn.node.keys()
         except ShardStoreError:
             return
+        self.versions[node_id] = {}
         for key in keys:
             try:
-                tree.set(key, digest_bytes(cn.node.get(key)))
+                raw = cn.node.get(key)
+            except NotFoundError:
+                continue  # listed, but the replica answers absent
             except ShardStoreError:
+                self.note_unknown(node_id, key)
                 continue
+            self.note_apply(node_id, key, raw)
 
     def root(self, node_id: int) -> str:
         """The whole-tree root of one replica (journal / gauge surface)."""
@@ -261,13 +312,21 @@ class AntiEntropyService:
         return summary
 
     def _read_raw(self, cn: "ClusterNode", key: bytes) -> Optional[bytes]:
+        """Read ``key`` off one replica and re-derive its mirror entry from
+        the record.  Both happen under the replica's lock, as an apply
+        does, so no concurrent apply can land between the read and the
+        re-derivation."""
         try:
-            return cn.node.get(key)
-        except NotFoundError:
-            return None
+            with cn.lock:
+                try:
+                    raw: Optional[bytes] = cn.node.get(key)
+                except NotFoundError:
+                    raw = None
+                self.note_read(cn.node_id, key, raw)
         except ShardStoreError:
             self.router._note_failure(cn)
             return None
+        return raw
 
     def _repair_key(self, node_a: int, node_b: int, key: bytes) -> bool:
         """Copy the newest record of ``key`` onto the staler pair member.
@@ -275,6 +334,9 @@ class AntiEntropyService:
         Goes through :meth:`ClusterRouter._replica_apply`, so the repair
         is exactly a conditional write: per-replica version monotonicity
         and acknowledged-write durability are preserved by construction.
+        Both reads re-derive their replica's leaf, so a pair that differs
+        only in a stale leaf (a write that applied and then raised) stops
+        differing here even though nothing is copied.
         """
         cn_a = self.router.nodes[node_a]
         cn_b = self.router.nodes[node_b]

@@ -212,8 +212,9 @@ class ClusterNode:
         self.removed = False
         self.failures = 0  # consecutive replica-side errors
         self.probe_at = 0  # op-clock time of the next readmission probe
-        # Serializes the read-version/conditional-write pair on this
-        # replica; under the deterministic scheduler this is what makes
+        # Serializes each conditional apply on this replica (the mirror's
+        # version lookup or its read-through, the write, the mirror
+        # update); under the deterministic scheduler this is what makes
         # concurrent quorum writes version-monotone per replica.
         self.lock: Mutex = Mutex(None, name=f"cluster-node-{node_id}")
 
@@ -530,29 +531,39 @@ class ClusterRouter:
     ) -> None:
         """Conditionally apply ``record`` on one replica (newer wins).
 
-        The version check and the write are serialized per replica, which
-        keeps replica versions monotone under concurrent quorum writes --
-        the property the model-check harness exercises.  The ack implies a
-        drain, so acknowledged data survives a dirty restart.
+        The replica's current version comes from the anti-entropy mirror,
+        so an apply costs one write; only a version the mirror does not
+        know is read through the node, which also re-derives the mirror
+        entry.  The version check and the write are serialized per
+        replica, which keeps replica versions monotone under concurrent
+        quorum writes -- the property the model-check harness exercises.
+        The ack implies a drain, so acknowledged data survives a dirty
+        restart.
         """
         version = int.from_bytes(record[:8], "big")
+        mirror = self.antientropy
         cn.lock.acquire()
         try:
-            try:
-                current, _, _ = decode_record(
-                    cn.node.get(key, deadline=deadline)
-                )
-            except NotFoundError:
-                current = -1
+            current = mirror.version(cn.node_id, key)
+            if current is None:
+                try:
+                    raw: Optional[bytes] = cn.node.get(key, deadline=deadline)
+                except NotFoundError:
+                    raw = None
+                current = mirror.note_read(cn.node_id, key, raw)
             if current >= version:
                 return
             if cn.journal is not None and cop:
                 cn.journal.annotate(cop=cop)
-            cn.node.put(key, record, deadline=deadline)
-            # Mirror the apply into the replica's Merkle tree before the
-            # drain: the record is on the node either way, and a drain
-            # failure is followed by a dirty restart, which rebuilds.
-            self.antientropy.note_apply(cn.node_id, key, record)
+            try:
+                cn.node.put(key, record, deadline=deadline)
+            except ShardStoreError:
+                # The write may have applied before it raised.
+                mirror.note_unknown(cn.node_id, key)
+                raise
+            # Mirror the apply before the drain: the record is on the node
+            # either way, and a dirty restart rebuilds the mirror.
+            mirror.note_apply(cn.node_id, key, record)
             cn.node.drain()
         finally:
             cn.lock.release()
@@ -853,8 +864,9 @@ class ClusterRouter:
         self.stats["node_restarts"] += 1
         self._record("restart", target=node_id)
         # A dirty restart may have lost un-drained writes; re-derive the
-        # replica's Merkle tree from what recovery actually produced
-        # (hint replay below re-applies through the tracked path).
+        # replica's mirror (Merkle leaves and versions) from what recovery
+        # actually produced (hint replay below re-applies through the
+        # tracked path).
         self.antientropy.rebuild(node_id)
         self._replay_hints(node_id)
 
@@ -968,10 +980,11 @@ class ClusterRouter:
                     continue
                 try:
                     reachable[nid].node.delete(key)
-                    self.antientropy.note_remove(nid, key)
-                    moves += 1
                 except ShardStoreError:
+                    self.antientropy.note_unknown(nid, key)
                     continue
+                self.antientropy.note_remove(nid, key)
+                moves += 1
         self.stats["rebalances"] += 1
         self.stats["rebalance_moves"] += moves
         self._record("rebalance", moves=moves)
