@@ -6,32 +6,30 @@ quorum-failure hint revocation stays divergent *forever* -- the paper's
 section 4.4 recovery obligation demands better.  This module closes the
 gap with the classic Dynamo-style protocol:
 
-* every replica maintains an incremental :class:`~repro.shardstore.
-  merkle.MerkleMap` over its ``key -> record-digest`` map (updated on
-  each conditional apply, rebuilt after a dirty restart), plus a version
-  column over the same keys that lets the conditional apply skip its
-  read-before-write;
+* every replica maintains one incremental :class:`~repro.shardstore.
+  merkle.MerkleMap` per *placement group* (a key's preference list, as a
+  tuple in preference order) over its ``key -> record-digest`` entries
+  (updated on each conditional apply, rebuilt after a dirty restart),
+  plus a version column over the same keys that lets the conditional
+  apply skip its read-before-write;
 * a background round picks one pair of reachable replicas on the
-  router's op clock, compares tree roots, descends only into diverging
-  subtrees, and repairs stale keys through the *existing* versioned
-  conditional-apply path (newest version wins, tombstones included);
+  router's op clock, compares the roots of the groups both belong to,
+  descends only into diverging subtrees of diverging groups, and repairs
+  stale keys through the *existing* versioned conditional-apply path
+  (newest version wins, tombstones included);
 * per-round budgets bound the buckets descended and keys repaired, so
   sync can never starve foreground traffic;
 * an explicit :meth:`AntiEntropyService.sync` against an unreachable
   peer raises a typed :class:`~repro.errors.AntiEntropyError`;
   background rounds just skip the pair and retry later.
 
-Convergence is *checked*, not assumed: :meth:`roots_converged` groups
-keys by their preference list and compares, per group, a Merkle root
-computed by every live member over exactly that group's key domain.
-All-equal group roots prove the live replicas hold byte-identical record
-sets (up to digest collision) -- the ``anti-entropy`` campaign suite's
-settlement gate, and the property the ``--no-anti-entropy`` negative
-control proves is load-bearing.  (Whole-tree roots cannot converge
-pairwise under partial replication -- each node legitimately holds a
-different key subset -- which is why the gate is per placement group
-while the pairwise *sync* still descends whole trees and filters to
-shared placements at repair time.)
+Convergence is *checked*, not assumed: :meth:`roots_converged` compares,
+per placement group, the group root of every live member.  All-equal
+group roots prove the live replicas hold byte-identical record sets (up
+to digest collision) -- the ``anti-entropy`` campaign suite's settlement
+gate, and the property the ``--no-anti-entropy`` negative control proves
+is load-bearing.  A replica's whole root is the combination of its group
+roots, so it equals the root of one tree over everything it holds.
 """
 
 from __future__ import annotations
@@ -39,7 +37,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import AntiEntropyError, NotFoundError, ShardStoreError
-from repro.shardstore.merkle import MerkleMap, numeric_root
+from repro.shardstore.merkle import (
+    EMPTY_DIGEST,
+    MerkleMap,
+    combine_roots,
+    numeric_root,
+)
 from repro.shardstore.observability.journal import digest_bytes, digest_keys
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (router imports us)
@@ -52,6 +55,9 @@ __all__ = ["AntiEntropyService", "DEFAULT_MAX_ROUNDS"]
 #: ``replication - 1`` cycles of budgeted progress.
 DEFAULT_MAX_ROUNDS = 200
 
+#: A placement group: a key's preference list, in preference order.
+Group = Tuple[int, ...]
+
 
 def _record_version(raw: Optional[bytes]) -> int:
     """The version framed in a replica record (-1 when absent)."""
@@ -61,13 +67,20 @@ def _record_version(raw: Optional[bytes]) -> int:
 
 
 class AntiEntropyService:
-    """Per-replica Merkle trees plus the budgeted pairwise sync protocol.
+    """Per-replica, per-group Merkle trees plus the budgeted pairwise sync.
 
     Owned by :class:`~repro.cluster.router.ClusterRouter`; the router
     calls :meth:`note_apply` / :meth:`note_remove` from every replica
     mutation path so the trees are exact mirrors of replica content, and
     :meth:`maybe_run` from its op clock so rounds are deterministic
     functions of the workload (never wall time).
+
+    Each replica's leaves are filed by placement group: ``trees[node]
+    [group]`` holds exactly the entries ``node`` has for keys whose
+    preference list is ``group`` (a stray copy outside its key's list is
+    filed there too, under a group the node is not a member of).  Key ->
+    group lookups are cached; a ring change (:meth:`register_node` /
+    :meth:`drop_node`) clears the cache and re-files every leaf.
 
     The mirror has two columns per replica and key: the Merkle leaf and
     the record version.  The version column is a cache whose miss path is
@@ -84,12 +97,15 @@ class AntiEntropyService:
         self.interval = cfg.anti_entropy_interval
         self.max_buckets = cfg.anti_entropy_buckets
         self.max_repairs = cfg.anti_entropy_repairs
-        self.trees: Dict[int, MerkleMap] = {}
+        #: The leaf column: per replica, one tree per placement group.
+        self.trees: Dict[int, Dict[Group, MerkleMap]] = {}
         #: The version column: per replica, ``key -> version`` for every
         #: key it holds, or ``None`` for a key whose state is unknown; a
         #: key it does not list is known absent.  A replica with no entry
         #: is unknown as a whole (dropped, or its key listing failed).
         self.versions: Dict[int, Dict[bytes, Optional[int]]] = {}
+        #: key -> placement group under the current ring.
+        self._groups: Dict[bytes, Group] = {}
         self._cursor = 0  # round-robin position over reachable pairs
         self._bucket_cursor = 0  # rotation offset into diverging buckets
 
@@ -97,12 +113,39 @@ class AntiEntropyService:
     # mirror maintenance (called from the router's replica mutation paths)
 
     def register_node(self, node_id: int) -> None:
-        self.trees[node_id] = MerkleMap()
+        self.trees[node_id] = {}
         self.versions[node_id] = {}  # a fresh node holds nothing
+        self._refile()
 
     def drop_node(self, node_id: int) -> None:
         self.trees.pop(node_id, None)
         self.versions.pop(node_id, None)
+        self._refile()
+
+    def _refile(self) -> None:
+        """The ring changed: re-file every leaf under its key's new group."""
+        self._groups = {}
+        for node_id, groups in list(self.trees.items()):
+            self.trees[node_id] = {}
+            for tree in groups.values():
+                for key, digest in tree.items():
+                    self._tree(node_id, key).set(key, digest)
+
+    def _group(self, key: bytes) -> Group:
+        """``key``'s placement group (cached until the ring changes)."""
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = tuple(self.router._placement(key))
+        return group
+
+    def _tree(self, node_id: int, key: bytes) -> MerkleMap:
+        """The tree of ``node_id`` that ``key``'s leaf belongs in."""
+        groups = self.trees[node_id]
+        group = self._group(key)
+        tree = groups.get(group)
+        if tree is None:
+            tree = groups[group] = MerkleMap()
+        return tree
 
     def version(self, node_id: int, key: bytes) -> Optional[int]:
         """The version ``node_id`` holds for ``key`` (-1 = absent), or
@@ -113,17 +156,18 @@ class AntiEntropyService:
         return versions.get(key, -1)
 
     def note_apply(self, node_id: int, key: bytes, record: bytes) -> None:
-        tree = self.trees.get(node_id)
-        if tree is not None:
-            tree.set(key, digest_bytes(record))
+        if node_id in self.trees:
+            self._tree(node_id, key).set(key, digest_bytes(record))
         versions = self.versions.get(node_id)
         if versions is not None:
             versions[key] = _record_version(record)
 
     def note_remove(self, node_id: int, key: bytes) -> None:
-        tree = self.trees.get(node_id)
-        if tree is not None:
-            tree.remove(key)
+        groups = self.trees.get(node_id)
+        if groups is not None:
+            tree = groups.get(self._group(key))
+            if tree is not None:
+                tree.remove(key)
         versions = self.versions.get(node_id)
         if versions is not None:
             versions.pop(key, None)
@@ -150,11 +194,10 @@ class AntiEntropyService:
         may be ahead of the recovered store; re-deriving it from what
         recovery actually produced is the only honest commitment.
         """
-        tree = self.trees.get(node_id)
         cn = self.router.nodes.get(node_id)
-        if tree is None or cn is None:
+        if node_id not in self.trees or cn is None:
             return
-        tree.clear()
+        self.trees[node_id] = {}
         self.versions.pop(node_id, None)
         try:
             keys = cn.node.keys()
@@ -171,15 +214,20 @@ class AntiEntropyService:
                 continue
             self.note_apply(node_id, key, raw)
 
+    def _group_root(self, node_id: int, group: Group) -> str:
+        tree = self.trees[node_id].get(group)
+        return EMPTY_DIGEST if tree is None else tree.root()
+
     def root(self, node_id: int) -> str:
-        """The whole-tree root of one replica (journal / gauge surface)."""
-        return self.trees[node_id].root()
+        """The whole root of one replica: its group roots combined
+        (journal / gauge surface)."""
+        return combine_roots(tree.root() for tree in self.trees[node_id].values())
 
     def numeric_roots(self) -> Dict[int, int]:
         """Per-node 48-bit root prefixes for the /metrics gauge."""
         return {
-            nid: numeric_root(tree.root())
-            for nid, tree in sorted(self.trees.items())
+            nid: numeric_root(self.root(nid))
+            for nid in sorted(self.trees)
             if nid in self.router.nodes and not self.router.nodes[nid].removed
         }
 
@@ -256,8 +304,24 @@ class AntiEntropyService:
         max_repairs: Optional[int],
     ) -> Dict[str, Any]:
         stats = self.router.stats
-        tree_a, tree_b = self.trees[node_a], self.trees[node_b]
-        buckets, compared = tree_a.diff(tree_b)
+        trees_a, trees_b = self.trees[node_a], self.trees[node_b]
+        # Only the groups both replicas belong to: a key outside a pair's
+        # shared placement is not this pair's to repair (a stray copy is
+        # rebalancing's job), so it is never compared at all.
+        shared = sorted(
+            group
+            for group in trees_a.keys() | trees_b.keys()
+            if node_a in group and node_b in group
+        )
+        empty = MerkleMap()
+        buckets: List[Tuple[MerkleMap, MerkleMap, int]] = []
+        compared = 0
+        for group in shared:
+            tree_a = trees_a.get(group, empty)
+            tree_b = trees_b.get(group, empty)
+            diverging, nodes = tree_a.diff(tree_b)
+            compared += nodes
+            buckets.extend((tree_a, tree_b, bucket) for bucket in diverging)
         stats["anti_entropy_rounds"] += 1
         summary: Dict[str, Any] = {
             "pair": [node_a, node_b],
@@ -272,19 +336,18 @@ class AntiEntropyService:
             self.router._record("anti_entropy", **summary)
             return summary
         if max_buckets is not None:
-            # Rotate the descent start each round: a pair can legitimately
-            # hold permanently-diverging buckets (keys whose placement the
-            # pair does not share), so always descending the first N would
-            # starve the repairable tail behind them.
-            # The offset advances by one (coprime with any list length),
-            # so every diverging bucket is eventually descended no matter
-            # how the list length interacts with the window size.
+            # Rotate the descent start each round, so a bucket whose repair
+            # keeps failing (an unreadable replica) cannot starve the
+            # repairable tail behind it.  The offset advances by one
+            # (coprime with any list length), so every diverging bucket is
+            # eventually descended no matter how the list length interacts
+            # with the window size.
             start = self._bucket_cursor % len(buckets)
             self._bucket_cursor += 1
             buckets = (buckets[start:] + buckets[:start])[:max_buckets]
         repaired_keys: List[bytes] = []
         budget_spent = False
-        for bucket in buckets:
+        for tree_a, tree_b, bucket in buckets:
             if budget_spent:
                 break
             summary["descended"] += 1
@@ -297,11 +360,6 @@ class AntiEntropyService:
                 if max_repairs is not None and len(repaired_keys) >= max_repairs:
                     budget_spent = True
                     break
-                placement = self.router._placement(key)
-                if node_a not in placement or node_b not in placement:
-                    # A stray copy outside the key's preference list is
-                    # rebalancing's job, not anti-entropy's.
-                    continue
                 if self._repair_key(node_a, node_b, key):
                     repaired_keys.append(key)
         summary["repaired"] = len(repaired_keys)
@@ -362,10 +420,12 @@ class AntiEntropyService:
     ) -> Dict[str, Any]:
         """Budgeted rounds until the placement-group roots converge.
 
-        The convergence check runs once per full pair cycle (it is a
-        whole-keyspace sweep; rounds are cheap).  Returns ``{"rounds",
-        "converged"}``; callers gate on ``converged`` -- the settlement
-        gate never trusts round counts alone.
+        The convergence check runs once per full pair cycle, so the round
+        count is a whole number of cycles: at most ``replication - 1`` of
+        them when each round's budget covers what a pair has to repair.
+        Returns ``{"rounds", "converged"}``; callers gate on
+        ``converged`` -- the settlement gate never trusts round counts
+        alone.
         """
         rounds = 0
         snapshot = self.converged_snapshot()
@@ -383,46 +443,35 @@ class AntiEntropyService:
     def converged_snapshot(self) -> Dict[str, Any]:
         """Placement-group Merkle roots across all live replicas.
 
-        Keys are grouped by preference list; each live group member
-        computes a Merkle root over its records restricted to the
-        group's key domain.  A group converged iff every member root is
-        equal -- equal roots prove identical record sets.  Returns
-        ``{"converged", "groups", "divergent", "keys"}``.
+        The groups are those some member holds a key of; each reachable
+        member of a group contributes its root for that group.  A group
+        converged iff every such root is equal -- equal roots prove
+        identical record sets.  Returns ``{"converged", "groups",
+        "divergent", "keys"}``.
         """
         nodes = self.router.nodes
-        groups: Dict[Tuple[int, ...], List[bytes]] = {}
+        held: set = set()
         all_keys: set = set()
-        for nid, tree in self.trees.items():
+        for nid, groups in self.trees.items():
             cn = nodes.get(nid)
             if cn is None or cn.removed:
                 continue
-            all_keys.update(tree.keys())
-        for key in all_keys:
-            placement = tuple(self.router._placement(key))
-            groups.setdefault(placement, []).append(key)
+            for group, tree in groups.items():
+                if len(tree):
+                    held.add(group)
+                    all_keys.update(tree.keys())
         divergent = 0
-        for placement, keys in groups.items():
-            live = [
-                nid
-                for nid in placement
+        for group in held:
+            roots = {
+                self._group_root(nid, group)
+                for nid in group
                 if nid in nodes and nodes[nid].reachable
-            ]
-            if len(live) < 2:
-                continue  # nothing to compare; a lone replica is converged
-            roots = set()
-            for nid in live:
-                tree = self.trees[nid]
-                items = [
-                    (key, tree.get(key) or "")
-                    for key in keys
-                    if tree.get(key) is not None
-                ]
-                roots.add(MerkleMap.from_items(items).root())
-            if len(roots) > 1:
+            }
+            if len(roots) > 1:  # a lone live replica is converged
                 divergent += 1
         return {
             "converged": divergent == 0,
-            "groups": len(groups),
+            "groups": len(held),
             "divergent": divergent,
             "keys": len(all_keys),
         }
@@ -439,7 +488,7 @@ class AntiEntropyService:
         """
         snapshot = self.converged_snapshot()
         roots = {
-            str(nid): self.trees[nid].root()
+            str(nid): self.root(nid)
             for nid, cn in sorted(self.router.nodes.items())
             if not cn.removed and nid in self.trees
         }

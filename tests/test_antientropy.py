@@ -1,9 +1,12 @@
 """Tests for Merkle anti-entropy: service, campaign suite, evidence plane."""
 
+import random
+
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterRouter
 from repro.errors import AntiEntropyError, DegradedReadError
+from repro.shardstore import DiskGeometry
 
 
 def _router(**overrides) -> ClusterRouter:
@@ -125,6 +128,50 @@ class TestAntiEntropyService:
         for rec in router.replica_states(b"k").values():
             assert rec is not None and rec[2] == b"new"
         assert router.get(b"k") == b"new"
+
+
+class TestConvergenceBound:
+    """``run_until_converged`` keeps its docstring's promise at the ladder's
+    cluster shape: after a crash, a dirty restart and ``settle()``, the
+    budgeted rounds converge within ``replication - 1`` pair cycles and
+    descend no bucket that holds nothing to repair (one per round at most
+    for a repair that found equal versions)."""
+
+    @pytest.mark.parametrize("seed", [1, 3, 7, 11])
+    def test_crash_restart_converges_within_the_budgeted_bound(self, seed):
+        router = ClusterRouter(
+            ClusterConfig(
+                num_nodes=5,
+                disks_per_node=2,
+                replication=3,
+                write_quorum=2,
+                read_quorum=2,
+                hint_limit=4096,
+                anti_entropy=True,
+                anti_entropy_interval=64,
+                geometry=DiskGeometry(64, 32768, 256),
+                seed=seed,
+            )
+        )
+        rng = random.Random(seed)
+        for i in range(1000):
+            router.put(b"wk-%03d" % rng.randrange(200), b"v-%d" % i)
+        victim = seed % router.config.num_nodes
+        router.crash_node(victim)
+        router.restart_node(victim)
+        router.settle()
+        stats = router.stats
+        buckets = stats["anti_entropy_buckets"]
+        repaired = stats["anti_entropy_keys_repaired"]
+        outcome = router.antientropy.run_until_converged()
+        buckets = stats["anti_entropy_buckets"] - buckets
+        repaired = stats["anti_entropy_keys_repaired"] - repaired
+        cfg = router.config
+        pairs = cfg.num_nodes * (cfg.num_nodes - 1) // 2
+        assert outcome["converged"]
+        assert repaired > 0, "the restart must leave something to repair"
+        assert outcome["rounds"] <= (cfg.replication - 1) * pairs
+        assert buckets <= repaired + outcome["rounds"]
 
 
 class TestDegradedReadCandidates:

@@ -1,5 +1,8 @@
 """Unit tests for the Merkle commitment tree and store-level integrity proofs."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.shardstore import (
@@ -12,6 +15,7 @@ from repro.shardstore import (
 from repro.shardstore.merkle import (
     EMPTY_DIGEST,
     MerkleMap,
+    combine_roots,
     merkle_point,
     numeric_root,
 )
@@ -125,6 +129,82 @@ class TestMerkleMap:
         tree = MerkleMap.from_items([(b"k", digest_bytes(b"v"))])
         value = numeric_root(tree.root())
         assert 0 <= value < 2**48
+
+    def test_root_is_the_xor_of_item_hashes(self):
+        """The digest definition, restated from the module docstring."""
+        items = [(b"k-%d" % i, digest_bytes(b"v%d" % i)) for i in range(9)]
+        total = int(EMPTY_DIGEST, 16)
+        for key, digest in items:
+            data = b"merkle:item:%d:%b=%b" % (len(key), key, digest.encode())
+            total ^= int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+        assert MerkleMap.from_items(items).root() == format(total, "016x")
+
+    def test_union_root_combines_disjoint_roots(self):
+        items = [(b"k-%d" % i, digest_bytes(b"v%d" % i)) for i in range(30)]
+        parts = [MerkleMap.from_items(items[i::3]).root() for i in range(3)]
+        assert combine_roots(parts) == MerkleMap.from_items(items).root()
+        assert combine_roots([]) == EMPTY_DIGEST
+
+
+def _rebuilt(tree: MerkleMap, rng: random.Random) -> MerkleMap:
+    """A from-scratch tree over ``tree``'s items, inserted in random order."""
+    items = list(tree.items())
+    rng.shuffle(items)
+    return MerkleMap.from_items(items, fanout=tree.fanout, depth=tree.depth)
+
+
+def _assert_matches_rebuilt(tree, rebuilt, where):
+    assert tree.root() == rebuilt.root(), where
+    for bucket in range(tree.num_buckets):
+        assert tree.bucket_digest(bucket) == rebuilt.bucket_digest(bucket), (
+            f"{where}: bucket {bucket}"
+        )
+    assert sorted(tree.items()) == sorted(rebuilt.items()), where
+    assert len(tree) == len(rebuilt), where
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_incremental_digests_match_a_tree_rebuilt_from_items(seed):
+    """Digests are folded in lazily, at the next read, from the keys
+    changed since the last one.  Two trees take seeded set / overwrite /
+    remove / clear / ``from_items`` sequences over a small keyspace (so
+    buckets collide and a key changes several times between reads).
+    Tree ``a`` is checked after every step: root, every bucket digest and
+    its items must equal those of a tree rebuilt from its items in a
+    random order.  Tree ``b`` is read only now and then, so its changes
+    pile up; when it is read, it is checked the same way and ``a.diff(b)``
+    must equal the rebuilt trees' ``diff``."""
+    rng = random.Random(seed)
+    shape = {"fanout": 4, "depth": 2} if seed % 2 else {}
+    trees = [MerkleMap(**shape), MerkleMap(**shape)]
+    keys = [b"pk-%d" % i for i in range(48)]
+    values = [digest_bytes(b"pv-%d" % i) for i in range(6)]
+    for step in range(300):
+        side = rng.randrange(2)
+        tree = trees[side]
+        roll = rng.random()
+        key = rng.choice(keys)
+        if roll < 0.45:
+            tree.set(key, rng.choice(values))  # insert or overwrite
+        elif roll < 0.6 and len(tree):
+            present = rng.choice(sorted(tree.keys()))
+            tree.set(present, rng.choice(values))  # overwrite
+        elif roll < 0.9:
+            tree.remove(key)  # present or absent
+        elif roll < 0.95:
+            trees[side] = MerkleMap.from_items(
+                [(k, rng.choice(values)) for k in rng.sample(keys, 20)], **shape
+            )
+        else:
+            tree.clear()
+        a, b = trees
+        rebuilt_a = _rebuilt(a, rng)
+        _assert_matches_rebuilt(a, rebuilt_a, f"seed {seed} step {step}: a")
+        if rng.random() < 0.2:
+            rebuilt_b = _rebuilt(b, rng)
+            _assert_matches_rebuilt(b, rebuilt_b, f"seed {seed} step {step}: b")
+            assert a.diff(b) == rebuilt_a.diff(rebuilt_b), f"step {step}"
+            assert (a.diff(b)[0] == []) == (a.root() == b.root())
 
 
 class TestStoreIntegrityProof:

@@ -12,22 +12,32 @@ have, so its exactness is tested here rather than trusted:
 * a property over seeded campaign storms of both cluster-plane suites,
   every storm profile and several seeds, plus a join/leave sequence:
   after every router op each *known* mirror version equals the version a
-  replica read returns, and after every settle each up member's Merkle
-  root equals one rebuilt from the replica.
+  replica read returns, every Merkle leaf sits in the tree of its key's
+  current placement group, and ``converged_snapshot()`` equals the
+  whole-keyspace regrouping it replaced; after every settle each up
+  member's Merkle root equals one rebuilt from the replica;
+* a deterministic-scheduler race of two conditional applies on one
+  replica: the version check and the write happen under ``cn.lock``.
 """
 
 import random
-from typing import Callable, Dict, List
+from typing import Any, Callable, Dict, List
 
 import pytest
 
 from repro.campaign.cluster import run_storm
 from repro.campaign.spec import KIND_ANTIENTROPY, KIND_CLUSTER
-from repro.cluster import ClusterConfig, ClusterRouter, decode_record
-from repro.concurrency import model
+from repro.cluster import (
+    FLAG_VALUE,
+    ClusterConfig,
+    ClusterRouter,
+    decode_record,
+    encode_record,
+)
+from repro.concurrency import model, spawn
 from repro.core.concurrent_harnesses import quorum_harness
 from repro.errors import NotFoundError, RetryableError, ShardStoreError
-from repro.shardstore import FaultSet
+from repro.shardstore import DiskGeometry, FaultSet
 from repro.shardstore.injection import CLUSTER_PROFILES
 from repro.shardstore.merkle import MerkleMap
 from repro.shardstore.observability.journal import digest_bytes
@@ -78,8 +88,55 @@ def stale_roots(router: ClusterRouter) -> List[int]:
         nid
         for nid in router.members
         if router.nodes[nid].up
-        and router.antientropy.trees[nid].root() != rebuilt_root(router.nodes[nid])
+        and router.antientropy.root(nid) != rebuilt_root(router.nodes[nid])
     ]
+
+
+def misfiled_leaves(router: ClusterRouter) -> List[str]:
+    """Leaves filed outside the tree of their key's placement group."""
+    out: List[str] = []
+    for nid, groups in sorted(router.antientropy.trees.items()):
+        for group, tree in groups.items():
+            for key in tree.keys():
+                placement = tuple(router._placement(key))
+                if placement != group:
+                    out.append(f"node{nid} {key!r}: in {group}, placed {placement}")
+    return out
+
+
+def reference_snapshot(router: ClusterRouter) -> Dict[str, Any]:
+    """``converged_snapshot()`` as computed before each replica kept one
+    tree per group: regroup every held key by its preference list, and
+    rebuild each live member's root over that group's keys."""
+    nodes = router.nodes
+    held = {
+        nid: dict(item for tree in groups.values() for item in tree.items())
+        for nid, groups in router.antientropy.trees.items()
+        if nid in nodes and not nodes[nid].removed
+    }
+    groups: Dict[tuple, List[bytes]] = {}
+    all_keys = set().union(*held.values())
+    for key in all_keys:
+        groups.setdefault(tuple(router._placement(key)), []).append(key)
+    divergent = 0
+    for placement, keys in groups.items():
+        live = [nid for nid in placement if nid in nodes and nodes[nid].reachable]
+        if len(live) < 2:
+            continue
+        roots = {
+            MerkleMap.from_items(
+                (key, held[nid][key]) for key in keys if key in held[nid]
+            ).root()
+            for nid in live
+        }
+        if len(roots) > 1:
+            divergent += 1
+    return {
+        "converged": divergent == 0,
+        "groups": len(groups),
+        "divergent": divergent,
+        "keys": len(all_keys),
+    }
 
 
 def applied_then_raised(put: Callable) -> Callable:
@@ -231,7 +288,7 @@ class TestRebalanceInvalidation:
 
 class _Checked:
     """Wraps the router's op surface so every op is followed by the
-    exactness check and every settle by the root check."""
+    exactness and filing checks and every settle by the root check."""
 
     OPS = (
         "put", "get", "delete", "contains", "keys", "apply_fault",
@@ -255,6 +312,11 @@ class _Checked:
             finally:
                 checked.ops += 1
                 assert mirror_mismatches(router) == [], f"after {name}"
+                assert misfiled_leaves(router) == [], f"after {name}"
+                assert (
+                    router.antientropy.converged_snapshot()
+                    == reference_snapshot(router)
+                ), f"after {name}"
                 if name == "settle":
                     checked.settles += 1
                     assert stale_roots(router) == [], "after settle"
@@ -283,6 +345,67 @@ def test_concurrent_quorum_writes_linearize_through_the_mirror():
         quorum_harness(FaultSet.none()), strategy="pct", iterations=60, seed=3
     )
     assert result.passed, result.failure
+
+
+def racing_applies(versions=(2, 3)) -> Callable[[], Callable[[], None]]:
+    """Two conditional applies of different versions racing on one replica
+    that already holds version 1; every ``put`` the replica receives is
+    logged."""
+
+    def factory() -> Callable[[], None]:
+        router = ClusterRouter(
+            ClusterConfig(
+                num_nodes=1,
+                disks_per_node=1,
+                replication=1,
+                write_quorum=1,
+                read_quorum=1,
+                seed=0,
+                geometry=DiskGeometry(num_extents=10, extent_size=2048, page_size=128),
+            )
+        )
+        cn = router.nodes[0]
+        key = b"raced"
+        router._replica_apply(cn, 0, key, encode_record(1, FLAG_VALUE, b"v1"))
+        applied: List[int] = []
+        real_put = cn.node.put
+
+        def put(key, record, **kwargs):
+            applied.append(decode_record(record)[0])
+            return real_put(key, record, **kwargs)
+
+        cn.node.put = put
+
+        def writer(version: int) -> Callable[[], None]:
+            record = encode_record(version, FLAG_VALUE, b"v%d" % version)
+            return lambda: router._replica_apply(cn, 0, key, record)
+
+        def body() -> None:
+            tasks = [spawn(writer(v), f"w{v}") for v in versions]
+            for task in tasks:
+                task.join()
+            assert applied == sorted(applied), (
+                f"replica version went backwards: puts of v{applied}"
+            )
+            assert _replica_version(cn, key) == max(versions)
+
+        return body
+
+    return factory
+
+
+def test_racing_applies_never_roll_a_replica_back():
+    """The mirror lookup, the version check and the write are one critical
+    section under ``cn.lock``: with the lookup taken before the lock, the
+    lower version can read the mirror, be preempted at the lock, and then
+    overwrite the higher one (the quorum harness, with one reader, cannot
+    see that).  Random schedules, because the preemption that matters is at
+    the first lock acquire, which DFS backtracks to last: with the lookup
+    moved, random fails on its first or second schedule, while DFS passes
+    2,000."""
+    result = model(racing_applies(), strategy="random", iterations=200, seed=0)
+    assert result.passed, result.failure
+    assert result.executions == 200
 
 
 def test_mirror_is_exact_through_joins_and_leaves(monkeypatch):
