@@ -8,16 +8,9 @@ cannot reach.
 """
 
 from .antientropy import AntiEntropyService
+from .record import FLAG_TOMBSTONE, FLAG_VALUE, decode_record, encode_record
 from .ring import HashRing
-from .router import (
-    FLAG_TOMBSTONE,
-    FLAG_VALUE,
-    ClusterConfig,
-    ClusterNode,
-    ClusterRouter,
-    decode_record,
-    encode_record,
-)
+from .router import ClusterConfig, ClusterNode, ClusterRouter
 
 __all__ = [
     "AntiEntropyService",

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.errors import AntiEntropyError, NotFoundError, ShardStoreError
+from repro.errors import AntiEntropyError, ShardStoreError
 from repro.shardstore.merkle import (
     EMPTY_DIGEST,
     MerkleMap,
@@ -44,6 +44,8 @@ from repro.shardstore.merkle import (
     numeric_root,
 )
 from repro.shardstore.observability.journal import digest_bytes, digest_keys
+
+from .record import record_version
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (router imports us)
     from .router import ClusterNode, ClusterRouter
@@ -57,13 +59,6 @@ DEFAULT_MAX_ROUNDS = 200
 
 #: A placement group: a key's preference list, in preference order.
 Group = Tuple[int, ...]
-
-
-def _record_version(raw: Optional[bytes]) -> int:
-    """The version framed in a replica record (-1 when absent)."""
-    if raw is None or len(raw) < 9:
-        return -1
-    return int.from_bytes(raw[:8], "big")
 
 
 class AntiEntropyService:
@@ -160,7 +155,7 @@ class AntiEntropyService:
             self._tree(node_id, key).set(key, digest_bytes(record))
         versions = self.versions.get(node_id)
         if versions is not None:
-            versions[key] = _record_version(record)
+            versions[key] = record_version(record)
 
     def note_remove(self, node_id: int, key: bytes) -> None:
         groups = self.trees.get(node_id)
@@ -185,7 +180,7 @@ class AntiEntropyService:
             self.note_remove(node_id, key)
             return -1
         self.note_apply(node_id, key, raw)
-        return _record_version(raw)
+        return record_version(raw)
 
     def rebuild(self, node_id: int) -> None:
         """Rebuild one replica's mirror from its store (post-restart).
@@ -206,13 +201,12 @@ class AntiEntropyService:
         self.versions[node_id] = {}
         for key in keys:
             try:
-                raw = cn.node.get(key)
-            except NotFoundError:
-                continue  # listed, but the replica answers absent
+                raw = cn.read(key)
             except ShardStoreError:
                 self.note_unknown(node_id, key)
                 continue
-            self.note_apply(node_id, key, raw)
+            if raw is not None:  # listed, but the replica may answer absent
+                self.note_apply(node_id, key, raw)
 
     def _group_root(self, node_id: int, group: Group) -> str:
         tree = self.trees[node_id].get(group)
@@ -376,10 +370,7 @@ class AntiEntropyService:
         re-derivation."""
         try:
             with cn.lock:
-                try:
-                    raw: Optional[bytes] = cn.node.get(key)
-                except NotFoundError:
-                    raw = None
+                raw = cn.read(key)
                 self.note_read(cn.node_id, key, raw)
         except ShardStoreError:
             self.router._note_failure(cn)
@@ -400,7 +391,7 @@ class AntiEntropyService:
         cn_b = self.router.nodes[node_b]
         raw_a = self._read_raw(cn_a, key)
         raw_b = self._read_raw(cn_b, key)
-        ver_a, ver_b = _record_version(raw_a), _record_version(raw_b)
+        ver_a, ver_b = record_version(raw_a), record_version(raw_b)
         if ver_a == ver_b:
             return False  # equal versions carry equal records
         src, dst = (
