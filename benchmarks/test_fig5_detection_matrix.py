@@ -29,19 +29,11 @@ from repro.core import (
     BiasConfig,
     DetectionOutcome,
     StoreHarness,
-    crash_alphabet,
     detection_matrix,
-    failure_alphabet,
     run_conformance,
-    store_alphabet,
 )
+from repro.core.alphabet import ALPHABETS
 from repro.shardstore import Fault, FaultSet
-
-_ALPHABETS = {
-    "store": store_alphabet,
-    "crash": crash_alphabet,
-    "failure": failure_alphabet,
-}
 
 
 def _run_matrix() -> List[DetectionOutcome]:
@@ -76,7 +68,7 @@ def test_fig5_baseline_clean_for_pbt_alphabets(fault):
     alphabet_name, seed, bias = PBT_PLAN[fault]
     report = run_conformance(
         lambda s: StoreHarness(FaultSet.none(), s, uuid_magic_bias=bias),
-        _ALPHABETS[alphabet_name](),
+        ALPHABETS[alphabet_name](),
         sequences=4,
         ops_per_sequence=80,
         base_seed=seed,

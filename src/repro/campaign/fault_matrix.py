@@ -141,20 +141,13 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
 def _run_mc_shard(spec: "ShardSpec") -> "ShardResult":
     """Stateless model checking of one injected concurrency fault."""
     from repro.concurrency import model
-    from repro.core import concurrent_harnesses as harnesses
+    from repro.core.concurrent_harnesses import HARNESSES
     from repro.shardstore.faults import FaultSet, component_of
     from repro.shardstore.observability import RingRecorder
 
     from .spec import ShardFailure, ShardResult
 
-    factory_fn = {
-        "locator-race": harnesses.locator_race_harness,
-        "buffer-pool": harnesses.buffer_pool_harness,
-        "list-remove": harnesses.list_remove_harness,
-        "compaction-reclaim": harnesses.compaction_reclaim_harness,
-        "bulk-race": harnesses.bulk_race_harness,
-        "linearizability": harnesses.linearizability_harness,
-    }[spec.param("harness")]
+    factory_fn = HARNESSES[spec.param("harness")]
     fault = Fault[spec.param("fault")]
     # Model-checked harnesses replay thousands of schedules; rather than
     # trace every execution, the shard recorder logs the exploration itself

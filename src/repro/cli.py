@@ -31,17 +31,6 @@ import os
 import sys
 from typing import List, Optional
 
-_ALPHABETS = ("store", "crash", "failure", "node")
-_HARNESSES = (
-    "locator-race",
-    "buffer-pool",
-    "list-remove",
-    "compaction-reclaim",
-    "bulk-race",
-    "linearizability",
-    "quorum",
-)
-
 
 def _parse_fault(name: Optional[str]):
     from repro.shardstore import Fault, FaultSet
@@ -60,23 +49,15 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         BiasConfig,
         NodeHarness,
         StoreHarness,
-        crash_alphabet,
-        failure_alphabet,
         minimize,
-        node_alphabet,
         replay_fails,
         run_conformance,
-        store_alphabet,
     )
+    from repro.core.alphabet import ALPHABETS
 
     faults = _parse_fault(args.fault)
     bias = BiasConfig.unbiased() if args.unbiased else BiasConfig()
-    alphabet = {
-        "store": store_alphabet,
-        "crash": crash_alphabet,
-        "failure": failure_alphabet,
-        "node": node_alphabet,
-    }[args.alphabet]()
+    alphabet = ALPHABETS[args.alphabet]()
     if args.alphabet == "node":
         factory = lambda seed: NodeHarness(faults, seed)  # noqa: E731
         ctx = {"num_disks": 3}
@@ -117,17 +98,9 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     from repro.concurrency import model
-    from repro.core import concurrent_harnesses as harnesses
+    from repro.core.concurrent_harnesses import HARNESSES
 
-    factory_fn = {
-        "locator-race": harnesses.locator_race_harness,
-        "buffer-pool": harnesses.buffer_pool_harness,
-        "list-remove": harnesses.list_remove_harness,
-        "compaction-reclaim": harnesses.compaction_reclaim_harness,
-        "bulk-race": harnesses.bulk_race_harness,
-        "linearizability": harnesses.linearizability_harness,
-        "quorum": harnesses.quorum_harness,
-    }[args.harness]
+    factory_fn = HARNESSES[args.harness]
     faults = _parse_fault(args.fault)
     result = model(
         factory_fn(faults, args.harness_seed),
@@ -749,6 +722,9 @@ def _cmd_loc(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.alphabet import ALPHABETS
+    from repro.core.concurrent_harnesses import HARNESSES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Lightweight-formal-methods validation suites "
@@ -757,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     conf = sub.add_parser("conformance", help="property-based conformance checking")
-    conf.add_argument("--alphabet", choices=_ALPHABETS, default="store")
+    conf.add_argument("--alphabet", choices=tuple(ALPHABETS), default="store")
     conf.add_argument("--sequences", type=int, default=100)
     conf.add_argument("--ops", type=int, default=80)
     conf.add_argument("--seed", type=int, default=0)
@@ -768,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     conf.set_defaults(fn=_cmd_conformance)
 
     mc = sub.add_parser("mc", help="stateless model checking")
-    mc.add_argument("--harness", choices=_HARNESSES, required=True)
+    mc.add_argument("--harness", choices=tuple(HARNESSES), required=True)
     mc.add_argument("--strategy", choices=("dfs", "random", "pct"), default="pct")
     mc.add_argument("--iterations", type=int, default=200)
     mc.add_argument("--seed", type=int, default=0)

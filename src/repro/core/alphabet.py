@@ -24,7 +24,7 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -283,3 +283,12 @@ def node_alphabet() -> Alphabet:
             OpSpec("ReturnDisk", 0.5, _disk_args),
         ]
     )
+
+
+#: Every conformance alphabet by name (the CLI's ``--alphabet`` choices).
+ALPHABETS: Dict[str, Callable[[], Alphabet]] = {
+    "store": store_alphabet,
+    "crash": crash_alphabet,
+    "failure": failure_alphabet,
+    "node": node_alphabet,
+}

@@ -13,7 +13,7 @@ checker's verdicts; bodies must be deterministic apart from scheduling
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.concurrency.primitives import spawn
 from repro.shardstore.chunk import KIND_DATA
@@ -400,3 +400,15 @@ def quorum_harness(faults: FaultSet, seed: int = 0) -> BodyFactory:
         return body
 
     return factory
+
+
+#: Every harness by name (the CLI's ``mc --harness`` choices).
+HARNESSES: Dict[str, Callable[[FaultSet, int], BodyFactory]] = {
+    "locator-race": locator_race_harness,
+    "buffer-pool": buffer_pool_harness,
+    "list-remove": list_remove_harness,
+    "compaction-reclaim": compaction_reclaim_harness,
+    "bulk-race": bulk_race_harness,
+    "linearizability": linearizability_harness,
+    "quorum": quorum_harness,
+}

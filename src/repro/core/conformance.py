@@ -810,7 +810,7 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
     from repro.shardstore.faults import Fault, FaultSet, component_of
     from repro.shardstore.observability import RingRecorder
 
-    from .alphabet import crash_alphabet, failure_alphabet, node_alphabet, store_alphabet
+    from .alphabet import ALPHABETS
     from .coverage import LineCoverage
     from .minimize import minimize
 
@@ -820,12 +820,7 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
     )
     uuid_bias = spec.param("uuid_bias", 0.0)
     harness_kind = spec.param("harness", "store")
-    alphabet = {
-        "store": store_alphabet,
-        "crash": crash_alphabet,
-        "failure": failure_alphabet,
-        "node": node_alphabet,
-    }[spec.param("alphabet", "store")]()
+    alphabet = ALPHABETS[spec.param("alphabet", "store")]()
     ctx_kwargs = None
     num_disks = spec.param("num_disks", 3)
     if harness_kind == "node":
