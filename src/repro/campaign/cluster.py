@@ -209,15 +209,20 @@ def _outside(allowed: Any) -> str:
     return f", outside its {len(allowed)} candidate values"
 
 
+def _state(rec: Any) -> str:
+    """One ``replica_states`` entry as a divergence detail names it."""
+    if rec is None:
+        return "absent"
+    return rec if isinstance(rec, str) else "v%d" % rec[0]
+
+
 def _divergence(states: Dict[int, Any]) -> Optional[str]:
-    """Per-replica versions when the raw replica records of one key
-    disagree byte-for-byte, else None."""
-    if len(set(states.values())) <= 1:
+    """Per-replica states when the raw replica records of one key
+    disagree byte-for-byte or some replica is unreadable, else None."""
+    unreadable = any(isinstance(rec, str) for rec in states.values())
+    if len(set(states.values())) <= 1 and not unreadable:
         return None
-    return ", ".join(
-        f"node{nid}={'absent' if rec is None else 'v%d' % rec[0]}"
-        for nid, rec in sorted(states.items())
-    )
+    return ", ".join(f"node{nid}={_state(rec)}" for nid, rec in sorted(states.items()))
 
 
 def settle_quorum(harness: ClusterHarness) -> Optional[str]:
