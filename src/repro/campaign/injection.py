@@ -22,8 +22,9 @@ Two harnesses cover the two planes:
   uncertainty relaxation that corruption forces: a cache-served read can
   no longer pin down on-disk state), and a deterministic
   ``recover_and_verify`` pass.
-* :class:`InjectionNodeHarness` drives the multi-disk ``StorageNode``
-  request plane, where the tolerance machinery (retry/backoff, the
+* :class:`InjectionNodeHarness` extends the node conformance harness
+  (same operations, same reading of the error contract) on the multi-disk
+  ``StorageNode`` request plane, where the tolerance machinery (retry/backoff, the
   per-disk circuit breaker, degraded mode) must *absorb* the storm:
   settlement requires flush/drain to eventually succeed, which under a
   permanent-fault plan only happens because the breaker demotes the dying
@@ -59,21 +60,12 @@ from repro.core.alphabet import (
     _put_args,
     store_alphabet,
 )
-from repro.core.conformance import (
-    CheckFailure,
-    Harness,
-    StoreHarness,
-    delete_verdict,
-)
-from repro.models.candidates import CandidateModel
+from repro.core.conformance import CheckFailure, NodeHarness, StoreHarness
 from repro.shardstore.config import FIRST_DATA_EXTENT, StoreConfig
 from repro.shardstore.disk import DiskGeometry, FailureMode, FaultKind
 from repro.shardstore.errors import (
-    DeadlineExceededError,
     IoError,
-    KeyNotFoundError,
     NotFoundError,
-    OverloadedError,
     RetryableError,
     ShardStoreError,
 )
@@ -102,7 +94,6 @@ from repro.shardstore.resilience import (
     BreakerConfig,
     RetryPolicy,
 )
-from repro.shardstore.rpc import StorageNode
 
 from .spec import STORM_OPS, SUITE_REGISTRY, SUITE_TABLE, ShardResult, ShardSpec
 from .storm import SequenceOutcome, run_storm_shard
@@ -333,13 +324,15 @@ class InjectionStoreHarness(StoreHarness):
         # on-disk copy is corrupt, so repairing before reboot can rewrite
         # them; after reboot those keys would only be quarantinable.
         try:
-            self._absorb_repair(self.store.scrub_repair(), certain)
+            quarantined = self._absorb_repair(self.store.scrub_repair(), certain)
             self.store.drain()
         except ShardStoreError as exc:
             return (
                 "recovery: warm scrub-repair/drain failed after faults "
                 f"cleared: {type(exc).__name__}: {exc}"
             )
+        if quarantined is not None:
+            return quarantined
         try:
             self.system.clean_reboot()
         except ShardStoreError as exc:
@@ -348,10 +341,12 @@ class InjectionStoreHarness(StoreHarness):
                 f"(forward-progress violation): {type(exc).__name__}: {exc}"
             )
         try:
-            self._absorb_repair(self.store.scrub_repair(), certain)
+            quarantined = self._absorb_repair(self.store.scrub_repair(), certain)
             final = self.store.scrub()
         except ShardStoreError as exc:
             return f"recovery: post-reboot scrub failed: {type(exc).__name__}: {exc}"
+        if quarantined is not None:
+            return quarantined
         if not final.clean:
             key, message = final.errors[0]
             return (
@@ -406,8 +401,12 @@ class InjectionStoreHarness(StoreHarness):
         return None
 
 
-class InjectionNodeHarness(Harness):
-    """Node request plane under a storm: self-healing must absorb it."""
+class InjectionNodeHarness(NodeHarness):
+    """Node request plane under a storm: self-healing must absorb it.
+
+    The operations and their error rules are :class:`NodeHarness`'s; this
+    class adds plan-driven injection and the settlement gate.
+    """
 
     SETTLE_ATTEMPTS = 16
     PROBE_KEY = b"__injection_probe__"
@@ -423,18 +422,19 @@ class InjectionNodeHarness(Harness):
         recorder: Recorder = NULL_RECORDER,
         journal: Optional[Journal] = None,
     ) -> None:
-        self.node = StorageNode(
-            num_disks=num_disks,
-            config=_storm_config(seed, recorder, journal),
+        super().__init__(
+            None,
+            seed,
+            num_disks,
             retry_policy=RetryPolicy(),
             breaker=(
                 BreakerConfig() if breaker_enabled else BreakerConfig.disabled()
             ),
+            config=_storm_config(seed, recorder, journal),
             admission=admission,
         )
         self.plan = plan
         self.injector = FaultInjector(plan)
-        self.model = CandidateModel()
         self.armed = 0
         self.storm_events = 0
 
@@ -443,18 +443,7 @@ class InjectionNodeHarness(Harness):
     def apply(self, index: int, op: Operation) -> Optional[CheckFailure]:
         for fault in self.injector.due(index):
             self._inject(fault)
-        handler = getattr(self, f"_op_{op.name.lower()}", None)
-        if handler is None:
-            return CheckFailure(index, op, f"unknown operation {op.name}")
-        try:
-            message = handler(*op.args)
-        except ShardStoreError as exc:
-            return CheckFailure(
-                index, op, f"unexpected {type(exc).__name__}: {exc}"
-            )
-        if message is not None:
-            return CheckFailure(index, op, message)
-        return None
+        return super().apply(index, op)
 
     def _inject(self, fault: PlannedFault) -> None:
         system = self.node.systems[fault.disk]
@@ -496,91 +485,6 @@ class InjectionNodeHarness(Harness):
             "fired": self.fired,
             "storm_events": self.storm_events,
         }
-
-    # ------------------------------------------------------------------
-    # storm operations (section 4.4 typed-error contract)
-
-    @staticmethod
-    def _escaped(exc: ShardStoreError) -> Optional[str]:
-        """The error-contract audit: raw transient IoErrors must not
-        reach the node API (the request plane retries and wraps them)."""
-        if isinstance(exc, IoError) and exc.transient:
-            return (
-                "transient IoError escaped the node request plane "
-                f"unwrapped: {exc}"
-            )
-        return None
-
-    def _attempted(self, exc: ShardStoreError, key: bytes, value: Any) -> Optional[str]:
-        """A typed failure mid-write: the write may have partly applied."""
-        escaped = self._escaped(exc)
-        if escaped is None:
-            self.model.attempt(key, value)
-        return escaped
-
-    def _op_put(self, key: bytes, value: bytes) -> Optional[str]:
-        try:
-            self.node.put(key, value)
-        except (OverloadedError, DeadlineExceededError):
-            # Shed before any substrate IO: a typed clean failure that
-            # provably left the store unchanged -- no uncertainty smear.
-            return None
-        except (RetryableError, IoError) as exc:
-            return self._attempted(exc, key, value)
-        self.model.apply(key, value)
-        return None
-
-    def _op_get(self, key: bytes) -> Optional[str]:
-        try:
-            value: Optional[bytes] = self.node.get(key)
-        except (OverloadedError, DeadlineExceededError):
-            # Shed before any substrate IO: clean failure, state untouched.
-            return None
-        except NotFoundError:
-            value = None
-        except (RetryableError, IoError) as exc:
-            # A typed failure with no data is allowed; state untouched.
-            return self._escaped(exc)
-        verdict = self.model.observe(key, value)
-        if verdict.permitted:
-            return None
-        return (
-            f"get({key!r}) returned wrong data under injection "
-            f"({len(verdict.allowed)} allowed values)"
-        )
-
-    def _op_delete(self, key: bytes) -> Optional[str]:
-        try:
-            self.node.delete(key)
-        except (OverloadedError, DeadlineExceededError):
-            # Shed before the routing entry was dropped: state untouched.
-            return None
-        except KeyNotFoundError:
-            return delete_verdict(self.model.observe(key, None), raised=True)
-        except (RetryableError, IoError) as exc:
-            return self._attempted(exc, key, None)
-        failure = delete_verdict(self.model.observe_presence(key, True), raised=False)
-        if failure is None:
-            self.model.apply(key, None)
-        return failure
-
-    def _op_flush(self) -> Optional[str]:
-        return self._background(self.node.flush)
-
-    def _op_drain(self) -> Optional[str]:
-        return self._background(self.node.drain)
-
-    def _op_scrub(self) -> Optional[str]:
-        # Mid-storm scrubs tolerate dirty reports (pending/torn state);
-        # cleanliness is asserted by the settlement pass.
-        return self._background(self.node.scrub_all)
-
-    def _background(self, fn: Any) -> Optional[str]:
-        try:
-            fn()
-        except (RetryableError, IoError) as exc:
-            return self._escaped(exc)
-        return None
 
     # ------------------------------------------------------------------
 

@@ -16,8 +16,8 @@ Three harness flavours mirror the paper's property decomposition
   injection ops (section 4.4) flip the harness into relaxed "has failed"
   equivalence: operations may fail with no data, but may never return
   wrong data.
-* :class:`NodeHarness` -- the multi-disk RPC/control-plane API against the
-  plain dict model.
+* :class:`NodeHarness` -- the multi-disk RPC/control-plane API, directly
+  or over the wire protocol, and under a fault storm as a subclass.
 * :class:`ChunkStoreModelHarness` -- exercises the *reference model* of the
   chunk store against its own invariants (locator uniqueness), which is how
   the paper's issue #15 (a bug in the model itself) is caught.
@@ -41,7 +41,6 @@ if TYPE_CHECKING:
 from repro.models.candidates import CandidateModel, Verdict
 from repro.models.chunkstore import ReferenceChunkStore
 from repro.models.crash import CrashAwareModel
-from repro.models.kvstore import ReferenceKvStore
 from repro.shardstore.config import StoreConfig
 from repro.shardstore.dependency import Dependency
 from repro.shardstore.disk import DiskGeometry, FailureMode
@@ -57,7 +56,8 @@ from repro.shardstore.errors import (
 )
 from repro.shardstore.faults import FaultSet
 from repro.shardstore.observability import NULL_RECORDER, Recorder
-from repro.shardstore.resilience import BreakerConfig, RetryPolicy
+from repro.shardstore.protocol import WireClient
+from repro.shardstore.resilience import AdmissionConfig, BreakerConfig, RetryPolicy
 from repro.shardstore.rpc import StorageNode
 from repro.shardstore.store import RebootType, StoreSystem
 
@@ -444,11 +444,14 @@ def delete_verdict(verdict: Verdict, *, raised: bool) -> Optional[str]:
 class NodeHarness(Harness):
     """Storage-node (RPC + control plane) conformance (issues #4 etc.).
 
-    With ``wire=True`` every request-plane operation is marshalled through
-    the messaging protocol (:mod:`repro.shardstore.protocol`) -- encode,
-    dispatch, decode -- so the request-parsing and routing layer the
-    paper's section 8.3 singles out is validated by the same conformance
-    properties as the store beneath it.
+    Request-plane operations go through ``self.client``: the node, or with
+    ``wire=True`` a :class:`~repro.shardstore.protocol.WireClient` that
+    marshals each call through the messaging protocol, so the layer the
+    paper's section 8.3 singles out is checked by the same rules as the
+    store beneath it.  Control-plane operations call the node directly.
+    The storm harness (:class:`~repro.campaign.injection.InjectionNodeHarness`)
+    is a subclass: the error contract of :mod:`repro.errors` is read here
+    once, for every node check.
     """
 
     def __init__(
@@ -461,228 +464,191 @@ class NodeHarness(Harness):
         recorder: Recorder = NULL_RECORDER,
         retry_policy: Optional["RetryPolicy"] = None,
         breaker: Optional["BreakerConfig"] = None,
+        config: Optional[StoreConfig] = None,
+        admission: Optional[AdmissionConfig] = None,
     ) -> None:
         self.faults = faults or FaultSet.none()
         self.node = StorageNode(
             num_disks=num_disks,
-            config=_small_test_config(self.faults, seed, 0.0, recorder),
+            config=config or _small_test_config(self.faults, seed, 0.0, recorder),
             retry_policy=retry_policy,
             breaker=breaker,
+            admission=admission,
         )
-        self.model = ReferenceKvStore()
-        self.wire = wire
-
-    # -- wire-mode plumbing ---------------------------------------------
-
-    def _wire(self, request):
-        from repro.shardstore.protocol import (
-            decode_response,
-            dispatch,
-            encode_request,
-        )
-
-        return decode_response(dispatch(self.node, encode_request(request)))
-
-    def _wire_get(self, key: bytes) -> Optional[bytes]:
-        from repro.shardstore.protocol import Request
-
-        response = self._wire(Request(op="get", key=key))
-        if response.status == "ok":
-            return response.value
-        if response.status in ("not_found", "retry"):
-            return None
-        raise CorruptionError(f"wire get failed: {response.message}")
+        self.client = WireClient(self.node) if wire else self.node
+        #: The specification, candidate sets for keys a failed write touched.
+        self.model = CandidateModel()
 
     def apply(self, index: int, op: Operation) -> Optional[CheckFailure]:
+        handler = getattr(self, f"_op_{op.name.lower()}", None)
+        if handler is None:
+            return CheckFailure(index, op, f"unknown operation {op.name}")
         try:
-            message = self._dispatch(op)
+            if op.name in ("Put", "Get", "Delete") and not _valid_key(op.args[0]):
+                message = self._invalid_key(op.args[0])
+            else:
+                message = handler(*op.args)
         except ShardStoreError as exc:
             return CheckFailure(index, op, f"unexpected {type(exc).__name__}: {exc}")
         if message is not None:
             return CheckFailure(index, op, message)
         return None
 
-    def _dispatch(self, op: Operation) -> Optional[str]:
-        if self.wire and op.name in ("Put", "Get", "Delete", "ListShards"):
-            return self._dispatch_wire(op)
-        name, args = op.name, op.args
-        if name in ("Put", "Get", "Delete") and args and not _valid_key(args[0]):
-            try:
-                self.node.get(args[0])
-                return f"node accepted invalid key {args[0]!r}"
-            except InvalidRequestError:
-                return None
-            except ShardStoreError:
-                return f"node mishandled invalid key {args[0]!r}"
-        if name == "BulkCreate":
-            (pairs,) = args
-            pairs = tuple(p for p in pairs if _valid_key(p[0]))
-            op = Operation(name, (pairs,))
-            name, args = op.name, op.args
-        if name == "BulkDelete":
-            (keys,) = args
-            keys = tuple(k for k in keys if _valid_key(k))
-            op = Operation(name, (keys,))
-            name, args = op.name, op.args
-        if name == "Put":
-            key, value = args
-            self.node.put(key, value)
-            self.model.put(key, value)
+    def _invalid_key(self, key: object) -> Optional[str]:
+        """Invalid keys (shrinkers produce them) must be rejected."""
+        try:
+            self.client.get(key)
+        except InvalidRequestError:
             return None
-        if name == "Get":
-            (key,) = args
-            try:
-                model_value: Optional[bytes] = self.model.get(key)
-            except NotFoundError:
-                model_value = None
-            try:
-                impl_value: Optional[bytes] = self.node.get(key)
-            except (NotFoundError, RetryableError):
-                impl_value = None
-            except CorruptionError as exc:
-                return f"get corrupted: {exc}"
-            if impl_value != model_value:
-                return (
-                    f"get diverges: impl {_render(impl_value)}, "
-                    f"model {_render(model_value)}"
-                )
-            return None
-        if name == "Delete":
-            (key,) = args
-            try:
-                self.node.delete(key)
-            except RetryableError:
-                return None  # target out of service; model keeps the key
-            except KeyNotFoundError:
-                if self.model.contains(key):
-                    return "delete raised KeyNotFoundError but the model has the key"
-                return None
-            if not self.model.contains(key):
-                return "delete succeeded but the model lacks the key"
-            self.model.delete(key)
-            return None
-        if name == "ListShards":
-            listed = set(self.node.keys())
-            expected = set(self.model.keys())
-            if listed != expected:
-                return (
-                    f"listing diverges: impl {sorted(listed)!r}, "
-                    f"model {sorted(expected)!r}"
-                )
-            return None
-        if name == "BulkCreate":
-            (pairs,) = args
-            self.node.bulk_create(list(pairs))
-            for key, value in pairs:
-                self.model.put(key, value)
-            return None
-        if name == "BulkDelete":
-            (keys,) = args
-            self.node.bulk_delete(list(keys))
-            for key in keys:
-                if self.model.contains(key):
-                    self.model.delete(key)
-            return None
-        if name == "MigrateShard":
-            key, target = args
-            try:
-                moved = self.node.migrate_shard(key, target)
-            except RetryableError:
-                return None  # target out of service: allowed failure
-            if moved != self.model.contains(key):
-                return (
-                    f"migrate_shard({key!r}) returned {moved}, model "
-                    f"says present={self.model.contains(key)}"
-                )
-            return self._check_all_keys()
-        if name == "RemoveDisk":
-            (disk_id,) = args
-            try:
-                self.node.remove_disk(disk_id)
-            except InvalidRequestError:
-                pass  # already removed / last disk: allowed no-op
-            return self._check_all_keys()
-        if name == "ReturnDisk":
-            (disk_id,) = args
-            try:
-                self.node.return_disk(disk_id)
-            except InvalidRequestError:
-                pass
-            return self._check_all_keys()
-        return f"unknown operation {name}"
+        except ShardStoreError:
+            return f"node mishandled invalid key {key!r}"
+        return f"node accepted invalid key {key!r}"
 
-    def _dispatch_wire(self, op: Operation) -> Optional[str]:
-        """Request-plane ops marshalled through the messaging protocol."""
-        from repro.shardstore.protocol import Request
+    # ------------------------------------------------------------------
+    # request plane
 
-        name, args = op.name, op.args
-        if name in ("Put", "Get", "Delete") and args and not _valid_key(args[0]):
-            response = self._wire(Request(op="get", key=args[0]))
-            if response.status != "invalid":
-                return f"wire accepted invalid key {args[0]!r}: {response}"
-            return None
-        if name == "Put":
-            key, value = args
-            response = self._wire(Request(op="put", key=key, value=value))
-            if not response.ok:
-                return f"wire put failed: {response}"
-            self.model.put(key, value)
-            return None
-        if name == "Get":
-            (key,) = args
-            observed = self._wire_get(key)
-            try:
-                expected: Optional[bytes] = self.model.get(key)
-            except NotFoundError:
-                expected = None
-            if observed != expected:
-                return (
-                    f"wire get diverges: impl {_render(observed)}, "
-                    f"model {_render(expected)}"
-                )
-            return None
-        if name == "Delete":
-            (key,) = args
-            response = self._wire(Request(op="delete", key=key))
-            if response.status == "retry":
-                return None  # out-of-service target; model keeps the key
-            if response.status == "not_found":
-                if self.model.contains(key):
-                    return f"wire delete lost the key: {response}"
-                return None
-            if not response.ok:
-                return f"wire delete failed: {response}"
-            if not self.model.contains(key):
-                return "wire delete succeeded but the model lacks the key"
-            self.model.delete(key)
-            return None
-        if name == "ListShards":
-            from repro.shardstore.protocol import Request as _Request
+    @staticmethod
+    def _escaped(exc: ShardStoreError) -> Optional[str]:
+        """Raw transient IoErrors must not reach the node API: the request
+        plane retries them and wraps the survivors."""
+        if isinstance(exc, IoError) and exc.transient:
+            return (
+                "transient IoError escaped the node request plane "
+                f"unwrapped: {exc}"
+            )
+        return None
 
-            response = self._wire(_Request(op="list"))
-            if not response.ok:
-                return f"wire list failed: {response}"
-            if sorted(response.shards) != self.model.keys():
-                return (
-                    f"wire listing diverges: {sorted(response.shards)!r} vs "
-                    f"{self.model.keys()!r}"
-                )
+    def _write_failed(
+        self, exc: ShardStoreError, key: bytes, value: Optional[bytes]
+    ) -> Optional[str]:
+        """A write that raised: it may have applied if it failed in the
+        store; a cause-less ``RetryableError`` refused it before any IO."""
+        escaped = self._escaped(exc)
+        if escaped is None and (
+            isinstance(exc, IoError) or isinstance(exc.__cause__, IoError)
+        ):
+            self.model.attempt(key, value)
+        return escaped
+
+    def _op_put(self, key: bytes, value: bytes) -> Optional[str]:
+        try:
+            self.client.put(key, value)
+        except (RetryableError, IoError) as exc:
+            return self._write_failed(exc, key, value)
+        self.model.apply(key, value)
+        return None
+
+    def _op_get(self, key: bytes) -> Optional[str]:
+        try:
+            observed: Optional[bytes] = self.client.get(key)
+        except NotFoundError:
+            observed = None
+        except CorruptionError as exc:
+            return f"get corrupted: {exc}"
+        except (RetryableError, IoError) as exc:
+            return self._escaped(exc)  # no data is an allowed answer
+        verdict = self.model.observe(key, observed)
+        if verdict.permitted:
             return None
-        return f"wire mode cannot route {name}"
+        return (
+            f"get diverges: impl {_render(observed)}, "
+            f"model {' or '.join(_render(v) for v in verdict.allowed)}"
+        )
+
+    def _op_delete(self, key: bytes) -> Optional[str]:
+        try:
+            self.client.delete(key)
+        except NotFoundError:
+            return delete_verdict(self.model.observe(key, None), raised=True)
+        except (RetryableError, IoError) as exc:
+            return self._write_failed(exc, key, None)
+        failure = delete_verdict(self.model.observe_presence(key, True), raised=False)
+        if failure is None:
+            self.model.apply(key, None)
+        return failure
+
+    def _op_listshards(self) -> Optional[str]:
+        uncertain = self.model.uncertain_keys()
+        listed = sorted(k for k in self.client.keys() if k not in uncertain)
+        expected = self.model.kv.keys()
+        if listed != expected:
+            return f"listing diverges: impl {listed!r}, model {expected!r}"
+        return None
+
+    def _op_flush(self) -> Optional[str]:
+        return self._background(self.node.flush)
+
+    def _op_drain(self) -> Optional[str]:
+        return self._background(self.node.drain)
+
+    def _op_scrub(self) -> Optional[str]:
+        # Tolerates dirty reports (pending/torn state under a storm):
+        # cleanliness is the storm harness's settlement gate.
+        return self._background(self.node.scrub_all)
+
+    def _background(self, fn: Callable[[], object]) -> Optional[str]:
+        try:
+            fn()
+        except (RetryableError, IoError) as exc:
+            return self._escaped(exc)
+        return None
+
+    # ------------------------------------------------------------------
+    # control plane
+
+    def _op_bulkcreate(self, pairs: Sequence[Tuple[bytes, bytes]]) -> Optional[str]:
+        pairs = [pair for pair in pairs if _valid_key(pair[0])]
+        self.node.bulk_create(pairs)
+        for key, value in pairs:
+            self.model.apply(key, value)
+        return None
+
+    def _op_bulkdelete(self, keys: Sequence[bytes]) -> Optional[str]:
+        keys = [key for key in keys if _valid_key(key)]
+        self.node.bulk_delete(keys)
+        for key in keys:
+            self.model.apply(key, None)
+        return None
+
+    def _op_migrateshard(self, key: bytes, target: int) -> Optional[str]:
+        try:
+            moved = self.node.migrate_shard(key, target)
+        except RetryableError:
+            return None  # target out of service: allowed failure
+        if not self.model.observe_presence(key, moved).permitted:
+            return (
+                f"migrate_shard({key!r}) returned {moved}, model "
+                f"says present={not moved}"
+            )
+        return self._check_all_keys()
+
+    def _op_removedisk(self, disk_id: int) -> Optional[str]:
+        try:
+            self.node.remove_disk(disk_id)
+        except InvalidRequestError:
+            pass  # already removed / last disk: allowed no-op
+        return self._check_all_keys()
+
+    def _op_returndisk(self, disk_id: int) -> Optional[str]:
+        try:
+            self.node.return_disk(disk_id)
+        except InvalidRequestError:
+            pass
+        return self._check_all_keys()
 
     def _check_all_keys(self) -> Optional[str]:
         """Control-plane ops must never lose or change shards."""
-        for key in self.model.keys():
+        for key in self.model.kv.keys():
             try:
                 impl_value = self.node.get(key)
             except RetryableError:
                 continue  # temporarily unroutable is availability, not loss
             except ShardStoreError as exc:
                 return f"shard {key!r} lost by control-plane op: {exc}"
-            if impl_value != self.model.get(key):
+            if impl_value != self.model.kv.peek(key):
                 return (
                     f"shard {key!r} changed by control-plane op: "
-                    f"{_render(impl_value)} != {_render(self.model.get(key))}"
+                    f"{_render(impl_value)} != {_render(self.model.kv.peek(key))}"
                 )
         return None
 

@@ -43,6 +43,14 @@ lost-ack uncertainty to track.  Both are retryable in principle, but
 clients must retry under a bounded retry *budget* (see
 :class:`~repro.shardstore.resilience.RetryBudget`) so that shedding does
 not trigger a retry storm.
+
+How checkers read the contract: a ``RetryableError`` raised ``from`` an
+``IoError`` (the request plane's wrap) failed in the store, so a write
+that raised it may have applied; one without a cause (a shed, an
+out-of-service target) was refused before any store IO and changed
+nothing.  A read that raises either returned no data, which is always
+allowed.  ``repro.core.conformance.NodeHarness`` holds this reading once,
+for the direct, wire and storm node checks.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ the validation gap the paper calls out:
   section 7 panic-freedom fuzz set (any input either parses or raises
   ``CorruptionError``);
 * :func:`dispatch` routes a decoded request to a
-  :class:`~repro.shardstore.rpc.StorageNode` and marshals the outcome, so
-  conformance suites can drive the node through the wire format itself.
+  :class:`~repro.shardstore.rpc.StorageNode` and marshals the outcome;
+  :class:`WireClient` is its caller's side, so conformance suites drive
+  the node through the wire format itself.
 
 Wire format: one request/response is a codec record whose payload is a
 dict with an ``op``/``status`` discriminator and per-operation fields.
@@ -252,3 +253,43 @@ def _execute(node: StorageNode, request: Request) -> Response:
             message="" if bad == 0 else f"{bad} corrupt chunks found",
         )
     raise InvalidRequestError(f"unroutable op {request.op!r}")
+
+
+#: The error each non-ok status stands for: the inverse of :func:`dispatch`.
+STATUS_ERRORS = {
+    "invalid": InvalidRequestError,
+    "not_found": NotFoundError,
+    "retry": RetryableError,
+    "error": ShardStoreError,
+}
+
+
+class WireClient:
+    """A node's request plane reached only through the wire format.
+
+    Each call encodes a :class:`Request`, runs it through :func:`dispatch`
+    and decodes the :class:`Response`; a non-ok status raises the typed
+    error it stands for, so a caller sees the node's error contract.  The
+    wire carries no ``__cause__``: a ``retry`` arrives cause-less.
+    """
+
+    def __init__(self, node: StorageNode) -> None:
+        self.node = node
+
+    def call(self, request: Request) -> Response:
+        response = decode_response(dispatch(self.node, encode_request(request)))
+        if not response.ok:
+            raise STATUS_ERRORS[response.status](response.message)
+        return response
+
+    def put(self, key: bytes, value: bytes) -> None:
+        self.call(Request(op="put", key=key, value=value))
+
+    def get(self, key: bytes) -> bytes:
+        return self.call(Request(op="get", key=key)).value
+
+    def delete(self, key: bytes) -> None:
+        self.call(Request(op="delete", key=key))
+
+    def keys(self) -> List[bytes]:
+        return list(self.call(Request(op="list")).shards)

@@ -1,6 +1,8 @@
 """Tests for the conformance engine itself (runner, relaxation, replay)."""
 
+import pytest
 
+from repro.campaign.injection import InjectionNodeHarness
 from repro.core import (
     BiasConfig,
     ChunkStoreModelHarness,
@@ -14,7 +16,8 @@ from repro.core import (
     store_alphabet,
 )
 from repro.core.alphabet import Operation
-from repro.shardstore import Fault, FaultSet
+from repro.shardstore import Fault, FaultPlan, FaultSet
+from repro.shardstore.errors import IoError, OverloadedError, RetryableError
 
 
 class TestBaselines:
@@ -249,3 +252,150 @@ class TestWireModeConformance:
         harness = NodeHarness(FaultSet.none(), 0, wire=True)
         assert harness.apply(0, Operation("Put", (b"", b"v"))) is None
         assert harness.apply(1, Operation("Get", (b"x" * 5000,))) is None
+
+
+def _storm_harness():
+    """The storm subclass with an empty plan: only the shared rules act."""
+    return InjectionNodeHarness(FaultPlan(0, "transient", 0, ()), 0)
+
+
+#: Over the wire a store failure arrives as a cause-less ``retry``, so the
+#: rules that read ``__cause__`` are pinned on the in-process transports.
+DIRECT_AND_STORM = pytest.mark.parametrize(
+    "make",
+    [lambda: NodeHarness(FaultSet.none(), 0), _storm_harness],
+    ids=["direct", "storm"],
+)
+NODE_HARNESSES = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: NodeHarness(FaultSet.none(), 0),
+        lambda: NodeHarness(FaultSet.none(), 0, wire=True),
+        _storm_harness,
+    ],
+    ids=["direct", "wire", "storm"],
+)
+
+
+def _raising(error, then=None):
+    def call(*args, **kwargs):
+        if then is not None:
+            then(*args)
+        raise error
+
+    return call
+
+
+class TestNodeErrorContract:
+    """The node's error contract (repro.errors), read once by every node
+    harness.  Fault-free traffic never reaches these write rules, so each
+    is pinned here with a scripted node."""
+
+    @NODE_HARNESSES
+    def test_refused_delete_that_dropped_the_route_fails_the_next_get(self, make):
+        harness = make()
+        assert harness.apply(0, Operation("Put", (b"k", b"v"))) is None
+        # A cause-less RetryableError says "refused before any store IO",
+        # so the harness keeps the key; a node that dropped it anyway is
+        # caught by the next read.
+        harness.node.delete = _raising(
+            RetryableError("disk 0 is out of service"), then=harness.node.delete
+        )
+        assert harness.apply(1, Operation("Delete", (b"k",))) is None
+        assert harness.model.candidates(b"k") == (b"v",)
+        failure = harness.apply(2, Operation("Get", (b"k",)))
+        assert failure is not None
+        assert failure.message == "get diverges: impl <absent>, model b'v'"
+
+    @NODE_HARNESSES
+    @pytest.mark.parametrize(
+        "error", [RetryableError("no disk in service"), OverloadedError("shed")]
+    )
+    def test_refused_put_leaves_the_key_unchanged(self, make, error):
+        harness = make()
+        assert harness.apply(0, Operation("Put", (b"k", b"old"))) is None
+        harness.node.put = _raising(error)
+        assert harness.apply(1, Operation("Put", (b"k", b"new"))) is None
+        assert harness.model.candidates(b"k") == (b"old",)
+
+    @DIRECT_AND_STORM
+    @pytest.mark.parametrize("op", [("Put", (b"k", b"new")), ("Delete", (b"k",))])
+    def test_store_failure_behind_a_retryable_error_widens_the_key(self, make, op):
+        harness = make()
+        assert harness.apply(0, Operation("Put", (b"k", b"old"))) is None
+        stores = [lane.store for lane in harness.node.lanes]
+        for store in stores:
+            store.put = store.delete = _raising(IoError("injected", transient=True))
+        # The lane retries the transient failure, then wraps it ``from``
+        # the IoError: that cause is what tells a failed write from a
+        # refused one.
+        with pytest.raises(RetryableError) as info:
+            getattr(harness.node, op[0].lower())(*op[1])
+        assert isinstance(info.value.__cause__, IoError)
+        assert harness.apply(1, Operation(*op)) is None
+        value = op[1][1] if op[0] == "Put" else None
+        assert harness.model.candidates(b"k") == (b"old", value)
+        for store in stores:
+            del store.put, store.delete
+        # Either outcome reads as permitted; the read settles the key.
+        assert harness.apply(2, Operation("Get", (b"k",))) is None
+        assert b"k" not in harness.model.uncertain_keys()
+
+    @DIRECT_AND_STORM
+    def test_permanent_io_error_on_a_write_widens_the_key(self, make):
+        harness = make()
+        assert harness.apply(0, Operation("Put", (b"k", b"old"))) is None
+        harness.node.put = _raising(IoError("dead disk", transient=False))
+        assert harness.apply(1, Operation("Put", (b"k", b"new"))) is None
+        assert harness.model.candidates(b"k") == (b"old", b"new")
+
+    @NODE_HARNESSES
+    def test_retryable_get_is_no_observation(self, make):
+        harness = make()
+        assert harness.apply(0, Operation("Put", (b"k", b"v"))) is None
+        harness.node.get = _raising(RetryableError("disk 0 is out of service"))
+        assert harness.apply(1, Operation("Get", (b"k",))) is None
+        assert harness.model.candidates(b"k") == (b"v",)
+
+    @DIRECT_AND_STORM
+    @pytest.mark.parametrize("name", ["put", "get", "delete"])
+    def test_transient_io_error_reaching_the_api_fails(self, make, name):
+        harness = make()
+        assert harness.apply(0, Operation("Put", (b"k", b"v"))) is None
+        setattr(harness.node, name, _raising(IoError("flaky", transient=True)))
+        args = (b"k", b"v2") if name == "put" else (b"k",)
+        failure = harness.apply(1, Operation(name.capitalize(), args))
+        assert failure is not None
+        assert failure.message == (
+            "transient IoError escaped the node request plane unwrapped: flaky"
+        )
+
+
+class TestWireAgreesWithDirect:
+    """One set of handlers: the wire transport changes no verdict and no
+    failure text."""
+
+    def _failure(self, faults, seed, wire):
+        report = run_conformance(
+            lambda s: NodeHarness(faults, s, wire=wire),
+            node_alphabet(),
+            sequences=1,
+            ops_per_sequence=60,
+            base_seed=seed,
+            ctx_kwargs={"num_disks": 3},
+        )
+        return None if report.passed else str(report.failure)
+
+    def test_fault_free_seeds_agree(self):
+        for seed in range(50):
+            assert self._failure(FaultSet.none(), seed, False) is None
+            assert self._failure(FaultSet.none(), seed, True) is None
+
+    def test_fault_4_fails_identically(self):
+        faults = FaultSet.only(Fault.DISK_RETURN_DROPS_SHARDS)
+        direct = self._failure(faults, 1, False)
+        assert direct == (
+            "op[58] ReturnDisk(2): shard b'k11' changed by control-plane op: "
+            "<513 bytes> != <189 bytes>"
+        )
+        assert self._failure(faults, 1, True) == direct

@@ -10,8 +10,13 @@ FAIL under a permanent-fault plan when the circuit breaker is disabled.
 import pytest
 
 from repro.campaign import build_shards, run_campaign, smoke_spec
-from repro.campaign.injection import STORM_PROFILES, run_shard
+from repro.campaign.injection import (
+    STORM_PROFILES,
+    InjectionStoreHarness,
+    run_shard,
+)
 from repro.campaign.spec import KIND_INJECTION, ShardSpec
+from repro.core.alphabet import Operation
 from repro.shardstore import FaultInjector, FaultPlan
 from repro.shardstore.injection import (
     FAULT_HEAL,
@@ -19,6 +24,8 @@ from repro.shardstore.injection import (
     NODE_PROFILES,
     STORE_PROFILES,
 )
+from repro.shardstore.scrub import RepairReport
+from repro.shardstore.store import ShardStore
 
 pytestmark = pytest.mark.campaign
 
@@ -202,6 +209,25 @@ class TestInjectionShards:
         )
         assert result.ok, result.failures
         assert result.metrics is not None
+
+
+class TestStoreSettlement:
+    @pytest.mark.parametrize("bad_pass", [0, 1], ids=["warm", "post-reboot"])
+    def test_quarantining_a_certain_key_fails_settlement(self, monkeypatch, bad_pass):
+        """Quarantine is only legal for a key some failure touched."""
+        harness = InjectionStoreHarness(FaultPlan(0, "transient", 1, ()), 0)
+        assert harness.apply(0, Operation("Put", (b"k", b"v"))) is None
+        passes = []
+
+        def scrub_repair(store):
+            passes.append(store)
+            bad = len(passes) - 1 == bad_pass
+            return RepairReport(quarantined=[b"k"] if bad else [])
+
+        monkeypatch.setattr(ShardStore, "scrub_repair", scrub_repair)
+        detail = harness.settle_and_verify()
+        assert detail == "recovery: scrub quarantined untouched key b'k'"
+        assert len(passes) == bad_pass + 1
 
 
 class TestInjectionSuite:

@@ -7,10 +7,19 @@ from repro.shardstore import (
     StorageNode,
     StoreConfig,
 )
-from repro.shardstore.errors import CorruptionError
+from repro.shardstore.errors import (
+    CorruptionError,
+    InvalidRequestError,
+    IoError,
+    NotFoundError,
+    OverloadedError,
+    RetryableError,
+    ShardStoreError,
+)
 from repro.shardstore.protocol import (
     Request,
     Response,
+    WireClient,
     decode_request,
     decode_response,
     dispatch,
@@ -165,6 +174,54 @@ class TestDispatch:
         for _ in range(300):
             raw = bytes(rng.getrandbits(8) for _ in range(rng.randrange(120)))
             decode_response(dispatch(node, raw))
+
+
+class _Raising:
+    """A node whose every request-plane call raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def _raise(self, *args):
+        raise self.error
+
+    get = put = delete = keys = _raise
+
+
+class TestWireClient:
+    def test_round_trips_the_request_plane(self):
+        client = WireClient(_node())
+        client.put(b"k", b"v" * 200)
+        assert client.get(b"k") == b"v" * 200
+        assert client.keys() == [b"k"]
+        client.delete(b"k")
+        assert client.keys() == []
+
+    @pytest.mark.parametrize(
+        "raised, status, surfaced",
+        [
+            (InvalidRequestError("bad key"), "invalid", InvalidRequestError),
+            (NotFoundError("no shard"), "not_found", NotFoundError),
+            (RetryableError("out of service"), "retry", RetryableError),
+            (OverloadedError("shed"), "retry", RetryableError),
+            (CorruptionError("bad crc"), "error", ShardStoreError),
+            (IoError("dead", transient=False), "error", ShardStoreError),
+        ],
+    )
+    @pytest.mark.parametrize("call", ["get", "put", "delete", "keys"])
+    def test_each_non_ok_status_raises_its_typed_error(
+        self, raised, status, surfaced, call
+    ):
+        node = _Raising(raised)
+        op = {"get": "get", "put": "put", "delete": "delete", "keys": "list"}[call]
+        wire = decode_response(dispatch(node, encode_request(Request(op=op))))
+        assert wire.status == status
+        args = {"get": (b"k",), "put": (b"k", b"v"), "delete": (b"k",), "keys": ()}
+        with pytest.raises(ShardStoreError) as info:
+            getattr(WireClient(node), call)(*args[call])
+        assert type(info.value) is surfaced
+        assert str(info.value) == str(raised)
+        assert info.value.__cause__ is None  # the wire carries no cause
 
 
 class TestProtocolPanicFreedom:
