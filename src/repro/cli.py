@@ -610,6 +610,9 @@ def _cmd_check_trace(args: argparse.Namespace) -> int:
     if len(args.journal) > 1:
         # Several journals = one cluster run (router + per-node journals):
         # merged replay under cross-node candidate-set semantics.
+        if args.expect_head:
+            print("--expect-head binds a single journal; got several")
+            return 2
         return _cmd_check_trace_cluster(args)
     journal_path = args.journal[0]
     try:

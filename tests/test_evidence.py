@@ -202,6 +202,28 @@ class TestEvidenceCli:
         capsys.readouterr()
         assert main(["check-trace", path, "--expect-head", "f" * 16]) == 1
 
+    def test_expect_head_with_several_journals_is_a_usage_error(
+        self, capsys, tmp_path
+    ):
+        """A chain head names one journal: with a cluster run's several
+        journals the flag used to be dropped, so any digest passed."""
+        from repro.cluster import ClusterConfig, ClusterRouter
+
+        def factory(identity, meta):
+            path = str(tmp_path / f"{identity}.jsonl")
+            return Journal(path, meta=dict(meta, seed=0), node=identity)
+
+        router = ClusterRouter(
+            ClusterConfig(num_nodes=3, seed=0), journal_factory=factory
+        )
+        router.put(b"k", b"v")
+        router.close()
+        paths = sorted(str(p) for p in tmp_path.iterdir())
+        assert main(["check-trace", *paths]) == 0
+        capsys.readouterr()
+        assert main(["check-trace", *paths, "--expect-head", "f" * 16]) == 2
+        assert "--expect-head binds a single journal" in capsys.readouterr().out
+
     def test_check_trace_unreadable_exits_two(self, capsys, tmp_path):
         assert main(["check-trace", str(tmp_path / "nope.jsonl")]) == 2
 
