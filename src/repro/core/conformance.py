@@ -50,6 +50,7 @@ from repro.shardstore.errors import (
     InvalidRequestError,
     IoError,
     KeyNotFoundError,
+    MAX_KEY_LEN,
     NotFoundError,
     RetryableError,
     ShardStoreError,
@@ -914,8 +915,6 @@ def _default_detector(fault_name: Optional[str]) -> str:
 
 
 def _valid_key(key) -> bool:
-    from repro.shardstore.store import MAX_KEY_LEN
-
     return isinstance(key, bytes) and 0 < len(key) <= MAX_KEY_LEN
 
 
