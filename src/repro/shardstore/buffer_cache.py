@@ -13,12 +13,20 @@ home of two Fig. 5 issues:
 The cache also triggers the superblock's regular-cadence flush, since it is
 the single append path for chunk data (section 2.1's "superblock flushed on
 a regular cadence").
+
+Each cached page also carries the memos of the reads that started on it
+and hit on every page (:class:`FrameMemo`): the bytes a read returned, and
+the images of the pages they were assembled from.  A memo is a function of those
+page images alone, so it is exact for as long as they are what the cache
+serves, and it lives exactly as long as its page's entry: eviction, a
+refill, a write-through fill and invalidation replace or drop the entry
+and the memos with it (DESIGN.md "Buffer cache").
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .config import StoreConfig
 from .dependency import Dependency
@@ -26,6 +34,32 @@ from .errors import ExtentError, IoError
 from .faults import Fault
 from .scheduler import IoScheduler
 from .superblock import Superblock
+
+
+class FrameMemo:
+    """One remembered read: the bytes it returned and how they were built.
+
+    Filed with the page the read starts on, keyed by the read's offset.
+    ``pages`` holds the images of every page the bytes were assembled from,
+    in order; a later read of the same range returns ``data`` again only if
+    it walked the same images.  ``decoded`` is free for the caller to fill
+    with whatever it derives from ``data`` alone (the chunk store keeps the
+    decoded frame there).
+    """
+
+    __slots__ = ("pages", "data", "decoded")
+
+    def __init__(self, pages: List[bytes], data: bytes) -> None:
+        self.pages = pages
+        self.data = data
+        self.decoded: Any = None
+
+
+#: One cached page: (page bytes so far, valid length, memos by read offset
+#: or None).  A tuple, not a list: the collector stops tracking a tuple of
+#: bytes, int and None, but would track a list, one per cached page, for
+#: its whole life.
+_Entry = Tuple[bytes, int, Optional[Dict[int, FrameMemo]]]
 
 
 class BufferCache:
@@ -40,8 +74,7 @@ class BufferCache:
         self.faults = config.faults
         self.recorder = config.recorder
         self._page_size = config.geometry.page_size
-        # (extent, page index) -> (page bytes so far, valid length)
-        self._pages: "OrderedDict[Tuple[int, int], Tuple[bytes, int]]" = OrderedDict()
+        self._pages: "OrderedDict[Tuple[int, int], _Entry]" = OrderedDict()
         self._page_budget = config.buffer_cache_pages
         self.hits = 0
         self.misses = 0
@@ -50,7 +83,15 @@ class BufferCache:
     # read path
 
     def read(self, extent: int, offset: int, length: int) -> bytes:
-        """Read ``length`` bytes below the soft pointer, page-cached."""
+        """Read ``length`` bytes below the soft pointer, page-cached.
+
+        Every page under the range is walked, in order, whether or not the
+        bytes are remembered: the LRU moves, hit/miss counts and refills are
+        those of a plain read.  When the pages walked are the images the
+        last remembered read of the same range was assembled from, that
+        read's bytes object is returned again instead of a fresh copy.  A
+        read is remembered when every page it walked was a hit.
+        """
         if length < 0 or offset < 0:
             raise ExtentError("negative read bounds")
         soft = self.scheduler.soft_pointer(extent)
@@ -61,49 +102,105 @@ class BufferCache:
             )
         page = self._page_size
         end = offset + length
-        first_page = offset // page
-        if end <= (first_page + 1) * page:
-            # Single-page fast path: serve a slice straight off the page.
-            page_start = first_page * page
-            data = self._page(extent, first_page, end - page_start)
-            return data[offset - page_start : end - page_start]
-        out = bytearray()
-        cursor = offset
-        while cursor < end:
-            page_idx = cursor // page
-            page_start = page_idx * page
-            in_page_end = min(end, page_start + page) - page_start
-            data = self._page(extent, page_idx, in_page_end)
-            out += data[cursor - page_start : in_page_end]
-            cursor = page_start + page
-        return bytes(out)
+        first = offset // page
+        last = (end - 1) // page if length else first
+        pages = self._pages
+        recorder = self.recorder
+        # The walk: every page under the range, in order.  A page must hold
+        # its bytes of the range (all of it, but for the last page); the hit
+        # path is inlined, a miss is counted and refilled by ``_fill``.
+        last_need = end - last * page
+        images = []
+        head = None
+        missed = False
+        for page_idx in range(first, last + 1):
+            key = (extent, page_idx)
+            entry = pages.get(key)
+            if entry is not None and entry[1] >= (
+                page if page_idx < last else last_need
+            ):
+                pages.move_to_end(key)
+                self.hits += 1
+                if recorder.enabled:
+                    recorder.count("cache.hits")
+            else:
+                entry = self._fill(key, page_idx * page)
+                missed = True
+            if head is None:
+                head = entry
+            images.append(entry[0])
+        memos = head[2]
+        if memos is not None:
+            memo = memos.get(offset)
+            # List equality compares the page images by identity first.
+            if memo is not None and len(memo.data) == length and memo.pages == images:
+                return memo.data
+        first_start = first * page
+        if first == last:
+            data = images[0][offset - first_start : end - first_start]
+        else:
+            out = bytearray(images[0][offset - first_start : page])
+            cursor = first_start + page
+            for image in images[1:]:
+                out += image[: min(end - cursor, page)]
+                cursor += page
+            data = bytes(out)
+        if not missed:
+            # Only a read whose pages were all cached is remembered: a miss
+            # says the cache is turning over under this range, and there a
+            # memo is built far more often than it is used.
+            self._remember((extent, first), head, offset, images, data)
+        return data
 
-    def _page(self, extent: int, page_idx: int, need: int) -> bytes:
-        """The cached page, refetched if the cached prefix is too short."""
-        key = (extent, page_idx)
-        cached = self._pages.get(key)
-        if cached is not None and cached[1] >= need:
-            self._pages.move_to_end(key)
-            self.hits += 1
-            if self.recorder.enabled:
-                self.recorder.count("cache.hits")
-            return cached[0]
+    def memo(self, extent: int, offset: int, data: bytes) -> Optional[FrameMemo]:
+        """The memo of the read at ``offset`` that returned ``data``, if any.
+
+        ``None`` once the read's first page has left the cache, or when the
+        read was not remembered (it missed a page).  No LRU move and no
+        count: this is bookkeeping for the caller that just made the read.
+        """
+        entry = self._pages.get((extent, offset // self._page_size))
+        if entry is None or entry[2] is None:
+            return None
+        memo = entry[2].get(offset)
+        return memo if memo is not None and memo.data is data else None
+
+    def _fill(self, key: Tuple[int, int], page_start: int) -> _Entry:
+        """Count a miss and refetch the page's valid prefix into the cache."""
         self.misses += 1
         if self.recorder.enabled:
             self.recorder.count("cache.misses")
-        page_start = page_idx * self._page_size
-        soft = self.scheduler.soft_pointer(extent)
-        valid = min(self._page_size, soft - page_start)
-        data = self.scheduler.read(extent, page_start, valid)
-        self._insert(key, data, valid)
-        return data
+        valid = min(self._page_size, self.scheduler.soft_pointer(key[0]) - page_start)
+        data = self.scheduler.read(key[0], page_start, valid)
+        return self._insert(key, data, valid)
 
-    def _insert(self, key: Tuple[int, int], data: bytes, valid: int) -> None:
+    def _insert(self, key: Tuple[int, int], data: bytes, valid: int) -> _Entry:
         pages = self._pages
-        pages[key] = (data, valid)
+        entry = pages[key] = (data, valid, None)
         pages.move_to_end(key)
         while len(pages) > self._page_budget:
             pages.popitem(last=False)
+        return entry
+
+    def _remember(
+        self,
+        key: Tuple[int, int],
+        head: _Entry,
+        offset: int,
+        images: List[bytes],
+        data: bytes,
+    ) -> None:
+        """File a read's memo with ``head``, its first page's entry.
+
+        Called only after a walk that hit on every page: nothing was filled,
+        so nothing was evicted, and ``head`` is still the entry at ``key``.
+        """
+        memos = head[2]
+        if memos is None:
+            memos = {}
+            # Same key: the page keeps its LRU position.
+            self._pages[key] = (head[0], head[1], memos)
+        memos[offset] = FrameMemo(images, data)
 
     # ------------------------------------------------------------------
     # write path

@@ -305,12 +305,22 @@ class ChunkStore:
         Stale locators (reset extents, garbage regions) surface as
         :class:`CorruptionError`; a key mismatch means the locator points at
         someone else's chunk, also corruption.
+
+        A frame is decoded once per bytes object the cache hands back: the
+        decode is kept on the cache's memo of the read, which lives and dies
+        with the page the frame starts on.
         """
         try:
             frame = self.cache.read(locator.extent, locator.offset, locator.length)
         except ExtentError as exc:
             raise CorruptionError(f"stale locator {locator}: {exc}") from exc
-        chunk = decode_chunk(frame, 0)
+        memo = self.cache.memo(locator.extent, locator.offset, frame)
+        if memo is None:
+            chunk = decode_chunk(frame, 0)
+        else:
+            chunk = memo.decoded
+            if chunk is None:
+                chunk = memo.decoded = decode_chunk(frame, 0)
         if chunk.frame_length != locator.length:
             raise CorruptionError(f"frame length mismatch at {locator}")
         if expected_key is not None and chunk.key != expected_key:

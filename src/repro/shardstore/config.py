@@ -65,6 +65,12 @@ class StoreConfig:
     journal: Optional[Journal] = None
 
     def __post_init__(self) -> None:
+        # Below one, the cache evicts every page it inserts (or fails on an
+        # empty dict) and shard splitting has no step: both would surface
+        # as raw errors far from the bad value.
+        for name in ("buffer_cache_pages", "max_chunk_payload"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.geometry.num_extents < FIRST_DATA_EXTENT + 2:
             raise ValueError(
                 f"need at least {FIRST_DATA_EXTENT + 2} extents "

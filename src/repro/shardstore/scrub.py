@@ -7,6 +7,15 @@ reason).  The scrubber walks every live index entry, reads each referenced
 chunk through the normal read path, and validates framing, checksums, and
 key ownership -- without changing any state.
 
+What a scrub validates is what a read returns.  For a page the buffer
+cache holds, that is the cached image, not the medium: a stale cached page
+is found (fault #2, ``test_scrub_finds_stale_cache_corruption``), but
+corruption on the medium under a cached page is found only once that page
+is refilled.  The cache's read memos do not change this: a memo is kept
+only while the page images it was built from are what the cache serves, so
+a scrub validates the same bytes with or without it, and a frame it has
+already validated is not decoded again.
+
 In the validation alphabets scrubbing is a background operation that is a
 no-op in the reference model; including it both widens coverage (every
 live chunk gets decoded each pass) and gives corruption-type faults (#1,
