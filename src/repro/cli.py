@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 
 def _parse_fault(name: Optional[str]):
@@ -557,54 +557,38 @@ def _cmd_metrics_serve(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_check_trace_cluster(args: argparse.Namespace) -> int:
+def _print_replay(
+    args: argparse.Namespace, report: Any, verdict: Dict[str, Any], *lines: str
+) -> int:
+    """Print a ``check-trace`` verdict: JSON, or PASS/FAIL before the
+    headline, the summary ``lines`` and one line per violation.  Returns
+    the exit code."""
     import json
 
-    from repro.evidence import check_cluster_files
-    from repro.shardstore.observability import JournalError
-
-    try:
-        report = check_cluster_files(
-            list(args.journal), require_seal=args.require_seal
-        )
-    except JournalError as exc:
-        print(f"cannot read cluster journals: {exc}")
-        return 2
-    verdict = report.to_json()
     if args.json:
         json.dump(verdict, sys.stdout, indent=2)
         print()
         return 0 if verdict["passed"] else 1
-    status = "PASS" if verdict["passed"] else "FAIL"
-    names = ", ".join(sorted(report.journals))
-    print(
-        f"{status} cluster replay over {len(report.journals)} journals "
-        f"({names}): {report.records} records / {report.ops} router ops"
-    )
-    print(
-        f"  {report.checked} state assertions checked, "
-        f"{report.corroborated} replica acks corroborated across node "
-        f"journals, {report.crashes} node crashes replayed"
-    )
+    headline, *summary = lines
+    print(f"{'PASS' if verdict['passed'] else 'FAIL'} {headline}")
+    for line in summary:
+        print(f"  {line}")
     for violation in verdict["violations"]:
-        where = (
-            f"op {violation['op']} tick {violation['tick']}"
-            if violation.get("op") is not None
-            else f"journal {violation.get('node')}"
-        )
-        print(f"  VIOLATION at {where}: {violation['problem']}")
-    if report.violation_count > len(report.violations):
-        print(
-            f"  ... and {report.violation_count - len(report.violations)} "
-            "more violations"
-        )
+        if violation.get("op") is not None:
+            where = f" at op {violation['op']} tick {violation['tick']}"
+        elif "record" in violation:  # single journal: the record index
+            where = f" at record {violation['record']}"
+        else:  # cluster: the problem names its journal
+            where = ""
+        print(f"  VIOLATION{where}: {violation['problem']}")
+    unlisted = report.violation_count - len(report.violations)
+    if unlisted:
+        print(f"  ... and {unlisted} more violations")
     return 0 if verdict["passed"] else 1
 
 
 def _cmd_check_trace(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.evidence import check_file
+    from repro.evidence import check_cluster_files, check_file
     from repro.shardstore.observability import JournalError
 
     if len(args.journal) > 1:
@@ -613,7 +597,24 @@ def _cmd_check_trace(args: argparse.Namespace) -> int:
         if args.expect_head:
             print("--expect-head binds a single journal; got several")
             return 2
-        return _cmd_check_trace_cluster(args)
+        try:
+            cluster = check_cluster_files(
+                list(args.journal), require_seal=args.require_seal
+            )
+        except JournalError as exc:
+            print(f"cannot read cluster journals: {exc}")
+            return 2
+        names = ", ".join(sorted(cluster.journals))
+        return _print_replay(
+            args,
+            cluster,
+            cluster.to_json(),
+            f"cluster replay over {len(cluster.journals)} journals ({names}): "
+            f"{cluster.records} records / {cluster.ops} router ops",
+            f"{cluster.checked} state assertions checked, {cluster.corroborated} "
+            "replica acks corroborated across node journals, "
+            f"{cluster.crashes} node crashes replayed",
+        )
     journal_path = args.journal[0]
     try:
         report = check_file(journal_path, require_seal=args.require_seal)
@@ -631,35 +632,16 @@ def _cmd_check_trace(args: argparse.Namespace) -> int:
                 ),
             }
         )
-    if args.json:
-        json.dump(verdict, sys.stdout, indent=2)
-        print()
-        return 0 if verdict["passed"] else 1
-    status = "PASS" if verdict["passed"] else "FAIL"
     sealed = "sealed" if report.sealed else "UNSEALED"
-    print(
-        f"{status} {journal_path}: {report.records} records / {report.ops} "
-        f"ops replayed against the reference model ({sealed}, head "
-        f"{report.head})"
+    return _print_replay(
+        args,
+        report,
+        verdict,
+        f"{journal_path}: {report.records} records / {report.ops} ops replayed "
+        f"against the reference model ({sealed}, head {report.head})",
+        f"{report.checked} state assertions checked, {report.skipped} skipped "
+        f"for crash uncertainty, {report.sheds} sheds proven state-preserving",
     )
-    print(
-        f"  {report.checked} state assertions checked, {report.skipped} "
-        f"skipped for crash uncertainty, {report.sheds} sheds proven "
-        "state-preserving"
-    )
-    for violation in verdict["violations"]:
-        where = (
-            f"op {violation['op']} tick {violation['tick']}"
-            if violation.get("op") is not None
-            else f"record {violation.get('record')}"
-        )
-        print(f"  VIOLATION at {where}: {violation['problem']}")
-    if report.violation_count > len(report.violations):
-        print(
-            f"  ... and {report.violation_count - len(report.violations)} "
-            "more violations"
-        )
-    return 0 if verdict["passed"] else 1
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:

@@ -11,7 +11,7 @@ such a log into *proof*:
   (dirty reboots) are handled with sound per-key candidate sets.
 * :mod:`repro.evidence.cluster` -- ``repro check-trace`` with several
   journals: merge one router journal plus N per-node journals from a
-  cluster run, verify every chain independently, replay the router's op
+  cluster run, check every journal's envelope, replay the router's op
   stream under cross-node candidate-set semantics (unacknowledged quorum
   writes widen, acknowledged ones must survive any minority of node
   crashes) and corroborate every claimed replica ack against the acking

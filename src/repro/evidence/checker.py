@@ -17,9 +17,11 @@ event of the :class:`~repro.models.candidates.CandidateModel` specification
   durability ``barrier`` is a clean reboot, or a ``flush`` followed by a
   quiescent ``drain``.
 
-The checker also enforces the promoted invariant set inline: the hash
-chain must verify, op ids must be strictly monotone, and logical ticks
-must be non-decreasing.
+Every record is first held to the journal format's own rules by
+:class:`~repro.shardstore.observability.journal.JournalEnvelope`, which the
+cluster replay and the miner read too; its problems are violations here,
+in its words.  An empty journal fails, as does (with ``require_seal``) one
+without a seal.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.models.candidates import CandidateModel
 from repro.shardstore.observability.journal import (
     GENESIS_CHAIN,
-    canonical_json,
-    chain_digest,
+    JournalEnvelope,
     digest_key_digests,
     read_journal,
 )
@@ -120,14 +121,10 @@ class TraceChecker:
     def __init__(self) -> None:
         self.model = CandidateModel()
         self.report = CheckReport()
-        self._counts: Dict[str, int] = {}
-        self._chain = GENESIS_CHAIN
-        self._last_op_id = 0
-        self._last_tick: Optional[int] = None
+        self.envelope = JournalEnvelope()
         self._last_flush = -1
         self._last_mutation = 0
         self._index = -1
-        self._sealed_at: Optional[int] = None
 
     # ------------------------------------------------------------------
     # journal records -> model events
@@ -172,26 +169,17 @@ class TraceChecker:
         """Replay one journal record (in write order)."""
         self._index += 1
         self.report.records += 1
-        self._feed_chain(entry)
+        envelope, after_seal = self.envelope, self.envelope.sealed
+        for _rule, problem in envelope.feed(entry):
+            self._violate(entry, problem)
+        self.report.head = envelope.head
+        self.report.chain_ok = envelope.chain_ok
+        self.report.sealed = envelope.sealed
         kind = entry.get("kind")
-        if self._sealed_at is not None:
-            self._violate(entry, "record appears after the seal")
-            return
-        if kind == "genesis":
-            if self._index != 0:
-                self._violate(entry, "genesis record is not first")
-            return
-        if self._index == 0:
-            self._violate(entry, "journal does not start with a genesis record")
-        self._feed_sequencing(entry)
-        if kind == "seal":
-            self._feed_seal(entry)
-            return
-        out = entry.get("out", "ok")
-        self._bump(kind, out)
-        if kind == "breaker":
-            return  # evidence for the miner; no key-value state effect
+        if after_seal or kind in ("genesis", "seal", "breaker"):
+            return  # breakers: evidence for the miner, no key-value effect
         self.report.ops += 1
+        out = entry.get("out", "ok")
         if out in _SHED_OUTCOMES:
             # Sheds fire before any substrate IO: provably no state change.
             self.report.sheds += 1
@@ -206,65 +194,6 @@ class TraceChecker:
                 self._violate(entry, problem)
                 return
         handler(entry, out)
-
-    def _feed_chain(self, entry: Dict[str, Any]) -> None:
-        stored = entry.get("chain")
-        body = {name: val for name, val in entry.items() if name != "chain"}
-        expected = chain_digest(self._chain, canonical_json(body))
-        if stored != expected:
-            self.report.chain_ok = False
-            self._violate(
-                entry,
-                "chain digest mismatch: record tampered, reordered, or a "
-                "predecessor deleted",
-            )
-            self._chain = stored if isinstance(stored, str) else expected
-        else:
-            self._chain = expected
-        self.report.head = self._chain
-
-    def _feed_sequencing(self, entry: Dict[str, Any]) -> None:
-        op_id = entry.get("op")
-        if isinstance(op_id, int):
-            if op_id <= self._last_op_id:
-                self._violate(
-                    entry, f"op id {op_id} not above predecessor {self._last_op_id}"
-                )
-            self._last_op_id = max(self._last_op_id, op_id)
-        tick = entry.get("tick")
-        if isinstance(tick, int):
-            if self._last_tick is not None and tick < self._last_tick:
-                self._violate(
-                    entry, f"tick {tick} went backwards (was {self._last_tick})"
-                )
-            self._last_tick = max(self._last_tick or 0, tick)
-
-    def _feed_seal(self, entry: Dict[str, Any]) -> None:
-        self._sealed_at = self._index
-        self.report.sealed = True
-        counts = entry.get("counts")
-        if isinstance(counts, dict):
-            mismatches = [
-                name
-                for name in set(counts) | set(self._counts)
-                if counts.get(name, 0) != self._counts.get(name, 0)
-            ]
-            if mismatches:
-                self._violate(
-                    entry,
-                    "seal counter relations do not match the replay: "
-                    + ", ".join(sorted(mismatches)),
-                )
-        records = entry.get("records")
-        if isinstance(records, int) and records != self._index + 1:
-            self._violate(
-                entry,
-                f"seal claims {records} records but {self._index + 1} were fed",
-            )
-
-    def _bump(self, kind: Any, out: str) -> None:
-        name = f"{kind}:{out}"
-        self._counts[name] = self._counts.get(name, 0) + 1
 
     # ------------------------------------------------------------------
     # per-kind semantics
@@ -391,12 +320,12 @@ class TraceChecker:
     # ------------------------------------------------------------------
 
     def finish(self, *, require_seal: bool = False) -> CheckReport:
-        """Final verdict; with ``require_seal`` an unsealed journal (a
-        truncated tail) is itself a violation."""
-        if require_seal and not self.report.sealed:
-            self._violate(
-                {"kind": "seal"}, "journal has no seal record (truncated tail?)"
-            )
+        """Final verdict; an empty journal, and with ``require_seal`` an
+        unsealed one (a truncated tail), is itself a violation -- placed
+        at the record that is missing."""
+        self._index = self.report.records
+        for _rule, problem in self.envelope.finish(require_seal=require_seal):
+            self._violate({}, problem)
         return self.report
 
 

@@ -7,9 +7,11 @@ cluster-level op stream, each record carrying its replica ack set -- under
 cross-node candidate-set semantics, and uses the per-node journals for
 two things the router journal alone cannot prove:
 
-* **chain integrity per node** -- every journal's hash chain must verify
-  independently (the node id participates in the chain, so journals
-  cannot be spliced);
+* **the journal envelope per journal** -- router and member journals are
+  each held to the rules of :class:`~repro.shardstore.observability.
+  journal.JournalEnvelope` (the node id is in the chain, so journals
+  cannot be spliced); its problems name their journal, and no two
+  journals may claim one node;
 * **ack corroboration** -- an acknowledged quorum write must actually
   appear in the journal of every acking node, matched by the cluster op
   id (``cop``) the router stamped on the replica-side record, with the
@@ -28,10 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.models.cluster import ReferenceCluster
-from repro.shardstore.observability.journal import (
-    read_journal,
-    verify_chain,
-)
+from repro.shardstore.observability.journal import JournalEnvelope, read_journal
 
 from .checker import KEYED_KINDS, MAX_VIOLATIONS, render_candidates, shape_problem
 
@@ -120,7 +119,7 @@ class _ClusterReplay:
     def __init__(self, require_seal: bool) -> None:
         self.require_seal = require_seal
         self.report = ClusterCheckReport()
-        # node identity -> cop -> list of replica-side records
+        # journal identity -> cop -> list of the records it caused
         self._node_cops: Dict[str, Dict[int, List[Dict[str, Any]]]] = {}
 
     # ------------------------------------------------------------------
@@ -142,50 +141,27 @@ class _ClusterReplay:
     def _verify_journal(
         self, name: str, entries: List[Dict[str, Any]]
     ) -> None:
-        problems = verify_chain(entries)
-        sealed = bool(entries) and entries[-1].get("kind") == "seal"
-        info = {
-            "records": len(entries),
-            "chain_ok": not problems,
-            "sealed": sealed,
-            "head": entries[-1].get("chain") if entries else None,
-        }
-        self.report.journals[name] = info
-        self.report.records += len(entries)
-        if problems:
-            self.report.chain_ok = False
-            for problem in problems[:4]:
-                self._violate({"node": name}, f"chain: {problem}")
-        if self.require_seal and not sealed:
-            self._violate(
-                {"node": name}, "journal is not sealed (truncated tail?)"
-            )
-        last_op = 0
-        for entry in entries:
-            op_id = entry.get("op")
-            if isinstance(op_id, int):
-                if op_id <= last_op:
-                    self._violate(
-                        entry,
-                        f"op id {op_id} not monotone within journal {name}",
-                    )
-                last_op = max(last_op, op_id)
-            node = entry.get("node")
-            if entry.get("kind") != "genesis" and node != name and name:
-                self._violate(
-                    entry,
-                    f"record claims node {node!r} inside journal {name!r}",
-                )
-
-    def _index_node_journal(
-        self, name: str, entries: List[Dict[str, Any]]
-    ) -> None:
+        """Hold one journal to the envelope, and index its records by the
+        cluster op id (``cop``) that caused them."""
+        envelope = JournalEnvelope()
         cops: Dict[int, List[Dict[str, Any]]] = {}
         for entry in entries:
+            for _rule, problem in envelope.feed(entry):
+                self._violate({**entry, "node": name}, f"journal {name}: {problem}")
             cop = entry.get("cop")
             if isinstance(cop, int) and cop > 0:
                 cops.setdefault(cop, []).append(entry)
+        for _rule, problem in envelope.finish(require_seal=self.require_seal):
+            self._violate({"node": name}, f"journal {name}: {problem}")
         self._node_cops[name] = cops
+        self.report.journals[name] = {
+            "records": envelope.records,
+            "chain_ok": envelope.chain_ok,
+            "sealed": envelope.sealed,
+            "head": envelope.head,
+        }
+        self.report.records += envelope.records
+        self.report.chain_ok = self.report.chain_ok and envelope.chain_ok
 
     # ------------------------------------------------------------------
     # record handlers
@@ -347,13 +323,14 @@ def check_cluster_journals(
                 {}, "journal has no genesis identity (not a cluster journal?)"
             )
             continue
+        if name in report.journals:
+            replay._violate({"node": name}, f"two journals claim node {name!r}")
+            continue
         replay._verify_journal(name, entries)
         if meta.get("role") == "router":
             if router is not None:
                 replay._violate({}, "more than one router journal supplied")
             router = entries
-        else:
-            replay._index_node_journal(name, entries)
     if router is None:
         replay._violate({}, "no router journal supplied (meta.role=router)")
     else:

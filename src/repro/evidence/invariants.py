@@ -17,6 +17,11 @@ enforced in CI: ``repro invariants`` exits non-zero if any promoted
 invariant is falsified.  The remaining templates are exploratory --
 useful evidence when triaging a flagged journal, but not gating.
 
+Four templates read out :class:`~repro.shardstore.observability.journal.
+JournalEnvelope`, the journal format's own rules stated once for every
+reader: its check sites are their instances, its first problem their
+witness.
+
 The miner deliberately uses *simpler, stricter* state tracking than the
 checker (no candidate sets): between error outcomes and dirty reboots it
 assumes writes apply exactly.  It resets its per-key knowledge at every
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.shardstore.observability.journal import read_journal, verify_chain
+from repro.shardstore.observability.journal import JournalEnvelope, read_journal
 
 __all__ = [
     "InvariantResult",
@@ -61,6 +66,19 @@ EXPLORATORY = (
 )
 
 ALL_TEMPLATES = PROMOTED + EXPLORATORY
+
+#: Envelope rule -> the template that reads it out.  A record of another
+#: node, or anything but one chain from one genesis to its seal, breaks
+#: ``chain-intact``.
+_ENVELOPE_TEMPLATES = {
+    "chain": "chain-intact",
+    "seal-last": "chain-intact",
+    "genesis": "chain-intact",
+    "node": "chain-intact",
+    "op-id": "op-monotone",
+    "tick": "tick-monotone",
+    "seal": "seal-counts",
+}
 
 #: Legal circuit-breaker transitions (see resilience.CircuitBreaker).
 _BREAKER_EDGES = {
@@ -131,7 +149,11 @@ class _Template:
 
     def check(self, held: bool, entry: Dict[str, Any], detail: str) -> None:
         self.instances += 1
-        if not held and self.witness is None:
+        if not held:
+            self.falsify(entry, detail)
+
+    def falsify(self, entry: Dict[str, Any], detail: str) -> None:
+        if self.witness is None:
             self.witness = (
                 entry.get("op"),
                 entry.get("tick"),
@@ -159,29 +181,7 @@ class _Template:
 def mine_journal(entries: List[Dict[str, Any]]) -> List[InvariantResult]:
     """Mine every candidate invariant from one parsed journal."""
     templates = {name: _Template(name) for name in ALL_TEMPLATES}
-
-    # chain-intact: one instance per record, witnessed at the first break.
-    chain_problems = verify_chain(entries)
-    templates["chain-intact"].instances = len(entries)
-    if chain_problems:
-        # verify_chain reports "record N: ..." strings; recover the index.
-        first = chain_problems[0]
-        idx = None
-        if first.startswith("record "):
-            try:
-                idx = int(first.split()[1].rstrip(":"))
-            except ValueError:
-                idx = None
-        witness = entries[idx] if idx is not None and idx < len(entries) else {}
-        templates["chain-intact"].witness = (
-            witness.get("op"),
-            witness.get("tick"),
-            first,
-            witness.get("node"),
-        )
-
-    last_op = 0
-    last_tick: Optional[int] = None
+    envelope = JournalEnvelope()
     # Strict per-key state: digest -> value digest or _ABSENT or None
     # (None = unknown / reset at an uncertainty boundary).
     state: Dict[str, Optional[str]] = {}
@@ -191,7 +191,6 @@ def mine_journal(entries: List[Dict[str, Any]]) -> List[InvariantResult]:
     # key -> pre-shed state: the next observation must match it.
     shed_expect: Dict[str, Optional[str]] = {}
     breaker_last: Dict[Any, str] = {}
-    counts: Dict[str, int] = {}
     # Armed by a router `settle` record; discharged by the next
     # `merkle_roots` record (roots-converge-after-settle).
     settled = False
@@ -235,42 +234,12 @@ def mine_journal(entries: List[Dict[str, Any]]) -> List[InvariantResult]:
         state[kd] = value
 
     for entry in entries:
+        for rule, problem in envelope.feed(entry):
+            templates[_ENVELOPE_TEMPLATES[rule]].falsify(entry, problem)
         kind = entry.get("kind")
-        if kind == "genesis":
+        if kind in ("genesis", "seal"):
             continue
-        op_id = entry.get("op")
-        if isinstance(op_id, int):
-            templates["op-monotone"].check(
-                op_id > last_op,
-                entry,
-                f"op id {op_id} does not exceed predecessor {last_op}",
-            )
-            last_op = max(last_op, op_id)
-        tick = entry.get("tick")
-        if isinstance(tick, int):
-            if last_tick is not None:
-                templates["tick-monotone"].check(
-                    tick >= last_tick,
-                    entry,
-                    f"tick {tick} went backwards from {last_tick}",
-                )
-            last_tick = tick if last_tick is None else max(last_tick, tick)
-
-        if kind == "seal":
-            recorded = entry.get("counts")
-            if isinstance(recorded, dict):
-                held = all(
-                    recorded.get(k, 0) == counts.get(k, 0)
-                    for k in set(recorded) | set(counts)
-                )
-                templates["seal-counts"].check(
-                    held, entry, "seal counters disagree with the replayed ops"
-                )
-            continue
-
         out = entry.get("out", "ok")
-        counts[f"{kind}:{out}"] = counts.get(f"{kind}:{out}", 0) + 1
-
         if kind == "breaker":
             disk = entry.get("disk")
             frm, to = entry.get("from"), entry.get("to")
@@ -377,6 +346,10 @@ def mine_journal(entries: List[Dict[str, Any]]) -> List[InvariantResult]:
         elif out.startswith("error:") and kd is not None:
             forget(kd)
 
+    for rule, problem in envelope.finish():
+        templates[_ENVELOPE_TEMPLATES[rule]].falsify({}, problem)
+    for rule in ("chain", "op-id", "tick", "seal"):
+        templates[_ENVELOPE_TEMPLATES[rule]].instances = envelope.checks[rule]
     return [templates[name].result() for name in ALL_TEMPLATES]
 
 

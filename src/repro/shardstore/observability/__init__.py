@@ -29,14 +29,13 @@ from .journal import (
     GENESIS_CHAIN,
     JOURNAL_VERSION,
     Journal,
+    JournalEnvelope,
     JournalError,
     classify_error,
     digest_bytes,
     digest_keys,
-    journal_head,
     read_journal,
     seal_on_signal,
-    verify_chain,
 )
 from .prometheus import render_prometheus
 from .recorder import (
@@ -69,14 +68,13 @@ __all__ = [
     "GENESIS_CHAIN",
     "JOURNAL_VERSION",
     "Journal",
+    "JournalEnvelope",
     "JournalError",
     "classify_error",
     "digest_bytes",
     "digest_keys",
-    "journal_head",
     "read_journal",
     "seal_on_signal",
-    "verify_chain",
     "Recorder",
     "component_of_latency",
     "render_prometheus",

@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from typing import Any, Callable, Dict, Iterable, List, Optional, TypeVar
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from ..errors import (
     DeadlineExceededError,
@@ -54,9 +54,11 @@ _T = TypeVar("_T")
 __all__ = [
     "CHAIN_LEN",
     "DIGEST_LEN",
+    "ENVELOPE_RULES",
     "GENESIS_CHAIN",
     "JOURNAL_VERSION",
     "Journal",
+    "JournalEnvelope",
     "JournalError",
     "bool_outcome",
     "canonical_json",
@@ -65,14 +67,12 @@ __all__ = [
     "digest_bytes",
     "digest_key_digests",
     "digest_keys",
-    "journal_head",
     "journaled",
     "keys_outcome",
     "read_journal",
     "repair_outcome",
     "seal_on_signal",
     "value_outcome",
-    "verify_chain",
 ]
 
 #: Journal record-format version (bumped on incompatible schema changes).
@@ -561,38 +561,114 @@ def read_journal(path: str) -> List[Dict[str, Any]]:
     return entries
 
 
-def verify_chain(entries: List[Dict[str, Any]]) -> List[str]:
-    """Recompute the hash chain; returns problems (empty = intact).
+#: The journal format's own rules, in the order a record is checked.
+ENVELOPE_RULES = ("chain", "seal-last", "genesis", "node", "op-id", "tick", "seal")
 
-    A record whose stored chain does not match the recomputation was
-    edited, reordered, or had a predecessor deleted.  Verification resumes
-    from the stored value so one tampered record reports once rather than
-    cascading.
+
+class JournalEnvelope:
+    """The journal format's own rules, checked one record at a time.
+
+    Stated once, beside the writer that defines the format, for every
+    reader: the trace checker, the cluster replay (per router and member
+    journal) and the miner.  :meth:`feed` is a generator (iterate it to
+    the end) of the ``(rule, problem)`` pairs a record breaks: ``chain``
+    (the digest verifies; checking resumes from the stored value, so one
+    edit reports once), ``seal-last`` (nothing follows the seal),
+    ``genesis`` (exactly one, first), ``node`` (each record names the
+    genesis' node), ``op-id`` (strictly increasing), ``tick`` (never
+    decreasing) and ``seal`` (its ``counts`` of ``kind:out`` and
+    ``records`` match the records fed).  :meth:`finish` adds an empty
+    journal and, if required, a missing seal.  :attr:`checks` counts each
+    rule's check sites.
     """
-    problems: List[str] = []
-    if not entries:
-        return ["journal is empty (no genesis record)"]
-    if entries[0].get("kind") != "genesis":
-        problems.append("first record is not a genesis record")
-    prev = GENESIS_CHAIN
-    for index, entry in enumerate(entries):
+
+    def __init__(self) -> None:
+        self.head = GENESIS_CHAIN
+        self.records = 0
+        self.chain_ok = True
+        self.sealed = False
+        #: The identity the genesis record names (``meta.node``), if any.
+        self.node: Optional[str] = None
+        self.checks: Dict[str, int] = dict.fromkeys(ENVELOPE_RULES, 0)
+        self._last_op = 0
+        self._last_tick: Optional[int] = None
+        self._counts: Dict[str, int] = {}
+
+    def feed(self, entry: Dict[str, Any]) -> Iterable[Tuple[str, str]]:
+        """Check the next record, yielding each rule it breaks."""
+        index, checks = self.records, self.checks
+        self.records += 1
+        checks["chain"] += 1
         stored = entry.get("chain")
         body = {name: val for name, val in entry.items() if name != "chain"}
-        expected = chain_digest(prev, canonical_json(body))
+        expected = chain_digest(self.head, canonical_json(body))
+        self.head = expected
         if stored != expected:
-            problems.append(
-                f"record {index} (kind={entry.get('kind')!r}): chain digest "
-                f"mismatch -- tampered, reordered, or a predecessor deleted"
+            self.chain_ok = False
+            self.head = stored if isinstance(stored, str) else expected
+            yield "chain", (
+                "chain digest mismatch: record tampered, reordered, or a "
+                "predecessor deleted"
             )
-            prev = stored if isinstance(stored, str) else expected
-        else:
-            prev = expected
-    return problems
+        checks["seal-last"] += 1
+        if self.sealed:
+            yield "seal-last", "record appears after the seal"
+            return
+        kind = entry.get("kind")
+        checks["genesis"] += 1
+        if kind == "genesis":
+            if index:
+                yield "genesis", "genesis record is not first"
+            else:
+                meta = entry.get("meta")
+                self.node = meta.get("node") if isinstance(meta, dict) else None
+            return
+        if not index:
+            yield "genesis", "journal does not start with a genesis record"
+        node = entry.get("node")
+        checks["node"] += 1
+        if node != self.node:
+            yield "node", f"record claims node {node!r} inside journal {self.node!r}"
+        op_id = entry.get("op")
+        if isinstance(op_id, int):
+            checks["op-id"] += 1
+            if op_id <= self._last_op:
+                yield "op-id", f"op id {op_id} not above predecessor {self._last_op}"
+            self._last_op = max(self._last_op, op_id)
+        tick, last = entry.get("tick"), self._last_tick
+        if isinstance(tick, int):
+            if last is not None:
+                checks["tick"] += 1
+                if tick < last:
+                    yield "tick", f"tick {tick} went backwards (was {last})"
+            self._last_tick = tick if last is None else max(last, tick)
+        if kind != "seal":
+            name = f"{kind}:{entry.get('out', 'ok')}"
+            self._counts[name] = self._counts.get(name, 0) + 1
+            return
+        self.sealed = True
+        checks["seal"] += 1
+        counts = entry.get("counts")
+        if isinstance(counts, dict):
+            wrong = [
+                name
+                for name in set(counts) | set(self._counts)
+                if counts.get(name, 0) != self._counts.get(name, 0)
+            ]
+            if wrong:
+                yield "seal", (
+                    "seal counter relations do not match the replay: "
+                    + ", ".join(sorted(wrong))
+                )
+        records = entry.get("records")
+        if isinstance(records, int) and records != self.records:
+            yield "seal", f"seal claims {records} records but {self.records} were fed"
 
+    def finish(self, *, require_seal: bool = False) -> Iterable[Tuple[str, str]]:
+        """The end-of-journal rules: a genesis record and, with
+        ``require_seal``, a seal (a missing one is a truncated tail)."""
+        if not self.records:
+            yield "genesis", "journal is empty (no genesis record)"
+        if require_seal and not self.sealed:
+            yield "seal-last", "journal has no seal record (truncated tail?)"
 
-def journal_head(entries: List[Dict[str, Any]]) -> str:
-    """The chain head (last record's chain) of a parsed journal."""
-    if not entries:
-        return GENESIS_CHAIN
-    chain = entries[-1].get("chain")
-    return chain if isinstance(chain, str) else GENESIS_CHAIN

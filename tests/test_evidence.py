@@ -20,13 +20,20 @@ from repro.campaign import CampaignSpec, run_campaign
 from repro.cli import main
 from repro.evidence import (
     PROMOTED,
+    check_cluster_journals,
     check_journal,
     mine_journal,
     mine_journals,
 )
 from repro.shardstore import RingRecorder
 from repro.shardstore.observability import filter_trace
-from repro.shardstore.observability.journal import Journal, read_journal
+from repro.shardstore.observability.journal import (
+    GENESIS_CHAIN,
+    Journal,
+    canonical_json,
+    chain_digest,
+    read_journal,
+)
 
 
 def _bench_journal(tmp_path, name, workload="mixed", seed=11, **kwargs):
@@ -260,6 +267,192 @@ class TestEvidenceCli:
             "--mutant", "drop-delete",
         ])
         assert status == 2
+
+
+def rechain(entries):
+    """Recompute every chain digest, so only the envelope's other rules
+    can catch an edit."""
+    head, out = GENESIS_CHAIN, []
+    for entry in entries:
+        body = {name: val for name, val in entry.items() if name != "chain"}
+        head = chain_digest(head, canonical_json(body))
+        out.append({**body, "chain": head})
+    return out
+
+
+def _op_indexes(entries):
+    return [i for i, e in enumerate(entries) if isinstance(e.get("op"), int)]
+
+
+def _edit_chain(entries):
+    entries[_op_indexes(entries)[0]]["note"] = "edited"  # not re-chained
+    return entries
+
+
+def _second_genesis(entries):
+    return rechain(entries[:2] + [dict(entries[0])] + entries[2:])
+
+
+def _after_seal(entries):
+    extra = dict(entries[_op_indexes(entries)[-1]])
+    extra["op"] += 1
+    return rechain(entries + [extra])
+
+
+def _op_not_increasing(entries):
+    first, second = _op_indexes(entries)[:2]
+    entries[second]["op"] = entries[first]["op"]
+    return rechain(entries)
+
+
+def _tick_backwards(entries):
+    first, second = _op_indexes(entries)[:2]
+    assert entries[first]["tick"] > 0
+    entries[second]["tick"] = entries[first]["tick"] - 1
+    return rechain(entries)
+
+
+def _wrong_node(entries):
+    entries[_op_indexes(entries)[0]]["node"] = "node9"
+    return rechain(entries)
+
+
+def _seal_counts(entries):
+    counts = entries[-1]["counts"]
+    counts[sorted(counts)[0]] += 1
+    return rechain(entries)
+
+
+def _seal_records(entries):
+    entries[-1]["records"] += 1
+    return rechain(entries)
+
+
+#: One row per envelope rule: the damage (re-chained unless the chain is
+#: the rule), the words every checker reports it in, and the miner
+#: template that reads the rule out.
+ENVELOPE_ROWS = {
+    "chain edit": (_edit_chain, "chain digest mismatch", "chain-intact"),
+    "second genesis": (
+        _second_genesis, "genesis record is not first", "chain-intact"
+    ),
+    "record after the seal": (
+        _after_seal, "record appears after the seal", "chain-intact"
+    ),
+    "op id not increasing": (
+        _op_not_increasing, "not above predecessor", "op-monotone"
+    ),
+    "tick backwards": (_tick_backwards, "went backwards", "tick-monotone"),
+    "wrong node": (_wrong_node, "record claims node 'node9'", "chain-intact"),
+    "seal counts wrong": (
+        _seal_counts, "seal counter relations do not match", "seal-counts"
+    ),
+    "seal records wrong": (_seal_records, "seal claims", "seal-counts"),
+    "empty journal": (lambda entries: [], "journal is empty", "chain-intact"),
+}
+
+
+def _envelope_single():
+    journal = Journal(meta={"source": "test"})
+    journal.record_op("put", key=b"k", value=b"v")
+    journal.record_op("get", key=b"k", value=b"v")
+    journal.record_op("delete", key=b"k")
+    journal.close()
+    return journal.entries
+
+
+def _envelope_cluster():
+    from repro.cluster import ClusterConfig, ClusterRouter
+
+    journals = {}
+
+    def factory(identity, meta):
+        journals[identity] = Journal(meta=dict(meta, seed=0), node=identity)
+        return journals[identity]
+
+    router = ClusterRouter(
+        ClusterConfig(num_nodes=3, seed=0), journal_factory=factory
+    )
+    router.put(b"k1", b"v1")
+    router.put(b"k2", b"v2")
+    assert router.get(b"k1") == b"v1"
+    router.close()
+    return {name: journal.entries for name, journal in journals.items()}
+
+
+def _problems(report):
+    assert report.violation_count == len(report.violations)
+    return [v["problem"] for v in report.violations]
+
+
+class TestEnvelopeRules:
+    """Every journal-envelope rule, against every consumer of the envelope:
+    the single-journal checker, the merged cluster replay (the damage in
+    the router journal, then in a member journal) and the miner."""
+
+    def test_undamaged_journals_pass_every_consumer(self):
+        assert check_journal(_envelope_single(), require_seal=True).passed
+        journals = _envelope_cluster()
+        assert sorted(journals) == ["node0", "node1", "node2", "router"]
+        report = check_cluster_journals(list(journals.values()), require_seal=True)
+        assert report.passed, report.violations
+        assert not any(
+            res.status == "falsified" for res in mine_journal(_envelope_single())
+        )
+
+    @pytest.mark.parametrize("row", sorted(ENVELOPE_ROWS))
+    def test_single_journal_checker(self, row):
+        damage, words, _template = ENVELOPE_ROWS[row]
+        report = check_journal(damage(_envelope_single()), require_seal=True)
+        assert any(words in problem for problem in _problems(report))
+
+    @pytest.mark.parametrize("where", ["router", "node1"])
+    @pytest.mark.parametrize("row", sorted(ENVELOPE_ROWS))
+    def test_cluster_replay(self, row, where):
+        damage, words, _template = ENVELOPE_ROWS[row]
+        journals = _envelope_cluster()
+        journals[where] = damage(journals[where])
+        report = check_cluster_journals(list(journals.values()), require_seal=True)
+        if row == "empty journal":  # a journal with no genesis has no name
+            words = "journal has no genesis identity"
+        else:
+            words = f"journal {where}: "
+        assert any(words in problem for problem in _problems(report))
+        assert not report.passed
+
+    @pytest.mark.parametrize("row", sorted(ENVELOPE_ROWS))
+    def test_miner(self, row):
+        damage, words, template = ENVELOPE_ROWS[row]
+        results = _by_name(mine_journal(damage(_envelope_single())))
+        assert results[template].status == "falsified"
+        assert words in results[template].detail
+
+    def test_miner_instances_are_the_envelope_check_sites(self):
+        results = _by_name(mine_journal(_envelope_single()))
+        # 5 records; 3 op ids; 2 ticks after the first; 1 seal.
+        assert results["chain-intact"].instances == 5
+        assert results["op-monotone"].instances == 3
+        assert results["tick-monotone"].instances == 2
+        assert results["seal-counts"].instances == 1
+
+    def test_empty_journal_fails_check_trace(self, capsys, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["check-trace", str(empty)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        assert "VIOLATION at record 0: journal is empty (no genesis record)" in out
+        assert main(["check-trace", "--require-seal", str(empty)]) == 1
+        assert "record -1" not in capsys.readouterr().out
+
+    def test_member_journal_supplied_twice_is_a_violation(self):
+        journals = _envelope_cluster()
+        entries = list(journals.values()) + [journals["node0"]]
+        report = check_cluster_journals(entries, require_seal=True)
+        assert _problems(report) == ["two journals claim node 'node0'"]
+        assert report.records == sum(
+            info["records"] for info in report.journals.values()
+        )
 
 
 class TestCampaignEvidence:

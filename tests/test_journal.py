@@ -17,16 +17,31 @@ from repro.shardstore.observability import render_snapshot, render_trace
 from repro.shardstore.observability.journal import (
     GENESIS_CHAIN,
     Journal,
+    JournalEnvelope,
     JournalError,
     canonical_json,
     chain_digest,
     digest_bytes,
     digest_key_digests,
     digest_keys,
-    journal_head,
     read_journal,
-    verify_chain,
 )
+
+
+def envelope_problems(entries, *, require_seal=False):
+    """Every ``(record index, rule)`` the envelope flags in ``entries``
+    (the end-of-journal rules at index ``len(entries)``)."""
+    envelope = JournalEnvelope()
+    found = [
+        (index, rule)
+        for index, entry in enumerate(entries)
+        for rule, _problem in envelope.feed(entry)
+    ]
+    found += [
+        (len(entries), rule)
+        for rule, _problem in envelope.finish(require_seal=require_seal)
+    ]
+    return found
 
 
 def _node_with_journal(path=None):
@@ -75,8 +90,8 @@ class TestJournalLifecycle:
             "get:ok": 1,
             "put:ok": 1,
         }
-        assert journal_head(entries) == head
-        assert verify_chain(entries) == []
+        assert entries[-1]["chain"] == head
+        assert envelope_problems(entries, require_seal=True) == []
 
     def test_nesting_guard_one_record_per_node_op(self):
         # A node put fans out to per-disk store ops (primary + replica)
@@ -125,7 +140,7 @@ class TestTamperEvidence:
         artifact = run_bench(
             "mixed", ops=120, seed=11, journal_path=path
         )
-        assert artifact["journal"]["head"] == journal_head(read_journal(path))
+        assert artifact["journal"]["head"] == read_journal(path)[-1]["chain"]
         return path, (tmp_path / "j.jsonl").read_text().splitlines()
 
     def test_edited_record_breaks_chain(self, tmp_path):
@@ -133,26 +148,29 @@ class TestTamperEvidence:
         victim = json.loads(lines[3])
         victim["out"] = "not_found" if victim.get("out") == "ok" else "ok"
         lines[3] = canonical_json(victim)
-        problems = verify_chain([json.loads(line) for line in lines])
-        assert problems and "record 3" in problems[0]
+        problems = envelope_problems([json.loads(line) for line in lines])
+        assert problems[0] == (3, "chain")
 
     def test_deleted_interior_record_breaks_chain(self, tmp_path):
         path, lines = self._journal_lines(tmp_path)
         del lines[4]
-        problems = verify_chain([json.loads(line) for line in lines])
-        assert problems
+        problems = envelope_problems([json.loads(line) for line in lines])
+        assert (4, "chain") in problems
 
     def test_reordered_records_break_chain(self, tmp_path):
         path, lines = self._journal_lines(tmp_path)
         lines[3], lines[4] = lines[4], lines[3]
-        problems = verify_chain([json.loads(line) for line in lines])
-        assert problems
+        problems = envelope_problems([json.loads(line) for line in lines])
+        assert (3, "chain") in problems
 
     def test_truncated_tail_drops_seal(self, tmp_path):
         path, lines = self._journal_lines(tmp_path)
         entries = [json.loads(line) for line in lines[:-1]]
-        assert verify_chain(entries) == []  # chain intact...
-        assert entries[-1]["kind"] != "seal"  # ...but the seal is gone
+        assert envelope_problems(entries) == []  # chain intact...
+        # ...but the seal is gone
+        assert envelope_problems(entries, require_seal=True) == [
+            (len(entries), "seal-last")
+        ]
 
     def test_read_journal_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -178,9 +196,7 @@ class TestJournalDeterminism:
         b = tmp_path / "b.jsonl"
         run_bench("mixed", ops=200, seed=13, journal_path=str(a))
         run_bench("mixed", ops=200, seed=14, journal_path=str(b))
-        assert journal_head(read_journal(str(a))) != journal_head(
-            read_journal(str(b))
-        )
+        assert read_journal(str(a))[-1]["chain"] != read_journal(str(b))[-1]["chain"]
 
 
 class TestTraceDroppedCounter:
