@@ -87,6 +87,58 @@ class TestCoarse:
         assert harness.system.disk.snapshot() == snapshot
 
 
+#: Block-level ``(states_explored, states_deduplicated, truncated, passed)``
+#: and coarse ``(states_explored, states_deduplicated, passed)`` per prefix
+#: seed, with no fault or any fault that leaves these prefixes alone.
+_BLOCK_VERDICTS = {
+    0: (60, 34, True, True),
+    1: (60, 10, True, True),
+    2: (60, 23, True, True),
+}
+_COARSE_VERDICTS = {0: (16, 0, True), 1: (16, 0, True), 2: (16, 0, True)}
+#: The one fault these 25-op prefixes reach: a cache write that forgets
+#: its soft-pointer dependency loses a key both explorers can see.
+_FAULT_VERDICTS = {
+    (Fault.CACHE_WRITE_MISSING_SOFT_PTR_DEP, 1): (
+        (51, 0, False, False),
+        (13, 0, False),
+    ),
+}
+
+
+class TestExplorerVerdicts:
+    """What both explorers decide, for no fault and each fault x seeds 0-2.
+
+    A change to how a crash state is reached, recovered, checked or
+    rewound moves one of these counts or verdicts.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "fault", [None, *Fault], ids=lambda f: f.name if f else "none"
+    )
+    def test_verdicts_are_pinned(self, fault, seed):
+        faults = FaultSet.only(fault) if fault else FaultSet.none()
+        block = explore_block_level(
+            _advanced_harness(faults, seed, ops=25), max_states=60
+        )
+        coarse = coarse_crash_states(
+            _advanced_harness(faults, seed, ops=25), samples=16, seed=seed
+        )
+        expected = _FAULT_VERDICTS.get(
+            (fault, seed), (_BLOCK_VERDICTS[seed], _COARSE_VERDICTS[seed])
+        )
+        assert (
+            (
+                block.states_explored,
+                block.states_deduplicated,
+                block.truncated,
+                block.passed,
+            ),
+            (coarse.states_explored, coarse.states_deduplicated, coarse.passed),
+        ) == expected
+
+
 class TestFaultFreeCrashAlphabet:
     @pytest.mark.xfail(
         strict=True,
