@@ -131,7 +131,6 @@ def _base_shards(spec: CampaignSpec) -> List[ShardSpec]:
                 len(shards),
                 KIND_CRASH,
                 next_seed(),
-                mode="block",
                 sequences=2,
                 prefix_ops=spec.crash_prefix_ops,
                 max_states=spec.crash_max_states,

@@ -319,17 +319,20 @@ class StoreHarness(Harness):
             self.has_failed = True
             return None
         self.crash_model.on_crash(touched)
-        failure = self._check_persistence()
-        if failure is not None:
-            return failure
+        if not self.has_failed:
+            failure = self.persistence_violation()
+            if failure is not None:
+                return failure
         self._resync_after_crash()
         self._crash_epoch_start = self.crash_model.op_count
         return None
 
-    def _check_persistence(self) -> Optional[str]:
-        """The section 5 persistence property, against the crashed state."""
-        if self.has_failed:
-            return None
+    def persistence_violation(self) -> Optional[str]:
+        """The section 5 persistence property, against the crashed state.
+
+        A key whose read raises counts as absent; this is the one place
+        that rule lives, for ``DirtyReboot`` and both crash explorers.
+        """
         for key in self.crash_model.tracked_keys():
             allowed = self.crash_model.allowed_after_crash(key)
             try:

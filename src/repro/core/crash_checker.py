@@ -12,14 +12,16 @@ dependency-respecting subset of the pending IO queue -- and run the
 persistence check in each.  The paper found this "has not found additional
 bugs and is dramatically slower", and keeps it off by default; the
 benchmark ``benchmarks/test_sec5_block_level_tradeoff.py`` reproduces that
-comparison.
+comparison against :func:`coarse_crash_states`, which samples pump budgets
+the way one ``DirtyReboot`` draws its own.
 
-Implementation: the durable medium, durability tracker, and scheduler all
-support snapshot/restore, so exploration is a DFS over ``pump_one(extent)``
-choices with states deduplicated by their durable-record set.  At every
-state we simulate the crash on the real recovery path (drop pending,
-recover a fresh store) and evaluate the persistence property with the
-harness's crash-aware model.
+Both explorers visit a state through :func:`_crash_here`, the op's own
+path without its journal record: ``StoreSystem.snapshot``, then
+``StoreSystem.crash`` (``DirtyReboot``'s flushes, pump, drop and recovery),
+then ``StoreHarness.persistence_violation`` (``DirtyReboot``'s check), then
+``StoreSystem.restore``.  The block-level DFS branches over
+``pump_one(extent)`` choices under the same snapshot and restore, with
+states deduplicated by their durable-record set.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Set
 
-from repro.shardstore.store import ShardStore
+from repro.shardstore.store import RebootType
 
 from .conformance import StoreHarness
 
@@ -61,39 +63,11 @@ def explore_block_level(
     its pre-exploration state before returning.
     """
     system = harness.system
-    scheduler = system.store.scheduler
     result = CrashExplorationResult()
     seen: Set[frozenset] = set()
 
-    disk_snap = system.disk.snapshot()
-    tracker_snap = system.tracker.snapshot()
-    sched_snap = scheduler.snapshot()
-
-    def check_crash_here() -> Optional[str]:
-        """Crash in the current (snapshot-restorable) state and check."""
-        inner_disk = system.disk.snapshot()
-        inner_tracker = system.tracker.snapshot()
-        inner_sched = scheduler.snapshot()
-        scheduler.drop_pending()
-        recovered = ShardStore(
-            system.disk,
-            system.tracker,
-            system.config,
-            rng=random.Random(0xC0FFEE),
-            recover=True,
-        )
-        violation = _persistence_violation(harness, recovered)
-        system.disk.restore(inner_disk)
-        system.tracker.restore(inner_tracker)
-        scheduler.restore(inner_sched)
-        return violation
-
     def dfs() -> Optional[str]:
-        durable_set = frozenset(
-            record_id
-            for record_id in range(system.tracker.snapshot()[0])
-            if system.tracker.is_durable(record_id)
-        )
+        durable_set = system.tracker.durable_ids()
         if durable_set in seen:
             result.states_deduplicated += 1
             return None
@@ -102,48 +76,30 @@ def explore_block_level(
             result.truncated = True
             return None
         result.states_explored += 1
-        violation = check_crash_here()
+        violation = _crash_here(harness, RebootType(pump=0))
         if violation is not None:
             return violation
-        for extent in scheduler.eligible_extents():
-            branch_disk = system.disk.snapshot()
-            branch_tracker = system.tracker.snapshot()
-            branch_sched = scheduler.snapshot()
-            scheduler.pump_one(extent)
+        for extent in system.store.scheduler.eligible_extents():
+            saved = system.snapshot()
+            system.store.scheduler.pump_one(extent)
             violation = dfs()
-            system.disk.restore(branch_disk)
-            system.tracker.restore(branch_tracker)
-            scheduler.restore(branch_sched)
+            system.restore(saved)
             if violation is not None:
                 return violation
         return None
 
     result.violation = dfs()
-    system.disk.restore(disk_snap)
-    system.tracker.restore(tracker_snap)
-    scheduler.restore(sched_snap)
     return result
 
 
-def _persistence_violation(
-    harness: StoreHarness, recovered: ShardStore
-) -> Optional[str]:
-    """The section 5 persistence property against a recovered store."""
-    from repro.shardstore.errors import ShardStoreError
-
-    for key in harness.crash_model.tracked_keys():
-        allowed = harness.crash_model.allowed_after_crash(key)
-        try:
-            observed: Optional[bytes] = recovered.get(key)
-        except ShardStoreError:
-            observed = None
-        if not allowed.permits(observed):
-            return (
-                f"persistence violated for key {key!r} in block-level crash "
-                f"state: observed "
-                f"{'<absent>' if observed is None else f'<{len(observed)} bytes>'}"
-            )
-    return None
+def _crash_here(harness: StoreHarness, reboot: RebootType) -> Optional[str]:
+    """Crash the harness's store, check persistence, and rewind the crash."""
+    saved = harness.system.snapshot()
+    try:
+        harness.system.crash(reboot)
+        return harness.persistence_violation()
+    finally:
+        harness.system.restore(saved)
 
 
 def run_shard(spec: "ShardSpec") -> "ShardResult":
@@ -151,9 +107,7 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
 
     Each unit applies a random operation prefix (store alphabet, seeded
     from ``spec.seed + i``) to a fresh harness, then enumerates the crash
-    states reachable from that point -- block-level
-    (:func:`explore_block_level`) or coarse sampling
-    (:func:`coarse_crash_states`) per ``spec.params['mode']`` -- and
+    states reachable from that point (:func:`explore_block_level`) and
     checks the section 5 persistence property in every state.
     """
     from repro.campaign.spec import ShardFailure, ShardResult
@@ -166,7 +120,6 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
     faults = (
         FaultSet.only(Fault[fault_name]) if fault_name else FaultSet.none()
     )
-    mode = spec.param("mode", "block")
     sequences = spec.param("sequences", 2)
     prefix_ops = spec.param("prefix_ops", 20)
     max_states = spec.param("max_states", 128)
@@ -174,7 +127,7 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
     bias = BiasConfig()
     recorder = RingRecorder() if spec.param("trace", False) else None
     if recorder is not None:
-        recorder.event("shard", kind=spec.kind, mode=mode, seed=spec.seed)
+        recorder.event("shard", kind=spec.kind, seed=spec.seed)
         if fault_name:
             fault = Fault[fault_name]
             recorder.fault_event(
@@ -224,12 +177,7 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
             recorder.event(
                 "crash.explore", sequence=index, pending=harness.store.pending_io_count
             )
-        if mode == "coarse":
-            exploration = coarse_crash_states(
-                harness, samples=max_states, seed=seed
-            )
-        else:
-            exploration = explore_block_level(harness, max_states=max_states)
+        exploration = explore_block_level(harness, max_states=max_states)
         result.cases += exploration.states_explored
         if exploration.violation is not None:
             if recorder is not None:
@@ -259,32 +207,13 @@ def coarse_crash_states(
     section 5 trade-off benchmark contrasts its cost and coverage with
     :func:`explore_block_level`.
     """
-    system = harness.system
-    scheduler = system.store.scheduler
+    pending = harness.store.scheduler.pending_count
     rng = random.Random(seed)
     result = CrashExplorationResult()
-
-    disk_snap = system.disk.snapshot()
-    tracker_snap = system.tracker.snapshot()
-    sched_snap = scheduler.snapshot()
-    pending = scheduler.pending_count
     for _ in range(samples):
         budget = rng.randrange(0, pending + 1) if pending else 0
-        scheduler.pump(budget)
-        scheduler.drop_pending()
-        recovered = ShardStore(
-            system.disk,
-            system.tracker,
-            system.config,
-            rng=random.Random(0xC0FFEE),
-            recover=True,
-        )
         result.states_explored += 1
-        violation = _persistence_violation(harness, recovered)
-        system.disk.restore(disk_snap)
-        system.tracker.restore(tracker_snap)
-        scheduler.restore(sched_snap)
-        if violation is not None:
-            result.violation = violation
+        result.violation = _crash_here(harness, RebootType(pump=budget))
+        if result.violation is not None:
             return result
     return result

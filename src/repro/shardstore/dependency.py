@@ -154,6 +154,10 @@ class DurabilityTracker:
         lost_below = sum(1 for r in self._lost if r < self._low_water)
         return self._low_water - lost_below + len(self._durable_above)
 
+    def durable_ids(self) -> FrozenSet[int]:
+        """Every durable id: what identifies a crash state."""
+        return frozenset(r for r in range(self._next_id) if self.is_durable(r))
+
     # -- snapshot/restore for block-level crash-state enumeration ------
 
     def snapshot(self) -> Tuple[int, int, FrozenSet[int], FrozenSet[int]]:

@@ -515,11 +515,21 @@ class StoreSystem:
         reboot: RebootType = RebootType.NONE,
         recovery_hook: Optional[Callable[[str], None]] = None,
     ) -> ShardStore:
-        """Crash and recover.
+        """Crash and recover: :meth:`crash`, journaled."""
+        return self.crash(reboot, recovery_hook)
+
+    def crash(
+        self,
+        reboot: RebootType = RebootType.NONE,
+        recovery_hook: Optional[Callable[[str], None]] = None,
+    ) -> ShardStore:
+        """Crash and recover without a journal record.
 
         Component flushes selected by ``reboot`` run first (they only queue
         IO); then up to ``reboot.pump`` pending writebacks reach the medium;
-        everything else pending is lost.
+        everything else pending is lost.  The crash explorers call this
+        directly: the journal is append-only, and a crash state they rewind
+        with :meth:`restore` never happened.
         """
         if reboot.flush_index:
             self.store.flush_index()
@@ -547,6 +557,30 @@ class StoreSystem:
         "recovery is just another crash point" obligation).
         """
         return self._recover(recovery_hook)
+
+    def snapshot(self) -> tuple:
+        """Everything :meth:`crash` changes, for :meth:`restore` to rewind:
+        the medium, the tracker, the current store object with its write-back
+        queue, and the reboot count that seeds recovery.
+
+        Only the queue of the store object is saved, not its memtable or
+        superblock, so a rewound crash must not flush components.
+        """
+        store = self.store
+        return (
+            store,
+            store.scheduler.snapshot(),
+            self.disk.snapshot(),
+            self.tracker.snapshot(),
+            self.generation,
+        )
+
+    def restore(self, saved: tuple) -> None:
+        store, scheduler, disk, tracker, self.generation = saved
+        self.store = store
+        store.scheduler.restore(scheduler)
+        self.disk.restore(disk)
+        self.tracker.restore(tracker)
 
     def _recover(
         self, recovery_hook: Optional[Callable[[str], None]] = None
