@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Set
 
-from repro.shardstore.store import RebootType
+from repro.shardstore.store import RebootType, StoreSystem
 
 from .conformance import StoreHarness
 
@@ -67,15 +67,8 @@ def explore_block_level(
     seen: Set[frozenset] = set()
 
     def dfs() -> Optional[str]:
-        durable_set = system.tracker.durable_ids()
-        if durable_set in seen:
-            result.states_deduplicated += 1
+        if not _new_state(system, seen, result, max_states):
             return None
-        seen.add(durable_set)
-        if result.states_explored >= max_states:
-            result.truncated = True
-            return None
-        result.states_explored += 1
         violation = _crash_here(harness, RebootType(pump=0))
         if violation is not None:
             return violation
@@ -90,6 +83,25 @@ def explore_block_level(
 
     result.violation = dfs()
     return result
+
+
+def _new_state(
+    system: StoreSystem,
+    seen: Set[frozenset],
+    result: CrashExplorationResult,
+    max_states: int,
+) -> bool:
+    """Count the current pre-crash state: is it unseen and within budget?"""
+    durable_set = system.tracker.durable_ids()
+    if durable_set in seen:
+        result.states_deduplicated += 1
+        return False
+    seen.add(durable_set)
+    if result.states_explored >= max_states:
+        result.truncated = True
+        return False
+    result.states_explored += 1
+    return True
 
 
 def _crash_here(harness: StoreHarness, reboot: RebootType) -> Optional[str]:
@@ -205,15 +217,21 @@ def coarse_crash_states(
 
     This is what a single ``DirtyReboot(pump=k)`` operation explores; the
     section 5 trade-off benchmark contrasts its cost and coverage with
-    :func:`explore_block_level`.
+    :func:`explore_block_level`.  A budget that reaches a state an earlier
+    one did counts as deduplicated and is not crashed again.
     """
-    pending = harness.store.scheduler.pending_count
+    system = harness.system
+    pending = system.store.scheduler.pending_count
     rng = random.Random(seed)
     result = CrashExplorationResult()
+    seen: Set[frozenset] = set()
     for _ in range(samples):
         budget = rng.randrange(0, pending + 1) if pending else 0
-        result.states_explored += 1
-        result.violation = _crash_here(harness, RebootType(pump=budget))
+        saved = system.snapshot()
+        system.store.pump(budget)
+        if _new_state(system, seen, result, samples):
+            result.violation = _crash_here(harness, RebootType(pump=0))
+        system.restore(saved)
         if result.violation is not None:
             return result
     return result
