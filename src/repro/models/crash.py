@@ -111,13 +111,6 @@ class CrashAwareModel:
                 allowed[op.value] = None
         return Candidates(allowed)
 
-    def expected_after_clean_shutdown(self, key: bytes) -> Optional[bytes]:
-        """After a clean shutdown the *latest* operation must be visible."""
-        ops = [op for op in self._oplog if op.key == key]
-        if not ops:
-            return None
-        return ops[-1].value
-
     def unpersisted_ops(self) -> List[LoggedOp]:
         """Operations whose dependency is not persistent -- must be empty
         after a clean shutdown (the forward-progress property)."""

@@ -205,6 +205,83 @@ class TestFaultFreeCrashAlphabet:
         assert str(report.failure) == text
 
 
+#: The store-alphabet prefixes (40 ops, fault-free, unfiltered) on which an
+#: explorer reports a persistence violation, with its text (computed at
+#: 09bf18d).  Each read that "observed <absent>" raised ``CorruptionError``
+#: on a stale locator -- ROADMAP item 1's missing run -> data edge.
+_FAULT_FREE_EXPLORER_FAILURES = [
+    (
+        "block",
+        25,
+        "persistence violated for key b'k7': observed <absent>, allowed "
+        "values {<386 bytes>, <293 bytes>}",
+    ),
+    (
+        "block",
+        46,
+        "persistence violated for key b'k1': observed <absent>, allowed "
+        "values {<29 bytes>, <95 bytes>, <382 bytes>, <377 bytes>}",
+    ),
+    (
+        "block",
+        72,
+        "persistence violated for key b'k7': observed <absent>, allowed "
+        "values {<485 bytes>, <579 bytes>}",
+    ),
+    (
+        "coarse",
+        47,
+        "persistence violated for key b'k6': observed <absent>, allowed "
+        "values {<423 bytes>, <69 bytes>}",
+    ),
+    (
+        "coarse",
+        51,
+        "persistence violated for key b'k4': observed <absent>, allowed "
+        "values {<496 bytes>, <315 bytes>, <258 bytes>}",
+    ),
+    (
+        "coarse",
+        72,
+        "persistence violated for key b'k7': observed <absent>, allowed "
+        "values {<485 bytes>, <579 bytes>}",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "explorer,seed,text",
+    _FAULT_FREE_EXPLORER_FAILURES,
+    ids=[f"{explorer}-{seed}" for explorer, seed, _ in _FAULT_FREE_EXPLORER_FAILURES],
+)
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 1: with no fault switched on, a post-crash read of a "
+        "run's stale locator raises CorruptionError (read beyond soft write "
+        "pointer), which the persistence check counts as absent.  The PR "
+        "that adds the run -> data edge removes this marker."
+    ),
+)
+def test_fault_free_explorer_passes(explorer, seed, text):
+    """The explorers' own evidence for ROADMAP item 1, verbatim.
+
+    A case that fails with *another* text is not an expected failure: the
+    divergence moved, and whoever moved it should look before re-pinning.
+    """
+    harness = StoreHarness(FaultSet.none(), seed)
+    ops = store_alphabet().generate_sequence(random.Random(seed), 40, BiasConfig())
+    assert harness.run(ops) is None
+    if explorer == "block":
+        result = explore_block_level(harness, max_states=200)
+    else:
+        result = coarse_crash_states(harness, samples=16, seed=seed)
+    if result.violation is not None and result.violation != text:
+        pytest.fail(f"the {explorer} violation changed: {result.violation}")
+    assert result.passed, text
+
+
 def _ops(*ops):
     return [Operation(name, args) for name, *args in ops]
 

@@ -175,14 +175,6 @@ class TestCrashAwareModel:
         stuck = model.unpersisted_ops()
         assert [op.key for op in stuck] == [b"b"]
 
-    def test_expected_after_clean_shutdown(self):
-        tracker, dep = _tracker_with(durable=True)
-        model = CrashAwareModel()
-        model.record_put(b"k", b"v", dep)
-        model.record_delete(b"k", dep)
-        assert model.expected_after_clean_shutdown(b"k") is None
-        assert model.expected_after_clean_shutdown(b"never") is None
-
     def test_fault9_forces_stale_persistence(self):
         tracker, pending = _tracker_with(durable=False)
         model = CrashAwareModel(FaultSet.only(Fault.MODEL_STALE_AFTER_CRASH_RECLAIM))
