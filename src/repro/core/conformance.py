@@ -330,8 +330,9 @@ class StoreHarness(Harness):
     def persistence_violation(self) -> Optional[str]:
         """The section 5 persistence property, against the crashed state.
 
-        A key whose read raises counts as absent; this is the one place
-        that rule lives, for ``DirtyReboot`` and both crash explorers.
+        A read that raises ``NotFoundError``, ``CorruptionError`` or
+        ``ExtentError`` counts as absent; this is the one place that rule
+        lives, for ``DirtyReboot`` and both crash explorers.
         """
         for key in self.crash_model.tracked_keys():
             allowed = self.crash_model.allowed_after_crash(key)
