@@ -260,8 +260,8 @@ _FAULT_FREE_EXPLORER_FAILURES = [
     reason=(
         "ROADMAP item 1: with no fault switched on, a post-crash read of a "
         "run's stale locator raises CorruptionError (read beyond soft write "
-        "pointer), which the persistence check counts as absent.  The PR "
-        "that adds the run -> data edge removes this marker."
+        "pointer), which the persistence check counts as absent.  The "
+        "change that adds the run -> data edge removes this marker."
     ),
 )
 def test_fault_free_explorer_passes(explorer, seed, text):
