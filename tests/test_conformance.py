@@ -1,7 +1,10 @@
 """Tests for the conformance engine itself (runner, relaxation, replay)."""
 
+import random
+
 import pytest
 
+from repro.campaign.fault_matrix import PBT_PLAN
 from repro.campaign.injection import InjectionNodeHarness
 from repro.core import (
     BiasConfig,
@@ -15,9 +18,10 @@ from repro.core import (
     run_conformance,
     store_alphabet,
 )
-from repro.core.alphabet import Operation
+from repro.core.alphabet import ALPHABETS, Operation
 from repro.shardstore import Fault, FaultPlan, FaultSet
 from repro.shardstore.errors import IoError, OverloadedError, RetryableError
+from repro.shardstore.store import ShardStore
 
 
 class TestBaselines:
@@ -399,3 +403,121 @@ class TestWireAgreesWithDirect:
             "<513 bytes> != <189 bytes>"
         )
         assert self._failure(faults, 1, True) == direct
+
+
+class FullSweepStoreHarness(StoreHarness):
+    """The reference rule: every model key's value read back after every
+    op, whatever the op could change."""
+
+    def _check_invariants(self, index, op, touched=None):
+        return super()._check_invariants(index, op)
+
+
+def _outcome(harness_cls, faults, alphabet, *, sequences, ops, seed, bias=0.0):
+    report = run_conformance(
+        lambda s: harness_cls(faults, s, uuid_magic_bias=bias),
+        ALPHABETS[alphabet](),
+        sequences=sequences,
+        ops_per_sequence=ops,
+        base_seed=seed,
+    )
+    return report.failing_seed, None if report.passed else str(report.failure)
+
+
+class TestSweepAgreesWithFullSweep:
+    """Reading back only the touched key after a quiet request op reports
+    the same first failure as reading back every key after every op."""
+
+    @pytest.mark.parametrize("alphabet", ["store", "crash", "failure"])
+    def test_fault_free_alphabets(self, alphabet):
+        args = (FaultSet.none(), alphabet)
+        kwargs = dict(sequences=100, ops=60, seed=70200)
+        outcome = _outcome(StoreHarness, *args, **kwargs)
+        assert outcome == _outcome(FullSweepStoreHarness, *args, **kwargs)
+        # ROADMAP item 1's crash-alphabet failure lies in this window.
+        assert outcome[0] == (70278 if alphabet == "crash" else None)
+
+    @pytest.mark.parametrize("fault", list(PBT_PLAN), ids=lambda f: f.name)
+    def test_fault_matrix_plans(self, fault):
+        alphabet, seed, bias = PBT_PLAN[fault]
+        args = (FaultSet.only(fault), alphabet)
+        kwargs = dict(sequences=8, ops=80, seed=seed, bias=bias)
+        assert _outcome(StoreHarness, *args, **kwargs) == _outcome(
+            FullSweepStoreHarness, *args, **kwargs
+        )
+
+
+class TestSweepFootprint:
+    """Which keys each op reads back: its own key after a quiet Get, Put or
+    Delete; every model key after anything else."""
+
+    REQUEST = {"Get", "Put", "Delete"}
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        keys = []
+        get = ShardStore.get
+
+        def spy(store, key):
+            keys.append(key)
+            return get(store, key)
+
+        monkeypatch.setattr(ShardStore, "get", spy)
+        return keys
+
+    @staticmethod
+    def _apply(harness, reads, index, op):
+        reads.clear()
+        assert harness.apply(index, op) is None
+        return set(reads)
+
+    def test_quiet_request_ops_read_their_own_key(self, reads):
+        harness = StoreHarness(FaultSet.none(), 0)
+        for i in range(4):
+            harness.apply(i, Operation("Put", (b"k%d" % i, b"v%d" % i)))
+        get, put = Operation("Get", (b"k1",)), Operation("Put", (b"k2", b"w"))
+        assert self._apply(harness, reads, 4, get) == {b"k1"}
+        assert self._apply(harness, reads, 5, put) == {b"k2"}
+        assert self._apply(harness, reads, 6, Operation("Delete", (b"k3",))) == set()
+
+    def test_put_that_flushes_the_memtable_reads_every_key(self, reads):
+        harness = StoreHarness(FaultSet.none(), 0)
+        threshold = harness.system.config.memtable_flush_threshold
+        for i in range(threshold - 1):
+            harness.apply(i, Operation("Put", (b"k%d" % i, b"v")))
+        runs = harness.store.index.run_count
+        last = Operation("Put", (b"last", b"v"))
+        read = self._apply(harness, reads, threshold, last)
+        assert harness.store.index.run_count == runs + 1
+        assert read == set(harness.model.kv.keys())
+        assert len(read) == threshold
+
+    def test_every_op_of_seeded_sequences(self, reads):
+        """The rule on every op of fault-free sequences that between them
+        hold every op name, a Put that resets an extent (store seed 7, op
+        57, claims a free extent whose reset was still queued) and a Put
+        that flushes the memtable (failure seed 23, op 45)."""
+        seen = set()
+        for alphabet in ("store", "crash", "failure"):
+            generator = ALPHABETS[alphabet]()
+            for seed in range(24):
+                ops = generator.generate_sequence(random.Random(seed), 60, BiasConfig())
+                harness = StoreHarness(FaultSet.none(), seed)
+                for index, op in enumerate(ops):
+                    resets = harness.system.disk.stats.resets
+                    runs = harness.store.index.run_count
+                    read = self._apply(harness, reads, index, op)
+                    moved = ()
+                    if harness.system.disk.stats.resets != resets:
+                        moved += ("reset",)
+                    if harness.store.index.run_count != runs:
+                        moved += ("flush",)
+                    if op.name in self.REQUEST and not moved:
+                        assert read <= {op.args[0]}, (alphabet, seed, index, op)
+                    else:
+                        model_keys = set(harness.model.kv.keys())
+                        assert model_keys <= read, (alphabet, seed, index, op)
+                    seen.add((op.name, moved))
+            assert set(generator.names()) <= {name for name, _ in seen}
+        assert {("Get", ()), ("Put", ()), ("Delete", ())} <= seen
+        assert {("Put", ("reset",)), ("Put", ("flush",))} <= seen
