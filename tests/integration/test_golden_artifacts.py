@@ -51,9 +51,10 @@ GOLDEN_STORM_ARTIFACTS = {
     # reads, and the store/corruption shard's reboot that used to be
     # journaled as errored recovers on the retry (evidence: 1 skipped -> 0,
     # 278 checked -> 279; was b0f70f72...2009629).
-    # Re-pinned at ISSUE 35: after a Get, Put or Delete that did no
-    # background work the conformance sweep reads back only that op's key,
-    # so the store shards journal fewer ``get``s.  Only ``evidence`` moved:
+    # Re-pinned when the conformance sweep stopped reading back every key
+    # after every op: after a Get, Put or Delete that did no background
+    # work it reads back only that op's key, so the store shards journal
+    # fewer ``get``s.  Only ``evidence`` moved:
     # shard records 343 / 294 -> 242 / 234, checked 328 / 279 -> 227 / 219,
     # and the ``heads_digest`` fields; every verdict, counter and detail is
     # unchanged (was ff0f333e...631a52404).
