@@ -12,7 +12,8 @@ canonical ones in :mod:`repro.campaign.fault_matrix` -- the same plans the
 pinned to the known-detecting region so the matrix completes in benchmark
 time; the unpinned pay-as-you-go behaviour (run longer, find the same
 bugs from any seed) is exercised by ``test_pbt_throughput.py`` and the
-integration tests.
+integration tests.  A fault that random sequences do not reach is hunted
+by a directed sequence; its shard checks its own fault-off replay.
 """
 
 from typing import List
@@ -26,7 +27,6 @@ from repro.campaign.fault_matrix import (
 )
 from repro.campaign.spec import smoke_spec
 from repro.core import (
-    BiasConfig,
     DetectionOutcome,
     StoreHarness,
     detection_matrix,

@@ -12,16 +12,20 @@ as ``benchmarks/test_fig5_detection_matrix.py``, which imports its plans
 from this module -- so the matrix completes in smoke time regardless of
 the campaign's base seed.  The pay-as-you-go behaviour (any seed finds
 the same bugs, given budget) is exercised by the throughput benchmark and
-the unpinned conformance phase.
+the unpinned conformance phase.  A fault that random sequences do not
+reach on this substrate is hunted by a directed sequence instead
+(:data:`DIRECTED_PLAN`), replayed with the fault on and off.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.shardstore.faults import Fault, detector_for
 
 if TYPE_CHECKING:
+    from repro.core.alphabet import Operation
+
     from .spec import CampaignSpec, ShardResult, ShardSpec
 
 #: fault -> (alphabet name, pinned base seed, uuid magic bias).  Hunted by
@@ -35,7 +39,35 @@ PBT_PLAN: Dict[Fault, Tuple[str, int, float]] = {
     Fault.SOFT_HARD_POINTER_MISMATCH_ON_RESET: ("crash", 20, 0.0),
     Fault.CACHE_WRITE_MISSING_SOFT_PTR_DEP: ("crash", 0, 0.0),
     Fault.MODEL_STALE_AFTER_CRASH_RECLAIM: ("crash", 3, 0.0),
-    Fault.UUID_MAGIC_COLLISION_SCAN: ("crash", 174, 0.25),
+}
+
+#: fault -> (harness seed, uuid magic bias, ops as ``(name, *args)``).  A
+#: directed sequence, replayed on a store harness with the fault on and
+#: off: detected when the fault-on replay fails and the fault-off one
+#: passes.
+DIRECTED_PLAN: Dict[Fault, Tuple[int, float, Tuple[Tuple[Any, ...], ...]]] = {
+    # Section 5's scenario.  T's frame ends 2 bytes past page 640; after
+    # the crash recovery adopts min(published 642, hard 640) = 640 as the
+    # write pointer, B lands there, and B's magic completes T's trailing
+    # UUID.  The sequential-only scan reads T's frame across B and never
+    # finds B, so the reset of extent 4 drops a live chunk.
+    Fault.UUID_MAGIC_COLLISION_SCAN: (
+        0,
+        1.0,
+        (
+            ("Put", b"k0", bytes(303)),
+            ("Put", b"T", bytes(199)),
+            ("DirtyReboot", False, True, 10),
+            ("Put", b"B", bytes(50)),
+            *(("Put", b"f%d" % i, bytes(400)) for i in range(12)),
+            ("FlushIndex",),
+            ("PumpIo", 60),
+            ("FlushSuperblock",),
+            ("PumpIo", 60),
+            ("Reclaim", 4),
+            ("Get", b"B"),
+        ),
+    ),
 }
 
 #: fault -> (harness name, strategy, explorer iterations, explorer seed,
@@ -80,6 +112,17 @@ def fault_matrix_shards(
                     uuid_bias=bias,
                     sequences=spec.fault_matrix_sequences,
                     ops=80,
+                    trace=spec.trace,
+                )
+            )
+        elif fault in DIRECTED_PLAN:
+            shards.append(
+                ShardSpec.make(
+                    shard_id,
+                    KIND_FAULT_MATRIX,
+                    DIRECTED_PLAN[fault][0],
+                    mode="directed",
+                    fault=fault.name,
                     trace=spec.trace,
                 )
             )
@@ -133,9 +176,73 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
     """Picklable entry point: hunt one injected fault with its checker."""
     if spec.param("mode") == "mc":
         return _run_mc_shard(spec)
+    if spec.param("mode") == "directed":
+        return _run_directed_shard(spec)
     from repro.core.conformance import run_shard as conformance_run_shard
 
     return conformance_run_shard(spec)
+
+
+def directed_ops(fault: Fault) -> List["Operation"]:
+    """The fault's directed sequence as operations."""
+    from repro.core.alphabet import Operation
+
+    return [Operation(name, tuple(args)) for name, *args in DIRECTED_PLAN[fault][2]]
+
+
+def _run_directed_shard(spec: "ShardSpec") -> "ShardResult":
+    """Replay one fault's directed sequence with the fault on and off."""
+    from repro.core.conformance import StoreHarness
+    from repro.shardstore.faults import FaultSet, component_of
+    from repro.shardstore.observability import NULL_RECORDER, RingRecorder
+
+    from .spec import ShardFailure, ShardResult
+
+    fault = Fault[spec.param("fault")]
+    seed, bias, _ = DIRECTED_PLAN[fault]
+    ops = directed_ops(fault)
+    recorder = RingRecorder() if spec.param("trace", False) else None
+    if recorder is not None:
+        recorder.event("shard", kind=spec.kind, harness="store", seed=seed)
+        recorder.fault_event(fault, component_of(fault), "armed for this shard")
+    fault_on = StoreHarness(
+        FaultSet.only(fault),
+        seed,
+        uuid_magic_bias=bias,
+        recorder=recorder or NULL_RECORDER,
+    ).run(ops)
+    fault_off = StoreHarness(FaultSet.none(), seed, uuid_magic_bias=bias).run(ops)
+    snap = recorder.snapshot() if recorder is not None else None
+    failures: List[ShardFailure] = []
+    if fault_on is not None and fault_off is None:
+        failures.append(
+            ShardFailure(
+                kind=spec.kind,
+                seed=seed,
+                detail=(
+                    f"directed {len(ops)}-op sequence, fault-off replay "
+                    f"passes: {fault_on}"
+                ),
+                fault=fault.name,
+                minimized=[str(op) for op in ops],
+                trace=snap["trace"] if snap else None,
+                fault_events=snap["fault_events"] if snap else None,
+            )
+        )
+    return ShardResult(
+        shard_id=spec.shard_id,
+        kind=spec.kind,
+        seed=seed,
+        cases=2,
+        ops=2 * len(ops),
+        failures=failures,
+        expected_failure=True,
+        detector=detector_for(fault),
+        fault=fault.name,
+        metrics=snap["metrics"] if snap else None,
+        fault_events=snap["fault_events"] if snap else None,
+        trace=snap["trace"] if snap else None,
+    )
 
 
 def _run_mc_shard(spec: "ShardSpec") -> "ShardResult":

@@ -342,16 +342,20 @@ class StoreHarness(Harness):
     def persistence_violation(self) -> Optional[str]:
         """The section 5 persistence property, against the crashed state.
 
-        A read that raises ``NotFoundError``, ``CorruptionError`` or
-        ``ExtentError`` counts as absent; this is the one place that rule
-        lives, for ``DirtyReboot`` and both crash explorers.
+        A read that raises ``NotFoundError`` counts as absent.  One that
+        raises ``CorruptionError`` or ``ExtentError`` is a violation of its
+        own: the recovered index lists the key but its data is not there.
+        This is the one place those rules live, for ``DirtyReboot`` and
+        both crash explorers.
         """
         for key in self.crash_model.tracked_keys():
             allowed = self.crash_model.allowed_after_crash(key)
             try:
                 observed: Optional[bytes] = self.store.get(key)
-            except (NotFoundError, CorruptionError, ExtentError):
+            except NotFoundError:
                 observed = None
+            except (CorruptionError, ExtentError) as exc:
+                return f"listed but unreadable after recovery: {key!r}: {exc}"
             if not allowed.permits(observed):
                 values = sorted(v for v in allowed if v is not None)
                 return (
@@ -363,13 +367,21 @@ class StoreHarness(Harness):
         return None
 
     def _resync_after_crash(self) -> None:
-        """Adopt the (legal) post-crash state as the new model baseline."""
+        """Adopt the (legal) post-crash state as the new model baseline.
+
+        A listed key that cannot be read is skipped only after an injected
+        failure, which may have left an index entry whose data never
+        landed.  Without one, :meth:`persistence_violation` has already
+        read every key, so an error here is a bug and propagates.
+        """
         tracker = self.system.tracker
         observed: Dict[bytes, bytes] = {}
         for key in self.store.keys():
             try:
                 observed[key] = self.store.get(key)
             except (NotFoundError, CorruptionError, ExtentError):
+                if not self.has_failed:
+                    raise
                 continue
         self.model = CandidateModel()
         for key, value in observed.items():

@@ -220,9 +220,11 @@ class LsmIndex:
         entries = {key: e.locators for key, e in self._memtable.items()}
         run_id = self._next_run_id
         self._next_run_id += 1
-        payload = _encode_run(entries)
-        locator, run_dep = self.chunk_store.put_chunk(
-            KIND_RUN, _run_key(run_id), payload, priority=True
+        # A tombstone's data dependency is the root and adds nothing.
+        locator, run_dep = self._write_run(
+            run_id,
+            entries,
+            Dependency.all_(e.data_dep for e in self._memtable.values()),
         )
         run = Run(run_id=run_id, locator=locator, entries=entries, dep=run_dep)
         self._runs.append(run)
@@ -301,7 +303,6 @@ class LsmIndex:
                     seen.add(key)
                     if locs is not None:
                         merged[key] = locs
-        payload = _encode_run(merged)
         yield_point("compaction: writing merged run")
         pin = not self.faults.enabled(Fault.COMPACTION_RECLAIM_RACE)
         if self.recorder.enabled:
@@ -313,8 +314,10 @@ class LsmIndex:
                     "compaction writing the merged run without pinning its "
                     "extent",
                 )
-        locator, run_dep = self.chunk_store.put_chunk(
-            KIND_RUN, _run_key(run_id), payload, pin=pin, priority=True
+        # Each source run was written after the data it names, so ordering
+        # the merged run after its sources orders it after that data.
+        locator, run_dep = self._write_run(
+            run_id, merged, Dependency.all_(run.dep for run in snapshot), pin=pin
         )
         yield_point("compaction: merged run written, metadata not yet updated")
         try:
@@ -333,6 +336,25 @@ class LsmIndex:
             if pin:
                 self.chunk_store.unpin_extent(locator.extent)
         return meta_dep
+
+    def _write_run(
+        self,
+        run_id: int,
+        entries: Dict[bytes, Optional[List[Locator]]],
+        data_dep: Dependency,
+        *,
+        pin: bool = False,
+    ) -> Tuple[Locator, Dependency]:
+        """Append one run chunk, ordered after ``data_dep``.
+
+        Soft updates (Fig. 2): a run names data chunks, so it may become
+        durable only after they are.  Otherwise a crash can recover a
+        metadata record whose run lists keys with no data behind them.
+        """
+        return self.chunk_store.put_chunk(
+            KIND_RUN, _run_key(run_id), _encode_run(entries), data_dep,
+            pin=pin, priority=True,
+        )
 
     # ------------------------------------------------------------------
     # metadata records
@@ -376,8 +398,14 @@ class LsmIndex:
     # reclamation support (reverse lookups and relocation)
 
     def is_run_live(self, locator: Locator) -> bool:
+        return self.live_run_dep(locator) is not None
+
+    def live_run_dep(self, locator: Locator) -> Optional[Dependency]:
+        """The dependency of the live run at ``locator`` (None if there is
+        none): what a copy of its chunk must be written after."""
         with self._lock:
-            return locator in self._run_at
+            run = self._run_at.get(locator)
+            return run.dep if run is not None else None
 
     def relocate_run(self, old: Locator, new: Locator, new_dep: Dependency) -> Dependency:
         """Reclamation moved a run chunk; repoint metadata at the copy."""

@@ -253,10 +253,14 @@ class Reclaimer:
 
     def _evacuate_run(self, locator: Locator, chunk) -> Optional[Dependency]:
         """Copy a live LSM-run chunk elsewhere; returns None if dead."""
-        if not self.index.is_run_live(locator):
+        run_dep = self.index.live_run_dep(locator)
+        if run_dep is None:
             return None
+        # The copy names the same data chunks as the original, which was
+        # written after them: ordering the copy after the original keeps
+        # it from becoming durable before that data.
         new_loc, write_dep = self.chunk_store.put_chunk(
-            KIND_RUN, chunk.key, chunk.payload, priority=True
+            KIND_RUN, chunk.key, chunk.payload, run_dep, priority=True
         )
         if self.recorder.enabled:
             self.recorder.count("reclaim.bytes_moved", len(chunk.payload))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.campaign.fault_matrix import PBT_PLAN
+from repro.campaign.fault_matrix import DIRECTED_PLAN, PBT_PLAN, directed_ops
 from repro.campaign.injection import InjectionNodeHarness
 from repro.core import (
     BiasConfig,
@@ -434,8 +434,7 @@ class TestSweepAgreesWithFullSweep:
         kwargs = dict(sequences=100, ops=60, seed=70200)
         outcome = _outcome(StoreHarness, *args, **kwargs)
         assert outcome == _outcome(FullSweepStoreHarness, *args, **kwargs)
-        # ROADMAP item 1's crash-alphabet failure lies in this window.
-        assert outcome[0] == (70278 if alphabet == "crash" else None)
+        assert outcome == (None, None)
 
     @pytest.mark.parametrize("fault", list(PBT_PLAN), ids=lambda f: f.name)
     def test_fault_matrix_plans(self, fault):
@@ -445,6 +444,16 @@ class TestSweepAgreesWithFullSweep:
         assert _outcome(StoreHarness, *args, **kwargs) == _outcome(
             FullSweepStoreHarness, *args, **kwargs
         )
+
+    @pytest.mark.parametrize("fault", list(DIRECTED_PLAN), ids=lambda f: f.name)
+    def test_directed_plans(self, fault):
+        seed, bias, _ = DIRECTED_PLAN[fault]
+        for faults in (FaultSet.only(fault), FaultSet.none()):
+            sweep, full = (
+                str(cls(faults, seed, uuid_magic_bias=bias).run(directed_ops(fault)))
+                for cls in (StoreHarness, FullSweepStoreHarness)
+            )
+            assert sweep == full
 
 
 class TestSweepFootprint:

@@ -142,58 +142,14 @@ class TestExplorerVerdicts:
 
 
 class TestFaultFreeCrashAlphabet:
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "ROADMAP item 1: with no fault switched on the crash alphabet "
-            "diverges at base seed 70278 -- \"op[50] DirtyReboot(True, "
-            "False, 16): key sets diverge: missing [], extra [b'k13']\" "
-            "(re-verified at fbb561c).  The PR that root-causes it removes "
-            "this marker."
-        ),
-    )
-    def test_seed_70278_conforms(self):
-        report = run_conformance(
-            lambda seed: StoreHarness(FaultSet.none(), seed),
-            crash_alphabet(),
-            sequences=1,
-            ops_per_sequence=60,
-            base_seed=70278,
-        )
-        assert report.passed, report.failure
+    @pytest.mark.parametrize("seed", [50058, 70278, 70380, 110477, 5070])
+    def test_seed_conforms(self, seed):
+        """Base seeds on which the fault-free crash alphabet once failed.
 
-    @pytest.mark.parametrize(
-        "seed,text",
-        [
-            (
-                50058,
-                "op[51] DirtyReboot(True, True, 16): key sets diverge: "
-                "missing [], extra [b'k5']",
-            ),
-            (
-                70278,
-                "op[50] DirtyReboot(True, False, 16): key sets diverge: "
-                "missing [], extra [b'k13']",
-            ),
-            (
-                70380,
-                "op[49] DirtyReboot(True, False, 4): persistence violated for "
-                "key b'k13': observed <absent>, allowed values "
-                "{<246 bytes>, <384 bytes>}",
-            ),
-            (
-                110477,
-                "op[39] DirtyReboot(True, False, 16): key sets diverge: "
-                "missing [], extra [b'k15']",
-            ),
-        ],
-    )
-    def test_known_divergence_text_is_pinned(self, seed, text):
-        """The ROADMAP item 1 failures, verbatim (computed at 935676e).
-
-        A generator or recovery change that silently "fixes" or moves one
-        of them fails here first; the PR that root-causes them replaces
-        these pins with passing regressions.
+        Each crashed with a durable run chunk whose entries named data
+        chunks that were not yet durable, so recovery listed a key it
+        could not read (DESIGN.md war story 6).  The run chunk now
+        depends on its entries' data.
         """
         report = run_conformance(
             lambda s: StoreHarness(FaultSet.none(), s),
@@ -202,74 +158,29 @@ class TestFaultFreeCrashAlphabet:
             ops_per_sequence=60,
             base_seed=seed,
         )
-        assert str(report.failure) == text
+        assert report.passed, report.failure
 
 
 #: The store-alphabet prefixes (40 ops, fault-free, unfiltered) on which an
-#: explorer reports a persistence violation, with its text (computed at
-#: 09bf18d).  Each read that "observed <absent>" raised ``CorruptionError``
-#: on a stale locator -- ROADMAP item 1's missing run -> data edge.
-_FAULT_FREE_EXPLORER_FAILURES = [
-    (
-        "block",
-        25,
-        "persistence violated for key b'k7': observed <absent>, allowed "
-        "values {<386 bytes>, <293 bytes>}",
-    ),
-    (
-        "block",
-        46,
-        "persistence violated for key b'k1': observed <absent>, allowed "
-        "values {<29 bytes>, <95 bytes>, <382 bytes>, <377 bytes>}",
-    ),
-    (
-        "block",
-        72,
-        "persistence violated for key b'k7': observed <absent>, allowed "
-        "values {<485 bytes>, <579 bytes>}",
-    ),
-    (
-        "coarse",
-        47,
-        "persistence violated for key b'k6': observed <absent>, allowed "
-        "values {<423 bytes>, <69 bytes>}",
-    ),
-    (
-        "coarse",
-        51,
-        "persistence violated for key b'k4': observed <absent>, allowed "
-        "values {<496 bytes>, <315 bytes>, <258 bytes>}",
-    ),
-    (
-        "coarse",
-        72,
-        "persistence violated for key b'k7': observed <absent>, allowed "
-        "values {<485 bytes>, <579 bytes>}",
-    ),
+#: explorer once reported a persistence violation: a post-crash read of a
+#: run's locator raised ``CorruptionError`` because the run chunk was
+#: durable before the data chunk it names.
+_FAULT_FREE_EXPLORER_PREFIXES = [
+    ("block", 25),
+    ("block", 46),
+    ("block", 72),
+    ("coarse", 47),
+    ("coarse", 51),
+    ("coarse", 72),
 ]
 
 
 @pytest.mark.parametrize(
-    "explorer,seed,text",
-    _FAULT_FREE_EXPLORER_FAILURES,
-    ids=[f"{explorer}-{seed}" for explorer, seed, _ in _FAULT_FREE_EXPLORER_FAILURES],
+    "explorer,seed",
+    _FAULT_FREE_EXPLORER_PREFIXES,
+    ids=[f"{explorer}-{seed}" for explorer, seed in _FAULT_FREE_EXPLORER_PREFIXES],
 )
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "ROADMAP item 1: with no fault switched on, a post-crash read of a "
-        "run's stale locator raises CorruptionError (read beyond soft write "
-        "pointer), which the persistence check counts as absent.  The "
-        "change that adds the run -> data edge removes this marker."
-    ),
-)
-def test_fault_free_explorer_passes(explorer, seed, text):
-    """The explorers' own evidence for ROADMAP item 1, verbatim.
-
-    A case that fails with *another* text is not an expected failure: the
-    divergence moved, and whoever moved it should look before re-pinning.
-    """
+def test_fault_free_explorer_passes(explorer, seed):
     harness = StoreHarness(FaultSet.none(), seed)
     ops = store_alphabet().generate_sequence(random.Random(seed), 40, BiasConfig())
     assert harness.run(ops) is None
@@ -277,131 +188,166 @@ def test_fault_free_explorer_passes(explorer, seed, text):
         result = explore_block_level(harness, max_states=200)
     else:
         result = coarse_crash_states(harness, samples=16, seed=seed)
-    if result.violation is not None and result.violation != text:
-        pytest.fail(f"the {explorer} violation changed: {result.violation}")
-    assert result.passed, text
+    assert result.passed, result.violation
 
 
 def _ops(*ops):
     return [Operation(name, args) for name, *args in ops]
 
 
-#: The four ROADMAP item 1 sequences after the section 4.3 shrinker
+#: The four fault-free crash-alphabet failures of
+#: ``TestFaultFreeCrashAlphabet`` after the section 4.3 shrinker
 #: (``repro conformance --alphabet crash --minimize --sequences 1 --ops 60
-#: --seed N``, at 05f3990): harness seed, the minimised ops, and what the
-#: checker says about them.  60 ops each before; 18, 19, 14 and 13 after.
+#: --seed N``): harness seed -> the minimised ops.  60 ops each before; 18,
+#: 19, 14 and 13 after.  Each failed at its last ``DirtyReboot`` with
+#: "listed but unreadable after recovery".
 _MINIMISED = {
-    50058: (
-        _ops(
-            ("Put", b"\x00", bytes(447)),
-            ("Put", b"\x00", b""),
-            ("Put", b"\x00", bytes(383)),
-            ("DirtyReboot", False, False, None),
-            ("DirtyReboot", False, False, 0),
-            ("Put", b"\x00", bytes(544)),
-            ("Put", b"\x00", b""),
-            ("Put", b"\x00", bytes(258)),
-            ("PumpIo", 8),
-            ("DirtyReboot", False, False, 0),
-            ("Put", b"\x00", bytes(130)),
-            ("Put", b"\x00", bytes(397)),
-            ("FlushIndex",),
-            ("Put", b"\x00", bytes(238)),
-            ("DirtyReboot", True, False, None),
-            ("Put", b"\x00\x00\x00", bytes(258)),
-            ("Put", b"\x00\x00", bytes(499)),
-            ("DirtyReboot", True, False, 16),
-        ),
-        "op[17] DirtyReboot(True, False, 16): key sets diverge: "
-        "missing [], extra [b'\\x00\\x00']",
+    50058: _ops(
+        ("Put", b"\x00", bytes(447)),
+        ("Put", b"\x00", b""),
+        ("Put", b"\x00", bytes(383)),
+        ("DirtyReboot", False, False, None),
+        ("DirtyReboot", False, False, 0),
+        ("Put", b"\x00", bytes(544)),
+        ("Put", b"\x00", b""),
+        ("Put", b"\x00", bytes(258)),
+        ("PumpIo", 8),
+        ("DirtyReboot", False, False, 0),
+        ("Put", b"\x00", bytes(130)),
+        ("Put", b"\x00", bytes(397)),
+        ("FlushIndex",),
+        ("Put", b"\x00", bytes(238)),
+        ("DirtyReboot", True, False, None),
+        ("Put", b"\x00\x00\x00", bytes(258)),
+        ("Put", b"\x00\x00", bytes(499)),
+        ("DirtyReboot", True, False, 16),
     ),
-    70278: (
-        _ops(
-            ("Put", b"\x00", bytes(62)),
-            ("Put", b"\x00", bytes(254)),
-            ("PumpIo", 4),
-            ("DirtyReboot", False, True, 4),
-            ("Put", b"\x00", b""),
-            ("DirtyReboot", False, True, 4),
-            ("Put", b"\x00", b""),
-            ("Put", b"\x00", bytes(206)),
-            ("FlushIndex",),
-            ("Put", b"\x00", bytes(306)),
-            ("DirtyReboot", False, True, 16),
-            ("Put", b"\x00", bytes(163)),
-            ("Put", b"\x00", bytes(129)),
-            ("Put", b"\x00\x00", bytes(168)),
-            ("Put", b"k6", bytes(194)),
-            ("Reboot",),
-            ("Put", b"\x00", bytes(590)),
-            ("Put", b"\x00\x00\x00", bytes(383)),
-            ("DirtyReboot", True, False, 16),
-        ),
-        "op[18] DirtyReboot(True, False, 16): key sets diverge: "
-        "missing [], extra [b'\\x00\\x00\\x00']",
+    70278: _ops(
+        ("Put", b"\x00", bytes(62)),
+        ("Put", b"\x00", bytes(254)),
+        ("PumpIo", 4),
+        ("DirtyReboot", False, True, 4),
+        ("Put", b"\x00", b""),
+        ("DirtyReboot", False, True, 4),
+        ("Put", b"\x00", b""),
+        ("Put", b"\x00", bytes(206)),
+        ("FlushIndex",),
+        ("Put", b"\x00", bytes(306)),
+        ("DirtyReboot", False, True, 16),
+        ("Put", b"\x00", bytes(163)),
+        ("Put", b"\x00", bytes(129)),
+        ("Put", b"\x00\x00", bytes(168)),
+        ("Put", b"k6", bytes(194)),
+        ("Reboot",),
+        ("Put", b"\x00", bytes(590)),
+        ("Put", b"\x00\x00\x00", bytes(383)),
+        ("DirtyReboot", True, False, 16),
     ),
-    70380: (
-        _ops(
-            ("Put", b"\x00", bytes(461)),
-            ("FlushIndex",),
-            ("DirtyReboot", False, True, None),
-            ("DirtyReboot", False, False, 0),
-            ("Put", b"\x00", bytes(355)),
-            ("Put", b"\x00", bytes(557)),
-            ("Put", b"\x00\x00\x00", bytes(257)),
-            ("Put", b"k", bytes(384)),
-            ("Put", b"k15", bytes(382)),
-            ("Put", b"\x00\x00", bytes(359)),
-            ("FlushIndex",),
-            ("Put", b"\x00", bytes(578)),
-            ("PumpIo", 17),
-            ("DirtyReboot", False, False, 2),
-        ),
-        "op[13] DirtyReboot(False, False, 2): persistence violated for key "
-        "b'\\x00': observed <absent>, allowed values "
-        "{<355 bytes>, <461 bytes>, <557 bytes>, <578 bytes>}",
+    70380: _ops(
+        ("Put", b"\x00", bytes(461)),
+        ("FlushIndex",),
+        ("DirtyReboot", False, True, None),
+        ("DirtyReboot", False, False, 0),
+        ("Put", b"\x00", bytes(355)),
+        ("Put", b"\x00", bytes(557)),
+        ("Put", b"\x00\x00\x00", bytes(257)),
+        ("Put", b"k", bytes(384)),
+        ("Put", b"k15", bytes(382)),
+        ("Put", b"\x00\x00", bytes(359)),
+        ("FlushIndex",),
+        ("Put", b"\x00", bytes(578)),
+        ("PumpIo", 17),
+        ("DirtyReboot", False, False, 2),
     ),
-    110477: (
-        _ops(
-            ("Put", b"\x00", bytes(166)),
-            ("Put", b"\x00", bytes(493)),
-            ("Put", b"\x00", bytes(459)),
-            ("Put", b"\x00", bytes(318)),
-            ("Put", b"\x00", bytes(383)),
-            ("Put", b"\x00", bytes(305)),
-            ("Put", b"\x00\x00", bytes(126)),
-            ("Reboot",),
-            ("Put", b"\x00", bytes(256)),
-            ("Put", b"\x00", bytes(25)),
-            ("Put", b"\x00\x00", bytes(127)),
-            ("Put", b"\x00\x00\x00", bytes(254)),
-            ("DirtyReboot", True, False, 16),
-        ),
-        "op[12] DirtyReboot(True, False, 16): key sets diverge: "
-        "missing [], extra [b'\\x00\\x00\\x00']",
+    110477: _ops(
+        ("Put", b"\x00", bytes(166)),
+        ("Put", b"\x00", bytes(493)),
+        ("Put", b"\x00", bytes(459)),
+        ("Put", b"\x00", bytes(318)),
+        ("Put", b"\x00", bytes(383)),
+        ("Put", b"\x00", bytes(305)),
+        ("Put", b"\x00\x00", bytes(126)),
+        ("Reboot",),
+        ("Put", b"\x00", bytes(256)),
+        ("Put", b"\x00", bytes(25)),
+        ("Put", b"\x00\x00", bytes(127)),
+        ("Put", b"\x00\x00\x00", bytes(254)),
+        ("DirtyReboot", True, False, 16),
     ),
 }
 
 
 @pytest.mark.parametrize("seed", sorted(_MINIMISED))
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "ROADMAP item 1: the fault-free crash-alphabet divergences, "
-        "minimised.  The PR that root-causes them removes this marker and "
-        "keeps the sequences as regressions."
-    ),
-)
 def test_minimised_fault_free_sequence_conforms(seed):
-    """Where ROADMAP item 1 starts: a handful of ops instead of a seed.
+    """The same failures as a handful of ops instead of a seed."""
+    failure = StoreHarness(FaultSet.none(), seed).run(list(_MINIMISED[seed]))
+    assert failure is None, failure
 
-    A sequence that fails with *another* text is not an expected failure
-    (``pytest.fail`` is not an ``AssertionError``): the divergence moved,
-    and whoever moved it should look before re-pinning.
+
+class TestRunWrittenAfterItsData:
+    """Every run-chunk writer orders the chunk after the data it names.
+
+    Each sequence ends with a metadata record on the other metadata
+    extent, so record order on one extent no longer protects it; the
+    crash then keeps every write except those on the extents that held
+    ``k``'s data.  A run that names ``k`` and became durable anyway makes
+    recovery list ``k`` with nothing to read.
     """
-    ops, text = _MINIMISED[seed]
-    failure = StoreHarness(FaultSet.none(), seed).run(list(ops))
-    if failure is not None and str(failure) != text:
-        pytest.fail(f"the minimised divergence changed: {failure}")
-    assert failure is None, text
+
+    @staticmethod
+    def _fill_metadata_extent():
+        ops = []
+        for i in range(9):
+            ops += [("Put", b"a%d" % i, bytes(10)), ("FlushIndex",), ("PumpIo", 50)]
+        return ops
+
+    @staticmethod
+    def _data_extents(harness, key):
+        return {loc.extent for loc in harness.store.index.get(key)}
+
+    @staticmethod
+    def _crash_sparing(harness, spared):
+        scheduler = harness.store.scheduler
+        while any(
+            scheduler.pump_one(extent)
+            for extent in scheduler.eligible_extents()
+            if extent not in spared
+        ):
+            pass
+        return harness.run(_ops(("DirtyReboot", False, False, 0)))
+
+    def test_compaction_writes_the_merged_run_after_its_sources(self):
+        harness = StoreHarness(FaultSet.none(), 0)
+        ops = self._fill_metadata_extent() + [
+            ("Put", b"k", bytes(2000)),
+            ("FlushIndex",),
+            ("Delete", b"a0"),
+            ("FlushIndex",),  # rotates to the other metadata extent
+            ("Compact",),
+            ("FlushSuperblock",),
+        ]
+        assert harness.run(_ops(*ops)) is None
+        index = harness.store.index
+        assert index.meta_switched
+        spared = self._data_extents(harness, b"k")
+        assert index.run_locators()[-1].extent not in spared
+        assert self._crash_sparing(harness, spared) is None
+
+    def test_reclamation_writes_a_run_copy_after_the_original(self):
+        harness = StoreHarness(FaultSet.none(), 0)
+        ops = self._fill_metadata_extent() + [
+            ("Put", b"k", bytes(2600)),
+            ("FlushIndex",),
+            ("Put", b"j", bytes(10)),
+            ("Put", b"big", bytes(3500)),
+        ]
+        assert harness.run(_ops(*ops)) is None
+        run = harness.store.index.run_locators()[-1]
+        spared = self._data_extents(harness, b"k")
+        # Evacuate k's run and stop before j's chunk behind it: no reset,
+        # so nothing is pumped, and the relocation's metadata record
+        # rotates to the other metadata extent.
+        assert harness.run(_ops(("PartialReclaim", run.extent, 8))) is None
+        assert harness.store.index.meta_switched
+        assert harness.store.index.run_locators()[-1] != run
+        assert self._crash_sparing(harness, spared) is None

@@ -173,10 +173,17 @@ class TestRecordInfoCapture:
             dependency_graph_edges(system.tracker, [0])
 
     def test_capturing_tracker_renders_the_fig2_graph(self):
-        """The Fig. 2 scenario's graph, as pinned at commit 736a492 (when
-        every tracker captured): each put needs its chunk pages, the shared
-        run chunk (8-10), the metadata record (11) and the superblock record
-        (12-15); the metadata record is ordered after all of the others."""
+        """The Fig. 2 scenario's graph: each put needs its chunk pages, the
+        shared run chunk (8-10), the metadata record (11) and the superblock
+        record (12-15); the metadata record is ordered after all of the
+        others, and each run chunk page after its entries' data.
+
+        Re-pinned when the run chunk gained its dependency on the data it
+        names: the list gained exactly the run -> data edges, from every
+        record the entries' data depends on (the data pages 0-7 and the
+        superblock record 12-15 their extent's ownership resolved to) to
+        each run page.  The seven edges into the metadata record are the
+        list pinned at commit 736a492."""
         system = StoreSystem(StoreConfig(seed=1, superblock_flush_cadence=100))
         system.tracker.capture_record_info()
         store = system.store
@@ -188,6 +195,7 @@ class TestRecordInfoCapture:
         store.flush_superblock()
         shared = [8, 9, 10, 11, 12, 13, 14, 15]
         edges = [(8, 11), (9, 11), (10, 11), (12, 11), (13, 11), (14, 11), (15, 11)]
+        edges += [(rid, run) for run in (10, 9, 8) for rid in [*range(8), *shared[4:]]]
         for dep, own in zip(deps, ([0, 1], [2, 3, 4], [5, 6, 7])):
             assert sorted(dep.record_ids()) == own + shared
             assert dependency_graph_edges(system.tracker, own + shared) == edges
