@@ -158,9 +158,7 @@ def _fault_matrix_rows(results: List[ShardResult]) -> List[Dict[str, Any]]:
             "skipped": result.skipped,
             "seed": result.seed,
             "cases": result.cases,
-            "evidence": (
-                result.failures[0].detail if result.failures else ""
-            ),
+            "evidence": result.evidence,
         }
         if result.fault_events is not None:
             row["fault_events"] = result.fault_events

@@ -214,7 +214,17 @@ def _run_directed_shard(spec: "ShardSpec") -> "ShardResult":
     fault_off = StoreHarness(FaultSet.none(), seed, uuid_magic_bias=bias).run(ops)
     snap = recorder.snapshot() if recorder is not None else None
     failures: List[ShardFailure] = []
-    if fault_on is not None and fault_off is None:
+    note = ""
+    if fault_off is not None:
+        # A fault-free failure confounds the fault-on one: say so rather
+        # than report a bare miss.
+        note = (
+            f"directed {len(ops)}-op sequence, fault-off replay fails: "
+            f"{fault_off}"
+        )
+    elif fault_on is None:
+        note = f"directed {len(ops)}-op sequence passes with the fault on"
+    else:
         failures.append(
             ShardFailure(
                 kind=spec.kind,
@@ -239,6 +249,7 @@ def _run_directed_shard(spec: "ShardSpec") -> "ShardResult":
         expected_failure=True,
         detector=detector_for(fault),
         fault=fault.name,
+        note=note,
         metrics=snap["metrics"] if snap else None,
         fault_events=snap["fault_events"] if snap else None,
         trace=snap["trace"] if snap else None,

@@ -493,6 +493,9 @@ class ShardResult:
     expected_failure: bool = False
     detector: str = ""  # fault-matrix: which checker hunted the fault
     fault: Optional[str] = None  # fault-matrix: the injected fault name
+    #: Fault-matrix: why a run that found nothing does not count, when the
+    #: checker can say (a directed sequence that fails with the fault off).
+    note: str = ""
     coverage_lines: Optional[List[Tuple[str, int]]] = None
     skipped: bool = False  # budget exhausted before this shard ran
     #: Observability sections (present when the campaign traced this shard):
@@ -511,6 +514,11 @@ class ShardResult:
     def detected(self) -> bool:
         """Fault-matrix verdict: did the checker find the injected bug?"""
         return bool(self.failures)
+
+    @property
+    def evidence(self) -> str:
+        """Fault-matrix: the detection's detail, else why there was none."""
+        return self.failures[0].detail if self.failures else self.note
 
     @property
     def ok(self) -> bool:

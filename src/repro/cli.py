@@ -205,9 +205,7 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
                     fault=Fault[result.fault],
                     detected=result.detected,
                     detector=result.detector,
-                    evidence=(
-                        result.failures[0].detail if result.failures else ""
-                    ),
+                    evidence=result.evidence,
                     sequences_or_executions=result.cases,
                 )
             )

@@ -56,6 +56,10 @@ def detection_matrix(outcomes: Iterable[DetectionOutcome]) -> str:
     total = sum(1 for o in by_fault.values() if o.detected)
     lines.append("-" * len(header))
     lines.append(f"detected: {total}/{len(by_fault)} injected issues")
+    for fault in Fault:
+        outcome = by_fault.get(fault)
+        if outcome is not None and not outcome.detected and outcome.evidence:
+            lines.append(f"#{fault.value} not detected: {outcome.evidence}")
     return "\n".join(lines)
 
 
@@ -114,8 +118,15 @@ def campaign_summary(artifact: Dict) -> str:
         lines.append(
             f"fault matrix: {detected}/{matrix_size} injected issues detected"
         )
+        why = {
+            row["fault"]: row.get("evidence", "")
+            for row in artifact.get("fault_matrix", [])
+        }
         for fault_name in artifact.get("missed_faults", []):
-            lines.append(f"  MISSED: {fault_name}")
+            reason = why.get(fault_name)
+            lines.append(
+                f"  MISSED: {fault_name}" + (f" ({reason})" if reason else "")
+            )
         for row in artifact.get("fault_matrix", []):
             if row.get("skipped"):
                 lines.append(f"  SKIPPED (budget): {row['fault']}")

@@ -27,7 +27,17 @@ still readable.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Container,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 
 class RecordInfo:
@@ -286,6 +296,20 @@ class Dependency:
         if unresolved:
             return False
         return self._tracker.all_durable(resolved_records)
+
+    def is_persistent_given(self, record_ids: Container[int]) -> bool:
+        """True iff every write this operation depends on is durable or is
+        one of ``record_ids``.
+
+        The coalescing writeback's question: a record may share a device IO
+        with the records it depends on when they come before it in that IO,
+        since the medium lands an IO's bytes in order (a torn write keeps a
+        prefix).
+        """
+        records, unresolved = self._flatten()
+        if unresolved:
+            return False
+        return self._tracker.all_durable(r for r in records if r not in record_ids)
 
     def _flatten(self) -> Tuple[Set[int], List[FutureCell]]:
         """Chase future cells; return (all record ids, unresolved cells)."""

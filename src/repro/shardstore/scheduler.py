@@ -27,11 +27,14 @@ seed.
 Group commit: the production drain paths (:meth:`flush_coalesced`, or
 ``pump_one(coalesce=True)``) merge runs of contiguous eligible page segments
 on one extent into a single device IO, bounded by a tunable batch window of
-``batch_pages`` pages.  The ids, the per-page durability and therefore the
-crash-state space the checker explores (torn appends included) are the
-same whether or not the production path batches.  Coalescing only
-collapses bookkeeping and device IOs at writeback time, which is exactly
-the paper's Fig. 2 optimisation.
+``batch_pages`` pages.  A segment whose dependency is met once the
+segments before it in the IO are durable joins it too (Fig. 2's run chunk
+after its data): the medium lands an IO in order, so even a torn IO
+persists a segment only after what it depends on.  The ids, the per-page
+durability and therefore the crash-state space the checker explores (torn
+appends included) are the same whether or not the production path
+batches.  Coalescing only collapses bookkeeping and device IOs at writeback
+time, which is exactly the paper's Fig. 2 optimisation.
 
 Crash semantics: pending records that were never pumped are simply dropped
 (:meth:`drop_pending`); whatever subset writeback already applied *is* the
@@ -120,6 +123,18 @@ class SchedulerStats:
     resets_applied: int = 0
     ios_issued: int = 0  # contiguous same-extent runs merged at drain time
     writeback_requeues: int = 0  # failed writebacks put back for retry
+
+
+def _may_follow(
+    record: _PendingRecord, queue: List[_PendingRecord], taken: int
+) -> bool:
+    """Whether ``record`` may be written in the same IO, right behind the
+    first ``taken`` records of ``queue``: its dependency is durable, or met
+    by them -- the medium lands an IO in order, and a torn one as a prefix."""
+    if record.dep.is_persistent():
+        return True
+    batch = {i for r in queue[:taken] for i in r.ids()}
+    return record.dep.is_persistent_given(batch)
 
 
 class IoScheduler:
@@ -383,7 +398,7 @@ class IoScheduler:
             if taken and (
                 record.kind != "write"
                 or record.offset != end
-                or not record.dep.is_persistent()
+                or not _may_follow(record, queue, taken)
             ):
                 break
             if record.pages > window - pages:

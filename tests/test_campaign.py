@@ -151,6 +151,31 @@ class TestFailureAggregation:
         assert artifact["totals"]["faults_detected"] == 1
         assert artifact["fault_matrix"][0]["evidence"] == "op[3] ..."
 
+    def test_directed_miss_says_the_fault_off_replay_failed(self, monkeypatch):
+        from repro.campaign.fault_matrix import DIRECTED_PLAN, run_shard
+        from repro.core import campaign_summary, outcomes_from_campaign
+        from repro.core.conformance import StoreHarness
+        from repro.core.report import detection_matrix
+
+        # Both replays fail: the fault-on failure proves nothing.
+        monkeypatch.setattr(StoreHarness, "run", lambda self, ops: "op[1] boom")
+        (fault,) = DIRECTED_PLAN
+        (shard,) = [
+            s
+            for s in build_shards(smoke_spec())
+            if s.kind == KIND_FAULT_MATRIX and s.param("fault") == fault.name
+        ]
+        result = run_shard(shard)
+        assert not result.detected
+        assert result.note.endswith("fault-off replay fails: op[1] boom")
+        artifact = result_to_json(
+            aggregate(CampaignSpec(), [result], wall_clock_seconds=1.0)
+        )
+        assert artifact["fault_matrix"][0]["evidence"] == result.note
+        assert f"MISSED: {fault.name} ({result.note})" in campaign_summary(artifact)
+        table = detection_matrix(outcomes_from_campaign(artifact))
+        assert f"#{fault.value} not detected: {result.note}" in table
+
     def test_skipped_fault_shard_fails_the_gate(self):
         """Budget cuts may skip random search, never the known-answer matrix."""
         outcome = aggregate(

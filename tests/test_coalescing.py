@@ -2,8 +2,11 @@
 
 import random
 
+import pytest
 
 from repro.shardstore import DiskGeometry, InMemoryDisk, StoreConfig, StoreSystem
+from repro.shardstore.disk import FailureMode, FaultKind
+from repro.shardstore.errors import IoError
 from repro.shardstore.dependency import Dependency, DurabilityTracker
 from repro.shardstore.scheduler import IoScheduler
 
@@ -33,6 +36,37 @@ class TestCoalescedPump:
         scheduler.append(4, b"b" * 100, blocker)
         assert scheduler.pump_one(coalesce=True)
         assert disk.write_pointer(4) == 100, "the gated record must wait"
+
+    def test_record_joins_the_io_of_what_it_depends_on(self):
+        # Fig. 2: a run chunk ordered after data on its own extent is
+        # written back in the same IO as that data.
+        disk, tracker, scheduler = _scheduler()
+        _, data = scheduler.append(4, b"d" * 200, Dependency.root(tracker))
+        _, run = scheduler.append(4, b"r" * 100, data)
+        assert scheduler.pump_one(coalesce=True)
+        assert disk.stats.writes == 1
+        assert run.is_persistent()
+
+    def test_pending_dependency_on_another_extent_still_gates(self):
+        disk, tracker, scheduler = _scheduler()
+        _, other = scheduler.append(5, b"o" * 100, Dependency.root(tracker))
+        _, data = scheduler.append(4, b"d" * 100, Dependency.root(tracker))
+        scheduler.append(4, b"r" * 100, data.and_(other))
+        assert scheduler.pump_one(4, coalesce=True)
+        assert disk.write_pointer(4) == 100, "the run waits for extent 5"
+
+    def test_torn_io_keeps_a_dependent_record_behind_its_dependency(self):
+        disk, tracker, scheduler = _scheduler()
+        _, data = scheduler.append(4, b"d" * 300, Dependency.root(tracker))
+        _, run = scheduler.append(4, b"r" * 100, data)
+        disk.arm_fault(4, FailureMode.ONCE, reads=False, kind=FaultKind.TORN_WRITE)
+        with pytest.raises(IoError):
+            scheduler.pump_one(coalesce=True)
+        assert disk.write_pointer(4) == 200
+        assert not data.is_persistent() and not run.is_persistent()
+        assert scheduler.pump_one(coalesce=True)
+        assert run.is_persistent()
+        assert disk.read(4, 0, 400) == b"d" * 300 + b"r" * 100
 
     def test_coalescing_stops_at_reset(self):
         disk, tracker, scheduler = _scheduler()

@@ -350,4 +350,5 @@ class TestRunWrittenAfterItsData:
         assert harness.run(_ops(("PartialReclaim", run.extent, 8))) is None
         assert harness.store.index.meta_switched
         assert harness.store.index.run_locators()[-1] != run
+        assert harness.store.index.run_locators()[-1].extent not in spared
         assert self._crash_sparing(harness, spared) is None

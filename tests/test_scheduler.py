@@ -701,7 +701,12 @@ class _PerPageScheduler:
                 and queue
                 and queue[0].kind == "write"
                 and queue[0].offset == batch[-1].offset + len(batch[-1].data)
-                and queue[0].dep.is_persistent()
+                and (
+                    queue[0].dep.is_persistent()
+                    or queue[0].dep.is_persistent_given(
+                        {r.record_id for r in batch}
+                    )
+                )
             ):
                 next_record = queue.pop(0)
                 self._note_removed(next_record)
