@@ -21,14 +21,15 @@ path without its journal record: ``StoreSystem.snapshot``, then
 then ``StoreHarness.persistence_violation`` (``DirtyReboot``'s check), then
 ``StoreSystem.restore``.  The block-level DFS branches over
 ``pump_one(extent)`` choices under the same snapshot and restore, with
-states deduplicated by their durable-record set.
+states deduplicated by their durable-record set
+(``DurabilityTracker.durable_key``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Set
+from typing import TYPE_CHECKING, Hashable, Optional, Set
 
 from repro.shardstore.store import RebootType, StoreSystem
 
@@ -64,7 +65,7 @@ def explore_block_level(
     """
     system = harness.system
     result = CrashExplorationResult()
-    seen: Set[frozenset] = set()
+    seen: Set[Hashable] = set()
 
     def dfs() -> Optional[str]:
         if not _new_state(system, seen, result, max_states):
@@ -87,16 +88,16 @@ def explore_block_level(
 
 def _new_state(
     system: StoreSystem,
-    seen: Set[frozenset],
+    seen: Set[Hashable],
     result: CrashExplorationResult,
     max_states: int,
 ) -> bool:
     """Count the current pre-crash state: is it unseen and within budget?"""
-    durable_set = system.tracker.durable_ids()
-    if durable_set in seen:
+    key = system.tracker.durable_key()
+    if key in seen:
         result.states_deduplicated += 1
         return False
-    seen.add(durable_set)
+    seen.add(key)
     if result.states_explored >= max_states:
         result.truncated = True
         return False
@@ -224,7 +225,7 @@ def coarse_crash_states(
     pending = system.store.scheduler.pending_count
     rng = random.Random(seed)
     result = CrashExplorationResult()
-    seen: Set[frozenset] = set()
+    seen: Set[Hashable] = set()
     for _ in range(samples):
         budget = rng.randrange(0, pending + 1) if pending else 0
         saved = system.snapshot()

@@ -28,7 +28,7 @@ still readable.
 from __future__ import annotations
 
 from typing import (
-    Container,
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -145,28 +145,30 @@ class DurabilityTracker:
         self._low_water = mark
 
     def is_durable(self, record_id: int) -> bool:
-        return self.all_durable((record_id,))
+        if record_id < self._low_water:
+            return record_id not in self._lost
+        return record_id in self._durable_above
 
     def all_durable(self, record_ids: Iterable[int]) -> bool:
-        """Whether every id is durable, in one frame: the poll behind every
-        ``Dependency.is_persistent``."""
-        mark, above, lost = self._low_water, self._durable_above, self._lost
-        for record_id in record_ids:
-            if record_id < mark:
-                if lost and record_id in lost:
-                    return False
-            elif record_id not in above:
-                return False
-        return True
+        return all(map(self.is_durable, record_ids))
 
     @property
     def durable_count(self) -> int:
         lost_below = sum(1 for r in self._lost if r < self._low_water)
         return self._low_water - lost_below + len(self._durable_above)
 
-    def durable_ids(self) -> FrozenSet[int]:
-        """Every durable id: what identifies a crash state."""
-        return frozenset(r for r in range(self._next_id) if self.is_durable(r))
+    def durable_key(self) -> Tuple[int, FrozenSet[int], FrozenSet[int]]:
+        """The durable set in canonical form, what identifies a crash state:
+        the low-water mark, the lost ids below it and the durable ids above
+        it.  Equal keys mean equal durable sets; between trackers that lost
+        the same ids (the states one crash exploration visits) the converse
+        holds too.  Costs the sparse sets, not the ids ever allocated."""
+        mark = self._low_water
+        return (
+            mark,
+            frozenset(r for r in self._lost if r < mark),
+            frozenset(self._durable_above),
+        )
 
     # -- snapshot/restore for block-level crash-state enumeration ------
 
@@ -257,26 +259,47 @@ class Dependency:
         if other._tracker is not self._tracker:
             raise ValueError("cannot combine dependencies across systems")
         # The root is the identity and conjunction is idempotent; handing
-        # back an operand is safe because dependencies are immutable.
+        # back an operand (or an operand's set or tuple) is safe because
+        # dependencies are immutable.
         if other is self or not (other._records or other._futures):
             return self
         if not (self._records or self._futures):
             return other
-        futures = self._futures + tuple(
-            f for f in other._futures if f not in self._futures
-        )
-        return Dependency(self._tracker, self._records | other._records, futures)
+        records, futures = self._records, self._futures
+        if not records:
+            records = other._records
+        elif other._records and other._records is not records:
+            records = records | other._records
+        if not futures:
+            futures = other._futures
+        else:
+            for cell in other._futures:
+                if cell not in futures:
+                    futures += (cell,)
+        return Dependency(self._tracker, records, futures)
 
     @staticmethod
     def all_(deps: Iterable["Dependency"]) -> "Dependency":
-        """Conjunction of many dependencies (empty iterable is an error)."""
+        """Conjunction of many dependencies (empty iterable is an error).
+
+        One pass, equal to folding :meth:`and_` left to right: the union of
+        the records, and the futures in the order they first appear.
+        """
         deps = list(deps)
         if not deps:
             raise ValueError("all_ of no dependencies; use Dependency.root")
-        out = deps[0]
-        for dep in deps[1:]:
-            out = out.and_(dep)
-        return out
+        tracker = deps[0]._tracker
+        futures: List[FutureCell] = []
+        taken: Set[FutureCell] = set()
+        for dep in deps:
+            if dep._tracker is not tracker:
+                raise ValueError("cannot combine dependencies across systems")
+            for cell in dep._futures:
+                if cell not in taken:
+                    taken.add(cell)
+                    futures.append(cell)
+        records = frozenset().union(*[dep._records for dep in deps])
+        return Dependency(tracker, records, tuple(futures))
 
     # -- queries ----------------------------------------------------------
 
@@ -288,16 +311,9 @@ class Dependency:
         rewinds durability, so a dependency that was persistent can stop
         being so.
         """
-        if not self._futures:
-            # Root or records-only (the scheduler's queue heads): no cell
-            # to chase, so no flattened copy to build.
-            return self._tracker.all_durable(self._records)
-        resolved_records, unresolved = self._flatten()
-        if unresolved:
-            return False
-        return self._tracker.all_durable(resolved_records)
+        return self.blocker() is None
 
-    def is_persistent_given(self, record_ids: Container[int]) -> bool:
+    def is_persistent_given(self, record_ids: AbstractSet[int]) -> bool:
         """True iff every write this operation depends on is durable or is
         one of ``record_ids``.
 
@@ -306,10 +322,52 @@ class Dependency:
         since the medium lands an IO's bytes in order (a torn write keeps a
         prefix).
         """
-        records, unresolved = self._flatten()
-        if unresolved:
-            return False
-        return self._tracker.all_durable(r for r in records if r not in record_ids)
+        return self.blocker(record_ids) is None
+
+    def blocker(
+        self, given: AbstractSet[int] = frozenset()
+    ) -> Union[None, int, FutureCell]:
+        """What keeps this dependency from persisting: a record id that is
+        neither durable nor in ``given``, or an unresolved future cell;
+        None when nothing does.
+
+        Walks the records and each reachable cell once, stopping at the
+        first miss; builds no flattened copy.  Whatever it names blocks for as long as
+        :meth:`held_by` says so -- the footprint only grows (a cell never
+        un-resolves, and a second resolution is a conjunction) -- which is
+        what lets the scheduler memoise it.
+        """
+        # DurabilityTracker.is_durable, inlined: this loop is every
+        # writeback poll.
+        tracker = self._tracker
+        mark, above, lost = tracker._low_water, tracker._durable_above, tracker._lost
+        part = self
+        stack: List[FutureCell] = []
+        seen: Set[FutureCell] = set()
+        while True:
+            for record_id in part._records:
+                if record_id < mark:
+                    if lost and record_id in lost and record_id not in given:
+                        return record_id
+                elif record_id not in above and record_id not in given:
+                    return record_id
+            for cell in part._futures:
+                if cell not in seen:
+                    seen.add(cell)
+                    stack.append(cell)
+            if not stack:
+                return None
+            cell = stack.pop()
+            part = cell._resolved
+            if part is None:
+                return cell
+
+    def held_by(self, blocker: Union[int, FutureCell]) -> bool:
+        """Whether a :meth:`blocker` of this dependency still blocks it: the
+        record is not durable, or the cell is unresolved."""
+        if isinstance(blocker, FutureCell):
+            return blocker._resolved is None
+        return not self._tracker.is_durable(blocker)
 
     def _flatten(self) -> Tuple[Set[int], List[FutureCell]]:
         """Chase future cells; return (all record ids, unresolved cells)."""

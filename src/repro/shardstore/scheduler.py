@@ -51,7 +51,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .dependency import Dependency, DurabilityTracker, RecordInfo
+from .dependency import Dependency, DurabilityTracker, FutureCell, RecordInfo
 from .disk import InMemoryDisk
 from .errors import ExtentError, IoError
 from .observability import NULL_RECORDER, Recorder
@@ -68,13 +68,20 @@ class _PendingRecord:
 
     Covers ``pages`` page segments holding the consecutive record ids
     ``first_id ..``; segment boundaries are the medium's page boundaries.
-    Never modified once queued (snapshots share records): writeback that
-    ends inside one, or a torn write trimming it, builds new ones
-    with :meth:`part`.
+    Never modified once queued but for the ``blocker`` memo (snapshots share
+    records): writeback that ends inside one, or a torn write trimming it,
+    builds new ones with :meth:`part`.
+
+    ``blocker`` is what last kept ``dep`` from persisting (a record id or an
+    unresolved :class:`FutureCell`, see ``Dependency.blocker``), or None when
+    unknown.  It claims only "not persistent while it still blocks", which
+    no rewind of durability and no resolution can make false, so a record
+    shared between snapshots may keep it.
     """
 
     __slots__ = (
-        "first_id", "pages", "extent", "offset", "data", "dep", "kind", "label"
+        "first_id", "pages", "extent", "offset", "data", "dep", "kind", "label",
+        "blocker",
     )
 
     def __init__(
@@ -96,9 +103,20 @@ class _PendingRecord:
         self.dep = dep
         self.kind = kind
         self.label = label
+        self.blocker: Union[None, int, FutureCell] = None
 
     def ids(self) -> range:
         return range(self.first_id, self.first_id + self.pages)
+
+    def ready(self) -> bool:
+        """Whether ``dep`` has persisted.  Asks it again only once the
+        memoised blocker has stopped blocking; an eligible record keeps no
+        memo."""
+        blocker = self.blocker
+        if blocker is not None and self.dep.held_by(blocker):
+            return False
+        self.blocker = blocker = self.dep.blocker()
+        return blocker is None
 
     def part(self, start: int, end: int, page: int) -> "_PendingRecord":
         """The segments covering bytes ``[start, end)`` of this append, the
@@ -123,18 +141,6 @@ class SchedulerStats:
     resets_applied: int = 0
     ios_issued: int = 0  # contiguous same-extent runs merged at drain time
     writeback_requeues: int = 0  # failed writebacks put back for retry
-
-
-def _may_follow(
-    record: _PendingRecord, queue: List[_PendingRecord], taken: int
-) -> bool:
-    """Whether ``record`` may be written in the same IO, right behind the
-    first ``taken`` records of ``queue``: its dependency is durable, or met
-    by them -- the medium lands an IO in order, and a torn one as a prefix."""
-    if record.dep.is_persistent():
-        return True
-    batch = {i for r in queue[:taken] for i in r.ids()}
-    return record.dep.is_persistent_given(batch)
 
 
 class IoScheduler:
@@ -335,12 +341,14 @@ class IoScheduler:
         return [i for q in self._queues.values() for r in q for i in r.ids()]
 
     def eligible_extents(self) -> List[int]:
-        """Extents whose head-of-queue record may be issued right now."""
-        out = []
-        for extent, queue in self._queues.items():
-            if queue and queue[0].dep.is_persistent():
-                out.append(extent)
-        return sorted(out)
+        """Extents whose head-of-queue record may be issued right now.
+
+        A head whose memoised blocker still blocks is not asked again: on a
+        busy store most heads wait on one record or cell for many pumps.
+        """
+        out = [e for e, queue in self._queues.items() if queue and queue[0].ready()]
+        out.sort()
+        return out
 
     def pump_one(
         self,
@@ -389,24 +397,35 @@ class IoScheduler:
         if coalesce:
             window = max(1, self.batch_pages if max_batch is None else max_batch)
         # Whole appends while they fit the window; the one the window ends
-        # inside is split at that page boundary.
+        # inside is split at that page boundary.  A record whose dependency
+        # is not yet met may follow when the records before it in this IO
+        # meet it (the medium lands an IO in order, and a torn one as a
+        # prefix); ``given`` holds their ids, built the first time a record
+        # asks and grown as records join.
         page = self.disk.geometry.page_size
         offset = end = queue[0].offset
         taken = pages = 0
         split = None
+        given: Optional[set] = None
         for record in queue:
-            if taken and (
-                record.kind != "write"
-                or record.offset != end
-                or not _may_follow(record, queue, taken)
-            ):
-                break
+            if taken:
+                if record.kind != "write" or record.offset != end:
+                    break
+                if not record.ready():
+                    if given is None:
+                        given = set()
+                        for r in queue[:taken]:
+                            given.update(r.ids())
+                    if not record.dep.is_persistent_given(given):
+                        break
             if record.pages > window - pages:
                 split = record
                 break
             taken += 1
             pages += record.pages
             end = record.offset + len(record.data)
+            if given is not None:
+                given.update(record.ids())
             if pages == window:
                 break
         batch = queue[:taken]

@@ -78,13 +78,15 @@ class TestMcCommand:
         assert status == 1
         assert "FAIL" in capsys.readouterr().out
 
-    @pytest.mark.slow
     def test_dfs_strategy(self, capsys):
+        # locator-race's space is exhausted in 35 executions; buffer-pool's
+        # 19,290 are exhausted once, by
+        # test_concurrent_harnesses.py::test_buffer_pool_clean_exhaustive.
         status = main(
             [
                 "mc",
                 "--harness",
-                "buffer-pool",
+                "locator-race",
                 "--strategy",
                 "dfs",
                 "--iterations",

@@ -1,6 +1,7 @@
 """Unit tests for the Dependency type and durability tracking."""
 
 import gc
+import random
 
 import pytest
 
@@ -126,6 +127,95 @@ class TestFutures:
         a = Dependency.on_future(tracker, cell)
         combined = a.and_(Dependency.on_future(tracker, cell))
         assert len(combined.unresolved_futures()) == 1
+
+
+def _random_history(seed, steps=120):
+    """A tracker and dependencies built through the public API from a seeded
+    history: record sets, future cells resolved late, twice or to other
+    cells, conjunctions of earlier dependencies, durability marked out of
+    order, and snapshots restored (which rewind durability)."""
+    rng = random.Random(seed)
+    tracker = DurabilityTracker()
+    deps = [Dependency.root(tracker)]
+    cells = []
+    snap = None
+    for _ in range(steps):
+        step = rng.choice(
+            ["records", "cell", "resolve", "and", "and", "durable", "durable"]
+            + ["snapshot", "restore", "lost"]
+        )
+        if step == "records":
+            ids = tracker.allocate_range(rng.randrange(1, 4))
+            deps.append(Dependency.on_records(tracker, ids))
+        elif step == "cell":
+            cells.append(FutureCell(f"c{len(cells)}"))
+            deps.append(Dependency.on_future(tracker, cells[-1]))
+        elif step == "resolve" and cells:
+            rng.choice(cells).resolve(rng.choice(deps))
+        elif step == "and":
+            deps.append(rng.choice(deps).and_(rng.choice(deps)))
+        elif step == "durable" and tracker.snapshot()[0]:
+            tracker.mark_durable(rng.randrange(tracker.snapshot()[0]))
+        elif step == "snapshot":
+            snap = tracker.snapshot()
+        elif step == "restore" and snap is not None:
+            tracker.restore(snap)
+        elif step == "lost" and tracker.snapshot()[0]:
+            tracker.mark_lost([rng.randrange(tracker.snapshot()[0])])
+        yield rng, tracker, deps
+
+
+def _flat_persistent(tracker, dep, given=frozenset()):
+    """The poll as it was before it stopped at the first miss: flatten every
+    part, then ask the tracker about each id."""
+    if dep.unresolved_futures():
+        return False
+    return all(tracker.is_durable(r) or r in given for r in dep.record_ids())
+
+
+class TestOnePassAgainstFold:
+    """``all_`` and the poll each walk once; the fold of ``and_`` and the
+    flattened poll they replaced are the references."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_all_equals_the_fold_of_and(self, seed):
+        for rng, tracker, deps in _random_history(seed):
+            operands = [rng.choice(deps) for _ in range(rng.randrange(1, 9))]
+            folded = operands[0]
+            for dep in operands[1:]:
+                folded = folded.and_(dep)
+            one_pass = Dependency.all_(operands)
+            assert one_pass._records == folded._records
+            assert one_pass._futures == folded._futures
+            assert one_pass.record_ids() == folded.record_ids()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_poll_matches_the_flattened_poll(self, seed):
+        memos = []
+        for rng, tracker, deps in _random_history(seed):
+            # A memo taken earlier claims "not persistent while it blocks";
+            # no later resolution, durability or restore may break that.
+            for dep, blocker in memos:
+                if dep.held_by(blocker):
+                    assert not _flat_persistent(tracker, dep)
+            dep = rng.choice(deps)
+            given = frozenset(rng.sample(range(tracker.snapshot()[0] + 2), 2))
+            for ids in (frozenset(), given):
+                blocker = dep.blocker(ids)
+                assert (blocker is None) == _flat_persistent(tracker, dep, ids)
+                if isinstance(blocker, FutureCell):
+                    assert blocker in dep.unresolved_futures()
+                elif blocker is not None:
+                    assert blocker in dep.record_ids() and blocker not in ids
+                    assert not tracker.is_durable(blocker)
+            assert dep.is_persistent() == _flat_persistent(tracker, dep)
+            assert dep.is_persistent_given(given) == _flat_persistent(
+                tracker, dep, given
+            )
+            blocker = dep.blocker()
+            if blocker is not None:
+                assert dep.held_by(blocker)
+                memos.append((dep, blocker))
 
 
 class TestSnapshotRestore:

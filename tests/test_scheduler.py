@@ -1109,3 +1109,100 @@ class TestAppendQueueAgainstPageQueue:
         assert side.disk.ios[-1][:4] == ("write", 2, 512, 128)
         scheduler.drain()
         assert dep.is_persistent() and len(side.disk.ios) == 6
+
+
+# ----------------------------------------------------------------------
+# a blocked queue head is asked again only once what blocked it changed;
+# the full poll it replaced (every head's dependency flattened and asked
+# on every call) survives here as the reference
+
+
+def _flat_persistent(dep):
+    if dep.unresolved_futures():
+        return False
+    return dep.tracker.all_durable(dep.record_ids())
+
+
+class _FullPollScheduler(IoScheduler):
+    def eligible_extents(self):
+        return sorted(
+            extent
+            for extent, queue in self._queues.items()
+            if queue and _flat_persistent(queue[0].dep)
+        )
+
+
+def _poll_history_step(rng, reference):
+    """``_history_step`` with more future cells, late resolutions and
+    snapshot/restore pairs, so that heads wait on cells and on records a
+    restore made pending again."""
+    roll = rng.random()
+    if roll < 0.08:
+        return ("cell",)
+    if roll < 0.18 and reference.cells:
+        recent = max(0, len(reference.deps) - 6)
+        return (
+            "resolve",
+            rng.randrange(len(reference.cells)),
+            rng.randrange(recent, len(reference.deps)),
+        )
+    if roll < 0.22:
+        return ("restore",) if reference.saved is not None else ("snapshot",)
+    return _history_step(rng, reference)
+
+
+class TestEligibilityAgainstFullPoll:
+    """Seeded histories through the memoising scheduler and the full poll:
+    everything ``TestAppendQueueAgainstPageQueue`` observes (eligibility,
+    device IOs, the RNG, the medium, the tracker) must be the same after
+    every step, and every memo still standing must name a dependency the
+    full poll finds unmet."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_histories_match_the_full_poll(self, seed):
+        rng = random.Random(seed)
+        reference = _Side(_FullPollScheduler, seed)
+        memo = _Side(IoScheduler, seed)
+        held = 0
+        for index in range(200):
+            op = _poll_history_step(rng, reference)
+            assert memo.run(op) == reference.run(op), (index, op[0])
+            assert memo.observe() == reference.observe(), (index, op[0])
+            for queue in memo.scheduler._queues.values():
+                for record in queue:
+                    if record.blocker is not None and record.dep.held_by(
+                        record.blocker
+                    ):
+                        assert not _flat_persistent(record.dep), (index, op[0])
+                        held += record is queue[0]
+        assert held, "no head was ever held back by its memo"
+
+    def test_a_restore_that_rewinds_durability_blocks_the_head_again(self):
+        side = _Side(IoScheduler, 0)
+        s, tracker = side.scheduler, side.tracker
+        _, data = s.append(1, b"d" * 10, side.deps[0])
+        s.append(2, b"r" * 10, data)
+        side.run(("snapshot",))
+        s.pump_one(1)
+        assert s.eligible_extents() == [2]
+        side.run(("restore",))
+        # The head on extent 2 was found eligible, so it kept no memo; the
+        # restore made its data pending again, and it is asked afresh.
+        assert s.eligible_extents() == [1]
+        head = s._queues[2][0]
+        assert head.blocker in data.record_ids() and not tracker.is_durable(
+            head.blocker
+        )
+
+    def test_a_cell_blocker_is_dropped_when_the_cell_resolves(self):
+        side = _Side(IoScheduler, 0)
+        s = side.scheduler
+        cell = FutureCell("late")
+        s.append(3, b"x" * 10, Dependency.on_future(side.tracker, cell))
+        assert s.eligible_extents() == [] and s._queues[3][0].blocker is cell
+        _, other = s.append(4, b"y" * 10, side.deps[0])
+        cell.resolve(other)
+        assert s.eligible_extents() == [4]
+        assert s._queues[3][0].blocker in other.record_ids()
+        s.pump_one(4)
+        assert s.eligible_extents() == [3] and s._queues[3][0].blocker is None
