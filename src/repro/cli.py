@@ -18,7 +18,6 @@ is that knob — each subcommand is one checker with its budget exposed:
     python -m repro bench --workload mixed --journal ops.jsonl
     python -m repro check-trace ops.jsonl --require-seal
     python -m repro invariants ops.jsonl other.jsonl
-    python -m repro metrics-serve --port 9464
 
 Exit status is 0 when every check passed and 1 when any found an issue,
 so the commands drop straight into CI gates.
@@ -540,21 +539,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metrics_serve(args: argparse.Namespace) -> int:
-    from repro.bench import serve
-
-    return serve(
-        host=args.host,
-        port=args.port,
-        seed=args.seed,
-        num_disks=args.num_disks,
-        cluster_nodes=args.cluster,
-        warmup_ops=args.warmup_ops,
-        ops_per_scrape=args.ops_per_scrape,
-        journal_path=args.journal,
-    )
-
-
 def _print_replay(
     args: argparse.Namespace, report: Any, verdict: Dict[str, Any], *lines: str
 ) -> int:
@@ -893,45 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the negative control for repro check-trace (requires --journal)",
     )
     bench.set_defaults(fn=_cmd_bench)
-
-    metrics_serve = sub.add_parser(
-        "metrics-serve",
-        help="serve live Prometheus metrics from a demo storage node",
-    )
-    metrics_serve.add_argument("--host", default="127.0.0.1")
-    metrics_serve.add_argument("--port", type=int, default=9464)
-    metrics_serve.add_argument("--seed", type=int, default=0)
-    metrics_serve.add_argument("--num-disks", type=int, default=3)
-    metrics_serve.add_argument(
-        "--cluster",
-        type=int,
-        default=0,
-        metavar="N",
-        help="serve a quorum cluster of N storage nodes instead of a "
-        "single node: per-node {node=...} labeled series on /metrics, "
-        "cluster quorum roll-up on /healthz, deterministic partition "
-        "storms every few scrapes",
-    )
-    metrics_serve.add_argument(
-        "--warmup-ops",
-        type=int,
-        default=400,
-        help="mixed-workload ops applied before serving",
-    )
-    metrics_serve.add_argument(
-        "--ops-per-scrape",
-        type=int,
-        default=25,
-        help="fresh traffic applied on every /metrics scrape",
-    )
-    metrics_serve.add_argument(
-        "--journal",
-        metavar="PATH",
-        default=None,
-        help="also persist the live op journal here (it is always kept "
-        "in memory for the /metrics evidence gauges)",
-    )
-    metrics_serve.set_defaults(fn=_cmd_metrics_serve)
 
     check_trace = sub.add_parser(
         "check-trace",

@@ -37,12 +37,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import AntiEntropyError, ShardStoreError
-from repro.shardstore.merkle import (
-    EMPTY_DIGEST,
-    MerkleMap,
-    combine_roots,
-    numeric_root,
-)
+from repro.shardstore.merkle import EMPTY_DIGEST, MerkleMap, combine_roots
 from repro.shardstore.observability.journal import digest_bytes, digest_keys
 
 from .record import record_version
@@ -214,16 +209,8 @@ class AntiEntropyService:
 
     def root(self, node_id: int) -> str:
         """The whole root of one replica: its group roots combined
-        (journal / gauge surface)."""
+        (journal surface)."""
         return combine_roots(tree.root() for tree in self.trees[node_id].values())
-
-    def numeric_roots(self) -> Dict[int, int]:
-        """Per-node 48-bit root prefixes for the /metrics gauge."""
-        return {
-            nid: numeric_root(self.root(nid))
-            for nid in sorted(self.trees)
-            if nid in self.router.nodes and not self.router.nodes[nid].removed
-        }
 
     # ------------------------------------------------------------------
     # pairwise sync

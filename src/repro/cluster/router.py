@@ -125,7 +125,7 @@ class ClusterConfig:
     #: Background Merkle anti-entropy (off by default: the ``cluster``
     #: campaign suite keeps read-repair as its sole healer so the
     #: ``--no-read-repair`` negative control stays load-bearing; the
-    #: ``anti-entropy`` suite and the serving demo opt in explicitly).
+    #: ``anti-entropy`` suite opts in explicitly).
     anti_entropy: bool = False
     #: Router ops between background sync rounds (0 = manual only).
     anti_entropy_interval: int = 8
@@ -941,51 +941,6 @@ class ClusterRouter:
                 continue
             out[node_id] = None if raw is None else decode_record(raw)
         return out
-
-    # ------------------------------------------------------------------
-    # health
-
-    def quorum_health(self) -> Dict[str, Any]:
-        cfg = self.config
-        reachable = sum(1 for cn in self.nodes.values() if cn.reachable)
-        active = len(self.members)
-        return {
-            "nodes": active,
-            "reachable": reachable,
-            "replication": cfg.replication,
-            "write_quorum": cfg.write_quorum,
-            "read_quorum": cfg.read_quorum,
-            "quorum_ok": reachable >= max(cfg.write_quorum, cfg.read_quorum),
-            "below_replication": reachable < cfg.replication,
-            "degraded": any(
-                not cn.reachable and not cn.removed
-                for cn in self.nodes.values()
-            ),
-        }
-
-    def health_snapshot(self) -> Dict[str, Any]:
-        nodes: Dict[str, Any] = {}
-        for node_id, cn in sorted(self.nodes.items()):
-            if cn.removed:
-                continue
-            nodes[str(node_id)] = {
-                "status": cn.status(),
-                "reachable": cn.reachable,
-                "hints_pending": self.hints_pending(node_id),
-                "hints_dropped": self.hint_stats[node_id]["dropped"],
-                "hints_revoked": self.hint_stats[node_id]["revoked"],
-                "failures": cn.failures,
-            }
-        return {
-            "cluster": self.quorum_health(),
-            "nodes": nodes,
-            "counters": dict(self.stats),
-            "anti_entropy": {
-                "enabled": self.antientropy.enabled,
-                "rounds": self.stats["anti_entropy_rounds"],
-                "keys_repaired": self.stats["anti_entropy_keys_repaired"],
-            },
-        }
 
     def close(self) -> Dict[str, str]:
         """Seal every journal; returns identity -> chain head."""

@@ -1,8 +1,8 @@
 """Trace-conformance checker: replay an op journal against the model.
 
 This is the "eXtreme Modelling" side of the evidence plane: any live run
-that produced a journal -- ``repro bench``, the metrics demo node, a
-campaign shard -- becomes conformance evidence *after the fact*, without
+that produced a journal -- ``repro bench``, a cluster run, a campaign
+shard -- becomes conformance evidence *after the fact*, without
 re-running it.  The checker translates every journaled operation into an
 event of the :class:`~repro.models.candidates.CandidateModel` specification
 (over key/value *digests*; journals never carry raw bytes):
@@ -111,12 +111,7 @@ class CheckReport:
 
 
 class TraceChecker:
-    """Incremental journal replayer; feed records in write order.
-
-    Also usable live: the metrics demo node feeds its in-memory journal's
-    records as they are produced and exports the running violation count
-    as a gauge.
-    """
+    """Incremental journal replayer; feed records in write order."""
 
     def __init__(self) -> None:
         self.model = CandidateModel()

@@ -49,7 +49,6 @@ from .observability import (
     RingRecorder,
     merge_metrics,
     read_journal,
-    render_prometheus,
     render_snapshot,
 )
 from .reclamation import Reclaimer, ReclaimResult
@@ -154,7 +153,6 @@ __all__ = [
     "frame_size",
     "merge_metrics",
     "read_journal",
-    "render_prometheus",
     "render_snapshot",
     "scan_chunks",
     "validate_key",

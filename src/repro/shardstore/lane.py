@@ -73,7 +73,7 @@ class NodeStats:
     retry_budget_exhausted: int = 0  # retries abandoned by the token bucket
 
     def snapshot(self) -> Dict[str, int]:
-        """Request-plane totals, named for metrics exposition."""
+        """Request-plane totals, named as the recorder counts them."""
         return {metric_name(f.name): getattr(self, f.name) for f in fields(self)}
 
 
@@ -374,26 +374,3 @@ class DiskLane:
         if ctx.recorder.enabled:
             ctx.recorder.event("node.breaker_probe", disk=self.disk_id, ok=ok)
         return self.breaker.state is BreakerState.PROBATION
-
-    def gauges(self) -> Dict[str, float]:
-        """This disk's health gauges: breaker state code (0=closed 1=open
-        2=half-open 3=probation 4=slow), sliding-window error rate and
-        service/degraded flags, plus the queue view under admission."""
-        prefix = f"node.disk{self.disk_id}"
-        out: Dict[str, float] = {
-            f"{prefix}.breaker_state": self.breaker.state.code,
-            f"{prefix}.error_rate": self.breaker.health.error_rate(),
-            f"{prefix}.in_service": float(self.in_service),
-            f"{prefix}.degraded": float(self.degraded),
-        }
-        queue = self.queue
-        if queue is not None:
-            out[f"{prefix}.queue_backlog_units"] = float(
-                queue.backlog_units(self.ctx.clock, self.pending_cost())
-            )
-            out[f"{prefix}.queue_depth"] = float(
-                self.store.scheduler.pending_count
-            )
-            out[f"{prefix}.latency_ewma"] = queue.ewma.milli / 1000.0
-            out[f"{prefix}.inflight"] = float(queue.inflight)
-        return out

@@ -26,10 +26,9 @@ length-prefixed key and the digest.  Every tree node -- leaf bucket,
 internal node, root -- holds the XOR of the item hashes below it, and is
 rendered as 16 hex chars (matching the evidence journal's digest
 convention) after an XOR with :data:`EMPTY_DIGEST`, so an empty node reads
-as that constant.  Roots therefore drop into journal records and
-Prometheus gauges (as 48-bit numeric prefixes) unchanged, and because XOR
-is associative the root of a union of disjoint maps is the XOR of their
-roots (:func:`combine_roots`).
+as that constant.  Roots therefore drop into journal records unchanged,
+and because XOR is associative the root of a union of disjoint maps is
+the XOR of their roots (:func:`combine_roots`).
 
 **Cost.**  ``set`` and ``remove`` are O(1): they compute the key's bucket
 point (one SHA-256 of the key, as before) and, once any digest has been
@@ -72,7 +71,6 @@ __all__ = [
     "MerkleMap",
     "combine_roots",
     "merkle_point",
-    "numeric_root",
 ]
 
 #: Digest length in hex chars (64 bits), matching ``journal.digest_bytes``.
@@ -93,16 +91,6 @@ _EMPTY_SUM = int(EMPTY_DIGEST, 16)
 def merkle_point(key: bytes) -> int:
     """The 64-bit hash-ring point of ``key`` (same map as ``HashRing``)."""
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-
-
-def numeric_root(root: str) -> int:
-    """48-bit numeric prefix of a root digest, for Prometheus gauges.
-
-    Mirrors the journal chain-head gauge trick: floats in the exposition
-    format hold 53 bits exactly, so a 48-bit prefix round-trips and two
-    series are equal iff their roots agree on the first 12 hex chars.
-    """
-    return int(root[:12], 16)
 
 
 def combine_roots(roots: Iterable[str]) -> str:

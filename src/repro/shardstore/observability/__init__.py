@@ -37,7 +37,6 @@ from .journal import (
     read_journal,
     seal_on_signal,
 )
-from .prometheus import render_prometheus
 from .recorder import (
     DEFAULT_TRACE_CAPACITY,
     MAX_FAULT_EVENTS,
@@ -77,7 +76,6 @@ __all__ = [
     "seal_on_signal",
     "Recorder",
     "component_of_latency",
-    "render_prometheus",
     "NullRecorder",
     "RingRecorder",
     "NULL_RECORDER",

@@ -3,7 +3,7 @@
 The validation story so far only produces evidence *inside* purpose-built
 harnesses: a PBT run or a campaign shard checks conformance while it
 executes, then throws the history away.  The journal turns any live run --
-``repro bench``, the metrics demo node, a campaign shard -- into *checkable
+``repro bench``, a cluster run, a campaign shard -- into *checkable
 evidence after the fact*: one ordered JSONL log of every request-plane
 operation (op id, kind, key/value digests, outcome, logical tick, causal
 component spans, retry/fault context) plus the resilience plane's breaker
@@ -152,11 +152,10 @@ def classify_error(exc: BaseException) -> str:
 class Journal:
     """Append-only JSONL op journal with a per-record hash chain.
 
-    ``path=None`` keeps the journal in memory only (campaign shards, the
-    metrics demo node); with a path every record is written through as it
-    is produced.  Records are retained in memory either way -- journals
-    are bounded by the run that produces them, and in-process consumers
-    (the live conformance checker, the evidence gauges) read
+    ``path=None`` keeps the journal in memory only (campaign shards); with
+    a path every record is written through as it is produced.  Records are
+    retained in memory either way -- journals are bounded by the run that
+    produces them, and in-process consumers (the conformance checker) read
     :attr:`entries` without re-parsing.
     """
 
@@ -486,9 +485,9 @@ class seal_on_signal:
     """Context manager: seal journals even when the run is interrupted.
 
     A journal missing its seal record reads as truncated (``--require-seal``
-    fails), so a bench run or metrics server killed by Ctrl-C or a
-    supervisor's SIGTERM would leave evidence that cannot be
-    distinguished from tampering.  This installs SIGINT/SIGTERM handlers
+    fails), so a bench run killed by Ctrl-C or a supervisor's SIGTERM
+    would leave evidence that cannot be distinguished from tampering.
+    This installs SIGINT/SIGTERM handlers
     that convert the signal into a :class:`KeyboardInterrupt` (so the
     wrapped loop unwinds through its normal cleanup) and, on *any* exit,
     seals every journal (idempotent -- :meth:`Journal.close` on a sealed

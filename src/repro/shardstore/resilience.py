@@ -143,19 +143,6 @@ class BreakerState(enum.Enum):
     PROBATION = "probation"  # re-admitted, watched for clean operation
     SLOW = "slow"  # brownout trip: demoted for sustained high latency
 
-    @property
-    def code(self) -> int:
-        """Stable numeric encoding for metrics export."""
-        return _STATE_CODES[self]
-
-
-_STATE_CODES = {
-    BreakerState.CLOSED: 0,
-    BreakerState.OPEN: 1,
-    BreakerState.HALF_OPEN: 2,
-    BreakerState.PROBATION: 3,
-    BreakerState.SLOW: 4,
-}
 
 #: Breaker states in which the disk is demoted and awaiting cooldown/probe.
 _TRIPPED_STATES = (BreakerState.OPEN, BreakerState.SLOW)

@@ -630,20 +630,6 @@ class StorageNode:
         with self._lock:
             return self._shard_map.get(key)
 
-    def health_snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Per-disk breaker/health view for metrics exposition.
-
-        Returns ``{"gauges": {...}}`` (counters are ``stats.snapshot()``):
-        every lane's :meth:`~repro.shardstore.lane.DiskLane.gauges`, plus
-        the shared retry budget under admission.
-        """
-        gauges: Dict[str, float] = {}
-        for lane in self.lanes:
-            gauges.update(lane.gauges())
-        if self.ctx.retry_budget is not None:
-            gauges["node.retry_budget_tokens"] = float(self.ctx.retry_budget.tokens)
-        return {"gauges": gauges}
-
     # ------------------------------------------------------------------
     # bulk control-plane operations
 

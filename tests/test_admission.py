@@ -342,19 +342,29 @@ class TestNodeAdmission:
         assert node.stats.shed_deadline == 0
         assert node.stats.deadline_violations > 0
 
-    def test_health_snapshot_exports_queue_gauges(self):
+    def test_every_lane_has_an_idle_queue_after_a_put(self):
         node = _node(admission=STORM)
         node.put(b"k", b"v")
-        gauges = node.health_snapshot()["gauges"]
-        for disk_id in range(node.num_disks):
-            for name in (
-                "queue_backlog_units",
-                "queue_depth",
-                "latency_ewma",
-                "inflight",
-            ):
-                assert f"node.disk{disk_id}.{name}" in gauges
-        assert "node.retry_budget_tokens" in gauges
+        for lane in node.lanes:
+            assert lane.queue is not None
+            assert lane.queue.inflight == 0
+        assert node.ctx.retry_budget.tokens == STORM.retry_budget
+
+    def test_shed_counters_start_at_zero_and_no_replica_counter_exists(self):
+        node = _node(admission=AdmissionConfig())
+        node.put(b"k", b"v")
+        snapshot = node.stats.snapshot()
+        for counter in (
+            "node.shed_overload",
+            "node.shed_deadline",
+            "node.slow_trips",
+            "node.deadline_violations",
+            "node.retry_budget_exhausted",
+        ):
+            assert snapshot[counter] == 0
+        # The node keeps one copy per shard: no replica counters.
+        for gone in ("node.hedges", "node.replica_writes", "node.replica_failures"):
+            assert gone not in snapshot
 
 
 class TestShedErrorContract:

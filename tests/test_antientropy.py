@@ -217,18 +217,6 @@ class TestPerNodeHintCounters:
                 s[name] for s in router.hint_stats.values()
             ) == router.stats[f"hints_{name}"]
 
-    def test_health_snapshot_exposes_per_node_hint_counters(self):
-        router = _router(hint_limit=1)
-        victim = router._placement(b"hk-0")[-1]
-        router.partition_node(victim)
-        for i in range(12):
-            router.put(b"hk-%d" % i, b"v")
-        snapshot = router.health_snapshot()
-        node = snapshot["nodes"][str(victim)]
-        assert node["hints_dropped"] >= 1
-        assert "hints_revoked" in node
-        assert snapshot["anti_entropy"]["enabled"] is False
-
 
 class TestAntiEntropyCampaign:
     def _shard(self, *, anti_entropy: bool, seed: int = 0):

@@ -1,8 +1,32 @@
 """Tests for the ``python -m repro`` validation CLI."""
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Docs a reader copies commands from.  EXPERIMENTS.md is a history log
+#: and may name commands that no longer exist.
+COMMAND_DOCS = (
+    "README.md",
+    "DESIGN.md",
+    ".github/workflows/ci.yml",
+    ".claude/skills/verify/SKILL.md",
+)
+
+
+def _subcommands():
+    """The parser's ``{name: subparser}`` table."""
+    return next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
 
 
 class TestConformanceCommand:
@@ -119,21 +143,22 @@ class TestOtherCommands:
             main([])
 
 
+class TestDocumentedCommands:
+    @pytest.mark.parametrize("doc", COMMAND_DOCS)
+    def test_every_documented_command_is_registered(self, doc):
+        """Each ``repro <cmd>`` (``python -m repro <cmd>`` included) in a
+        doc names a subcommand the parser registers."""
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        named = set(re.findall(r"\brepro ([a-z][a-z0-9-]*)", text))
+        assert named, f"{doc} names no repro command"
+        assert sorted(named - set(_subcommands())) == []
+
+
 class TestCampaignSuiteFlag:
     """``--suite`` is generated from SUITE_REGISTRY, not hand-listed."""
 
     def _campaign_parser(self):
-        import argparse
-
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        subparsers = next(
-            action
-            for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-        return subparsers.choices["campaign"]
+        return _subcommands()["campaign"]
 
     def _suite_action(self):
         return next(

@@ -14,7 +14,6 @@ import pytest
 
 from repro.bench import run_bench
 from repro.bench.harness import pick_mutant_victim
-from repro.bench.serve import MetricsDemoNode
 from repro.bench.workloads import generate_ops
 from repro.campaign import CampaignSpec, run_campaign
 from repro.cli import main
@@ -486,32 +485,6 @@ class TestCampaignEvidence:
         )
         artifact = run_campaign(spec).to_json()
         assert "evidence" not in artifact
-
-
-class TestServeEvidence:
-    def test_metrics_page_exports_evidence_gauges(self):
-        node = MetricsDemoNode(seed=5, warmup_ops=120, ops_per_scrape=10)
-        page = node.metrics_page()
-        assert "repro_journal_records" in page
-        assert "repro_journal_chain_head" in page
-        assert "repro_evidence_violations 0" in page
-
-    def test_healthz_reports_running_verdict(self):
-        node = MetricsDemoNode(seed=5, warmup_ops=120, ops_per_scrape=10)
-        evidence = node.healthz()["evidence"]
-        assert evidence["passed"] is True
-        assert evidence["journal_records"] > 0
-        assert len(evidence["chain_head"]) == 16
-
-    def test_journal_written_through_when_path_given(self, tmp_path):
-        path = str(tmp_path / "serve.jsonl")
-        node = MetricsDemoNode(
-            seed=5, warmup_ops=60, ops_per_scrape=5, journal_path=path,
-        )
-        node.metrics_page()
-        entries = read_journal(path)
-        assert entries[0]["kind"] == "genesis"
-        assert check_journal(entries).passed
 
 
 class TestTraceFilters:

@@ -280,22 +280,6 @@ class TestAdmitProbeGauges:
         assert lane.ctx.stats.breaker_probes == 1
         assert not lane.store.contains(PROBE_KEY)
 
-    def test_gauges_are_prefixed_by_disk_and_grow_with_admission(self):
-        lane, _ = _lane()
-        assert list(lane.gauges()) == [
-            "node.disk0.breaker_state",
-            "node.disk0.error_rate",
-            "node.disk0.in_service",
-            "node.disk0.degraded",
-        ]
-        lane, _ = _lane(admission=AdmissionConfig())
-        assert list(lane.gauges())[4:] == [
-            "node.disk0.queue_backlog_units",
-            "node.disk0.queue_depth",
-            "node.disk0.latency_ewma",
-            "node.disk0.inflight",
-        ]
-
 
 class TestOneCounterPath:
     def test_count_mirrors_every_field_under_its_exported_name(self):

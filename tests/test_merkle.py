@@ -17,7 +17,6 @@ from repro.shardstore.merkle import (
     MerkleMap,
     combine_roots,
     merkle_point,
-    numeric_root,
 )
 from repro.shardstore.observability.journal import digest_bytes
 
@@ -124,11 +123,6 @@ class TestMerkleMap:
             MerkleMap(fanout=12)
         with pytest.raises(ValueError):
             MerkleMap(fanout=0)
-
-    def test_numeric_root_fits_prometheus_float(self):
-        tree = MerkleMap.from_items([(b"k", digest_bytes(b"v"))])
-        value = numeric_root(tree.root())
-        assert 0 <= value < 2**48
 
     def test_root_is_the_xor_of_item_hashes(self):
         """The digest definition, restated from the module docstring."""

@@ -337,14 +337,20 @@ class TestNodeSelfHealing:
         assert node.in_service(victim)  # nobody pulled it
         assert node.stats.breaker_trips == 0
 
-    def test_health_snapshot_reflects_breaker_state(self):
+    def test_a_fresh_node_is_closed_in_service_and_uncounted(self):
         node = self._node()
-        victim = 1
-        self._trip(node, victim)
-        snapshot = node.health_snapshot()
-        assert node.stats.snapshot()["node.breaker_trips"] == 1
-        assert (
-            snapshot["gauges"][f"node.disk{victim}.breaker_state"]
-            == BreakerState.OPEN.code
-        )
-        assert snapshot["gauges"][f"node.disk{victim}.in_service"] == 0.0
+        node.put(b"k", b"v")
+        for disk_id in range(node.num_disks):
+            assert node.breaker_state(disk_id) is BreakerState.CLOSED
+            assert node.lanes[disk_id].breaker.health.error_rate() == 0
+            assert node.in_service(disk_id)
+            assert not node.degraded(disk_id)
+        snapshot = node.stats.snapshot()
+        for counter in (
+            "node.retries",
+            "node.breaker_trips",
+            "node.readmissions",
+            "node.scrub_repaired",
+            "node.scrub_quarantined",
+        ):
+            assert snapshot[counter] == 0
