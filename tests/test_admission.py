@@ -350,6 +350,16 @@ class TestNodeAdmission:
             assert lane.queue.inflight == 0
         assert node.ctx.retry_budget.tokens == STORM.retry_budget
 
+    def test_a_two_disk_node_is_idle_with_a_full_retry_budget(self):
+        node = _node(admission=AdmissionConfig(), num_disks=2)
+        node.put(b"k", b"v")
+        assert len(node.lanes) == 2
+        for lane in node.lanes:
+            assert lane.queue.inflight == 0
+            assert lane.queue.shed_overload == lane.queue.shed_deadline == 0
+        assert node.lanes[node.route_of(b"k")].queue.admitted >= 1
+        assert node.ctx.retry_budget.tokens == node.admission.retry_budget
+
     def test_shed_counters_start_at_zero_and_no_replica_counter_exists(self):
         node = _node(admission=AdmissionConfig())
         node.put(b"k", b"v")

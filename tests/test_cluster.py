@@ -217,15 +217,30 @@ class TestHintedHandoff:
         router.put(b"k", b"v1")
         victim = router._placement(b"k")[0]
         router.partition_node(victim)
-        assert router.nodes[victim].status() == "partitioned"
         router.put(b"k", b"v2")
         assert router.hints_pending(victim) == 1
         router.heal_partition(victim)
-        assert router.nodes[victim].status() == "up"
         assert router.hints_pending(victim) == 0
         assert router.stats["hints_replayed"] == 1
         record = router.replica_states(b"k")[victim]
         assert record is not None and record[2] == b"v2"
+
+    def test_a_partition_flips_one_member_and_a_heal_restores_it(self):
+        router = small_router()
+        router.put(b"k", b"v1")
+        victim = router._placement(b"k")[0]
+        router.partition_node(victim)
+        assert router.nodes[victim].status() == "partitioned"
+        assert not router.nodes[victim].reachable
+        others = {
+            cn.status() for nid, cn in router.nodes.items() if nid != victim
+        }
+        assert others == {"up"}
+        router.put(b"k", b"v2")  # the reachable majority still acks
+        router.heal_partition(victim)
+        assert router.nodes[victim].status() == "up"
+        assert router.nodes[victim].reachable
+        assert router.get(b"k") == b"v2"
 
     def test_a_replay_that_raises_counts_as_dropped(self):
         """Hint conservation: per node, every queued hint is replayed,
