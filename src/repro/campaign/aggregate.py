@@ -89,10 +89,6 @@ class CampaignResult:
     def to_json(self) -> Dict[str, Any]:
         return result_to_json(self)
 
-    def merged_metrics(self) -> Optional[Dict[str, Any]]:
-        """Campaign-wide metrics (None unless the campaign was traced)."""
-        return _merged_metrics(self.results)
-
 
 def aggregate(
     spec: CampaignSpec,

@@ -6,17 +6,16 @@ quorum-failure hint revocation stays divergent *forever* -- the paper's
 section 4.4 recovery obligation demands better.  This module closes the
 gap with the classic Dynamo-style protocol:
 
-* every replica maintains one incremental :class:`~repro.shardstore.
-  merkle.MerkleMap` per *placement group* (a key's preference list, as a
-  tuple in preference order) over its ``key -> record-digest`` entries
-  (updated on each conditional apply, rebuilt after a dirty restart),
-  plus a version column over the same keys that lets the conditional
-  apply skip its read-before-write;
-* a background round picks one pair of reachable replicas on the
+* every member (:class:`~repro.cluster.member.ClusterNode`) owns one
+  incremental :class:`~repro.shardstore.merkle.MerkleMap` per *placement
+  group* (a key's preference list, as a tuple in preference order) over
+  its ``key -> record-digest`` entries, updated by its own conditional
+  apply and rebuilt after a dirty restart;
+* a background round picks one pair of reachable members on the
   router's op clock, compares the roots of the groups both belong to,
   descends only into diverging subtrees of diverging groups, and repairs
-  stale keys through the *existing* versioned conditional-apply path
-  (newest version wins, tombstones included);
+  stale keys through the member's conditional apply (newest version
+  wins, tombstones included);
 * per-round budgets bound the buckets descended and keys repaired, so
   sync can never starve foreground traffic;
 * an explicit :meth:`AntiEntropyService.sync` against an unreachable
@@ -37,13 +36,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import AntiEntropyError, ShardStoreError
-from repro.shardstore.merkle import EMPTY_DIGEST, MerkleMap, combine_roots
-from repro.shardstore.observability.journal import digest_bytes, digest_keys
+from repro.shardstore.merkle import MerkleMap
+from repro.shardstore.observability.journal import digest_keys
 
 from .record import record_version
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (router imports us)
-    from .router import ClusterNode, ClusterRouter
+    from .router import ClusterRouter
 
 __all__ = ["AntiEntropyService", "DEFAULT_MAX_ROUNDS"]
 
@@ -52,32 +51,15 @@ __all__ = ["AntiEntropyService", "DEFAULT_MAX_ROUNDS"]
 #: ``replication - 1`` cycles of budgeted progress.
 DEFAULT_MAX_ROUNDS = 200
 
-#: A placement group: a key's preference list, in preference order.
-Group = Tuple[int, ...]
-
 
 class AntiEntropyService:
-    """Per-replica, per-group Merkle trees plus the budgeted pairwise sync.
+    """The budgeted pairwise sync over member-owned Merkle trees.
 
-    Owned by :class:`~repro.cluster.router.ClusterRouter`; the router
-    calls :meth:`note_apply` / :meth:`note_remove` from every replica
-    mutation path so the trees are exact mirrors of replica content, and
+    Owned by :class:`~repro.cluster.router.ClusterRouter`, which calls
     :meth:`maybe_run` from its op clock so rounds are deterministic
-    functions of the workload (never wall time).
-
-    Each replica's leaves are filed by placement group: ``trees[node]
-    [group]`` holds exactly the entries ``node`` has for keys whose
-    preference list is ``group`` (a stray copy outside its key's list is
-    filed there too, under a group the node is not a member of).  Key ->
-    group lookups are cached; a ring change (:meth:`register_node` /
-    :meth:`drop_node`) clears the cache and re-files every leaf.
-
-    The mirror has two columns per replica and key: the Merkle leaf and
-    the record version.  The version column is a cache whose miss path is
-    a read of the replica: :meth:`version` answers ``None`` (unknown) for
-    a key whose write raised, for a key a rebuild could not read, and for
-    every key of a replica a rebuild could not list; the caller then reads
-    through and :meth:`note_read` seeds both columns from the record.
+    functions of the workload (never wall time).  The service holds no
+    replica state: it reads each member's ``trees`` and roots, and
+    repairs through the member's conditional apply.
     """
 
     def __init__(self, router: "ClusterRouter") -> None:
@@ -87,130 +69,8 @@ class AntiEntropyService:
         self.interval = cfg.anti_entropy_interval
         self.max_buckets = cfg.anti_entropy_buckets
         self.max_repairs = cfg.anti_entropy_repairs
-        #: The leaf column: per replica, one tree per placement group.
-        self.trees: Dict[int, Dict[Group, MerkleMap]] = {}
-        #: The version column: per replica, ``key -> version`` for every
-        #: key it holds, or ``None`` for a key whose state is unknown; a
-        #: key it does not list is known absent.  A replica with no entry
-        #: is unknown as a whole (dropped, or its key listing failed).
-        self.versions: Dict[int, Dict[bytes, Optional[int]]] = {}
-        #: key -> placement group under the current ring.
-        self._groups: Dict[bytes, Group] = {}
         self._cursor = 0  # round-robin position over reachable pairs
         self._bucket_cursor = 0  # rotation offset into diverging buckets
-
-    # ------------------------------------------------------------------
-    # mirror maintenance (called from the router's replica mutation paths)
-
-    def register_node(self, node_id: int) -> None:
-        self.trees[node_id] = {}
-        self.versions[node_id] = {}  # a fresh node holds nothing
-        self._refile()
-
-    def drop_node(self, node_id: int) -> None:
-        self.trees.pop(node_id, None)
-        self.versions.pop(node_id, None)
-        self._refile()
-
-    def _refile(self) -> None:
-        """The ring changed: re-file every leaf under its key's new group."""
-        self._groups = {}
-        for node_id, groups in list(self.trees.items()):
-            self.trees[node_id] = {}
-            for tree in groups.values():
-                for key, digest in tree.items():
-                    self._tree(node_id, key).set(key, digest)
-
-    def _group(self, key: bytes) -> Group:
-        """``key``'s placement group (cached until the ring changes)."""
-        group = self._groups.get(key)
-        if group is None:
-            group = self._groups[key] = tuple(self.router._placement(key))
-        return group
-
-    def _tree(self, node_id: int, key: bytes) -> MerkleMap:
-        """The tree of ``node_id`` that ``key``'s leaf belongs in."""
-        groups = self.trees[node_id]
-        group = self._group(key)
-        tree = groups.get(group)
-        if tree is None:
-            tree = groups[group] = MerkleMap()
-        return tree
-
-    def version(self, node_id: int, key: bytes) -> Optional[int]:
-        """The version ``node_id`` holds for ``key`` (-1 = absent), or
-        ``None`` when the mirror does not know it."""
-        versions = self.versions.get(node_id)
-        if versions is None:
-            return None
-        return versions.get(key, -1)
-
-    def note_apply(self, node_id: int, key: bytes, record: bytes) -> None:
-        if node_id in self.trees:
-            self._tree(node_id, key).set(key, digest_bytes(record))
-        versions = self.versions.get(node_id)
-        if versions is not None:
-            versions[key] = record_version(record)
-
-    def note_remove(self, node_id: int, key: bytes) -> None:
-        groups = self.trees.get(node_id)
-        if groups is not None:
-            tree = groups.get(self._group(key))
-            if tree is not None:
-                tree.remove(key)
-        versions = self.versions.get(node_id)
-        if versions is not None:
-            versions.pop(key, None)
-
-    def note_unknown(self, node_id: int, key: bytes) -> None:
-        """A write of ``key`` raised: it may or may not have applied."""
-        versions = self.versions.get(node_id)
-        if versions is not None:
-            versions[key] = None
-
-    def note_read(self, node_id: int, key: bytes, raw: Optional[bytes]) -> int:
-        """Re-derive both columns from a read of the replica (``raw`` is
-        None when it answered absent); returns the version read."""
-        if raw is None:
-            self.note_remove(node_id, key)
-            return -1
-        self.note_apply(node_id, key, raw)
-        return record_version(raw)
-
-    def rebuild(self, node_id: int) -> None:
-        """Rebuild one replica's mirror from its store (post-restart).
-
-        A dirty restart loses un-drained writes, so the in-memory mirror
-        may be ahead of the recovered store; re-deriving it from what
-        recovery actually produced is the only honest commitment.
-        """
-        cn = self.router.nodes.get(node_id)
-        if node_id not in self.trees or cn is None:
-            return
-        self.trees[node_id] = {}
-        self.versions.pop(node_id, None)
-        try:
-            keys = cn.node.keys()
-        except ShardStoreError:
-            return
-        self.versions[node_id] = {}
-        for key in keys:
-            try:
-                raw = cn.read(key)
-            except ShardStoreError:
-                self.note_unknown(node_id, key)
-                continue
-            if raw is not None:  # listed, but the replica may answer absent
-                self.note_apply(node_id, key, raw)
-
-    def _group_root(self, node_id: int, group: Group) -> str:
-        tree = self.trees[node_id].get(group)
-        return EMPTY_DIGEST if tree is None else tree.root()
-
-    def root(self, node_id: int) -> str:
-        """The whole root of one replica: its group roots combined
-        (journal surface)."""
-        return combine_roots(tree.root() for tree in self.trees[node_id].values())
 
     # ------------------------------------------------------------------
     # pairwise sync
@@ -285,7 +145,8 @@ class AntiEntropyService:
         max_repairs: Optional[int],
     ) -> Dict[str, Any]:
         stats = self.router.stats
-        trees_a, trees_b = self.trees[node_a], self.trees[node_b]
+        nodes = self.router.nodes
+        trees_a, trees_b = nodes[node_a].trees, nodes[node_b].trees
         # Only the groups both replicas belong to: a key outside a pair's
         # shared placement is not this pair's to repair (a stray copy is
         # rebalancing's job), so it is never compared at all.
@@ -350,34 +211,26 @@ class AntiEntropyService:
         self.router._record("anti_entropy", **summary)
         return summary
 
-    def _read_raw(self, cn: "ClusterNode", key: bytes) -> Optional[bytes]:
-        """Read ``key`` off one replica and re-derive its mirror entry from
-        the record.  Both happen under the replica's lock, as an apply
-        does, so no concurrent apply can land between the read and the
-        re-derivation."""
-        try:
-            with cn.lock:
-                raw = cn.read(key)
-                self.note_read(cn.node_id, key, raw)
-        except ShardStoreError:
-            self.router._note_failure(cn)
-            return None
-        return raw
-
     def _repair_key(self, node_a: int, node_b: int, key: bytes) -> bool:
         """Copy the newest record of ``key`` onto the staler pair member.
 
-        Goes through :meth:`ClusterRouter._replica_apply`, so the repair
-        is exactly a conditional write: per-replica version monotonicity
-        and acknowledged-write durability are preserved by construction.
-        Both reads re-derive their replica's leaf, so a pair that differs
-        only in a stale leaf (a write that applied and then raised) stops
+        Goes through :meth:`ClusterNode.apply_if_newer`, so the repair is
+        exactly a conditional write: per-replica version monotonicity
+        holds by construction.  Both reads re-derive their member's leaf
+        (:meth:`ClusterNode.read_through`), so a pair that differs only
+        in a stale leaf (a write that applied and then raised) stops
         differing here even though nothing is copied.
         """
         cn_a = self.router.nodes[node_a]
         cn_b = self.router.nodes[node_b]
-        raw_a = self._read_raw(cn_a, key)
-        raw_b = self._read_raw(cn_b, key)
+        raws: List[Optional[bytes]] = []
+        for cn in (cn_a, cn_b):
+            try:
+                raws.append(cn.read_through(key))
+            except ShardStoreError:
+                self.router._note_failure(cn)
+                raws.append(None)
+        raw_a, raw_b = raws
         ver_a, ver_b = record_version(raw_a), record_version(raw_b)
         if ver_a == ver_b:
             return False  # equal versions carry equal records
@@ -387,7 +240,7 @@ class AntiEntropyService:
         if src is None:
             return False
         try:
-            self.router._replica_apply(dst, 0, key, src)
+            dst.apply_if_newer(key, src)
         except ShardStoreError:
             self.router._note_failure(dst)
             return False
@@ -430,18 +283,17 @@ class AntiEntropyService:
         nodes = self.router.nodes
         held: set = set()
         all_keys: set = set()
-        for nid, groups in self.trees.items():
-            cn = nodes.get(nid)
-            if cn is None or cn.removed:
+        for cn in nodes.values():
+            if cn.removed:
                 continue
-            for group, tree in groups.items():
+            for group, tree in cn.trees.items():
                 if len(tree):
                     held.add(group)
                     all_keys.update(tree.keys())
         divergent = 0
         for group in held:
             roots = {
-                self._group_root(nid, group)
+                nodes[nid].group_root(group)
                 for nid in group
                 if nid in nodes and nodes[nid].reachable
             }
@@ -466,9 +318,9 @@ class AntiEntropyService:
         """
         snapshot = self.converged_snapshot()
         roots = {
-            str(nid): self.root(nid)
+            str(nid): cn.root()
             for nid, cn in sorted(self.router.nodes.items())
-            if not cn.removed and nid in self.trees
+            if not cn.removed
         }
         self.router._record(
             "merkle_roots",

@@ -37,10 +37,14 @@ Consistency is *checked*, not assumed, on three independent planes:
   quorum/read-repair interleavings
   (:func:`repro.core.concurrent_harnesses.quorum_harness`).
 
-Acknowledged-write durability: a replica ack implies the write was
-drained to the medium, so a quorum-acknowledged write survives the
-crash/dirty-restart of any minority of nodes -- the property the campaign
-settlement gate and the satellite property test assert.
+Each member (:mod:`repro.cluster.member`) owns its replica state and the
+conditional apply; the router keeps the ring, the version floor, hints
+and the key -> placement-group cache.
+
+Acknowledged-write durability: a replica acks after a drain, which leaves
+the index entry in the memtable, and a dirty restart loses it.  So a
+quorum-acknowledged write survives only while one of its holders stays up
+(or a hint for it is still queued); restarting every acker dirty loses it.
 """
 
 from __future__ import annotations
@@ -49,14 +53,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.concurrency.primitives import Mutex
 from repro.errors import (
     DeadlineExceededError,
     DegradedReadError,
     DegradedWriteError,
     InvalidRequestError,
     KeyNotFoundError,
-    NotFoundError,
     OverloadedError,
     ShardStoreError,
 )
@@ -81,6 +83,7 @@ from repro.shardstore.resilience import AdmissionConfig
 from repro.shardstore.rpc import StorageNode
 
 from .antientropy import AntiEntropyService
+from .member import ClusterNode, Group
 from .record import (
     FLAG_TOMBSTONE,
     FLAG_VALUE,
@@ -91,7 +94,7 @@ from .record import (
 )
 from .ring import HashRing
 
-__all__ = ["ClusterConfig", "ClusterNode", "ClusterRouter"]
+__all__ = ["ClusterConfig", "ClusterRouter"]
 
 #: Read-only key the router probes demoted nodes with.
 PROBE_KEY = b"__cluster_probe__"
@@ -171,57 +174,6 @@ class ClusterConfig:
             )
 
 
-class ClusterNode:
-    """One member: a :class:`StorageNode` plus its cluster-side state."""
-
-    def __init__(
-        self, node_id: int, node: StorageNode, journal: Optional[Journal]
-    ) -> None:
-        self.node_id = node_id
-        self.node = node
-        self.journal = journal
-        self.up = True
-        self.partitioned = False
-        self.demoted = False
-        self.removed = False
-        self.failures = 0  # consecutive replica-side errors
-        self.probe_at = 0  # op-clock time of the next readmission probe
-        # Serializes each conditional apply on this replica (the mirror's
-        # version lookup or its read-through, the write, the mirror
-        # update); under the deterministic scheduler this is what makes
-        # concurrent quorum writes version-monotone per replica.
-        self.lock: Mutex = Mutex(None, name=f"cluster-node-{node_id}")
-
-    @property
-    def reachable(self) -> bool:
-        return (
-            self.up
-            and not self.partitioned
-            and not self.demoted
-            and not self.removed
-        )
-
-    def status(self) -> str:
-        if self.removed:
-            return "removed"
-        if not self.up:
-            return "crashed"
-        if self.partitioned:
-            return "partitioned"
-        if self.demoted:
-            return "demoted"
-        return "up"
-
-    def read(self, key: bytes, deadline: Optional[int] = None) -> Optional[bytes]:
-        """This replica's record for ``key``, or None when it answers
-        absent.  Every read of a replica record goes through here; any
-        other error propagates for the caller's own policy."""
-        try:
-            return self.node.get(key, deadline=deadline)
-        except NotFoundError:
-            return None
-
-
 class ClusterRouter:
     """Quorum-replicating coordinator over N storage nodes.
 
@@ -256,6 +208,7 @@ class ClusterRouter:
         self._op_count = 0  # router op clock (probe scheduling)
         self._rebalancing = False  # reentrancy guard (demote mid-rebalance)
         self._hints: Dict[int, "OrderedDict[bytes, bytes]"] = {}
+        self._groups: Dict[bytes, Group] = {}  # key -> placement group
         self.stats: Dict[str, int] = {
             name: 0
             for name in (
@@ -337,13 +290,13 @@ class ClusterRouter:
             config=cfg,
             admission=self.config.admission,
         )
-        self.nodes[node_id] = ClusterNode(node_id, node, journal)
+        self.nodes[node_id] = ClusterNode(node_id, node, journal, self._group)
         self.ring.add_node(node_id)
+        self._regroup()
         self._hints[node_id] = OrderedDict()
         self.hint_stats[node_id] = {
             "queued": 0, "dropped": 0, "replayed": 0, "revoked": 0
         }
-        self.antientropy.register_node(node_id)
         return node_id
 
     def add_node(self) -> int:
@@ -361,7 +314,7 @@ class ClusterRouter:
         self.ring.remove_node(node_id)
         self._count_hints(node_id, "dropped", len(self._hints.get(node_id, ())))
         self._hints[node_id] = OrderedDict()
-        self.antientropy.drop_node(node_id)
+        self._regroup()
         self.stats["node_leaves"] += 1
         self._record("leave", target=node_id)
         self.rebalance()
@@ -377,6 +330,20 @@ class ClusterRouter:
 
     def _placement(self, key: bytes) -> List[int]:
         return self.ring.preference_list(key, self.config.replication)
+
+    def _group(self, key: bytes) -> Group:
+        """``key``'s placement group (cached until the ring changes)."""
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = tuple(self._placement(key))
+        return group
+
+    def _regroup(self) -> None:
+        """The ring changed: drop the cache, re-file members' leaves."""
+        self._groups = {}
+        for cn in self.nodes.values():
+            if not cn.removed:
+                cn.refile()
 
     # ------------------------------------------------------------------
     # journal plumbing
@@ -489,7 +456,7 @@ class ClusterRouter:
         replayed = 0
         for key, record in hints.items():
             try:
-                self._replica_apply(cn, 0, key, record)
+                cn.apply_if_newer(key, record)
                 replayed += 1
             except ShardStoreError:
                 self._note_failure(cn)
@@ -503,49 +470,6 @@ class ClusterRouter:
 
     # ------------------------------------------------------------------
     # replica IO
-
-    def _replica_apply(
-        self,
-        cn: ClusterNode,
-        cop: int,
-        key: bytes,
-        record: bytes,
-        deadline: Optional[int] = None,
-    ) -> None:
-        """Conditionally apply ``record`` on one replica (newer wins).
-
-        The replica's current version comes from the anti-entropy mirror,
-        so an apply costs one write; only a version the mirror does not
-        know is read through the node, which also re-derives the mirror
-        entry.  The version check and the write are serialized per
-        replica, which keeps replica versions monotone under concurrent
-        quorum writes -- the property the model-check harness exercises.
-        The ack implies a drain, so acknowledged data survives a dirty
-        restart.
-        """
-        version = record_version(record)
-        mirror = self.antientropy
-        cn.lock.acquire()
-        try:
-            current = mirror.version(cn.node_id, key)
-            if current is None:
-                current = mirror.note_read(cn.node_id, key, cn.read(key, deadline))
-            if current >= version:
-                return
-            if cn.journal is not None and cop:
-                cn.journal.annotate(cop=cop)
-            try:
-                cn.node.put(key, record, deadline=deadline)
-            except ShardStoreError:
-                # The write may have applied before it raised.
-                mirror.note_unknown(cn.node_id, key)
-                raise
-            # Mirror the apply before the drain: the record is on the node
-            # either way, and a dirty restart rebuilds the mirror.
-            mirror.note_apply(cn.node_id, key, record)
-            cn.node.drain()
-        finally:
-            cn.lock.release()
 
     def _quorum_read(
         self, placement: List[int], key: bytes, deadline: Optional[int] = None
@@ -597,7 +521,7 @@ class ClusterRouter:
                 continue
             cn = self.nodes[reply.node]
             try:
-                self._replica_apply(cn, cop, key, newest.raw)
+                cn.apply_if_newer(key, newest.raw, cop)
             except ShardStoreError:
                 self._note_failure(cn)
                 continue
@@ -627,7 +551,7 @@ class ClusterRouter:
             cn = self.nodes[node_id]
             if cn.reachable:
                 try:
-                    self._replica_apply(cn, cop, key, record, deadline)
+                    cn.apply_if_newer(key, record, cop, deadline)
                 except (OverloadedError, DeadlineExceededError):
                     self.stats["replica_sheds"] += 1
                 except ShardStoreError:
@@ -798,11 +722,9 @@ class ClusterRouter:
         cn.failures = 0
         self.stats["node_restarts"] += 1
         self._record("restart", target=node_id)
-        # A dirty restart may have lost un-drained writes; re-derive the
-        # replica's mirror (Merkle leaves and versions) from what recovery
-        # actually produced (hint replay below re-applies through the
-        # tracked path).
-        self.antientropy.rebuild(node_id)
+        # A dirty restart may have lost un-drained writes; the member
+        # re-derives its columns from what recovery actually produced.
+        cn.rebuild()
         self._replay_hints(node_id)
 
     def partition_node(self, node_id: int) -> None:
@@ -903,7 +825,7 @@ class ClusterRouter:
                     continue
                 if holders.get(nid, -1) < best_version:
                     try:
-                        self._replica_apply(cn, 0, key, best)
+                        cn.apply_if_newer(key, best)
                         moves += 1
                     except ShardStoreError:
                         self._note_failure(cn)
@@ -911,11 +833,9 @@ class ClusterRouter:
                 if nid in prefs:
                     continue
                 try:
-                    reachable[nid].node.delete(key)
+                    reachable[nid].remove(key)
                 except ShardStoreError:
-                    self.antientropy.note_unknown(nid, key)
                     continue
-                self.antientropy.note_remove(nid, key)
                 moves += 1
         self.stats["rebalances"] += 1
         self.stats["rebalance_moves"] += moves

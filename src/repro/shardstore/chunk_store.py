@@ -88,10 +88,6 @@ class ChunkStore:
     def open_extent(self) -> Optional[int]:
         return self._open_extent
 
-    def pin_extent(self, extent: int) -> None:
-        """Keep reclamation away from ``extent`` until unpinned."""
-        self._pinned.add(extent)
-
     def unpin_extent(self, extent: int) -> None:
         self._pinned.discard(extent)
 

@@ -247,10 +247,6 @@ class Superblock:
     def owner_of(self, extent: int) -> str:
         return self._ownership.get(extent, OWNER_FREE)
 
-    @property
-    def appends_since_flush(self) -> int:
-        return self._appends_since_flush
-
     # ------------------------------------------------------------------
     # flushing
 

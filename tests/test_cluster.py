@@ -9,9 +9,11 @@ negative control), and the seeded minority-crash durability property.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
+import repro.cluster as cluster_package
 from repro.cluster import (
     FLAG_TOMBSTONE,
     FLAG_VALUE,
@@ -847,6 +849,41 @@ class TestMinorityCrashProperty:
                 assert not router.contains(key), key
             else:
                 assert router.get(key) == value, key
+
+
+class TestAckedWriteDurability:
+    """An ack follows a drain, which leaves the index entry in the
+    memtable; restarting every acker dirty loses the write."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=KeyNotFoundError,
+        reason="ROADMAP item 5's honest ack: a replica acks after a drain "
+        "that leaves its memtable entry volatile, so a dirty restart of "
+        "every acker loses the acknowledged write",
+    )
+    def test_an_acked_write_survives_every_acker_restarting_dirty(self):
+        router = small_router()
+        router.put(b"ak-0", b"v")
+        for node_id in router._placement(b"ak-0"):
+            router.crash_node(node_id)
+            router.restart_node(node_id)
+        assert router.get(b"ak-0") == b"v"
+
+
+class TestMemberOwnsReplicaWrites:
+    def test_only_the_member_module_writes_replica_records(self):
+        """Every replica write goes through ``ClusterNode``'s conditional
+        apply or its remove, which keep the member's columns exact."""
+        package = Path(cluster_package.__file__).parent
+        offenders = [
+            f"{path.name}:{lineno}: {line.strip()}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "member.py"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if ".node.put(" in line or ".node.delete(" in line
+        ]
+        assert offenders == []
 
 
 class TestSealOnSignal:

@@ -1,8 +1,8 @@
-"""The anti-entropy mirror as the replica apply's version cache.
+"""A member's version column and Merkle trees as its replica's mirror.
 
-``ClusterRouter._replica_apply`` takes a replica's current version from
-the :class:`~repro.cluster.antientropy.AntiEntropyService` mirror instead
-of reading the replica first.  That is state ``ReferenceCluster`` does not
+``ClusterNode.apply_if_newer`` takes the replica's current version from
+the member's own version column (:mod:`repro.cluster.member`) instead of
+reading the replica first.  That is state ``ReferenceCluster`` does not
 have, so its exactness is tested here rather than trusted:
 
 * directed cases for each invalidation rule -- a put that raises, a put
@@ -54,15 +54,14 @@ def _replica_version(cn, key: bytes) -> int:
 
 def mirror_mismatches(router: ClusterRouter) -> List[str]:
     """Every key whose known mirror version differs from its replica."""
-    mirror = router.antientropy
     out: List[str] = []
     for nid in router.members:
         cn = router.nodes[nid]
-        versions = mirror.versions.get(nid)
+        versions = cn.versions
         if versions is None:
             continue  # a wholly unknown replica claims nothing
         for key in sorted(set(cn.node.keys()) | set(versions)):
-            known = mirror.version(nid, key)
+            known = cn.version(key)
             if known is None:
                 continue
             actual = _replica_version(cn, key)
@@ -88,15 +87,15 @@ def stale_roots(router: ClusterRouter) -> List[int]:
         nid
         for nid in router.members
         if router.nodes[nid].up
-        and router.antientropy.root(nid) != rebuilt_root(router.nodes[nid])
+        and router.nodes[nid].root() != rebuilt_root(router.nodes[nid])
     ]
 
 
 def misfiled_leaves(router: ClusterRouter) -> List[str]:
     """Leaves filed outside the tree of their key's placement group."""
     out: List[str] = []
-    for nid, groups in sorted(router.antientropy.trees.items()):
-        for group, tree in groups.items():
+    for nid in router.members:
+        for group, tree in router.nodes[nid].trees.items():
             for key in tree.keys():
                 placement = tuple(router._placement(key))
                 if placement != group:
@@ -110,9 +109,9 @@ def reference_snapshot(router: ClusterRouter) -> Dict[str, Any]:
     rebuild each live member's root over that group's keys."""
     nodes = router.nodes
     held = {
-        nid: dict(item for tree in groups.values() for item in tree.items())
-        for nid, groups in router.antientropy.trees.items()
-        if nid in nodes and not nodes[nid].removed
+        nid: dict(item for tree in cn.trees.values() for item in tree.items())
+        for nid, cn in nodes.items()
+        if not cn.removed
     }
     groups: Dict[tuple, List[bytes]] = {}
     all_keys = set().union(*held.values())
@@ -190,7 +189,7 @@ class TestOneWritePerApply:
         cn.node.put = refused
         router.put(key, b"v2")  # the other two ack; the victim is hinted
         del cn.node.put
-        assert router.antientropy.version(victim, key) is None
+        assert router.nodes[victim].version(key) is None
         gets = count_gets(router)
         router.settle()  # hint replay: the one read-through
         assert gets == {nid: int(nid == victim) for nid in router.nodes}
@@ -228,7 +227,7 @@ class TestStaleLeafRepair:
         router = _router()
         victim = self._lose_one_ack(router, b"sk")
         assert mirror_mismatches(router) == []
-        assert router.antientropy.version(victim, b"sk") is None
+        assert router.nodes[victim].version(b"sk") is None
 
     def test_hint_replay_refreshes_the_leaf(self):
         router = _router()
@@ -278,11 +277,11 @@ class TestRebalanceInvalidation:
             for nid in holders[key] - set(router._placement(key))
         ]
         assert strays
-        assert all(router.antientropy.version(n, k) is None for n, k in strays)
+        assert all(router.nodes[n].version(k) is None for n, k in strays)
         assert mirror_mismatches(router) == []
         # The next rebalance deletes them: known absent.
         router.rebalance()
-        assert all(router.antientropy.version(n, k) == -1 for n, k in strays)
+        assert all(router.nodes[n].version(k) == -1 for n, k in strays)
         assert mirror_mismatches(router) == []
 
 
@@ -366,7 +365,7 @@ def racing_applies(versions=(2, 3)) -> Callable[[], Callable[[], None]]:
         )
         cn = router.nodes[0]
         key = b"raced"
-        router._replica_apply(cn, 0, key, encode_record(1, FLAG_VALUE, b"v1"))
+        cn.apply_if_newer(key, encode_record(1, FLAG_VALUE, b"v1"))
         applied: List[int] = []
         real_put = cn.node.put
 
@@ -378,7 +377,7 @@ def racing_applies(versions=(2, 3)) -> Callable[[], Callable[[], None]]:
 
         def writer(version: int) -> Callable[[], None]:
             record = encode_record(version, FLAG_VALUE, b"v%d" % version)
-            return lambda: router._replica_apply(cn, 0, key, record)
+            return lambda: cn.apply_if_newer(key, record)
 
         def body() -> None:
             tasks = [spawn(writer(v), f"w{v}") for v in versions]
