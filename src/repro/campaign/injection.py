@@ -308,7 +308,7 @@ class InjectionStoreHarness(StoreHarness):
         return {
             "armed": self.armed,
             "fired": self.fired,
-            "retries": self.store.retry_count,
+            "retries": self.store.stats.retries,
             "repaired": len(self.repaired_keys),
             "quarantined": len(self.quarantined_keys),
         }

@@ -142,7 +142,6 @@ def campaign_summary(artifact: Dict) -> str:
         fault_event_count = int(counters.get("faults.events", 0))
         lines.append(
             f"metrics: {len(counters)} counters, "
-            f"{len(metrics.get('histograms', {}))} histograms, "
             f"{fault_event_count} fault events "
             "(inspect with `repro stats --from-artifact`)"
         )

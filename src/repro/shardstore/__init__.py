@@ -43,7 +43,6 @@ from .observability import (
     Journal,
     JournalEnvelope,
     JournalError,
-    Metrics,
     NullRecorder,
     Recorder,
     RingRecorder,
@@ -114,7 +113,6 @@ __all__ = [
     "LsmIndex",
     "MAX_KEY_LEN",
     "METADATA_EXTENTS",
-    "Metrics",
     "NULL_RECORDER",
     "NodeDependency",
     "NotFoundError",

@@ -26,6 +26,7 @@ and the memos with it (DESIGN.md "Buffer cache").
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .config import StoreConfig
@@ -55,6 +56,15 @@ class FrameMemo:
         self.decoded: Any = None
 
 
+@dataclass
+class CacheStats:
+    """The cache's counters, exported as ``cache.<field>``."""
+
+    hits: int = 0
+    misses: int = 0
+    invalidated_pages: int = 0  # dropped by extent resets
+
+
 #: One cached page: (page bytes so far, valid length, memos by read offset
 #: or None).  A tuple, not a list: the collector stops tracking a tuple of
 #: bytes, int and None, but would track a list, one per cached page, for
@@ -76,8 +86,17 @@ class BufferCache:
         self._page_size = config.geometry.page_size
         self._pages: "OrderedDict[Tuple[int, int], _Entry]" = OrderedDict()
         self._page_budget = config.buffer_cache_pages
-        self.hits = 0
-        self.misses = 0
+        self.stats = CacheStats()
+        if self.recorder.enabled:
+            self.recorder.watch("cache", self.stats)
+
+    @property
+    def hits(self) -> int:
+        return self.stats.hits
+
+    @property
+    def misses(self) -> int:
+        return self.stats.misses
 
     # ------------------------------------------------------------------
     # read path
@@ -105,7 +124,7 @@ class BufferCache:
         first = offset // page
         last = (end - 1) // page if length else first
         pages = self._pages
-        recorder = self.recorder
+        stats = self.stats
         # The walk: every page under the range, in order.  A page must hold
         # its bytes of the range (all of it, but for the last page); the hit
         # path is inlined, a miss is counted and refilled by ``_fill``.
@@ -120,9 +139,7 @@ class BufferCache:
                 page if page_idx < last else last_need
             ):
                 pages.move_to_end(key)
-                self.hits += 1
-                if recorder.enabled:
-                    recorder.count("cache.hits")
+                stats.hits += 1
             else:
                 entry = self._fill(key, page_idx * page)
                 missed = True
@@ -167,9 +184,7 @@ class BufferCache:
 
     def _fill(self, key: Tuple[int, int], page_start: int) -> _Entry:
         """Count a miss and refetch the page's valid prefix into the cache."""
-        self.misses += 1
-        if self.recorder.enabled:
-            self.recorder.count("cache.misses")
+        self.stats.misses += 1
         valid = min(self._page_size, self.scheduler.soft_pointer(key[0]) - page_start)
         data = self.scheduler.read(key[0], page_start, valid)
         return self._insert(key, data, valid)
@@ -295,8 +310,7 @@ class BufferCache:
         stale = [key for key in self._pages if key[0] == extent]
         for key in stale:
             del self._pages[key]
-        if self.recorder.enabled:
-            self.recorder.count("cache.invalidated_pages", len(stale))
+        self.stats.invalidated_pages += len(stale)
 
     def invalidate_all(self) -> None:
         self._pages.clear()

@@ -21,6 +21,7 @@ wrong bytes.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from repro.concurrency.primitives import Mutex, yield_point
@@ -39,7 +40,19 @@ from .config import StoreConfig
 from .dependency import Dependency
 from .errors import CorruptionError, ExtentError
 from .faults import Fault
+from .observability import exported_as
 from .superblock import OWNER_DATA, OWNER_FREE, Superblock
+
+
+@dataclass
+class ChunkStats:
+    """Frames appended and decoded, exported as ``chunks.<field>``; the run
+    chunks read back are the LSM's ``lsm.run_reads``."""
+
+    put: int = 0
+    get: int = 0
+    run_writes: int = 0
+    run_reads: int = exported_as("lsm.run_reads")
 
 
 class ChunkStore:
@@ -57,6 +70,9 @@ class ChunkStore:
         self.config = config
         self.faults = config.faults
         self.recorder = config.recorder
+        self.stats = ChunkStats()
+        if self.recorder.enabled:
+            self.recorder.watch("chunks", self.stats)
         self.rng = rng
         self._open_extent: Optional[int] = None
         self._pinned: Set[int] = set()
@@ -225,10 +241,9 @@ class ChunkStore:
     def _append_frame(
         self, kind: int, frame: bytes, dep: Dependency, *, pin: bool, priority: bool
     ) -> Tuple[Locator, Dependency]:
-        if self.recorder.enabled:
-            self.recorder.count("chunks.put")
-            if kind == KIND_RUN:
-                self.recorder.count("chunks.run_writes")
+        self.stats.put += 1
+        if kind == KIND_RUN:
+            self.stats.run_writes += 1
         if self.faults.enabled(Fault.LOCATOR_RACE_WRITE_FLUSH):
             # Fault #11: sample the offset for the locator before appending.
             # A concurrent writer can append in between, leaving the locator
@@ -321,10 +336,9 @@ class ChunkStore:
             raise CorruptionError(f"frame length mismatch at {locator}")
         if expected_key is not None and chunk.key != expected_key:
             raise CorruptionError(f"key mismatch at {locator}")
-        if self.recorder.enabled:
-            self.recorder.count("chunks.get")
-            if chunk.kind == KIND_RUN:
-                self.recorder.count("lsm.run_reads")
+        self.stats.get += 1
+        if chunk.kind == KIND_RUN:
+            self.stats.run_reads += 1
         return chunk
 
     # ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ExtentError, IoError
-from .observability import NULL_RECORDER, Recorder
+from .observability import NULL_RECORDER, Recorder, exported_as
 
 
 class FailureMode(enum.Enum):
@@ -102,7 +102,8 @@ class ExtentState:
 
 @dataclass
 class DiskStats:
-    """Counters for observing IO behaviour (used by the Fig. 2 bench)."""
+    """Counters for observing IO behaviour (used by the Fig. 2 bench),
+    exported as ``disk.<field>``."""
 
     writes: int = 0
     reads: int = 0
@@ -114,7 +115,8 @@ class DiskStats:
     #: Logical service time accrued by completed IOs, in op-clock units
     #: (`latency_units` per IO).  The request plane's latency EWMA is fed
     #: from deltas of this counter, so brownout detection is deterministic.
-    busy_units: int = 0
+    #: A clock, not a count: not exported.
+    busy_units: int = exported_as(None)
 
 
 class InMemoryDisk:
@@ -132,6 +134,8 @@ class InMemoryDisk:
         self._faults: Dict[int, _ArmedFault] = {}
         self.stats = DiskStats()
         self.recorder = recorder
+        if recorder.enabled:
+            recorder.watch("disk", self.stats)
         #: Logical service time per IO, in op-clock units.  1 is a healthy
         #: disk; a brownout storm ramps this up (and heals it back down)
         #: via :meth:`set_latency`.  Purely virtual: no wall time anywhere.
@@ -228,7 +232,6 @@ class InMemoryDisk:
         self.stats.injected_failures += 1
         io = "read" if is_read else "write"
         if self.recorder.enabled:
-            self.recorder.count("disk.injected_failures")
             self.recorder.event(
                 "disk.injected_failure", extent=extent, kind=io, fault=fault.kind.value
             )
@@ -261,7 +264,6 @@ class InMemoryDisk:
         state.data[offset] ^= 1 << (bit % 8)
         self.stats.injected_corruptions += 1
         if self.recorder.enabled:
-            self.recorder.count("disk.injected_corruptions")
             self.recorder.event("disk.corruption", extent=extent, offset=offset)
         return offset
 
@@ -306,10 +308,6 @@ class InMemoryDisk:
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
         self.stats.busy_units += self.latency_units
-        if self.recorder.enabled:
-            self.recorder.count("disk.writes")
-            self.recorder.count("disk.bytes_written", len(data))
-            self.recorder.observe("disk.write_bytes", len(data))
 
     def read(self, extent: int, offset: int, length: int) -> bytes:
         """Read ``length`` durable bytes; reads beyond the pointer are forbidden."""
@@ -325,9 +323,6 @@ class InMemoryDisk:
         self.stats.reads += 1
         self.stats.bytes_read += length
         self.stats.busy_units += self.latency_units
-        if self.recorder.enabled:
-            self.recorder.count("disk.reads")
-            self.recorder.count("disk.bytes_read", length)
         return bytes(state.data[offset : offset + length])
 
     def reset(self, extent: int) -> None:
@@ -343,7 +338,6 @@ class InMemoryDisk:
         self.stats.resets += 1
         self.stats.busy_units += self.latency_units
         if self.recorder.enabled:
-            self.recorder.count("disk.resets")
             self.recorder.event("disk.reset", extent=extent)
 
     def set_write_pointer(self, extent: int, pointer: int) -> None:

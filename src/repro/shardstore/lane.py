@@ -19,7 +19,7 @@ stay in :mod:`repro.shardstore.rpc`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, NoReturn, Optional, Tuple, TypeVar
 
@@ -31,6 +31,7 @@ from .errors import (
     RetryableError,
     ShardStoreError,
 )
+from .observability import exported_as, stat_counters
 from .resilience import (
     AdmissionConfig,
     BreakerConfig,
@@ -50,7 +51,7 @@ PROBE_KEY = b"__breaker_probe__"
 
 @dataclass
 class NodeStats:
-    """The request plane's counters (bumped only via :meth:`LaneContext.count`)."""
+    """The request plane's counters, exported as ``node.<field>``."""
 
     puts: int = 0
     gets: int = 0
@@ -63,8 +64,9 @@ class NodeStats:
     readmissions: int = 0
     demotions: int = 0
     shards_stranded: int = 0
-    repaired: int = 0
-    quarantined: int = 0
+    # Scrub totals, by their old names.
+    repaired: int = exported_as("node.scrub_repaired")
+    quarantined: int = exported_as("node.scrub_quarantined")
     # Deadline-aware request plane (admission control / brownouts).
     shed_overload: int = 0  # requests shed with OverloadedError
     shed_deadline: int = 0  # requests shed with DeadlineExceededError
@@ -73,15 +75,8 @@ class NodeStats:
     retry_budget_exhausted: int = 0  # retries abandoned by the token bucket
 
     def snapshot(self) -> Dict[str, int]:
-        """Request-plane totals, named as the recorder counts them."""
-        return {metric_name(f.name): getattr(self, f.name) for f in fields(self)}
-
-
-def metric_name(field: str) -> str:
-    """The exported name of a :class:`NodeStats` field."""
-    if field in ("repaired", "quarantined"):  # scrub totals, by their old names
-        return f"node.scrub_{field}"
-    return f"node.{field}"
+        """Request-plane totals by exported name, zeros included."""
+        return dict(stat_counters("node", self))
 
 
 @dataclass
@@ -112,17 +107,11 @@ class LaneContext:
             else RetryBudget(adm.retry_budget, adm.retry_refill_units)
         )
 
-    def count(self, field: str, amount: int = 1) -> None:
-        """Bump one :class:`NodeStats` field; mirror it to a live recorder."""
-        setattr(self.stats, field, getattr(self.stats, field) + amount)
-        if self.recorder.enabled:
-            self.recorder.count(metric_name(field), amount)
-
     def retry_token(self) -> bool:
         """Retry-storm control: spend one op-clocked retry-budget token."""
         if self.retry_budget is None or self.retry_budget.acquire(self.clock):
             return True
-        self.count("retry_budget_exhausted")
+        self.stats.retry_budget_exhausted += 1
         return False
 
 
@@ -174,7 +163,7 @@ class DiskLane:
 
     def _note_retry(self, failures: int, backoff: int, exc: IoError) -> None:
         ctx = self.ctx
-        ctx.count("retries")
+        ctx.stats.retries += 1
         if ctx.note_retry is not None:
             ctx.note_retry()
         if ctx.recorder.enabled:
@@ -243,7 +232,7 @@ class DiskLane:
     def _raise_typed(self, exc: IoError, what: str) -> NoReturn:
         if not exc.transient:
             raise exc
-        self.ctx.count("wrapped_transients")
+        self.ctx.stats.wrapped_transients += 1
         raise RetryableError(f"{what}: {exc}") from exc
 
     def _meter(self) -> Callable[[], Tuple[int, ...]]:
@@ -277,23 +266,16 @@ class DiskLane:
         # Brownout: trip SLOW (once -- only from CLOSED) and tell the node.
         if ctx.breaker_config.enabled and self.breaker.state is BreakerState.CLOSED:
             self.breaker.trip_slow(ctx.ops)
-            ctx.count("slow_trips")
+            ctx.stats.slow_trips += 1
             self._tripped("node.breaker_trip_slow", ewma_milli=queue.ewma.milli)
 
     def _failed(self) -> None:
-        ctx = self.ctx
-        tripped = self.breaker.record_failure(ctx.ops)
-        if ctx.recorder.enabled:
-            ctx.recorder.gauge(
-                f"node.disk{self.disk_id}.error_rate",
-                self.breaker.health.error_rate(),
-            )
-        if tripped:
+        if self.breaker.record_failure(self.ctx.ops):
             self._tripped("node.breaker_trip")
 
     def _tripped(self, event: str, **detail: int) -> None:
         ctx = self.ctx
-        ctx.count("breaker_trips")
+        ctx.stats.breaker_trips += 1
         if ctx.recorder.enabled:
             ctx.recorder.event(event, disk=self.disk_id, op=ctx.ops, **detail)
         ctx.on_trip(self)
@@ -329,15 +311,19 @@ class DiskLane:
         try:
             backlog = queue.admit(ctx.clock, limit, self.pending_cost())
         except (OverloadedError, DeadlineExceededError) as exc:
-            kind = "overload" if isinstance(exc, OverloadedError) else "deadline"
-            ctx.count(f"shed_{kind}")
+            if isinstance(exc, OverloadedError):
+                kind = "overload"
+                ctx.stats.shed_overload += 1
+            else:
+                kind = "deadline"
+                ctx.stats.shed_deadline += 1
             if ctx.recorder.enabled:
                 ctx.recorder.event("node.shed", disk=self.disk_id, kind=kind)
             raise
         if backlog > limit:
             # Only reachable with shedding off: the queue model knew this
             # request could not meet its deadline, yet it ran anyway.
-            ctx.count("deadline_violations")
+            ctx.stats.deadline_violations += 1
 
     # ------------------------------------------------------------------
     # probe and health
@@ -351,7 +337,7 @@ class DiskLane:
         """
         ctx, store = self.ctx, self.store
         self.breaker.begin_probe()
-        ctx.count("breaker_probes")
+        ctx.stats.breaker_probes += 1
         spent = self._meter()
         try:
             store.put(PROBE_KEY, b"probe")

@@ -77,6 +77,15 @@ def _run_key(run_id: int) -> bytes:
     return b"run:%d" % run_id
 
 
+@dataclass
+class LsmStats:
+    """Exported as ``lsm.<field>``; ``lsm.run_reads`` is the chunk store's
+    count of run chunks read back."""
+
+    flushes: int = 0
+    compactions: int = 0
+
+
 class LsmIndex:
     """The persistent index, with its reference-model-checkable interface."""
 
@@ -97,6 +106,9 @@ class LsmIndex:
         self.config = config
         self.faults = config.faults
         self.recorder = config.recorder
+        self.stats = LsmStats()
+        if self.recorder.enabled:
+            self.recorder.watch("lsm", self.stats)
         self._memtable: Dict[bytes, _MemEntry] = {}
         self._runs: List[Run] = list(runs or [])  # oldest first
         #: The runs resolved into one map: key -> its newest run's locators,
@@ -231,9 +243,7 @@ class LsmIndex:
         self._run_at[locator] = run
         self._runs_blob += run.encoded
         self._apply_to_view(entries)
-        if self.recorder.enabled:
-            self.recorder.count("lsm.flushes")
-            self.recorder.observe("lsm.flush_entries", len(entries))
+        self.stats.flushes += 1
         if write_meta:
             meta_dep = self._write_meta_locked(run_dep)
             resolve_dep = run_dep.and_(meta_dep)
@@ -305,15 +315,13 @@ class LsmIndex:
                         merged[key] = locs
         yield_point("compaction: writing merged run")
         pin = not self.faults.enabled(Fault.COMPACTION_RECLAIM_RACE)
-        if self.recorder.enabled:
-            self.recorder.count("lsm.compactions")
-            if not pin:
-                self.recorder.fault_event(
-                    Fault.COMPACTION_RECLAIM_RACE,
-                    "Index",
-                    "compaction writing the merged run without pinning its "
-                    "extent",
-                )
+        self.stats.compactions += 1
+        if self.recorder.enabled and not pin:
+            self.recorder.fault_event(
+                Fault.COMPACTION_RECLAIM_RACE,
+                "Index",
+                "compaction writing the merged run without pinning its extent",
+            )
         # Each source run was written after the data it names, so ordering
         # the merged run after its sources orders it after that data.
         locator, run_dep = self._write_run(

@@ -1,30 +1,26 @@
-"""Observability for the ShardStore: tracing, metrics, fault-event log.
+"""Observability for the ShardStore: tracing, counters, fault-event log.
 
 The paper's methodology depends on *seeing why a checker fired*: minimized
 failing histories are only half the story without the trace of what the
 implementation actually did.  This package is the zero-dependency
 instrumentation backbone threaded through every ShardStore component --
-op-level spans nesting into IO-scheduler pumps and disk writes, counters
-and histograms for the cache/LSM/scheduler/reclamation, and a structured
-fault-event log keyed to the Fig. 5 :class:`~repro.shardstore.faults.Fault`
-enum so traced campaign artifacts show exactly which injected buggy branch
-executed, and when.
+op-level spans nesting into IO-scheduler pumps and disk writes, and a
+structured fault-event log keyed to the Fig. 5
+:class:`~repro.shardstore.faults.Fault` enum so traced campaign artifacts
+show exactly which injected buggy branch executed, and when.
+
+Counts have one home: each component's stats dataclass (``DiskStats``,
+``SchedulerStats``, ``NodeStats``...), bumped whether or not anything is
+traced.  A :class:`RingRecorder` keeps no second copy; components register
+their stats with :meth:`RingRecorder.watch` and a snapshot's
+``metrics.counters`` is the sum of what it watches.
 
 The default :data:`NULL_RECORDER` keeps the hot path allocation-free;
 pass a :class:`RingRecorder` via ``StoreConfig(recorder=...)`` (or
 ``repro campaign --trace``) to capture.
 """
 
-from .metrics import (
-    HISTOGRAM_BOUNDS,
-    Counter,
-    Gauge,
-    Histogram,
-    Metrics,
-    counter_value,
-    merge_histogram_snapshots,
-    merge_metrics,
-)
+from .metrics import exported_as, merge_metrics, stat_counters
 from .journal import (
     GENESIS_CHAIN,
     JOURNAL_VERSION,
@@ -56,14 +52,9 @@ from .render import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Metrics",
+    "exported_as",
     "merge_metrics",
-    "merge_histogram_snapshots",
-    "counter_value",
-    "HISTOGRAM_BOUNDS",
+    "stat_counters",
     "GENESIS_CHAIN",
     "JOURNAL_VERSION",
     "Journal",

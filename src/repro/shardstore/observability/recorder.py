@@ -7,10 +7,11 @@ Two implementations of one interface:
   so hot paths (disk IO, cache page lookups, scheduler pumps) can skip the
   call entirely with an attribute check.  The hot path stays
   allocation-free when observability is off.
-* :class:`RingRecorder` -- a bounded ring buffer of trace events plus a
-  :class:`~repro.shardstore.observability.metrics.Metrics` registry and a
+* :class:`RingRecorder` -- a bounded ring buffer of trace events and a
   structured fault-event log keyed to the Fig. 5
-  :class:`~repro.shardstore.faults.Fault` enum.
+  :class:`~repro.shardstore.faults.Fault` enum.  It keeps no counters of
+  its own: components register their stats objects with :meth:`watch`,
+  and a snapshot's ``metrics.counters`` is their sum.
 
 Events are stamped with a *logical tick counter*, never wall-clock time:
 traced campaign shards must stay byte-identical across reruns and worker
@@ -22,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List
 
-from .metrics import Metrics
+from .metrics import stat_counters
 
 #: Ring capacity: enough to hold the interesting suffix of a failing
 #: sequence without letting long campaigns accumulate unbounded traces.
@@ -48,11 +49,13 @@ NULL_SPAN = _NullSpan()
 
 
 class Recorder:
-    """Interface (and no-op base) for trace/metric recording.
+    """Interface (and no-op base) for trace recording.
 
     Components hold a reference to a recorder and guard instrumentation
     with ``if self.recorder.enabled:`` on hot paths; colder call sites may
     call methods unconditionally since the base implementations are no-ops.
+    Counts are not recorded here: they are fields of each component's
+    stats object, bumped unconditionally.
     """
 
     enabled = False
@@ -61,14 +64,8 @@ class Recorder:
         """Context manager bracketing one operation (nests)."""
         return NULL_SPAN
 
-    def count(self, name: str, amount: int = 1) -> None:
-        pass
-
-    def gauge(self, name: str, value: int) -> None:
-        pass
-
-    def observe(self, name: str, value: int) -> None:
-        pass
+    def watch(self, prefix: str, stats: Any) -> None:
+        """Sum the stats dataclass ``stats`` into snapshots' counters."""
 
     def event(self, name: str, **fields: Any) -> None:
         pass
@@ -107,7 +104,8 @@ class _Span:
 
 
 class RingRecorder(Recorder):
-    """Bounded in-memory recorder: trace ring + metrics + fault events."""
+    """Bounded in-memory recorder: trace ring + fault events, and the sum
+    of the stats objects it watches."""
 
     enabled = True
 
@@ -120,7 +118,10 @@ class RingRecorder(Recorder):
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
         self.capacity = capacity
         self.events: Deque[Dict[str, Any]] = deque(maxlen=capacity)
-        self.metrics = Metrics()
+        #: The watched stats objects by prefix.  The stats object only,
+        #: never its component: a discarded store's counts still count,
+        #: and the store itself is not kept alive.
+        self._watched: Dict[str, List[Any]] = {}
         self.fault_events: List[Dict[str, Any]] = []
         self.fault_events_dropped = 0
         #: Events evicted from the ring by overflow -- surfaced in
@@ -134,7 +135,6 @@ class RingRecorder(Recorder):
         entry["tick"] = self._tick
         if len(self.events) == self.capacity:
             self.trace_dropped += 1
-            self.metrics.count("trace.dropped")
         self.events.append(entry)
         if self.journal is not None:
             self.journal.on_trace_entry(entry)
@@ -154,14 +154,8 @@ class RingRecorder(Recorder):
             entry["failed"] = True
         self._emit(entry)
 
-    def count(self, name: str, amount: int = 1) -> None:
-        self.metrics.count(name, amount)
-
-    def gauge(self, name: str, value: int) -> None:
-        self.metrics.gauge(name, value)
-
-    def observe(self, name: str, value: int) -> None:
-        self.metrics.observe(name, value)
+    def watch(self, prefix: str, stats: Any) -> None:
+        self._watched.setdefault(prefix, []).append(stats)
 
     def event(self, name: str, **fields: Any) -> None:
         entry: Dict[str, Any] = {
@@ -179,7 +173,6 @@ class RingRecorder(Recorder):
         ``fault`` is a :class:`repro.shardstore.faults.Fault`; it is stored
         by name/id so the log is JSON-able without the enum.
         """
-        self.metrics.count("faults.events")
         if len(self.fault_events) >= MAX_FAULT_EVENTS:
             self.fault_events_dropped += 1
             return
@@ -198,9 +191,23 @@ class RingRecorder(Recorder):
         return [dict(entry) for entry in self.events]
 
     def snapshot(self) -> Dict[str, Any]:
-        """Everything the campaign artifact embeds for one traced shard."""
+        """Everything the campaign artifact embeds for one traced shard.
+
+        ``metrics.counters`` holds the nonzero totals, sorted by name: the
+        watched stats objects summed, plus the fault events logged (those
+        dropped past the cap too) and the trace entries the ring evicted.
+        """
+        totals: Dict[str, int] = {
+            "faults.events": len(self.fault_events) + self.fault_events_dropped,
+            "trace.dropped": self.trace_dropped,
+        }
+        for prefix, watched in self._watched.items():
+            for stats in watched:
+                for name, value in stat_counters(prefix, stats):
+                    totals[name] = totals.get(name, 0) + value
+        counters = {name: totals[name] for name in sorted(totals) if totals[name]}
         snap: Dict[str, Any] = {
-            "metrics": self.metrics.snapshot(),
+            "metrics": {"counters": counters},
             "fault_events": [dict(event) for event in self.fault_events],
             "trace": self.trace(),
         }

@@ -28,43 +28,17 @@ def component_of_latency(name: str) -> str:
 
 def render_metrics(metrics: Dict[str, Any]) -> str:
     """Render one metrics snapshot (or merged campaign block) as a table."""
-    lines: List[str] = []
     counters = metrics.get("counters", {})
-    gauges = metrics.get("gauges", {})
-    histograms = metrics.get("histograms", {})
-    if counters:
-        lines.append(f"{'counter':<36} {'value':>12}")
-        lines.append("-" * 49)
-        for name in sorted(counters):
-            lines.append(f"{name:<36} {counters[name]:>12,}")
-        hits = counters.get("cache.hits", 0)
-        misses = counters.get("cache.misses", 0)
-        if hits or misses:
-            rate = hits / max(hits + misses, 1)
-            lines.append(f"{'cache hit rate':<36} {rate:>11.1%}")
-    if gauges:
-        lines.append("")
-        lines.append(f"{'gauge':<36} {'last':>6} {'max':>6}")
-        lines.append("-" * 50)
-        for name in sorted(gauges):
-            value = gauges[name]
-            last = value.get("last", "-") if isinstance(value, dict) else value
-            peak = value.get("max", value) if isinstance(value, dict) else value
-            lines.append(f"{name:<36} {last!s:>6} {peak!s:>6}")
-    if histograms:
-        lines.append("")
-        lines.append(
-            f"{'histogram':<28} {'count':>8} {'total':>10} {'min':>6} {'max':>6}"
-        )
-        lines.append("-" * 62)
-        for name in sorted(histograms):
-            h = histograms[name]
-            lines.append(
-                f"{name:<28} {h['count']:>8,} {h['total']:>10,} "
-                f"{h['min']:>6} {h['max']:>6}"
-            )
-    if not lines:
-        lines.append("(no metrics recorded)")
+    if not counters:
+        return "(no metrics recorded)"
+    lines = [f"{'counter':<36} {'value':>12}", "-" * 49]
+    for name in sorted(counters):
+        lines.append(f"{name:<36} {counters[name]:>12,}")
+    hits = counters.get("cache.hits", 0)
+    misses = counters.get("cache.misses", 0)
+    if hits or misses:
+        rate = hits / max(hits + misses, 1)
+        lines.append(f"{'cache hit rate':<36} {rate:>11.1%}")
     return "\n".join(lines)
 
 

@@ -58,6 +58,16 @@ class ReclaimResult:
     reset_done: bool = False
 
 
+@dataclass
+class ReclaimStats:
+    """Totals over every pass, exported as ``reclaim.<field>``."""
+
+    extents_reclaimed: int = 0
+    chunks_evacuated: int = 0
+    chunks_dropped: int = 0
+    bytes_moved: int = 0
+
+
 class Reclaimer:
     """Runs reclamation passes over data extents."""
 
@@ -76,6 +86,9 @@ class Reclaimer:
         self.config = config
         self.faults = config.faults
         self.recorder = config.recorder
+        self.stats = ReclaimStats()
+        if self.recorder.enabled:
+            self.recorder.watch("reclaim", self.stats)
         #: Keys whose chunks were moved by the most recent pass -- consumed
         #: by the crash-aware reference model (and its fault #9).
         self.last_touched_keys: Set[bytes] = set()
@@ -208,10 +221,10 @@ class Reclaimer:
         result.reset_done = True
         result.keys_touched = touched
         self.last_touched_keys = touched
-        if self.recorder.enabled:
-            self.recorder.count("reclaim.extents_reclaimed")
-            self.recorder.count("reclaim.chunks_evacuated", result.evacuated)
-            self.recorder.count("reclaim.chunks_dropped", result.dropped)
+        stats = self.stats
+        stats.extents_reclaimed += 1
+        stats.chunks_evacuated += result.evacuated
+        stats.chunks_dropped += result.dropped
         return result
 
     def _evacuate_data(
@@ -239,8 +252,7 @@ class Reclaimer:
         new_loc, write_dep = self.chunk_store.put_chunk(
             KIND_DATA, chunk.key, payload, priority=True
         )
-        if self.recorder.enabled:
-            self.recorder.count("reclaim.bytes_moved", len(payload))
+        self.stats.bytes_moved += len(payload)
         index_dep = self.index.replace_data_locator(
             chunk.key, locator, new_loc, write_dep
         )
@@ -262,8 +274,7 @@ class Reclaimer:
         new_loc, write_dep = self.chunk_store.put_chunk(
             KIND_RUN, chunk.key, chunk.payload, run_dep, priority=True
         )
-        if self.recorder.enabled:
-            self.recorder.count("reclaim.bytes_moved", len(chunk.payload))
+        self.stats.bytes_moved += len(chunk.payload)
         try:
             meta_dep = self.index.relocate_run(locator, new_loc, write_dep)
         except ShardStoreError:

@@ -167,7 +167,8 @@ class StorageNode:
             on_transition=self._journal_breaker if journal is not None else None,
         )
         self.stats = self.ctx.stats
-        self._count = self.ctx.count
+        if self.recorder.enabled:
+            self.recorder.watch("node", self.stats)
         # retry_policy=None on purpose: the per-disk store stays fail-fast
         # because the node retries once, at its own layer.
         self.lanes: List[DiskLane] = [
@@ -285,7 +286,7 @@ class StorageNode:
     def put(
         self, key: bytes, value: bytes, *, deadline: Optional[int] = None
     ) -> Dependency:
-        self._count("puts")
+        self.stats.puts += 1
         self._tick()
         with self._lock:
             target = self._write_target(key)
@@ -300,7 +301,7 @@ class StorageNode:
 
     @journaled("get", key=_client_key, classify=value_outcome)
     def get(self, key: bytes, *, deadline: Optional[int] = None) -> bytes:
-        self._count("gets")
+        self.stats.gets += 1
         self._tick()
         with self._lock:
             target = self._shard_map.get(key)
@@ -323,7 +324,7 @@ class StorageNode:
         ``return_disk`` still finds the shard.  A failed tombstone write
         restores the routing entry for the same reason.
         """
-        self._count("deletes")
+        self.stats.deletes += 1
         self._tick()
         with self._lock:
             target = self._shard_map.get(key)
@@ -425,7 +426,7 @@ class StorageNode:
         target = self._pick_target(key)
         self.lanes[target].store.put(key, value)
         self._shard_map[key] = target
-        self._count("migrations")
+        self.stats.migrations += 1
 
     def _last_in_service(self) -> bool:
         return sum(lane.in_service for lane in self.lanes) == 1
@@ -518,7 +519,7 @@ class StorageNode:
             self.lanes[target].store.put(key, value)
             self._shard_map[key] = target
             origin.store.delete(key)
-            self._count("migrations")
+            self.stats.migrations += 1
             return True
 
     def scrub_all(self) -> Dict[int, ScrubReport]:
@@ -545,8 +546,8 @@ class StorageNode:
             except (RetryableError, IoError):
                 continue  # the breaker saw the failure; heal what we can
             reports[lane.disk_id] = report
-            self._count("repaired", len(report.repaired))
-            self._count("quarantined", len(report.quarantined))
+            self.stats.repaired += len(report.repaired)
+            self.stats.quarantined += len(report.quarantined)
         return reports
 
     # ------------------------------------------------------------------
@@ -580,8 +581,8 @@ class StorageNode:
                 self._rehome(key, value)
             if stranded:
                 lane.degraded = True
-            self._count("demotions")
-            self._count("shards_stranded", stranded)
+            self.stats.demotions += 1
+            self.stats.shards_stranded += stranded
             if self.recorder.enabled:
                 self.recorder.event(
                     "node.disk_demoted",
@@ -598,7 +599,7 @@ class StorageNode:
         """
         with self._lock:
             lane.readmit()
-        self._count("readmissions")
+        self.stats.readmissions += 1
         if self.recorder.enabled:
             self.recorder.event("node.disk_readmitted", disk=lane.disk_id)
 

@@ -136,6 +136,8 @@ class _PendingRecord:
 
 @dataclass
 class SchedulerStats:
+    """Exported as ``scheduler.<field>``."""
+
     records_enqueued: int = 0
     records_written: int = 0
     resets_applied: int = 0
@@ -160,6 +162,8 @@ class IoScheduler:
         self.recorder = recorder
         self.batch_pages = batch_pages
         self.stats = SchedulerStats()
+        if recorder.enabled:
+            recorder.watch("scheduler", self.stats)
         # Per-extent FIFO queues of pending records.
         self._queues: Dict[int, List[_PendingRecord]] = {}
         # Incremental tallies so the hot queries (admission-control backlog
@@ -244,9 +248,6 @@ class IoScheduler:
         else:
             tail[1].extend(data)
         self._soft_pointer[extent] = end
-        if self.recorder.enabled:
-            self.recorder.count("scheduler.records_enqueued", count)
-            self.recorder.gauge("scheduler.queue_depth", self._pending_total)
         return offset, Dependency.on_records(self.tracker, record_ids)
 
     def reset(self, extent: int, dep: Dependency, label: str = "") -> Dependency:
@@ -277,8 +278,6 @@ class IoScheduler:
         self._soft_pointer[extent] = 0
         self._shadow[extent] = (0, bytearray())
         if self.recorder.enabled:
-            self.recorder.count("scheduler.records_enqueued")
-            self.recorder.gauge("scheduler.queue_depth", self._pending_total)
             self.recorder.event("scheduler.reset_queued", extent=extent)
         return Dependency.on_records(self.tracker, [record_id])
 
@@ -389,8 +388,6 @@ class IoScheduler:
                 self._requeue_failed(extent, [record])
                 raise
             self.stats.resets_applied += 1
-            if self.recorder.enabled:
-                self.recorder.count("scheduler.resets_applied")
             self._written(extent, record.ids())
             return True
         window = 1
@@ -449,8 +446,6 @@ class IoScheduler:
             self._requeue_failed(extent, batch)
             raise
         self.stats.records_written += pages
-        if self.recorder.enabled:
-            self.recorder.count("scheduler.records_written", pages)
         self._written(extent, itertools.chain.from_iterable(ids))
         return True
 
@@ -468,9 +463,6 @@ class IoScheduler:
         if not self._pending_per_extent[extent]:
             del self._shadow[extent]
         self.stats.ios_issued += 1
-        if self.recorder.enabled:
-            self.recorder.count("scheduler.ios_issued")
-            self.recorder.gauge("scheduler.queue_depth", self._pending_total)
 
     def _requeue_failed(self, extent: int, records: List[_PendingRecord]) -> None:
         """Put back records whose writeback failed, trimming any torn prefix.
@@ -517,7 +509,6 @@ class IoScheduler:
                 )
         self.stats.writeback_requeues += 1
         if self.recorder.enabled:
-            self.recorder.count("scheduler.writeback_requeues")
             self.recorder.event(
                 "scheduler.writeback_requeued", extent=extent, records=count
             )

@@ -39,6 +39,7 @@ from .errors import (
 from .faults import component_of
 from .lsm import LsmIndex
 from .merkle import MerkleMap
+from .observability import exported_as
 from .observability.journal import (
     bool_outcome,
     digest_bytes,
@@ -71,6 +72,17 @@ def _repair_outcome(report: RepairReport) -> Dict[str, object]:
         **repair_outcome(report),
         "proven": report.proven if report.merkle is not None else None,
     }
+
+
+@dataclass
+class StoreStats:
+    """The store's counters: request-plane retries (``store.retries``) and
+    scrub-repair's totals (``scrub.<field>``)."""
+
+    retries: int = 0
+    run_compactions: int = exported_as("scrub.run_compactions")
+    repaired: int = exported_as("scrub.repaired")
+    quarantined: int = exported_as("scrub.quarantined")
 
 
 class ShardStore:
@@ -138,7 +150,9 @@ class ShardStore:
         )
         self.scrubber = Scrubber(self.chunk_store, self.index)
         self.chunk_store.on_out_of_space = self._reclaim_for_space
-        self.retry_count = 0
+        self.stats = StoreStats()
+        if self.recorder.enabled:
+            self.recorder.watch("store", self.stats)
         self.quarantined: Set[bytes] = set()
         # Write-time content-addressed commitment (ROADMAP 5a): fresh
         # stores track key -> value digest incrementally at put/delete; a
@@ -206,11 +220,10 @@ class ShardStore:
         return policy.call(fn, on_retry=self._note_retry)
 
     def _note_retry(self, failures: int, backoff: int, exc: IoError) -> None:
-        self.retry_count += 1
+        self.stats.retries += 1
         if self.journal is not None:
             self.journal.note_retry()
         if self.recorder.enabled:
-            self.recorder.count("store.retries")
             self.recorder.event(
                 "store.retry", attempt=failures, backoff=backoff, error=str(exc)
             )
@@ -370,8 +383,7 @@ class ShardStore:
             try:
                 self.compact()
                 report.run_compactions += 1
-                if self.recorder.enabled:
-                    self.recorder.count("scrub.run_compactions")
+                self.stats.run_compactions += 1
             except ShardStoreError:
                 pass  # the corrupt run is unreadable even for compaction
         return report
@@ -390,8 +402,8 @@ class ShardStore:
                     self._merkle.remove(key)
                 self.quarantined.add(key)
                 report.quarantined.append(key)
+                self.stats.quarantined += 1
                 if self.recorder.enabled:
-                    self.recorder.count("scrub.quarantined")
                     self.recorder.event("scrub.quarantine", key=repr(key))
                 continue
             except NotFoundError:
@@ -402,8 +414,8 @@ class ShardStore:
                 continue
             self.put(key, value)
             report.repaired.append(key)
+            self.stats.repaired += 1
             if self.recorder.enabled:
-                self.recorder.count("scrub.repaired")
                 self.recorder.event("scrub.repair", key=repr(key))
 
     # ------------------------------------------------------------------

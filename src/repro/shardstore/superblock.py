@@ -113,6 +113,13 @@ class BufferPool:
         self._available.notify_all()
 
 
+@dataclass
+class SuperblockStats:
+    """Exported as ``superblock.<field>``."""
+
+    flushes: int = 0
+
+
 class Superblock:
     """In-memory superblock state plus its flush/recovery protocol."""
 
@@ -130,6 +137,9 @@ class Superblock:
         self.config = config
         self.faults = config.faults
         self.recorder = config.recorder
+        self.stats = SuperblockStats()
+        if self.recorder.enabled:
+            self.recorder.watch("superblock", self.stats)
         state = recovered or SuperblockState(
             ownership={e: OWNER_FREE for e in config.data_extents}
         )
@@ -346,8 +356,7 @@ class Superblock:
                     cell.resolve(dep)
         self._appends_since_flush = 0
         self._last_flush_dep = dep
-        if self.recorder.enabled:
-            self.recorder.count("superblock.flushes")
+        self.stats.flushes += 1
         yield_point("superblock flushed")
         return dep
 

@@ -225,13 +225,9 @@ class _ReferenceCache(BufferCache):
         cached = self._pages.get(key)
         if cached is not None and cached[1] >= need:
             self._pages.move_to_end(key)
-            self.hits += 1
-            if self.recorder.enabled:
-                self.recorder.count("cache.hits")
+            self.stats.hits += 1
             return cached[0]
-        self.misses += 1
-        if self.recorder.enabled:
-            self.recorder.count("cache.misses")
+        self.stats.misses += 1
         page_start = page_idx * self._page_size
         soft = self.scheduler.soft_pointer(extent)
         valid = min(self._page_size, soft - page_start)
@@ -242,8 +238,9 @@ class _ReferenceCache(BufferCache):
 
 def _walk_trace(script, cache_cls, faults=None):
     """Run ``script`` against a fresh 4-page cache; after every step record
-    the outcome, the hit/miss counters (attributes and recorder), the LRU
-    order and every scheduler read made so far."""
+    the outcome, the hit/miss counters (the cache's stats and the
+    recorder's sum of them), the LRU order and every scheduler read made
+    so far."""
     recorder = RingRecorder()
     disk, tracker, scheduler, cache = _fresh(
         faults=faults, cache_pages=4, recorder=recorder, cache_cls=cache_cls
@@ -262,12 +259,12 @@ def _walk_trace(script, cache_cls, faults=None):
             outcome = ("ok", step(disk, tracker, scheduler, cache))
         except (IoError, ExtentError) as exc:
             outcome = (type(exc).__name__, str(exc))
-        counters = recorder.metrics.snapshot()["counters"]
+        counters = recorder.snapshot()["metrics"]["counters"]
         trace.append(
             (
                 outcome,
-                cache.hits,
-                cache.misses,
+                cache.stats.hits,
+                cache.stats.misses,
                 counters.get("cache.hits", 0),
                 counters.get("cache.misses", 0),
                 list(cache._pages),
@@ -306,7 +303,7 @@ def _three_pages():
 
 class TestPageWalkAgainstReference:
     """The walk under a remembered read is the walk of the old read: same
-    bytes, counters, recorder counts, LRU order and scheduler reads."""
+    bytes, stats, the recorder's counters, LRU order and scheduler reads."""
 
     def _assert_same(self, script, faults=None):
         got = _walk_trace(script, BufferCache, faults)

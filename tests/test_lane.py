@@ -285,8 +285,10 @@ class TestOneCounterPath:
     def test_count_mirrors_every_field_under_its_exported_name(self):
         recorder = RingRecorder()
         lane, _ = _lane(recorder=recorder)
+        # The node registers its NodeStats; a lane alone has no node.
+        recorder.watch("node", lane.ctx.stats)
         for n, name in enumerate(vars(NodeStats()), start=1):
-            lane.ctx.count(name, n)
+            setattr(lane.ctx.stats, name, n)
         counters = recorder.snapshot()["metrics"]["counters"]
         snapshot = lane.ctx.stats.snapshot()
         assert len(snapshot) == 18

@@ -1,11 +1,17 @@
-"""Tests for the observability layer: recorders, metrics, rendering.
+"""Tests for the observability layer: recorders, counters, rendering.
 
 The hand-computed cases pin the counters to exact values a human can
 re-derive from the workload, so instrumentation drift (double-counting, a
-missed hot-path guard) fails loudly rather than shifting numbers silently.
+count the recorder misses) fails loudly rather than shifting numbers
+silently.
 """
 
+import ast
+import pathlib
+
 import pytest
+
+import repro
 
 from repro.shardstore import (
     DiskGeometry,
@@ -16,22 +22,28 @@ from repro.shardstore import (
     StoreConfig,
     StoreSystem,
 )
-from repro.shardstore.disk import InMemoryDisk
+from repro.shardstore.dependency import Dependency, DurabilityTracker
+from repro.shardstore.disk import DiskStats, FailureMode, FaultKind, InMemoryDisk
+from repro.shardstore.errors import IoError
 from repro.shardstore.observability import (
     MAX_FAULT_EVENTS,
-    Metrics,
     NullRecorder,
-    counter_value,
+    Recorder,
     merge_metrics,
     render_fault_events,
     render_metrics,
     render_snapshot,
     render_trace,
 )
+from repro.shardstore.scheduler import IoScheduler
 
 
 def _geometry():
     return DiskGeometry(num_extents=8, extent_size=2048, page_size=128)
+
+
+def _counters(recorder):
+    return recorder.snapshot()["metrics"]["counters"]
 
 
 class TestDiskCountersHandComputed:
@@ -41,16 +53,11 @@ class TestDiskCountersHandComputed:
         disk.write(0, 0, b"a" * 100)
         disk.write(0, 100, b"b" * 28)
         disk.read(0, 0, 100)
-        metrics = recorder.metrics.snapshot()
-        assert counter_value(metrics, "disk.writes") == 2
-        assert counter_value(metrics, "disk.bytes_written") == 128
-        assert counter_value(metrics, "disk.reads") == 1
-        assert counter_value(metrics, "disk.bytes_read") == 100
-        histogram = metrics["histograms"]["disk.write_bytes"]
-        assert histogram["count"] == 2
-        assert histogram["total"] == 128
-        assert histogram["min"] == 28
-        assert histogram["max"] == 100
+        counters = _counters(recorder)
+        assert counters["disk.writes"] == 2
+        assert counters["disk.bytes_written"] == 128
+        assert counters["disk.reads"] == 1
+        assert counters["disk.bytes_read"] == 100
 
     def test_reset_counter(self):
         recorder = RingRecorder()
@@ -58,7 +65,7 @@ class TestDiskCountersHandComputed:
         disk.write(0, 0, b"x" * 128)
         disk.reset(0)
         disk.reset(1)
-        assert counter_value(recorder.metrics.snapshot(), "disk.resets") == 2
+        assert _counters(recorder)["disk.resets"] == 2
 
 
 class TestStoreCountersHandComputed:
@@ -71,15 +78,12 @@ class TestStoreCountersHandComputed:
         for i in range(5):
             store.put(b"k%d" % i, b"v" * 40)
         store.drain()
-        metrics = recorder.metrics.snapshot()
-        enqueued = counter_value(metrics, "scheduler.records_enqueued")
-        written = counter_value(metrics, "scheduler.records_written")
+        counters = _counters(recorder)
+        enqueued = counters["scheduler.records_enqueued"]
+        written = counters["scheduler.records_written"]
         assert enqueued > 0
         assert written == enqueued  # drained: nothing left behind
-        assert counter_value(metrics, "scheduler.ios_issued") == counter_value(
-            metrics, "disk.writes"
-        )
-        assert metrics["gauges"]["scheduler.queue_depth"]["last"] == 0
+        assert counters["scheduler.ios_issued"] == counters["disk.writes"]
 
     def test_cache_hit_on_immediate_reread(self):
         recorder = RingRecorder()
@@ -88,11 +92,9 @@ class TestStoreCountersHandComputed:
         )
         store = system.store
         store.put(b"k", b"v" * 40)
-        before = counter_value(
-            recorder.metrics.snapshot(), "cache.hits"
-        )
+        before = _counters(recorder).get("cache.hits", 0)
         assert store.get(b"k") == b"v" * 40
-        after = counter_value(recorder.metrics.snapshot(), "cache.hits")
+        after = _counters(recorder)["cache.hits"]
         assert after > before  # unflushed data must be served by the cache
 
     def test_delete_of_absent_key_traces_a_failed_span(self):
@@ -135,7 +137,7 @@ class TestRingRecorder:
         assert len(snap["fault_events"]) == MAX_FAULT_EVENTS
         assert snap["fault_events_dropped"] == 5
         # The counter keeps the true total even past the log cap.
-        assert counter_value(snap["metrics"], "faults.events") == (
+        assert snap["metrics"]["counters"]["faults.events"] == (
             MAX_FAULT_EVENTS + 5
         )
 
@@ -154,7 +156,7 @@ class TestRingRecorder:
         recorder = NullRecorder()
         assert not recorder.enabled
         with recorder.span("op"):
-            recorder.count("c")
+            recorder.watch("disk", DiskStats(writes=1))
             recorder.event("e")
             recorder.fault_event(Fault.RECLAIM_OFF_BY_ONE, "reclamation")
         assert recorder.snapshot() == {}
@@ -165,35 +167,21 @@ class TestRingRecorder:
 
 
 class TestMergeMetrics:
-    def test_counters_sum_gauges_peak_histograms_combine(self):
-        a, b = Metrics(), Metrics()
-        a.count("c", 3)
-        b.count("c", 4)
-        b.count("only-b")
-        a.gauge("g", 10)
-        b.gauge("g", 7)
-        a.observe("h", 2)
-        b.observe("h", 100)
-        merged = merge_metrics([a.snapshot(), b.snapshot()])
-        assert merged["counters"] == {"c": 7, "only-b": 1}
-        assert merged["gauges"]["g"] == {"max": 10}
-        histogram = merged["histograms"]["h"]
-        assert histogram["count"] == 2
-        assert histogram["total"] == 102
-        assert histogram["min"] == 2
-        assert histogram["max"] == 100
+    def test_counters_sum(self):
+        a = {"counters": {"c": 3}}
+        b = {"counters": {"only-b": 1, "c": 4}}
+        merged = merge_metrics([a, b])
+        assert merged == {"counters": {"c": 7, "only-b": 1}}
+        assert list(merged["counters"]) == ["c", "only-b"]
 
     def test_empty_snapshots_are_skipped(self):
-        merged = merge_metrics([{}, Metrics().snapshot()])
-        assert merged == {"counters": {}, "gauges": {}, "histograms": {}}
+        merged = merge_metrics([{}, RingRecorder().snapshot()["metrics"]])
+        assert merged == {"counters": {}}
 
 
 class TestRendering:
     def test_render_metrics_includes_cache_hit_rate(self):
-        metrics = Metrics()
-        metrics.count("cache.hits", 3)
-        metrics.count("cache.misses", 1)
-        out = render_metrics(metrics.snapshot())
+        out = render_metrics({"counters": {"cache.hits": 3, "cache.misses": 1}})
         assert "cache hit rate" in out
         assert "75.0%" in out
 
@@ -213,10 +201,88 @@ class TestRendering:
 
     def test_render_snapshot_has_all_sections(self):
         recorder = RingRecorder()
-        recorder.count("disk.writes", 2)
+        recorder.watch("disk", DiskStats(writes=2))
         recorder.fault_event(Fault.RECLAIM_OFF_BY_ONE, "reclamation")
         out = render_snapshot(recorder.snapshot())
         assert "disk.writes" in out
         assert "fault events:" in out
         assert "trace:" in out
         assert "RECLAIM_OFF_BY_ONE" in out
+
+
+class TestStatsAreTheCounters:
+    """A snapshot's counters are the watched stats objects summed: no
+    second copy to drift from the component's own count."""
+
+    GEOMETRY = DiskGeometry(num_extents=4, extent_size=4096, page_size=128)
+
+    def test_a_torn_write_counts_the_bytes_that_landed(self):
+        recorder = RingRecorder()
+        disk = InMemoryDisk(self.GEOMETRY, recorder=recorder)
+        disk.arm_fault(2, FailureMode.ONCE, kind=FaultKind.TORN_WRITE)
+        with pytest.raises(IoError):
+            disk.write(2, 0, b"t" * 256)
+        assert disk.write_pointer(2) == 128
+        counters = _counters(recorder)
+        assert counters["disk.bytes_written"] == disk.stats.bytes_written == 128
+        assert counters["disk.injected_failures"] == 1
+        assert "disk.writes" not in counters  # the write itself failed
+
+    def test_a_torn_writeback_counts_the_pages_it_absorbed(self):
+        recorder = RingRecorder()
+        disk = InMemoryDisk(self.GEOMETRY, recorder=recorder)
+        tracker = DurabilityTracker()
+        scheduler = IoScheduler(disk, tracker, recorder=recorder)
+        scheduler.append(2, b"p" * 512, Dependency.root(tracker))
+        disk.arm_fault(2, FailureMode.ONCE, kind=FaultKind.TORN_WRITE)
+        with pytest.raises(IoError):
+            scheduler.pump_one(2, coalesce=True)
+        # Half the 4-page IO landed: two pages are durable after all.
+        assert disk.write_pointer(2) == 256
+        assert scheduler.stats.records_written == 2
+        assert _counters(recorder)["scheduler.records_written"] == 2
+        scheduler.drain()
+        counters = _counters(recorder)
+        assert counters["scheduler.records_written"] == 4
+        assert counters["scheduler.writeback_requeues"] == 1
+
+    def test_a_reboot_keeps_the_old_caches_hits(self):
+        recorder = RingRecorder()
+        system = StoreSystem(StoreConfig(geometry=_geometry(), recorder=recorder))
+        keys = [b"k%d" % i for i in range(4)]
+        for key in keys:
+            system.store.put(key, b"v" * 40)
+        for key in keys * 2:
+            system.store.get(key)
+        old_cache = system.store.cache
+        assert old_cache.hits > 0
+        new_store = system.clean_reboot()
+        for key in keys * 2:
+            assert new_store.get(key) == b"v" * 40
+        assert new_store.cache is not old_cache and new_store.cache.hits > 0
+        assert _counters(recorder)["cache.hits"] == (
+            old_cache.hits + new_store.cache.hits
+        )
+
+    def test_nothing_in_src_counts_on_a_recorder(self):
+        removed = {"count", "gauge", "observe"}
+        for cls in (Recorder, NullRecorder, RingRecorder):
+            assert not removed & set(dir(cls)), cls
+        root = pathlib.Path(repro.__file__).parent
+        calls = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in removed
+                ):
+                    continue
+                owner = node.func.value
+                name = owner.attr if isinstance(owner, ast.Attribute) else (
+                    owner.id if isinstance(owner, ast.Name) else ""
+                )
+                if "recorder" in name:
+                    calls.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert calls == []

@@ -491,6 +491,8 @@ class _PerPageScheduler:
         self.recorder = recorder
         self.batch_pages = batch_pages
         self.stats = SchedulerStats()
+        if recorder.enabled:
+            recorder.watch("scheduler", self.stats)
         # Per-extent FIFO queues of pending records.
         self._queues: Dict[int, List[_PageRecord]] = {}
         # Incremental tallies so the hot queries (admission-control backlog
@@ -594,9 +596,6 @@ class _PerPageScheduler:
         else:
             tail[1].extend(data)
         self._soft_pointer[extent] = offset + length
-        if self.recorder.enabled:
-            self.recorder.count("scheduler.records_enqueued", count)
-            self.recorder.gauge("scheduler.queue_depth", self._pending_total)
         return offset, Dependency.on_records(self.tracker, record_ids)
 
     def reset(self, extent: int, dep: Dependency, label: str = "") -> Dependency:
@@ -620,8 +619,6 @@ class _PerPageScheduler:
         self._soft_pointer[extent] = 0
         self._shadow[extent] = (0, bytearray())
         if self.recorder.enabled:
-            self.recorder.count("scheduler.records_enqueued")
-            self.recorder.gauge("scheduler.queue_depth", self._pending_total)
             self.recorder.event("scheduler.reset_queued", extent=extent)
         return Dependency.on_records(self.tracker, [record_id])
 
@@ -724,12 +721,6 @@ class _PerPageScheduler:
                 self._note_written(extent)
                 self.stats.records_written += len(batch)
                 self.stats.ios_issued += 1
-                if self.recorder.enabled:
-                    self.recorder.count("scheduler.records_written", len(batch))
-                    self.recorder.count("scheduler.ios_issued")
-                    self.recorder.gauge(
-                        "scheduler.queue_depth", self._pending_total
-                    )
                 return True
             self._apply_or_requeue(extent, batch[0])
             return True
@@ -799,7 +790,6 @@ class _PerPageScheduler:
                 )
         self.stats.writeback_requeues += 1
         if self.recorder.enabled:
-            self.recorder.count("scheduler.writeback_requeues")
             self.recorder.event(
                 "scheduler.writeback_requeued", extent=extent, records=len(survivors)
             )
@@ -808,19 +798,12 @@ class _PerPageScheduler:
         if record.kind == "reset":
             self.disk.reset(record.extent)
             self.stats.resets_applied += 1
-            if self.recorder.enabled:
-                self.recorder.count("scheduler.resets_applied")
         else:
             self.disk.write(record.extent, record.offset, record.data)
             self.stats.records_written += 1
-            if self.recorder.enabled:
-                self.recorder.count("scheduler.records_written")
         self.stats.ios_issued += 1
         self.tracker.mark_durable(record.record_id)
         self._note_written(record.extent)
-        if self.recorder.enabled:
-            self.recorder.count("scheduler.ios_issued")
-            self.recorder.gauge("scheduler.queue_depth", self._pending_total)
 
     def pump(self, n: int) -> int:
         if not self.recorder.enabled:
@@ -1016,6 +999,7 @@ class _Side:
             "ios": list(self.disk.ios),
             "tracker": self.tracker.snapshot(),
             "stats": s.stats,
+            "disk_stats": self.disk.stats,
             "pending": (
                 s.pending_count,
                 [s.pending_count_for(e) for e in extents],
@@ -1083,9 +1067,10 @@ def _history_step(rng, reference):
 
 class TestAppendQueueAgainstPageQueue:
     """Seeded histories through both schedulers: everything observable --
-    the medium, pointers, the device IOs, the tracker, stats, pending counts
-    and ids, eligibility, the RNG, recorder counters and events, stuck-drain
-    texts -- must be the same after every step."""
+    the medium, pointers, the device IOs, the tracker, scheduler and disk
+    stats, pending counts and ids, eligibility, the RNG, the recorder's
+    counters (the watched stats summed) and events, stuck-drain texts --
+    must be the same after every step."""
 
     @pytest.mark.parametrize("seed", range(48))
     def test_random_histories_match_the_page_queue(self, seed):

@@ -2,9 +2,9 @@
 
 The substrate is a pure function of seed and input, so only three modules
 under ``src/repro`` may import a clock at all (DESIGN.md "Clocks").
-Beside that: histogram merging, the span-to-component rule behind
-``repro trace --component``, and the hot-path guard -- with recording
-disabled, a 10k-op loop must never invoke the recorder at all.
+Beside that: the span-to-component rule behind ``repro trace
+--component``, and the hot-path guard -- with recording disabled, a
+10k-op loop must never invoke the recorder at all.
 """
 
 import ast
@@ -22,12 +22,7 @@ from repro.shardstore import (
     StoreSystem,
 )
 from repro.shardstore.errors import NotFoundError
-from repro.shardstore.observability import (
-    HISTOGRAM_BOUNDS,
-    Histogram,
-    component_of_latency,
-    merge_histogram_snapshots,
-)
+from repro.shardstore.observability import component_of_latency
 from repro.shardstore.observability.recorder import NULL_SPAN
 
 
@@ -50,67 +45,6 @@ class TestClockImports:
             "campaign/runner.py",
             "concurrency/scheduler.py",
         }
-
-
-def _snapshot_of(values, bounds=HISTOGRAM_BOUNDS):
-    histogram = Histogram(bounds=bounds)
-    for value in values:
-        histogram.observe(value)
-    return histogram.snapshot()
-
-
-class TestMergeHistogramSnapshots:
-    def test_empty_iterable_yields_zero_snapshot(self):
-        assert merge_histogram_snapshots([]) == {
-            "count": 0,
-            "total": 0,
-            "min": 0,
-            "max": 0,
-            "buckets": {},
-        }
-
-    def test_empty_parts_are_identity(self):
-        a = _snapshot_of([1, 2, 3])
-        zero = _snapshot_of([])
-        assert merge_histogram_snapshots([zero, a, zero]) == a
-
-    def test_merge_equals_combined_observation(self):
-        a = _snapshot_of([1, 2, 3])
-        b = _snapshot_of([100, 200])
-        combined = _snapshot_of([1, 2, 3, 100, 200])
-        assert merge_histogram_snapshots([a, b]) == combined
-
-    def test_associative_and_commutative(self):
-        a = _snapshot_of([1, 2, 3])
-        b = _snapshot_of([100, 200])
-        c = _snapshot_of([5])
-        left = merge_histogram_snapshots(
-            [merge_histogram_snapshots([a, b]), c]
-        )
-        right = merge_histogram_snapshots(
-            [a, merge_histogram_snapshots([b, c])]
-        )
-        flat = merge_histogram_snapshots([a, b, c])
-        assert left == right == flat
-        assert merge_histogram_snapshots([b, a]) == merge_histogram_snapshots(
-            [a, b]
-        )
-
-    def test_merge_does_not_mutate_inputs(self):
-        a = _snapshot_of([1, 2, 3])
-        b = _snapshot_of([2, 4])
-        before = {key: dict(a[key]) if key == "buckets" else a[key] for key in a}
-        merge_histogram_snapshots([a, b])
-        assert a == before
-
-    def test_latency_bounds_merge(self):
-        bounds = tuple(1 << shift for shift in range(10, 36))
-        a = _snapshot_of([1500, 3000], bounds=bounds)
-        b = _snapshot_of([1_000_000], bounds=bounds)
-        merged = merge_histogram_snapshots([a, b])
-        assert merged["count"] == 3
-        assert merged["min"] == 1500
-        assert merged["max"] == 1_000_000
 
 
 class TestComponentOfLatency:
@@ -142,15 +76,6 @@ class _SpyRecorder(NullRecorder):
     def span(self, name, **fields):
         self.calls.append(("span", name))
         return NULL_SPAN
-
-    def count(self, name, amount=1):
-        self.calls.append(("count", name))
-
-    def gauge(self, name, value):
-        self.calls.append(("gauge", name))
-
-    def observe(self, name, value):
-        self.calls.append(("observe", name))
 
     def event(self, name, **fields):
         self.calls.append(("event", name))
