@@ -30,7 +30,6 @@ from repro.shardstore import (
     StoreConfig,
     StoreSystem,
 )
-from repro.shardstore.resilience import AdmissionConfig
 from repro.shardstore.observability import (
     Journal,
     RingRecorder,
@@ -110,7 +109,6 @@ class _Target:
 
     def __init__(self, kind: str, workload: str, seed: int, num_disks: int,
                  recorder: RingRecorder,
-                 admission: Optional[AdmissionConfig] = None,
                  journal: Optional[Journal] = None) -> None:
         self.kind = kind
         config = bench_store_config(workload, seed, recorder, journal)
@@ -119,9 +117,7 @@ class _Target:
             self.node: Optional[StorageNode] = None
         elif kind == "node":
             self.system = None
-            self.node = StorageNode(
-                num_disks=num_disks, config=config, admission=admission
-            )
+            self.node = StorageNode(num_disks=num_disks, config=config)
         else:
             raise ValueError(f"unknown bench target {kind!r}")
 

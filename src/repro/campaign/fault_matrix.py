@@ -193,7 +193,7 @@ def directed_ops(fault: Fault) -> List["Operation"]:
 def _run_directed_shard(spec: "ShardSpec") -> "ShardResult":
     """Replay one fault's directed sequence with the fault on and off."""
     from repro.core.conformance import StoreHarness
-    from repro.shardstore.faults import FaultSet, component_of
+    from repro.shardstore.faults import FaultSet
     from repro.shardstore.observability import NULL_RECORDER, RingRecorder
 
     from .spec import ShardFailure, ShardResult
@@ -204,7 +204,7 @@ def _run_directed_shard(spec: "ShardSpec") -> "ShardResult":
     recorder = RingRecorder() if spec.param("trace", False) else None
     if recorder is not None:
         recorder.event("shard", kind=spec.kind, harness="store", seed=seed)
-        recorder.fault_event(fault, component_of(fault), "armed for this shard")
+        recorder.fault_event(fault, "armed for this shard")
     fault_on = StoreHarness(
         FaultSet.only(fault),
         seed,
@@ -260,7 +260,7 @@ def _run_mc_shard(spec: "ShardSpec") -> "ShardResult":
     """Stateless model checking of one injected concurrency fault."""
     from repro.concurrency import model
     from repro.core.concurrent_harnesses import HARNESSES
-    from repro.shardstore.faults import FaultSet, component_of
+    from repro.shardstore.faults import FaultSet
     from repro.shardstore.observability import RingRecorder
 
     from .spec import ShardFailure, ShardResult
@@ -279,7 +279,7 @@ def _run_mc_shard(spec: "ShardSpec") -> "ShardResult":
             strategy=spec.param("strategy", "pct"),
             iterations=spec.param("iterations", 200),
         )
-        recorder.fault_event(fault, component_of(fault), "armed for this shard")
+        recorder.fault_event(fault, "armed for this shard")
     result = model(
         factory_fn(FaultSet.only(fault), spec.param("harness_seed", 0)),
         strategy=spec.param("strategy", "pct"),

@@ -89,11 +89,7 @@ from repro.shardstore.observability import (
     Recorder,
     RingRecorder,
 )
-from repro.shardstore.resilience import (
-    AdmissionConfig,
-    BreakerConfig,
-    RetryPolicy,
-)
+from repro.shardstore.resilience import AdmissionConfig
 
 from .spec import STORM_OPS, SUITE_REGISTRY, SUITE_TABLE, ShardResult, ShardSpec
 from .storm import SequenceOutcome, run_storm_shard
@@ -141,7 +137,7 @@ def _storm_config(
         ),
         seed=seed,
         recorder=recorder,
-        retry_policy=RetryPolicy(),
+        retries=True,
         journal=journal,
     )
 
@@ -417,7 +413,7 @@ class InjectionNodeHarness(NodeHarness):
         seed: int = 0,
         num_disks: int = 3,
         *,
-        breaker_enabled: bool = True,
+        breaker: bool = True,
         admission: Optional[AdmissionConfig] = None,
         recorder: Recorder = NULL_RECORDER,
         journal: Optional[Journal] = None,
@@ -426,10 +422,7 @@ class InjectionNodeHarness(NodeHarness):
             None,
             seed,
             num_disks,
-            retry_policy=RetryPolicy(),
-            breaker=(
-                BreakerConfig() if breaker_enabled else BreakerConfig.disabled()
-            ),
+            breaker=breaker,
             config=_storm_config(seed, recorder, journal),
             admission=admission,
         )
@@ -670,7 +663,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
                 plan,
                 seed,
                 num_disks=num_disks,
-                breaker_enabled=breaker_enabled,
+                breaker=breaker_enabled,
                 admission=admission,
                 recorder=recorder,
                 journal=journal,

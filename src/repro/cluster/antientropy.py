@@ -46,6 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (router imports us)
 
 __all__ = ["AntiEntropyService", "DEFAULT_MAX_ROUNDS"]
 
+#: Max diverging leaf buckets one background round descends into.
+ROUND_BUCKETS = 8
+#: Max keys one background round repairs.
+ROUND_REPAIRS = 16
+
 #: Ceiling for :meth:`AntiEntropyService.run_until_converged`; generous --
 #: a full pair cycle is ``C(n, 2)`` rounds and convergence needs at most
 #: ``replication - 1`` cycles of budgeted progress.
@@ -67,8 +72,6 @@ class AntiEntropyService:
         cfg = router.config
         self.enabled = cfg.anti_entropy
         self.interval = cfg.anti_entropy_interval
-        self.max_buckets = cfg.anti_entropy_buckets
-        self.max_repairs = cfg.anti_entropy_repairs
         self._cursor = 0  # round-robin position over reachable pairs
         self._bucket_cursor = 0  # rotation offset into diverging buckets
 
@@ -106,12 +109,7 @@ class AntiEntropyService:
             return None
         pair = pairs[self._cursor % len(pairs)]
         self._cursor += 1
-        return self._sync_pair(
-            pair[0],
-            pair[1],
-            max_buckets=self.max_buckets,
-            max_repairs=self.max_repairs,
-        )
+        return self._sync_pair(pair[0], pair[1], budgeted=True)
 
     def sync(self, node_a: int, node_b: int) -> Dict[str, Any]:
         """Explicitly sync one replica pair to completion (no budgets).
@@ -134,16 +132,14 @@ class AntiEntropyService:
                     peer=nid,
                     reason=cn.status(),
                 )
-        return self._sync_pair(node_a, node_b, max_buckets=None, max_repairs=None)
+        return self._sync_pair(node_a, node_b, budgeted=False)
 
     def _sync_pair(
-        self,
-        node_a: int,
-        node_b: int,
-        *,
-        max_buckets: Optional[int],
-        max_repairs: Optional[int],
+        self, node_a: int, node_b: int, *, budgeted: bool
     ) -> Dict[str, Any]:
+        """Compare and repair one pair; a ``budgeted`` (background) round
+        descends at most :data:`ROUND_BUCKETS` buckets and repairs at most
+        :data:`ROUND_REPAIRS` keys."""
         stats = self.router.stats
         nodes = self.router.nodes
         trees_a, trees_b = nodes[node_a].trees, nodes[node_b].trees
@@ -177,7 +173,7 @@ class AntiEntropyService:
             stats["anti_entropy_root_matches"] += 1
             self.router._record("anti_entropy", **summary)
             return summary
-        if max_buckets is not None:
+        if budgeted:
             # Rotate the descent start each round, so a bucket whose repair
             # keeps failing (an unreadable replica) cannot starve the
             # repairable tail behind it.  The offset advances by one
@@ -186,7 +182,7 @@ class AntiEntropyService:
             # with the window size.
             start = self._bucket_cursor % len(buckets)
             self._bucket_cursor += 1
-            buckets = (buckets[start:] + buckets[:start])[:max_buckets]
+            buckets = (buckets[start:] + buckets[:start])[:ROUND_BUCKETS]
         repaired_keys: List[bytes] = []
         budget_spent = False
         for tree_a, tree_b, bucket in buckets:
@@ -199,7 +195,7 @@ class AntiEntropyService:
             for key in sorted(set(items_a) | set(items_b)):
                 if items_a.get(key) == items_b.get(key):
                     continue
-                if max_repairs is not None and len(repaired_keys) >= max_repairs:
+                if budgeted and len(repaired_keys) >= ROUND_REPAIRS:
                     budget_spent = True
                     break
                 if self._repair_key(node_a, node_b, key):

@@ -132,10 +132,6 @@ class ClusterConfig:
     anti_entropy: bool = False
     #: Router ops between background sync rounds (0 = manual only).
     anti_entropy_interval: int = 8
-    #: Max diverging leaf buckets one background round descends into.
-    anti_entropy_buckets: int = 8
-    #: Max keys one background round repairs.
-    anti_entropy_repairs: int = 16
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -167,10 +163,6 @@ class ClusterConfig:
         if self.anti_entropy_interval < 0:
             raise InvalidRequestError(
                 "anti_entropy_interval must be non-negative"
-            )
-        if self.anti_entropy_buckets < 1 or self.anti_entropy_repairs < 1:
-            raise InvalidRequestError(
-                "anti-entropy per-round budgets must be positive"
             )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, Iterator, List, Optional, Union
 
 from .scheduler import DeadlockError, FixedSchedule, ModelScheduler, Strategy, TaskFailed
 
@@ -92,14 +92,33 @@ class _DfsStrategy(Strategy):
 
 
 class Explorer:
-    """Base driver: repeatedly run a body under fresh strategies."""
+    """Base driver: run a body once per strategy until one fails.
 
-    def run_once(
-        self, body_factory: Callable[[], Callable[[], None]], strategy: Strategy
-    ) -> ModelScheduler:
-        scheduler = ModelScheduler(strategy)
-        scheduler.run(body_factory())
-        return scheduler
+    Subclasses say only which strategies to run, in :meth:`strategies`;
+    the run, the catch and the tally are this loop's.
+    """
+
+    def strategies(self, result: ExplorationResult) -> Iterator[Strategy]:
+        """One fresh strategy per execution.  The generator resumes after
+        each execution that passed, so it can read what that run saw."""
+        raise NotImplementedError
+
+    def explore(
+        self, body_factory: Callable[[], Callable[[], None]]
+    ) -> ExplorationResult:
+        result = ExplorationResult()
+        for strategy in self.strategies(result):
+            scheduler = ModelScheduler(strategy)
+            result.executions += 1
+            try:
+                scheduler.run(body_factory())
+            except (TaskFailed, DeadlockError) as exc:
+                result.failure = exc
+                result.failing_schedule = scheduler.schedule_trace
+            result.total_steps += len(scheduler.schedule_trace)
+            if result.failure is not None:
+                break
+        return result
 
 
 class RandomExplorer(Explorer):
@@ -109,28 +128,17 @@ class RandomExplorer(Explorer):
         self.iterations = iterations
         self.seed = seed
 
-    def explore(
-        self, body_factory: Callable[[], Callable[[], None]]
-    ) -> ExplorationResult:
-        result = ExplorationResult()
+    def strategies(self, result: ExplorationResult) -> Iterator[Strategy]:
         for i in range(self.iterations):
-            rng = random.Random((self.seed << 20) + i)
-            scheduler = ModelScheduler(_RandomStrategy(rng))
-            try:
-                scheduler.run(body_factory())
-            except (TaskFailed, DeadlockError) as exc:
-                result.failure = exc
-                result.failing_schedule = scheduler.schedule_trace
-                result.executions = i + 1
-                result.total_steps += len(scheduler.schedule_trace)
-                return result
-            result.total_steps += len(scheduler.schedule_trace)
-        result.executions = self.iterations
-        return result
+            yield self._strategy(random.Random((self.seed << 20) + i))
+
+    def _strategy(self, rng: random.Random) -> Strategy:
+        return _RandomStrategy(rng)
 
 
-class PctExplorer(Explorer):
-    """Probabilistic concurrency testing (Burckhardt et al. 2010)."""
+class PctExplorer(RandomExplorer):
+    """Probabilistic concurrency testing (Burckhardt et al. 2010): the
+    random walk with priorities and ``depth - 1`` change points."""
 
     def __init__(
         self,
@@ -139,30 +147,12 @@ class PctExplorer(Explorer):
         max_steps_hint: int = 64,
         seed: int = 0,
     ) -> None:
-        self.iterations = iterations
+        super().__init__(iterations, seed)
         self.depth = depth
         self.max_steps_hint = max_steps_hint
-        self.seed = seed
 
-    def explore(
-        self, body_factory: Callable[[], Callable[[], None]]
-    ) -> ExplorationResult:
-        result = ExplorationResult()
-        for i in range(self.iterations):
-            rng = random.Random((self.seed << 20) + i)
-            strategy = _PctStrategy(rng, self.depth, self.max_steps_hint)
-            scheduler = ModelScheduler(strategy)
-            try:
-                scheduler.run(body_factory())
-            except (TaskFailed, DeadlockError) as exc:
-                result.failure = exc
-                result.failing_schedule = scheduler.schedule_trace
-                result.executions = i + 1
-                result.total_steps += len(scheduler.schedule_trace)
-                return result
-            result.total_steps += len(scheduler.schedule_trace)
-        result.executions = self.iterations
-        return result
+    def _strategy(self, rng: random.Random) -> Strategy:
+        return _PctStrategy(rng, self.depth, self.max_steps_hint)
 
 
 class DfsExplorer(Explorer):
@@ -171,39 +161,24 @@ class DfsExplorer(Explorer):
     def __init__(self, max_executions: int = 20_000) -> None:
         self.max_executions = max_executions
 
-    def explore(
-        self, body_factory: Callable[[], Callable[[], None]]
-    ) -> ExplorationResult:
-        result = ExplorationResult()
-        # Each stack entry is the option index chosen at that decision step.
+    def strategies(self, result: ExplorationResult) -> Iterator[Strategy]:
+        # Each prefix entry is the option index chosen at that decision step.
         prefix: List[int] = []
-        branching: List[int] = []  # options available at each step, last run
         while result.executions < self.max_executions:
             strategy = _DfsStrategy(list(prefix))
-            scheduler = ModelScheduler(strategy)
-            try:
-                scheduler.run(body_factory())
-            except (TaskFailed, DeadlockError) as exc:
-                result.failure = exc
-                result.failing_schedule = scheduler.schedule_trace
-                result.executions += 1
-                result.total_steps += len(scheduler.schedule_trace)
-                return result
-            result.executions += 1
-            result.total_steps += len(scheduler.schedule_trace)
+            yield strategy
             # Extend the explicit choice list to the full execution length.
             branching = strategy.options_seen
-            choices = list(prefix) + [0] * (len(branching) - len(prefix))
+            choices = prefix + [0] * (len(branching) - len(prefix))
             # Backtrack: find the deepest step with an unexplored sibling.
             depth = len(choices) - 1
             while depth >= 0 and choices[depth] + 1 >= branching[depth]:
                 depth -= 1
             if depth < 0:
                 result.exhausted = True
-                return result
+                return
             prefix = choices[: depth + 1]
             prefix[depth] += 1
-        return result
 
 
 def replay(

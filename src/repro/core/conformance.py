@@ -59,7 +59,7 @@ from repro.shardstore.errors import (
 from repro.shardstore.faults import FaultSet
 from repro.shardstore.observability import NULL_RECORDER, Recorder
 from repro.shardstore.protocol import WireClient
-from repro.shardstore.resilience import AdmissionConfig, BreakerConfig, RetryPolicy
+from repro.shardstore.resilience import AdmissionConfig
 from repro.shardstore.rpc import StorageNode
 from repro.shardstore.store import RebootType, StoreSystem
 
@@ -499,8 +499,8 @@ class NodeHarness(Harness):
         *,
         wire: bool = False,
         recorder: Recorder = NULL_RECORDER,
-        retry_policy: Optional["RetryPolicy"] = None,
-        breaker: Optional["BreakerConfig"] = None,
+        retries: bool = True,
+        breaker: bool = True,
         config: Optional[StoreConfig] = None,
         admission: Optional[AdmissionConfig] = None,
     ) -> None:
@@ -508,7 +508,7 @@ class NodeHarness(Harness):
         self.node = StorageNode(
             num_disks=num_disks,
             config=config or _small_test_config(self.faults, seed, 0.0, recorder),
-            retry_policy=retry_policy,
+            retries=retries,
             breaker=breaker,
             admission=admission,
         )
@@ -810,7 +810,7 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
     (``repro conformance --seed <failing_seed> --sequences 1``).
     """
     from repro.campaign.spec import ShardFailure, ShardResult
-    from repro.shardstore.faults import Fault, FaultSet, component_of
+    from repro.shardstore.faults import Fault, FaultSet
     from repro.shardstore.observability import RingRecorder
 
     from .alphabet import ALPHABETS
@@ -837,15 +837,13 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
 
     def make_factory(recorder: Recorder) -> Callable[[int], Harness]:
         if harness_kind == "node":
-            retry_policy = RetryPolicy.disabled() if retries_disabled else None
-            breaker = BreakerConfig.disabled() if retries_disabled else None
             return lambda s: NodeHarness(
                 faults,
                 s,
                 num_disks=num_disks,
                 recorder=recorder,
-                retry_policy=retry_policy,
-                breaker=breaker,
+                retries=not retries_disabled,
+                breaker=not retries_disabled,
             )
         if harness_kind == "model":
             return lambda s: ChunkStoreModelHarness(faults, s)
@@ -860,9 +858,7 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
         )
         if fault_name:
             fault = Fault[fault_name]
-            recorder.fault_event(
-                fault, component_of(fault), "armed for this shard"
-            )
+            recorder.fault_event(fault, "armed for this shard")
         return recorder
 
     trace_enabled = bool(spec.param("trace", False))

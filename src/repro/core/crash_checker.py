@@ -124,7 +124,7 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
     checks the section 5 persistence property in every state.
     """
     from repro.campaign.spec import ShardFailure, ShardResult
-    from repro.shardstore.faults import Fault, FaultSet, component_of
+    from repro.shardstore.faults import Fault, FaultSet
     from repro.shardstore.observability import NULL_RECORDER, RingRecorder
 
     from .alphabet import BiasConfig, store_alphabet
@@ -143,9 +143,7 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
         recorder.event("shard", kind=spec.kind, seed=spec.seed)
         if fault_name:
             fault = Fault[fault_name]
-            recorder.fault_event(
-                fault, component_of(fault), "armed for this shard"
-            )
+            recorder.fault_event(fault, "armed for this shard")
 
     result = ShardResult(
         shard_id=spec.shard_id,

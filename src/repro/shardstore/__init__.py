@@ -54,14 +54,12 @@ from .reclamation import Reclaimer, ReclaimResult
 from .protocol import KVNode, Request, Response, decode_request, decode_response, dispatch, encode_request, encode_response
 from .resilience import (
     AdmissionConfig,
-    BreakerConfig,
     BreakerState,
     CircuitBreaker,
     DiskAdmission,
     DiskHealth,
     LatencyEwma,
     RetryBudget,
-    RetryPolicy,
 )
 from .injection import FaultPlan, FaultInjector, PlannedFault
 from .rpc import NodeDependency, StorageNode
@@ -72,7 +70,6 @@ from .superblock import Superblock, SuperblockState
 
 __all__ = [
     "AdmissionConfig",
-    "BreakerConfig",
     "BreakerState",
     "BufferCache",
     "ChunkStore",
@@ -126,7 +123,6 @@ __all__ = [
     "Response",
     "ReclaimResult",
     "Reclaimer",
-    "RetryPolicy",
     "RetryableError",
     "Run",
     "ScrubReport",

@@ -236,7 +236,6 @@ class BufferCache:
             if self.recorder.enabled:
                 self.recorder.fault_event(
                     Fault.CACHE_WRITE_MISSING_SOFT_PTR_DEP,
-                    "Buffer cache",
                     f"append@{extent} returned without the soft-pointer promise",
                 )
             return offset, data_dep
@@ -303,7 +302,6 @@ class BufferCache:
             if self.recorder.enabled:
                 self.recorder.fault_event(
                     Fault.CACHE_NOT_DRAINED_ON_RESET,
-                    "Buffer cache",
                     f"reset of extent {extent} left cached pages in place",
                 )
             return

@@ -253,7 +253,6 @@ class ChunkStore:
             if self.recorder.enabled:
                 self.recorder.fault_event(
                     Fault.LOCATOR_RACE_WRITE_FLUSH,
-                    "Chunk store",
                     f"locator offset {predicted} sampled before the append "
                     f"to extent {extent}",
                 )

@@ -9,7 +9,6 @@ from .disk import DiskGeometry
 from .faults import FaultSet
 from .observability import NULL_RECORDER, Recorder
 from .observability.journal import Journal
-from .resilience import RetryPolicy
 
 #: Extents 0 and 1 alternate as the superblock log (section 2.1's extent 0).
 SUPERBLOCK_EXTENTS: Tuple[int, int] = (0, 1)
@@ -52,11 +51,12 @@ class StoreConfig:
     #: :class:`NullRecorder` keeps hot paths allocation-free; pass a
     #: :class:`~repro.shardstore.observability.RingRecorder` to capture.
     recorder: Recorder = field(default=NULL_RECORDER)
-    #: Request-plane retry policy for transient IO errors.  ``None`` (the
-    #: default) keeps the historical fail-fast behaviour the Fig. 5 fault
-    #: matrix detects against; the node layer and the injection campaign
-    #: opt in explicitly.
-    retry_policy: Optional[RetryPolicy] = None
+    #: Retry transient IO errors on the request plane
+    #: (:func:`~repro.shardstore.resilience.call_with_retries`).  Off by
+    #: default: the historical fail-fast behaviour the Fig. 5 fault matrix
+    #: detects against; the injection campaign opts in explicitly, and a
+    #: :class:`StorageNode` retries at its own layer instead.
+    retries: bool = False
     #: Evidence-plane op journal (see :mod:`repro.shardstore.observability.
     #: journal`).  ``None`` (the default) keeps the request plane free of
     #: journaling entirely; a :class:`StorageNode` propagates one shared

@@ -11,10 +11,11 @@ disk goes through :meth:`DiskLane.io` (metered), :meth:`DiskLane.unmetered_io`
 lock); a breaker trip is reported to the node through
 :attr:`LaneContext.on_trip`.
 
-What the lanes of one node share -- policies, the two logical clocks, the
-retry budget and the :class:`NodeStats` counters -- lives in one
-:class:`LaneContext`.  The routing table, demotion and the control plane
-stay in :mod:`repro.shardstore.rpc`.
+What the lanes of one node share -- whether retries and the breaker are
+on, the admission SLO, the two logical clocks, the retry budget and the
+:class:`NodeStats` counters -- lives in one :class:`LaneContext`.  The
+routing table, demotion and the control plane stay in
+:mod:`repro.shardstore.rpc`.
 """
 
 from __future__ import annotations
@@ -33,13 +34,15 @@ from .errors import (
 )
 from .observability import exported_as, stat_counters
 from .resilience import (
+    BACKGROUND_WEIGHT_SHIFT,
+    PROBE_IO_BUDGET_MILLI,
+    RETRY_ATTEMPTS,
     AdmissionConfig,
-    BreakerConfig,
     BreakerState,
     CircuitBreaker,
     DiskAdmission,
     RetryBudget,
-    RetryPolicy,
+    call_with_retries,
 )
 from .store import ShardStore, StoreSystem
 
@@ -81,10 +84,12 @@ class NodeStats:
 
 @dataclass
 class LaneContext:
-    """What the lanes of one node share: policies, clocks, counters, hooks."""
+    """What the lanes of one node share: switches, clocks, counters, hooks."""
 
-    retry_policy: RetryPolicy
-    breaker_config: BreakerConfig
+    #: Retry transient IO errors (:data:`RETRY_ATTEMPTS` tries) or fail fast.
+    retries: bool
+    #: Trip, demote, probe and readmit disks, or never trip.
+    breaker: bool
     admission: Optional[AdmissionConfig]
     recorder: Any
     #: The node's reaction to a breaker trip (demotion).
@@ -96,15 +101,13 @@ class LaneContext:
     #: Request-plane ops so far: the breakers' clock (never wall time).
     ops: int = 0
     #: Virtual unit clock for admission math; the node advances it
-    #: ``arrival_interval_units`` per op unless arrivals are held.
+    #: :data:`ARRIVAL_INTERVAL_UNITS` per op unless arrivals are held.
     clock: int = 0
 
     def __post_init__(self) -> None:
-        adm = self.admission
+        self.attempts = RETRY_ATTEMPTS if self.retries else 1
         self.retry_budget: Optional[RetryBudget] = (
-            None
-            if adm is None
-            else RetryBudget(adm.retry_budget, adm.retry_refill_units)
+            None if self.admission is None else RetryBudget()
         )
 
     def retry_token(self) -> bool:
@@ -129,10 +132,11 @@ class DiskLane:
         self.queue: Optional[DiskAdmission] = (
             DiskAdmission(ctx.admission) if ctx.admission is not None else None
         )
-        #: ``retry(fn)``: ``fn`` under the node's retry policy and budget;
+        #: ``retry(fn)``: ``fn`` under the node's retries and budget;
         #: errors propagate raw.  Demotion's under-lock reads use it as is.
         self.retry = partial(
-            ctx.retry_policy.call,
+            call_with_retries,
+            attempts=ctx.attempts,
             on_retry=self._note_retry,
             should_retry=ctx.retry_token,
         )
@@ -144,7 +148,7 @@ class DiskLane:
 
     def fresh_breaker(self) -> None:
         """Start a new CLOSED breaker (the one place its hook is installed)."""
-        self.breaker = CircuitBreaker(self.ctx.breaker_config)
+        self.breaker = CircuitBreaker(self.ctx.breaker)
         if self.ctx.on_transition is not None:
             self.breaker.on_transition = partial(
                 self.ctx.on_transition, self.disk_id
@@ -211,7 +215,7 @@ class DiskLane:
             self._raise_typed(
                 exc,
                 f"disk {self.disk_id}: transient IO failure persisted past "
-                f"{self.ctx.retry_policy.max_attempts} attempts",
+                f"{self.ctx.attempts} attempts",
             )
         self.breaker.record_success(self.ctx.ops)
         return result
@@ -252,19 +256,17 @@ class DiskLane:
 
         Reads are foreground data-path work and bill at full cost; writes
         and resets are writeback/GC throughput the device overlaps with
-        foreground requests, billed at ``1/2**background_weight_shift``.
+        foreground requests, billed at ``1/2**BACKGROUND_WEIGHT_SHIFT``.
         Without the split, one healthy reclaim churn (hundreds of queued
         writes pumped inline) would look like a brownout.
         """
         ctx = self.ctx
         read_cost = min(busy, reads * self.system.disk.latency_units)
-        charge = read_cost + (
-            (busy - read_cost) >> ctx.admission.background_weight_shift
-        )
+        charge = read_cost + ((busy - read_cost) >> BACKGROUND_WEIGHT_SHIFT)
         if not queue.complete(ctx.clock, busy, ios, charge_units=charge):
             return
         # Brownout: trip SLOW (once -- only from CLOSED) and tell the node.
-        if ctx.breaker_config.enabled and self.breaker.state is BreakerState.CLOSED:
+        if ctx.breaker and self.breaker.state is BreakerState.CLOSED:
             self.breaker.trip_slow(ctx.ops)
             ctx.stats.slow_trips += 1
             self._tripped("node.breaker_trip_slow", ewma_milli=queue.ewma.milli)
@@ -286,11 +288,10 @@ class DiskLane:
     def pending_cost(self) -> int:
         """Writeback cost already queued ahead of a new request, in units.
 
-        Discounted by ``background_weight_shift``: queued records are
+        Discounted by :data:`BACKGROUND_WEIGHT_SHIFT`: queued records are
         background throughput work, overlapped with foreground requests.
         """
-        cost = self.store.scheduler.pending_cost_units()
-        return cost >> self.ctx.admission.background_weight_shift
+        return self.store.scheduler.pending_cost_units() >> BACKGROUND_WEIGHT_SHIFT
 
     def admit(self, deadline: Optional[int]) -> None:
         """Admit or shed a request against this disk's virtual queue.
@@ -355,7 +356,7 @@ class DiskLane:
             # breaker falls back to SLOW and keeps cooling down.
             busy, _, ios = spent()
             if ios > 0:
-                ok = busy * 1000 // ios <= ctx.admission.probe_io_budget_milli
+                ok = busy * 1000 // ios <= PROBE_IO_BUDGET_MILLI
         self.breaker.on_probe(ok, ctx.ops)
         if ctx.recorder.enabled:
             ctx.recorder.event("node.breaker_probe", disk=self.disk_id, ok=ok)

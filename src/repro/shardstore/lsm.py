@@ -271,7 +271,6 @@ class LsmIndex:
             if skip_meta and self.recorder.enabled and self._memtable:
                 self.recorder.fault_event(
                     Fault.SHUTDOWN_SKIPS_METADATA_AFTER_RESET,
-                    "Index",
                     "shutdown flush skipped the metadata record after a "
                     "metadata-extent switch",
                 )
@@ -319,7 +318,6 @@ class LsmIndex:
         if self.recorder.enabled and not pin:
             self.recorder.fault_event(
                 Fault.COMPACTION_RECLAIM_RACE,
-                "Index",
                 "compaction writing the merged run without pinning its extent",
             )
         # Each source run was written after the data it names, so ordering

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List
 
+from ..faults import component_of
 from .metrics import stat_counters
 
 #: Ring capacity: enough to hold the interesting suffix of a failing
@@ -70,7 +71,7 @@ class Recorder:
     def event(self, name: str, **fields: Any) -> None:
         pass
 
-    def fault_event(self, fault: Any, component: str, detail: str = "") -> None:
+    def fault_event(self, fault: Any, detail: str = "") -> None:
         pass
 
     def snapshot(self) -> Dict[str, Any]:
@@ -167,15 +168,17 @@ class RingRecorder(Recorder):
             entry["fields"] = fields
         self._emit(entry)
 
-    def fault_event(self, fault: Any, component: str, detail: str = "") -> None:
+    def fault_event(self, fault: Any, detail: str = "") -> None:
         """Log one structured fault event keyed to the Fig. 5 catalog.
 
         ``fault`` is a :class:`repro.shardstore.faults.Fault`; it is stored
-        by name/id so the log is JSON-able without the enum.
+        by name/id, with the catalog's component, so the log is JSON-able
+        without the enum.
         """
         if len(self.fault_events) >= MAX_FAULT_EVENTS:
             self.fault_events_dropped += 1
             return
+        component = component_of(fault)
         record = {
             "id": fault.value,
             "fault": fault.name,

@@ -138,14 +138,12 @@ class Reclaimer:
             if on_read_error == "truncate":
                 self.recorder.fault_event(
                     Fault.RECLAIM_FORGETS_ON_READ_ERROR,
-                    "Chunk store",
                     f"scan of extent {extent} will treat a read error as "
                     "end-of-extent",
                 )
             if self.faults.enabled(Fault.UUID_MAGIC_COLLISION_SCAN):
                 self.recorder.fault_event(
                     Fault.UUID_MAGIC_COLLISION_SCAN,
-                    "Chunk store",
                     f"sequential-only scan of extent {extent}",
                 )
         reader = PagedReader(
@@ -187,7 +185,6 @@ class Reclaimer:
             if self.recorder.enabled:
                 self.recorder.fault_event(
                     Fault.SOFT_HARD_POINTER_MISMATCH_ON_RESET,
-                    "Superblock",
                     f"reset of extent {extent} queued without persisting its "
                     "prerequisites",
                 )
@@ -246,7 +243,6 @@ class Reclaimer:
             if self.recorder.enabled:
                 self.recorder.fault_event(
                     Fault.RECLAIM_OFF_BY_ONE,
-                    "Chunk store",
                     f"evacuation of {locator} dropped the final payload byte",
                 )
         new_loc, write_dep = self.chunk_store.put_chunk(

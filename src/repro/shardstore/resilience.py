@@ -1,15 +1,14 @@
-"""Deterministic resilience primitives: retry policy and disk circuit breaker.
+"""Deterministic resilience primitives: retries and the disk circuit breaker.
 
 The paper's failure-injection dimension (section 4.4) requires that "any IO
 may fail" while the node still either completes each request or fails it
 with a typed retryable error.  This module supplies the *tolerance* side of
 that contract:
 
-* :class:`RetryPolicy` -- a bounded retry-with-backoff policy for transient
+* :func:`call_with_retries` -- bounded retry-with-backoff for transient
   :class:`~repro.shardstore.errors.IoError`\\ s.  Backoff is expressed in
   *logical units*: nothing here sleeps or reads a clock.
-* :class:`DiskHealth` -- a sliding window of per-disk IO outcomes with an
-  error rate derived from it.
+* :class:`DiskHealth` -- a sliding window of per-disk IO outcomes.
 * :class:`CircuitBreaker` -- a per-disk breaker driven purely by the node's
   operation counter (no wall clock, so campaigns stay deterministic):
 
@@ -39,6 +38,13 @@ artifacts stay byte-identical:
   :class:`CircuitBreaker`, entered on a sustained high latency EWMA and
   healed through the same cooldown/probe/probation cycle as error trips.
 
+The tuning is a set of module constants, not configuration: the request
+plane is either on (these values) or off (``breaker=False``,
+``retries=False``, no :class:`AdmissionConfig`), so the checkers have two
+configurations to cover per mechanism rather than one per combination of
+thresholds.  Only the admission SLO (deadline and queue bound) and the
+shedding polarity are configuration.
+
 Everything here is pure bookkeeping: the :class:`~repro.shardstore.rpc.
 StorageNode` owns the actions (demoting a disk via shard migration, probing
 via scrub, re-admitting into service).
@@ -48,14 +54,13 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Optional, TypeVar
 
 from .errors import DeadlineExceededError, IoError, OverloadedError
 
 __all__ = [
-    "RetryPolicy",
-    "BreakerConfig",
+    "call_with_retries",
     "BreakerState",
     "DiskHealth",
     "CircuitBreaker",
@@ -67,71 +72,63 @@ __all__ = [
 
 T = TypeVar("T")
 
+# ----------------------------------------------------------------------
+# retries
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff for transient IO errors.
+#: Attempts per request-plane call, counting the initial try: 3 means one
+#: try plus two retries.
+RETRY_ATTEMPTS = 3
+#: Backoff before the first retry, in logical units ...
+RETRY_BACKOFF_START = 1
+#: ... multiplied by this after each further failure ...
+RETRY_BACKOFF_MULTIPLIER = 2
+#: ... and capped here.
+RETRY_BACKOFF_CAP = 8
 
-    ``max_attempts`` counts the initial try: 3 means one try plus two
-    retries.  Backoff between attempts is ``min(cap, start * multiplier **
-    (failures - 1))`` logical units, handed to ``on_retry``; the policy
-    never sleeps.  Non-transient errors are never retried.
+
+def backoff_units(failures: int) -> int:
+    """Logical backoff before the next attempt after ``failures`` errors."""
+    if failures <= 0:
+        return 0
+    return min(
+        RETRY_BACKOFF_CAP,
+        RETRY_BACKOFF_START * RETRY_BACKOFF_MULTIPLIER ** (failures - 1),
+    )
+
+
+def call_with_retries(
+    fn: Callable[[], T],
+    attempts: int,
+    *,
+    on_retry: Optional[Callable[[int, int, IoError], None]] = None,
+    should_retry: Optional[Callable[[], bool]] = None,
+) -> T:
+    """Run ``fn``, retrying transient :class:`IoError` up to ``attempts``.
+
+    ``attempts`` counts the initial try (1 never retries).  Backoff is
+    handed to ``on_retry``; nothing sleeps.  Non-transient errors are
+    never retried.  ``on_retry(attempt, backoff_units, exc)`` fires before
+    each retry so callers can count retries and emit events.
+    ``should_retry`` is an extra gate consulted before every retry -- the
+    hook a :class:`RetryBudget` plugs into; when it returns False the
+    retry is abandoned and the error propagates even though ``attempts``
+    is not exhausted.  The final error (or any non-transient one)
+    propagates unchanged.
     """
-
-    max_attempts: int = 3
-    backoff_start: int = 1
-    backoff_multiplier: int = 2
-    backoff_cap: int = 8
-
-    @classmethod
-    def disabled(cls) -> "RetryPolicy":
-        """A policy that never retries (the pre-resilience behaviour)."""
-        return cls(max_attempts=1)
-
-    @property
-    def enabled(self) -> bool:
-        return self.max_attempts > 1
-
-    def backoff_units(self, failures: int) -> int:
-        """Logical backoff before the next attempt after ``failures`` errors."""
-        if failures <= 0:
-            return 0
-        return min(
-            self.backoff_cap,
-            self.backoff_start * self.backoff_multiplier ** (failures - 1),
-        )
-
-    def call(
-        self,
-        fn: Callable[[], T],
-        *,
-        on_retry: Optional[Callable[[int, int, IoError], None]] = None,
-        should_retry: Optional[Callable[[], bool]] = None,
-    ) -> T:
-        """Run ``fn``, retrying transient :class:`IoError` up to the budget.
-
-        ``on_retry(attempt, backoff_units, exc)`` fires before each retry so
-        callers can count retries and emit events.  ``should_retry`` is an
-        extra gate consulted before every retry -- the hook a
-        :class:`RetryBudget` plugs into; when it returns False the retry is
-        abandoned and the error propagates even though ``max_attempts`` is
-        not exhausted.  The final error (or any non-transient one)
-        propagates unchanged.
-        """
-        failures = 0
-        while True:
-            try:
-                return fn()
-            except IoError as exc:
-                if not exc.transient:
-                    raise
-                failures += 1
-                if failures >= self.max_attempts:
-                    raise
-                if should_retry is not None and not should_retry():
-                    raise
-                if on_retry is not None:
-                    on_retry(failures, self.backoff_units(failures), exc)
+    failures = 0
+    while True:
+        try:
+            return fn()
+        except IoError as exc:
+            if not exc.transient:
+                raise
+            failures += 1
+            if failures >= attempts:
+                raise
+            if should_retry is not None and not should_retry():
+                raise
+            if on_retry is not None:
+                on_retry(failures, backoff_units(failures), exc)
 
 
 class BreakerState(enum.Enum):
@@ -148,65 +145,49 @@ class BreakerState(enum.Enum):
 _TRIPPED_STATES = (BreakerState.OPEN, BreakerState.SLOW)
 
 
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Tuning for :class:`CircuitBreaker` (all thresholds in node ops)."""
-
-    enabled: bool = True
-    window: int = 16  # IO outcomes remembered per disk
-    trip_failures: int = 3  # errors within the window that trip the breaker
-    cooldown_ops: int = 16  # node ops a tripped disk waits before a probe
-    probation_ops: int = 12  # clean node ops to close from probation
-
-    @classmethod
-    def disabled(cls) -> "BreakerConfig":
-        return cls(enabled=False)
+#: IO outcomes remembered per disk.
+BREAKER_WINDOW = 16
+#: Errors within the window that trip the breaker.
+BREAKER_TRIP_FAILURES = 3
+#: Node ops a tripped disk waits before a probe.
+BREAKER_COOLDOWN_OPS = 16
+#: Clean node ops to close from probation.
+BREAKER_PROBATION_OPS = 12
 
 
-@dataclass
 class DiskHealth:
     """Sliding-window health view of one disk's request-plane IO."""
 
-    window: int = 16
-    outcomes: Deque[bool] = field(default_factory=deque)  # True = ok
-    total_errors: int = 0
-    total_successes: int = 0
+    __slots__ = ("outcomes",)
+
+    def __init__(self) -> None:
+        #: The last :data:`BREAKER_WINDOW` outcomes; True = ok.
+        self.outcomes: Deque[bool] = deque(maxlen=BREAKER_WINDOW)
 
     def record(self, ok: bool) -> None:
         self.outcomes.append(ok)
-        while len(self.outcomes) > self.window:
-            self.outcomes.popleft()
-        if ok:
-            self.total_successes += 1
-        else:
-            self.total_errors += 1
 
     def recent_failures(self) -> int:
-        return sum(1 for ok in self.outcomes if not ok)
-
-    def error_rate(self) -> float:
-        """Fraction of recent IO outcomes that failed (0.0 when idle)."""
-        if not self.outcomes:
-            return 0.0
-        return self.recent_failures() / len(self.outcomes)
+        return self.outcomes.count(False)
 
     def reset_window(self) -> None:
         self.outcomes.clear()
 
 
 class CircuitBreaker:
-    """Error-rate breaker for one disk, clocked by the node op counter."""
+    """Error-rate breaker for one disk, clocked by the node op counter.
 
-    def __init__(self, config: BreakerConfig) -> None:
-        self.config = config
+    Its trips, probes and readmissions are counted once, in the node's
+    :class:`~repro.shardstore.lane.NodeStats`.  A disabled breaker still
+    watches outcomes but never trips or probes.
+    """
+
+    def __init__(self, enabled: bool = True) -> None:
+        self.enabled = enabled
         self.state = BreakerState.CLOSED
-        self.health = DiskHealth(window=config.window)
+        self.health = DiskHealth()
         self.tripped_at_op = 0
         self.probation_clean = 0
-        self.trips = 0
-        self.slow_trips = 0
-        self.probes = 0
-        self.readmissions = 0
         # Which tripped state a failed probe should fall back to: a
         # still-slow disk re-enters SLOW, an erroring one re-enters OPEN.
         self._tripped_state = BreakerState.OPEN
@@ -233,7 +214,7 @@ class CircuitBreaker:
         self.health.record(True)
         if self.state is BreakerState.PROBATION:
             self.probation_clean += 1
-            if self.probation_clean >= self.config.probation_ops:
+            if self.probation_clean >= BREAKER_PROBATION_OPS:
                 self._set_state(BreakerState.CLOSED)
 
     def record_failure(self, now_op: int) -> bool:
@@ -242,7 +223,7 @@ class CircuitBreaker:
         The caller (the node) reacts to a trip by demoting the disk.
         """
         self.health.record(False)
-        if not self.config.enabled:
+        if not self.enabled:
             return False
         if self.state is BreakerState.PROBATION:
             # Probation has no second chances: any error re-trips.
@@ -250,7 +231,7 @@ class CircuitBreaker:
             return True
         if (
             self.state is BreakerState.CLOSED
-            and self.health.recent_failures() >= self.config.trip_failures
+            and self.health.recent_failures() >= BREAKER_TRIP_FAILURES
         ):
             self._trip(now_op)
             return True
@@ -261,7 +242,6 @@ class CircuitBreaker:
         self._tripped_state = BreakerState.OPEN
         self.tripped_at_op = now_op
         self.probation_clean = 0
-        self.trips += 1
         self.health.reset_window()
 
     def trip_slow(self, now_op: int) -> None:
@@ -274,14 +254,12 @@ class CircuitBreaker:
         measured per-IO cost, so a still-slow disk fails its probe and
         falls back to SLOW rather than OPEN.
         """
-        if not self.config.enabled:
+        if not self.enabled:
             return
         self._set_state(BreakerState.SLOW)
         self._tripped_state = BreakerState.SLOW
         self.tripped_at_op = now_op
         self.probation_clean = 0
-        self.trips += 1
-        self.slow_trips += 1
         self.health.reset_window()
 
     # ------------------------------------------------------------------
@@ -289,9 +267,9 @@ class CircuitBreaker:
 
     def should_probe(self, now_op: int) -> bool:
         return (
-            self.config.enabled
+            self.enabled
             and self.state in _TRIPPED_STATES
-            and now_op - self.tripped_at_op >= self.config.cooldown_ops
+            and now_op - self.tripped_at_op >= BREAKER_COOLDOWN_OPS
         )
 
     def begin_probe(self) -> None:
@@ -299,11 +277,9 @@ class CircuitBreaker:
 
     def on_probe(self, ok: bool, now_op: int) -> None:
         """Feed a probe result; a success moves the disk into probation."""
-        self.probes += 1
         if ok:
             self._set_state(BreakerState.PROBATION)
             self.probation_clean = 0
-            self.readmissions += 1
             self.health.reset_window()
         else:
             # Restart the cooldown clock from the failed probe, returning
@@ -315,6 +291,35 @@ class CircuitBreaker:
 # ----------------------------------------------------------------------
 # deadline-aware admission control (brownout / overload tolerance)
 
+#: Virtual-clock advance per request-plane op.  It exceeds a healthy
+#: disk's mean per-op service cost, so a healthy queue drains and the
+#: backlog hovers near zero.  Under a brownout (per-IO cost ramped by
+#: injection) or an overload burst (arrivals with the clock held),
+#: completed-work cost outpaces the clock and the backlog grows until
+#: requests shed.
+ARRIVAL_INTERVAL_UNITS = 8
+#: Write/reset IO (writeback, flush/drain, GC reclaim) and queued
+#: records charge the virtual queue at ``1/2**shift`` weight: they are
+#: throughput work the device overlaps with foreground requests, so
+#: billing them at full weight would make healthy reclaim churn look
+#: like a brownout.  Reads always bill at full cost, and the per-IO
+#: cost samples feeding the latency EWMA are never discounted.
+BACKGROUND_WEIGHT_SHIFT = 3
+#: EWMA smoothing factor (alpha = num/den) for per-IO cost.
+EWMA_ALPHA_NUM = 1
+EWMA_ALPHA_DEN = 4
+#: Per-IO cost EWMA (milli-units) above which a disk counts as slow.
+SLOW_THRESHOLD_MILLI = 4000
+#: Consecutive slow completions before the breaker trips SLOW.
+SLOW_TRIP_REQUESTS = 3
+#: Probe acceptance: measured per-IO cost (milli-units) a probed disk
+#: must stay under to be re-admitted.
+PROBE_IO_BUDGET_MILLI = 2000
+#: Retry token-bucket capacity (per client; this node models one).
+RETRY_BUDGET_TOKENS = 8
+#: Clock units per retry token refilled.
+RETRY_REFILL_UNITS = 16
+
 
 class LatencyEwma:
     """Integer fixed-point EWMA of per-IO service cost, in milli-units.
@@ -322,28 +327,20 @@ class LatencyEwma:
     Arithmetic is pure integer (floor division), so the trajectory is
     bit-identical on every platform and worker count -- a float EWMA would
     still be IEEE-deterministic, but integers make the artifact contract
-    trivially auditable.  ``value`` is the conventional float view for
-    gauges; comparisons against thresholds use the milli integer.
+    trivially auditable.  ``value`` is the conventional float view;
+    comparisons against thresholds use the milli integer.  It starts at
+    one unit per IO, a healthy disk's cost.
     """
 
-    __slots__ = ("alpha_num", "alpha_den", "milli", "samples")
+    __slots__ = ("milli", "samples")
 
-    def __init__(
-        self,
-        alpha_num: int = 1,
-        alpha_den: int = 4,
-        initial_milli: int = 1000,
-    ) -> None:
-        if not 0 < alpha_num <= alpha_den:
-            raise ValueError("EWMA alpha must be in (0, 1]")
-        self.alpha_num = alpha_num
-        self.alpha_den = alpha_den
-        self.milli = initial_milli
+    def __init__(self) -> None:
+        self.milli = 1000
         self.samples = 0
 
     def update(self, sample_milli: int) -> int:
         """Fold in one per-IO cost sample (milli-units); returns the EWMA."""
-        self.milli += (sample_milli - self.milli) * self.alpha_num // self.alpha_den
+        self.milli += (sample_milli - self.milli) * EWMA_ALPHA_NUM // EWMA_ALPHA_DEN
         self.samples += 1
         return self.milli
 
@@ -354,14 +351,11 @@ class LatencyEwma:
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Tuning for the deadline-aware request plane (all units logical).
+    """The deadline-aware request plane's service-level objective.
 
-    The node's virtual clock advances ``arrival_interval_units`` per
-    request-plane op, which exceeds a healthy disk's mean per-op service
-    cost -- so a healthy queue drains and the backlog hovers near zero.
-    Under a brownout (per-IO cost ramped by injection) or an overload burst
-    (arrivals with the clock held), completed-work cost outpaces the clock
-    and the backlog grows until requests shed.
+    Everything else about admission is a module constant (see
+    :data:`ARRIVAL_INTERVAL_UNITS` and below); these three are what a
+    deployment chooses, all in logical units.
     """
 
     #: Shed (raise typed errors) when the queue model says a request cannot
@@ -374,29 +368,6 @@ class AdmissionConfig:
     #: Bounded admission queue: shed with ``OverloadedError`` when the
     #: estimated backlog reaches this many units.
     max_backlog_units: int = 1024
-    #: Virtual-clock advance per request-plane op.
-    arrival_interval_units: int = 8
-    #: Write/reset IO (writeback, flush/drain, GC reclaim) and queued
-    #: records charge the virtual queue at ``1/2**shift`` weight: they are
-    #: throughput work the device overlaps with foreground requests, so
-    #: billing them at full weight would make healthy reclaim churn look
-    #: like a brownout.  Reads always bill at full cost, and the per-IO
-    #: cost samples feeding the latency EWMA are never discounted.
-    background_weight_shift: int = 3
-    #: EWMA smoothing factor (alpha = num/den) for per-IO cost.
-    ewma_alpha_num: int = 1
-    ewma_alpha_den: int = 4
-    #: Per-IO cost EWMA (milli-units) above which a disk counts as slow.
-    slow_threshold_milli: int = 4000
-    #: Consecutive slow completions before the breaker trips SLOW.
-    slow_trip_requests: int = 3
-    #: Probe acceptance: measured per-IO cost (milli-units) a probed disk
-    #: must stay under to be re-admitted.
-    probe_io_budget_milli: int = 2000
-    #: Retry token-bucket capacity (per client; this node models one).
-    retry_budget: int = 8
-    #: Clock units per retry token refilled.
-    retry_refill_units: int = 16
 
 
 class DiskAdmission:
@@ -413,7 +384,7 @@ class DiskAdmission:
     def __init__(self, config: AdmissionConfig) -> None:
         self.config = config
         self.busy_until = 0
-        self.ewma = LatencyEwma(config.ewma_alpha_num, config.ewma_alpha_den)
+        self.ewma = LatencyEwma()
         self.slow_streak = 0
         self.inflight = 0
         self.admitted = 0
@@ -466,7 +437,7 @@ class DiskAdmission:
 
         ``busy_delta``/``io_delta`` are the disk's ``busy_units`` and
         IO-count deltas across the request.  The per-IO quotient feeds the
-        latency EWMA; ``slow_trip_requests`` consecutive completions with
+        latency EWMA; :data:`SLOW_TRIP_REQUESTS` consecutive completions with
         the EWMA above threshold ask the caller to trip the breaker SLOW.
         ``charge_units`` overrides how much the virtual queue is billed
         (background writeback passes a discounted charge; the EWMA always
@@ -476,36 +447,30 @@ class DiskAdmission:
         self.busy_until = max(self.busy_until, now) + max(0, charge)
         if io_delta > 0:
             self.ewma.update(busy_delta * 1000 // io_delta)
-            if self.ewma.milli >= self.config.slow_threshold_milli:
+            if self.ewma.milli >= SLOW_THRESHOLD_MILLI:
                 self.slow_streak += 1
             else:
                 self.slow_streak = 0
-        return self.slow_streak >= self.config.slow_trip_requests
+        return self.slow_streak >= SLOW_TRIP_REQUESTS
 
     def reset(self, now: int) -> None:
         """Forget queue state and latency history (probe-passed readmit)."""
         self.busy_until = now
-        self.ewma = LatencyEwma(
-            self.config.ewma_alpha_num, self.config.ewma_alpha_den
-        )
+        self.ewma = LatencyEwma()
         self.slow_streak = 0
 
 
 class RetryBudget:
     """Op-clocked token bucket bounding a client's retries (storm control).
 
-    Starts full; each retry spends a token and the bucket refills one token
-    per ``refill_units`` of node-clock progress.  When empty, retries are
-    abandoned early (the underlying error propagates) rather than hammering
-    a browned-out disk.
+    Starts full with :data:`RETRY_BUDGET_TOKENS`; each retry spends a token
+    and the bucket refills one token per :data:`RETRY_REFILL_UNITS` of
+    node-clock progress.  When empty, retries are abandoned early (the
+    underlying error propagates) rather than hammering a browned-out disk.
     """
 
-    def __init__(self, capacity: int, refill_units: int) -> None:
-        if capacity < 0 or refill_units <= 0:
-            raise ValueError("capacity must be >= 0 and refill_units > 0")
-        self.capacity = capacity
-        self.refill_units = refill_units
-        self.tokens = capacity
+    def __init__(self) -> None:
+        self.tokens = RETRY_BUDGET_TOKENS
         self.last_refill = 0
         self.spent = 0
         self.denied = 0
@@ -513,10 +478,10 @@ class RetryBudget:
     def acquire(self, now: int) -> bool:
         """Spend one retry token; False when the budget is exhausted."""
         if now > self.last_refill:
-            refill = (now - self.last_refill) // self.refill_units
+            refill = (now - self.last_refill) // RETRY_REFILL_UNITS
             if refill:
-                self.tokens = min(self.capacity, self.tokens + refill)
-                self.last_refill += refill * self.refill_units
+                self.tokens = min(RETRY_BUDGET_TOKENS, self.tokens + refill)
+                self.last_refill += refill * RETRY_REFILL_UNITS
         else:
             self.last_refill = max(self.last_refill, now)
         if self.tokens > 0:

@@ -60,7 +60,7 @@ from .observability.journal import (
     value_outcome,
 )
 from .observability.recorder import NULL_SPAN
-from .resilience import AdmissionConfig, BreakerConfig, BreakerState, RetryPolicy
+from .resilience import ARRIVAL_INTERVAL_UNITS, AdmissionConfig, BreakerState
 from .scrub import RepairReport, ScrubReport
 from .store import ShardStore, StoreSystem
 
@@ -140,8 +140,8 @@ class StorageNode:
         num_disks: int = 3,
         config: Optional[StoreConfig] = None,
         *,
-        retry_policy: Optional[RetryPolicy] = None,
-        breaker: Optional[BreakerConfig] = None,
+        retries: bool = True,
+        breaker: bool = True,
         admission: Optional[AdmissionConfig] = None,
     ) -> None:
         if num_disks < 1:
@@ -158,8 +158,8 @@ class StorageNode:
         # no-deadline behaviour (and zero overhead on the hot path).
         self.admission = admission
         self.ctx = LaneContext(
-            retry_policy=retry_policy if retry_policy is not None else RetryPolicy(),
-            breaker_config=breaker if breaker is not None else BreakerConfig(),
+            retries=retries,
+            breaker=breaker,
             admission=admission,
             recorder=self.recorder,
             on_trip=self._demote,
@@ -169,13 +169,13 @@ class StorageNode:
         self.stats = self.ctx.stats
         if self.recorder.enabled:
             self.recorder.watch("node", self.stats)
-        # retry_policy=None on purpose: the per-disk store stays fail-fast
+        # retries=False on purpose: the per-disk store stays fail-fast
         # because the node retries once, at its own layer.
         self.lanes: List[DiskLane] = [
             DiskLane(
                 disk_id,
                 StoreSystem(
-                    replace(base, seed=base.seed + disk_id + 1, retry_policy=None)
+                    replace(base, seed=base.seed + disk_id + 1, retries=False)
                 ),
                 self.ctx,
             )
@@ -218,7 +218,7 @@ class StorageNode:
         The breaker is clocked by this counter, not wall time, so the whole
         trip/cooldown/probe/probation cycle is deterministic under the
         validation harnesses.  The admission clock advances in lockstep
-        (``arrival_interval_units`` per op) unless arrivals are held by an
+        (:data:`ARRIVAL_INTERVAL_UNITS` per op) unless arrivals are held by an
         injected overload burst, in which case completed work outpaces the
         frozen clock and the backlog builds exactly as a real burst would.
         """
@@ -228,8 +228,8 @@ class StorageNode:
             if self._held_arrivals > 0:
                 self._held_arrivals -= 1
             else:
-                ctx.clock += self.admission.arrival_interval_units
-        if not ctx.breaker_config.enabled:
+                ctx.clock += ARRIVAL_INTERVAL_UNITS
+        if not ctx.breaker:
             return
         for lane in self.lanes:
             if lane.breaker.should_probe(ctx.ops) and lane.probe():
@@ -407,7 +407,6 @@ class StorageNode:
             if self.recorder.enabled:
                 self.recorder.fault_event(
                     Fault.LIST_REMOVE_RACE,
-                    "API",
                     "listing iterates the routing table without the node lock",
                 )
             out: List[bytes] = []
@@ -487,7 +486,6 @@ class StorageNode:
                 if self.recorder.enabled:
                     self.recorder.fault_event(
                         Fault.DISK_RETURN_DROPS_SHARDS,
-                        "API",
                         f"disk {disk_id} returned; merging {len(stale)} stale "
                         "routing entries",
                     )
@@ -641,7 +639,6 @@ class StorageNode:
         if self.recorder.enabled:
             self.recorder.fault_event(
                 Fault.BULK_CREATE_REMOVE_RACE,
-                "API",
                 f"{op} of {count} shards releases the node lock between items",
             )
         return True

@@ -36,7 +36,6 @@ from .errors import (
     ShardStoreError,
     validate_key,
 )
-from .faults import component_of
 from .lsm import LsmIndex
 from .merkle import MerkleMap
 from .observability import exported_as
@@ -50,6 +49,7 @@ from .observability.journal import (
 )
 from .reclamation import Reclaimer, ReclaimResult
 from .recordlog import LogScan, scan_log
+from .resilience import RETRY_ATTEMPTS, call_with_retries
 from .scheduler import IoScheduler
 from .scrub import MerkleScrubReport, RepairReport, Scrubber
 from .superblock import Superblock
@@ -165,9 +165,7 @@ class ShardStore:
             # traced fault-matrix shard carries a non-empty fault-event
             # section even when the fault's trigger site is never reached.
             for fault in config.faults:
-                self.recorder.fault_event(
-                    fault, component_of(fault), "armed at store construction"
-                )
+                self.recorder.fault_event(fault, "armed at store construction")
 
     def _seal_log_extents(self) -> Dict[int, LogScan]:
         """Truncate superblock/metadata log extents to their valid prefix.
@@ -209,15 +207,14 @@ class ShardStore:
     # request plane
 
     def _retrying(self, fn: Callable[[], _T]) -> _T:
-        """Run a request-plane operation under the configured retry policy.
+        """Run a request-plane operation, retrying when configured.
 
         Only transient :class:`IoError`\\ s are retried; the default
-        (``retry_policy=None``) is the historical fail-fast behaviour.
+        (``retries=False``) is the historical fail-fast behaviour.
         """
-        policy = self.config.retry_policy
-        if policy is None or not policy.enabled:
+        if not self.config.retries:
             return fn()
-        return policy.call(fn, on_retry=self._note_retry)
+        return call_with_retries(fn, RETRY_ATTEMPTS, on_retry=self._note_retry)
 
     def _note_retry(self, failures: int, backoff: int, exc: IoError) -> None:
         self.stats.retries += 1

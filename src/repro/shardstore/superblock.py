@@ -190,7 +190,6 @@ class Superblock:
             if self.recorder.enabled:
                 self.recorder.fault_event(
                     Fault.SUPERBLOCK_WRONG_DEP_AFTER_REBOOT,
-                    "Superblock",
                     "pointer promises pre-resolved against the pre-reboot "
                     "flush record",
                 )
@@ -238,7 +237,6 @@ class Superblock:
             if self.recorder.enabled:
                 self.recorder.fault_event(
                     Fault.SOFT_HARD_POINTER_MISMATCH_ON_RESET,
-                    "Superblock",
                     f"pointer for extent {extent} published as 0 before the "
                     "reset is durable",
                 )
@@ -277,7 +275,6 @@ class Superblock:
             if self.recorder.enabled:
                 self.recorder.fault_event(
                     Fault.BUFFER_POOL_DEADLOCK,
-                    "Superblock",
                     "flush acquiring state lock before the buffer pool",
                 )
             with self._state_lock:

@@ -30,34 +30,32 @@ from repro.shardstore.errors import (
     ShardStoreError,
 )
 from repro.shardstore.resilience import (
+    RETRY_BUDGET_TOKENS,
+    RETRY_REFILL_UNITS,
+    SLOW_THRESHOLD_MILLI,
+    SLOW_TRIP_REQUESTS,
     AdmissionConfig,
-    BreakerConfig,
     BreakerState,
     DiskAdmission,
     LatencyEwma,
     RetryBudget,
-    RetryPolicy,
 )
 
 
 class TestLatencyEwma:
     def test_integer_trajectory_is_exact(self):
         """Pure floor-division arithmetic: the trajectory is auditable."""
-        ewma = LatencyEwma(alpha_num=1, alpha_den=4, initial_milli=1000)
+        ewma = LatencyEwma()  # alpha 1/4, from 1000
         assert ewma.update(5000) == 2000  # 1000 + 4000//4
         assert ewma.update(5000) == 2750  # 2000 + 3000//4
         assert ewma.update(1000) == 2312  # 2750 + (-1750)//4 = 2750 - 438
         assert ewma.samples == 3
 
     def test_value_is_milli_over_1000(self):
-        ewma = LatencyEwma(initial_milli=2500)
+        ewma = LatencyEwma()
+        assert ewma.value == 1.0
+        ewma.update(7000)
         assert ewma.value == 2.5
-
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyEwma(alpha_num=0)
-        with pytest.raises(ValueError):
-            LatencyEwma(alpha_num=5, alpha_den=4)
 
 
 class TestDiskAdmission:
@@ -101,26 +99,26 @@ class TestDiskAdmission:
         assert queue.shed_overload == queue.shed_deadline == 0
 
     def test_slow_streak_trips_after_consecutive_slow_completions(self):
-        config = AdmissionConfig(
-            slow_threshold_milli=4000, slow_trip_requests=3
-        )
-        queue = DiskAdmission(config)
+        assert (SLOW_THRESHOLD_MILLI, SLOW_TRIP_REQUESTS) == (4000, 3)
+        queue = DiskAdmission(AdmissionConfig())
         trips = [
             queue.complete(now=0, busy_delta=8, io_delta=1)
             for _ in range(4)
         ]
-        # EWMA (alpha 1/4 from 1000) crosses 4000 on the 3rd 8000-milli
-        # sample; the streak then needs 3 consecutive slow completions.
-        assert trips.count(True) >= 1
-        assert queue.slow_streak >= config.slow_trip_requests
+        # EWMA (alpha 1/4 from 1000) reads 2750, 4062, 5046, 5784 on
+        # 8000-milli samples: slow from the 2nd, so the 3rd consecutive
+        # slow completion (the 4th sample) is the first to ask for a trip.
+        assert trips == [False, False, False, True]
+        assert queue.slow_streak == SLOW_TRIP_REQUESTS
 
     def test_fast_completion_resets_slow_streak(self):
-        queue = DiskAdmission(AdmissionConfig(slow_threshold_milli=2000))
-        queue.complete(now=0, busy_delta=100, io_delta=1)
+        queue = DiskAdmission(AdmissionConfig())
+        queue.complete(now=0, busy_delta=8, io_delta=1)  # EWMA 2750
+        queue.complete(now=0, busy_delta=8, io_delta=1)  # EWMA 4062
         assert queue.slow_streak == 1
-        big = DiskAdmission(AdmissionConfig(slow_threshold_milli=200000))
-        big.complete(now=0, busy_delta=100, io_delta=1)
-        assert big.slow_streak == 0
+        queue.complete(now=0, busy_delta=1, io_delta=1)  # EWMA 3296
+        assert queue.ewma.milli < SLOW_THRESHOLD_MILLI
+        assert queue.slow_streak == 0
 
     def test_background_charge_override_spares_the_queue(self):
         """charge_units discounts the queue but never the EWMA."""
@@ -139,31 +137,31 @@ class TestDiskAdmission:
 
 
 class TestRetryBudget:
+    @staticmethod
+    def _empty():
+        budget = RetryBudget()
+        for _ in range(RETRY_BUDGET_TOKENS):
+            assert budget.acquire(0)
+        return budget
+
     def test_starts_full_and_spends_to_empty(self):
-        budget = RetryBudget(capacity=2, refill_units=16)
-        assert budget.acquire(0) and budget.acquire(0)
+        budget = self._empty()
         assert not budget.acquire(0)
-        assert budget.spent == 2
+        assert budget.spent == RETRY_BUDGET_TOKENS == 8
         assert budget.denied == 1
 
     def test_refills_one_token_per_refill_units(self):
-        budget = RetryBudget(capacity=2, refill_units=16)
-        budget.acquire(0), budget.acquire(0)
-        assert not budget.acquire(15)
-        assert budget.acquire(16)  # one token refilled
-        assert not budget.acquire(17)
+        budget = self._empty()
+        assert not budget.acquire(RETRY_REFILL_UNITS - 1)
+        assert budget.acquire(RETRY_REFILL_UNITS)  # one token refilled
+        assert not budget.acquire(RETRY_REFILL_UNITS + 1)
 
     def test_refill_caps_at_capacity(self):
-        budget = RetryBudget(capacity=3, refill_units=4)
+        budget = RetryBudget()
         budget.acquire(0)
-        assert budget.acquire(1000)
-        assert budget.tokens == 2  # capped at 3, then spent 1
-
-    def test_invalid_construction_rejected(self):
-        with pytest.raises(ValueError):
-            RetryBudget(capacity=-1, refill_units=4)
-        with pytest.raises(ValueError):
-            RetryBudget(capacity=4, refill_units=0)
+        assert budget.acquire(1000 * RETRY_REFILL_UNITS)
+        # Capped at capacity, then spent one.
+        assert budget.tokens == RETRY_BUDGET_TOKENS - 1
 
 
 class TestAdmissionConfig:
@@ -176,7 +174,7 @@ class TestAdmissionConfig:
         assert AdmissionConfig().shedding
 
 
-def _node(admission=None, breaker=None, num_disks=3):
+def _node(admission=None, num_disks=3):
     return StorageNode(
         num_disks=num_disks,
         config=StoreConfig(
@@ -184,8 +182,6 @@ def _node(admission=None, breaker=None, num_disks=3):
                 num_extents=10, extent_size=2048, page_size=128
             )
         ),
-        retry_policy=RetryPolicy(),
-        breaker=breaker or BreakerConfig(),
         admission=admission,
     )
 
@@ -259,12 +255,7 @@ class TestNodeAdmission:
             node.advance_clock(-1)
 
     def test_sustained_slow_disk_trips_slow_breaker(self):
-        node = _node(
-            admission=STORM,
-            breaker=BreakerConfig(
-                window=8, trip_failures=3, cooldown_ops=64, probation_ops=4
-            ),
-        )
+        node = _node(admission=STORM)
         for system in node.systems:
             system.disk.set_latency(8)
         for i in range(60):
@@ -348,7 +339,7 @@ class TestNodeAdmission:
         for lane in node.lanes:
             assert lane.queue is not None
             assert lane.queue.inflight == 0
-        assert node.ctx.retry_budget.tokens == STORM.retry_budget
+        assert node.ctx.retry_budget.tokens == RETRY_BUDGET_TOKENS
 
     def test_a_two_disk_node_is_idle_with_a_full_retry_budget(self):
         node = _node(admission=AdmissionConfig(), num_disks=2)
@@ -358,7 +349,7 @@ class TestNodeAdmission:
             assert lane.queue.inflight == 0
             assert lane.queue.shed_overload == lane.queue.shed_deadline == 0
         assert node.lanes[node.route_of(b"k")].queue.admitted >= 1
-        assert node.ctx.retry_budget.tokens == node.admission.retry_budget
+        assert node.ctx.retry_budget.tokens == RETRY_BUDGET_TOKENS
 
     def test_shed_counters_start_at_zero_and_no_replica_counter_exists(self):
         node = _node(admission=AdmissionConfig())
@@ -426,12 +417,7 @@ class TestShedErrorContract:
         retry/shed machinery -- fails the test by propagating.
         """
         rng = random.Random(seed)
-        node = _node(
-            admission=STORM,
-            breaker=BreakerConfig(
-                window=8, trip_failures=3, cooldown_ops=16, probation_ops=4
-            ),
-        )
+        node = _node(admission=STORM)
         live = {}
         for step in range(200):
             if step == 40:  # the brownout sets in

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterRouter
+from repro.cluster.antientropy import ROUND_BUCKETS, ROUND_REPAIRS
 from repro.errors import AntiEntropyError, DegradedReadError
 from repro.shardstore import DiskGeometry
 
@@ -95,17 +96,20 @@ class TestAntiEntropyService:
         assert err.value.reason == "unknown"
 
     def test_round_budgets_bound_descent_and_repairs(self):
-        router = _router(
-            anti_entropy=True,
-            anti_entropy_interval=0,
-            anti_entropy_buckets=2,
-            anti_entropy_repairs=1,
-        )
-        assert _storm_divergence(router) > 0
+        """Enough divergence (800 keys behind one partition) that both
+        per-round budgets bind on the first pair that differs."""
+        router = _router(anti_entropy=True, anti_entropy_interval=0)
+        victim = router._placement(b"dk-0")[-1]
+        router.partition_node(victim)
+        for i in range(800):
+            router.put(b"dk-%d" % i, b"dv-%d" % i)
+        router.settle()
         summary = router.antientropy.run_round()
-        assert summary is not None
-        assert summary["descended"] <= 2
-        assert summary["repaired"] <= 1
+        while summary["root_match"]:
+            summary = router.antientropy.run_round()
+        assert summary["diverging"] > ROUND_BUCKETS
+        assert summary["descended"] == ROUND_BUCKETS
+        assert summary["repaired"] == ROUND_REPAIRS
 
     def test_round_skips_when_fewer_than_two_reachable(self):
         router = _router(num_nodes=3, replication=3, anti_entropy=True)

@@ -37,6 +37,7 @@ from repro.shardstore.injection import (
     CLUSTER_PROFILES,
     FAULT_NODE_CRASH,
     FAULT_NODE_RESTART,
+    FAULT_NODE_SLOW,
     FAULT_PARTITION,
     FAULT_PARTITION_HEAL,
     FaultPlan,
@@ -44,6 +45,7 @@ from repro.shardstore.injection import (
 from repro.shardstore.observability import Journal, seal_on_signal
 from repro.shardstore.observability.journal import digest_bytes
 from repro.shardstore.resilience import AdmissionConfig
+from repro.shardstore.rpc import StorageNode
 
 
 def small_router(**overrides) -> ClusterRouter:
@@ -869,6 +871,53 @@ class TestAckedWriteDurability:
             router.crash_node(node_id)
             router.restart_node(node_id)
         assert router.get(b"ak-0") == b"v"
+
+
+@pytest.fixture(scope="module")
+def slow_storm_tally():
+    """``node-slow`` faults planned and counted by the cluster-plane storms
+    (both suites, both profiles that plan them, seeds 0-4), and the
+    arrival holds they reached ``StorageNode.hold_arrivals`` with."""
+    from repro.campaign.cluster import run_storm
+    from repro.campaign.spec import KIND_ANTIENTROPY, KIND_CLUSTER
+
+    held = []
+    hold = StorageNode.hold_arrivals
+
+    def spy(node, count):
+        held.append(count)
+        return hold(node, count)
+
+    planned = counted = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StorageNode, "hold_arrivals", spy)
+        for kind in (KIND_CLUSTER, KIND_ANTIENTROPY):
+            for profile in ("cluster-mixed", "partition"):
+                for seed in range(5):
+                    harness, _, _ = run_storm(kind, seed, profile)
+                    planned += sum(
+                        fault.kind == FAULT_NODE_SLOW
+                        for fault in harness.plan.faults
+                    )
+                    counted += harness.router.stats["slow_storms"]
+    return planned, counted, held
+
+
+class TestSlowNodeStorms:
+    def test_every_planned_slow_node_is_counted(self, slow_storm_tally):
+        planned, counted, _ = slow_storm_tally
+        assert planned == counted == 28
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 8: a node-slow fault holds arrivals only "
+        "under ClusterConfig.admission, which no campaign sets, so the "
+        "cluster storms' slow nodes are no-ops",
+    )
+    def test_every_planned_slow_node_holds_arrivals(self, slow_storm_tally):
+        planned, _, held = slow_storm_tally
+        assert len(held) == planned
 
 
 class TestMemberOwnsReplicaWrites:

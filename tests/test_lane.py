@@ -17,20 +17,20 @@ from repro.shardstore.errors import (
 from repro.shardstore.lane import PROBE_KEY, DiskLane, LaneContext, NodeStats
 from repro.shardstore.observability import NULL_RECORDER, RingRecorder
 from repro.shardstore.resilience import (
+    BACKGROUND_WEIGHT_SHIFT,
+    BREAKER_TRIP_FAILURES,
+    RETRY_BUDGET_TOKENS,
+    SLOW_THRESHOLD_MILLI,
     AdmissionConfig,
-    BreakerConfig,
     BreakerState,
-    RetryPolicy,
 )
 
-BREAKER = BreakerConfig(window=8, trip_failures=2, cooldown_ops=4, probation_ops=2)
 
-
-def _lane(*, admission=None, breaker=BREAKER, retry=None, recorder=NULL_RECORDER):
+def _lane(*, admission=None, breaker=True, retries=True, recorder=NULL_RECORDER):
     trips = []
     ctx = LaneContext(
-        retry_policy=retry if retry is not None else RetryPolicy(),
-        breaker_config=breaker,
+        retries=retries,
+        breaker=breaker,
         admission=admission,
         recorder=recorder,
         on_trip=trips.append,
@@ -96,7 +96,7 @@ class TestMeteredIo:
 
     def test_error_trip_reports_to_the_node_once(self):
         lane, trips = _lane()
-        for _ in range(BREAKER.trip_failures):
+        for _ in range(BREAKER_TRIP_FAILURES):
             with pytest.raises(RetryableError):
                 lane.io(_Flaky(99))
         assert trips == [lane]
@@ -117,9 +117,10 @@ class TestMeteredIo:
         assert not lane.breaker.health.outcomes
 
     def test_exhausted_retry_budget_stops_retries_and_counts_once(self):
-        lane, _ = _lane(
-            admission=AdmissionConfig(retry_budget=1, retry_refill_units=1_000_000)
-        )
+        lane, _ = _lane(admission=AdmissionConfig())
+        # Spend all but one token; the lane's clock stands still at 0.
+        for _ in range(RETRY_BUDGET_TOKENS - 1):
+            assert lane.ctx.retry_budget.acquire(lane.ctx.clock)
         op = _Flaky(99)
         with pytest.raises(RetryableError):
             lane.io(op)
@@ -132,7 +133,7 @@ class TestMeteredIo:
 class TestWrapOnlyAndUnmetered:
     def test_locked_io_never_touches_the_breaker_and_never_retries(self):
         lane, trips = _lane()
-        for _ in range(4 * BREAKER.trip_failures):
+        for _ in range(4 * BREAKER_TRIP_FAILURES):
             op = _Flaky(99)
             with pytest.raises(RetryableError) as info:
                 lane.locked_io(op)
@@ -143,7 +144,7 @@ class TestWrapOnlyAndUnmetered:
         assert lane.breaker.state is BreakerState.CLOSED
         assert trips == []
         assert lane.ctx.stats.retries == 0
-        assert lane.ctx.stats.wrapped_transients == 4 * BREAKER.trip_failures
+        assert lane.ctx.stats.wrapped_transients == 4 * BREAKER_TRIP_FAILURES
 
     def test_locked_io_passes_permanent_errors_through(self):
         lane, _ = _lane()
@@ -164,9 +165,9 @@ class TestWrapOnlyAndUnmetered:
 
 class TestCharging:
     """Same numbers as the old ``StorageNode._charge_units``: reads bill in
-    full, writes and resets at ``>> background_weight_shift``."""
+    full, writes and resets at ``>> BACKGROUND_WEIGHT_SHIFT``."""
 
-    ADMISSION = AdmissionConfig(background_weight_shift=3)
+    ADMISSION = AdmissionConfig()
 
     def _spend(self, lane, *, reads=0, writes=0):
         stats = lane.system.disk.stats
@@ -185,6 +186,7 @@ class TestCharging:
 
     def test_write_cost_bills_at_the_background_discount(self):
         lane, _ = _lane(admission=self.ADMISSION)
+        assert BACKGROUND_WEIGHT_SHIFT == 3
         self._spend(lane, writes=40)
         assert lane.queue.busy_until == 40 >> 3
 
@@ -197,7 +199,7 @@ class TestCharging:
         assert lane.queue.ewma.milli == 1000 + (4000 - 1000) // 4
 
     def test_a_failed_call_is_still_charged_and_inflight_returns_to_zero(self):
-        lane, _ = _lane(admission=self.ADMISSION, retry=RetryPolicy.disabled())
+        lane, _ = _lane(admission=self.ADMISSION, retries=False)
         stats = lane.system.disk.stats
 
         def read_then_fail():
@@ -217,11 +219,11 @@ class TestCharging:
             lane.store.put(b"k%d" % i, b"v" * 64)
         raw = lane.store.scheduler.pending_cost_units()
         assert raw > 0
-        assert lane.pending_cost() == raw >> 3
+        assert lane.pending_cost() == raw >> BACKGROUND_WEIGHT_SHIFT
 
 
 class TestSlowTrip:
-    SLOW = AdmissionConfig(slow_threshold_milli=4000, slow_trip_requests=3)
+    SLOW = AdmissionConfig()
 
     def _slow_io(self, lane):
         stats = lane.system.disk.stats
@@ -229,6 +231,7 @@ class TestSlowTrip:
         def one_slow_read():
             stats.reads += 1
             stats.busy_units += 50  # 50,000 milli per IO
+            assert 50_000 > SLOW_THRESHOLD_MILLI
 
         lane.io(one_slow_read)
 
@@ -242,7 +245,7 @@ class TestSlowTrip:
         assert lane.ctx.stats.breaker_trips == 1
 
     def test_no_slow_trip_with_the_breaker_disabled(self):
-        lane, trips = _lane(admission=self.SLOW, breaker=BreakerConfig.disabled())
+        lane, trips = _lane(admission=self.SLOW, breaker=False)
         for _ in range(10):
             self._slow_io(lane)
         assert trips == []
@@ -271,7 +274,7 @@ class TestAdmitProbeGauges:
 
     def test_probe_round_trips_the_reserved_key_and_leaves_nothing(self):
         lane, _ = _lane()
-        for _ in range(BREAKER.trip_failures):
+        for _ in range(BREAKER_TRIP_FAILURES):
             with pytest.raises(RetryableError):
                 lane.io(_Flaky(99))
         assert lane.breaker.state is BreakerState.OPEN

@@ -132,7 +132,7 @@ class TestRingRecorder:
     def test_fault_event_log_caps_and_counts_overflow(self):
         recorder = RingRecorder()
         for _ in range(MAX_FAULT_EVENTS + 5):
-            recorder.fault_event(Fault.RECLAIM_OFF_BY_ONE, "reclamation")
+            recorder.fault_event(Fault.RECLAIM_OFF_BY_ONE)
         snap = recorder.snapshot()
         assert len(snap["fault_events"]) == MAX_FAULT_EVENTS
         assert snap["fault_events_dropped"] == 5
@@ -143,13 +143,12 @@ class TestRingRecorder:
 
     def test_fault_event_record_shape(self):
         recorder = RingRecorder()
-        recorder.fault_event(
-            Fault.CACHE_NOT_DRAINED_ON_RESET, "buffer cache", "detail here"
-        )
+        recorder.fault_event(Fault.CACHE_NOT_DRAINED_ON_RESET, "detail here")
         (record,) = recorder.snapshot()["fault_events"]
         assert record["id"] == Fault.CACHE_NOT_DRAINED_ON_RESET.value
         assert record["fault"] == "CACHE_NOT_DRAINED_ON_RESET"
-        assert record["component"] == "buffer cache"
+        # The component is the Fig. 5 catalog's, looked up, not passed.
+        assert record["component"] == "Buffer cache"
         assert record["detail"] == "detail here"
 
     def test_null_recorder_records_nothing(self):
@@ -158,7 +157,7 @@ class TestRingRecorder:
         with recorder.span("op"):
             recorder.watch("disk", DiskStats(writes=1))
             recorder.event("e")
-            recorder.fault_event(Fault.RECLAIM_OFF_BY_ONE, "reclamation")
+            recorder.fault_event(Fault.RECLAIM_OFF_BY_ONE)
         assert recorder.snapshot() == {}
 
     def test_default_recorder_is_shared_null(self):
@@ -202,7 +201,7 @@ class TestRendering:
     def test_render_snapshot_has_all_sections(self):
         recorder = RingRecorder()
         recorder.watch("disk", DiskStats(writes=2))
-        recorder.fault_event(Fault.RECLAIM_OFF_BY_ONE, "reclamation")
+        recorder.fault_event(Fault.RECLAIM_OFF_BY_ONE)
         out = render_snapshot(recorder.snapshot())
         assert "disk.writes" in out
         assert "fault events:" in out

@@ -7,8 +7,12 @@ StorageNode tripping its breaker on a faulty disk, demoting it, probing
 after cooldown, and re-admitting it through probation back to CLOSED.
 """
 
+import dataclasses
+
 import pytest
 
+import repro.shardstore as shardstore
+from repro.cluster import ClusterConfig
 from repro.shardstore import (
     DiskGeometry,
     FailureMode,
@@ -16,41 +20,41 @@ from repro.shardstore import (
     RetryableError,
     StorageNode,
     StoreConfig,
+    resilience,
 )
 from repro.shardstore.config import FIRST_DATA_EXTENT
 from repro.shardstore.resilience import (
-    BreakerConfig,
+    BREAKER_COOLDOWN_OPS,
+    BREAKER_PROBATION_OPS,
+    BREAKER_TRIP_FAILURES,
+    BREAKER_WINDOW,
+    RETRY_ATTEMPTS,
+    AdmissionConfig,
     BreakerState,
     CircuitBreaker,
     DiskHealth,
-    RetryPolicy,
+    backoff_units,
+    call_with_retries,
 )
 
 
 class TestRetryPolicy:
     def test_backoff_units_grow_and_cap(self):
-        policy = RetryPolicy(
-            backoff_start=1, backoff_multiplier=2, backoff_cap=8
-        )
-        assert [policy.backoff_units(n) for n in range(6)] == [
-            0, 1, 2, 4, 8, 8,
-        ]
+        assert [backoff_units(n) for n in range(6)] == [0, 1, 2, 4, 8, 8]
 
     def test_transient_error_is_retried_to_success(self):
-        policy = RetryPolicy(max_attempts=3)
         attempts = []
 
         def flaky():
             attempts.append(1)
-            if len(attempts) < 3:
+            if len(attempts) < RETRY_ATTEMPTS:
                 raise IoError("flaky", transient=True)
             return "ok"
 
-        assert policy.call(flaky) == "ok"
-        assert len(attempts) == 3
+        assert call_with_retries(flaky, RETRY_ATTEMPTS) == "ok"
+        assert len(attempts) == RETRY_ATTEMPTS == 3
 
     def test_budget_exhaustion_reraises_final_error(self):
-        policy = RetryPolicy(max_attempts=2)
         attempts = []
 
         def always_fails():
@@ -58,11 +62,10 @@ class TestRetryPolicy:
             raise IoError("still down", transient=True)
 
         with pytest.raises(IoError, match="still down"):
-            policy.call(always_fails)
-        assert len(attempts) == 2
+            call_with_retries(always_fails, RETRY_ATTEMPTS)
+        assert len(attempts) == RETRY_ATTEMPTS
 
     def test_non_transient_error_is_never_retried(self):
-        policy = RetryPolicy(max_attempts=5)
         attempts = []
 
         def hard_fail():
@@ -70,12 +73,11 @@ class TestRetryPolicy:
             raise IoError("dead region", transient=False)
 
         with pytest.raises(IoError):
-            policy.call(hard_fail)
+            call_with_retries(hard_fail, RETRY_ATTEMPTS)
         assert len(attempts) == 1
 
     def test_disabled_policy_never_retries(self):
-        policy = RetryPolicy.disabled()
-        assert not policy.enabled
+        """One attempt is what ``retries=False`` runs."""
         attempts = []
 
         def flaky():
@@ -83,11 +85,10 @@ class TestRetryPolicy:
             raise IoError("flaky", transient=True)
 
         with pytest.raises(IoError):
-            policy.call(flaky)
+            call_with_retries(flaky, 1)
         assert len(attempts) == 1
 
     def test_on_retry_sees_attempt_backoff_and_error(self):
-        policy = RetryPolicy(max_attempts=3, backoff_start=2)
         seen = []
 
         def flaky():
@@ -95,97 +96,87 @@ class TestRetryPolicy:
                 raise IoError("flaky", transient=True)
             return "done"
 
-        policy.call(
-            flaky, on_retry=lambda n, units, exc: seen.append((n, units))
+        call_with_retries(
+            flaky,
+            RETRY_ATTEMPTS,
+            on_retry=lambda n, units, exc: seen.append((n, units)),
         )
-        assert seen == [(1, 2), (2, 4)]
+        assert seen == [(1, 1), (2, 2)]
 
 
 class TestDiskHealth:
     def test_window_slides(self):
-        health = DiskHealth(window=3)
-        for ok in (False, False, True, True):
+        health = DiskHealth()
+        outcomes = [False, False] + [True] * (BREAKER_WINDOW - 1)
+        for ok in outcomes:
             health.record(ok)
-        assert len(health.outcomes) == 3
+        # The first failure slid out of the window; the second is still in.
+        assert len(health.outcomes) == BREAKER_WINDOW
         assert health.recent_failures() == 1
-        assert health.total_errors == 2
-        assert health.total_successes == 2
+        health.reset_window()
+        assert health.recent_failures() == 0
 
-    def test_error_rate_is_zero_when_idle(self):
-        assert DiskHealth().error_rate() == 0.0
 
-    def test_error_rate_over_recent_window(self):
-        health = DiskHealth(window=4)
-        for ok in (False, True, False, True):
-            health.record(ok)
-        assert health.error_rate() == pytest.approx(0.5)
+def _tripped(breaker):
+    """Fail ``breaker`` until it trips; returns the op of the trip."""
+    for op in range(1, BREAKER_TRIP_FAILURES):
+        assert not breaker.record_failure(op)
+    assert breaker.record_failure(BREAKER_TRIP_FAILURES)
+    return BREAKER_TRIP_FAILURES
 
 
 class TestCircuitBreakerStateMachine:
-    def _breaker(self, **overrides):
-        defaults = dict(
-            window=8, trip_failures=3, cooldown_ops=4, probation_ops=2
-        )
-        defaults.update(overrides)
-        return CircuitBreaker(BreakerConfig(**defaults))
-
     def test_trips_after_threshold_failures(self):
-        breaker = self._breaker()
-        assert not breaker.record_failure(1)
-        assert not breaker.record_failure(2)
-        assert breaker.record_failure(3)
+        breaker = CircuitBreaker()
+        _tripped(breaker)
         assert breaker.state is BreakerState.OPEN
-        assert breaker.trips == 1
 
     def test_successes_keep_breaker_closed(self):
-        breaker = self._breaker()
-        for op in range(20):
+        breaker = CircuitBreaker()
+        for op in range(2 * BREAKER_WINDOW):
             breaker.record_success(op)
         assert breaker.state is BreakerState.CLOSED
 
     def test_probe_waits_out_the_cooldown(self):
-        breaker = self._breaker()
-        for op in (1, 2, 3):
-            breaker.record_failure(op)
-        assert not breaker.should_probe(5)
-        assert breaker.should_probe(7)
+        breaker = CircuitBreaker()
+        tripped = _tripped(breaker)
+        assert not breaker.should_probe(tripped + BREAKER_COOLDOWN_OPS - 1)
+        assert breaker.should_probe(tripped + BREAKER_COOLDOWN_OPS)
 
     def test_successful_probe_enters_probation_then_closes(self):
-        breaker = self._breaker()
-        for op in (1, 2, 3):
-            breaker.record_failure(op)
+        breaker = CircuitBreaker()
+        op = _tripped(breaker) + BREAKER_COOLDOWN_OPS
         breaker.begin_probe()
-        breaker.on_probe(True, 10)
+        breaker.on_probe(True, op)
         assert breaker.state is BreakerState.PROBATION
-        assert breaker.readmissions == 1
-        breaker.record_success(11)
-        assert breaker.state is BreakerState.PROBATION
-        breaker.record_success(12)
+        for _ in range(BREAKER_PROBATION_OPS - 1):
+            op += 1
+            breaker.record_success(op)
+            assert breaker.state is BreakerState.PROBATION
+        breaker.record_success(op + 1)
         assert breaker.state is BreakerState.CLOSED
 
     def test_failed_probe_restarts_cooldown(self):
-        breaker = self._breaker()
-        for op in (1, 2, 3):
-            breaker.record_failure(op)
+        breaker = CircuitBreaker()
+        op = _tripped(breaker) + BREAKER_COOLDOWN_OPS
         breaker.begin_probe()
-        breaker.on_probe(False, 9)
+        breaker.on_probe(False, op)
         assert breaker.state is BreakerState.OPEN
-        assert breaker.tripped_at_op == 9
-        assert not breaker.should_probe(10)
+        assert breaker.tripped_at_op == op
+        assert not breaker.should_probe(op + 1)
 
     def test_probation_error_retrips_immediately(self):
-        breaker = self._breaker()
-        for op in (1, 2, 3):
-            breaker.record_failure(op)
+        breaker = CircuitBreaker()
+        op = _tripped(breaker) + BREAKER_COOLDOWN_OPS
         breaker.begin_probe()
-        breaker.on_probe(True, 10)
-        assert breaker.record_failure(11)
+        breaker.on_probe(True, op)
+        assert breaker.record_failure(op + 1)
         assert breaker.state is BreakerState.OPEN
-        assert breaker.trips == 2
+        assert breaker.tripped_at_op == op + 1
 
     def test_disabled_breaker_never_trips(self):
-        breaker = CircuitBreaker(BreakerConfig.disabled())
-        for op in range(10):
+        breaker = CircuitBreaker(enabled=False)
+        for op in range(2 * BREAKER_WINDOW):
             assert not breaker.record_failure(op)
         assert breaker.state is BreakerState.CLOSED
         assert not breaker.should_probe(1_000)
@@ -200,10 +191,6 @@ class TestNodeSelfHealing:
     re-admitted on probation and finally closes -- all without wall time.
     """
 
-    BREAKER = BreakerConfig(
-        window=8, trip_failures=2, cooldown_ops=4, probation_ops=2
-    )
-
     def _node(self):
         return StorageNode(
             num_disks=3,
@@ -212,8 +199,6 @@ class TestNodeSelfHealing:
                     num_extents=10, extent_size=2048, page_size=128
                 )
             ),
-            retry_policy=RetryPolicy(),
-            breaker=self.BREAKER,
         )
 
     @staticmethod
@@ -252,7 +237,7 @@ class TestNodeSelfHealing:
             node.put(key, b"v" * 64)
         # The drain that trips the breaker does not raise: the demotion
         # already re-homed the disk's shards, so the node made progress.
-        for _ in range(4 * self.BREAKER.trip_failures):
+        for _ in range(4 * BREAKER_TRIP_FAILURES):
             if not node.in_service(victim):
                 break
             try:
@@ -282,7 +267,7 @@ class TestNodeSelfHealing:
         node.systems[victim].disk.clear_faults()
         # Clean traffic advances the op clock through the cooldown; the
         # probe fires from _tick and re-admits the disk on probation.
-        for i in range(self.BREAKER.cooldown_ops + 1):
+        for i in range(BREAKER_COOLDOWN_OPS + 1):
             node.put(b"clock-%d" % i, b"v")
         assert node.in_service(victim)
         assert not node.degraded(victim)
@@ -294,7 +279,7 @@ class TestNodeSelfHealing:
         )
         # Clean IO on the re-admitted disk closes the breaker for good.
         for key in self._keys_for(
-            node, victim, self.BREAKER.probation_ops, prefix=b"fresh"
+            node, victim, BREAKER_PROBATION_OPS, prefix=b"fresh"
         ):
             node.put(key, b"w")
             assert node.get(key) == b"w"
@@ -305,7 +290,7 @@ class TestNodeSelfHealing:
         victim = 1
         self._trip(node, victim)
         # Faults stay armed: every probe must fail and restart cooldown.
-        for i in range(4 * self.BREAKER.cooldown_ops):
+        for i in range(4 * BREAKER_COOLDOWN_OPS):
             node.put(b"tick-%d" % i, b"v")
         assert not node.in_service(victim)
         assert node.stats.breaker_probes >= 1
@@ -320,8 +305,7 @@ class TestNodeSelfHealing:
                     num_extents=10, extent_size=2048, page_size=128
                 )
             ),
-            retry_policy=RetryPolicy(),
-            breaker=BreakerConfig.disabled(),
+            breaker=False,
         )
         victim = 1
         self._arm_all(node, victim)
@@ -342,7 +326,7 @@ class TestNodeSelfHealing:
         node.put(b"k", b"v")
         for disk_id in range(node.num_disks):
             assert node.breaker_state(disk_id) is BreakerState.CLOSED
-            assert node.lanes[disk_id].breaker.health.error_rate() == 0
+            assert node.lanes[disk_id].breaker.health.recent_failures() == 0
             assert node.in_service(disk_id)
             assert not node.degraded(disk_id)
         snapshot = node.stats.snapshot()
@@ -354,3 +338,32 @@ class TestNodeSelfHealing:
             "node.scrub_quarantined",
         ):
             assert snapshot[counter] == 0
+
+
+class TestOneValuePerKnob:
+    """Resilience tuning is module constants, not configuration, and the
+    breaker's counts live once, in ``NodeStats``."""
+
+    def test_admission_config_is_the_slo_and_the_shedding_switch(self):
+        fields = [field.name for field in dataclasses.fields(AdmissionConfig)]
+        assert fields == ["shedding", "deadline_units", "max_backlog_units"]
+
+    def test_no_breaker_or_retry_config_class_is_exported(self):
+        for module in (resilience, shardstore):
+            for name in ("BreakerConfig", "RetryPolicy"):
+                assert not hasattr(module, name), (module.__name__, name)
+
+    def test_anti_entropy_budgets_are_not_cluster_config(self):
+        names = {field.name for field in dataclasses.fields(ClusterConfig)}
+        assert not names & {"anti_entropy_buckets", "anti_entropy_repairs"}
+
+    def test_breaker_and_health_keep_no_counts(self):
+        breaker = CircuitBreaker()
+        op = _tripped(breaker) + BREAKER_COOLDOWN_OPS
+        breaker.begin_probe()
+        breaker.on_probe(True, op)
+        breaker.trip_slow(op + 1)
+        for name in ("trips", "slow_trips", "probes", "readmissions"):
+            assert not hasattr(breaker, name), name
+        for name in ("total_errors", "total_successes", "error_rate"):
+            assert not hasattr(breaker.health, name), name

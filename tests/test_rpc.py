@@ -6,7 +6,6 @@ import pytest
 
 from repro.shardstore import (
     AdmissionConfig,
-    BreakerConfig,
     DiskGeometry,
     FailureMode,
     Fault,
@@ -15,7 +14,6 @@ from repro.shardstore import (
     IoError,
     KeyNotFoundError,
     NotFoundError,
-    RetryPolicy,
     StorageNode,
     StoreConfig,
     rpc,
@@ -23,6 +21,7 @@ from repro.shardstore import (
 from repro.shardstore.config import FIRST_DATA_EXTENT
 from repro.shardstore.errors import DeadlineExceededError, RetryableError
 from repro.shardstore.observability import RingRecorder
+from repro.shardstore.resilience import BREAKER_COOLDOWN_OPS, BREAKER_TRIP_FAILURES
 from repro.shardstore.rpc import PROBE_KEY
 
 
@@ -188,7 +187,7 @@ class TestValidation:
             superblock_flush_cadence=7,
             buffer_cache_pages=96,
             seed=40,
-            retry_policy=RetryPolicy(),
+            retries=True,
         )
         node = StorageNode(num_disks=3, config=base)
         for disk_id, system in enumerate(node.systems):
@@ -196,8 +195,8 @@ class TestValidation:
                 got = getattr(system.config, field.name)
                 if field.name == "seed":
                     assert got == 40 + disk_id + 1
-                elif field.name == "retry_policy":
-                    assert got is None  # the node retries, not the store
+                elif field.name == "retries":
+                    assert got is False  # the node retries, not the store
                 else:
                     assert got == getattr(base, field.name), field.name
 
@@ -206,8 +205,6 @@ class TestReservedProbeKey:
     """``PROBE_KEY`` belongs to the lanes' readmission probe.  A client
     shard stored under it used to be overwritten and deleted by the next
     probe, leaving ``contains()`` True and ``get()`` raising."""
-
-    BREAKER = BreakerConfig(window=8, trip_failures=2, cooldown_ops=4, probation_ops=2)
 
     @pytest.mark.parametrize(
         "call",
@@ -238,7 +235,6 @@ class TestReservedProbeKey:
                 geometry=DiskGeometry(num_extents=10, extent_size=2048, page_size=128),
                 buffer_cache_pages=1,
             ),
-            breaker=self.BREAKER,
         )
         with pytest.raises(InvalidRequestError):
             node.put(PROBE_KEY, b"client data")  # the collision itself
@@ -254,13 +250,13 @@ class TestReservedProbeKey:
         disk = node.systems[victim].disk
         for extent in range(FIRST_DATA_EXTENT, disk.geometry.num_extents):
             disk.arm_fault(extent, FailureMode.PERMANENT, writes=False)
-        for _ in range(self.BREAKER.trip_failures):
+        for _ in range(BREAKER_TRIP_FAILURES):
             with pytest.raises(IoError):
                 node.get(key)
         assert node.degraded(victim) and node.route_of(key) == victim
         assert node.stats.shards_stranded == 1
         disk.clear_faults()
-        for i in range(self.BREAKER.cooldown_ops + 2):
+        for i in range(BREAKER_COOLDOWN_OPS + 2):
             node.put(b"clock-%d" % i, b"v")
         assert node.in_service(victim) and node.stats.readmissions == 1
         assert node.get(key) == b"client data"
@@ -273,7 +269,6 @@ class TestOneCounterPath:
     name -- including the ones that used to bump the dataclass only."""
 
     ADMISSION = AdmissionConfig(deadline_units=64, max_backlog_units=128)
-    BREAKER = TestReservedProbeKey.BREAKER
 
     def test_recorder_and_node_stats_agree_on_every_counter(self):
         recorder = RingRecorder()
@@ -284,7 +279,6 @@ class TestOneCounterPath:
                 buffer_cache_pages=1,
                 recorder=recorder,
             ),
-            breaker=self.BREAKER,
             admission=self.ADMISSION,
         )
         keys = [b"k%d" % i for i in range(9)]
@@ -320,12 +314,12 @@ class TestOneCounterPath:
         disk = node.systems[victim].disk
         for extent in range(FIRST_DATA_EXTENT, disk.geometry.num_extents):
             disk.arm_fault(extent, FailureMode.PERMANENT, writes=False)
-        for _ in range(self.BREAKER.trip_failures):
+        for _ in range(BREAKER_TRIP_FAILURES):
             if node.in_service(victim):
                 with pytest.raises(IoError):
                     node.get(hot)
         disk.clear_faults()
-        for i in range(self.BREAKER.cooldown_ops + 2):
+        for i in range(BREAKER_COOLDOWN_OPS + 2):
             node.put(b"clock-%d" % i, b"v")
         node.scrub_repair_all()
 

@@ -80,8 +80,8 @@ class _SpyRecorder(NullRecorder):
     def event(self, name, **fields):
         self.calls.append(("event", name))
 
-    def fault_event(self, fault, component, detail=""):
-        self.calls.append(("fault_event", component))
+    def fault_event(self, fault, detail=""):
+        self.calls.append(("fault_event", fault.name))
 
 
 class TestHotPathOverhead:
