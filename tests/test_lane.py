@@ -8,7 +8,15 @@ store operations where the outcome has to be exact.
 
 import pytest
 
-from repro.shardstore import DiskGeometry, IoError, StoreConfig, StoreSystem
+from repro.shardstore import (
+    DiskGeometry,
+    FailureMode,
+    IoError,
+    StorageNode,
+    StoreConfig,
+    StoreSystem,
+)
+from repro.shardstore.config import FIRST_DATA_EXTENT
 from repro.shardstore.errors import (
     DeadlineExceededError,
     OverloadedError,
@@ -16,6 +24,7 @@ from repro.shardstore.errors import (
 )
 from repro.shardstore.lane import PROBE_KEY, DiskLane, LaneContext, NodeStats
 from repro.shardstore.observability import NULL_RECORDER, RingRecorder
+from repro.shardstore.observability.journal import Journal
 from repro.shardstore.resilience import (
     BACKGROUND_WEIGHT_SHIFT,
     BREAKER_TRIP_FAILURES,
@@ -298,3 +307,290 @@ class TestOneCounterPath:
         assert {k: counters[k] for k in snapshot} == snapshot
         assert snapshot["node.scrub_repaired"] == lane.ctx.stats.repaired
         assert snapshot["node.scrub_quarantined"] == lane.ctx.stats.quarantined
+
+
+# ----------------------------------------------------------------------
+# Retry and breaker accounting, pinned as a table.  Each row scripts one
+# call's failures and lists everything the retry path and the breaker
+# leave behind: the attempt count, the counters, the breaker's outcome
+# window, the journal's retry notes and the ``retry`` events' fields.
+# The values were computed before the first attempt moved inline (out of
+# ``call_with_retries``), and must not move with it.
+
+
+class _FlakyFirst:
+    """Wrap ``fn``: the first ``failures`` calls raise, the rest run it."""
+
+    def __init__(self, fn, failures, *, transient=True):
+        self.fn = fn
+        self.failures = failures
+        self.transient = transient
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise IoError(f"injected #{self.calls}", transient=self.transient)
+        return self.fn(*args, **kwargs)
+
+
+def _retry_events(recorder, name):
+    return [
+        (entry["fields"]["attempt"], entry["fields"]["backoff"])
+        for entry in recorder.events
+        if entry["type"] == "event" and entry["name"] == name
+    ]
+
+
+def _outcome(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the type is the observation
+        return type(exc).__name__
+    return "ok"
+
+
+def _observe_lane(entry, failures, *, transient=True, admission=None, tokens=None, retries=True):
+    """One lane call; ``tokens`` leaves that many retry-budget tokens."""
+    recorder = RingRecorder()
+    notes = []
+    ctx = LaneContext(
+        retries=retries,
+        breaker=True,
+        admission=admission,
+        recorder=recorder,
+        on_trip=lambda lane: None,
+        note_retry=lambda: notes.append(1),
+    )
+    system = StoreSystem(
+        StoreConfig(
+            geometry=DiskGeometry(num_extents=10, extent_size=2048, page_size=128)
+        )
+    )
+    lane = DiskLane(0, system, ctx)
+    if tokens is not None:
+        while lane.ctx.retry_budget.tokens > tokens:
+            lane.ctx.retry_budget.acquire(lane.ctx.clock)
+    op = _FlakyFirst(lambda: "ok", failures, transient=transient)
+    outcome = _outcome(lambda: getattr(lane, entry)(op))
+    stats = ctx.stats
+    return (
+        outcome,
+        op.calls,
+        (stats.retries, stats.retry_budget_exhausted, stats.wrapped_transients),
+        list(lane.breaker.health.outcomes),
+        len(notes),
+        _retry_events(recorder, "node.retry"),
+    )
+
+
+def _observe_store(op_name, failures, *, transient=True):
+    """One ``ShardStore.put`` / ``get`` with retries on, journaled and
+    traced; the failures are injected into the chunk store beneath it."""
+    recorder = RingRecorder()
+    journal = Journal()
+    system = StoreSystem(
+        StoreConfig(
+            geometry=DiskGeometry(num_extents=10, extent_size=2048, page_size=128),
+            retries=True,
+            recorder=recorder,
+            journal=journal,
+        )
+    )
+    store = system.store
+    store.put(b"k", b"v" * 40)
+    chunks = store.chunk_store
+    name = "put_shard" if op_name == "put" else "get_shard"
+    flaky = _FlakyFirst(getattr(chunks, name), failures, transient=transient)
+    setattr(chunks, name, flaky)
+    if op_name == "put":
+        outcome = _outcome(lambda: store.put(b"k", b"w" * 40))
+    else:
+        outcome = _outcome(lambda: store.get(b"k"))
+    record = journal.entries[-1]
+    return (
+        outcome,
+        flaky.calls,
+        store.stats.retries,
+        (record["kind"], record["out"], record.get("retries", 0)),
+        _retry_events(recorder, "store.retry"),
+    )
+
+
+RETRY_AND_BUDGET = AdmissionConfig()
+
+#: (entry, failures, options) -> (outcome, attempts, (retries,
+#: retry_budget_exhausted, wrapped_transients), breaker window, retry
+#: notes, node.retry (attempt, backoff) events).
+LANE_ACCOUNTING = [
+    (("io", 0, {}), ("ok", 1, (0, 0, 0), [True], 0, [])),
+    (("io", 1, {}), ("ok", 2, (1, 0, 0), [True], 1, [(1, 1)])),
+    (("io", 2, {}), ("ok", 3, (2, 0, 0), [True], 2, [(1, 1), (2, 2)])),
+    (
+        ("io", 3, {}),
+        ("RetryableError", 3, (2, 0, 1), [False], 2, [(1, 1), (2, 2)]),
+    ),
+    (
+        ("io", 99, {"transient": False}),
+        ("IoError", 1, (0, 0, 0), [False], 0, []),
+    ),
+    (
+        ("io", 99, {"admission": RETRY_AND_BUDGET, "tokens": 1}),
+        ("RetryableError", 2, (1, 1, 1), [False], 1, [(1, 1)]),
+    ),
+    (
+        ("io", 99, {"admission": RETRY_AND_BUDGET, "tokens": 0}),
+        ("RetryableError", 1, (0, 1, 1), [False], 0, []),
+    ),
+    (
+        ("io", 1, {"admission": RETRY_AND_BUDGET}),
+        ("ok", 2, (1, 0, 0), [True], 1, [(1, 1)]),
+    ),
+    (
+        ("io", 1, {"retries": False}),
+        ("RetryableError", 1, (0, 0, 1), [False], 0, []),
+    ),
+    (("unmetered_io", 2, {}), ("ok", 3, (2, 0, 0), [True], 2, [(1, 1), (2, 2)])),
+    (
+        ("unmetered_io", 3, {}),
+        ("RetryableError", 3, (2, 0, 1), [False], 2, [(1, 1), (2, 2)]),
+    ),
+]
+
+#: (op, failures, transient) -> (outcome, attempts, store.retries,
+#: (record kind, record outcome, record retries), store.retry events).
+STORE_ACCOUNTING = [
+    (("put", 0, True), ("ok", 1, 0, ("put", "ok", 0), [])),
+    (("put", 1, True), ("ok", 2, 1, ("put", "ok", 1), [(1, 1)])),
+    (("put", 2, True), ("ok", 3, 2, ("put", "ok", 2), [(1, 1), (2, 2)])),
+    (
+        ("put", 3, True),
+        ("IoError", 3, 2, ("put", "error:IoError", 2), [(1, 1), (2, 2)]),
+    ),
+    (("put", 99, False), ("IoError", 1, 0, ("put", "error:IoError", 0), [])),
+    (("get", 0, True), ("ok", 1, 0, ("get", "ok", 0), [])),
+    (("get", 1, True), ("ok", 2, 1, ("get", "ok", 1), [(1, 1)])),
+    (("get", 2, True), ("ok", 3, 2, ("get", "ok", 2), [(1, 1), (2, 2)])),
+    (
+        ("get", 3, True),
+        ("IoError", 3, 2, ("get", "error:IoError", 2), [(1, 1), (2, 2)]),
+    ),
+    (("get", 99, False), ("IoError", 1, 0, ("get", "error:IoError", 0), [])),
+]
+
+
+class TestRetryAndBreakerAccountingPinned:
+    @pytest.mark.parametrize("case, expected", LANE_ACCOUNTING)
+    def test_lane_call(self, case, expected):
+        entry, failures, options = case
+        assert _observe_lane(entry, failures, **options) == expected
+
+    @pytest.mark.parametrize("case, expected", STORE_ACCOUNTING)
+    def test_store_call(self, case, expected):
+        op_name, failures, transient = case
+        assert _observe_store(op_name, failures, transient=transient) == expected
+
+
+def _node_trip_story():
+    """Two lanes of a 3-disk node trip at different ops, cool down, fail or
+    pass their probes and close again; a transient fault is retried on the
+    third.  Returns what the journal, the probes and the counters saw."""
+    journal = Journal()
+    node = StorageNode(
+        num_disks=3,
+        config=StoreConfig(
+            geometry=DiskGeometry(num_extents=10, extent_size=2048, page_size=128),
+            buffer_cache_pages=1,
+            journal=journal,
+            recorder=RingRecorder(),
+        ),
+    )
+    keys = [b"k%02d" % i for i in range(18)]
+    for key in keys:
+        node.put(key, b"v" * 24)
+    node.flush()
+    node.drain()
+    on_disk = {d: [k for k in keys if node.route_of(k) == d] for d in range(3)}
+    probes = []
+    for lane in node.lanes:
+
+        def logged(lane=lane, probe=lane.probe):
+            ok = probe()
+            probes.append((node.ctx.ops, lane.disk_id, ok))
+            return ok
+
+        lane.probe = logged
+
+    def arm(disk_id, mode):
+        disk = node.systems[disk_id].disk
+        for extent in range(FIRST_DATA_EXTENT, disk.geometry.num_extents):
+            disk.arm_fault(extent, mode, writes=False)
+
+    def tick(count):
+        for _ in range(count):
+            node.contains(keys[0])
+            _outcome(lambda: node.put(b"clock-%d" % node.ctx.ops, b"c"))
+
+    # A transient read fault on disk 2: retried once, never fed as failure.
+    arm(2, FailureMode.ONCE)
+    assert node.get(on_disk[2][0]) == b"v" * 24
+    node.systems[2].disk.clear_faults()
+    # Disk 0 trips first ...
+    arm(0, FailureMode.PERMANENT)
+    while node.in_service(0):
+        _outcome(lambda: node.get(on_disk[0][0]))
+    tick(5)
+    node.systems[0].disk.clear_faults()
+    # ... disk 1 a few ops later, and stays faulty through its first probe.
+    arm(1, FailureMode.PERMANENT)
+    while node.in_service(1):
+        _outcome(lambda: node.get(on_disk[1][0]))
+    tick(20)
+    node.systems[1].disk.clear_faults()
+    tick(60)
+    transitions = [
+        (entry["op"], entry["disk"], entry["from"], entry["to"])
+        for entry in journal.entries
+        if entry.get("kind") == "breaker"
+    ]
+    retried = [
+        (entry["op"], entry["kind"], entry["out"], entry["retries"])
+        for entry in journal.entries
+        if entry.get("retries")
+    ]
+    stats = node.stats
+    counts = (
+        stats.retries,
+        stats.wrapped_transients,
+        stats.breaker_trips,
+        stats.breaker_probes,
+        stats.readmissions,
+        stats.demotions,
+        stats.shards_stranded,
+        node.ctx.ops,
+    )
+    return transitions, probes, retried, counts
+
+
+class TestTwoLanesTripPinned:
+    def test_transitions_probes_and_retry_notes_match_the_pinned_story(self):
+        transitions, probes, retried, counts = _node_trip_story()
+        # (journal op id, disk, from, to), in journal order.
+        assert transitions == [
+            (24, 0, "closed", "open"),
+            (38, 1, "closed", "open"),
+            (55, 0, "open", "half-open"),
+            (56, 0, "half-open", "probation"),
+            (73, 1, "open", "half-open"),
+            (74, 1, "half-open", "open"),
+            (107, 1, "open", "half-open"),
+            (108, 1, "half-open", "probation"),
+            (111, 0, "probation", "closed"),
+            (172, 1, "probation", "closed"),
+        ]
+        # (node op at which the probe ran, disk, passed).
+        assert probes == [(40, 0, True), (48, 1, False), (64, 1, True)]
+        assert retried == [(21, "get", "ok", 1)]
+        # retries, wrapped_transients, breaker_trips, breaker_probes,
+        # readmissions, demotions, shards_stranded, node ops.
+        assert counts == (1, 0, 2, 3, 2, 2, 15, 112)
