@@ -75,6 +75,8 @@ class Mutex(Generic[T]):
         self._holder: Optional[object] = None  # model-checker bookkeeping
 
     def acquire(self) -> T:
+        """Take the lock; returns the protected value.  Also ``__enter__``,
+        so a ``with`` block costs one frame on each side."""
         sched = _active_scheduler
         if sched is None:
             self._os_lock.acquire()
@@ -87,7 +89,8 @@ class Mutex(Generic[T]):
         self._holder = sched.current_task()  # type: ignore[attr-defined]
         return self._value
 
-    def release(self) -> None:
+    def release(self, *_exc: Any) -> None:
+        """Drop the lock.  Also ``__exit__``, whose exception it ignores."""
         sched = _active_scheduler
         if sched is None:
             self._os_lock.release()
@@ -95,17 +98,14 @@ class Mutex(Generic[T]):
         self._holder = None
         sched.yield_point(f"release {self._name}")
 
+    __enter__ = acquire
+    __exit__ = release
+
     def locked(self) -> bool:
         """Whether the mutex is currently held (by anyone)."""
         if _active_scheduler is not None:
             return self._holder is not None
         return self._os_lock.locked()
-
-    def __enter__(self) -> T:
-        return self.acquire()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.release()
 
 
 class AtomicCell(Generic[T]):

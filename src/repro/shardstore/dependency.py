@@ -91,6 +91,9 @@ class DurabilityTracker:
         #: :meth:`capture_record_info`; None (the default) keeps nothing, so
         #: a long-running store's bookkeeping does not grow with its history.
         self.record_info: Optional[Dict[int, RecordInfo]] = None
+        #: The empty dependency, always persistent: one per tracker, since
+        #: a dependency is immutable (:meth:`Dependency.root` hands it out).
+        self.empty = Dependency(self)
 
     def capture_record_info(self) -> None:
         """Keep a :class:`RecordInfo` (and through it the dependency graph)
@@ -237,10 +240,10 @@ class Dependency:
 
     # -- constructors ---------------------------------------------------
 
-    @classmethod
-    def root(cls, tracker: DurabilityTracker) -> "Dependency":
-        """The empty dependency: always persistent."""
-        return cls(tracker)
+    @staticmethod
+    def root(tracker: DurabilityTracker) -> "Dependency":
+        """The empty dependency: always persistent (the tracker's one)."""
+        return tracker.empty
 
     @classmethod
     def on_records(

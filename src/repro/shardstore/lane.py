@@ -37,6 +37,7 @@ from .resilience import (
     BACKGROUND_WEIGHT_SHIFT,
     PROBE_IO_BUDGET_MILLI,
     RETRY_ATTEMPTS,
+    TRIPPED_STATES,
     AdmissionConfig,
     BreakerState,
     CircuitBreaker,
@@ -96,13 +97,18 @@ class LaneContext:
     on_trip: Callable[["DiskLane"], None]
     #: The evidence journal's hooks; None without a journal.
     note_retry: Optional[Callable[[], None]] = None
-    on_transition: Optional[Callable[[int, BreakerState, BreakerState], None]] = None
+    on_transition: Optional[
+        Callable[[int, BreakerState, BreakerState, Optional[bool]], None]
+    ] = None
     stats: NodeStats = field(default_factory=NodeStats)
     #: Request-plane ops so far: the breakers' clock (never wall time).
     ops: int = 0
     #: Virtual unit clock for admission math; the node advances it
     #: :data:`ARRIVAL_INTERVAL_UNITS` per op unless arrivals are held.
     clock: int = 0
+    #: Lanes whose breaker is tripped (OPEN or SLOW), kept by every
+    #: breaker transition: only these can be due a probe.
+    tripped: int = 0
 
     def __post_init__(self) -> None:
         self.attempts = RETRY_ATTEMPTS if self.retries else 1
@@ -132,6 +138,13 @@ class DiskLane:
         self.queue: Optional[DiskAdmission] = (
             DiskAdmission(ctx.admission) if ctx.admission is not None else None
         )
+        #: ``io(fn)``: run a request's store operation on this disk --
+        #: :meth:`unmetered_io`, inside :meth:`_metered_io`'s bracket when
+        #: the lane has a queue.  Chosen once: the queue is the lane's for
+        #: life.
+        self.io: Callable[[Callable[[], Any]], Any] = (
+            self.unmetered_io if self.queue is None else self._metered_io
+        )
         #: ``retry(fn)``: ``fn`` under the node's retries and budget;
         #: errors propagate raw.  Demotion's under-lock reads use it as is.
         self.retry = partial(
@@ -140,19 +153,31 @@ class DiskLane:
             on_retry=self._note_retry,
             should_retry=ctx.retry_token,
         )
-        self.fresh_breaker()
+        self.breaker = CircuitBreaker(ctx.breaker, self._transition)
 
     @property
     def store(self) -> ShardStore:
         return self.system.store
 
     def fresh_breaker(self) -> None:
-        """Start a new CLOSED breaker (the one place its hook is installed)."""
-        self.breaker = CircuitBreaker(self.ctx.breaker)
-        if self.ctx.on_transition is not None:
-            self.breaker.on_transition = partial(
-                self.ctx.on_transition, self.disk_id
-            )
+        """Start a new CLOSED breaker: an operator returning the disk
+        vouches for it.  Replacing one that is not CLOSED is reported as a
+        ``reset`` transition, since it is not an edge of the state machine.
+        """
+        old = self.breaker.state
+        self.breaker = CircuitBreaker(self.ctx.breaker, self._transition)
+        if old is not BreakerState.CLOSED:
+            self._transition(old, BreakerState.CLOSED, reset=True)
+
+    def _transition(
+        self, old: BreakerState, new: BreakerState, reset: Optional[bool] = None
+    ) -> None:
+        """Every state change of this lane's breaker: keep the tripped count,
+        then tell the journal."""
+        ctx = self.ctx
+        ctx.tripped += (new in TRIPPED_STATES) - (old in TRIPPED_STATES)
+        if ctx.on_transition is not None:
+            ctx.on_transition(self.disk_id, old, new, reset)
 
     def readmit(self) -> None:
         """Back in service: stranded shards are fully servable again and
@@ -179,17 +204,13 @@ class DiskLane:
                 error=str(exc),
             )
 
-    def io(self, fn: Callable[[], _T]) -> _T:
-        """Run a request's store operation on this disk: the metered path.
-
-        :meth:`unmetered_io`, plus, with admission, the disk's busy/IO
-        deltas across the call charged to the queue whether it succeeded
-        or not -- flush and drain matter most, since ``put`` only queues
-        records -- and a sustained-slow EWMA tripping the breaker SLOW.
+    def _metered_io(self, fn: Callable[[], _T]) -> _T:
+        """:meth:`unmetered_io` with admission: the disk's busy/IO deltas
+        across the call are charged to the queue whether it succeeded or
+        not -- flush and drain matter most, since ``put`` only queues
+        records -- and a sustained-slow EWMA trips the breaker SLOW.
         """
         queue = self.queue
-        if queue is None:
-            return self.unmetered_io(fn)
         spent = self._meter()
         queue.inflight += 1
         try:
@@ -206,10 +227,24 @@ class DiskLane:
         error contract (see :mod:`repro.errors`): a transient
         :class:`IoError` that survives the retries surfaces as
         :class:`RetryableError`; a non-transient one propagates as is.
-        The breaker sees the *final* outcome, not each attempt.
+        The breaker sees the *final* outcome, not each attempt.  The first
+        attempt is a plain call; the retry loop starts only from its error.
         """
+        failed = None
         try:
-            result = self.retry(fn)
+            result = fn()
+        except IoError as exc:
+            failed = exc
+        if failed is not None:
+            result = self._retry_after(fn, failed)
+        self.breaker.record_success(self.ctx.ops)
+        return result
+
+    def _retry_after(self, fn: Callable[[], _T], failed: IoError) -> _T:
+        """The retries of a call whose first attempt raised ``failed``; a
+        final failure feeds the breaker and surfaces typed."""
+        try:
+            return self.retry(fn, failed=failed)
         except IoError as exc:
             self._failed()
             self._raise_typed(
@@ -217,8 +252,6 @@ class DiskLane:
                 f"disk {self.disk_id}: transient IO failure persisted past "
                 f"{self.ctx.attempts} attempts",
             )
-        self.breaker.record_success(self.ctx.ops)
-        return result
 
     def locked_io(self, fn: Callable[[], _T]) -> _T:
         """Store IO for callers holding the node lock: wrap only.

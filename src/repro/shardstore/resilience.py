@@ -102,6 +102,7 @@ def call_with_retries(
     *,
     on_retry: Optional[Callable[[int, int, IoError], None]] = None,
     should_retry: Optional[Callable[[], bool]] = None,
+    failed: Optional[IoError] = None,
 ) -> T:
     """Run ``fn``, retrying transient :class:`IoError` up to ``attempts``.
 
@@ -114,21 +115,30 @@ def call_with_retries(
     retry is abandoned and the error propagates even though ``attempts``
     is not exhausted.  The final error (or any non-transient one)
     propagates unchanged.
+
+    A caller that makes the first attempt itself, as a plain call, passes
+    the error it raised as ``failed``: the loop then starts from that
+    failure, so a call that succeeds first time never enters it.
     """
     failures = 0
     while True:
-        try:
-            return fn()
-        except IoError as exc:
-            if not exc.transient:
-                raise
-            failures += 1
-            if failures >= attempts:
-                raise
-            if should_retry is not None and not should_retry():
-                raise
-            if on_retry is not None:
-                on_retry(failures, backoff_units(failures), exc)
+        if failed is None:
+            try:
+                return fn()
+            except IoError as exc:
+                failed = exc
+        # Judged outside the handler, so a retry's error does not chain
+        # to the one before it.
+        exc, failed = failed, None
+        if not exc.transient:
+            raise exc
+        failures += 1
+        if failures >= attempts:
+            raise exc
+        if should_retry is not None and not should_retry():
+            raise exc
+        if on_retry is not None:
+            on_retry(failures, backoff_units(failures), exc)
 
 
 class BreakerState(enum.Enum):
@@ -142,7 +152,7 @@ class BreakerState(enum.Enum):
 
 
 #: Breaker states in which the disk is demoted and awaiting cooldown/probe.
-_TRIPPED_STATES = (BreakerState.OPEN, BreakerState.SLOW)
+TRIPPED_STATES = (BreakerState.OPEN, BreakerState.SLOW)
 
 
 #: IO outcomes remembered per disk.
@@ -164,9 +174,6 @@ class DiskHealth:
         #: The last :data:`BREAKER_WINDOW` outcomes; True = ok.
         self.outcomes: Deque[bool] = deque(maxlen=BREAKER_WINDOW)
 
-    def record(self, ok: bool) -> None:
-        self.outcomes.append(ok)
-
     def recent_failures(self) -> int:
         return self.outcomes.count(False)
 
@@ -182,7 +189,11 @@ class CircuitBreaker:
     watches outcomes but never trips or probes.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
+    def __init__(
+        self,
+        enabled: bool = True,
+        on_transition: Optional[Callable[[BreakerState, BreakerState], None]] = None,
+    ) -> None:
         self.enabled = enabled
         self.state = BreakerState.CLOSED
         self.health = DiskHealth()
@@ -192,12 +203,11 @@ class CircuitBreaker:
         # still-slow disk re-enters SLOW, an erroring one re-enters OPEN.
         self._tripped_state = BreakerState.OPEN
         #: Observer fired as ``on_transition(old, new)`` on every state
-        #: change.  The evidence plane journals breaker transitions through
-        #: this hook -- including ``PROBATION -> CLOSED``, which happens
-        #: inside :meth:`record_success` where the node cannot see it.
-        self.on_transition: Optional[
-            Callable[[BreakerState, BreakerState], None]
-        ] = None
+        #: change.  The lane keeps its tripped count and the evidence plane
+        #: journals breaker transitions through this hook -- including
+        #: ``PROBATION -> CLOSED``, which happens inside
+        #: :meth:`record_success` where the node cannot see it.
+        self.on_transition = on_transition
 
     def _set_state(self, new: BreakerState) -> None:
         old = self.state
@@ -211,7 +221,7 @@ class CircuitBreaker:
     # outcome feed
 
     def record_success(self, now_op: int) -> None:
-        self.health.record(True)
+        self.health.outcomes.append(True)
         if self.state is BreakerState.PROBATION:
             self.probation_clean += 1
             if self.probation_clean >= BREAKER_PROBATION_OPS:
@@ -222,7 +232,7 @@ class CircuitBreaker:
 
         The caller (the node) reacts to a trip by demoting the disk.
         """
-        self.health.record(False)
+        self.health.outcomes.append(False)
         if not self.enabled:
             return False
         if self.state is BreakerState.PROBATION:
@@ -268,7 +278,7 @@ class CircuitBreaker:
     def should_probe(self, now_op: int) -> bool:
         return (
             self.enabled
-            and self.state in _TRIPPED_STATES
+            and self.state in TRIPPED_STATES
             and now_op - self.tripped_at_op >= BREAKER_COOLDOWN_OPS
         )
 
@@ -327,26 +337,19 @@ class LatencyEwma:
     Arithmetic is pure integer (floor division), so the trajectory is
     bit-identical on every platform and worker count -- a float EWMA would
     still be IEEE-deterministic, but integers make the artifact contract
-    trivially auditable.  ``value`` is the conventional float view;
-    comparisons against thresholds use the milli integer.  It starts at
-    one unit per IO, a healthy disk's cost.
+    trivially auditable.  It starts at one unit per IO, a healthy disk's
+    cost.
     """
 
-    __slots__ = ("milli", "samples")
+    __slots__ = ("milli",)
 
     def __init__(self) -> None:
         self.milli = 1000
-        self.samples = 0
 
     def update(self, sample_milli: int) -> int:
         """Fold in one per-IO cost sample (milli-units); returns the EWMA."""
         self.milli += (sample_milli - self.milli) * EWMA_ALPHA_NUM // EWMA_ALPHA_DEN
-        self.samples += 1
         return self.milli
-
-    @property
-    def value(self) -> float:
-        return self.milli / 1000.0
 
 
 @dataclass(frozen=True)
@@ -378,7 +381,9 @@ class DiskAdmission:
     that lies beyond ``now`` plus the writeback cost already queued in the
     IO scheduler.  :meth:`admit` sheds (typed errors) when the backlog
     breaches the queue bound or the request's deadline; :meth:`complete`
-    charges measured cost and feeds the brownout detector.
+    charges measured cost and feeds the brownout detector.  Its sheds are
+    counted once, by the lane, in ``NodeStats.shed_overload`` /
+    ``shed_deadline``.
     """
 
     def __init__(self, config: AdmissionConfig) -> None:
@@ -387,9 +392,6 @@ class DiskAdmission:
         self.ewma = LatencyEwma()
         self.slow_streak = 0
         self.inflight = 0
-        self.admitted = 0
-        self.shed_overload = 0
-        self.shed_deadline = 0
 
     def backlog_units(self, now: int, pending_cost: int = 0) -> int:
         """Estimated queue wait, in clock units, for a request arriving now."""
@@ -412,18 +414,15 @@ class DiskAdmission:
         backlog = self.backlog_units(now, pending_cost)
         if self.config.shedding:
             if backlog >= self.config.max_backlog_units:
-                self.shed_overload += 1
                 raise OverloadedError(
                     f"admission queue full: backlog {backlog} units >= "
                     f"bound {self.config.max_backlog_units}"
                 )
             if backlog + self.estimated_cost_units() > deadline:
-                self.shed_deadline += 1
                 raise DeadlineExceededError(
                     f"estimated wait {backlog}+{self.estimated_cost_units()} "
                     f"units exceeds deadline {deadline}"
                 )
-        self.admitted += 1
         return backlog
 
     def complete(
@@ -467,13 +466,12 @@ class RetryBudget:
     and the bucket refills one token per :data:`RETRY_REFILL_UNITS` of
     node-clock progress.  When empty, retries are abandoned early (the
     underlying error propagates) rather than hammering a browned-out disk.
+    A refusal is counted once, in ``NodeStats.retry_budget_exhausted``.
     """
 
     def __init__(self) -> None:
         self.tokens = RETRY_BUDGET_TOKENS
         self.last_refill = 0
-        self.spent = 0
-        self.denied = 0
 
     def acquire(self, now: int) -> bool:
         """Spend one retry token; False when the budget is exhausted."""
@@ -486,7 +484,5 @@ class RetryBudget:
             self.last_refill = max(self.last_refill, now)
         if self.tokens > 0:
             self.tokens -= 1
-            self.spent += 1
             return True
-        self.denied += 1
         return False

@@ -221,6 +221,8 @@ class StorageNode:
         (:data:`ARRIVAL_INTERVAL_UNITS` per op) unless arrivals are held by an
         injected overload burst, in which case completed work outpaces the
         frozen clock and the backlog builds exactly as a real burst would.
+        Breakers are asked about probes only while one is tripped (a
+        disabled breaker never trips).
         """
         ctx = self.ctx
         ctx.ops += 1
@@ -229,7 +231,7 @@ class StorageNode:
                 self._held_arrivals -= 1
             else:
                 ctx.clock += ARRIVAL_INTERVAL_UNITS
-        if not ctx.breaker:
+        if not ctx.tripped:
             return
         for lane in self.lanes:
             if lane.breaker.should_probe(ctx.ops) and lane.probe():
@@ -294,7 +296,8 @@ class StorageNode:
         # Admission precedes the routing write: a shed put must not leave
         # a dangling route to a shard that was never stored (``contains``
         # would otherwise report a key the store never accepted).
-        lane.admit(deadline)
+        if lane.queue is not None:
+            lane.admit(deadline)
         with self._lock:
             self._shard_map[key] = target
         return self._lane_io("put", key, lane, lambda: lane.store.put(key, value))
@@ -312,7 +315,8 @@ class StorageNode:
         # best-effort reads of its stranded shards.
         if not (lane.in_service or lane.degraded):
             raise RetryableError(f"disk {target} is out of service")
-        lane.admit(deadline)
+        if lane.queue is not None:
+            lane.admit(deadline)
         return self._lane_io("get", key, lane, lambda: lane.store.get(key))
 
     @journaled("delete", key=_client_key)
@@ -335,7 +339,8 @@ class StorageNode:
                 raise RetryableError(f"disk {target} is out of service")
         # Admission runs before the routing entry is dropped: a shed
         # delete leaves the shard fully routed and untouched.
-        lane.admit(deadline)
+        if lane.queue is not None:
+            lane.admit(deadline)
         with self._lock:
             if self._shard_map.get(key) != target:
                 raise KeyNotFoundError(f"no shard for key {key!r}")
@@ -470,17 +475,11 @@ class StorageNode:
             if lane.in_service:
                 raise InvalidRequestError(f"disk {disk_id} is in service")
             # An operator returning a disk vouches for it: clear degraded
-            # mode and start its breaker (and admission queue) fresh.
-            old_state = lane.breaker.state
+            # mode and start its breaker (and admission queue) fresh.  A
+            # breaker replaced in any state but CLOSED is journaled as a
+            # reset, which the mined legality invariant treats as such.
             lane.readmit()
             lane.fresh_breaker()
-            if self.journal is not None and old_state is not BreakerState.CLOSED:
-                # The fresh breaker starts CLOSED by operator fiat, not
-                # through the state machine; mark the reset so the mined
-                # legality invariant treats it as an edge reset.
-                self._journal_breaker(
-                    disk_id, old_state, BreakerState.CLOSED, reset=True
-                )
             stale = self._removed_routing.pop(disk_id, {})
             if self.faults.enabled(Fault.DISK_RETURN_DROPS_SHARDS):
                 if self.recorder.enabled:

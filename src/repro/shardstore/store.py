@@ -206,15 +206,18 @@ class ShardStore:
     # ------------------------------------------------------------------
     # request plane
 
-    def _retrying(self, fn: Callable[[], _T]) -> _T:
-        """Run a request-plane operation, retrying when configured.
+    def _retry_after(self, fn: Callable[[], _T], failed: IoError) -> _T:
+        """The retries of a request-plane operation whose first attempt, a
+        plain call, raised ``failed``; called outside that handler.
 
         Only transient :class:`IoError`\\ s are retried; the default
         (``retries=False``) is the historical fail-fast behaviour.
         """
         if not self.config.retries:
-            return fn()
-        return call_with_retries(fn, RETRY_ATTEMPTS, on_retry=self._note_retry)
+            raise failed
+        return call_with_retries(
+            fn, RETRY_ATTEMPTS, on_retry=self._note_retry, failed=failed
+        )
 
     def _note_retry(self, failures: int, backoff: int, exc: IoError) -> None:
         self.stats.retries += 1
@@ -228,7 +231,11 @@ class ShardStore:
     @journaled("put", key=validate_key, value=True, span="put")
     def put(self, key: bytes, value: bytes) -> Dependency:
         """Store ``value`` under ``key``; returns its durability dependency."""
-        return self._retrying(lambda: self._put_validated(key, value))
+        try:
+            return self._put_validated(key, value)
+        except IoError as exc:
+            failed = exc
+        return self._retry_after(lambda: self._put_validated(key, value), failed)
 
     def _put_validated(self, key: bytes, value: bytes) -> Dependency:
         locators, data_dep = self.chunk_store.put_shard(key, value)
@@ -244,7 +251,11 @@ class ShardStore:
         Raises :class:`NotFoundError` for absent keys and
         :class:`CorruptionError` when the stored bytes fail validation.
         """
-        return self._retrying(lambda: self._get_validated(key))
+        try:
+            return self._get_validated(key)
+        except IoError as exc:
+            failed = exc
+        return self._retry_after(lambda: self._get_validated(key), failed)
 
     def _get_validated(self, key: bytes) -> bytes:
         locators = self.index.get(key)
@@ -259,7 +270,11 @@ class ShardStore:
         Raises :class:`KeyNotFoundError` when ``key`` is not present -- the
         uniform ``KVNode`` contract, so callers never branch on an Optional.
         """
-        return self._retrying(lambda: self._delete_validated(key))
+        try:
+            return self._delete_validated(key)
+        except IoError as exc:
+            failed = exc
+        return self._retry_after(lambda: self._delete_validated(key), failed)
 
     def _delete_validated(self, key: bytes) -> Dependency:
         if self.index.get(key) is None:

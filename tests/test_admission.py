@@ -18,6 +18,7 @@ from repro.shardstore import (
     IoError,
     StorageNode,
     StoreConfig,
+    StoreSystem,
 )
 from repro.shardstore.config import FIRST_DATA_EXTENT
 from repro.shardstore.errors import (
@@ -29,6 +30,8 @@ from repro.shardstore.errors import (
     RetryableError,
     ShardStoreError,
 )
+from repro.shardstore.lane import DiskLane, LaneContext
+from repro.shardstore.observability import NULL_RECORDER
 from repro.shardstore.resilience import (
     RETRY_BUDGET_TOKENS,
     RETRY_REFILL_UNITS,
@@ -49,13 +52,35 @@ class TestLatencyEwma:
         assert ewma.update(5000) == 2000  # 1000 + 4000//4
         assert ewma.update(5000) == 2750  # 2000 + 3000//4
         assert ewma.update(1000) == 2312  # 2750 + (-1750)//4 = 2750 - 438
-        assert ewma.samples == 3
+        assert ewma.milli == 2312
 
     def test_value_is_milli_over_1000(self):
         ewma = LatencyEwma()
-        assert ewma.value == 1.0
+        assert ewma.milli == 1000  # one unit per IO: a healthy disk
         ewma.update(7000)
-        assert ewma.value == 2.5
+        assert ewma.milli == 2500
+
+
+def _lane(config):
+    """A lane with this admission config: its sheds count in NodeStats."""
+    ctx = LaneContext(
+        retries=True,
+        breaker=True,
+        admission=config,
+        recorder=NULL_RECORDER,
+        on_trip=lambda lane: None,
+    )
+    system = StoreSystem(
+        StoreConfig(
+            geometry=DiskGeometry(num_extents=10, extent_size=2048, page_size=128)
+        )
+    )
+    return DiskLane(0, system, ctx)
+
+
+def _sheds(lane):
+    stats = lane.ctx.stats
+    return stats.shed_overload, stats.shed_deadline
 
 
 class TestDiskAdmission:
@@ -64,7 +89,9 @@ class TestDiskAdmission:
     def test_idle_queue_admits_at_zero_backlog(self):
         queue = DiskAdmission(self.CONFIG)
         assert queue.admit(now=0, deadline=32) == 0
-        assert queue.admitted == 1
+        lane = _lane(self.CONFIG)
+        lane.admit(32)
+        assert _sheds(lane) == (0, 0)
 
     def test_backlog_is_busy_beyond_now_plus_pending(self):
         queue = DiskAdmission(self.CONFIG)
@@ -74,29 +101,33 @@ class TestDiskAdmission:
         assert queue.backlog_units(now=100) == 0  # clock passed busy_until
 
     def test_overload_shed_at_queue_bound(self):
-        queue = DiskAdmission(self.CONFIG)
-        queue.complete(now=0, busy_delta=64, io_delta=1)
+        lane = _lane(self.CONFIG)
+        lane.queue.complete(now=0, busy_delta=64, io_delta=1)
         with pytest.raises(OverloadedError):
-            queue.admit(now=0, deadline=1000)
-        assert queue.shed_overload == 1
-        assert queue.admitted == 0  # shed strictly before admission
+            lane.admit(1000)
+        assert _sheds(lane) == (1, 0)
+        # Shed strictly before admission: nothing ran past its deadline.
+        assert lane.ctx.stats.deadline_violations == 0
 
     def test_deadline_shed_when_wait_overruns(self):
-        queue = DiskAdmission(self.CONFIG)
-        queue.complete(now=0, busy_delta=40, io_delta=1)
+        lane = _lane(self.CONFIG)
+        lane.queue.complete(now=0, busy_delta=40, io_delta=1)
         with pytest.raises(DeadlineExceededError):
-            queue.admit(now=0, deadline=32)
-        assert queue.shed_deadline == 1
+            lane.admit(32)
+        assert _sheds(lane) == (0, 1)
 
     def test_no_shedding_config_admits_everything(self):
-        queue = DiskAdmission(
-            AdmissionConfig(
-                shedding=False, deadline_units=32, max_backlog_units=64
-            )
+        config = AdmissionConfig(
+            shedding=False, deadline_units=32, max_backlog_units=64
         )
+        queue = DiskAdmission(config)
         queue.complete(now=0, busy_delta=500, io_delta=1)
         assert queue.admit(now=0, deadline=32) == 500
-        assert queue.shed_overload == queue.shed_deadline == 0
+        lane = _lane(config)
+        lane.queue.complete(now=0, busy_delta=500, io_delta=1)
+        lane.admit(32)
+        assert _sheds(lane) == (0, 0)
+        assert lane.ctx.stats.deadline_violations == 1
 
     def test_slow_streak_trips_after_consecutive_slow_completions(self):
         assert (SLOW_THRESHOLD_MILLI, SLOW_TRIP_REQUESTS) == (4000, 3)
@@ -132,7 +163,7 @@ class TestDiskAdmission:
         queue.complete(now=0, busy_delta=500, io_delta=1)
         queue.reset(now=7)
         assert queue.busy_until == 7
-        assert queue.ewma.samples == 0
+        assert queue.ewma.milli == 1000
         assert queue.slow_streak == 0
 
 
@@ -147,8 +178,13 @@ class TestRetryBudget:
     def test_starts_full_and_spends_to_empty(self):
         budget = self._empty()
         assert not budget.acquire(0)
-        assert budget.spent == RETRY_BUDGET_TOKENS == 8
-        assert budget.denied == 1
+        assert budget.tokens == 0
+        # Spent through a lane context, the refusal counts in NodeStats.
+        ctx = _lane(AdmissionConfig()).ctx
+        assert all(ctx.retry_token() for _ in range(RETRY_BUDGET_TOKENS))
+        assert RETRY_BUDGET_TOKENS == 8
+        assert not ctx.retry_token()
+        assert ctx.stats.retry_budget_exhausted == 1
 
     def test_refills_one_token_per_refill_units(self):
         budget = self._empty()
@@ -347,8 +383,8 @@ class TestNodeAdmission:
         assert len(node.lanes) == 2
         for lane in node.lanes:
             assert lane.queue.inflight == 0
-            assert lane.queue.shed_overload == lane.queue.shed_deadline == 0
-        assert node.lanes[node.route_of(b"k")].queue.admitted >= 1
+        assert node.stats.shed_overload == node.stats.shed_deadline == 0
+        assert node.stats.puts == 1  # admitted
         assert node.ctx.retry_budget.tokens == RETRY_BUDGET_TOKENS
 
     def test_shed_counters_start_at_zero_and_no_replica_counter_exists(self):

@@ -169,7 +169,7 @@ class TestWrapOnlyAndUnmetered:
         assert lane.unmetered_io(lambda: lane.store.get(b"k")) == b"v" * 64
         assert list(lane.breaker.health.outcomes) == [True]
         assert lane.queue.busy_until == 0
-        assert lane.queue.ewma.samples == 0
+        assert lane.queue.ewma.milli == 1000
 
 
 class TestCharging:
@@ -252,6 +252,28 @@ class TestSlowTrip:
         assert lane.breaker.state is BreakerState.SLOW
         assert lane.ctx.stats.slow_trips == 1
         assert lane.ctx.stats.breaker_trips == 1
+
+    def test_tripped_count_follows_slow_and_error_trips_probes_and_resets(self):
+        """``LaneContext.tripped`` gates the node's probe scan, so it must
+        count exactly the lanes whose breaker is OPEN or SLOW."""
+        slow, _ = _lane(admission=self.SLOW)
+        erring = DiskLane(1, StoreSystem(slow.system.config), slow.ctx)
+        ctx = slow.ctx
+        for _ in range(10):
+            self._slow_io(slow)
+        assert slow.breaker.state is BreakerState.SLOW and ctx.tripped == 1
+        for _ in range(BREAKER_TRIP_FAILURES):
+            with pytest.raises(RetryableError):
+                erring.io(_Flaky(99))
+        assert erring.breaker.state is BreakerState.OPEN and ctx.tripped == 2
+        # The slow disk is still slow: its probe fails back to SLOW.
+        slow.system.disk.set_latency(50)
+        assert slow.probe() is False
+        assert slow.breaker.state is BreakerState.SLOW and ctx.tripped == 2
+        assert erring.probe() is True
+        assert erring.breaker.state is BreakerState.PROBATION and ctx.tripped == 1
+        slow.fresh_breaker()  # an operator returning the disk
+        assert slow.breaker.state is BreakerState.CLOSED and ctx.tripped == 0
 
     def test_no_slow_trip_with_the_breaker_disabled(self):
         lane, trips = _lane(admission=self.SLOW, breaker=False)

