@@ -194,25 +194,20 @@ def _run_directed_shard(spec: "ShardSpec") -> "ShardResult":
     """Replay one fault's directed sequence with the fault on and off."""
     from repro.core.conformance import StoreHarness
     from repro.shardstore.faults import FaultSet
-    from repro.shardstore.observability import NULL_RECORDER, RingRecorder
 
-    from .spec import ShardFailure, ShardResult
+    from .spec import ShardFailure, ShardResult, observed, shard_recorder
 
     fault = Fault[spec.param("fault")]
     seed, bias, _ = DIRECTED_PLAN[fault]
     ops = directed_ops(fault)
-    recorder = RingRecorder() if spec.param("trace", False) else None
-    if recorder is not None:
-        recorder.event("shard", kind=spec.kind, harness="store", seed=seed)
-        recorder.fault_event(fault, "armed for this shard")
+    faults = FaultSet.only(fault)
+    recorder = shard_recorder(
+        spec, faults, kind=spec.kind, harness="store", seed=seed
+    )
     fault_on = StoreHarness(
-        FaultSet.only(fault),
-        seed,
-        uuid_magic_bias=bias,
-        recorder=recorder or NULL_RECORDER,
+        faults, seed, uuid_magic_bias=bias, recorder=recorder
     ).run(ops)
     fault_off = StoreHarness(FaultSet.none(), seed, uuid_magic_bias=bias).run(ops)
-    snap = recorder.snapshot() if recorder is not None else None
     failures: List[ShardFailure] = []
     note = ""
     if fault_off is not None:
@@ -235,8 +230,7 @@ def _run_directed_shard(spec: "ShardSpec") -> "ShardResult":
                 ),
                 fault=fault.name,
                 minimized=[str(op) for op in ops],
-                trace=snap["trace"] if snap else None,
-                fault_events=snap["fault_events"] if snap else None,
+                **observed(recorder, metrics=False),
             )
         )
     return ShardResult(
@@ -250,9 +244,7 @@ def _run_directed_shard(spec: "ShardSpec") -> "ShardResult":
         detector=detector_for(fault),
         fault=fault.name,
         note=note,
-        metrics=snap["metrics"] if snap else None,
-        fault_events=snap["fault_events"] if snap else None,
-        trace=snap["trace"] if snap else None,
+        **observed(recorder),
     )
 
 
@@ -261,27 +253,26 @@ def _run_mc_shard(spec: "ShardSpec") -> "ShardResult":
     from repro.concurrency import model
     from repro.core.concurrent_harnesses import HARNESSES
     from repro.shardstore.faults import FaultSet
-    from repro.shardstore.observability import RingRecorder
 
-    from .spec import ShardFailure, ShardResult
+    from .spec import ShardFailure, ShardResult, observed, shard_recorder
 
     factory_fn = HARNESSES[spec.param("harness")]
     fault = Fault[spec.param("fault")]
+    faults = FaultSet.only(fault)
     # Model-checked harnesses replay thousands of schedules; rather than
     # trace every execution, the shard recorder logs the exploration itself
     # plus the armed fault, so traced artifacts stay deterministic and
     # bounded while every matrix row still carries observability evidence.
-    recorder = RingRecorder() if spec.param("trace", False) else None
-    if recorder is not None:
-        recorder.event(
-            "mc.explore",
-            harness=spec.param("harness"),
-            strategy=spec.param("strategy", "pct"),
-            iterations=spec.param("iterations", 200),
-        )
-        recorder.fault_event(fault, "armed for this shard")
+    recorder = shard_recorder(
+        spec,
+        faults,
+        "mc.explore",
+        harness=spec.param("harness"),
+        strategy=spec.param("strategy", "pct"),
+        iterations=spec.param("iterations", 200),
+    )
     result = model(
-        factory_fn(FaultSet.only(fault), spec.param("harness_seed", 0)),
+        factory_fn(faults, spec.param("harness_seed", 0)),
         strategy=spec.param("strategy", "pct"),
         iterations=spec.param("iterations", 200),
         seed=spec.seed,
@@ -296,24 +287,15 @@ def _run_mc_shard(spec: "ShardSpec") -> "ShardResult":
             f"{result.executions} executions "
             f"({len(result.failing_schedule or [])}-decision schedule)"
         )
-        if recorder is not None:
-            recorder.event(
-                "mc.violation",
-                failure=type(result.failure).__name__,
-                executions=result.executions,
-            )
-        snap = recorder.snapshot() if recorder is not None else None
         failures.append(
             ShardFailure(
                 kind=spec.kind,
                 seed=spec.seed,
                 detail=detail,
                 fault=fault.name,
-                trace=snap["trace"] if snap else None,
-                fault_events=snap["fault_events"] if snap else None,
+                **observed(recorder, metrics=False),
             )
         )
-    shard_snap = recorder.snapshot() if recorder is not None else None
     return ShardResult(
         shard_id=spec.shard_id,
         kind=spec.kind,
@@ -324,7 +306,5 @@ def _run_mc_shard(spec: "ShardSpec") -> "ShardResult":
         expected_failure=True,
         detector=detector_for(fault),
         fault=fault.name,
-        metrics=shard_snap["metrics"] if shard_snap else None,
-        fault_events=shard_snap["fault_events"] if shard_snap else None,
-        trace=shard_snap["trace"] if shard_snap else None,
+        **observed(recorder),
     )

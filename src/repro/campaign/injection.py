@@ -24,7 +24,7 @@ Two harnesses cover the two planes:
   ``recover_and_verify`` pass.
 * :class:`InjectionNodeHarness` extends the node conformance harness
   (same operations, same reading of the error contract) on the multi-disk
-  ``StorageNode`` request plane, where the tolerance machinery (retry/backoff, the
+  ``StorageNode`` request plane, where the tolerance machinery (retries, the
   per-disk circuit breaker, degraded mode) must *absorb* the storm:
   settlement requires flush/drain to eventually succeed, which under a
   permanent-fault plan only happens because the breaker demotes the dying
@@ -83,15 +83,17 @@ from repro.shardstore.injection import (
     FaultPlan,
     PlannedFault,
 )
-from repro.shardstore.observability import (
-    NULL_RECORDER,
-    Journal,
-    Recorder,
-    RingRecorder,
-)
+from repro.shardstore.observability import NULL_RECORDER, Journal, Recorder
 from repro.shardstore.resilience import AdmissionConfig
 
-from .spec import STORM_OPS, SUITE_REGISTRY, SUITE_TABLE, ShardResult, ShardSpec
+from .spec import (
+    STORM_OPS,
+    SUITE_REGISTRY,
+    SUITE_TABLE,
+    ShardResult,
+    ShardSpec,
+    shard_recorder,
+)
 from .storm import SequenceOutcome, run_storm_shard
 
 __all__ = [
@@ -615,16 +617,9 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     admission: Optional[AdmissionConfig] = None
     if harness_kind == "node" and bool(spec.param("admission", storm)):
         admission = storm_admission(shedding_enabled)
-    shard_recorder = RingRecorder() if spec.param("trace", False) else None
-    recorder: Recorder = shard_recorder if shard_recorder else NULL_RECORDER
-    if shard_recorder is not None:
-        shard_recorder.event(
-            "shard",
-            kind=spec.kind,
-            harness=harness_kind,
-            profile=profile,
-            seed=spec.seed,
-        )
+    recorder = shard_recorder(
+        spec, kind=spec.kind, harness=harness_kind, profile=profile, seed=spec.seed
+    )
 
     if harness_kind == "node":
         alphabet = (
@@ -656,8 +651,8 @@ def run_shard(spec: ShardSpec) -> ShardResult:
                     "seed": seed,
                 }
             )
-            if shard_recorder is not None:
-                journal.attach_recorder(shard_recorder)
+            if recorder.enabled:
+                journal.attach_recorder(recorder)
         if harness_kind == "node":
             harness: Any = InjectionNodeHarness(
                 plan,
@@ -689,8 +684,8 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         )
         if journal is not None:
             head = journal.close()
-            if shard_recorder is not None:
-                shard_recorder.journal = None
+            if recorder.enabled:
+                recorder.journal = None
             report = check_journal(journal.entries, require_seal=True)
             outcome.evidence = {
                 "records": journal.records_written,
@@ -715,7 +710,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
             "shedding_enabled": shedding_enabled,
         },
         evidence_keys=evidence_section.keys if journal_enabled else None,
-        recorder=shard_recorder,
+        recorder=recorder,
     )
     result.detector = "failure-injection conformance (section 4.4)"
     return result

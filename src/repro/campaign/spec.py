@@ -15,7 +15,11 @@ only dispatches on ``spec.kind``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.shardstore.faults import Fault
+    from repro.shardstore.observability import Recorder
 
 #: Version stamp for the campaign JSON artifact (documented in
 #: EXPERIMENTS.md).  Bump when the schema changes shape.
@@ -440,6 +444,44 @@ class ShardSpec:
             seed=seed,
             params=tuple(sorted(params.items())),
         )
+
+
+def shard_recorder(
+    spec: ShardSpec,
+    faults: Iterable["Fault"] = (),
+    stamp: str = "shard",
+    **identity: Any,
+) -> "Recorder":
+    """The recorder a shard threads through everything it builds.
+
+    Untraced, the shared no-op recorder.  Traced (``spec`` param
+    ``trace``), a fresh ring whose trace opens with one ``stamp`` event
+    carrying ``identity`` and one "armed for this shard" fault event per
+    fault in ``faults``: the only place a trace says which fault the
+    shard armed.
+    """
+    from repro.shardstore.observability import NULL_RECORDER, RingRecorder
+
+    if not spec.param("trace", False):
+        return NULL_RECORDER
+    recorder = RingRecorder()
+    recorder.event(stamp, **identity)
+    for fault in faults:
+        recorder.fault_event(fault, "armed for this shard")
+    return recorder
+
+
+def observed(recorder: "Recorder", *, metrics: bool = True) -> Dict[str, Any]:
+    """``recorder``'s snapshot, taken now, as the keyword arguments of a
+    :class:`ShardResult` (``metrics``, ``fault_events``, ``trace``) or,
+    with ``metrics=False``, of a :class:`ShardFailure`; empty untraced."""
+    snap = recorder.snapshot()
+    if not snap:
+        return {}
+    out: Dict[str, Any] = {"metrics": snap["metrics"]} if metrics else {}
+    out["fault_events"] = snap["fault_events"]
+    out["trace"] = snap["trace"]
+    return out
 
 
 @dataclass

@@ -14,9 +14,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
-from repro.shardstore.observability import RingRecorder
+from repro.shardstore.observability import NULL_RECORDER, Recorder
 
-from .spec import Section, ShardFailure, ShardResult, ShardSpec
+from .spec import Section, ShardFailure, ShardResult, ShardSpec, observed
 
 
 def heads_digest(heads: Iterable[str]) -> str:
@@ -51,7 +51,7 @@ def run_storm_shard(
     identity: Dict[str, Any],
     evidence_keys: Optional[Iterable[str]] = None,
     extras: Optional[Dict[str, Any]] = None,
-    recorder: Optional[RingRecorder] = None,
+    recorder: Recorder = NULL_RECORDER,
 ) -> ShardResult:
     """Run ``sequences`` storm sequences and assemble the shard's block:
     ``identity``, the section's verdict, its counters, ``extras`` (filled
@@ -88,15 +88,13 @@ def run_storm_shard(
                             {"seed": seed, **violation}
                         )
         if outcome.detail is not None:
-            snap = recorder.snapshot() if recorder is not None else None
             failures.append(
                 ShardFailure(
                     kind=spec.kind,
                     seed=seed,
                     detail=outcome.detail,
                     fault=f"{spec.kind}:{profile}",
-                    trace=snap["trace"] if snap else None,
-                    fault_events=snap["fault_events"] if snap else None,
+                    **observed(recorder, metrics=False),
                 )
             )
             break
@@ -108,7 +106,6 @@ def run_storm_shard(
     if evidence is not None:
         evidence["heads_digest"] = heads_digest(heads)
         block["evidence"] = evidence
-    snap = recorder.snapshot() if recorder is not None else None
     return ShardResult(
         shard_id=spec.shard_id,
         kind=spec.kind,
@@ -117,7 +114,5 @@ def run_storm_shard(
         ops=ops_run,
         failures=failures,
         section=block,
-        metrics=snap["metrics"] if snap else None,
-        fault_events=snap["fault_events"] if snap else None,
-        trace=snap["trace"] if snap else None,
+        **observed(recorder),
     )

@@ -809,9 +809,13 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
     byte-identical and any failure replays from its recorded seed alone
     (``repro conformance --seed <failing_seed> --sequences 1``).
     """
-    from repro.campaign.spec import ShardFailure, ShardResult
+    from repro.campaign.spec import (
+        ShardFailure,
+        ShardResult,
+        observed,
+        shard_recorder,
+    )
     from repro.shardstore.faults import Fault, FaultSet
-    from repro.shardstore.observability import RingRecorder
 
     from .alphabet import ALPHABETS
     from .coverage import LineCoverage
@@ -851,19 +855,13 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
             faults, s, uuid_magic_bias=uuid_bias, recorder=recorder
         )
 
-    def seed_recorder(recorder: RingRecorder) -> RingRecorder:
-        """Stamp shard identity (and the armed fault) into a fresh trace."""
-        recorder.event(
-            "shard", kind=spec.kind, harness=harness_kind, seed=spec.seed
+    def fresh_recorder() -> Recorder:
+        return shard_recorder(
+            spec, faults, kind=spec.kind, harness=harness_kind, seed=spec.seed
         )
-        if fault_name:
-            fault = Fault[fault_name]
-            recorder.fault_event(fault, "armed for this shard")
-        return recorder
 
-    trace_enabled = bool(spec.param("trace", False))
-    shard_recorder = seed_recorder(RingRecorder()) if trace_enabled else None
-    factory = make_factory(shard_recorder if trace_enabled else NULL_RECORDER)
+    recorder = fresh_recorder()
+    factory = make_factory(recorder)
     bias = (
         BiasConfig.unbiased() if spec.param("unbiased", False) else BiasConfig()
     )
@@ -892,17 +890,14 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
             fails = replay_fails(factory, report.failing_seed)
             reduced, _ = minimize(report.failing_sequence, fails)
             minimized = [str(op) for op in reduced]
-        failure_trace: Optional[List] = None
-        failure_events: Optional[List] = None
-        if trace_enabled and reduced:
+        focused: Dict[str, List] = {}
+        if recorder.enabled and reduced:
             # Focused evidence: replay the (minimized) failing sequence on a
             # fresh recorder, so the failure record's trace covers exactly
             # the reproducer rather than the whole shard.
-            focus = seed_recorder(RingRecorder())
+            focus = fresh_recorder()
             make_factory(focus)(report.failing_seed).run(list(reduced))
-            focus_snap = focus.snapshot()
-            failure_trace = focus_snap["trace"]
-            failure_events = focus_snap["fault_events"]
+            focused = observed(focus, metrics=False)
         failures.append(
             ShardFailure(
                 kind=spec.kind,
@@ -910,8 +905,7 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
                 detail=str(report.failure),
                 fault=fault_name,
                 minimized=minimized,
-                trace=failure_trace,
-                fault_events=failure_events,
+                **focused,
             )
         )
     coverage_lines: Optional[List[Tuple[str, int]]] = None
@@ -920,7 +914,6 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
             (os.path.basename(filename), lineno)
             for filename, lineno in collector.report.lines
         )
-    shard_snap = shard_recorder.snapshot() if shard_recorder else None
     return ShardResult(
         shard_id=spec.shard_id,
         kind=spec.kind,
@@ -932,9 +925,7 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
         detector=spec.param("detector") or _default_detector(fault_name),
         fault=fault_name,
         coverage_lines=coverage_lines,
-        metrics=shard_snap["metrics"] if shard_snap else None,
-        fault_events=shard_snap["fault_events"] if shard_snap else None,
-        trace=shard_snap["trace"] if shard_snap else None,
+        **observed(recorder),
     )
 
 

@@ -123,9 +123,13 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
     states reachable from that point (:func:`explore_block_level`) and
     checks the section 5 persistence property in every state.
     """
-    from repro.campaign.spec import ShardFailure, ShardResult
+    from repro.campaign.spec import (
+        ShardFailure,
+        ShardResult,
+        observed,
+        shard_recorder,
+    )
     from repro.shardstore.faults import Fault, FaultSet
-    from repro.shardstore.observability import NULL_RECORDER, RingRecorder
 
     from .alphabet import BiasConfig, store_alphabet
 
@@ -138,12 +142,7 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
     max_states = spec.param("max_states", 128)
     alphabet = store_alphabet()
     bias = BiasConfig()
-    recorder = RingRecorder() if spec.param("trace", False) else None
-    if recorder is not None:
-        recorder.event("shard", kind=spec.kind, seed=spec.seed)
-        if fault_name:
-            fault = Fault[fault_name]
-            recorder.fault_event(fault, "armed for this shard")
+    recorder = shard_recorder(spec, faults, kind=spec.kind, seed=spec.seed)
 
     result = ShardResult(
         shard_id=spec.shard_id,
@@ -155,23 +154,19 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
     )
 
     def finish() -> ShardResult:
-        if recorder is not None:
-            snap = recorder.snapshot()
-            result.metrics = snap["metrics"]
-            result.fault_events = snap["fault_events"]
-            result.trace = snap["trace"]
-            for failure in result.failures:
-                failure.trace = snap["trace"]
-                failure.fault_events = snap["fault_events"]
+        # One final snapshot serves the shard and its failure alike.
+        for name, value in observed(recorder).items():
+            setattr(result, name, value)
+            if name != "metrics":
+                for failure in result.failures:
+                    setattr(failure, name, value)
         return result
 
     for index in range(sequences):
         seed = spec.seed + index
         rng = random.Random(seed)
         ops = alphabet.generate_sequence(rng, prefix_ops, bias)
-        harness = StoreHarness(
-            faults, seed, recorder=recorder if recorder else NULL_RECORDER
-        )
+        harness = StoreHarness(faults, seed, recorder=recorder)
         prefix_failure = harness.run(ops)
         result.ops += len(ops)
         if prefix_failure is not None:
@@ -184,19 +179,16 @@ def run_shard(spec: "ShardSpec") -> "ShardResult":
                 )
             )
             return finish()
-        if recorder is not None:
+        if recorder.enabled:
             recorder.event(
                 "crash.explore", sequence=index, pending=harness.store.pending_io_count
             )
         exploration = explore_block_level(harness, max_states=max_states)
         result.cases += exploration.states_explored
         if exploration.violation is not None:
-            if recorder is not None:
-                recorder.event(
-                    "crash.violation",
-                    sequence=index,
-                    states=exploration.states_explored,
-                )
+            recorder.event(
+                "crash.violation", sequence=index, states=exploration.states_explored
+            )
             result.failures.append(
                 ShardFailure(
                     kind=spec.kind,

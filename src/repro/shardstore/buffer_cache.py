@@ -233,11 +233,10 @@ class BufferCache:
         pointer_dep = self.superblock.note_append(extent)
         self.superblock.maybe_flush()
         if self.faults.enabled(Fault.CACHE_WRITE_MISSING_SOFT_PTR_DEP):
-            if self.recorder.enabled:
-                self.recorder.fault_event(
-                    Fault.CACHE_WRITE_MISSING_SOFT_PTR_DEP,
-                    f"append@{extent} returned without the soft-pointer promise",
-                )
+            self.recorder.fault_event(
+                Fault.CACHE_WRITE_MISSING_SOFT_PTR_DEP,
+                f"append@{extent} returned without the soft-pointer promise",
+            )
             return offset, data_dep
         return offset, data_dep.and_(pointer_dep)
 
@@ -299,11 +298,10 @@ class BufferCache:
         the extent can serve to readers.
         """
         if self.faults.enabled(Fault.CACHE_NOT_DRAINED_ON_RESET):
-            if self.recorder.enabled:
-                self.recorder.fault_event(
-                    Fault.CACHE_NOT_DRAINED_ON_RESET,
-                    f"reset of extent {extent} left cached pages in place",
-                )
+            self.recorder.fault_event(
+                Fault.CACHE_NOT_DRAINED_ON_RESET,
+                f"reset of extent {extent} left cached pages in place",
+            )
             return
         stale = [key for key in self._pages if key[0] == extent]
         for key in stale:

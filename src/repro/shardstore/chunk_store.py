@@ -250,12 +250,11 @@ class ChunkStore:
             # pointing at the other writer's bytes.
             extent = self._extent_for(len(frame), priority=priority)
             predicted = self.cache.scheduler.soft_pointer(extent)
-            if self.recorder.enabled:
-                self.recorder.fault_event(
-                    Fault.LOCATOR_RACE_WRITE_FLUSH,
-                    f"locator offset {predicted} sampled before the append "
-                    f"to extent {extent}",
-                )
+            self.recorder.fault_event(
+                Fault.LOCATOR_RACE_WRITE_FLUSH,
+                f"locator offset {predicted} sampled before the append "
+                f"to extent {extent}",
+            )
             yield_point("locator sampled before append")
             offset, write_dep = self.cache.append(
                 extent, frame, dep, label=f"chunk@{extent}"

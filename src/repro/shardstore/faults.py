@@ -203,10 +203,9 @@ class FaultSet:
         return cls((fault,))
 
     def enabled(self, fault: Fault) -> bool:
-        return fault in self._enabled
-
-    def with_(self, fault: Fault) -> "FaultSet":
-        return FaultSet(self._enabled | {fault})
+        # An empty set answers before ``in`` hashes the Enum (a Python
+        # frame): the unfaulted hot path asks this on every append.
+        return bool(self._enabled) and fault in self._enabled
 
     def __iter__(self):
         return iter(sorted(self._enabled, key=lambda f: f.value))

@@ -30,7 +30,7 @@ the recovery machinery itself, and corrupting those models a different
 failure class (a dead node) than the per-IO contract this campaign checks.
 
 The checker side lives in :mod:`repro.campaign.injection`; the tolerance
-side (retry/backoff, the disk circuit breaker, scrub-repair) lives in
+side (retries, the disk circuit breaker, scrub-repair) lives in
 :mod:`repro.shardstore.resilience`, :mod:`repro.shardstore.rpc` and
 :mod:`repro.shardstore.store`.
 """

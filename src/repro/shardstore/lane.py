@@ -190,18 +190,14 @@ class DiskLane:
     # ------------------------------------------------------------------
     # store IO
 
-    def _note_retry(self, failures: int, backoff: int, exc: IoError) -> None:
+    def _note_retry(self, failures: int, exc: IoError) -> None:
         ctx = self.ctx
         ctx.stats.retries += 1
         if ctx.note_retry is not None:
             ctx.note_retry()
         if ctx.recorder.enabled:
             ctx.recorder.event(
-                "node.retry",
-                disk=self.disk_id,
-                attempt=failures,
-                backoff=backoff,
-                error=str(exc),
+                "node.retry", disk=self.disk_id, attempt=failures, error=str(exc)
             )
 
     def _metered_io(self, fn: Callable[[], _T]) -> _T:

@@ -268,7 +268,7 @@ class LsmIndex:
                 self.faults.enabled(Fault.SHUTDOWN_SKIPS_METADATA_AFTER_RESET)
                 and self._meta_switched
             )
-            if skip_meta and self.recorder.enabled and self._memtable:
+            if skip_meta and self._memtable:
                 self.recorder.fault_event(
                     Fault.SHUTDOWN_SKIPS_METADATA_AFTER_RESET,
                     "shutdown flush skipped the metadata record after a "
@@ -315,7 +315,7 @@ class LsmIndex:
         yield_point("compaction: writing merged run")
         pin = not self.faults.enabled(Fault.COMPACTION_RECLAIM_RACE)
         self.stats.compactions += 1
-        if self.recorder.enabled and not pin:
+        if not pin:
             self.recorder.fault_event(
                 Fault.COMPACTION_RECLAIM_RACE,
                 "compaction writing the merged run without pinning its extent",

@@ -61,6 +61,12 @@ class Recorder:
 
     enabled = False
 
+    #: Optional :class:`~repro.shardstore.observability.journal.Journal`
+    #: a ring streams trace entries into (set by
+    #: ``Journal.attach_recorder``); class attribute so the hot path pays
+    #: one attribute check when no journal is attached.
+    journal: Any = None
+
     def span(self, name: str, **fields: Any) -> Any:
         """Context manager bracketing one operation (nests)."""
         return NULL_SPAN
@@ -109,12 +115,6 @@ class RingRecorder(Recorder):
     of the stats objects it watches."""
 
     enabled = True
-
-    #: Optional :class:`~repro.shardstore.observability.journal.Journal`
-    #: this recorder streams trace entries into (set by
-    #: ``Journal.attach_recorder``); class attribute so the hot path pays
-    #: one attribute check when no journal is attached.
-    journal: Any = None
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
         self.capacity = capacity

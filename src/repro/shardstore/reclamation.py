@@ -134,25 +134,25 @@ class Reclaimer:
             if self.faults.enabled(Fault.RECLAIM_FORGETS_ON_READ_ERROR)
             else "raise"
         )
-        if self.recorder.enabled:
-            if on_read_error == "truncate":
-                self.recorder.fault_event(
-                    Fault.RECLAIM_FORGETS_ON_READ_ERROR,
-                    f"scan of extent {extent} will treat a read error as "
-                    "end-of-extent",
-                )
-            if self.faults.enabled(Fault.UUID_MAGIC_COLLISION_SCAN):
-                self.recorder.fault_event(
-                    Fault.UUID_MAGIC_COLLISION_SCAN,
-                    f"sequential-only scan of extent {extent}",
-                )
+        if on_read_error == "truncate":
+            self.recorder.fault_event(
+                Fault.RECLAIM_FORGETS_ON_READ_ERROR,
+                f"scan of extent {extent} will treat a read error as "
+                "end-of-extent",
+            )
+        sequential_only = self.faults.enabled(Fault.UUID_MAGIC_COLLISION_SCAN)
+        if sequential_only:
+            self.recorder.fault_event(
+                Fault.UUID_MAGIC_COLLISION_SCAN,
+                f"sequential-only scan of extent {extent}",
+            )
         reader = PagedReader(
             lambda off, length: self.cache.read(extent, off, length), limit, page
         )
         chunks = scan_chunks(
             reader,
             page,
-            sequential_only=self.faults.enabled(Fault.UUID_MAGIC_COLLISION_SCAN),
+            sequential_only=sequential_only,
             on_read_error=on_read_error,
         )
         result.scanned_chunks = len(chunks)
@@ -182,12 +182,11 @@ class Reclaimer:
             self.last_touched_keys = touched
             return result
         if self.faults.enabled(Fault.SOFT_HARD_POINTER_MISMATCH_ON_RESET):
-            if self.recorder.enabled:
-                self.recorder.fault_event(
-                    Fault.SOFT_HARD_POINTER_MISMATCH_ON_RESET,
-                    f"reset of extent {extent} queued without persisting its "
-                    "prerequisites",
-                )
+            self.recorder.fault_event(
+                Fault.SOFT_HARD_POINTER_MISMATCH_ON_RESET,
+                f"reset of extent {extent} queued without persisting its "
+                "prerequisites",
+            )
         else:
             # Persist the reclamation's prerequisites before queueing the
             # destructive reset.  This covers more than the evacuation
@@ -240,11 +239,10 @@ class Reclaimer:
             # Fault #1: the boundary arithmetic drops the final byte of
             # chunks whose frame ends exactly on a page boundary.
             payload = payload[:-1]
-            if self.recorder.enabled:
-                self.recorder.fault_event(
-                    Fault.RECLAIM_OFF_BY_ONE,
-                    f"evacuation of {locator} dropped the final payload byte",
-                )
+            self.recorder.fault_event(
+                Fault.RECLAIM_OFF_BY_ONE,
+                f"evacuation of {locator} dropped the final payload byte",
+            )
         new_loc, write_dep = self.chunk_store.put_chunk(
             KIND_DATA, chunk.key, payload, priority=True
         )

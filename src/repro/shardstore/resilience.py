@@ -5,9 +5,9 @@ may fail" while the node still either completes each request or fails it
 with a typed retryable error.  This module supplies the *tolerance* side of
 that contract:
 
-* :func:`call_with_retries` -- bounded retry-with-backoff for transient
-  :class:`~repro.shardstore.errors.IoError`\\ s.  Backoff is expressed in
-  *logical units*: nothing here sleeps or reads a clock.
+* :func:`call_with_retries` -- bounded immediate retries for transient
+  :class:`~repro.shardstore.errors.IoError`\\ s: nothing here sleeps or
+  reads a clock.
 * :class:`DiskHealth` -- a sliding window of per-disk IO outcomes.
 * :class:`CircuitBreaker` -- a per-disk breaker driven purely by the node's
   operation counter (no wall clock, so campaigns stay deterministic):
@@ -78,38 +78,22 @@ T = TypeVar("T")
 #: Attempts per request-plane call, counting the initial try: 3 means one
 #: try plus two retries.
 RETRY_ATTEMPTS = 3
-#: Backoff before the first retry, in logical units ...
-RETRY_BACKOFF_START = 1
-#: ... multiplied by this after each further failure ...
-RETRY_BACKOFF_MULTIPLIER = 2
-#: ... and capped here.
-RETRY_BACKOFF_CAP = 8
-
-
-def backoff_units(failures: int) -> int:
-    """Logical backoff before the next attempt after ``failures`` errors."""
-    if failures <= 0:
-        return 0
-    return min(
-        RETRY_BACKOFF_CAP,
-        RETRY_BACKOFF_START * RETRY_BACKOFF_MULTIPLIER ** (failures - 1),
-    )
 
 
 def call_with_retries(
     fn: Callable[[], T],
     attempts: int,
     *,
-    on_retry: Optional[Callable[[int, int, IoError], None]] = None,
+    on_retry: Optional[Callable[[int, IoError], None]] = None,
     should_retry: Optional[Callable[[], bool]] = None,
     failed: Optional[IoError] = None,
 ) -> T:
     """Run ``fn``, retrying transient :class:`IoError` up to ``attempts``.
 
-    ``attempts`` counts the initial try (1 never retries).  Backoff is
-    handed to ``on_retry``; nothing sleeps.  Non-transient errors are
-    never retried.  ``on_retry(attempt, backoff_units, exc)`` fires before
-    each retry so callers can count retries and emit events.
+    ``attempts`` counts the initial try (1 never retries), and a retry
+    follows its failure at once: nothing sleeps.  Non-transient errors are
+    never retried.  ``on_retry(attempt, exc)`` fires before each retry so
+    callers can count retries and emit events.
     ``should_retry`` is an extra gate consulted before every retry -- the
     hook a :class:`RetryBudget` plugs into; when it returns False the
     retry is abandoned and the error propagates even though ``attempts``
@@ -138,7 +122,7 @@ def call_with_retries(
         if should_retry is not None and not should_retry():
             raise exc
         if on_retry is not None:
-            on_retry(failures, backoff_units(failures), exc)
+            on_retry(failures, exc)
 
 
 class BreakerState(enum.Enum):

@@ -409,11 +409,10 @@ class StorageNode:
         concurrent removals.
         """
         if self.faults.enabled(Fault.LIST_REMOVE_RACE):
-            if self.recorder.enabled:
-                self.recorder.fault_event(
-                    Fault.LIST_REMOVE_RACE,
-                    "listing iterates the routing table without the node lock",
-                )
+            self.recorder.fault_event(
+                Fault.LIST_REMOVE_RACE,
+                "listing iterates the routing table without the node lock",
+            )
             out: List[bytes] = []
             for key in self._shard_map:  # no lock: mutations race with us
                 yield_point("keys: unlocked iteration")
@@ -482,12 +481,11 @@ class StorageNode:
             lane.fresh_breaker()
             stale = self._removed_routing.pop(disk_id, {})
             if self.faults.enabled(Fault.DISK_RETURN_DROPS_SHARDS):
-                if self.recorder.enabled:
-                    self.recorder.fault_event(
-                        Fault.DISK_RETURN_DROPS_SHARDS,
-                        f"disk {disk_id} returned; merging {len(stale)} stale "
-                        "routing entries",
-                    )
+                self.recorder.fault_event(
+                    Fault.DISK_RETURN_DROPS_SHARDS,
+                    f"disk {disk_id} returned; merging {len(stale)} stale "
+                    "routing entries",
+                )
                 for key, old_disk in stale.items():
                     if key in self._shard_map:
                         self._shard_map[key] = old_disk
@@ -597,8 +595,6 @@ class StorageNode:
         with self._lock:
             lane.readmit()
         self.stats.readmissions += 1
-        if self.recorder.enabled:
-            self.recorder.event("node.disk_readmitted", disk=lane.disk_id)
 
     def degraded(self, disk_id: int) -> bool:
         """Whether ``disk_id`` is in degraded read-only mode."""
@@ -635,11 +631,10 @@ class StorageNode:
         """Whether fault #16 is armed (noting it on a traced run)."""
         if not self.faults.enabled(Fault.BULK_CREATE_REMOVE_RACE):
             return False
-        if self.recorder.enabled:
-            self.recorder.fault_event(
-                Fault.BULK_CREATE_REMOVE_RACE,
-                f"{op} of {count} shards releases the node lock between items",
-            )
+        self.recorder.fault_event(
+            Fault.BULK_CREATE_REMOVE_RACE,
+            f"{op} of {count} shards releases the node lock between items",
+        )
         return True
 
     @journaled(

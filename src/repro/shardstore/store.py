@@ -160,12 +160,6 @@ class ShardStore:
         # first Merkle use (the crash may have lost un-drained writes, so
         # the pre-crash in-memory commitment would over-claim).
         self._merkle: Optional[MerkleMap] = None if recover else MerkleMap()
-        if self.recorder.enabled and config.faults:
-            # Record which Fig. 5 faults this store was built with, so every
-            # traced fault-matrix shard carries a non-empty fault-event
-            # section even when the fault's trigger site is never reached.
-            for fault in config.faults:
-                self.recorder.fault_event(fault, "armed at store construction")
 
     def _seal_log_extents(self) -> Dict[int, LogScan]:
         """Truncate superblock/metadata log extents to their valid prefix.
@@ -219,14 +213,12 @@ class ShardStore:
             fn, RETRY_ATTEMPTS, on_retry=self._note_retry, failed=failed
         )
 
-    def _note_retry(self, failures: int, backoff: int, exc: IoError) -> None:
+    def _note_retry(self, failures: int, exc: IoError) -> None:
         self.stats.retries += 1
         if self.journal is not None:
             self.journal.note_retry()
         if self.recorder.enabled:
-            self.recorder.event(
-                "store.retry", attempt=failures, backoff=backoff, error=str(exc)
-            )
+            self.recorder.event("store.retry", attempt=failures, error=str(exc))
 
     @journaled("put", key=validate_key, value=True, span="put")
     def put(self, key: bytes, value: bytes) -> Dependency:
@@ -427,8 +419,6 @@ class ShardStore:
             self.put(key, value)
             report.repaired.append(key)
             self.stats.repaired += 1
-            if self.recorder.enabled:
-                self.recorder.event("scrub.repair", key=repr(key))
 
     # ------------------------------------------------------------------
     # writeback control (the crash checker drives these)

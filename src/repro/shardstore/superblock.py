@@ -187,12 +187,11 @@ class Superblock:
                 cell = FutureCell(label=f"sb-ptr@{extent} (stale)")
                 cell.resolve(self._last_flush_dep)
                 self._cells[extent] = cell
-            if self.recorder.enabled:
-                self.recorder.fault_event(
-                    Fault.SUPERBLOCK_WRONG_DEP_AFTER_REBOOT,
-                    "pointer promises pre-resolved against the pre-reboot "
-                    "flush record",
-                )
+            self.recorder.fault_event(
+                Fault.SUPERBLOCK_WRONG_DEP_AFTER_REBOOT,
+                "pointer promises pre-resolved against the pre-reboot "
+                "flush record",
+            )
 
     # ------------------------------------------------------------------
     # notes from the write path
@@ -234,12 +233,11 @@ class Superblock:
             # Fault #7: the next flush publishes the post-reset pointer, with
             # no regard for whether the reset (and the evacuations it
             # depends on) is durable.
-            if self.recorder.enabled:
-                self.recorder.fault_event(
-                    Fault.SOFT_HARD_POINTER_MISMATCH_ON_RESET,
-                    f"pointer for extent {extent} published as 0 before the "
-                    "reset is durable",
-                )
+            self.recorder.fault_event(
+                Fault.SOFT_HARD_POINTER_MISMATCH_ON_RESET,
+                f"pointer for extent {extent} published as 0 before the "
+                "reset is durable",
+            )
             return
         self._pending_resets.setdefault(extent, []).append(reset_dep)
 
@@ -272,11 +270,10 @@ class Superblock:
         waits for the state lock.
         """
         if self.faults.enabled(Fault.BUFFER_POOL_DEADLOCK):
-            if self.recorder.enabled:
-                self.recorder.fault_event(
-                    Fault.BUFFER_POOL_DEADLOCK,
-                    "flush acquiring state lock before the buffer pool",
-                )
+            self.recorder.fault_event(
+                Fault.BUFFER_POOL_DEADLOCK,
+                "flush acquiring state lock before the buffer pool",
+            )
             with self._state_lock:
                 self.pool.acquire()
                 try:

@@ -48,13 +48,6 @@ class TestFaultSet:
         assert faults.enabled(Fault.RECLAIM_OFF_BY_ONE)
         assert not faults.enabled(Fault.CACHE_NOT_DRAINED_ON_RESET)
 
-    def test_with_is_nondestructive(self):
-        base = FaultSet.only(Fault.RECLAIM_OFF_BY_ONE)
-        extended = base.with_(Fault.LIST_REMOVE_RACE)
-        assert not base.enabled(Fault.LIST_REMOVE_RACE)
-        assert extended.enabled(Fault.LIST_REMOVE_RACE)
-        assert extended.enabled(Fault.RECLAIM_OFF_BY_ONE)
-
     def test_iteration_ordered_by_number(self):
         faults = FaultSet([Fault.LIST_REMOVE_RACE, Fault.RECLAIM_OFF_BY_ONE])
         assert [f.value for f in faults] == [1, 13]

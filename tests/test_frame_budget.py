@@ -17,7 +17,7 @@ from repro.shardstore import DiskGeometry, StorageNode, StoreConfig
 #: (DESIGN.md "Envelope cost" has the counts before and after).
 GET_BUDGET = 26  # a cache-hot get
 CONTAINS_BUDGET = 6
-PUT_BUDGET = 67  # a put that flushes neither memtable nor superblock
+PUT_BUDGET = 65  # a put that flushes neither memtable nor superblock
 
 
 def _frames(call):

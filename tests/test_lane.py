@@ -358,7 +358,7 @@ class _FlakyFirst:
 
 def _retry_events(recorder, name):
     return [
-        (entry["fields"]["attempt"], entry["fields"]["backoff"])
+        entry["fields"]["attempt"]
         for entry in recorder.events
         if entry["type"] == "event" and entry["name"] == name
     ]
@@ -443,14 +443,14 @@ RETRY_AND_BUDGET = AdmissionConfig()
 
 #: (entry, failures, options) -> (outcome, attempts, (retries,
 #: retry_budget_exhausted, wrapped_transients), breaker window, retry
-#: notes, node.retry (attempt, backoff) events).
+#: notes, node.retry event attempts).
 LANE_ACCOUNTING = [
     (("io", 0, {}), ("ok", 1, (0, 0, 0), [True], 0, [])),
-    (("io", 1, {}), ("ok", 2, (1, 0, 0), [True], 1, [(1, 1)])),
-    (("io", 2, {}), ("ok", 3, (2, 0, 0), [True], 2, [(1, 1), (2, 2)])),
+    (("io", 1, {}), ("ok", 2, (1, 0, 0), [True], 1, [1])),
+    (("io", 2, {}), ("ok", 3, (2, 0, 0), [True], 2, [1, 2])),
     (
         ("io", 3, {}),
-        ("RetryableError", 3, (2, 0, 1), [False], 2, [(1, 1), (2, 2)]),
+        ("RetryableError", 3, (2, 0, 1), [False], 2, [1, 2]),
     ),
     (
         ("io", 99, {"transient": False}),
@@ -458,7 +458,7 @@ LANE_ACCOUNTING = [
     ),
     (
         ("io", 99, {"admission": RETRY_AND_BUDGET, "tokens": 1}),
-        ("RetryableError", 2, (1, 1, 1), [False], 1, [(1, 1)]),
+        ("RetryableError", 2, (1, 1, 1), [False], 1, [1]),
     ),
     (
         ("io", 99, {"admission": RETRY_AND_BUDGET, "tokens": 0}),
@@ -466,36 +466,37 @@ LANE_ACCOUNTING = [
     ),
     (
         ("io", 1, {"admission": RETRY_AND_BUDGET}),
-        ("ok", 2, (1, 0, 0), [True], 1, [(1, 1)]),
+        ("ok", 2, (1, 0, 0), [True], 1, [1]),
     ),
     (
         ("io", 1, {"retries": False}),
         ("RetryableError", 1, (0, 0, 1), [False], 0, []),
     ),
-    (("unmetered_io", 2, {}), ("ok", 3, (2, 0, 0), [True], 2, [(1, 1), (2, 2)])),
+    (("unmetered_io", 2, {}), ("ok", 3, (2, 0, 0), [True], 2, [1, 2])),
     (
         ("unmetered_io", 3, {}),
-        ("RetryableError", 3, (2, 0, 1), [False], 2, [(1, 1), (2, 2)]),
+        ("RetryableError", 3, (2, 0, 1), [False], 2, [1, 2]),
     ),
 ]
 
 #: (op, failures, transient) -> (outcome, attempts, store.retries,
-#: (record kind, record outcome, record retries), store.retry events).
+#: (record kind, record outcome, record retries), store.retry event
+#: attempts).
 STORE_ACCOUNTING = [
     (("put", 0, True), ("ok", 1, 0, ("put", "ok", 0), [])),
-    (("put", 1, True), ("ok", 2, 1, ("put", "ok", 1), [(1, 1)])),
-    (("put", 2, True), ("ok", 3, 2, ("put", "ok", 2), [(1, 1), (2, 2)])),
+    (("put", 1, True), ("ok", 2, 1, ("put", "ok", 1), [1])),
+    (("put", 2, True), ("ok", 3, 2, ("put", "ok", 2), [1, 2])),
     (
         ("put", 3, True),
-        ("IoError", 3, 2, ("put", "error:IoError", 2), [(1, 1), (2, 2)]),
+        ("IoError", 3, 2, ("put", "error:IoError", 2), [1, 2]),
     ),
     (("put", 99, False), ("IoError", 1, 0, ("put", "error:IoError", 0), [])),
     (("get", 0, True), ("ok", 1, 0, ("get", "ok", 0), [])),
-    (("get", 1, True), ("ok", 2, 1, ("get", "ok", 1), [(1, 1)])),
-    (("get", 2, True), ("ok", 3, 2, ("get", "ok", 2), [(1, 1), (2, 2)])),
+    (("get", 1, True), ("ok", 2, 1, ("get", "ok", 1), [1])),
+    (("get", 2, True), ("ok", 3, 2, ("get", "ok", 2), [1, 2])),
     (
         ("get", 3, True),
-        ("IoError", 3, 2, ("get", "error:IoError", 2), [(1, 1), (2, 2)]),
+        ("IoError", 3, 2, ("get", "error:IoError", 2), [1, 2]),
     ),
     (("get", 99, False), ("IoError", 1, 0, ("get", "error:IoError", 0), [])),
 ]

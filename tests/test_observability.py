@@ -285,3 +285,67 @@ class TestStatsAreTheCounters:
                 if "recorder" in name:
                     calls.append(f"{path.relative_to(root)}:{node.lineno}")
         assert calls == []
+
+
+class TestTraceSaysEachThingOnce:
+    """Each trace entry a deletion relied on to say what the deleted one
+    said is pinned here, so a later change cannot delete both copies."""
+
+    @staticmethod
+    def _matrix_shard(fault):
+        from repro.campaign.fault_matrix import fault_matrix_shards, run_shard
+        from repro.campaign.spec import smoke_spec
+
+        shards = fault_matrix_shards(smoke_spec(trace=True), 0)
+        return run_shard(next(s for s in shards if s.param("fault") == fault.name))
+
+    def test_a_matrix_shard_says_once_which_fault_it_armed(self):
+        result = self._matrix_shard(Fault.RECLAIM_OFF_BY_ONE)
+        details = [event["detail"] for event in result.fault_events]
+        assert details.count("armed for this shard") == 1
+        assert "armed at store construction" not in details
+        assert len(result.fault_events) < MAX_FAULT_EVENTS
+        # What is left is where the seeded bug fired.
+        assert details[0] == "armed for this shard" and len(details) > 1
+        assert all("dropped the final payload byte" in d for d in details[1:])
+
+    def test_an_mc_violation_is_told_by_the_failure_detail(self):
+        result = self._matrix_shard(Fault.BUFFER_POOL_DEADLOCK)
+        (failure,) = result.failures
+        assert failure.detail.startswith(
+            f"DeadlockError after {result.cases} executions"
+        )
+        names = [entry["name"] for entry in failure.trace]
+        assert names == ["mc.explore", "fault"]
+
+    def test_a_repaired_key_is_the_put_inside_the_scrub_repair(self, monkeypatch):
+        from repro.shardstore.scrub import ScrubReport
+
+        recorder = RingRecorder()
+        store = StoreSystem(
+            StoreConfig(geometry=_geometry(), recorder=recorder)
+        ).store
+        for i in range(4):
+            store.put(b"k%d" % i, bytes([0x41 + i]) * 150)
+        # The scrub flags a key whose chunk the normal read path still
+        # reads (as a transient misread would), so repair rewrites it.
+        monkeypatch.setattr(
+            store.scrubber,
+            "scrub",
+            lambda: ScrubReport(keys_checked=4, bad_keys=[b"k2"]),
+        )
+        assert store.scrub_repair().repaired == [b"k2"]
+        entries = list(recorder.events)
+        start = max(
+            i
+            for i, entry in enumerate(entries)
+            if entry["type"] == "span" and entry["name"] == "scrub_repair"
+        )
+        inside = [
+            (entry["type"], entry["name"], entry.get("fields", {}).get("key"))
+            for entry in entries[start + 1 :]
+            if entry["depth"] == 1
+        ]
+        assert ("span", "put", repr(b"k2")) in inside
+        assert entries[-1]["type"] == "end"
+        assert entries[-1]["name"] == "scrub_repair"

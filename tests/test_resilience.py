@@ -1,7 +1,7 @@
 """Unit tests for the resilience primitives and the self-healing node.
 
 Covers the tolerance side of the section 4.4 failure-injection contract:
-bounded retry-with-backoff, the per-disk sliding-window health view, the
+bounded immediate retries, the per-disk sliding-window health view, the
 op-clocked circuit breaker state machine, and -- end to end -- a
 StorageNode tripping its breaker on a faulty disk, demoting it, probing
 after cooldown, and re-admitting it through probation back to CLOSED.
@@ -16,8 +16,10 @@ from repro.cluster import ClusterConfig
 from repro.shardstore import (
     DiskGeometry,
     FailureMode,
+    NULL_RECORDER,
     IoError,
     RetryableError,
+    RingRecorder,
     StorageNode,
     StoreConfig,
     resilience,
@@ -33,15 +35,11 @@ from repro.shardstore.resilience import (
     BreakerState,
     CircuitBreaker,
     DiskHealth,
-    backoff_units,
     call_with_retries,
 )
 
 
 class TestRetryPolicy:
-    def test_backoff_units_grow_and_cap(self):
-        assert [backoff_units(n) for n in range(6)] == [0, 1, 2, 4, 8, 8]
-
     def test_transient_error_is_retried_to_success(self):
         attempts = []
 
@@ -88,20 +86,20 @@ class TestRetryPolicy:
             call_with_retries(flaky, 1)
         assert len(attempts) == 1
 
-    def test_on_retry_sees_attempt_backoff_and_error(self):
+    def test_on_retry_sees_attempt_and_error(self):
         seen = []
 
         def flaky():
             if len(seen) < 2:
-                raise IoError("flaky", transient=True)
+                raise IoError(f"flaky #{len(seen) + 1}", transient=True)
             return "done"
 
         call_with_retries(
             flaky,
             RETRY_ATTEMPTS,
-            on_retry=lambda n, units, exc: seen.append((n, units)),
+            on_retry=lambda n, exc: seen.append((n, str(exc))),
         )
-        assert seen == [(1, 1), (2, 2)]
+        assert seen == [(1, "flaky #1"), (2, "flaky #2")]
 
 
 class TestDiskHealth:
@@ -191,13 +189,14 @@ class TestNodeSelfHealing:
     re-admitted on probation and finally closes -- all without wall time.
     """
 
-    def _node(self):
+    def _node(self, recorder=NULL_RECORDER):
         return StorageNode(
             num_disks=3,
             config=StoreConfig(
                 geometry=DiskGeometry(
                     num_extents=10, extent_size=2048, page_size=128
-                )
+                ),
+                recorder=recorder,
             ),
         )
 
@@ -284,6 +283,23 @@ class TestNodeSelfHealing:
             node.put(key, b"w")
             assert node.get(key) == b"w"
         assert node.breaker_state(victim) is BreakerState.CLOSED
+
+    def test_a_traced_readmission_is_the_probe_that_passed(self):
+        """The trace tells a readmission by its passing probe alone."""
+        recorder = RingRecorder()
+        node = self._node(recorder)
+        victim = 1
+        self._trip(node, victim)
+        node.systems[victim].disk.clear_faults()
+        for i in range(BREAKER_COOLDOWN_OPS + 1):
+            node.put(b"clock-%d" % i, b"v")
+        assert node.stats.readmissions == 1
+        probes = [
+            entry["fields"]
+            for entry in recorder.events
+            if entry["type"] == "event" and entry["name"] == "node.breaker_probe"
+        ]
+        assert probes == [{"disk": victim, "ok": True}]
 
     def test_still_faulty_disk_fails_probe_and_stays_out(self):
         node = self._node()
