@@ -956,6 +956,10 @@ class _Side:
             cell, dep = args
             self.cells[cell].resolve(self.deps[dep])
             return None
+        if kind == "lose":
+            (dep,) = args
+            self.tracker.mark_lost(sorted(self.deps[dep].record_ids()))
+            return None
         if kind == "pump":
             extent, coalesce, max_batch = args
             return s.pump_one(extent, coalesce=coalesce, max_batch=max_batch)
@@ -1120,12 +1124,14 @@ class _FullPollScheduler(IoScheduler):
 def _poll_history_step(rng, reference):
     """``_history_step`` with more future cells, late resolutions and
     snapshot/restore pairs, so that heads wait on cells and on records a
-    restore made pending again."""
+    restore made pending again; and with second resolutions of resolved
+    cells and lost records, the two other ways a met dependency can stop
+    being met."""
     roll = rng.random()
+    recent = max(0, len(reference.deps) - 6)
     if roll < 0.08:
         return ("cell",)
     if roll < 0.18 and reference.cells:
-        recent = max(0, len(reference.deps) - 6)
         return (
             "resolve",
             rng.randrange(len(reference.cells)),
@@ -1133,6 +1139,17 @@ def _poll_history_step(rng, reference):
         )
     if roll < 0.22:
         return ("restore",) if reference.saved is not None else ("snapshot",)
+    resolved = [
+        i for i, cell in enumerate(reference.cells) if cell.resolved is not None
+    ]
+    if roll < 0.26 and resolved:
+        return (
+            "resolve",
+            rng.choice(resolved),
+            rng.randrange(recent, len(reference.deps)),
+        )
+    if roll < 0.28:
+        return ("lose", rng.randrange(recent, len(reference.deps)))
     return _history_step(rng, reference)
 
 
