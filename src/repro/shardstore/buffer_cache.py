@@ -225,20 +225,28 @@ class BufferCache:
     ) -> Tuple[int, Dependency]:
         """Append through the cache; returns (offset, persistence dep).
 
-        The returned dependency is ``data-write AND superblock-promise``;
-        fault #8 drops the superblock promise.
+        The returned dependency is ``data-write AND superblock-promise``,
+        one object built by ``Superblock.note_append`` from the append's
+        records (the scheduler's ``promise``); fault #8 drops the
+        superblock promise.
         """
-        offset, data_dep = self.scheduler.append(extent, data, dep, label=label)
-        self._fill_from_append(extent, offset, data)
-        pointer_dep = self.superblock.note_append(extent)
-        self.superblock.maybe_flush()
+        superblock = self.superblock
         if self.faults.enabled(Fault.CACHE_WRITE_MISSING_SOFT_PTR_DEP):
+            offset, data_dep = self.scheduler.append(extent, data, dep, label=label)
+            self._fill_from_append(extent, offset, data)
+            superblock.note_append(extent)
+            superblock.maybe_flush()
             self.recorder.fault_event(
                 Fault.CACHE_WRITE_MISSING_SOFT_PTR_DEP,
                 f"append@{extent} returned without the soft-pointer promise",
             )
             return offset, data_dep
-        return offset, data_dep.and_(pointer_dep)
+        offset, write_dep = self.scheduler.append(
+            extent, data, dep, label=label, promise=superblock.note_append
+        )
+        self._fill_from_append(extent, offset, data)
+        superblock.maybe_flush()
+        return offset, write_dep
 
     def _fill_from_append(self, extent: int, offset: int, data: bytes) -> None:
         """Populate cache pages covering a fresh append (write-through).
@@ -247,15 +255,21 @@ class BufferCache:
         appends and must come from the cache or, if the page was never
         cached that far, from the scheduler -- fabricating anything for the
         prefix would corrupt the cached image of the previous chunk's tail.
+
+        Each page is filed as :meth:`_insert` would (inlined: this is every
+        put), evicting as it goes, so a later page of the append is looked
+        up in the cache as that page's insert left it.
         """
         page = self._page_size
         end = offset + len(data)
         view = memoryview(data)
+        pages = self._pages
+        budget = self._page_budget
         for page_idx in range(offset // page, (end - 1) // page + 1):
             page_start = page_idx * page
             valid = min(page, end - page_start)
             key = (extent, page_idx)
-            cached = self._pages.get(key)
+            cached = pages.get(key)
             if cached is not None and cached[1] > valid:
                 continue  # cache already knows a longer prefix
             lo = max(offset, page_start)
@@ -266,27 +280,28 @@ class BufferCache:
                 # Fast path: the cached prefix (possibly empty) ends exactly
                 # where this append starts -- concatenate, no readback and no
                 # scratch buffer.
-                if prefix_len:
-                    self._insert(key, cached[0] + bytes(seg), valid)
-                else:
-                    self._insert(key, bytes(seg), valid)
-                continue
-            fresh = bytearray(valid)
-            if cached is not None:
-                fresh[:known] = cached[0][:known]
-            if known < prefix_len:
-                # Earlier appends own [known, prefix_len); read them back.
-                try:
-                    fresh[known:prefix_len] = self.scheduler.read(
-                        extent, page_start + known, prefix_len - known
-                    )
-                except IoError:
-                    # Injected read fault: don't cache a page we cannot
-                    # reconstruct; the read path will refetch it later.
-                    self._pages.pop(key, None)
-                    continue
-            fresh[prefix_len:valid] = seg
-            self._insert(key, bytes(fresh), valid)
+                image = cached[0] + seg if prefix_len else bytes(seg)
+            else:
+                fresh = bytearray(valid)
+                if cached is not None:
+                    fresh[:known] = cached[0][:known]
+                if known < prefix_len:
+                    # Earlier appends own [known, prefix_len); read them back.
+                    try:
+                        fresh[known:prefix_len] = self.scheduler.read(
+                            extent, page_start + known, prefix_len - known
+                        )
+                    except IoError:
+                        # Injected read fault: don't cache a page we cannot
+                        # reconstruct; the read path will refetch it later.
+                        pages.pop(key, None)
+                        continue
+                fresh[prefix_len:valid] = seg
+                image = bytes(fresh)
+            pages[key] = (image, valid, None)
+            pages.move_to_end(key)
+            while len(pages) > budget:
+                pages.popitem(last=False)
 
     # ------------------------------------------------------------------
     # invalidation

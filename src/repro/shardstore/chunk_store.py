@@ -43,6 +43,10 @@ from .faults import Fault
 from .observability import exported_as
 from .superblock import OWNER_DATA, OWNER_FREE, Superblock
 
+#: A chunk append's record label, a format of its extent
+#: (``IoScheduler.append``): ``chunk@4``, formatted only when read.
+_CHUNK_LABEL = "chunk@{}"
+
 
 @dataclass
 class ChunkStats:
@@ -132,12 +136,14 @@ class ChunkStore:
         fragmented disk can never recover space or shut down cleanly.
         Priority writes may dip into the reserve.
         """
-        if frame_len > self.config.geometry.extent_size:
+        extent_size = self.config.geometry.extent_size
+        if frame_len > extent_size:
             raise ExtentError("chunk frame larger than an extent")
         open_extent = self._open_extent
         if (
             open_extent is not None
-            and self.cache.scheduler.free_bytes(open_extent) >= frame_len
+            and self.cache.scheduler.soft_pointers[open_extent] + frame_len
+            <= extent_size
         ):
             return open_extent
         free = [
@@ -224,8 +230,7 @@ class ChunkStore:
         reclamation evacuations and LSM run/metadata structure -- which
         may dip into the free-extent reserve.
         """
-        tracker = self.cache.scheduler.tracker
-        dep = dep or Dependency.root(tracker)
+        dep = dep or self.cache.scheduler.tracker.empty
         frame = encode_chunk(kind, key, payload, self._fresh_uuid())
         for attempt in (0, 1):
             try:
@@ -256,9 +261,7 @@ class ChunkStore:
                 f"to extent {extent}",
             )
             yield_point("locator sampled before append")
-            offset, write_dep = self.cache.append(
-                extent, frame, dep, label=f"chunk@{extent}"
-            )
+            offset, write_dep = self.cache.append(extent, frame, dep, _CHUNK_LABEL)
             if pin:
                 self._pinned.add(extent)
             return Locator(extent, predicted, len(frame)), write_dep
@@ -266,9 +269,7 @@ class ChunkStore:
             extent = self._extent_for(len(frame), priority=priority)
             if pin:
                 self._pinned.add(extent)
-            offset, write_dep = self.cache.append(
-                extent, frame, dep, label=f"chunk@{extent}"
-            )
+            offset, write_dep = self.cache.append(extent, frame, dep, _CHUNK_LABEL)
         return Locator(extent, offset, len(frame)), write_dep
 
     # ------------------------------------------------------------------

@@ -80,6 +80,12 @@ class DurabilityTracker:
     neither grows with the count of records ever written.  An id that is
     allocated and then neither marked nor reported lost stalls the mark
     (the sparse set then grows as a plain set would), never the answers.
+
+    :attr:`epoch` counts the events after which a met dependency may be
+    met no longer: a :meth:`restore` (durability rewound), a
+    :meth:`mark_lost` and a second :meth:`FutureCell.resolve` (a cell's
+    footprint grown).  Nothing else takes durability away, so an answer
+    "met" stamped with the epoch stands for as long as the epoch does.
     """
 
     def __init__(self) -> None:
@@ -87,6 +93,7 @@ class DurabilityTracker:
         self._low_water = 0
         self._durable_above: Set[int] = set()
         self._lost: Set[int] = set()
+        self.epoch = 0
         #: One :class:`RecordInfo` per IO record queued after
         #: :meth:`capture_record_info`; None (the default) keeps nothing, so
         #: a long-running store's bookkeeping does not grow with its history.
@@ -134,6 +141,7 @@ class DurabilityTracker:
     def mark_lost(self, record_ids: Iterable[int]) -> None:
         """Record ids a crash discarded: settled, and never durable."""
         self._lost.update(record_ids)
+        self.epoch += 1
         self._advance()
 
     def _advance(self) -> None:
@@ -188,32 +196,50 @@ class DurabilityTracker:
         self._next_id, self._low_water, above, lost = snap
         self._durable_above = set(above)
         self._lost = set(lost)
+        self.epoch += 1
+
+
+#: ``FutureCell``'s "the label is not a format" marker.
+_PLAIN = object()
 
 
 class FutureCell:
-    """A promise for a dependency whose writes do not exist yet."""
+    """A promise for a dependency whose writes do not exist yet.
 
-    __slots__ = ("label", "_resolved")
+    ``resolved`` is the dependency it was resolved to, None until then;
+    read it, but fill it only through :meth:`resolve`.  The label is kept
+    as given -- a format and its argument, ``FutureCell("sb-ptr@{}", 4)``,
+    or a plain string -- and formatted only when read: a put makes a cell,
+    and only ``repr`` and error texts ever read one.
+    """
 
-    def __init__(self, label: str = "") -> None:
-        self.label = label
-        self._resolved: Optional[Dependency] = None
+    __slots__ = ("resolved", "_label", "_arg")
+
+    def __init__(self, label: str = "", arg: object = _PLAIN) -> None:
+        self.resolved: Optional[Dependency] = None
+        self._label = label
+        self._arg = arg
 
     @property
-    def resolved(self) -> Optional["Dependency"]:
-        return self._resolved
+    def label(self) -> str:
+        if self._arg is _PLAIN:
+            return self._label
+        return self._label.format(self._arg)
 
     def resolve(self, dep: "Dependency") -> None:
         """Fill the promise.  Resolving twice keeps the *conjunction*.
 
         A memtable entry can be covered by more than one flush (e.g. a
         re-put before the first flush); requiring all resolutions keeps the
-        cell conservative -- it never reports persistent early.
+        cell conservative -- it never reports persistent early.  A second
+        resolution can turn a met dependency unmet, so it bumps the
+        tracker's :attr:`~DurabilityTracker.epoch`.
         """
-        if self._resolved is None:
-            self._resolved = dep
+        if self.resolved is None:
+            self.resolved = dep
         else:
-            self._resolved = self._resolved.and_(dep)
+            self.resolved = self.resolved.and_(dep)
+            dep._tracker.epoch += 1
 
 
 _Part = Union[FrozenSet[int], FutureCell]
@@ -223,7 +249,10 @@ class Dependency:
     """An immutable conjunction of write records and future promises.
 
     Mirrors the paper's API: combine with :meth:`and_`, poll with
-    :meth:`is_persistent`.
+    :meth:`is_persistent`.  The write path builds its conjunctions with the
+    constructor instead, from parts it already holds (a put's chunk and
+    index-entry dependencies, ``tests/test_put_dependencies.py``): same
+    records, same futures in the same order as :meth:`and_` would give.
     """
 
     __slots__ = ("_tracker", "_records", "_futures")
@@ -361,7 +390,7 @@ class Dependency:
             if not stack:
                 return None
             cell = stack.pop()
-            part = cell._resolved
+            part = cell.resolved
             if part is None:
                 return cell
 
@@ -369,7 +398,7 @@ class Dependency:
         """Whether a :meth:`blocker` of this dependency still blocks it: the
         record is not durable, or the cell is unresolved."""
         if isinstance(blocker, FutureCell):
-            return blocker._resolved is None
+            return blocker.resolved is None
         return not self._tracker.is_durable(blocker)
 
     def _flatten(self) -> Tuple[Set[int], List[FutureCell]]:

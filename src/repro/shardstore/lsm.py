@@ -44,13 +44,23 @@ from .recordlog import LogScan, adopt_newest
 from .scheduler import IoScheduler
 
 
-@dataclass
 class _MemEntry:
-    """One memtable entry: locators (or tombstone) plus its promises."""
+    """One memtable entry: locators (or tombstone) plus its promises.
 
-    locators: Optional[List[Locator]]  # None is a tombstone
-    data_dep: Dependency
-    cell: FutureCell
+    Slotted by hand: one is built per put, and ``dataclass(slots=True)``
+    needs Python 3.10."""
+
+    __slots__ = ("locators", "data_dep", "cell")
+
+    def __init__(
+        self,
+        locators: Optional[List[Locator]],  # None is a tombstone
+        data_dep: Dependency,
+        cell: FutureCell,
+    ) -> None:
+        self.locators = locators
+        self.data_dep = data_dep
+        self.cell = cell
 
 
 @dataclass(eq=False)
@@ -135,19 +145,19 @@ class LsmIndex:
     def put(self, key: bytes, locators: List[Locator], data_dep: Dependency) -> Dependency:
         """Insert/overwrite ``key``; returns the put's durability dependency."""
         with self._lock:
-            return self._put_locked(key, locators, data_dep)
-
-    def _put_locked(
-        self, key: bytes, locators: List[Locator], data_dep: Dependency
-    ) -> Dependency:
-        dep, _ = self._insert_locked(key, locators, data_dep)
-        return dep
+            return self._insert_locked(key, locators, data_dep)[0]
 
     def _insert_locked(
         self, key: bytes, locators: List[Locator], data_dep: Dependency
     ) -> Tuple[Dependency, FutureCell]:
-        cell = FutureCell(label=f"index-entry:{key!r}")
-        dep = data_dep.and_(Dependency.on_future(self.tracker, cell))
+        """File ``key``'s entry; returns its dependency and promise cell.
+
+        The dependency is ``data_dep AND the entry's promise``, built in one
+        step: the cell is new, so the conjunction is ``data_dep``'s records
+        and its futures with the cell appended.
+        """
+        cell = FutureCell("index-entry:{!r}", key)
+        dep = Dependency(self.tracker, data_dep._records, data_dep._futures + (cell,))
         self._supersede(key, dep)
         self._memtable[key] = _MemEntry(list(locators), data_dep, cell)
         self._data_deps[key] = data_dep
@@ -170,7 +180,7 @@ class LsmIndex:
     def delete(self, key: bytes) -> Dependency:
         """Tombstone ``key``; returns the delete's durability dependency."""
         with self._lock:
-            cell = FutureCell(label=f"index-tombstone:{key!r}")
+            cell = FutureCell("index-tombstone:{!r}", key)
             dep = Dependency.on_future(self.tracker, cell)
             self._supersede(key, dep)
             self._memtable[key] = _MemEntry(None, Dependency.root(self.tracker), cell)

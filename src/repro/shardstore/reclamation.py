@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
-from repro.concurrency.primitives import yield_point
+from repro.concurrency.primitives import current_scheduler, yield_point
 
 from .buffer_cache import BufferCache
 from .chunk import KIND_DATA, KIND_RUN, Locator, PagedReader, scan_chunks
@@ -156,6 +156,9 @@ class Reclaimer:
             on_read_error=on_read_error,
         )
         result.scanned_chunks = len(chunks)
+        # A yield point is a no-op outside the model checker: the reason is
+        # formatted only where a scheduler will read it.
+        preemptible = current_scheduler() is not None
         deps: List[Dependency] = []
         touched: Set[bytes] = set()
         interrupted = False
@@ -164,7 +167,8 @@ class Reclaimer:
                 interrupted = True
                 break
             locator = Locator(extent, offset, chunk.frame_length)
-            yield_point(f"reclaim: considering chunk at {extent}:{offset}")
+            if preemptible:
+                yield_point(f"reclaim: considering chunk at {extent}:{offset}")
             if chunk.kind == KIND_DATA:
                 dep = self._evacuate_data(locator, chunk, touched)
             else:

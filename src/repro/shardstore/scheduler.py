@@ -49,7 +49,16 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from .dependency import Dependency, DurabilityTracker, FutureCell, RecordInfo
 from .disk import InMemoryDisk
@@ -76,12 +85,17 @@ class _PendingRecord:
     unresolved :class:`FutureCell`, see ``Dependency.blocker``), or None when
     unknown.  It claims only "not persistent while it still blocks", which
     no rewind of durability and no resolution can make false, so a record
-    shared between snapshots may keep it.
+    shared between snapshots may keep it.  ``met`` is the tracker epoch at
+    which ``dep`` was last found persistent (-1: never); the answer holds
+    while the epoch does (:attr:`DurabilityTracker.epoch`).
+
+    ``label`` is read through the property: the stored one is a format of
+    the extent (``"chunk@{}"``, or a plain name), filled in only when read.
     """
 
     __slots__ = (
-        "first_id", "pages", "extent", "offset", "data", "dep", "kind", "label",
-        "blocker",
+        "first_id", "pages", "extent", "offset", "data", "dep", "kind", "_label",
+        "blocker", "met",
     )
 
     def __init__(
@@ -102,21 +116,31 @@ class _PendingRecord:
         self.data = data
         self.dep = dep
         self.kind = kind
-        self.label = label
+        self._label = label
         self.blocker: Union[None, int, FutureCell] = None
+        self.met = -1
+
+    @property
+    def label(self) -> str:
+        return self._label.format(self.extent)
 
     def ids(self) -> range:
         return range(self.first_id, self.first_id + self.pages)
 
-    def ready(self) -> bool:
-        """Whether ``dep`` has persisted.  Asks it again only once the
-        memoised blocker has stopped blocking; an eligible record keeps no
-        memo."""
+    def ready(self, epoch: int) -> bool:
+        """Whether ``dep`` has persisted, ``epoch`` being the tracker's.
+        Asks it again only once the memoised blocker has stopped blocking,
+        and a met answer not at all within its epoch."""
+        if self.met == epoch:
+            return True
         blocker = self.blocker
         if blocker is not None and self.dep.held_by(blocker):
             return False
         self.blocker = blocker = self.dep.blocker()
-        return blocker is None
+        if blocker is None:
+            self.met = epoch
+            return True
+        return False
 
     def part(self, start: int, end: int, page: int) -> "_PendingRecord":
         """The segments covering bytes ``[start, end)`` of this append, the
@@ -130,7 +154,7 @@ class _PendingRecord:
             memoryview(self.data)[start - self.offset : end - self.offset],
             self.dep,
             self.kind,
-            self.label,
+            self._label,
         )
 
 
@@ -172,7 +196,10 @@ class IoScheduler:
         self._pending_total = 0
         self._pending_per_extent: Dict[int, int] = {}
         self._pending_resets: Dict[int, int] = {}
-        self._soft_pointer: List[int] = [
+        #: Per extent, where the next append lands.  Read it directly on a
+        #: hot path (the write path does, once per put); change it only
+        #: through this class.
+        self.soft_pointers: List[int] = [
             disk.write_pointer(e) for e in range(disk.geometry.num_extents)
         ]
         # The write-back shadow: per extent with pending records, the tail
@@ -186,13 +213,18 @@ class IoScheduler:
     # client API
 
     def soft_pointer(self, extent: int) -> int:
-        return self._soft_pointer[extent]
+        return self.soft_pointers[extent]
 
     def free_bytes(self, extent: int) -> int:
-        return self.disk.geometry.extent_size - self._soft_pointer[extent]
+        return self.disk.geometry.extent_size - self.soft_pointers[extent]
 
     def append(
-        self, extent: int, data: Buffer, dep: Dependency, label: str = ""
+        self,
+        extent: int,
+        data: Buffer,
+        dep: Dependency,
+        label: str = "",
+        promise: Optional[Callable[[int, FrozenSet[int]], Dependency]] = None,
     ) -> Tuple[int, Dependency]:
         """Queue an append; returns (offset, dependency for this append).
 
@@ -200,12 +232,21 @@ class IoScheduler:
         persistent only once all pages are durable on the medium.  ``data``
         may be any buffer (bytes, bytearray, memoryview); it is queued as
         one record with one id per page segment, and sliced (zero-copy) only
-        where a writeback IO ends inside it.
+        where a writeback IO ends inside it.  ``label`` names the record in
+        a stuck-writeback error and its captured :class:`RecordInfo`; a
+        ``{}`` in it stands for the extent, filled in only when read.
+
+        ``promise``, if given, builds the returned dependency instead: it is
+        called with ``extent`` and the append's record ids (a frozenset)
+        once the soft pointer has moved past the append, and must return a
+        dependency on at least those records.  The buffer cache passes
+        ``Superblock.note_append``, so a chunk's data-plus-pointer
+        dependency is one object, not a conjunction of two.
         """
         length = len(data)
         if not length:
             raise ExtentError("empty append")
-        offset = self._soft_pointer[extent]
+        offset = self.soft_pointers[extent]
         end = offset + length
         if end > self.disk.geometry.extent_size:
             raise ExtentError(
@@ -230,7 +271,7 @@ class IoScheduler:
                 seg_end = min(end, (start // page + 1) * page)
                 record_info[record_id] = RecordInfo(
                     record_id,
-                    label or f"append@{extent}",
+                    label.format(extent) if label else f"append@{extent}",
                     extent,
                     start,
                     seg_end - start,
@@ -247,8 +288,10 @@ class IoScheduler:
             self._shadow[extent] = (offset, bytearray(data))
         else:
             tail[1].extend(data)
-        self._soft_pointer[extent] = end
-        return offset, Dependency.on_records(self.tracker, record_ids)
+        self.soft_pointers[extent] = end
+        if promise is None:
+            return offset, Dependency(self.tracker, frozenset(record_ids))
+        return offset, promise(extent, frozenset(record_ids))
 
     def reset(self, extent: int, dep: Dependency, label: str = "") -> Dependency:
         """Queue an extent reset ordered after ``dep`` persists.
@@ -263,7 +306,7 @@ class IoScheduler:
         if self.tracker.record_info is not None:
             self.tracker.record_info[record_id] = RecordInfo(
                 record_id=record_id,
-                label=label or f"reset@{extent}",
+                label=label.format(extent) if label else f"reset@{extent}",
                 extent=extent,
                 offset=0,
                 length=0,
@@ -275,7 +318,7 @@ class IoScheduler:
         self._pending_total += 1
         self._pending_per_extent[extent] = self._pending_per_extent.get(extent, 0) + 1
         self._pending_resets[extent] = self._pending_resets.get(extent, 0) + 1
-        self._soft_pointer[extent] = 0
+        self.soft_pointers[extent] = 0
         self._shadow[extent] = (0, bytearray())
         if self.recorder.enabled:
             self.recorder.event("scheduler.reset_queued", extent=extent)
@@ -291,7 +334,7 @@ class IoScheduler:
         """
         if length < 0 or offset < 0:
             raise ExtentError("negative read bounds")
-        soft = self._soft_pointer[extent]
+        soft = self.soft_pointers[extent]
         end = offset + length
         if end > soft:
             raise ExtentError(
@@ -344,8 +387,13 @@ class IoScheduler:
 
         A head whose memoised blocker still blocks is not asked again: on a
         busy store most heads wait on one record or cell for many pumps.
+        Nor is a head found met in the tracker's current epoch: most heads
+        are met, and wait for the RNG to pick their extent.
         """
-        out = [e for e, queue in self._queues.items() if queue and queue[0].ready()]
+        epoch = self.tracker.epoch
+        out = [
+            e for e, queue in self._queues.items() if queue and queue[0].ready(epoch)
+        ]
         out.sort()
         return out
 
@@ -408,7 +456,7 @@ class IoScheduler:
             if taken:
                 if record.kind != "write" or record.offset != end:
                     break
-                if not record.ready():
+                if not record.ready(self.tracker.epoch):
                     if given is None:
                         given = set()
                         for r in queue[:taken]:
@@ -593,13 +641,13 @@ class IoScheduler:
         self._pending_resets.clear()
         self._shadow.clear()
         for extent in range(self.disk.geometry.num_extents):
-            self._soft_pointer[extent] = self.disk.write_pointer(extent)
+            self.soft_pointers[extent] = self.disk.write_pointer(extent)
         return lost
 
     def sync_soft_pointer(self, extent: int, pointer: int) -> None:
         """Recovery adopts a superblock-recovered soft pointer."""
         self.disk.set_write_pointer(extent, pointer)
-        self._soft_pointer[extent] = pointer
+        self.soft_pointers[extent] = pointer
         self._shadow.pop(extent, None)
 
     # ------------------------------------------------------------------
@@ -608,14 +656,14 @@ class IoScheduler:
     def snapshot(self) -> dict:
         return {
             "queues": {e: list(q) for e, q in self._queues.items()},
-            "soft": list(self._soft_pointer),
+            "soft": list(self.soft_pointers),
             "shadow": {e: (b, bytes(tail)) for e, (b, tail) in self._shadow.items()},
             "rng": self.rng.getstate(),
         }
 
     def restore(self, snap: dict) -> None:
         self._queues = {e: list(q) for e, q in snap["queues"].items()}
-        self._soft_pointer = list(snap["soft"])
+        self.soft_pointers[:] = snap["soft"]
         self._shadow = {
             e: (b, bytearray(tail)) for e, (b, tail) in snap["shadow"].items()
         }

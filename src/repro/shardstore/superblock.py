@@ -33,7 +33,7 @@ describes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.concurrency.primitives import Condvar, Mutex, yield_point
 from repro.serialization.codec import (
@@ -184,7 +184,7 @@ class Superblock:
             # record, so post-reboot operations report persistent before any
             # post-reboot superblock record is durable.
             for extent in self.config.data_extents:
-                cell = FutureCell(label=f"sb-ptr@{extent} (stale)")
+                cell = FutureCell("sb-ptr@{} (stale)", extent)
                 cell.resolve(self._last_flush_dep)
                 self._cells[extent] = cell
             self.recorder.fault_event(
@@ -196,13 +196,19 @@ class Superblock:
     # ------------------------------------------------------------------
     # notes from the write path
 
-    def note_append(self, extent: int) -> Dependency:
+    def note_append(
+        self, extent: int, records: FrozenSet[int] = frozenset()
+    ) -> Dependency:
         """An append advanced ``extent``'s soft pointer; returns the
         dependency that becomes persistent once the append is *covered* --
         either by a superblock record whose published pointer reaches it,
         or (for appends in an era closed by an extent reset) by the reset
         record itself, whose own dependency guarantees the data was
-        evacuated and re-indexed first."""
+        evacuated and re-indexed first.
+
+        ``records``, the append's own record ids, join the dependency: the
+        scheduler passes them, so a chunk's data-plus-pointer dependency is
+        this one object (``IoScheduler.append``'s ``promise``)."""
         self._appends_since_flush += 1
         self._unpublished.add(extent)
         cell = self._cells.get(extent)
@@ -210,10 +216,9 @@ class Superblock:
             cell.resolved is not None
             and not self.faults.enabled(Fault.SUPERBLOCK_WRONG_DEP_AFTER_REBOOT)
         ):
-            cell = FutureCell(label=f"sb-ptr@{extent}")
-            self._cells[extent] = cell
-        self._era_end[extent] = self.scheduler.soft_pointer(extent)
-        return Dependency.on_future(self.tracker, cell)
+            cell = self._cells[extent] = FutureCell("sb-ptr@{}", extent)
+        self._era_end[extent] = self.scheduler.soft_pointers[extent]
+        return Dependency(self.tracker, records, (cell,))
 
     def note_reset(self, extent: int, reset_dep: Dependency) -> None:
         """An extent reset was queued.

@@ -6,26 +6,48 @@ and its memo); everything else is envelope -- validation, routing, the
 clocks, locks, the lane's retry and breaker bookkeeping.  These budgets
 count ``call`` events under ``sys.setprofile``, so they are exact and do
 not depend on the machine.  A change that grows the envelope has to raise
-a budget here and say why.
+a budget here and say why.  A missed budget prints the frames counted
+(``file:function``, in call order), so a miss on another Python version
+says which frames grew.
 """
 
+import os
 import sys
 
 from repro.shardstore import DiskGeometry, StorageNode, StoreConfig
+from repro.shardstore.dependency import Dependency, FutureCell
 
 #: Frames per op on a healthy node without journal or recorder
 #: (DESIGN.md "Envelope cost" has the counts before and after).
 GET_BUDGET = 26  # a cache-hot get
 CONTAINS_BUDGET = 6
-PUT_BUDGET = 65  # a put that flushes neither memtable nor superblock
+PUT_BUDGET = 51  # a put that flushes neither memtable nor superblock
+#: Objects a flush-free put builds: the chunk's data-plus-pointer
+#: dependency and the index entry's; the index entry's promise cell, and
+#: the extent's pointer-promise cell when the put opens its era.
+PUT_DEPENDENCIES = 2
+PUT_CELLS = 2
+
+
+class _Frames(list):
+    """The ``file:function`` of every frame an op entered, in order."""
+
+    def entered(self, code):
+        """How many frames ran ``code`` (a constructor: objects built)."""
+        return sum(1 for _, c in self if c is code)
+
+    def __str__(self):
+        return "\n".join(name for name, _ in self)
 
 
 def _frames(call):
-    calls = []
+    calls = _Frames()
 
     def profile(frame, event, arg):
         if event == "call":
-            calls.append(frame.f_code.co_name)
+            code = frame.f_code
+            name = f"{os.path.basename(code.co_filename)}:{code.co_name}"
+            calls.append((name, code))
 
     sys.setprofile(profile)
     try:
@@ -33,7 +55,8 @@ def _frames(call):
     finally:
         sys.setprofile(None)
     # The lambda handed in is the test's own frame, not the op's.
-    return len(calls) - 1
+    del calls[0]
+    return calls
 
 
 def _warm_node():
@@ -64,11 +87,13 @@ def _warm_node():
 class TestEnvelopeFrameBudget:
     def test_hot_get(self):
         node, keys = _warm_node()
-        assert _frames(lambda: node.get(keys[5])) <= GET_BUDGET
+        frames = _frames(lambda: node.get(keys[5]))
+        assert len(frames) <= GET_BUDGET, f"{len(frames)} frames:\n{frames}"
 
     def test_contains(self):
         node, keys = _warm_node()
-        assert _frames(lambda: node.contains(keys[5])) <= CONTAINS_BUDGET
+        frames = _frames(lambda: node.contains(keys[5]))
+        assert len(frames) <= CONTAINS_BUDGET, f"{len(frames)} frames:\n{frames}"
 
     def test_put_without_flushes(self):
         node, keys = _warm_node()
@@ -80,4 +105,8 @@ class TestEnvelopeFrameBudget:
         before = flushes()
         frames = _frames(lambda: node.put(keys[5], b"w" * 256))
         assert flushes() == before, "the counted put must not flush"
-        assert frames <= PUT_BUDGET
+        assert len(frames) <= PUT_BUDGET, f"{len(frames)} frames:\n{frames}"
+        deps = frames.entered(Dependency.__init__.__code__)
+        cells = frames.entered(FutureCell.__init__.__code__)
+        assert deps <= PUT_DEPENDENCIES, f"{deps} Dependency objects:\n{frames}"
+        assert cells <= PUT_CELLS, f"{cells} FutureCell objects:\n{frames}"

@@ -88,11 +88,11 @@ class Driver:
         scheduler = self.store.scheduler
         append = scheduler.append
 
-        def checked_append(extent, data, dep, label=""):
+        def checked_append(extent, data, dep, label="", **kwargs):
             if label == "lsm-metadata":
                 assert bytes(data) == plain_meta_record(self.index)
                 self.meta_records += 1
-            return append(extent, data, dep, label=label)
+            return append(extent, data, dep, label=label, **kwargs)
 
         scheduler.append = checked_append
 

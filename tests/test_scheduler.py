@@ -1157,19 +1157,21 @@ class TestEligibilityAgainstFullPoll:
     """Seeded histories through the memoising scheduler and the full poll:
     everything ``TestAppendQueueAgainstPageQueue`` observes (eligibility,
     device IOs, the RNG, the medium, the tracker) must be the same after
-    every step, and every memo still standing must name a dependency the
-    full poll finds unmet."""
+    every step, every blocker memo still standing must name a dependency
+    the full poll finds unmet, and every met memo still standing (stamped
+    with the tracker's current epoch) one it finds met."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_histories_match_the_full_poll(self, seed):
         rng = random.Random(seed)
         reference = _Side(_FullPollScheduler, seed)
         memo = _Side(IoScheduler, seed)
-        held = 0
+        held = met = 0
         for index in range(200):
             op = _poll_history_step(rng, reference)
             assert memo.run(op) == reference.run(op), (index, op[0])
             assert memo.observe() == reference.observe(), (index, op[0])
+            epoch = memo.tracker.epoch
             for queue in memo.scheduler._queues.values():
                 for record in queue:
                     if record.blocker is not None and record.dep.held_by(
@@ -1177,7 +1179,11 @@ class TestEligibilityAgainstFullPoll:
                     ):
                         assert not _flat_persistent(record.dep), (index, op[0])
                         held += record is queue[0]
+                    if record.met == epoch:
+                        assert _flat_persistent(record.dep), (index, op[0])
+                        met += record is queue[0]
         assert held, "no head was ever held back by its memo"
+        assert met, "no head was ever found met by its memo"
 
     def test_a_restore_that_rewinds_durability_blocks_the_head_again(self):
         side = _Side(IoScheduler, 0)
