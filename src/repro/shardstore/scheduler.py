@@ -49,16 +49,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .dependency import Dependency, DurabilityTracker, FutureCell, RecordInfo
 from .disk import InMemoryDisk
