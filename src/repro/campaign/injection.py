@@ -48,6 +48,7 @@ load-bearing.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Any, Dict, Optional, Set
 
 from repro.core.alphabet import (
@@ -60,15 +61,21 @@ from repro.core.alphabet import (
     _put_args,
     store_alphabet,
 )
-from repro.core.conformance import CheckFailure, NodeHarness, StoreHarness
-from repro.shardstore.config import FIRST_DATA_EXTENT, StoreConfig
-from repro.shardstore.disk import DiskGeometry, FailureMode, FaultKind
+from repro.core.conformance import (
+    CheckFailure,
+    NodeHarness,
+    StoreHarness,
+    _small_test_config,
+)
+from repro.shardstore.config import StoreConfig
+from repro.shardstore.disk import FailureMode, FaultKind
 from repro.shardstore.errors import (
     IoError,
     NotFoundError,
     RetryableError,
     ShardStoreError,
 )
+from repro.shardstore.faults import FaultSet
 from repro.shardstore.injection import (
     FAULT_BIT_FLIP,
     FAULT_BURST,
@@ -124,24 +131,19 @@ def storm_admission(shedding: bool) -> AdmissionConfig:
         max_backlog_units=STORM_MAX_BACKLOG_UNITS,
     )
 
-#: The storm geometry: the same small config conformance uses, so faults
-#: reach reclamation/rotation paths quickly.
-_NUM_EXTENTS = 12
-_DATA_EXTENTS = tuple(range(FIRST_DATA_EXTENT, _NUM_EXTENTS))
-
 
 def _storm_config(
     seed: int, recorder: Recorder, journal: Optional[Journal] = None
 ) -> StoreConfig:
-    return StoreConfig(
-        geometry=DiskGeometry(
-            num_extents=_NUM_EXTENTS, extent_size=4096, page_size=128
-        ),
-        seed=seed,
-        recorder=recorder,
-        retries=True,
-        journal=journal,
+    """The small config conformance uses, so faults reach reclamation and
+    rotation paths quickly, plus the sequence's journal."""
+    return replace(
+        _small_test_config(FaultSet.none(), seed, 0.0, recorder), journal=journal
     )
+
+
+#: The storm geometry's data extents, where plans aim their faults.
+_DATA_EXTENTS = tuple(_storm_config(0, NULL_RECORDER).data_extents)
 
 
 def _aim_write(system: Any, planned_extent: int) -> int:
@@ -306,7 +308,7 @@ class InjectionStoreHarness(StoreHarness):
         return {
             "armed": self.armed,
             "fired": self.fired,
-            "retries": self.store.stats.retries,
+            "retries": 0,  # a bare store never retries: the lane does
             "repaired": len(self.repaired_keys),
             "quarantined": len(self.quarantined_keys),
         }

@@ -13,7 +13,8 @@ Error contract at the ``KVNode`` API surface (section 4.4)
 What a substrate failure looks like by the time it reaches a
 ``StorageNode``/``KVNode`` client.  Raw *transient* ``IoError``\\ s never
 escape the node: the request plane retries them
-(:func:`~repro.shardstore.resilience.call_with_retries`) and wraps survivors.
+(:meth:`~repro.shardstore.lane.DiskLane.retry`) and wraps survivors.  A bare
+``ShardStore`` retries nothing: its failed IO fails the operation.
 
 ====================================  ==============================  =========
 raised by the substrate               surfaces at the node API as     retryable

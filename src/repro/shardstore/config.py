@@ -51,12 +51,6 @@ class StoreConfig:
     #: :class:`NullRecorder` keeps hot paths allocation-free; pass a
     #: :class:`~repro.shardstore.observability.RingRecorder` to capture.
     recorder: Recorder = field(default=NULL_RECORDER)
-    #: Retry transient IO errors on the request plane
-    #: (:func:`~repro.shardstore.resilience.call_with_retries`).  Off by
-    #: default: the historical fail-fast behaviour the Fig. 5 fault matrix
-    #: detects against; the injection campaign opts in explicitly, and a
-    #: :class:`StorageNode` retries at its own layer instead.
-    retries: bool = False
     #: Evidence-plane op journal (see :mod:`repro.shardstore.observability.
     #: journal`).  ``None`` (the default) keeps the request plane free of
     #: journaling entirely; a :class:`StorageNode` propagates one shared

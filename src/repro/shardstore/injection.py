@@ -29,10 +29,13 @@ Plans only ever target *data* extents: superblock/metadata extents carry
 the recovery machinery itself, and corrupting those models a different
 failure class (a dead node) than the per-IO contract this campaign checks.
 
-The checker side lives in :mod:`repro.campaign.injection`; the tolerance
-side (retries, the disk circuit breaker, scrub-repair) lives in
-:mod:`repro.shardstore.resilience`, :mod:`repro.shardstore.rpc` and
-:mod:`repro.shardstore.store`.
+The checker side lives in :mod:`repro.campaign.injection`.  The tolerance
+side is the node's: retries and the disk circuit breaker in
+:mod:`repro.shardstore.lane` (their constants in
+:mod:`repro.shardstore.resilience`), demotion in :mod:`repro.shardstore.rpc`,
+and scrub-repair in :mod:`repro.shardstore.store`.  A bare store retries
+nothing: a store storm checks that an op whose IO failed leaves the store
+within its model ("allowed to fail by returning no data", section 4.4).
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ routing table, demotion and the control plane stay in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Dict, NoReturn, Optional, Tuple, TypeVar
 
 from .errors import (
@@ -43,7 +42,6 @@ from .resilience import (
     CircuitBreaker,
     DiskAdmission,
     RetryBudget,
-    call_with_retries,
 )
 from .store import ShardStore, StoreSystem
 
@@ -145,14 +143,6 @@ class DiskLane:
         self.io: Callable[[Callable[[], Any]], Any] = (
             self.unmetered_io if self.queue is None else self._metered_io
         )
-        #: ``retry(fn)``: ``fn`` under the node's retries and budget;
-        #: errors propagate raw.  Demotion's under-lock reads use it as is.
-        self.retry = partial(
-            call_with_retries,
-            attempts=ctx.attempts,
-            on_retry=self._note_retry,
-            should_retry=ctx.retry_token,
-        )
         self.breaker = CircuitBreaker(ctx.breaker, self._transition)
 
     @property
@@ -189,6 +179,35 @@ class DiskLane:
 
     # ------------------------------------------------------------------
     # store IO
+
+    def retry(self, fn: Callable[[], _T], failed: Optional[IoError] = None) -> _T:
+        """``fn`` under the node's retries and budget; errors propagate raw.
+
+        The node's one retry loop.  A transient :class:`IoError` is retried
+        at once (nothing sleeps) until :attr:`LaneContext.attempts` calls
+        have failed or the retry budget refuses a token; a non-transient
+        one never is.  Demotion's under-lock reads call it as is.  A caller
+        that makes the first attempt itself, as a plain call, passes the
+        error it raised as ``failed``: the loop then starts from that
+        failure, so a call that succeeds first time never enters it.
+        """
+        ctx = self.ctx
+        failures = 0
+        while True:
+            if failed is None:
+                try:
+                    return fn()
+                except IoError as exc:
+                    failed = exc
+            # Judged outside the handler, so a retry's error does not chain
+            # to the one before it.
+            exc, failed = failed, None
+            if not exc.transient:
+                raise exc
+            failures += 1
+            if failures >= ctx.attempts or not ctx.retry_token():
+                raise exc
+            self._note_retry(failures, exc)
 
     def _note_retry(self, failures: int, exc: IoError) -> None:
         ctx = self.ctx

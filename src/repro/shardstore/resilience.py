@@ -1,13 +1,15 @@
-"""Deterministic resilience primitives: retries and the disk circuit breaker.
+"""Deterministic resilience primitives: the retry bound and the disk breaker.
 
 The paper's failure-injection dimension (section 4.4) requires that "any IO
 may fail" while the node still either completes each request or fails it
-with a typed retryable error.  This module supplies the *tolerance* side of
-that contract:
+with a typed retryable error.  This module supplies the bookkeeping of the
+*tolerance* side of that contract:
 
-* :func:`call_with_retries` -- bounded immediate retries for transient
-  :class:`~repro.shardstore.errors.IoError`\\ s: nothing here sleeps or
-  reads a clock.
+* :data:`RETRY_ATTEMPTS` -- the bound on immediate retries of a transient
+  :class:`~repro.shardstore.errors.IoError`.  The one loop that runs them
+  is :meth:`~repro.shardstore.lane.DiskLane.retry`, and nothing there
+  sleeps or reads a clock.  A bare :class:`~repro.shardstore.store.
+  ShardStore` never retries: an operation whose IO fails fails.
 * :class:`DiskHealth` -- a sliding window of per-disk IO outcomes.
 * :class:`CircuitBreaker` -- a per-disk breaker driven purely by the node's
   operation counter (no wall clock, so campaigns stay deterministic):
@@ -55,12 +57,11 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional, TypeVar
+from typing import Callable, Deque, Optional
 
-from .errors import DeadlineExceededError, IoError, OverloadedError
+from .errors import DeadlineExceededError, OverloadedError
 
 __all__ = [
-    "call_with_retries",
     "BreakerState",
     "DiskHealth",
     "CircuitBreaker",
@@ -70,59 +71,13 @@ __all__ = [
     "RetryBudget",
 ]
 
-T = TypeVar("T")
-
 # ----------------------------------------------------------------------
 # retries
 
 #: Attempts per request-plane call, counting the initial try: 3 means one
-#: try plus two retries.
+#: try plus two retries.  :meth:`~repro.shardstore.lane.DiskLane.retry`
+#: runs them.
 RETRY_ATTEMPTS = 3
-
-
-def call_with_retries(
-    fn: Callable[[], T],
-    attempts: int,
-    *,
-    on_retry: Optional[Callable[[int, IoError], None]] = None,
-    should_retry: Optional[Callable[[], bool]] = None,
-    failed: Optional[IoError] = None,
-) -> T:
-    """Run ``fn``, retrying transient :class:`IoError` up to ``attempts``.
-
-    ``attempts`` counts the initial try (1 never retries), and a retry
-    follows its failure at once: nothing sleeps.  Non-transient errors are
-    never retried.  ``on_retry(attempt, exc)`` fires before each retry so
-    callers can count retries and emit events.
-    ``should_retry`` is an extra gate consulted before every retry -- the
-    hook a :class:`RetryBudget` plugs into; when it returns False the
-    retry is abandoned and the error propagates even though ``attempts``
-    is not exhausted.  The final error (or any non-transient one)
-    propagates unchanged.
-
-    A caller that makes the first attempt itself, as a plain call, passes
-    the error it raised as ``failed``: the loop then starts from that
-    failure, so a call that succeeds first time never enters it.
-    """
-    failures = 0
-    while True:
-        if failed is None:
-            try:
-                return fn()
-            except IoError as exc:
-                failed = exc
-        # Judged outside the handler, so a retry's error does not chain
-        # to the one before it.
-        exc, failed = failed, None
-        if not exc.transient:
-            raise exc
-        failures += 1
-        if failures >= attempts:
-            raise exc
-        if should_retry is not None and not should_retry():
-            raise exc
-        if on_retry is not None:
-            on_retry(failures, exc)
 
 
 class BreakerState(enum.Enum):

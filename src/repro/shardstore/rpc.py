@@ -169,14 +169,10 @@ class StorageNode:
         self.stats = self.ctx.stats
         if self.recorder.enabled:
             self.recorder.watch("node", self.stats)
-        # retries=False on purpose: the per-disk store stays fail-fast
-        # because the node retries once, at its own layer.
         self.lanes: List[DiskLane] = [
             DiskLane(
                 disk_id,
-                StoreSystem(
-                    replace(base, seed=base.seed + disk_id + 1, retries=False)
-                ),
+                StoreSystem(replace(base, seed=base.seed + disk_id + 1)),
                 self.ctx,
             )
             for disk_id in range(num_disks)

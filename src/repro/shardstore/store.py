@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, TypeVar
+from typing import Callable, Dict, List, Optional, Set
 
 from .buffer_cache import BufferCache
 from .chunk_store import ChunkStore
@@ -49,12 +49,9 @@ from .observability.journal import (
 )
 from .reclamation import Reclaimer, ReclaimResult
 from .recordlog import LogScan, scan_log
-from .resilience import RETRY_ATTEMPTS, call_with_retries
 from .scheduler import IoScheduler
 from .scrub import MerkleScrubReport, RepairReport, Scrubber
 from .superblock import Superblock
-
-_T = TypeVar("_T")
 
 __all__ = ["ShardStore", "StoreSystem", "RebootType", "MAX_KEY_LEN"]
 
@@ -76,10 +73,8 @@ def _repair_outcome(report: RepairReport) -> Dict[str, object]:
 
 @dataclass
 class StoreStats:
-    """The store's counters: request-plane retries (``store.retries``) and
-    scrub-repair's totals (``scrub.<field>``)."""
+    """The store's counters: scrub-repair's totals (``scrub.<field>``)."""
 
-    retries: int = 0
     run_compactions: int = exported_as("scrub.run_compactions")
     repaired: int = exported_as("scrub.repaired")
     quarantined: int = exported_as("scrub.quarantined")
@@ -200,36 +195,9 @@ class ShardStore:
     # ------------------------------------------------------------------
     # request plane
 
-    def _retry_after(self, fn: Callable[[], _T], failed: IoError) -> _T:
-        """The retries of a request-plane operation whose first attempt, a
-        plain call, raised ``failed``; called outside that handler.
-
-        Only transient :class:`IoError`\\ s are retried; the default
-        (``retries=False``) is the historical fail-fast behaviour.
-        """
-        if not self.config.retries:
-            raise failed
-        return call_with_retries(
-            fn, RETRY_ATTEMPTS, on_retry=self._note_retry, failed=failed
-        )
-
-    def _note_retry(self, failures: int, exc: IoError) -> None:
-        self.stats.retries += 1
-        if self.journal is not None:
-            self.journal.note_retry()
-        if self.recorder.enabled:
-            self.recorder.event("store.retry", attempt=failures, error=str(exc))
-
     @journaled("put", key=validate_key, value=True, span="put")
     def put(self, key: bytes, value: bytes) -> Dependency:
         """Store ``value`` under ``key``; returns its durability dependency."""
-        try:
-            return self._put_validated(key, value)
-        except IoError as exc:
-            failed = exc
-        return self._retry_after(lambda: self._put_validated(key, value), failed)
-
-    def _put_validated(self, key: bytes, value: bytes) -> Dependency:
         locators, data_dep = self.chunk_store.put_shard(key, value)
         dep = self.index.put(key, locators, data_dep)
         if self._merkle is not None:
@@ -243,13 +211,6 @@ class ShardStore:
         Raises :class:`NotFoundError` for absent keys and
         :class:`CorruptionError` when the stored bytes fail validation.
         """
-        try:
-            return self._get_validated(key)
-        except IoError as exc:
-            failed = exc
-        return self._retry_after(lambda: self._get_validated(key), failed)
-
-    def _get_validated(self, key: bytes) -> bytes:
         locators = self.index.get(key)
         if locators is None:
             raise NotFoundError(f"no shard for key {key!r}")
@@ -262,13 +223,6 @@ class ShardStore:
         Raises :class:`KeyNotFoundError` when ``key`` is not present -- the
         uniform ``KVNode`` contract, so callers never branch on an Optional.
         """
-        try:
-            return self._delete_validated(key)
-        except IoError as exc:
-            failed = exc
-        return self._retry_after(lambda: self._delete_validated(key), failed)
-
-    def _delete_validated(self, key: bytes) -> Dependency:
         if self.index.get(key) is None:
             raise KeyNotFoundError(f"no shard for key {key!r}")
         dep = self.index.delete(key)

@@ -19,9 +19,10 @@ from repro.shardstore.dependency import Dependency, FutureCell
 
 #: Frames per op on a healthy node without journal or recorder
 #: (DESIGN.md "Envelope cost" has the counts before and after).
-GET_BUDGET = 26  # a cache-hot get
+GET_BUDGET = 24  # a cache-hot get
 CONTAINS_BUDGET = 6
-PUT_BUDGET = 51  # a put that flushes neither memtable nor superblock
+PUT_BUDGET = 50  # a put that flushes neither memtable nor superblock
+DELETE_BUDGET = 33  # a delete that flushes neither
 #: Objects a flush-free put builds: the chunk's data-plus-pointer
 #: dependency and the index entry's; the index entry's promise cell, and
 #: the extent's pointer-promise cell when the put opens its era.
@@ -110,3 +111,15 @@ class TestEnvelopeFrameBudget:
         cells = frames.entered(FutureCell.__init__.__code__)
         assert deps <= PUT_DEPENDENCIES, f"{deps} Dependency objects:\n{frames}"
         assert cells <= PUT_CELLS, f"{cells} FutureCell objects:\n{frames}"
+
+    def test_delete_without_flushes(self):
+        node, keys = _warm_node()
+        store = node.systems[node.route_of(keys[5])].store
+
+        def flushes():
+            return store.index.stats.flushes, store.superblock.stats.flushes
+
+        before = flushes()
+        frames = _frames(lambda: node.delete(keys[5]))
+        assert flushes() == before, "the counted delete must not flush"
+        assert len(frames) <= DELETE_BUDGET, f"{len(frames)} frames:\n{frames}"

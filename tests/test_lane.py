@@ -2,8 +2,8 @@
 
 A :class:`DiskLane` is the small checked component the node is composed
 of: everything here drives ``io`` / ``unmetered_io`` / ``locked_io`` /
-``admit`` / ``probe`` directly, with scripted callables standing in for
-store operations where the outcome has to be exact.
+``retry`` / ``admit`` / ``probe`` directly, with scripted callables
+standing in for store operations where the outcome has to be exact.
 """
 
 import pytest
@@ -336,8 +336,8 @@ class TestOneCounterPath:
 # call's failures and lists everything the retry path and the breaker
 # leave behind: the attempt count, the counters, the breaker's outcome
 # window, the journal's retry notes and the ``retry`` events' fields.
-# The values were computed before the first attempt moved inline (out of
-# ``call_with_retries``), and must not move with it.
+# The lane values were computed before the first attempt moved inline
+# (out of the retry loop), and must not move with it.
 
 
 class _FlakyFirst:
@@ -407,14 +407,13 @@ def _observe_lane(entry, failures, *, transient=True, admission=None, tokens=Non
 
 
 def _observe_store(op_name, failures, *, transient=True):
-    """One ``ShardStore.put`` / ``get`` with retries on, journaled and
-    traced; the failures are injected into the chunk store beneath it."""
+    """One bare ``ShardStore.put`` / ``get``, journaled and traced; the
+    failures are injected into the chunk store beneath it."""
     recorder = RingRecorder()
     journal = Journal()
     system = StoreSystem(
         StoreConfig(
             geometry=DiskGeometry(num_extents=10, extent_size=2048, page_size=128),
-            retries=True,
             recorder=recorder,
             journal=journal,
         )
@@ -433,8 +432,7 @@ def _observe_store(op_name, failures, *, transient=True):
     return (
         outcome,
         flaky.calls,
-        store.stats.retries,
-        (record["kind"], record["out"], record.get("retries", 0)),
+        (record["kind"], record["out"], "retries" in record),
         _retry_events(recorder, "store.retry"),
     )
 
@@ -477,28 +475,30 @@ LANE_ACCOUNTING = [
         ("unmetered_io", 3, {}),
         ("RetryableError", 3, (2, 0, 1), [False], 2, [1, 2]),
     ),
+    # ``retry`` is the loop itself: raw errors, and no breaker feed.
+    (("retry", 2, {}), ("ok", 3, (2, 0, 0), [], 2, [1, 2])),
+    (("retry", 3, {}), ("IoError", 3, (2, 0, 0), [], 2, [1, 2])),
+    (
+        ("retry", 99, {"transient": False}),
+        ("IoError", 1, (0, 0, 0), [], 0, []),
+    ),
+    (("retry", 1, {"retries": False}), ("IoError", 1, (0, 0, 0), [], 0, [])),
 ]
 
-#: (op, failures, transient) -> (outcome, attempts, store.retries,
-#: (record kind, record outcome, record retries), store.retry event
-#: attempts).
+#: (op, failures, transient) -> (outcome, attempts, (record kind, record
+#: outcome, record has a ``retries`` field), store.retry event attempts).
+#: A bare store fails fast: one attempt, transient or not.
 STORE_ACCOUNTING = [
-    (("put", 0, True), ("ok", 1, 0, ("put", "ok", 0), [])),
-    (("put", 1, True), ("ok", 2, 1, ("put", "ok", 1), [1])),
-    (("put", 2, True), ("ok", 3, 2, ("put", "ok", 2), [1, 2])),
-    (
-        ("put", 3, True),
-        ("IoError", 3, 2, ("put", "error:IoError", 2), [1, 2]),
-    ),
-    (("put", 99, False), ("IoError", 1, 0, ("put", "error:IoError", 0), [])),
-    (("get", 0, True), ("ok", 1, 0, ("get", "ok", 0), [])),
-    (("get", 1, True), ("ok", 2, 1, ("get", "ok", 1), [1])),
-    (("get", 2, True), ("ok", 3, 2, ("get", "ok", 2), [1, 2])),
-    (
-        ("get", 3, True),
-        ("IoError", 3, 2, ("get", "error:IoError", 2), [1, 2]),
-    ),
-    (("get", 99, False), ("IoError", 1, 0, ("get", "error:IoError", 0), [])),
+    (("put", 0, True), ("ok", 1, ("put", "ok", False), [])),
+    (("put", 1, True), ("IoError", 1, ("put", "error:IoError", False), [])),
+    (("put", 2, True), ("IoError", 1, ("put", "error:IoError", False), [])),
+    (("put", 3, True), ("IoError", 1, ("put", "error:IoError", False), [])),
+    (("put", 99, False), ("IoError", 1, ("put", "error:IoError", False), [])),
+    (("get", 0, True), ("ok", 1, ("get", "ok", False), [])),
+    (("get", 1, True), ("IoError", 1, ("get", "error:IoError", False), [])),
+    (("get", 2, True), ("IoError", 1, ("get", "error:IoError", False), [])),
+    (("get", 3, True), ("IoError", 1, ("get", "error:IoError", False), [])),
+    (("get", 99, False), ("IoError", 1, ("get", "error:IoError", False), [])),
 ]
 
 
@@ -507,6 +507,17 @@ class TestRetryAndBreakerAccountingPinned:
     def test_lane_call(self, case, expected):
         entry, failures, options = case
         assert _observe_lane(entry, failures, **options) == expected
+
+    def test_retry_event_names_each_error(self):
+        recorder = RingRecorder()
+        lane, _ = _lane(recorder=recorder)
+        assert lane.retry(_FlakyFirst(lambda: "ok", 2)) == "ok"
+        events = [
+            (entry["fields"]["attempt"], entry["fields"]["error"])
+            for entry in recorder.events
+            if entry["type"] == "event" and entry["name"] == "node.retry"
+        ]
+        assert events == [(1, "injected #1"), (2, "injected #2")]
 
     @pytest.mark.parametrize("case, expected", STORE_ACCOUNTING)
     def test_store_call(self, case, expected):

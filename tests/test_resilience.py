@@ -1,15 +1,14 @@
 """Unit tests for the resilience primitives and the self-healing node.
 
 Covers the tolerance side of the section 4.4 failure-injection contract:
-bounded immediate retries, the per-disk sliding-window health view, the
-op-clocked circuit breaker state machine, and -- end to end -- a
-StorageNode tripping its breaker on a faulty disk, demoting it, probing
-after cooldown, and re-admitting it through probation back to CLOSED.
+the per-disk sliding-window health view, the op-clocked circuit breaker
+state machine, and -- end to end -- a StorageNode tripping its breaker on
+a faulty disk, demoting it, probing after cooldown, and re-admitting it
+through probation back to CLOSED.  The retry loop itself is
+``DiskLane.retry``, pinned in ``tests/test_lane.py``.
 """
 
 import dataclasses
-
-import pytest
 
 import repro.shardstore as shardstore
 from repro.cluster import ClusterConfig
@@ -30,76 +29,11 @@ from repro.shardstore.resilience import (
     BREAKER_PROBATION_OPS,
     BREAKER_TRIP_FAILURES,
     BREAKER_WINDOW,
-    RETRY_ATTEMPTS,
     AdmissionConfig,
     BreakerState,
     CircuitBreaker,
     DiskHealth,
-    call_with_retries,
 )
-
-
-class TestRetryPolicy:
-    def test_transient_error_is_retried_to_success(self):
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < RETRY_ATTEMPTS:
-                raise IoError("flaky", transient=True)
-            return "ok"
-
-        assert call_with_retries(flaky, RETRY_ATTEMPTS) == "ok"
-        assert len(attempts) == RETRY_ATTEMPTS == 3
-
-    def test_budget_exhaustion_reraises_final_error(self):
-        attempts = []
-
-        def always_fails():
-            attempts.append(1)
-            raise IoError("still down", transient=True)
-
-        with pytest.raises(IoError, match="still down"):
-            call_with_retries(always_fails, RETRY_ATTEMPTS)
-        assert len(attempts) == RETRY_ATTEMPTS
-
-    def test_non_transient_error_is_never_retried(self):
-        attempts = []
-
-        def hard_fail():
-            attempts.append(1)
-            raise IoError("dead region", transient=False)
-
-        with pytest.raises(IoError):
-            call_with_retries(hard_fail, RETRY_ATTEMPTS)
-        assert len(attempts) == 1
-
-    def test_disabled_policy_never_retries(self):
-        """One attempt is what ``retries=False`` runs."""
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            raise IoError("flaky", transient=True)
-
-        with pytest.raises(IoError):
-            call_with_retries(flaky, 1)
-        assert len(attempts) == 1
-
-    def test_on_retry_sees_attempt_and_error(self):
-        seen = []
-
-        def flaky():
-            if len(seen) < 2:
-                raise IoError(f"flaky #{len(seen) + 1}", transient=True)
-            return "done"
-
-        call_with_retries(
-            flaky,
-            RETRY_ATTEMPTS,
-            on_retry=lambda n, exc: seen.append((n, str(exc))),
-        )
-        assert seen == [(1, "flaky #1"), (2, "flaky #2")]
 
 
 class TestDiskHealth:
@@ -368,6 +302,12 @@ class TestOneValuePerKnob:
         for module in (resilience, shardstore):
             for name in ("BreakerConfig", "RetryPolicy"):
                 assert not hasattr(module, name), (module.__name__, name)
+
+    def test_retrying_exists_once(self):
+        """The lane is the one retry site: a bare store fails fast."""
+        assert "retries" not in {f.name for f in dataclasses.fields(StoreConfig)}
+        assert not hasattr(resilience, "call_with_retries")
+        assert not hasattr(shardstore.ShardStore, "_retry_after")
 
     def test_anti_entropy_budgets_are_not_cluster_config(self):
         names = {field.name for field in dataclasses.fields(ClusterConfig)}

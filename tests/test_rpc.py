@@ -187,7 +187,6 @@ class TestValidation:
             superblock_flush_cadence=7,
             buffer_cache_pages=96,
             seed=40,
-            retries=True,
         )
         node = StorageNode(num_disks=3, config=base)
         for disk_id, system in enumerate(node.systems):
@@ -195,8 +194,6 @@ class TestValidation:
                 got = getattr(system.config, field.name)
                 if field.name == "seed":
                     assert got == 40 + disk_id + 1
-                elif field.name == "retries":
-                    assert got is False  # the node retries, not the store
                 else:
                     assert got == getattr(base, field.name), field.name
 
