@@ -1,7 +1,12 @@
-"""Write-through page cache over the IO scheduler.
+"""Demand-filled page cache over the IO scheduler.
 
-All chunk reads and data-extent appends go through this cache.  It is the
-home of two Fig. 5 issues:
+All chunk reads and data-extent appends go through this cache.  Only a
+read miss files a page (:meth:`BufferCache._fill`); an append files
+nothing.  A cached page is a valid prefix of its page, and an append never
+changes the bytes below the soft pointer it started at, so a page cached
+before an append is still right for every byte it holds, and a read that
+needs more of the page than it holds refills it.  It is the home of two
+Fig. 5 issues:
 
 * **Fault #2** -- the cache must be drained when an extent is reset, or a
   later reuse of the extent can serve stale pages to readers.
@@ -19,8 +24,8 @@ and hit on every page (:class:`FrameMemo`): the bytes a read returned, and
 the images of the pages they were assembled from.  A memo is a function of those
 page images alone, so it is exact for as long as they are what the cache
 serves, and it lives exactly as long as its page's entry: eviction, a
-refill, a write-through fill and invalidation replace or drop the entry
-and the memos with it (DESIGN.md "Buffer cache").
+refill and invalidation replace or drop the entry and the memos with it
+(DESIGN.md "Buffer cache").
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .config import StoreConfig
 from .dependency import Dependency
-from .errors import ExtentError, IoError
+from .errors import ExtentError
 from .faults import Fault
 from .scheduler import IoScheduler
 from .superblock import Superblock
@@ -73,7 +78,7 @@ _Entry = Tuple[bytes, int, Optional[Dict[int, FrameMemo]]]
 
 
 class BufferCache:
-    """LRU page cache; write-through on append, demand-fill on read."""
+    """LRU page cache, filled by read misses only."""
 
     def __init__(
         self, scheduler: IoScheduler, superblock: Superblock, config: StoreConfig
@@ -225,15 +230,15 @@ class BufferCache:
     ) -> Tuple[int, Dependency]:
         """Append through the cache; returns (offset, persistence dep).
 
-        The returned dependency is ``data-write AND superblock-promise``,
-        one object built by ``Superblock.note_append`` from the append's
-        records (the scheduler's ``promise``); fault #8 drops the
-        superblock promise.
+        The append files no page: a later read of its bytes misses, or
+        refills the page whose cached prefix ends short of them.  The
+        returned dependency is ``data-write AND superblock-promise``, one
+        object built by ``Superblock.note_append`` from the append's records
+        (the scheduler's ``promise``); fault #8 drops the superblock promise.
         """
         superblock = self.superblock
         if self.faults.enabled(Fault.CACHE_WRITE_MISSING_SOFT_PTR_DEP):
             offset, data_dep = self.scheduler.append(extent, data, dep, label=label)
-            self._fill_from_append(extent, offset, data)
             superblock.note_append(extent)
             superblock.maybe_flush()
             self.recorder.fault_event(
@@ -244,64 +249,8 @@ class BufferCache:
         offset, write_dep = self.scheduler.append(
             extent, data, dep, label=label, promise=superblock.note_append
         )
-        self._fill_from_append(extent, offset, data)
         superblock.maybe_flush()
         return offset, write_dep
-
-    def _fill_from_append(self, extent: int, offset: int, data: bytes) -> None:
-        """Populate cache pages covering a fresh append (write-through).
-
-        An append can start mid-page; the bytes before it belong to earlier
-        appends and must come from the cache or, if the page was never
-        cached that far, from the scheduler -- fabricating anything for the
-        prefix would corrupt the cached image of the previous chunk's tail.
-
-        Each page is filed as :meth:`_insert` would (inlined: this is every
-        put), evicting as it goes, so a later page of the append is looked
-        up in the cache as that page's insert left it.
-        """
-        page = self._page_size
-        end = offset + len(data)
-        view = memoryview(data)
-        pages = self._pages
-        budget = self._page_budget
-        for page_idx in range(offset // page, (end - 1) // page + 1):
-            page_start = page_idx * page
-            valid = min(page, end - page_start)
-            key = (extent, page_idx)
-            cached = pages.get(key)
-            if cached is not None and cached[1] > valid:
-                continue  # cache already knows a longer prefix
-            lo = max(offset, page_start)
-            prefix_len = lo - page_start
-            known = cached[1] if cached is not None else 0
-            seg = view[lo - offset : min(end, page_start + page) - offset]
-            if known == prefix_len:
-                # Fast path: the cached prefix (possibly empty) ends exactly
-                # where this append starts -- concatenate, no readback and no
-                # scratch buffer.
-                image = cached[0] + seg if prefix_len else bytes(seg)
-            else:
-                fresh = bytearray(valid)
-                if cached is not None:
-                    fresh[:known] = cached[0][:known]
-                if known < prefix_len:
-                    # Earlier appends own [known, prefix_len); read them back.
-                    try:
-                        fresh[known:prefix_len] = self.scheduler.read(
-                            extent, page_start + known, prefix_len - known
-                        )
-                    except IoError:
-                        # Injected read fault: don't cache a page we cannot
-                        # reconstruct; the read path will refetch it later.
-                        pages.pop(key, None)
-                        continue
-                fresh[prefix_len:valid] = seg
-                image = bytes(fresh)
-            pages[key] = (image, valid, None)
-            pages.move_to_end(key)
-            while len(pages) > budget:
-                pages.popitem(last=False)
 
     # ------------------------------------------------------------------
     # invalidation

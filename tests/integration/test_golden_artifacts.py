@@ -58,8 +58,14 @@ GOLDEN_STORM_ARTIFACTS = {
     # shard records 343 / 294 -> 242 / 234, checked 328 / 279 -> 227 / 219,
     # and the ``heads_digest`` fields; every verdict, counter and detail is
     # unchanged (was ff0f333e...631a52404).
+    # Re-pinned when a put stopped filing its pages in the buffer cache:
+    # a get after a put now misses and reads the disk, so an armed read
+    # fault fires there.  Moved: ``injection`` fired (shard 2: 1 -> 2,
+    # shard 3: 5 -> 9, totals 15 -> 20) and shard 3's evidence (checked
+    # 81 -> 80, totals 596 -> 595, the ``heads_digest`` fields); every
+    # verdict is unchanged (was 39cbbefc...51bc623e).
     ("injection", 0, "--journal"): (
-        "39cbbefcd78290ac1ba6d51a88a69d066853ce53a7c944fdf489a77f51bc623e",
+        "1e453bf410a2b4327a70dec86d2d6567154ccc236cc96e65eb16a3d39edf2333",
         0,
     ),
     # Re-pinned when an LSM run chunk started to wait for the data chunks
@@ -68,8 +74,13 @@ GOLDEN_STORM_ARTIFACTS = {
     # more IOs and the deadline-aware plane sheds 44 requests instead of
     # 43 (shard 2: 24 -> 25).  Only ``shed_deadline`` moved;
     # deadline_violations is still 0 (was 2e16210e...42df19872).
+    # Re-pinned with ``injection@0`` above, for the same reason: more gets
+    # read the slowed disks, so the plane sheds 180 requests by deadline
+    # instead of 44 (shards 7 / 0 / 25 / 12 -> 36 / 37 / 58 / 49), fired
+    # 48 -> 76 and retries 34 -> 35.  deadline_violations is still 0 and
+    # storm_events and slow_trips are unchanged (was 95187e7f...d4d82435b).
     ("brownout", 0, None): (
-        "95187e7fa1a788694c7b80801c109fa7963c7c0cc9494d4c98c56d8d4d82435b",
+        "6ad73b7bb985102e7a294581fd76397a2c10808fe05f3b9b32b79ff98614aa0f",
         0,
     ),
     # The four cluster-plane rows were re-pinned when a replica apply
@@ -98,16 +109,24 @@ GOLDEN_STORM_ARTIFACTS = {
         "060f65c5982654d322a69eb87e2614b334d968ec999d37430ca7191173c5655e",
         0,
     ),
+    # Re-pinned with ``injection@0``: only ``fired`` moved (shard 2: 1 -> 2,
+    # shard 3: 17 -> 18, totals 27 -> 29).  Still exit 1 (was df1a4bcd...
+    # 0c975496c82ad476c1037e2f6fccac94efa1174681).
     ("injection", 0, "--no-breaker"): (
-        "df1a4bcd3df4ce091b11070c975496c82ad476c1037e2f6fccac94efa1174681",
+        "90b92ebfbb99e78e18e954fc22c77055b2a66ccb410e53b4648536bd93188778",
         1,
     ),
     # Re-pinned with ``brownout@0`` above, for the same reason: shard 2
     # runs 19 requests past their deadline instead of 17 (totals 32 -> 34,
     # and the failure detail's count).  Still exit 1 (was 44c1e791...
     # 92d5cfdc7739b).
+    # Re-pinned with ``brownout@0``: deadline_violations 34 -> 170, and
+    # shard 1 now fails too, in its first case (cases 2 -> 1, planned 52 ->
+    # 26, storm_events 12 -> 6), so ``failures`` holds 4 entries, not 3,
+    # with the new counts in their details, and the totals read cases 6 ->
+    # 5, ops 960 -> 800.  Still exit 1 (was 977a48e8...5e001de3b55f5).
     ("brownout", 0, "--no-shedding"): (
-        "977a48e8af54ae10c51bce7807651856dc533e5fe62a9c5fe115e001de3b55f5",
+        "bdaf00d21136a6a7baf78268a6d9f495de14f11d058b9ce85f8786a580757247",
         1,
     ),
     ("cluster", 0, "--no-read-repair"): (
@@ -130,8 +149,16 @@ GOLDEN_STORM_ARTIFACTS = {
 #: cases and ops; row #7's evidence, the same key now reported as "listed
 #: but unreadable after recovery" rather than observed absent (was
 #: 33e033e9...bf022f52a837e).
+#:
+#: Re-pinned when a put stopped filing its pages in the buffer cache.
+#: Moved: row #2's evidence (the same op[58] put at seed 0, now failing on
+#: ``chunk frame out of bounds`` instead of ``chunk trailing uuid
+#: mismatch``: the stale page is now the one a read filed before the
+#: reset) and ``injection`` fired (shards 0 / 2 / 3: 2 / 2 / 6 -> 3 / 3 /
+#: 7, totals 13 -> 16).  Still 16 of 16 detected (was ca1df83c...
+#: e98b795f0).
 GOLDEN_FULL_SHA256 = (
-    "ca1df83c0c383eb93cc365dd3f18cfef2bab6b10a38bb80ef3dc584e98b795f0"
+    "98bff659d38a9b5fab1a08a90e8941817bbe1255ae65d9433d3ff66ae879e750"
 )
 
 #: (workload, ops, mutant) at seed 7 -> (file sha256, chain head, records).

@@ -1,4 +1,4 @@
-"""Unit tests for the write-through page cache."""
+"""Unit tests for the page cache: filled by read misses, never by appends."""
 
 import random
 
@@ -11,6 +11,7 @@ from repro.shardstore import (
     FaultSet,
     InMemoryDisk,
     IoError,
+    StorageNode,
     StoreConfig,
 )
 from repro.shardstore.buffer_cache import BufferCache
@@ -66,6 +67,30 @@ class TestReadPath:
 
 
 class TestWritePath:
+    def test_append_files_no_page(self):
+        disk, tracker, scheduler, cache = _fresh()
+        cache.append(4, b"q" * 300, Dependency.root(tracker))
+        assert (cache.cached_pages, cache.hits, cache.misses) == (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "fault", [None, Fault.CACHE_WRITE_MISSING_SOFT_PTR_DEP], ids=["fixed", "fault8"]
+    )
+    @pytest.mark.parametrize("tail", [50, 150], ids=["same-page", "next-page"])
+    def test_read_after_append_to_a_partly_cached_page(self, fault, tail):
+        """Page 0 is cached 50 bytes long; an append extends it (and, at
+        150 bytes, runs on into page 1).  The read of the new bytes refills
+        page 0 from the scheduler instead of serving its short image."""
+        faults = FaultSet.only(fault) if fault is not None else None
+        disk, tracker, scheduler, cache = _fresh(faults=faults)
+        cache.append(4, b"a" * 50, Dependency.root(tracker))
+        assert cache.read(4, 0, 50) == b"a" * 50
+        assert cache._pages[(4, 0)][1] == 50
+        cache.append(4, b"b" * tail, Dependency.root(tracker))
+        assert cache._pages[(4, 0)][1] == 50, "the append left the page alone"
+        assert cache.read(4, 50, tail) == b"b" * tail
+        assert cache.read(4, 0, 50 + tail) == b"a" * 50 + b"b" * tail
+        assert cache._pages[(4, 0)][1] == min(128, 50 + tail)
+
     def test_append_fills_cache_consistently(self):
         disk, tracker, scheduler, cache = _fresh()
         offset, dep = cache.append(4, b"q" * 300, Dependency.root(tracker))
@@ -111,15 +136,19 @@ class TestInvalidation:
         disk, tracker, scheduler, cache = _fresh()
         cache.append(4, b"x" * 200, Dependency.root(tracker))
         cache.append(5, b"y" * 200, Dependency.root(tracker))
+        cache.read(4, 0, 200)
+        cache.read(5, 0, 200)
         cache.invalidate_extent(4)
         assert all(key[0] != 4 for key in cache._pages)
         assert any(key[0] == 5 for key in cache._pages)
+        assert cache.stats.invalidated_pages == 2
 
     def test_fault2_skips_invalidation(self):
         disk, tracker, scheduler, cache = _fresh(
             faults=FaultSet.only(Fault.CACHE_NOT_DRAINED_ON_RESET)
         )
         cache.append(4, b"stale" * 10, Dependency.root(tracker))
+        cache.read(4, 0, 50)  # a read before the reset files the page
         cache.invalidate_extent(4)
         assert any(key[0] == 4 for key in cache._pages), "fault keeps pages"
 
@@ -136,11 +165,22 @@ class TestInvalidation:
         assert cache.read(4, 0, 4) == b"OLD!", "stale page served: the bug"
         assert scheduler.read(4, 0, 4) == b"NEW!", "the medium has new data"
 
+    def test_reset_drains_the_page_a_read_filed(self):
+        disk, tracker, scheduler, cache = _fresh()
+        cache.append(4, b"OLD!" * 32, Dependency.root(tracker))
+        cache.read(4, 0, 128)
+        scheduler.reset(4, Dependency.root(tracker))
+        cache.invalidate_extent(4)
+        cache.append(4, b"NEW!", Dependency.root(tracker))
+        assert cache.read(4, 0, 4) == b"NEW!"
+
     def test_lru_eviction_bounds_size(self):
         disk, tracker, scheduler, cache = _fresh(cache_pages=4)
         for extent in (4, 5, 6):
             cache.append(extent, b"f" * 300, Dependency.root(tracker))
-        assert cache.cached_pages <= 4
+            cache.read(extent, 0, 300)
+        assert cache.cached_pages == 4
+        assert list(cache._pages) == [(5, 2), (6, 0), (6, 1), (6, 2)]
 
 
 class TestPageBudgetEviction:
@@ -150,9 +190,12 @@ class TestPageBudgetEviction:
         disk, tracker, scheduler, cache = _fresh(cache_pages=2)
         cache.append(4, b"a" * 128, Dependency.root(tracker))
         cache.append(5, b"b" * 128, Dependency.root(tracker))
-        cache.read(4, 0, 128)  # touch 4 so extent 5 is the LRU victim
         cache.append(6, b"c" * 128, Dependency.root(tracker))
-        assert (5, 0) not in cache._pages
+        cache.read(4, 0, 128)
+        cache.read(5, 0, 128)
+        cache.read(4, 0, 128)  # touch 4 so extent 5 is the LRU victim
+        cache.read(6, 0, 128)
+        assert list(cache._pages) == [(4, 0), (6, 0)]
         # Evicted pages refill through the scheduler transparently.
         assert cache.read(5, 0, 128) == b"b" * 128
         assert cache.read(4, 0, 128) == b"a" * 128
@@ -162,13 +205,14 @@ class TestPageBudgetEviction:
         # The evictor never evicts the page it just inserted, even at the
         # smallest budget.
         disk, tracker, scheduler, cache = _fresh(cache_pages=1)
-        cache.append(4, b"z" * 128, Dependency.root(tracker))
-        assert cache.cached_pages == 1
-        assert cache.read(4, 0, 128) == b"z" * 128
+        cache.append(4, b"z" * 128 + b"y" * 128, Dependency.root(tracker))
+        assert cache.read(4, 0, 256) == b"z" * 128 + b"y" * 128
+        assert list(cache._pages) == [(4, 1)]
 
     def test_invalidate_all_resets_page_count(self):
         disk, tracker, scheduler, cache = _fresh()
         cache.append(4, b"x" * 200, Dependency.root(tracker))
+        cache.read(4, 0, 200)
         assert cache.cached_pages == 2
         cache.invalidate_all()
         assert cache.cached_pages == 0
@@ -285,16 +329,20 @@ def _read(extent, offset, length):
     return lambda disk, tracker, scheduler, cache: cache.read(extent, offset, length)
 
 
+def _append_and_read(extent, data):
+    """An append and the read that files its pages: appends file none."""
+    return [_append(extent, data), _read(extent, 0, len(data))]
+
+
 def _evict_middle_page():
     """With pages 0-2 of extent 4 cached, fill the 4-page budget, touch
     pages 0 and 2 and add one more page: (4, 1) is evicted, and refilling
     it evicts (5, 0), not a page of extent 4."""
-    return [
-        _append(5, b"e" * 128),
-        _read(4, 0, 128),
-        _read(4, 256, 128),
-        _append(6, b"f" * 128),
-    ]
+    return (
+        _append_and_read(5, b"e" * 128)
+        + [_read(4, 0, 128), _read(4, 256, 128)]
+        + _append_and_read(6, b"f" * 128)
+    )
 
 
 def _three_pages():
@@ -318,7 +366,7 @@ class TestPageWalkAgainstReference:
             + [_read(4, 10, 300), _read(4, 10, 300), _read(4, 130, 10)]
         )
         trace = self._assert_same(script)
-        middle_miss = trace[7]
+        middle_miss = trace[9]
         assert middle_miss[0] == ("ok", _three_pages()[10:310])
         assert middle_miss[6][-1] == (4, 128, 128), "refilled from the scheduler"
 
@@ -342,39 +390,45 @@ class TestPageWalkAgainstReference:
     def test_fault2_read_after_reset_and_reuse(self):
         """Stale pages under fault #2: a read remembered over a fresh first
         page and a stale second one, then the second page refilled from the
-        medium while the first stays cached."""
+        medium while the first stays cached.  The stale pages are filed by
+        a read before the reset, as the reclamation scan files them."""
 
         def reset(disk, tracker, scheduler, cache):
             scheduler.reset(4, Dependency.root(tracker))
             cache.invalidate_extent(4)  # skipped under the fault
 
-        script = [
-            _append(4, b"O" * 384),
-            _read(4, 0, 228),
-            reset,
-            _append(4, b"N" * 128),  # replaces page 0
-            _append(4, b"M" * 100),  # page 1 keeps its longer stale image
-            _read(4, 0, 228),
-            _read(4, 0, 228),
-            _read(4, 5, 10),  # page 0 most recent, pages 2 and 1 oldest
-            _append(5, b"e" * 128),
-            _append(6, b"f" * 128),
-            _append(7, b"g" * 128),  # evicts (4, 2) and (4, 1)
-            _read(4, 0, 228),
-            _read(4, 0, 228),
-        ]
+        script = (
+            [
+                _append(4, b"O" * 384),
+                _read(4, 128, 256),  # files pages 1 and 2
+                reset,
+                _append(4, b"N" * 128),
+                _append(4, b"M" * 100),  # page 1 keeps its longer stale image
+                _read(4, 0, 228),  # page 0 filled from the medium
+                _read(4, 0, 228),
+                _read(4, 5, 10),  # page 0 most recent, pages 2 and 1 oldest
+            ]
+            + _append_and_read(5, b"e" * 128)
+            + _append_and_read(6, b"f" * 128)
+            + _append_and_read(7, b"g" * 128)  # evicts (4, 2) and (4, 1)
+            + [_read(4, 0, 228), _read(4, 0, 228)]
+        )
         trace = self._assert_same(
             script, FaultSet.only(Fault.CACHE_NOT_DRAINED_ON_RESET)
         )
         assert trace[5][0] == ("ok", b"N" * 128 + b"O" * 100), "the bug, served"
+        assert trace[6][0] == ("ok", b"N" * 128 + b"O" * 100)
         assert trace[-2][0] == ("ok", b"N" * 128 + b"M" * 100)
         assert trace[-1][0] == ("ok", b"N" * 128 + b"M" * 100)
+        fixed = self._assert_same(script)
+        assert fixed[5][0] == ("ok", b"N" * 128 + b"M" * 100)
 
 
 class TestRememberedReads:
     def test_unchanged_pages_return_the_same_bytes(self):
         disk, tracker, scheduler, cache = _fresh()
         cache.append(4, _three_pages(), Dependency.root(tracker))
+        cache.read(4, 10, 300)  # fills pages 0-2
         first = cache.read(4, 10, 300)
         assert cache.read(4, 10, 300) is first
         assert cache.memo(4, 10, first).data is first
@@ -403,6 +457,7 @@ class TestRememberedReads:
             faults=FaultSet.only(Fault.CACHE_NOT_DRAINED_ON_RESET)
         )
         cache.append(4, b"OLD!" * 32, Dependency.root(tracker))
+        cache.read(4, 0, 4)  # fills page 0
         stale = cache.read(4, 0, 4)
         scheduler.reset(4, Dependency.root(tracker))
         cache.invalidate_extent(4)  # no-op under the fault
@@ -410,3 +465,58 @@ class TestRememberedReads:
         assert cache.read(4, 0, 4) is stale
         cache.invalidate_all()
         assert cache.read(4, 0, 4) == b"NEW!"
+
+
+def _node(faults=None, num_disks=2):
+    return StorageNode(
+        num_disks=num_disks,
+        config=StoreConfig(
+            geometry=DiskGeometry(64, 65536, 512),
+            faults=faults or FaultSet.none(),
+            buffer_cache_pages=256,
+            seed=7,
+        ),
+    )
+
+
+def _caches(node):
+    return [system.store.chunk_store.cache for system in node.systems]
+
+
+class TestNodePutsFileNothing:
+    def test_put_on_a_warm_node_leaves_the_cache_alone(self):
+        node = _node()
+        keys = [b"key-%03d" % i for i in range(40)]
+        for key in keys:
+            node.put(key, b"v" * 200)
+        for key in keys:
+            node.get(key)
+
+        def state():
+            return [(c.cached_pages, c.hits, c.misses) for c in _caches(node)]
+
+        before = state()
+        node.put(keys[3], b"w" * 200)  # an overwrite
+        node.put(b"key-new", b"n" * 200)
+        assert state() == before
+
+    @pytest.mark.parametrize(
+        "fault", [None, Fault.CACHE_WRITE_MISSING_SOFT_PTR_DEP], ids=["fixed", "fault8"]
+    )
+    @pytest.mark.parametrize(
+        "size, pages", [(40, 1), (700, 2)], ids=["same-page", "next-page"]
+    )
+    def test_get_after_a_put_onto_a_partly_cached_page(self, fault, size, pages):
+        """One disk, so both puts land on the same extent: the second put's
+        frame starts on the page the first get filed short (512-byte pages;
+        the first frame is 90 bytes, the second 51 + ``size``)."""
+        faults = FaultSet.only(fault) if fault is not None else None
+        node = _node(faults, num_disks=1)
+        (cache,) = _caches(node)
+        node.put(b"first", b"a" * 40)
+        assert node.get(b"first") == b"a" * 40  # files its short page
+        assert cache.misses == 1
+        node.put(b"second", b"b" * size)
+        assert node.get(b"second") == b"b" * size
+        assert node.get(b"first") == b"a" * 40
+        assert cache.misses == 1 + pages, "the short page was refilled"

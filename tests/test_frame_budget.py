@@ -21,7 +21,7 @@ from repro.shardstore.dependency import Dependency, FutureCell
 #: (DESIGN.md "Envelope cost" has the counts before and after).
 GET_BUDGET = 24  # a cache-hot get
 CONTAINS_BUDGET = 6
-PUT_BUDGET = 50  # a put that flushes neither memtable nor superblock
+PUT_BUDGET = 49  # a put that flushes neither memtable nor superblock
 DELETE_BUDGET = 33  # a delete that flushes neither
 #: Objects a flush-free put builds: the chunk's data-plus-pointer
 #: dependency and the index entry's; the index entry's promise cell, and

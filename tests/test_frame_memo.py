@@ -140,10 +140,11 @@ def test_fault2_stale_tail_refilled_under_a_cached_first_page(checked_gets):
     """The case a memo checked against its range alone gets wrong, directed.
 
     Random sequences do not reach it: the harness stops at the first stale
-    read.  Fault #2 keeps a reset extent's pages; the reused extent's frame
-    B is read over a fresh first page and a stale last page (corrupt), then
-    only its later pages leave the 4-page cache and are refilled from the
-    medium.  The same read must now decode.
+    read.  Fault #2 keeps a reset extent's pages; a read before the reset
+    files the last page, as the reclamation scan does.  The reused extent's
+    frame B is read over a fresh first page and that stale last page
+    (corrupt), then only its later pages leave the 4-page cache and are
+    refilled from the medium.  The same read must now decode.
     """
     system = StoreSystem(
         StoreConfig(
@@ -163,20 +164,22 @@ def test_fault2_stale_tail_refilled_under_a_cached_first_page(checked_gets):
 
     q = put(384)  # three pages of the first extent
     chunks.rotate_open()
-    stale = put(384)  # three pages of the second; evicts two of the first
+    stale = put(384)  # three pages of the second
     extent = stale.extent
+    cache.read(extent, 256, 128)  # files page 2
     cache.scheduler.reset(extent, Dependency.root(cache.scheduler.tracker))
     cache.invalidate_extent(extent)  # skipped under the fault
-    a = put(50)  # page 0 keeps its longer stale image
-    b = put(228)  # pages 0-1 refilled by the append, page 2 left stale
+    a = put(50)
+    b = put(228)  # pages 0-1 filled from the medium by its read, page 2 stale
     assert (a.extent, a.offset, b.extent, b.offset) == (extent, 0, extent, 50)
+    assert list(cache._pages) == [(extent, 2)]
 
-    with pytest.raises(CorruptionError, match="trailing uuid"):
-        chunks.get_chunk(b)  # remembered over the stale page 2
-    with pytest.raises(CorruptionError):
-        chunks.get_chunk(a)  # page 0 becomes the most recent page
+    for _ in range(2):  # a miss, then a read remembered over the stale page 2
+        with pytest.raises(CorruptionError, match="trailing uuid"):
+            chunks.get_chunk(b)
+    chunks.get_chunk(a)  # page 0 becomes the most recent page
     chunks.get_chunk(q)  # evicts every other page of the second extent
     assert (extent, 0) in cache._pages
     assert (extent, 1) not in cache._pages and (extent, 2) not in cache._pages
     assert chunks.get_chunk(b).payload == b"p" * (228 - frame_size(b"k", b""))
-    assert checked_gets["compared"] == 4
+    assert checked_gets["compared"] == 5

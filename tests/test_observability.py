@@ -92,10 +92,17 @@ class TestStoreCountersHandComputed:
         )
         store = system.store
         store.put(b"k", b"v" * 40)
-        before = _counters(recorder).get("cache.hits", 0)
-        assert store.get(b"k") == b"v" * 40
-        after = _counters(recorder)["cache.hits"]
-        assert after > before  # unflushed data must be served by the cache
+        # The put files no page.  Its frame (26-byte header, 3-byte body
+        # header, 1-byte key, 40-byte value, 16-byte trailing uuid: 86
+        # bytes) is the first on its extent, inside page 0 of 128 bytes.
+        counters = _counters(recorder)
+        assert counters.get("cache.hits", 0) == counters.get("cache.misses", 0) == 0
+        assert store.get(b"k") == b"v" * 40  # page 0 filled from the scheduler
+        counters = _counters(recorder)
+        assert (counters.get("cache.hits", 0), counters["cache.misses"]) == (0, 1)
+        assert store.get(b"k") == b"v" * 40  # unflushed data served by the cache
+        counters = _counters(recorder)
+        assert (counters["cache.hits"], counters["cache.misses"]) == (1, 1)
 
     def test_delete_of_absent_key_traces_a_failed_span(self):
         recorder = RingRecorder()
